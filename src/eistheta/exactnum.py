@@ -8,6 +8,7 @@ numbers.  No floating point anywhere.
 from __future__ import annotations
 
 import math
+from decimal import Decimal
 from fractions import Fraction
 
 __all__ = [
@@ -25,7 +26,8 @@ __all__ = [
     "gen_bernoulli",
     "dirichlet_L_neg",
     "cohen_H",
-    "rational_reconstruct",
+    "frac_to_doc",
+    "frac_from_doc",
 ]
 
 
@@ -267,20 +269,27 @@ def cohen_H(r: int, N: int) -> Fraction:
     return dirichlet_L_neg(r, D0) * tot
 
 
-def rational_reconstruct(r: int, M: int, num_bound: int, den_bound: int) -> Fraction:
-    """Recover the fraction a/b with a = b*r (mod M), |a| <= num_bound,
-    0 < b <= den_bound, via the half-extended Euclidean algorithm."""
-    r %= M
-    r0, r1 = M, r
-    s0, s1 = 0, 1
-    while r1 > num_bound:
-        q = r0 // r1
-        r0, r1 = r1, r0 - q * r1
-        s0, s1 = s1, s0 - q * s1
-    a, b = r1, s1
-    if b < 0:
-        a, b = -a, -b
-    if b == 0 or b > den_bound or (a - b * r) % M != 0:
-        raise ArithmeticError("rational reconstruction failed")
-    g = math.gcd(abs(a), b)
-    return Fraction(a // g, b // g)
+def _int_from_str(s) -> int:
+    try:
+        d = Decimal(s)
+    except (ArithmeticError, TypeError):
+        d = None
+    if d is None or d.as_tuple().exponent != 0:
+        raise ValueError(f"not a decimal integer: {s!r}")
+    return int(d)
+
+
+def frac_to_doc(x) -> dict:
+    """A rational as {"num": "...", "den": "..."} decimal strings.
+
+    The strings go through decimal.Decimal, whose conversions to and from
+    int are exact at any length, untouched by the int/str digit limit of
+    Python 3.11+ (4300 digits by default).
+    """
+    x = Fraction(x)
+    return {"num": str(Decimal(x.numerator)), "den": str(Decimal(x.denominator))}
+
+
+def frac_from_doc(doc) -> Fraction:
+    """Inverse of frac_to_doc; ValueError on anything but integer strings."""
+    return Fraction(_int_from_str(doc["num"]), _int_from_str(doc["den"]))

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .exactnum import divisors, v_p
+from .exactnum import divisors, frac_from_doc, frac_to_doc, v_p
 from .lattice import (
     Mat,
     as_mat,
@@ -23,7 +23,9 @@ from .lattice import (
     is_psd,
     minkowski_reduce,
     pad_zero,
+    transform,
 )
+from .linalg import adjugate
 
 
 @dataclass(frozen=True)
@@ -149,15 +151,6 @@ def rank_filter(F: QExpansion, r: int) -> QExpansion:
     return QExpansion(F.degree, F.trace_bound, kept, F.class_invariant)
 
 
-def v_p_rank(F: QExpansion, p: int, r: int):
-    """min of v_p over stored rank-r coefficients (window-relative inf)."""
-    best = math.inf
-    for T, a in F.coeffs.items():
-        if form_rank(T) == r:
-            best = min(best, v_p(a, p))
-    return best
-
-
 def mod_pm_singular_rank(F: QExpansion, p: int, m: int):
     """The p-rank r of a mod-p^m singular expansion, else None.
 
@@ -262,79 +255,61 @@ def _tuples(top, length):
 
 
 def _transform_by_inverse(twoT: Mat, D) -> Mat | None:
-    """(D^{-1})^t (2T) D^{-1} when it lands in even integral matrices."""
-    r = len(twoT)
-    det = 1
-    for i in range(r):
-        det *= D[i][i]
-    inv = [[Fraction(0)] * r for _ in range(r)]
-    for i in range(r):
-        inv[i][i] = Fraction(1, D[i][i])
-    for j in range(r - 1, -1, -1):
-        for i in range(j - 1, -1, -1):
-            s = Fraction(0)
-            for t in range(i + 1, j + 1):
-                s += D[i][t] * inv[t][j]
-            inv[i][j] = -s / D[i][i]
-    out = [[Fraction(0)] * r for _ in range(r)]
-    for i in range(r):
-        for j in range(r):
-            s = Fraction(0)
-            for a in range(r):
-                if inv[a][i]:
-                    s += inv[a][i] * sum(twoT[a][b] * inv[b][j] for b in range(r))
-            out[i][j] = s
-    rows = []
-    for i in range(r):
-        row = []
-        for j in range(r):
-            v = out[i][j]
-            if v.denominator != 1:
-                return None
-            row.append(v.numerator)
-        if row[i] % 2:
-            return None
-        rows.append(tuple(row))
-    return tuple(rows)
+    """(D^{-1})^t (2T) D^{-1} when it lands in even integral matrices.
 
-
-def primitive_coeffs(F: QExpansion, r: int, bound: int) -> dict:
-    """Rank-r primitive coefficients a*(T) for definite T with tr <= bound.
-
-    Inverts a(T + 0) = sum over sublattice shapes D of a*(T[D^{-1}]) by
-    induction on det(2T): subtract the contributions of all non-unimodular
-    Hermite forms D with det(D)^2 | det(2T) and T[D^{-1}] still even
-    integral positive definite.
+    D is upper triangular, so D^{-1} = adj(D) / det(D) with det(D) the
+    product of its diagonal, and the transform is an exact integer one.
     """
-    if not F.class_invariant:
-        raise ValueError("primitive coefficients need a class-invariant expansion")
-    if r <= 0 or r > F.degree:
-        raise ValueError("rank out of range")
-    if bound > F.trace_bound:
-        raise ValueError("bound exceeds stored trace bound")
+    dd = math.prod(D[i][i] for i in range(len(D))) ** 2
+    X = transform(twoT, adjugate(D))
+    if any(x % dd for row in X for x in row):
+        return None
+    out = tuple(tuple(x // dd for x in row) for row in X)
+    if any(out[i][i] % 2 for i in range(len(out))):
+        return None
+    return out
+
+
+def primitive_inversion(plain):
+    """Memoised a* solving a(T) = sum_D a*(T[D^{-1}]) for definite T.
+
+    plain(T) gives a(T) at a canonical definite T; the inversion runs by
+    induction on det(2T), subtracting the contributions of all
+    non-unimodular Hermite forms D with det(D)^2 | det(2T) and T[D^{-1}]
+    still even integral.  Returns the function T -> a*(T) for canonical T.
+    """
     memo: dict[Mat, Fraction] = {}
 
     def star(T: Mat) -> Fraction:
         got = memo.get(T)
         if got is not None:
             return got
-        total = coeff(F, pad_zero(T, F.degree))
+        total = plain(T)
         det2T = form_det(T)
         for d in divisors(det2T):
             if d == 1 or det2T % (d * d):
                 continue
-            for D in _hnf_matrices(r, d):
+            for D in _hnf_matrices(len(T), d):
                 T2 = _transform_by_inverse(T, D)
-                if T2 is None:
-                    continue
-                total -= star(minkowski_reduce(T2))
+                if T2 is not None:
+                    total -= star(minkowski_reduce(T2))
         memo[T] = total
         return total
 
-    out = {}
-    for T in _definite_indices(r, bound):
-        out[T] = star(T)
-    return out
+    return star
+
+
+def primitive_coeffs(F: QExpansion, r: int, bound: int) -> dict:
+    """Rank-r primitive coefficients a*(T) for definite T with tr <= bound,
+    inverting a(T + 0) = sum over sublattice shapes D of a*(T[D^{-1}])."""
+    if not F.class_invariant:
+        raise ValueError("primitive coefficients need a class-invariant expansion")
+    if r <= 0 or r > F.degree:
+        raise ValueError("rank out of range")
+    if bound > F.trace_bound:
+        raise ValueError("bound exceeds stored trace bound")
+    star = primitive_inversion(lambda T: coeff(F, pad_zero(T, F.degree)))
+    return {T: star(T) for T in _definite_indices(r, bound)}
 
 
 def _definite_indices(r: int, bound: int):
@@ -351,13 +326,7 @@ def dump_qexp(F: QExpansion) -> dict:
     entries = []
     for T in sorted(F.coeffs):
         a = F.coeffs[T]
-        entries.append(
-            {
-                "twoT": [list(row) for row in T],
-                "num": str(a.numerator),
-                "den": str(a.denominator),
-            }
-        )
+        entries.append({"twoT": [list(row) for row in T], **frac_to_doc(a)})
     return {
         "degree": F.degree,
         "trace_bound": F.trace_bound,
@@ -367,10 +336,7 @@ def dump_qexp(F: QExpansion) -> dict:
 
 
 def load_qexp(doc) -> QExpansion:
-    coeffs = {
-        as_mat(e["twoT"]): Fraction(int(e["num"]), int(e["den"]))
-        for e in doc["coeffs"]
-    }
+    coeffs = {as_mat(e["twoT"]): frac_from_doc(e) for e in doc["coeffs"]}
     return QExpansion(
         int(doc["degree"]),
         int(doc["trace_bound"]),

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
-from .exactnum import factorize, v_p
+from .exactnum import factorize, frac_from_doc, frac_to_doc, v_p
 from .lattice import (
     Mat,
     QuadCharacter,
@@ -37,53 +37,23 @@ from .lattice import (
     level,
     minkowski_reduce,
 )
+from .linalg import echelon_mod
 
 _SEARCH_BUDGET = 20_000_000
 
 
-def _reduce_mod_q(basis, x, q):
-    """Reduce x against an echelon basis mod q; return None if dependent."""
-    y = list(x)
-    for piv, vec in basis:
-        if y[piv] % q:
-            c = (y[piv] * pow(vec[piv], -1, q)) % q
-            y = [(a - c * b) % q for a, b in zip(y, vec)]
-    for i, a in enumerate(y):
-        if a % q:
-            return i, tuple(y)
-    return None
-
-
 def _affine_solutions_mod_q(rows, rhs, n, q):
     """All solutions of rows . x = rhs over Z/q (q prime), or None."""
-    m = len(rows)
-    aug = [[rows[i][c] % q for c in range(n)] + [rhs[i] % q] for i in range(m)]
-    pivots = []
-    r = 0
-    for c in range(n):
-        piv = next((i for i in range(r, m) if aug[i][c]), None)
-        if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        inv = pow(aug[r][c], -1, q)
-        aug[r] = [(v * inv) % q for v in aug[r]]
-        for i in range(m):
-            if i != r and aug[i][c]:
-                f = aug[i][c]
-                aug[i] = [(a - f * b) % q for a, b in zip(aug[i], aug[r])]
-        pivots.append(c)
-        r += 1
-        if r == m:
-            break
-    for i in range(r, m):
-        if aug[i][n]:
-            return None
+    aug, pivots = echelon_mod([list(r) + [b] for r, b in zip(rows, rhs)], q)
+    if n in pivots:
+        return None
     part = [0] * n
     for i, c in enumerate(pivots):
         part[c] = aug[i][n]
-    free = [c for c in range(n) if c not in pivots]
     null = []
-    for c in free:
+    for c in range(n):
+        if c in pivots:
+            continue
         v = [0] * n
         v[c] = 1
         for i, pc in enumerate(pivots):
@@ -113,9 +83,7 @@ def _column_candidates(A, B, cols, j, q, e, counter):
                 s += x[a] * sum(A[a][b] * x[b] for b in range(n))
         return s
 
-    basis = []
-    for u in cols:
-        basis.append(_reduce_mod_q(basis, u, q))
+    basis = echelon_mod(cols, q)[0]  # the placed columns are independent mod q
 
     def rec(x, t):
         if t == e:
@@ -154,8 +122,8 @@ def _column_candidates(A, B, cols, j, q, e, counter):
         counter[0] += 1
         if counter[0] > _SEARCH_BUDGET:
             raise RuntimeError("local isometry search budget exceeded")
-        if _reduce_mod_q(basis, x0, q) is None:
-            continue
+        if len(echelon_mod(basis + [x0], q)[1]) == len(basis):
+            continue  # dependent on the placed columns mod q
         if any((sum(w[a] * x0[a] for a in range(n)) - t) % q for w, t in zip(W, lin_targets)):
             continue
         if (quad(x0) - qq) % q:
@@ -268,15 +236,6 @@ def build_genera(rank, level_divides, det_bound=None, bound_multiplier=1):
 
 # ------------------------------------------------------------------ caching
 
-def _frac_doc(x):
-    x = Fraction(x)
-    return {"num": str(x.numerator), "den": str(x.denominator)}
-
-
-def _frac_load(doc):
-    return Fraction(int(doc["num"]), int(doc["den"]))
-
-
 def genera_to_doc(rank, level_divides, genera):
     return {
         "rank": rank,
@@ -286,7 +245,7 @@ def genera_to_doc(rank, level_divides, genera):
                 "det": g.det,
                 "level": g.level,
                 "character_disc": g.character.disc,
-                "mass": _frac_doc(g.mass),
+                "mass": frac_to_doc(g.mass),
                 "classes": [
                     {"twoT": [list(row) for row in rec.rep], "epsilon": rec.epsilon}
                     for rec in g.classes
@@ -308,7 +267,7 @@ def genera_from_doc(doc):
                 classes,
                 int(g["level"]),
                 QuadCharacter(int(g["character_disc"])),
-                _frac_load(g["mass"]),
+                frac_from_doc(g["mass"]),
             )
         )
     return out

@@ -49,7 +49,6 @@ __all__ = [
     "automorphism_count",
     "enumerate_classes",
     "enumerate_psd_indices",
-    "format_matrix_text",
     "parse_matrix_text",
 ]
 
@@ -153,17 +152,6 @@ def transform(twoT, U) -> Mat:
     return as_mat(
         [[sum(U[k][i] * TU[k][j] for k in range(n)) for j in range(m)] for i in range(m)]
     )
-
-
-def gram_value(twoT, x) -> int:
-    """Q(x) = (x^t twoT x) / 2."""
-    n = len(twoT)
-    tot = 0
-    for i in range(n):
-        tot += twoT[i][i] * x[i] * x[i]
-        for j in range(i + 1, n):
-            tot += 2 * twoT[i][j] * x[i] * x[j]
-    return tot // 2
 
 
 class QuadCharacter:
@@ -665,13 +653,6 @@ def enumerate_psd_indices(n: int, trace_bound: int):
 
 
 # ------------------------------------------------------------- text format
-
-def format_matrix_text(twoT) -> str:
-    """`n; row; row; ...` with space-separated integer entries of twoT."""
-    n = len(twoT)
-    rows = "; ".join(" ".join(str(x) for x in row) for row in twoT)
-    return f"{n}; {rows}"
-
 
 def parse_matrix_text(text: str) -> Mat:
     parts = [p.strip() for p in text.strip().split(";")]

@@ -1,4 +1,4 @@
-"""Exact linear algebra over the integers and rationals.
+"""Exact linear algebra over the integers, the rationals and Z/p^c.
 
 Matrices are plain lists of lists of ints (or Fractions where stated).
 Sizes here are tiny (rank <= 8), so clarity wins over vectorization.
@@ -6,41 +6,22 @@ Sizes here are tiny (rank <= 8), so clarity wins over vectorization.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
 __all__ = [
     "identity",
-    "transpose",
-    "mat_mul",
-    "mat_vec",
     "bareiss_det",
     "exact_rank",
     "adjugate",
     "smith_normal_form",
     "kernel_basis",
     "unimodular_extension",
-    "extends_to_basis",
-    "solve_mod_prime_power",
+    "echelon_mod",
 ]
 
 
 def identity(n: int) -> list[list[int]]:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def transpose(A):
-    return [list(row) for row in zip(*A)]
-
-
-def mat_mul(A, B):
-    n, k, m = len(A), len(B), len(B[0])
-    assert len(A[0]) == k
-    return [[sum(A[i][t] * B[t][j] for t in range(k)) for j in range(m)] for i in range(n)]
-
-
-def mat_vec(A, v):
-    return [sum(a * x for a, x in zip(row, v)) for row in A]
 
 
 def bareiss_det(A) -> int:
@@ -238,44 +219,33 @@ def _invert_unimodular(U):
     return [[x * d for x in row] for row in adj]
 
 
-def extends_to_basis(vectors: list[list[int]], n: int) -> bool:
-    """Whether the given independent column vectors extend to a basis of Z^n
-    (all Smith invariant factors equal to 1)."""
-    if not vectors:
-        return True
-    K = [[vec[i] for vec in vectors] for i in range(n)]
-    S, _, _ = smith_normal_form(K)
-    k = len(vectors)
-    return all(i < min(len(S), n) and S[i][i] == 1 for i in range(k))
+def echelon_mod(M, p: int, c: int = 1):
+    """Reduced row echelon form of M over Z/p^c, pivoting on p-units only.
 
-
-def solve_mod_prime_power(A, b, p: int, C: int) -> list[int]:
-    """Solve A x = b (mod p**C) by Gaussian elimination with p-unit pivots.
-
-    Raises ArithmeticError when the reduction mod p is not uniquely
-    solvable (pivot missing), which is the caller's cue that the chosen
-    equations do not pin the unknowns down.
+    Returns (rows, pivots), rows reduced mod p^c: rows[i] has a 1 in
+    column pivots[i] and 0 in every other pivot column, and every entry
+    of the rows after len(pivots) is divisible by p.  A column without a
+    unit entry below the current pivots is skipped, so for c = 1 this is
+    Gaussian elimination over F_p and len(pivots) is the rank.  For an
+    augmented [A | b] with A square and invertible mod p, the solution
+    of A x = b mod p^c is the last column of the first len(A) rows.
     """
-    q = p**C
-    rows = len(A)
-    cols = len(A[0])
-    M = [[A[i][j] % q for j in range(cols)] + [b[i] % q] for i in range(rows)]
-    where = [-1] * cols
-    r = 0
-    for c in range(cols):
-        piv = next((i for i in range(r, rows) if M[i][c] % p), None)
+    q = p**c
+    rows = [[x % q for x in row] for row in M]
+    pivots = []
+    for col in range(len(rows[0]) if rows else 0):
+        r = len(pivots)
+        if r == len(rows):
+            break
+        piv = next((i for i in range(r, len(rows)) if rows[i][col] % p), None)
         if piv is None:
-            raise ArithmeticError(f"no unit pivot for column {c} mod {p}")
-        M[r], M[piv] = M[piv], M[r]
-        inv = pow(M[r][c], -1, q)
-        M[r] = [x * inv % q for x in M[r]]
-        for i in range(rows):
-            if i != r and M[i][c]:
-                f = M[i][c]
-                M[i] = [(x - f * y) % q for x, y in zip(M[i], M[r])]
-        where[c] = r
-        r += 1
-    for i in range(r, rows):
-        if M[i][cols] % q:
-            raise ArithmeticError("inconsistent system mod p**C")
-    return [M[where[c]][cols] for c in range(cols)]
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = pow(rows[r][col], -1, q)
+        rows[r] = [x * inv % q for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][col]:
+                f = rows[i][col]
+                rows[i] = [(x - f * y) % q for x, y in zip(rows[i], rows[r])]
+        pivots.append(col)
+    return rows, pivots

@@ -15,19 +15,16 @@ capped at the working precision.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .eisenstein import eisenstein_qexp
-from .exactnum import divisors, factorize, v_p
+from .exactnum import factorize, frac_to_doc, v_p
 from .fourier import (
     QExpansion,
-    _hnf_matrices,
-    _transform_by_inverse,
     check_weight_rank_congruence,
-    dump_qexp,
     mod_pm_singular_rank,
+    primitive_inversion,
     qexp_add,
     qexp_scale,
     u_p,
@@ -39,11 +36,11 @@ from .lattice import (
     automorphism_count,
     check_form,
     eta_S,
-    form_det,
     form_trace,
     level,
     minkowski_reduce,
 )
+from .linalg import echelon_mod
 from .localdensity import local_density_coeff
 from .theta import genus_theta
 
@@ -336,26 +333,7 @@ def primitive_density_coeff(S, k: int) -> Fraction:
     local_density_coeff; rank(S) must be within its supported range.
     """
     S = minkowski_reduce(check_form(S))
-    r = len(S)
-    memo: dict = {}
-
-    def star(T) -> Fraction:
-        got = memo.get(T)
-        if got is not None:
-            return got
-        total = local_density_coeff(T, k)
-        det2T = form_det(T)
-        for d in divisors(det2T):
-            if d == 1 or det2T % (d * d):
-                continue
-            for D in _hnf_matrices(r, d):
-                T2 = _transform_by_inverse(T, D)
-                if T2 is not None:
-                    total -= star(minkowski_reduce(T2))
-        memo[T] = total
-        return total
-
-    return star(S)
+    return primitive_inversion(lambda T: local_density_coeff(T, k))(S)
 
 
 @dataclass(frozen=True)
@@ -376,10 +354,7 @@ class DirectLadder:
             "j": self.target.j,
             "twoS": [list(row) for row in self.S],
             "weights": list(self.weights),
-            "values": [
-                {"num": str(v.numerator), "den": str(v.denominator)}
-                for v in self.values
-            ],
+            "values": [frac_to_doc(v) for v in self.values],
             "certificates": list(self.certificates),
             "residues": [{"residue": r, "mod_exponent": c} for r, c in self.residues],
         }
@@ -513,7 +488,7 @@ def _validate_dictionary(genera, target: WeightTarget):
 
 def _select_training(indices, columns, n_unknowns, p):
     """Greedy smallest-trace subset whose rows are independent mod p."""
-    basis = []  # reduced rows over F_p, with pivot positions
+    basis = []  # echelon rows over F_p of the accepted indices
     train = []
     for T in indices:
         row = [c.get(T, Fraction(0)) for c in columns]
@@ -521,14 +496,10 @@ def _select_training(indices, columns, n_unknowns, p):
             red = [_residue(x, p, 1) for x in row]
         except ValueError:
             continue  # non p-unit denominators cannot pivot
-        for piv, brow in basis:
-            if red[piv]:
-                f = red[piv] * pow(brow[piv], -1, p) % p
-                red = [(x - f * y) % p for x, y in zip(red, brow)]
-        piv = next((i for i, x in enumerate(red) if x), None)
-        if piv is None:
+        rows, pivots = echelon_mod(basis + [red], p)
+        if len(pivots) == len(basis):
             continue
-        basis.append((piv, red))
+        basis = rows
         train.append(T)
         if len(train) == n_unknowns:
             return train
@@ -541,19 +512,15 @@ def _select_training(indices, columns, n_unknowns, p):
 
 def _solve_mod(rows, rhs, p, c):
     """Solve a square system with a mod-p invertible matrix over Z/p^c."""
-    P = p**c
     n = len(rows)
-    A = [[_residue(x, p, c) for x in row] + [_residue(b, p, c)] for row, b in zip(rows, rhs)]
-    for i in range(n):
-        piv = next(r for r in range(i, n) if A[r][i] % p)
-        A[i], A[piv] = A[piv], A[i]
-        inv = pow(A[i][i], -1, P)
-        A[i] = [x * inv % P for x in A[i]]
-        for r in range(n):
-            if r != i and A[r][i]:
-                f = A[r][i]
-                A[r] = [(x - f * y) % P for x, y in zip(A[r], A[i])]
-    return tuple(A[i][n] for i in range(n))
+    aug = [
+        [_residue(x, p, c) for x in row] + [_residue(b, p, c)]
+        for row, b in zip(rows, rhs)
+    ]
+    aug, pivots = echelon_mod(aug, p, c)
+    if pivots != list(range(n)):
+        raise PipelineError("fit", "training system is singular mod p")
+    return tuple(aug[i][n] for i in range(n))
 
 
 def fit_and_verify(

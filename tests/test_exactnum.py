@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -15,8 +16,9 @@ from eistheta.exactnum import (
     is_fundamental_discriminant,
     kronecker,
     moebius,
+    frac_from_doc,
+    frac_to_doc,
     primes_upto,
-    rational_reconstruct,
     sigma,
     v_p,
     zeta_neg,
@@ -256,25 +258,26 @@ def test_cohen_H_small():
     assert cohen_H(2, 7) == 0  # 7 = 3 mod 4
 
 
-# ---------------------------------------------------------------- crt utils
+# ---------------------------------------------------------------- fraction codec
 
-def test_rational_reconstruct_round_trip():
-    rng = random.Random(23)
-    primes = [998244353, 754974721, 167772161, 469762049]
-    M = math.prod(primes)
-    bound = 1 << 40
-    for _ in range(200):
-        a = rng.randint(-(bound - 1), bound - 1)
-        b = rng.randint(1, bound - 1)
-        g = math.gcd(abs(a), b)
-        frac = Fraction(a, b)
-        if math.gcd(frac.denominator, M) != 1:
-            continue
-        r = frac.numerator * pow(frac.denominator, -1, M) % M
-        assert rational_reconstruct(r, M, bound, bound) == frac
+def test_frac_doc_matches_plain_int_strings():
+    for x in (Fraction(0), Fraction(-7, 3), Fraction(1, 12), Fraction(10**40 + 1, 3**30)):
+        doc = frac_to_doc(x)
+        assert doc == {"num": str(x.numerator), "den": str(x.denominator)}
+        assert frac_from_doc(doc) == x
+    assert frac_to_doc(5) == {"num": "5", "den": "1"}
 
 
-def test_rational_reconstruct_failure():
-    with pytest.raises(ArithmeticError):
-        # no fraction with tiny bounds hits a random-looking residue
-        rational_reconstruct(123456789, 10**18 + 9, 10, 10)
+def test_frac_doc_beyond_the_int_str_digit_limit():
+    limit = sys.get_int_max_str_digits()
+    x = Fraction(-(7**6000) - 1, 3**10000)  # 5071 and 4772 digits
+    doc = frac_to_doc(x)
+    assert len(doc["num"]) > 5000
+    assert frac_from_doc(doc) == x
+    assert sys.get_int_max_str_digits() == limit
+
+
+def test_frac_from_doc_rejects_non_integers():
+    for bad in ("1.5", "1e3", "NaN", "Infinity", "", "seven", None):
+        with pytest.raises(ValueError):
+            frac_from_doc({"num": bad, "den": "1"})

@@ -1,6 +1,7 @@
+import json
 import math
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
@@ -19,7 +20,6 @@ from eistheta.fourier import (
     qexp_scale,
     rank_filter,
     u_p,
-    v_p_rank,
 )
 from eistheta.lattice import as_mat, form_trace, minkowski_reduce, pad_zero
 
@@ -116,22 +116,6 @@ def test_rank_filter_partition():
     assert total == F
     with pytest.raises(ValueError):
         rank_filter(F, 3)
-
-
-def test_v_p_rank():
-    F = QExpansion(
-        2,
-        4,
-        {
-            ((2, 0), (0, 0)): 7,
-            ((4, 0), (0, 0)): 14,
-            ((2, -1), (-1, 2)): 3,
-        },
-    )
-    assert v_p_rank(F, 7, 1) == 1
-    assert v_p_rank(F, 7, 2) == 0
-    assert v_p_rank(F, 7, 0) == math.inf
-    assert v_p_rank(qexp_scale(F, Fraction(1, 7)), 7, 1) == 0
 
 
 def test_mod_pm_singular_rank():
@@ -255,9 +239,88 @@ def test_primitive_coeffs_resummation():
         assert total == coeff(F, T), T
 
 
+def transform_by_inverse_fraction(twoT, D):
+    """(D^{-1})^t (2T) D^{-1} over the rationals, None unless even integral."""
+    r = len(twoT)
+    inv = [[Fraction(0)] * r for _ in range(r)]
+    for i in range(r):
+        inv[i][i] = Fraction(1, D[i][i])
+    for j in range(r - 1, -1, -1):
+        for i in range(j - 1, -1, -1):
+            s = Fraction(0)
+            for t in range(i + 1, j + 1):
+                s += D[i][t] * inv[t][j]
+            inv[i][j] = -s / D[i][i]
+    out = [[Fraction(0)] * r for _ in range(r)]
+    for i in range(r):
+        for j in range(r):
+            s = Fraction(0)
+            for a in range(r):
+                if inv[a][i]:
+                    s += inv[a][i] * sum(twoT[a][b] * inv[b][j] for b in range(r))
+            out[i][j] = s
+    rows = []
+    for i in range(r):
+        row = []
+        for j in range(r):
+            v = out[i][j]
+            if v.denominator != 1:
+                return None
+            row.append(v.numerator)
+        if row[i] % 2:
+            return None
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+def definite_forms(r, bound):
+    """Every positive definite even 2T of size r with tr(T) <= bound."""
+    from eistheta.lattice import is_positive_definite
+
+    pairs = list(combinations(range(r), 2))
+    for diag in product(range(2, 2 * bound + 1, 2), repeat=r):
+        if sum(diag) > 2 * bound:
+            continue
+        tops = [math.isqrt(diag[i] * diag[j] - 1) for i, j in pairs]
+        for off in product(*[range(-t, t + 1) for t in tops]):
+            T = [[0] * r for _ in range(r)]
+            for i in range(r):
+                T[i][i] = diag[i]
+            for (i, j), x in zip(pairs, off):
+                T[i][j] = T[j][i] = x
+            if is_positive_definite(T):
+                yield as_mat(T)
+
+
+def test_transform_by_inverse_matches_fraction_oracle():
+    from eistheta.exactnum import divisors
+    from eistheta.fourier import _hnf_matrices, _transform_by_inverse
+    from eistheta.lattice import form_det
+
+    pairs = hits = 0
+    for r, bound in ((1, 12), (2, 8), (3, 4)):
+        for T in definite_forms(r, bound):
+            d2 = form_det(T)
+            for d in divisors(d2):
+                if d2 % (d * d):
+                    continue
+                for D in _hnf_matrices(r, d):
+                    want = transform_by_inverse_fraction(T, D)
+                    assert _transform_by_inverse(T, D) == want, (T, D)
+                    pairs += 1
+                    hits += want is not None
+    assert (pairs, hits) == (1964, 594)
+
+
 def test_dump_load_round_trip():
     F = theta_interval(9)
     doc = dump_qexp(F)
     assert load_qexp(doc) == F
     assert doc["coeffs"] == sorted(doc["coeffs"], key=lambda e: e["twoT"])
     assert all(set(e) == {"twoT", "num", "den"} for e in doc["coeffs"])
+
+
+def test_dump_load_beyond_the_int_str_digit_limit():
+    # 7^6000 has 5071 digits, over Python's default int/str limit of 4300
+    F = QExpansion(1, 1, {((2,),): Fraction(7**6000 + 1, 3)})
+    assert load_qexp(json.loads(json.dumps(dump_qexp(F)))) == F

@@ -8,6 +8,7 @@ import pytest
 from eistheta.genus import (
     ClassRecord,
     GenusRecord,
+    _affine_solutions_mod_q,
     build_genera,
     cached_genera,
     genera_from_doc,
@@ -113,6 +114,39 @@ def test_rank4_level11_classes_share_one_genus():
     for d in range(1, 25):
         if d % 2 and d % 11:
             assert all(chi_S(S, d) == 1 for S in reps)
+
+
+def test_affine_solutions_mod_q_match_brute_force():
+    rng = random.Random(13)
+    for q in (2, 3, 7):
+        for n in (1, 2, 3):
+            for _ in range(12):
+                m = rng.randint(0, 3)
+                rows = [[rng.randrange(q) for _ in range(n)] for _ in range(m)]
+                if m >= 2 and rng.random() < 0.5:
+                    rows[-1] = [(a + 2 * b) % q for a, b in zip(rows[0], rows[1])]
+                rhs = [rng.randrange(q) for _ in range(m)]
+                want = {
+                    x
+                    for x in product(range(q), repeat=n)
+                    if all(
+                        (sum(a * v for a, v in zip(r, x)) - b) % q == 0
+                        for r, b in zip(rows, rhs)
+                    )
+                }
+                sol = _affine_solutions_mod_q(rows, rhs, n, q)
+                if sol is None:
+                    assert want == set()
+                    continue
+                part, null = sol
+                got = set()
+                for t in product(range(q), repeat=len(null)):
+                    x = list(part)
+                    for c, v in zip(t, null):
+                        x = [(a + c * b) % q for a, b in zip(x, v)]
+                    got.add(tuple(x))
+                assert got == want
+                assert len(got) == q ** len(null)
 
 
 def test_partition_singleton():

@@ -7,6 +7,7 @@ import pytest
 
 from eistheta.lattice import (
     QuadCharacter,
+    _extendable,
     as_mat,
     automorphism_count,
     check_form,
@@ -19,8 +20,6 @@ from eistheta.lattice import (
     form_det,
     form_rank,
     form_trace,
-    format_matrix_text,
-    gram_value,
     is_equivalent,
     is_psd,
     level,
@@ -123,7 +122,7 @@ def test_rank_det_trace_content():
     assert form_trace(A2) == 2
     assert content(as_mat([[4, 2], [2, 8]])) == 2
     assert content(A2) == 1
-    assert gram_value(A2, (1, -1)) == 1
+    assert transform(A2, [[1], [-1]]) == ((2,),)  # Q(1, -1) = 1
 
 
 def test_direct_sum_pad():
@@ -409,12 +408,18 @@ def test_enumerate_psd_indices_small():
         assert form_trace(M) <= 2
 
 
+def test_extendable():
+    assert _extendable([[1, 0, 0]], 3)
+    assert _extendable([[2, 1, 0], [1, 1, 0]], 3)
+    assert not _extendable([[2, 0, 0]], 3)
+    assert not _extendable([[1, 0, 0], [2, 0, 0]], 3)
+    assert _extendable([], 3)
+
+
 # ------------------------------------------------------------- text format
 
 def test_matrix_text_round_trip():
-    s = format_matrix_text(A2)
-    assert s == "2; 2 1; 1 2"
-    assert parse_matrix_text(s) == A2
+    assert parse_matrix_text("2; 2 1; 1 2") == A2
     assert parse_matrix_text("1; 2") == ((2,),)
     with pytest.raises(ValueError):
         parse_matrix_text("2; 2 1; 1")

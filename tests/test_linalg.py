@@ -1,22 +1,28 @@
-import math
 import random
 from fractions import Fraction
+from itertools import combinations, product
 
 import pytest
 
+from eistheta.lattice import _extendable
 from eistheta.linalg import (
     adjugate,
     bareiss_det,
+    echelon_mod,
     exact_rank,
-    extends_to_basis,
     identity,
     kernel_basis,
-    mat_mul,
-    mat_vec,
     smith_normal_form,
-    solve_mod_prime_power,
     unimodular_extension,
 )
+
+
+def mat_mul(A, B):
+    return [[sum(a * b for a, b in zip(row, col)) for col in zip(*B)] for row in A]
+
+
+def mat_vec(A, v):
+    return [sum(a * x for a, x in zip(row, v)) for row in A]
 
 
 def det_fraction(A):
@@ -123,7 +129,7 @@ def test_kernel_basis():
         for v in ker:
             assert mat_vec(A, v) == [0] * rows
         if ker:
-            assert extends_to_basis(ker, cols)
+            assert _extendable(ker, cols)
 
 
 def test_unimodular_extension():
@@ -135,7 +141,7 @@ def test_unimodular_extension():
         K = random_matrix(rng, n, s, -4, 4) if s else []
         if s:
             vecs = [[K[i][j] for i in range(n)] for j in range(s)]
-            if exact_rank(K) < s or not extends_to_basis(vecs, n):
+            if exact_rank(K) < s or not _extendable(vecs, n):
                 continue
             B = unimodular_extension(K)
         else:
@@ -156,12 +162,24 @@ def test_unimodular_extension_rejects_non_saturated():
         unimodular_extension([[2], [0]])
 
 
-def test_extends_to_basis():
-    assert extends_to_basis([[1, 0, 0]], 3)
-    assert extends_to_basis([[2, 1, 0], [1, 1, 0]], 3)
-    assert not extends_to_basis([[2, 0, 0]], 3)
-    assert not extends_to_basis([[1, 0, 0], [2, 0, 0]], 3)
-    assert extends_to_basis([], 3)
+def solve_mod(A, b, p, c):
+    """x with A x = b mod p^c when every column of A pivots, else None."""
+    n = len(A[0])
+    rows, pivots = echelon_mod([list(r) + [v] for r, v in zip(A, b)], p, c)
+    if pivots != list(range(n)):
+        return None
+    return [rows[i][n] for i in range(n)]
+
+
+def rank_mod_p(M, p):
+    """Rank over F_p as the size of the largest minor that is a p-unit."""
+    m, k = len(M), len(M[0])
+    for r in range(min(m, k), 0, -1):
+        for rs in combinations(range(m), r):
+            for cs in combinations(range(k), r):
+                if bareiss_det([[M[i][j] for j in cs] for i in rs]) % p:
+                    return r
+    return 0
 
 
 def test_solve_mod_prime_power():
@@ -175,17 +193,91 @@ def test_solve_mod_prime_power():
         A = random_matrix(rng, rows, n, -20, 20)
         x = [rng.randrange(q) for _ in range(n)]
         b = [v % q for v in mat_vec(A, x)]
-        try:
-            got = solve_mod_prime_power(A, b, p, C)
-        except ArithmeticError:
+        got = solve_mod(A, b, p, C)
+        if got is None:
+            assert rank_mod_p(A, p) < n
             continue
-        assert [v % q for v in mat_vec(A, got)] == b
+        assert got == x
         done += 1
 
 
 def test_solve_mod_prime_power_needs_unit_pivots():
-    with pytest.raises(ArithmeticError):
-        solve_mod_prime_power([[7, 0], [0, 7]], [0, 0], 7, 3)
-    with pytest.raises(ArithmeticError):
-        # inconsistent overdetermined system
-        solve_mod_prime_power([[1], [1]], [0, 1], 7, 2)
+    # no unit pivot at all: both columns are skipped
+    rows, pivots = echelon_mod([[7, 0, 0], [0, 7, 0]], 7, 3)
+    assert pivots == [] and rows == [[7, 0, 0], [0, 7, 0]]
+    # inconsistent overdetermined system: the right-hand side pivots
+    rows, pivots = echelon_mod([[1, 0], [1, 1]], 7, 2)
+    assert pivots == [0, 1]
+    assert echelon_mod([], 7) == ([], [])
+
+
+def brute_solutions(rows, n, q):
+    """{x in (Z/q)^n : every augmented row r has r[:n] . x = r[n] mod q}."""
+    return {
+        x
+        for x in product(range(q), repeat=n)
+        if all((sum(a * v for a, v in zip(r, x)) - r[n]) % q == 0 for r in rows)
+    }
+
+
+def random_system(rng, p, c, m, n):
+    """An augmented m x (n+1) system over Z/p^c, often singular or
+    inconsistent: rows may repeat combinations of earlier rows, columns
+    may be divisible by p, and right-hand sides are drawn independently."""
+    q = p**c
+    A = []
+    for _ in range(m):
+        if A and rng.random() < 0.4:
+            f, g = rng.randrange(q), rng.randrange(q)
+            r = rng.choice(A)
+            s = rng.choice(A)
+            A.append([(f * x + g * y) % q for x, y in zip(r, s)])
+        else:
+            A.append([rng.randrange(q) for _ in range(n)])
+    for j in range(n):
+        if rng.random() < 0.25:
+            for row in A:
+                row[j] = row[j] * p % q
+    return [row + [rng.randrange(q)] for row in A]
+
+
+def test_echelon_mod_matches_brute_force():
+    rng = random.Random(59)
+    systems = [
+        (7, 3, [[7, 0, 0], [0, 7, 0]]),  # no unit pivot
+        (7, 2, [[1, 0], [1, 1]]),  # inconsistent
+    ]
+    for p in (2, 3, 7):
+        for c in (1, 2, 3):
+            for n in (1, 2, 3):
+                if (p**c) ** n > 20_000:
+                    continue
+                for _ in range(6):
+                    m = rng.randint(1, 3)
+                    systems.append((p, c, random_system(rng, p, c, m, n)))
+    for p, c, M in systems:
+        q = p**c
+        n = len(M[0]) - 1
+        rows, pivots = echelon_mod(M, p, c)
+        # shape: unit pivots in increasing columns, cleared elsewhere
+        assert len(rows) == len(M)
+        assert pivots == sorted(set(pivots))
+        assert all(0 <= x < q for row in rows for x in row)
+        for i, col in enumerate(pivots):
+            assert [rows[k][col] for k in range(len(rows))] == [
+                int(k == i) for k in range(len(rows))
+            ]
+        assert all(x % p == 0 for row in rows[len(pivots):] for x in row)
+        # same solution set as the input system (row operations only)
+        want = brute_solutions(M, n, q)
+        assert brute_solutions(rows, n, q) == want
+        if c == 1:
+            assert len(pivots) == rank_mod_p(M, p)
+        if n in pivots:
+            assert want == set()
+        elif pivots == list(range(n)):
+            # every unknown pivots: unique solution if the rest is zero
+            rest = [row[n] for row in rows[n:]]
+            x = tuple(rows[i][n] for i in range(n))
+            assert want == ({x} if not any(rest) else set())
+
