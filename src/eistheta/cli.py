@@ -29,12 +29,14 @@ from .genus import (
     cache_dir_from_env,
     cached_genera,
     genera_to_doc,
+    partition_into_genera,
     write_json_atomic,
 )
 from .lattice import (
     automorphism_count,
     enumerate_classes,
     level as form_level,
+    minkowski_reduce,
     parse_matrix_text,
 )
 from .padic import (
@@ -142,11 +144,9 @@ def cmd_theta(args) -> int:
     if args.genus_average:
         classes = enumerate_classes(len(twoS), args.level or form_level(twoS))
         recs = [ClassRecord.from_rep(r) for r in classes]
-        # smallest container: the single-genus record of the listed classes
-        from .genus import partition_into_genera
-
+        rep = minkowski_reduce(twoS)
         genera = partition_into_genera(recs)
-        match = [g for g in genera if any(c.rep == twoS for c in g.classes)]
+        match = [g for g in genera if any(c.rep == rep for c in g.classes)]
         if not match:
             raise ValueError("form not found among enumerated classes")
         F, _ = genus_theta(match[0], args.degree, args.bound)

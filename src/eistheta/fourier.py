@@ -335,11 +335,25 @@ def dump_qexp(F: QExpansion) -> dict:
     }
 
 
+def _dump_field(doc, name: str, kind: type = object):
+    """doc[name] of a dump object; ValueError naming the field otherwise."""
+    if isinstance(doc, dict) and name in doc and isinstance(doc[name], kind):
+        return doc[name]
+    raise ValueError(f"expansion dump: missing or malformed field {name!r}")
+
+
 def load_qexp(doc) -> QExpansion:
-    coeffs = {as_mat(e["twoT"]): frac_from_doc(e) for e in doc["coeffs"]}
+    """Inverse of dump_qexp; a malformed dump raises ValueError naming the field."""
+    coeffs = {}
+    for e in _dump_field(doc, "coeffs", list):
+        try:
+            twoT = as_mat(_dump_field(e, "twoT", list))
+        except TypeError:
+            raise ValueError("expansion dump: malformed field 'twoT'") from None
+        coeffs[twoT] = frac_from_doc({f: _dump_field(e, f) for f in ("num", "den")})
     return QExpansion(
-        int(doc["degree"]),
-        int(doc["trace_bound"]),
+        _dump_field(doc, "degree", int),
+        _dump_field(doc, "trace_bound", int),
         coeffs,
-        bool(doc["class_invariant"]),
+        _dump_field(doc, "class_invariant", bool),
     )

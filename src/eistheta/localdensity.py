@@ -23,9 +23,9 @@ elementary-divisor valuations: each hyperbolic plane contributes the kernel
 size of Y.  The rank m = 2k enters only as an exponent, so large weights cost
 nothing.  For odd q the Y-sum collapses into closed valuation strata
 (Ramanujan sums; quadratic Gauss sums only appear squared via g^2 = chi(-1)q,
-so the arithmetic stays rational).  For q = 2 and n = 2 the strata are
-accumulated exactly with numpy and folded in the cyclotomic basis of the
-2-power roots of unity; rationality of the assembled value is asserted.
+so the arithmetic stays rational).  For q = 2 and n = 2 the character sum of
+each stratum is an integer fixed by unit scaling: the difference of two exact
+counts of Y, taken over one pair of free coordinates per unit orbit.
 
 Each local density is accepted only after two consecutive truncation levels
 agree; otherwise the computation fails with a "did not stabilize" error.
@@ -41,8 +41,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-
-import numpy as np
 
 from .exactnum import (
     bernoulli,
@@ -450,68 +448,48 @@ def _beta_2_n1(k: int, t: int, e: int) -> Fraction:
     return out
 
 
-_Q2_TABLE_CACHE: dict = {}
+def _q2_pair_bins(twoT, e: int) -> dict[int, int]:
+    """Integer character sums G_c = sum psi(<Y, T>) over each Smith bin c.
 
-
-def _v2_arr(x: np.ndarray, cap: int) -> np.ndarray:
-    low = x & (-x)
-    v = np.full(x.shape, cap, dtype=np.int64)
-    nz = x != 0
-    v[nz] = np.log2(low[nz].astype(np.float64)).astype(np.int64)
-    np.minimum(v, cap, out=v)
-    return v
-
-
-def _q2_pair_components(twoT: tuple, e: int) -> dict[int, tuple[int, ...]]:
-    """Folded cyclotomic components of the pair character sum, per Smith bin.
-
-    Returns {c: components} where c = c1 + c2 is the capped sum of the
-    elementary-divisor valuations of Y and the components are coordinates of
-    sum_Y psi(<Y, T>) in the basis zeta^j, j < 2^(e-1), of Q(zeta_{2^e}).
+    Y = [[y1, y3], [y3, y2]] runs mod 2^e and c(Y) = c1 + c2 is the capped sum
+    of its elementary-divisor valuations, i.e. min(v_2(det Y), c1 + e).  A unit
+    u keeps c(Y) and sends the phase phi(Y) to u*phi(Y), so G_c is the
+    Ramanujan sum N_c(0) - N_c(2^(e-1)) of the phase counts.  The phase
+    equation is solved for the coordinate y_s whose coefficient has the least
+    valuation a (2^a lifts, or none); the two free coordinates run over one
+    pair per unit orbit, weighted by the orbit size.
     """
-    key = (twoT, e)
-    if key in _Q2_TABLE_CACHE:
-        return _Q2_TABLE_CACHE[key]
     E = 1 << e
-    t1 = (twoT[0][0] // 2) % E
-    t2 = (twoT[1][1] // 2) % E
-    t3 = twoT[0][1] % E
-    nbins = 2 * e + 1
-    acc = np.zeros(nbins * E, dtype=np.int64)
-    y = np.arange(E, dtype=np.int64)
-    y2f = np.repeat(y, E)
-    y3f = np.tile(y, E)
-    v23 = np.minimum(_v2_arr(y2f, e), _v2_arr(y3f, e))
-    sq3 = y3f * y3f
-    base_phase = (y2f * t2 + y3f * t3) % E
-    for y1 in range(E):
-        v1 = min(v_p(y1, 2), e) if y1 else e
-        c1 = np.minimum(v23, v1)
-        det = y1 * y2f - sq3
-        vd = _v2_arr(det, 2 * e + 2)
-        np.minimum(vd, c1 + e, out=vd)
-        cbin = c1 + np.minimum(e, vd - c1)
-        phase = (base_phase + y1 * t1) % E
-        acc += np.bincount(cbin * E + phase, minlength=nbins * E)
-    acc = acc.reshape(nbins, E)
-    half = E // 2
-    comp = {}
-    for c in range(nbins):
-        row = acc[c]
-        if row.any():
-            comp[c] = tuple(int(row[j]) - int(row[j + half]) for j in range(half))
-    _Q2_TABLE_CACHE[key] = comp
-    return comp
+    t = [(twoT[0][0] // 2) % E, (twoT[1][1] // 2) % E, twoT[0][1] % E]
+    s = min(range(3), key=lambda i: v_p(t[i], 2))
+    i, j = (x for x in range(3) if x != s)
+    a = min(v_p(t[s], 2), e)
+    step = E >> a
+    inv = pow(t[s] >> a, -1, step)
+    orbits = [(0, 0, 1)]
+    for m in range(e):
+        weight = 1 << (e - 1 - m)
+        orbits += [(1 << m, w, weight) for w in range(0, E, 1 << m)]
+        orbits += [(w, 1 << m, weight) for w in range(0, E, 2 << m)]
+    G: dict[int, int] = {}
+    y = [0, 0, 0]
+    for yi, yj, weight in orbits:
+        y[i], y[j] = yi, yj
+        for r, sign in ((0, weight), (E >> 1, -weight)):
+            rhs = (r - t[i] * yi - t[j] * yj) % E
+            if rhs % (1 << a):
+                continue
+            for ys in range((rhs >> a) * inv % step, E, step):
+                y[s] = ys
+                c1 = min(v_p(y[0], 2), v_p(y[1], 2), v_p(y[2], 2), e)
+                c = min(v_p(y[0] * y[1] - y[2] * y[2], 2), c1 + e)
+                G[c] = G.get(c, 0) + sign
+    return G
 
 
 def _beta_2_n2(k: int, twoT: tuple, e: int) -> Fraction:
-    comp = _q2_pair_components(twoT, e)
-    width = 1 << (e - 1)
-    for j in range(1, width):
-        if sum((1 << (k * c)) * v[j] for c, v in comp.items()) != 0:
-            raise AssertionError("pair density did not assemble to a rational")
-    num = sum((1 << (k * c)) * v[0] for c, v in comp.items())
-    return Fraction(num, 1 << (2 * e * k))
+    G = _q2_pair_bins(twoT, e)
+    return Fraction(sum(g << (k * c) for c, g in G.items()), 1 << (2 * e * k))
 
 
 # ---------------------------------------------------------------------------

@@ -69,6 +69,20 @@ def test_theta_genus_average(tmp_path, capsys):
     assert by_key[((2,),)] == {"twoT": [[2]], "num": "6", "den": "1"}
 
 
+def test_theta_genus_average_non_canonical_basis(tmp_path):
+    # A2 in the basis 2 1; 1 2 must find the same genus as 2 -1; -1 2
+    outs = []
+    for i, text in enumerate(["2; 2 -1; -1 2\n", "2; 2 1; 1 2\n"]):
+        form = tmp_path / f"a2_{i}.txt"
+        form.write_text(text)
+        out = tmp_path / f"avg_{i}.json"
+        rc = run(["theta", "--form", str(form), "--degree", "1", "--bound", "4",
+                  "--genus-average", "--level", "3", "--out", str(out)])
+        assert rc == 0
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
+
+
 def test_eisenstein_dump_and_cache(tmp_path):
     out = tmp_path / "e4.json"
     cache = tmp_path / "cache"
@@ -104,6 +118,34 @@ def test_singular_rank_audit_verdict(tmp_path):
     # without --k only the rank is reported and the verdict stays 0
     assert run(base + ["--out", str(out)]) == 0
     assert "audit" not in read_json(str(out))
+
+
+MALFORMED_DUMPS = [
+    ({"degree": 1}, "coeffs"),
+    ({"degree": 1, "trace_bound": 4, "class_invariant": True,
+      "coeffs": [{"twoT": [[2]], "num": "240"}]}, "den"),
+    ([1, 2], "coeffs"),
+]
+
+
+def test_singular_rank_rejects_malformed_dump(tmp_path, capsys):
+    dump = tmp_path / "bad.json"
+    for doc, field in MALFORMED_DUMPS:
+        dump.write_text(json.dumps(doc))
+        assert run(["singular-rank", "--expansion", str(dump), "--p", "7"]) == 2
+        err = capsys.readouterr().err
+        assert "eistheta singular-rank" in err and repr(field) in err, doc
+
+
+def test_eisenstein_rejects_corrupted_cache(tmp_path, capsys):
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    argv = ["eisenstein", "--k", "4", "--degree", "1", "--bound", "10",
+            "--cache-dir", str(cache)]
+    for doc, field in MALFORMED_DUMPS:
+        (cache / "eis_k4_n1_B10.json").write_text(json.dumps(doc))
+        assert run(argv) == 2
+        assert repr(field) in capsys.readouterr().err, doc
 
 
 def test_limit_command(tmp_path):

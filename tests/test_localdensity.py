@@ -26,6 +26,7 @@ from eistheta.localdensity import (
     _density2_odd,
     _diagonalize_odd,
     _generic_factor,
+    _q2_pair_bins,
     local_density_coeff,
 )
 
@@ -307,6 +308,79 @@ def test_pair_2adic_matches_ysum_deeper():
         for T in [[[2, -1], [-1, 2]], [[4, 0], [0, 8]], [[4, 2], [2, 4]]]:
             want = ysum_density(2, e, 2, 2, T)
             got = _beta_2_n2(2, tuple(tuple(r) for r in T), e)
+            assert got == want, (e, T)
+
+
+def _v2_arr(x, cap):
+    low = x & (-x)
+    v = np.full(x.shape, cap, dtype=np.int64)
+    nz = x != 0
+    v[nz] = np.log2(low[nz].astype(np.float64)).astype(np.int64)
+    np.minimum(v, cap, out=v)
+    return v
+
+
+def _q2_pair_components(twoT, e):
+    """Brute-force oracle: the pair character sum over all 2^(3e) matrices Y.
+
+    Returns {c: components}, c the capped Smith sum of Y, the components the
+    coordinates of sum_Y psi(<Y, T>) in the basis zeta^j, j < 2^(e-1), of
+    Q(zeta_{2^e}).
+    """
+    E = 1 << e
+    t1 = (twoT[0][0] // 2) % E
+    t2 = (twoT[1][1] // 2) % E
+    t3 = twoT[0][1] % E
+    nbins = 2 * e + 1
+    acc = np.zeros(nbins * E, dtype=np.int64)
+    y = np.arange(E, dtype=np.int64)
+    y2f = np.repeat(y, E)
+    y3f = np.tile(y, E)
+    v23 = np.minimum(_v2_arr(y2f, e), _v2_arr(y3f, e))
+    sq3 = y3f * y3f
+    base_phase = (y2f * t2 + y3f * t3) % E
+    for y1 in range(E):
+        v1 = min(_v(y1, 2), e) if y1 else e
+        c1 = np.minimum(v23, v1)
+        det = y1 * y2f - sq3
+        vd = _v2_arr(det, 2 * e + 2)
+        np.minimum(vd, c1 + e, out=vd)
+        cbin = c1 + np.minimum(e, vd - c1)
+        phase = (base_phase + y1 * t1) % E
+        acc += np.bincount(cbin * E + phase, minlength=nbins * E)
+    acc = acc.reshape(nbins, E)
+    half = E // 2
+    return {
+        c: tuple(int(acc[c][j]) - int(acc[c][j + half]) for j in range(half))
+        for c in range(nbins)
+        if acc[c].any()
+    }
+
+
+def test_pair_2adic_bins_match_full_table():
+    # the orbit count against the full Y table, bin by bin; targets cover a
+    # unit diagonal coefficient, a unit only off the diagonal, content 2 and 4
+    # (2^a > 1 lifts per solution), and T = 0 mod 2^e at e <= 2
+    targets = [
+        [[2, 0], [0, 2]],
+        [[2, 0], [0, 4]],
+        [[4, 0], [0, 8]],
+        [[2, 1], [1, 2]],
+        [[2, -1], [-1, 2]],
+        [[4, 1], [1, 4]],
+        [[8, 1], [1, 2]],
+        [[4, 2], [2, 4]],
+        [[4, 2], [2, 8]],
+        [[8, 4], [4, 8]],
+        [[16, 4], [4, 8]],
+    ]
+    for e in range(1, 8):
+        for T in targets:
+            comp = _q2_pair_components(T, e)
+            # the fold leaves only the rational coordinate: each bin is an integer
+            assert all(not any(v[1:]) for v in comp.values()), (e, T)
+            want = {c: v[0] for c, v in comp.items() if v[0]}
+            got = {c: g for c, g in _q2_pair_bins(T, e).items() if g}
             assert got == want, (e, T)
 
 
