@@ -163,15 +163,22 @@ def cmd_eisenstein(args) -> int:
         path = os.path.join(
             cache, f"eis_k{args.k}_n{args.degree}_B{args.bound}.json"
         )
+    request = {"k": args.k, "degree": args.degree, "trace_bound": args.bound}
     if path and os.path.exists(path):
         with open(path) as fh:
-            doc = json.load(fh)
-        load_qexp(doc)  # validate before replaying the cached dump
+            cached = json.load(fh)
+        F = load_qexp(cached)  # validate before replaying the cached dump
+        for field, want in request.items():
+            if cached.get(field) != want:
+                raise ValueError(
+                    f"cache {path}: field {field!r} is {cached.get(field)!r}, "
+                    f"not the requested {want!r}"
+                )
     else:
-        doc = dump_qexp(eisenstein_qexp(args.k, args.degree, args.bound))
+        F = eisenstein_qexp(args.k, args.degree, args.bound)
         if path:
-            write_json_atomic(doc, path)
-    _emit(doc, args.out)
+            write_json_atomic({"k": args.k, **dump_qexp(F)}, path)
+    _emit(dump_qexp(F), args.out)
     return 0
 
 

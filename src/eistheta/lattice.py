@@ -167,9 +167,6 @@ class QuadCharacter:
     def __call__(self, d: int) -> int:
         return kronecker(self.disc, d)
 
-    def is_trivial(self) -> bool:
-        return self.disc == 1
-
     def __eq__(self, other) -> bool:
         return isinstance(other, QuadCharacter) and self.disc == other.disc
 
@@ -493,11 +490,18 @@ def enumerate_classes(r: int, level_divides: int, det_bound: int | None = None,
     """All GL_r(Z)-classes of positive definite even-diagonal forms with
     level dividing `level_divides`, as canonical doubled Gram matrices.
 
-    Exhausts Minkowski-reduced candidates: even diagonal d_1 <= ... <= d_r
-    with product bounded by Minkowski's second theorem (det(2S) | level^r),
-    off-diagonal |g_ij| <= d_i/2, then filters by level and deduplicates by
-    isometry.  `bound_multiplier` widens the search cap (used by the
-    completeness regression); `det_bound` optionally caps det(2S).
+    Fricke halving: with N = `level_divides`, 2S -> N (2S)^{-1} is an
+    involution on these classes sending det t to N^r/t, and det N^r would
+    make the image even unimodular, which rank < 8 rules out.  So only
+    determinants t <= N^{r/2} are searched, and the canonical duals of the
+    classes found below N^{r/2} are added.
+
+    The search exhausts Minkowski-reduced candidates: even diagonal
+    d_1 <= ... <= d_r with product bounded by Minkowski's second theorem
+    for the largest searched determinant, off-diagonal |g_ij| <= d_i/2,
+    then filters by level and deduplicates by isometry.
+    `bound_multiplier` widens the search cap (used by the completeness
+    regression); `det_bound` optionally caps det(2S).
     """
     if r <= 0 or r % 2 or r > 4:
         raise ValueError("rank must be 2 or 4 at desk scale")
@@ -507,9 +511,13 @@ def enumerate_classes(r: int, level_divides: int, det_bound: int | None = None,
     if det_bound is not None:
         det_max = min(det_max, det_bound)
     Lr = level_divides**r
+    root = level_divides ** (r // 2)  # N^{r/2}
     # (-1)^(r/2) det(2S) is a discriminant, hence 0 or 1 mod 4
     sgn = -1 if (r // 2) % 2 else 1
-    targets = [t for t in divisors(Lr) if t <= det_max and (sgn * t) % 4 <= 1]
+    targets = [
+        t for t in divisors(Lr)
+        if t < Lr and t <= min(det_max, root) and (sgn * t) % 4 <= 1
+    ]
     if not targets:
         return []
     tmax = max(targets)
@@ -601,6 +609,15 @@ def enumerate_classes(r: int, level_divides: int, det_bound: int | None = None,
 
     rec_diag(1)
     reps = [minkowski_reduce(M) for group in buckets.values() for M in group]
+    # the Fricke duals N (2S)^{-1} = N adj(2S) / det(2S), integral as level | N
+    reps += [
+        minkowski_reduce(
+            as_mat([[level_divides * x // d for x in row] for row in adjugate(M)])
+        )
+        for (d, _, _), group in buckets.items()
+        if d < root and Lr // d <= det_max
+        for M in group
+    ]
     reps = sorted(set(reps), key=lambda M: (form_det(M), M))
     return reps
 

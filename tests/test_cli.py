@@ -148,6 +148,30 @@ def test_eisenstein_rejects_corrupted_cache(tmp_path, capsys):
         assert repr(field) in capsys.readouterr().err, doc
 
 
+def test_eisenstein_rejects_cache_of_another_request(tmp_path, capsys):
+    cache = tmp_path / "cache"
+    argv = ["eisenstein", "--k", "4", "--degree", "1", "--bound", "4",
+            "--cache-dir", str(cache)]
+    path = cache / "eis_k4_n1_B4.json"
+    e6 = dump_qexp(eisenstein_qexp(6, 1, 4))
+    e4_b2 = dump_qexp(eisenstein_qexp(4, 1, 2))
+    e4_n2 = dump_qexp(eisenstein_qexp(4, 2, 4))
+    for doc, field in [
+        ({"k": 6, **e6}, "k"),
+        (e6, "k"),  # no record of the weight
+        ({"k": 4, **e4_b2}, "trace_bound"),
+        ({"k": 4, **e4_n2}, "degree"),
+    ]:
+        write_json_atomic(doc, str(path))
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert "eistheta eisenstein" in err and repr(field) in err, field
+    # a matching record replays the plain dump on stdout
+    write_json_atomic({"k": 4, **dump_qexp(eisenstein_qexp(4, 1, 4))}, str(path))
+    assert run(argv) == 0
+    assert json.loads(capsys.readouterr().out) == dump_qexp(eisenstein_qexp(4, 1, 4))
+
+
 def test_limit_command(tmp_path):
     out = tmp_path / "ladder.json"
     rc = run(
@@ -174,6 +198,23 @@ def test_verify_main_flagship_window(tmp_path):
     first = out.read_bytes()
     assert run(argv) == 0
     assert out.read_bytes() == first
+
+
+def test_verify_main_second_prime(tmp_path):
+    # p = 13, k = 2, j = 1: the dictionary is the two chi_13 genera, the
+    # det 13 class and its Fricke dual of det 13^3
+    out = tmp_path / "report.json"
+    argv = ["verify-main", "--p", "13", "--k", "2", "--j", "1", "--degree", "1",
+            "--bound", "50", "--m-max", "2", "--cache-dir", str(tmp_path / "cache"),
+            "--out", str(out)]
+    assert run(argv) == 0
+    doc = read_json(str(out))
+    assert doc["passed"] is True and doc["mode"] == "theorem"
+    assert [r["weight"] for r in doc["rungs"]] == [80, 1016]
+    mass = {"num": "1", "den": "48"}
+    assert [(g["det"], g["character_disc"], g["mass"]) for g in doc["dictionary"]] == [
+        (13, 13, mass), (2197, 13, mass)
+    ]
 
 
 def test_verify_main_corrupted_cache(tmp_path, capsys):

@@ -5,6 +5,7 @@ from itertools import product
 
 import pytest
 
+from eistheta.exactnum import gen_bernoulli
 from eistheta.genus import (
     ClassRecord,
     GenusRecord,
@@ -116,6 +117,24 @@ def test_rank4_level11_classes_share_one_genus():
             assert all(chi_S(S, d) == 1 for S in reps)
 
 
+@pytest.mark.parametrize("p", [3, 7, 11, 13])
+def test_rank4_prime_level_masses_match_closed_forms(p):
+    # Smith-Minkowski-Siegel: at prime level p the masses of rank-4 genera
+    # are closed forms, so a missed class shows as a mass deficit whatever
+    # the search cap
+    genera = build_genera(4, p)
+    assert [g.det for g in genera] == ([p, p**2, p**3] if p % 4 == 1 else [p**2])
+    for g in genera:
+        assert g.level == p
+        if g.character.disc == 1:
+            assert g.det == p**2
+            assert g.mass == Fraction((p - 1) ** 2, 1152)
+        else:
+            # det p and det p^3 carry chi_p, a discriminant only for p = 1 mod 4
+            assert g.character.disc == p
+            assert g.mass == gen_bernoulli(2, p) / 192
+
+
 def test_affine_solutions_mod_q_match_brute_force():
     rng = random.Random(13)
     for q in (2, 3, 7):
@@ -189,7 +208,7 @@ def test_build_genera_rank4_level7():
     assert len(g.classes) == 1
     assert g.level == 7
     assert form_det(g.classes[0].rep) == 49
-    assert g.character.is_trivial
+    assert g.character.disc == 1
     assert g.mass == Fraction(1, g.classes[0].epsilon)
 
 

@@ -396,6 +396,186 @@ def test_enumerate_classes_pairwise_inequivalent():
                 assert is_equivalent(M, W) is None
 
 
+# enumerate_classes output recorded when the search still ran over every
+# determinant dividing N^r, before the Fricke halving
+RECORDED_CLASSES = {
+    (2, 1, None): [],
+    (2, 2, None): [],
+    (2, 3, None): [((2, -1), (-1, 2))],
+    (2, 4, None): [((2, 0), (0, 2))],
+    (2, 5, None): [],
+    (2, 6, None): [((2, -1), (-1, 2)), ((4, -2), (-2, 4))],
+    (2, 7, None): [((2, -1), (-1, 4))],
+    (2, 8, None): [((2, 0), (0, 2)), ((2, 0), (0, 4)), ((4, 0), (0, 4))],
+    (2, 9, None): [((2, -1), (-1, 2)), ((6, -3), (-3, 6))],
+    (2, 10, None): [],
+    (2, 11, None): [((2, -1), (-1, 6))],
+    (2, 12, None): [
+        ((2, -1), (-1, 2)), ((2, 0), (0, 2)), ((2, 0), (0, 6)), ((4, -2), (-2, 4)),
+        ((6, 0), (0, 6)), ((8, -4), (-4, 8)),
+    ],
+    (2, 13, None): [],
+    (2, 14, None): [((2, -1), (-1, 4)), ((4, -2), (-2, 8))],
+    (2, 15, None): [
+        ((2, -1), (-1, 2)), ((2, -1), (-1, 8)), ((4, -1), (-1, 4)),
+        ((10, -5), (-5, 10)),
+    ],
+    (2, 16, None): [
+        ((2, 0), (0, 2)), ((2, 0), (0, 4)), ((2, 0), (0, 8)), ((4, 0), (0, 4)),
+        ((4, 0), (0, 8)), ((8, 0), (0, 8)),
+    ],
+    (2, 17, None): [],
+    (2, 18, None): [
+        ((2, -1), (-1, 2)), ((4, -2), (-2, 4)), ((6, -3), (-3, 6)),
+        ((12, -6), (-6, 12)),
+    ],
+    (2, 19, None): [((2, -1), (-1, 10))],
+    (2, 20, None): [
+        ((2, 0), (0, 2)), ((2, 0), (0, 10)), ((4, -2), (-2, 6)), ((10, 0), (0, 10)),
+    ],
+    (2, 21, None): [
+        ((2, -1), (-1, 2)), ((2, -1), (-1, 4)), ((6, -3), (-3, 12)),
+        ((14, -7), (-7, 14)),
+    ],
+    (2, 22, None): [((2, -1), (-1, 6)), ((4, -2), (-2, 12))],
+    (2, 23, None): [((2, -1), (-1, 12)), ((4, -1), (-1, 6))],
+    (2, 24, None): [
+        ((2, -1), (-1, 2)), ((2, 0), (0, 2)), ((2, 0), (0, 4)), ((2, 0), (0, 6)),
+        ((4, -2), (-2, 4)), ((4, 0), (0, 4)), ((2, 0), (0, 12)), ((4, 0), (0, 6)),
+        ((6, 0), (0, 6)), ((4, 0), (0, 12)), ((8, -4), (-4, 8)), ((6, 0), (0, 12)),
+        ((12, 0), (0, 12)), ((16, -8), (-8, 16)),
+    ],
+    (2, 25, None): [],
+    (2, 26, None): [],
+    (2, 27, None): [
+        ((2, -1), (-1, 2)), ((2, -1), (-1, 14)), ((6, -3), (-3, 6)),
+        ((18, -9), (-9, 18)),
+    ],
+    (2, 28, None): [
+        ((2, 0), (0, 2)), ((2, -1), (-1, 4)), ((2, 0), (0, 14)), ((4, -2), (-2, 8)),
+        ((8, -4), (-4, 16)), ((14, 0), (0, 14)),
+    ],
+    (2, 29, None): [],
+    (2, 30, None): [
+        ((2, -1), (-1, 2)), ((4, -2), (-2, 4)), ((2, -1), (-1, 8)), ((4, -1), (-1, 4)),
+        ((4, -2), (-2, 16)), ((8, -2), (-2, 8)), ((10, -5), (-5, 10)),
+        ((20, -10), (-10, 20)),
+    ],
+    (2, 31, None): [((2, -1), (-1, 16)), ((4, -1), (-1, 8))],
+    (2, 32, None): [
+        ((2, 0), (0, 2)), ((2, 0), (0, 4)), ((2, 0), (0, 8)), ((4, 0), (0, 4)),
+        ((2, 0), (0, 16)), ((4, 0), (0, 8)), ((6, -2), (-2, 6)), ((4, 0), (0, 16)),
+        ((8, 0), (0, 8)), ((8, 0), (0, 16)), ((16, 0), (0, 16)),
+    ],
+    (2, 33, None): [
+        ((2, -1), (-1, 2)), ((2, -1), (-1, 6)), ((6, -3), (-3, 18)),
+        ((22, -11), (-11, 22)),
+    ],
+    (2, 34, None): [],
+    (2, 35, None): [
+        ((2, -1), (-1, 4)), ((2, -1), (-1, 18)), ((6, -1), (-1, 6)),
+        ((10, -5), (-5, 20)),
+    ],
+    (2, 36, None): [
+        ((2, -1), (-1, 2)), ((2, 0), (0, 2)), ((2, 0), (0, 6)), ((4, -2), (-2, 4)),
+        ((6, -3), (-3, 6)), ((2, 0), (0, 18)), ((4, -2), (-2, 10)), ((6, 0), (0, 6)),
+        ((8, -4), (-4, 8)), ((6, 0), (0, 18)), ((12, -6), (-6, 12)), ((18, 0), (0, 18)),
+        ((24, -12), (-12, 24)),
+    ],
+    (2, 37, None): [],
+    (2, 38, None): [((2, -1), (-1, 10)), ((4, -2), (-2, 20))],
+    (2, 39, None): [
+        ((2, -1), (-1, 2)), ((2, -1), (-1, 20)), ((4, -1), (-1, 10)),
+        ((6, -3), (-3, 8)), ((26, -13), (-13, 26)),
+    ],
+    (2, 40, None): [
+        ((2, 0), (0, 2)), ((2, 0), (0, 4)), ((4, 0), (0, 4)), ((2, 0), (0, 10)),
+        ((4, -2), (-2, 6)), ((2, 0), (0, 20)), ((4, 0), (0, 10)), ((4, 0), (0, 20)),
+        ((8, -4), (-4, 12)), ((10, 0), (0, 10)), ((10, 0), (0, 20)), ((20, 0), (0, 20)),
+    ],
+    (2, 12, 100): [
+        ((2, -1), (-1, 2)), ((2, 0), (0, 2)), ((2, 0), (0, 6)), ((4, -2), (-2, 4)),
+        ((6, 0), (0, 6)), ((8, -4), (-4, 8)),
+    ],
+    (4, 11, 121): [
+        ((2, -1, -1, -1), (-1, 2, 0, 0), (-1, 0, 8, -3), (-1, 0, -3, 8)),
+        ((2, 0, -1, 0), (0, 2, 0, -1), (-1, 0, 6, 0), (0, -1, 0, 6)),
+        ((4, -2, -1, -1), (-2, 4, 0, 1), (-1, 0, 4, 2), (-1, 1, 2, 4)),
+    ],
+    (4, 1, None): [],
+    (4, 3, None): [((2, -1, 0, 0), (-1, 2, 0, 0), (0, 0, 2, -1), (0, 0, -1, 2))],
+    (4, 7, None): [((2, 0, -1, 0), (0, 2, 0, -1), (-1, 0, 4, 0), (0, -1, 0, 4))],
+    (4, 2, None): [((2, -1, -1, -1), (-1, 2, 0, 0), (-1, 0, 2, 0), (-1, 0, 0, 2))],
+    (4, 4, None): [
+        ((2, -1, -1, -1), (-1, 2, 0, 0), (-1, 0, 2, 0), (-1, 0, 0, 2)),
+        ((2, 0, 0, 0), (0, 2, 0, 0), (0, 0, 2, 0), (0, 0, 0, 2)),
+        ((4, -2, -2, -2), (-2, 4, 0, 0), (-2, 0, 4, 0), (-2, 0, 0, 4)),
+    ],
+    (4, 5, None): [
+        ((2, -1, -1, -1), (-1, 2, 0, 0), (-1, 0, 2, 1), (-1, 0, 1, 2)),
+        ((2, -1, -1, -1), (-1, 2, 0, 0), (-1, 0, 4, -1), (-1, 0, -1, 4)),
+        ((4, -1, -1, -1), (-1, 4, -1, -1), (-1, -1, 4, -1), (-1, -1, -1, 4)),
+    ],
+    (4, 6, None): [
+        ((2, -1, -1, -1), (-1, 2, 0, 0), (-1, 0, 2, 0), (-1, 0, 0, 2)),
+        ((2, -1, 0, 0), (-1, 2, 0, 0), (0, 0, 2, -1), (0, 0, -1, 2)),
+        ((2, -1, 0, 0), (-1, 2, 0, 0), (0, 0, 4, -2), (0, 0, -2, 4)),
+        ((2, 0, -1, -1), (0, 2, -1, -1), (-1, -1, 4, 1), (-1, -1, 1, 4)),
+        ((4, -2, 0, 0), (-2, 4, 0, 0), (0, 0, 4, -2), (0, 0, -2, 4)),
+        ((6, -3, -3, -3), (-3, 6, 0, 0), (-3, 0, 6, 0), (-3, 0, 0, 6)),
+    ],
+}
+
+# 7-13 s each at rank 4, levels 2, 4, 5, 6 (canonical forms of D4 and A4);
+# 2.5 s for the det-121 search, whose class count tier-1 checks elsewhere
+SLOW_CASES = [(4, 2, None), (4, 4, None), (4, 5, None), (4, 6, None), (4, 11, 121)]
+
+
+def fricke_dual(twoS, N):
+    """N (2S)^{-1}, by exact Fraction inversion."""
+    n = len(twoS)
+    aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+           for i, row in enumerate(twoS)]
+    for c in range(n):
+        piv = next(i for i in range(c, n) if aug[i][c])
+        aug[c], aug[piv] = aug[piv], aug[c]
+        aug[c] = [x / aug[c][c] for x in aug[c]]
+        for i in range(n):
+            if i != c and aug[i][c]:
+                f = aug[i][c]
+                aug[i] = [x - f * y for x, y in zip(aug[i], aug[c])]
+    dual = [[N * x for x in row[n:]] for row in aug]
+    assert all(x.denominator == 1 for row in dual for x in row)
+    return as_mat(dual)
+
+
+def _check_recorded(cases):
+    """Same output as recorded, and closed under the Fricke involution."""
+    for r, N, det_bound in cases:
+        got = enumerate_classes(r, N, det_bound=det_bound)
+        assert got == RECORDED_CLASSES[r, N, det_bound], (r, N, det_bound)
+        if det_bound is None:
+            for M in got:
+                assert form_det(M) != N**r
+                assert minkowski_reduce(fricke_dual(M, N)) in got, (r, N, M)
+
+
+def test_enumerate_classes_matches_recorded():
+    _check_recorded([c for c in RECORDED_CLASSES if c not in SLOW_CASES])
+
+
+@pytest.mark.slow
+def test_enumerate_classes_matches_recorded_slow():
+    _check_recorded(SLOW_CASES)
+
+
+def test_enumerate_classes_det_bound_drops_large_duals():
+    got = enumerate_classes(4, 13, det_bound=169)
+    assert [form_det(M) for M in got] == [13, 169]
+    dual = fricke_dual(got[0], 13)
+    assert form_det(dual) == 13**3 and level(dual) == 13
+
+
 def test_enumerate_psd_indices_small():
     got1 = enumerate_psd_indices(1, 3)
     assert got1 == [((0,),), ((2,),), ((4,),), ((6,),)]
