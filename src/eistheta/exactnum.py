@@ -7,6 +7,7 @@ numbers.  No floating point anywhere.
 
 from __future__ import annotations
 
+import functools
 import math
 from decimal import Decimal
 from fractions import Fraction
@@ -140,51 +141,142 @@ def primes_upto(n: int) -> list[int]:
     return [i for i in range(n + 1) if sieve[i]]
 
 
-# Bernoulli numbers.  The p-adic weight schedules push k into the low
-# thousands, so B_k has to stay cheap at that scale.  We keep the even-index
-# numbers as big integers over one shared squarefree denominator L
-# (a primorial; by von Staudt-Clausen the true denominators divide it) and
-# run the standard recurrence sum_{j<=m} C(m+1,j) B_j = 0 entirely in
-# integers with incrementally updated binomials.
-_bern_scaled: list[int] = []
-_bern_L = 1
+# Bernoulli numbers.  The p-adic weight ladders ask for single numbers of
+# index in the thousands (B_2060, B_14408, ...), so each even index is
+# computed on its own from zeta(n) (Fillebrown, "Faster computation of
+# Bernoulli numbers", J. Algorithms 1992) and memoised by index.  All of it
+# is integer fixed point in which every rounding is a floor or a ceiling.
 
 
-def _extend_bernoulli(n: int) -> None:
-    global _bern_L
-    if _bern_scaled and 2 * (len(_bern_scaled) - 1) >= n:
-        return
-    L = 1
+def _pi_fixed(w: int) -> int:
+    """An integer P with |P - pi 2^w| < 6, by Chudnovsky binary splitting.
+
+    pi = 426880 sqrt(10005) / S, where S = sum_k t_k is the Chudnovsky
+    series with t_0 = 13591409.  Its terms alternate in sign and fall,
+    |t_k| < 2^(30 - 47k) (k + 1), so the partial sum S_K of K = w // 47 + 2
+    terms has |S / S_K - 1| < 2^-w (S_K > 2^23), and pi_K = 426880
+    sqrt(10005) / S_K is within pi 2^-w < 4 units of 2^-w of pi.  Taking
+    the floor of sqrt(10005) 2^w costs less than 426880 / S_K < 0.06 units,
+    and the final floor division less than one unit.
+    """
+    c3_24 = 640320**3 // 24
+
+    def split(a: int, b: int) -> tuple[int, int, int]:
+        if b - a == 1:
+            if a == 0:
+                p = q = 1
+            else:
+                p = (6 * a - 5) * (2 * a - 1) * (6 * a - 1)
+                q = a * a * a * c3_24
+            t = p * (13591409 + 545140134 * a)
+            return p, q, -t if a & 1 else t
+        m = (a + b) // 2
+        p1, q1, t1 = split(a, m)
+        p2, q2, t2 = split(m, b)
+        return p1 * p2, q1 * q2, t1 * q2 + p1 * t2
+
+    _, q, t = split(0, w // 47 + 2)
+    return 426880 * math.isqrt(10005 << (2 * w)) * q // t
+
+
+def _pow_up(m: int, e: int, n: int, w: int) -> tuple[int, int]:
+    """(m', e') with m' 2^e' >= (m 2^e)^n and a mantissa m' <= 2^w.
+
+    Left-to-right binary powering that rounds the base and every product
+    up to w bits.  Each rounding costs a relative excess below 2^(1-w), and
+    the powers those excesses are raised to sum to less than 3n (n for the
+    base, under n each for the squarings and the multiplications), so the
+    log of the total excess stays below 6n 2^-w.
+    """
+    def cut(m: int, e: int) -> tuple[int, int]:
+        s = m.bit_length() - w
+        return (-(-m >> s), e + s) if s > 0 else (m, e)
+
+    bm, be = m, e = cut(m, e)
+    for bit in bin(n)[3:]:
+        m, e = cut(m * m, 2 * e)
+        if bit == "1":
+            m, e = cut(m * bm, e + be)
+    return m, e
+
+
+@functools.cache
+def _bernoulli_even(n: int) -> Fraction:
+    """B_n for even n >= 2 from B_n = (-1)^(n/2+1) 2 n! zeta(n) / (2 pi)^n.
+
+    By von Staudt-Clausen den = prod_{(p-1) | n} p is the denominator of
+    B_n, so T = den |B_n| = A zeta(n) / (2 pi)^n with A = 2 n! den is an
+    integer, and T < 2A / 6^n < 2^t.  T is rounded from X = floor(8A / D),
+    where D = m 2^e >= (2 pi)^n prod_{p <= M} (1 - p^-n) >= (2 pi)^n / zeta(n)
+    carries a relative excess rho; every step rounds D up:
+
+    * pi: 2 (P + 6) >= 2 pi 2^w (``_pi_fixed``) with excess < 2^(2-w),
+      raised to the n-th power: log excess < 4n 2^-w.
+    * the power (``_pow_up`` at w bits): log excess < 6n 2^-w.
+    * the Euler factor of each prime p: m - q >= m (1 - p^-n) with
+      q = floor(m / D_p), where D_p >= p^n is ``_pow_up`` at the k bits
+      the quotient needs, k = a - l + 4 + bitlen(n) for m < 2^a and
+      p^n >= 2^l.  Then m / p^n - q < 2, and m stays above 2^(w-2) (the
+      product exceeds 1/zeta(2) > 1/2), so excess < 2^(3-w) per prime,
+      fewer than M primes.  Once m < 2^l <= p^n, no later prime changes m.
+    * the primes p > M: prod_{p > M} (1 - p^-n)^-1 - 1 <=
+      sum_{j > M} j^-n <= M^(1-n) / (n - 1).
+
+    So log(1 + rho) < sigma = (10n + 8M) 2^-w + M^(1-n) / (n - 1).  M is
+    the least integer with M^(n-1) (n - 1) >= 2^(t+6): it is sized from the
+    tolerance of T, not from w.  And 2^w > (10n + 8M) 2^(t+6), so
+    sigma < 2^(-t-5) and rho < 2 sigma < 2^(-t-4).  Hence
+    0 <= 8T - X < 8T rho + 1 < 3/2: X / 8 lies within 3/16 < 1/4 of T, and
+    rounding it gives T exactly.
+
+    Two checks raise ArithmeticError should that bound ever fail: X / 8
+    must lie within 1/4 of the rounded value, and the rounded numerator
+    must be prime to den (von Staudt-Clausen).
+    """
+    den = 1
     for p in primes_upto(n + 1):
-        L *= p
-    if not _bern_scaled:
-        _bern_scaled.append(L)  # B_0 = 1
-        _bern_L = L
-    elif L != _bern_L:
-        q = L // _bern_L
-        for i in range(len(_bern_scaled)):
-            _bern_scaled[i] *= q
-        _bern_L = L
-    half_L = _bern_L // 2
-    for m in range(2 * len(_bern_scaled), n + 1, 2):
-        acc = _bern_scaled[0] - (m + 1) * half_L  # j = 0 and j = 1 terms
-        c = (m + 1) * m // 2  # C(m+1, 2)
-        for j in range(2, m - 1, 2):
-            acc += c * _bern_scaled[j // 2]
-            c = c * (m + 1 - j) * (m - j) // ((j + 1) * (j + 2))
-        _bern_scaled.append(-acc // (m + 1))
+        if n % (p - 1) == 0:
+            den *= p
+    A = 2 * math.factorial(n) * den
+    t = A.bit_length() + 2 - (6**n).bit_length()
+    lo, hi = 2, 1 << ((t + 6) // (n - 1) + 1)
+    while lo < hi:  # the least M with M^(n-1) (n-1) >= 2^(t+6)
+        mid = (lo + hi) // 2
+        if mid ** (n - 1) * (n - 1) >> (t + 6):
+            hi = mid
+        else:
+            lo = mid + 1
+    M = lo
+    w = t + 6 + (10 * n + 8 * M).bit_length()
+    m, e = _pow_up(2 * (_pi_fixed(w) + 6), -w, n, w)
+    for p in primes_upto(M):
+        a = m.bit_length()
+        l = n * ((p**32).bit_length() - 1) // 32  # p^n >= 2^l
+        if a <= l:
+            break
+        dm, de = _pow_up(p, 0, n, a - l + 4 + n.bit_length())
+        m -= (m >> de) // dm
+    X = (A << 3 >> e) // m if e >= 0 else (A << (3 - e)) // m
+    N = (X + 4) >> 3
+    if not abs(8 * N - X) < 2:
+        raise ArithmeticError(f"B_{n}: the zeta approximation missed its bound")
+    b = Fraction(N if n % 4 == 2 else -N, den)
+    if b.denominator != den:
+        raise ArithmeticError(f"B_{n}: numerator not prime to {den}")
+    return b
 
 
 def bernoulli(n: int) -> Fraction:
     """Bernoulli number B_n with the convention B_1 = -1/2."""
     if n < 0:
         raise ValueError("Bernoulli index must be >= 0")
+    if n == 0:
+        return Fraction(1)
     if n == 1:
         return Fraction(-1, 2)
     if n % 2 == 1:
         return Fraction(0)
-    _extend_bernoulli(n)
-    return Fraction(_bern_scaled[n // 2], _bern_L)
+    return _bernoulli_even(n)
 
 
 def zeta_neg(m: int) -> Fraction:
@@ -228,15 +320,15 @@ def gen_bernoulli(n: int, D: int) -> Fraction:
     if not is_fundamental_discriminant(D):
         raise ValueError(f"{D} is not a fundamental discriminant")
     f = abs(D)
+    chi = [(a, c) for a in range(1, f + 1) if (c := kronecker(D, a))]
+    terms = [c for _, c in chi]  # chi(a) a^(n-i), as i runs down from n
     total = Fraction(0)
-    for i in range(n + 1):
+    for i in range(n, -1, -1):
         b = bernoulli(i)
-        if b == 0:
-            continue
-        s = sum(kronecker(D, a) * a ** (n - i) for a in range(1, f + 1))
-        if s == 0:
-            continue
-        total += math.comb(n, i) * b * Fraction(f**i, f) * s
+        s = sum(terms) if b else 0
+        if s:
+            total += math.comb(n, i) * b * Fraction(f**i, f) * s
+        terms = [x * a for x, (a, _) in zip(terms, chi)]
     return total
 
 

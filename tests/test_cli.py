@@ -2,8 +2,11 @@
 
 import json
 
+import pytest
+
 from eistheta.cli import main
 from eistheta.eisenstein import eisenstein_qexp
+from eistheta.exactnum import bernoulli, frac_from_doc
 from eistheta.fourier import dump_qexp
 from eistheta.genus import write_json_atomic
 
@@ -96,6 +99,18 @@ def test_eisenstein_dump_and_cache(tmp_path):
     first = out.read_bytes()
     assert run(argv) == 0  # replayed from cache, byte-identical
     assert out.read_bytes() == first
+
+
+def test_eisenstein_weight_beyond_the_int_str_digit_limit(tmp_path):
+    # a(1) = -2k / B_k, and the numerator of B_4118 has over 9800 digits
+    out = tmp_path / "e4118.json"
+    k = 4118
+    assert run(["eisenstein", "--k", str(k), "--degree", "1", "--bound", "2",
+                "--out", str(out)]) == 0
+    by_key = {tuple(map(tuple, e["twoT"])): e for e in read_json(str(out))["coeffs"]}
+    a1 = by_key[((2,),)]
+    assert len(a1["den"]) > 4300
+    assert frac_from_doc(a1) == -2 * k / bernoulli(k)
 
 
 def test_eisenstein_rejects_odd_weight(capsys):
@@ -215,6 +230,20 @@ def test_verify_main_second_prime(tmp_path):
     assert [(g["det"], g["character_disc"], g["mass"]) for g in doc["dictionary"]] == [
         (13, 13, mass), (2197, 13, mass)
     ]
+
+
+@pytest.mark.slow
+def test_verify_main_four_rungs(tmp_path):
+    # W4: the fourth rung has weight 2 + 6 * 7^4 = 14408
+    out = tmp_path / "report.json"
+    argv = ["verify-main", "--p", "7", "--k", "2", "--j", "0", "--degree", "1",
+            "--bound", "50", "--m-max", "4", "--cache-dir", str(tmp_path / "cache"),
+            "--out", str(out)]
+    assert run(argv) == 0
+    doc = read_json(str(out))
+    assert doc["passed"] is True and doc["mode"] == "theorem"
+    assert [r["weight"] for r in doc["rungs"]][-1] == 14408
+    assert [r["a_tilde"] for r in doc["rungs"]] == [[32]] * len(doc["rungs"])
 
 
 def test_verify_main_corrupted_cache(tmp_path, capsys):

@@ -58,6 +58,30 @@ def hurwitz_class_number(N):
     return total
 
 
+def bernoulli_recurrence(n):
+    """B_0, B_2, ..., B_n (n even) by the integer recurrence.
+
+    sum_{j<=m} C(m+1, j) B_j = 0, run over one shared squarefree
+    denominator L, the primorial of n + 1 (by von Staudt-Clausen every
+    denominator divides it), with the binomials updated in place.  O(n^2)
+    big-integer steps, and no analysis: an independent route to the zeta
+    method of ``exactnum.bernoulli``.
+    """
+    L = 1
+    for p in primes_upto(n + 1):
+        L *= p
+    half_L = L // 2
+    scaled = [L]  # B_0 = 1
+    for m in range(2, n + 1, 2):
+        acc = scaled[0] - (m + 1) * half_L  # the j = 0 and j = 1 terms
+        c = (m + 1) * m // 2  # C(m+1, 2)
+        for j in range(2, m - 1, 2):
+            acc += c * scaled[j // 2]
+            c = c * (m + 1 - j) * (m - j) // ((j + 1) * (j + 2))
+        scaled.append(-acc // (m + 1))
+    return [Fraction(x, L) for x in scaled]
+
+
 def bernoulli_naive(n):
     """B_n straight from the defining recurrence, all Fraction arithmetic."""
     vals = [Fraction(1)]
@@ -158,10 +182,22 @@ def test_bernoulli_against_naive_recurrence():
         assert bernoulli(n) == bernoulli_naive(n)
 
 
+def test_bernoulli_matches_integer_recurrence():
+    table = bernoulli_recurrence(600)
+    for n in range(601):
+        want = table[n // 2] if n % 2 == 0 else Fraction(-1, 2) if n == 1 else 0
+        assert bernoulli(n) == want, n
+
+
+@pytest.mark.slow
+def test_bernoulli_matches_integer_recurrence_at_2060():
+    assert bernoulli(2060) == bernoulli_recurrence(2060)[-1]
+
+
 def test_bernoulli_von_staudt_clausen():
     # B_n + sum_{(p-1)|n} 1/p is an integer, and the denominator of B_n is
     # exactly the product of those primes.
-    for n in range(2, 160, 2):
+    for n in [*range(2, 160, 2), 2060, 4118]:
         b = bernoulli(n)
         ps = [p for p in primes_upto(n + 1) if n % (p - 1) == 0]
         denom = 1
@@ -178,6 +214,78 @@ def test_bernoulli_known_values():
     assert bernoulli(12) == Fraction(-691, 2730)
     assert bernoulli(1) == Fraction(-1, 2)
     assert bernoulli(13) == 0
+
+
+def p_adic_residue(x, q):
+    return x.numerator * pow(x.denominator, -1, q) % q
+
+
+def test_bernoulli_kummer_congruences():
+    # 37 is irregular: it divides the numerator of B_32, and by Kummer that
+    # of every B_n with n = 32 mod 36 and 37 not dividing n.
+    assert bernoulli(32).numerator % 37 == 0
+    assert bernoulli(2084).numerator % 37 == 0
+    # (1 - p^(n-1)) B_n / n mod p^(a+1) depends only on n mod (p-1) p^a;
+    # 2060 = 4118 = 2 mod 6 * 7^3.
+    assert {p_adic_residue(bernoulli(n) / n, 7) for n in (2, 2060, 4118)} == {3}
+    assert {
+        p_adic_residue((1 - Fraction(7) ** (n - 1)) * bernoulli(n) / n, 7**4)
+        for n in (2, 2060, 4118)
+    } == {1200}
+
+
+def machin_pi_scaled(bits):
+    """pi 2^(bits+20) within 2^16, from pi = 16 atan(1/5) - 4 atan(1/239).
+
+    Each arctan series is summed in integers; every floor division errs by
+    less than one unit, and there are fewer than 2^10 terms at bits <= 4000.
+    """
+    one = 1 << (bits + 20)
+
+    def atan_inv(x):
+        total, power, k = 0, one // x, 0
+        while power:
+            total += (-1) ** k * (power // (2 * k + 1))
+            power //= x * x
+            k += 1
+        return total
+
+    return 16 * atan_inv(5) - 4 * atan_inv(239)
+
+
+def test_pi_fixed_within_six_units():
+    from eistheta.exactnum import _pi_fixed
+
+    for w in (1, 10, 47, 100, 1000, 4000):
+        assert abs((_pi_fixed(w) << 20) - machin_pi_scaled(w)) < (6 << 20) + (1 << 16), w
+
+
+def test_pow_up_rounds_up_within_its_bound():
+    # m' 2^e' >= (m 2^e)^n with a relative excess below exp(6n 2^-w) - 1,
+    # and below 12n 2^-w whenever 6n 2^-w <= 1
+    from eistheta.exactnum import _pow_up
+
+    rng = random.Random(5)
+    for _ in range(300):
+        m, e = rng.randrange(1, 1 << 60), rng.randint(-80, 80)
+        n, w = rng.randint(1, 70), rng.choice((12, 20, 33, 64))
+        pm, pe = _pow_up(m, e, n, w)
+        exact = (Fraction(m) * Fraction(2) ** e) ** n
+        got = Fraction(pm) * Fraction(2) ** pe
+        assert pm <= 1 << w
+        assert exact <= got < exact * (1 + Fraction(12 * n, 1 << w)), (m, e, n, w)
+
+
+def test_bernoulli_runtime_checks_catch_a_wrong_pi(monkeypatch):
+    # pi off by 2^-8 moves den |B_n| far from the integer it should round
+    # to; each of the two checks raises instead of returning a wrong B_n.
+    from eistheta import exactnum
+
+    real = exactnum._pi_fixed
+    monkeypatch.setattr(exactnum, "_pi_fixed", lambda w: real(w) + (1 << (w - 8)))
+    for n, match in [(32, "missed its bound"), (40, "not prime to 13530")]:
+        with pytest.raises(ArithmeticError, match=match):
+            exactnum._bernoulli_even.__wrapped__(n)
 
 
 def test_zeta_neg_small():
