@@ -322,14 +322,15 @@ def gen_bernoulli(n: int, D: int) -> Fraction:
     f = abs(D)
     chi = [(a, c) for a in range(1, f + 1) if (c := kronecker(D, a))]
     terms = [c for _, c in chi]  # chi(a) a^(n-i), as i runs down from n
-    total = Fraction(0)
+    parts = []  # (comb(n, i) num(B_i) f^i s_i, den(B_i)); the sum is over L f
     for i in range(n, -1, -1):
         b = bernoulli(i)
         s = sum(terms) if b else 0
         if s:
-            total += math.comb(n, i) * b * Fraction(f**i, f) * s
+            parts.append((math.comb(n, i) * b.numerator * f**i * s, b.denominator))
         terms = [x * a for x, (a, _) in zip(terms, chi)]
-    return total
+    L = math.lcm(*(den for _, den in parts))
+    return Fraction(sum(t * (L // den) for t, den in parts), L * f)
 
 
 def dirichlet_L_neg(r: int, D: int) -> Fraction:

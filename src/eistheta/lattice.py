@@ -220,81 +220,64 @@ def eta_S(twoS) -> QuadCharacter:
 
 # ------------------------------------------------------------ short vectors
 
-def _ldl(twoS):
-    """Exact decomposition Q(x) = sum_i D_i (x_i + sum_{j>i} L_ij x_j)^2."""
-    n = len(twoS)
-    M = [[Fraction(twoS[i][j], 2) for j in range(n)] for i in range(n)]
-    D = []
-    L = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        d = M[i][i]
-        if d <= 0:
-            raise ValueError("form is not positive definite")
-        D.append(d)
-        for j in range(i + 1, n):
-            L[i][j] = M[i][j] / d
-        for a in range(i + 1, n):
-            for b in range(i + 1, n):
-                M[a][b] -= M[a][i] * M[i][b] / d
-    return D, L
-
-
-def _floor_add_sqrt(c: Fraction, M: Fraction) -> int:
-    """floor(c + sqrt(M)) computed exactly for rationals, M >= 0."""
-    t = math.floor(float(c) + math.sqrt(float(M)))
-
-    def le(x):  # x <= c + sqrt(M)
-        d = x - c
-        return d <= 0 or d * d <= M
-
-    while le(t + 1):
-        t += 1
-    while not le(t):
-        t -= 1
-    return t
-
-
 def short_vectors(twoS, bound, both_signs: bool = False):
     """All x != 0 with Q(x) <= bound for positive definite S.
 
     Returns a list of (vector, Q(x)) sorted by (value, vector); one vector
     per +-pair unless both_signs is set.
+
+    Integer Fincke-Pohst: the Bareiss sweep of 2S gives the leading
+    principal minors d_i (d_0 = 1) and integer rows u_ij with
+        2Q(x) = sum_i (d_i x_i + s_i)^2 / (d_{i-1} d_i),  s_i = sum_{j>i} u_ij x_j.
+    Scaling by W = lcm_i(d_{i-1} d_i) makes every partial sum an integer,
+    and Q(x) <= bound is Q(x) <= floor(bound), so each coordinate range
+    |d_i x_i + s_i| <= isqrt(.) is exact.  The search keeps the vectors
+    whose last nonzero coordinate is positive, one per +-pair.
     """
     M = check_form(twoS)
     n = len(M)
-    bound = Fraction(bound)
-    if bound < 0:
+    bound = math.floor(bound)
+    if bound < 0 or n == 0:
         return []
-    D, L = _ldl(M)
+    A = [list(row) for row in M]
+    d = [1]
+    for i in range(n):
+        piv = A[i][i]
+        if piv <= 0:
+            raise ValueError("form is not positive definite")
+        for a in range(i + 1, n):
+            for b in range(i + 1, n):
+                A[a][b] = (A[a][b] * piv - A[a][i] * A[i][b]) // d[i]
+        d.append(piv)
+    W = math.lcm(*(d[i] * d[i + 1] for i in range(n)))
+    w = [W // (d[i] * d[i + 1]) for i in range(n)]
+    top = 2 * W * bound
     out = []
     x = [0] * n
 
     def rec(i, acc):
-        if i < 0:
-            if any(x):
-                assert acc.denominator == 1
-                out.append((tuple(x), int(acc)))
-            return
-        c = Fraction(0)
-        for j in range(i + 1, n):
-            if x[j]:
-                c += L[i][j] * x[j]
-        rem = (bound - acc) / D[i]
-        if rem < 0:
-            return
-        lo = -_floor_add_sqrt(c, rem)
-        hi = _floor_add_sqrt(-c, rem)
-        for xi in range(lo, hi + 1):
+        s = sum(A[i][j] * x[j] for j in range(i + 1, n))
+        r = math.isqrt((top - acc) // w[i])
+        di, wi = d[i + 1], w[i]
+        # acc == 0 iff x_j = 0 for all j > i: then x_i >= 0, and x_0 >= 1
+        lo = -((r + s) // di) if acc else int(i == 0)
+        for xi in range(lo, (r - s) // di + 1):
+            t = di * xi + s
             x[i] = xi
-            t = xi + c
-            rec(i - 1, acc + D[i] * t * t)
+            if i:
+                rec(i - 1, acc + wi * t * t)
+            else:
+                out.append(((acc + wi * t * t) // (2 * W), tuple(x)))
         x[i] = 0
 
-    rec(n - 1, Fraction(0))
-    if not both_signs:
-        out = [(v, q) for v, q in out if next(c for c in v if c) > 0]
-    out.sort(key=lambda p: (p[1], p[0]))
-    return out
+    rec(n - 1, 0)
+    if both_signs:
+        out += [(q, tuple(-c for c in v)) for q, v in out]
+    else:
+        out = [(q, v if next(c for c in v if c) > 0 else tuple(-c for c in v))
+               for q, v in out]
+    out.sort()
+    return [(v, q) for q, v in out]
 
 
 # ---------------------------------------------------------- canonical form

@@ -1,12 +1,10 @@
-"""Exact linear algebra over the integers, the rationals and Z/p^c.
+"""Exact linear algebra over the integers and Z/p^c.
 
-Matrices are plain lists of lists of ints (or Fractions where stated).
+Matrices are plain lists of lists of ints.
 Sizes here are tiny (rank <= 8), so clarity wins over vectorization.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 __all__ = [
     "identity",
@@ -49,23 +47,20 @@ def bareiss_det(A) -> int:
 
 
 def exact_rank(A) -> int:
-    """Rank of a matrix with int or Fraction entries."""
-    if not A:
-        return 0
-    M = [[Fraction(x) for x in row] for row in A]
-    rows, cols = len(M), len(M[0])
-    r = 0
-    for c in range(cols):
+    """Rank of an integer matrix by fraction-free (Bareiss) elimination."""
+    M = [list(map(int, row)) for row in A]
+    rows = len(M)
+    r, prev = 0, 1
+    for c in range(len(M[0]) if M else 0):
         piv = next((i for i in range(r, rows) if M[i][c]), None)
         if piv is None:
             continue
         M[r], M[piv] = M[piv], M[r]
-        inv = 1 / M[r][c]
-        M[r] = [x * inv for x in M[r]]
-        for i in range(rows):
-            if i != r and M[i][c]:
-                f = M[i][c]
-                M[i] = [x - f * y for x, y in zip(M[i], M[r])]
+        p = M[r][c]
+        for i in range(r + 1, rows):
+            f = M[i][c]
+            M[i] = [(x * p - f * y) // prev for x, y in zip(M[i], M[r])]
+        prev = p
         r += 1
         if r == rows:
             break

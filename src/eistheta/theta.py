@@ -39,6 +39,8 @@ def theta_series(twoS, n: int, trace_bound: int) -> QExpansion:
         raise ValueError("theta series needs a positive definite form")
     if n <= 0:
         raise ValueError("degree must be positive")
+    if n > 5:
+        raise ValueError("matrices larger than 5x5 are out of scope")
     B = trace_bound
     vecs = short_vectors(twoS, B, both_signs=True)
     if n == 1:

@@ -1,6 +1,7 @@
 """End-to-end command-line checks, run in-process through cli.main."""
 
 import json
+import time
 
 import pytest
 
@@ -84,6 +85,17 @@ def test_theta_genus_average_non_canonical_basis(tmp_path):
         assert rc == 0
         outs.append(out.read_bytes())
     assert outs[0] == outs[1]
+
+
+def test_theta_degree_beyond_five_fails_before_enumerating(tmp_path, capsys):
+    form = tmp_path / "a2.txt"
+    form.write_text("2; 2 -1; -1 2\n")
+    start = time.monotonic()
+    rc = run(["theta", "--form", str(form), "--degree", "6", "--bound", "8"])
+    assert time.monotonic() - start < 2
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err == "eistheta theta: matrices larger than 5x5 are out of scope\n"
 
 
 def test_eisenstein_dump_and_cache(tmp_path):

@@ -91,6 +91,21 @@ def bernoulli_naive(n):
     return vals[n]
 
 
+def gen_bernoulli_fraction(n, D):
+    """B_{n,chi} for chi = kronecker(D, .) by the finite sum, each term a Fraction."""
+    f = abs(D)
+    chi = [(a, c) for a in range(1, f + 1) if (c := kronecker(D, a))]
+    terms = [c for _, c in chi]  # chi(a) a^(n-i), as i runs down from n
+    total = Fraction(0)
+    for i in range(n, -1, -1):
+        b = bernoulli(i)
+        s = sum(terms) if b else 0
+        if s:
+            total += math.comb(n, i) * b * Fraction(f**i, f) * s
+        terms = [x * a for x, (a, _) in zip(terms, chi)]
+    return total
+
+
 # ---------------------------------------------------------------- kronecker
 
 def test_kronecker_euler_criterion():
@@ -344,6 +359,14 @@ def test_gen_bernoulli_specific():
     # trivial character: matches zeta at every 1-r
     for r in range(1, 12):
         assert dirichlet_L_neg(r, 1) == zeta_neg(r - 1)
+
+
+def test_gen_bernoulli_matches_fraction_oracle():
+    discs = [D for D in range(-40, 41) if D and is_fundamental_discriminant(D)]
+    assert len(discs) == 27
+    for D in discs:
+        for n in range(13):
+            assert gen_bernoulli(n, D) == gen_bernoulli_fraction(n, D), (n, D)
 
 
 def test_cohen_H_r1_is_hurwitz():

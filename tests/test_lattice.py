@@ -81,6 +81,74 @@ def short_vectors_brute(twoS, bound):
     return out
 
 
+def _ldl_fraction(twoS):
+    """Q(x) = sum_i D_i (x_i + sum_{j>i} L_ij x_j)^2 over Fractions."""
+    n = len(twoS)
+    M = [[Fraction(twoS[i][j], 2) for j in range(n)] for i in range(n)]
+    D = []
+    L = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        d = M[i][i]
+        if d <= 0:
+            raise ValueError("form is not positive definite")
+        D.append(d)
+        for j in range(i + 1, n):
+            L[i][j] = M[i][j] / d
+        for a in range(i + 1, n):
+            for b in range(i + 1, n):
+                M[a][b] -= M[a][i] * M[i][b] / d
+    return D, L
+
+
+def _floor_add_sqrt(c, M):
+    """floor(c + sqrt(M)) for rationals c and M >= 0: a float guess, corrected."""
+    t = math.floor(float(c) + math.sqrt(float(M)))
+
+    def le(x):  # x <= c + sqrt(M)
+        d = x - c
+        return d <= 0 or d * d <= M
+
+    while le(t + 1):
+        t += 1
+    while not le(t):
+        t -= 1
+    return t
+
+
+def short_vectors_fraction(twoS, bound, both_signs=False):
+    """Fincke-Pohst over a Fraction LDL: the oracle for ``short_vectors``."""
+    M = check_form(twoS)
+    n = len(M)
+    bound = Fraction(bound)
+    if bound < 0:
+        return []
+    D, L = _ldl_fraction(M)
+    out = []
+    x = [0] * n
+
+    def rec(i, acc):
+        if i < 0:
+            if any(x):
+                assert acc.denominator == 1
+                out.append((tuple(x), int(acc)))
+            return
+        c = sum((L[i][j] * x[j] for j in range(i + 1, n)), Fraction(0))
+        rem = (bound - acc) / D[i]
+        if rem < 0:
+            return
+        for xi in range(-_floor_add_sqrt(c, rem), _floor_add_sqrt(-c, rem) + 1):
+            x[i] = xi
+            t = xi + c
+            rec(i - 1, acc + D[i] * t * t)
+        x[i] = 0
+
+    rec(n - 1, Fraction(0))
+    if not both_signs:
+        out = [(v, q) for v, q in out if next(c for c in v if c) > 0]
+    out.sort(key=lambda p: (p[1], p[0]))
+    return out
+
+
 def random_unimodular(rng, n, steps=6):
     U = [[int(i == j) for j in range(n)] for i in range(n)]
     for _ in range(steps):
@@ -228,6 +296,45 @@ def test_short_vectors_against_box():
 def test_short_vectors_rational_bound():
     got = short_vectors(A2, Fraction(3, 2), both_signs=True)
     assert len(got) == 6  # nothing between 1 and 3/2
+
+
+def random_definite(rng, n):
+    """A positive definite doubled Gram matrix X^t X * 2 of rank n."""
+    while True:
+        X = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n + rng.randint(0, 2))]
+        M = as_mat([[2 * sum(r[i] * r[j] for r in X) for j in range(n)] for i in range(n)])
+        if form_rank(M) == n:
+            return M
+
+
+def test_short_vectors_match_fraction_oracle():
+    rng = random.Random(29)
+    forms = [A2, B7, I2, as_mat([[2]]), as_mat([[16]]), direct_sum(A2, A2, [[2]])]
+    forms += [random_definite(rng, n) for n in range(1, 6) for _ in range(6)]
+    for M in forms:
+        bounds = [0, 1, rng.randint(2, 8), Fraction(rng.randint(1, 40), rng.randint(2, 7))]
+        for bound in bounds:
+            for both in (False, True):
+                got = short_vectors(M, bound, both_signs=both)
+                assert got == short_vectors_fraction(M, bound, both_signs=both), (M, bound)
+
+
+def test_short_vectors_e8_counts():
+    # Cartan matrix of E8: 2Q(x) = x^t C x, so the 240 roots have Q = 1
+    C = [[2 if i == j else 0 for j in range(8)] for i in range(8)]
+    for a, b in [(0, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (1, 3)]:
+        C[a][b] = C[b][a] = -1
+    got = short_vectors(C, 2, both_signs=True)
+    assert sum(q == 1 for _, q in got) == 240
+    assert sum(q == 2 for _, q in got) == 2160
+    assert len(got) == 2400
+    assert len(short_vectors(C, Fraction(5, 2))) == 1200
+
+
+def test_short_vectors_rejects_non_definite():
+    for M in ([[2, 2], [2, 2]], [[2, 3], [3, 2]], [[0]], [[2, 0], [0, 0]]):
+        with pytest.raises(ValueError, match="not positive definite"):
+            short_vectors(M, 4)
 
 
 # ---------------------------------------------------------- canonical form

@@ -45,6 +45,30 @@ def det_fraction(A):
     return det
 
 
+def rank_fraction(A):
+    """Reference rank via Gauss-Jordan over Fractions."""
+    if not A:
+        return 0
+    M = [[Fraction(x) for x in row] for row in A]
+    rows, cols = len(M), len(M[0])
+    r = 0
+    for c in range(cols):
+        piv = next((i for i in range(r, rows) if M[i][c]), None)
+        if piv is None:
+            continue
+        M[r], M[piv] = M[piv], M[r]
+        inv = 1 / M[r][c]
+        M[r] = [x * inv for x in M[r]]
+        for i in range(rows):
+            if i != r and M[i][c]:
+                f = M[i][c]
+                M[i] = [x - f * y for x, y in zip(M[i], M[r])]
+        r += 1
+        if r == rows:
+            break
+    return r
+
+
 def random_matrix(rng, rows, cols, lo=-9, hi=9):
     return [[rng.randint(lo, hi) for _ in range(cols)] for _ in range(rows)]
 
@@ -66,21 +90,24 @@ def test_bareiss_det_singular_and_identity():
 
 def test_exact_rank():
     rng = random.Random(5)
-    for _ in range(100):
-        n, m, r = rng.randint(1, 5), rng.randint(1, 5), rng.randint(0, 4)
+    ranks = set()
+    for _ in range(400):
+        n, m, r = rng.randint(1, 5), rng.randint(1, 5), rng.randint(0, 5)
         r = min(r, n, m)
-        # build a matrix of known rank r
+        # a product of n x r and r x m factors, some with zero columns or rows
         B = random_matrix(rng, n, r, -4, 4)
-        C = random_matrix(rng, r, m, -4, 4)
-        if r == 0:
-            A = [[0] * m for _ in range(n)]
-        else:
-            A = mat_mul(B, C)
-        assert exact_rank(A) <= r
-        # the product bound is an inequality; check exactness on staged cases
+        C = [[rng.choice([0, rng.randint(-4, 4)]) for _ in range(m)] for _ in range(r)]
+        A = mat_mul(B, C) if r else [[0] * m for _ in range(n)]
+        got = exact_rank(A)
+        assert got == rank_fraction(A) <= r, A
+        ranks.add((r, got))
+    assert all((r, r) in ranks for r in range(6))  # full rank reached
+    assert any(got < r for r, got in ranks)  # and rank deficiency
     A = [[2, 0, 0], [0, 3, 0]]
     assert exact_rank(A) == 2
     assert exact_rank([[0, 0], [0, 0]]) == 0
+    assert exact_rank([[0, 4, 2], [0, 2, 1], [0, 0, 3]]) == 2
+    assert exact_rank([]) == 0
 
 
 def test_adjugate_identity():
