@@ -28,6 +28,7 @@ from .genus import (
     ClassRecord,
     cache_dir_from_env,
     cached_genera,
+    check_cache_fields,
     genera_to_doc,
     partition_into_genera,
     write_json_atomic,
@@ -168,12 +169,7 @@ def cmd_eisenstein(args) -> int:
         with open(path) as fh:
             cached = json.load(fh)
         F = load_qexp(cached)  # validate before replaying the cached dump
-        for field, want in request.items():
-            if cached.get(field) != want:
-                raise ValueError(
-                    f"cache {path}: field {field!r} is {cached.get(field)!r}, "
-                    f"not the requested {want!r}"
-                )
+        check_cache_fields(path, cached, request)
     else:
         F = eisenstein_qexp(args.k, args.degree, args.bound)
         if path:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import product
 
 from .exactnum import divisors, frac_from_doc, frac_to_doc, v_p
 from .lattice import (
@@ -223,35 +224,14 @@ def _hnf_matrices(r: int, d: int):
                 yield (first,) + rest
 
     for dg in diag_splits(d, r):
-        cols = []
-        for j in range(r):
-            opts = []
-            for vals in _tuples(dg[j], j):
-                opts.append(vals)
-            cols.append(opts)
-
-        def build(j, rows):
-            if j == r:
-                H = [[0] * r for _ in range(r)]
-                for c, col in enumerate(rows):
-                    for i in range(c):
-                        H[i][c] = col[i]
-                    H[c][c] = dg[c]
-                yield tuple(tuple(row) for row in H)
-                return
-            for col in cols[j]:
-                yield from build(j + 1, rows + [col])
-
-        yield from build(0, [])
-
-
-def _tuples(top, length):
-    if length == 0:
-        yield ()
-        return
-    for head in range(top):
-        for rest in _tuples(top, length - 1):
-            yield (head,) + rest
+        cols = [product(range(dg[j]), repeat=j) for j in range(r)]
+        for above in product(*cols):
+            H = [[0] * r for _ in range(r)]
+            for c, col in enumerate(above):
+                for i in range(c):
+                    H[i][c] = col[i]
+                H[c][c] = dg[c]
+            yield tuple(tuple(row) for row in H)
 
 
 def _transform_by_inverse(twoT: Mat, D) -> Mat | None:

@@ -295,6 +295,16 @@ def cache_dir_from_env(explicit=None):
     return os.environ.get("EISTHETA_CACHE_DIR")
 
 
+def check_cache_fields(path, doc, request):
+    """Raise if the cache file at path was written for another request."""
+    for field, want in request.items():
+        if doc.get(field) != want:
+            raise ValueError(
+                f"cache {path}: field {field!r} is {doc.get(field)!r}, "
+                f"not the requested {want!r}"
+            )
+
+
 def cached_genera(rank, level_divides, cache_dir=None):
     """Genera for (rank, level), persisted to a JSON cache when a dir is set."""
     d = cache_dir_from_env(cache_dir)
@@ -303,7 +313,12 @@ def cached_genera(rank, level_divides, cache_dir=None):
     path = os.path.join(d, f"genera_r{rank}_L{level_divides}.json")
     if os.path.exists(path):
         with open(path) as fh:
-            return genera_from_doc(json.load(fh))
+            doc = json.load(fh)
+        check_cache_fields(path, doc, {"rank": rank, "level_divides": level_divides})
+        genera = genera_from_doc(doc)
+        if any(len(c.rep) != rank for g in genera for c in g.classes):
+            raise ValueError(f"cache {path}: a class is not of rank {rank}")
+        return genera
     genera = build_genera(rank, level_divides)
     write_json_atomic(genera_to_doc(rank, level_divides, genera), path)
     return genera

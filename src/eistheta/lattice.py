@@ -16,13 +16,7 @@ from functools import lru_cache
 from itertools import combinations, product
 
 from .exactnum import divisors, fund_disc_decompose, kronecker
-from .linalg import (
-    adjugate,
-    bareiss_det,
-    exact_rank,
-    kernel_basis,
-    unimodular_extension,
-)
+from .linalg import adjugate, bareiss_det, column_reduce, exact_rank
 
 Mat = tuple[tuple[int, ...], ...]
 
@@ -35,7 +29,6 @@ __all__ = [
     "form_det",
     "form_trace",
     "content",
-    "direct_sum",
     "pad_zero",
     "is_psd",
     "is_positive_definite",
@@ -96,19 +89,6 @@ def content(twoT) -> int:
         for j in range(i + 1, n):
             g = math.gcd(g, twoT[i][j])
     return g
-
-
-def direct_sum(*forms) -> Mat:
-    mats = [as_mat(f) for f in forms]
-    n = sum(len(m) for m in mats)
-    out = [[0] * n for _ in range(n)]
-    off = 0
-    for m in mats:
-        for i, row in enumerate(m):
-            for j, x in enumerate(row):
-                out[off + i][off + j] = x
-        off += len(m)
-    return as_mat(out)
 
 
 def pad_zero(twoT, n: int) -> Mat:
@@ -376,17 +356,35 @@ def minkowski_reduce(twoT) -> Mat:
         raise ValueError("matrices larger than 5x5 are out of scope")
     if not is_psd(M):
         raise ValueError("form is not positive semidefinite")
-    r = form_rank(M)
-    if r == 0:
-        return M
+    U, r = column_reduce(M)
     if r == n:
         return _canonical_definite(M)
-    K = kernel_basis([list(row) for row in M])
-    Kmat = [[K[j][i] for j in range(len(K))] for i in range(n)]
-    B = unimodular_extension(Kmat)
-    big = transform(M, B)
-    G = tuple(tuple(big[i][j] for j in range(n - r, n)) for i in range(n - r, n))
-    return pad_zero(_canonical_definite(G), n)
+    G = transform(M, [row[n - r:] for row in U])
+    return pad_zero(_canonical_definite(_pair_reduce(G)), n)
+
+
+def _pair_reduce(twoS) -> Mat:
+    """The same lattice after steps b_j -= round(g_ij/g_ii) b_i, taken
+    until |2 g_ij| <= g_ii for all i != j.
+
+    Each step lowers g_jj, so this ends.  It keeps the short-vector
+    searches of _canonical_definite off a skewed basis: a conjugate
+    U^t (0 + G) U can hand it a definite part with entries in the
+    thousands, and those searches then run for seconds to minutes.
+    """
+    G = [list(row) for row in twoS]
+    r = len(G)
+    pairs = [(i, j) for i in range(r) for j in range(r) if i != j]
+    while True:
+        for i, j in pairs:
+            if abs(2 * G[i][j]) > G[i][i]:
+                q = (2 * G[i][j] + G[i][i]) // (2 * G[i][i])
+                for row in G:
+                    row[j] -= q * row[i]
+                G[j] = [x - q * y for x, y in zip(G[j], G[i])]
+                break
+        else:
+            return as_mat(G)
 
 
 # ------------------------------------------------- isometries, automorphisms

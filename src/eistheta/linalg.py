@@ -11,9 +11,7 @@ __all__ = [
     "bareiss_det",
     "exact_rank",
     "adjugate",
-    "smith_normal_form",
-    "kernel_basis",
-    "unimodular_extension",
+    "column_reduce",
     "echelon_mod",
 ]
 
@@ -80,138 +78,34 @@ def adjugate(A) -> list[list[int]]:
     return adj
 
 
-def smith_normal_form(A):
-    """Smith normal form with transforms: returns (S, U, V) with S = U A V,
-    U and V unimodular, S diagonal with d1 | d2 | ... ."""
-    S = [list(map(int, row)) for row in A]
-    rows = len(S)
-    cols = len(S[0]) if rows else 0
-    U = identity(rows)
-    V = identity(cols)
+def column_reduce(A):
+    """Unimodular U that moves the integer kernel of A into its first columns.
 
-    def swap_rows(i, j):
-        S[i], S[j] = S[j], S[i]
-        U[i], U[j] = U[j], U[i]
-
-    def swap_cols(i, j):
-        for row in S:
-            row[i], row[j] = row[j], row[i]
-        for row in V:
-            row[i], row[j] = row[j], row[i]
-
-    def add_row(src, dst, c):
-        S[dst] = [x + c * y for x, y in zip(S[dst], S[src])]
-        U[dst] = [x + c * y for x, y in zip(U[dst], U[src])]
-
-    def add_col(src, dst, c):
-        for row in S:
-            row[dst] += c * row[src]
-        for row in V:
-            row[dst] += c * row[src]
-
-    t = 0
-    while t < min(rows, cols):
-        # move a nonzero pivot of smallest magnitude to (t, t)
-        piv = None
-        for i in range(t, rows):
-            for j in range(t, cols):
-                if S[i][j] and (piv is None or abs(S[i][j]) < abs(S[piv[0]][piv[1]])):
-                    piv = (i, j)
-        if piv is None:
-            break
-        swap_rows(t, piv[0])
-        swap_cols(t, piv[1])
-        dirty = True
-        while dirty:
-            dirty = False
-            for i in range(t + 1, rows):
-                if S[i][t]:
-                    add_row(t, i, -(S[i][t] // S[t][t]))
-                    if S[i][t]:
-                        swap_rows(t, i)
-                        dirty = True
-            for j in range(t + 1, cols):
-                if S[t][j]:
-                    add_col(t, j, -(S[t][j] // S[t][t]))
-                    if S[t][j]:
-                        swap_cols(t, j)
-                        dirty = True
-        t += 1
-
-    # enforce the divisibility chain
-    n = min(rows, cols)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(n - 1):
-            a, b = S[i][i], S[i + 1][i + 1]
-            if a == 0 or b % a == 0:
-                continue
-            # fold S[i+1][i+1] into position (i, i) and re-reduce
-            add_col(i + 1, i, 1)
-            dirty = True
-            while dirty:
-                dirty = False
-                for r in range(i + 1, rows):
-                    if S[r][i]:
-                        add_row(i, r, -(S[r][i] // S[i][i]))
-                        if S[r][i]:
-                            swap_rows(i, r)
-                            dirty = True
-                for c in range(i + 1, cols):
-                    if S[i][c]:
-                        add_col(i, c, -(S[i][c] // S[i][i]))
-                        if S[i][c]:
-                            swap_cols(i, c)
-                            dirty = True
-            changed = True
-    for i in range(n):
-        if S[i][i] < 0:
-            for j in range(cols):
-                S[i][j] = -S[i][j]
-            for j in range(rows):
-                U[i][j] = -U[i][j]
-    return S, U, V
-
-
-def kernel_basis(A) -> list[list[int]]:
-    """Saturated basis of the integer kernel {x : A x = 0}, as a list of
-    column vectors.  Saturated means the basis extends to a basis of Z^n."""
+    Integer column reduction, the column Hermite step of Cohen (GTM 138,
+    §2.4): rows are taken from the bottom, and in each one Euclid steps
+    among the columns 0..k gather the row's gcd into column k, which then
+    stays as a pivot.  Returns (U, r) with r = rank A: the first n - r
+    columns of A U are zero and the last r are in echelon form, so the
+    first n - r columns of U are a basis of {x in Z^n : A x = 0}.
+    """
     rows = len(A)
-    cols = len(A[0]) if rows else 0
-    if rows == 0:
-        return [list(col) for col in identity(cols)]
-    S, _, V = smith_normal_form(A)
-    out = []
-    for j in range(cols):
-        if j >= rows or S[j][j] == 0:
-            out.append([V[i][j] for i in range(cols)])
-    return out
-
-
-def unimodular_extension(K: list[list[int]]) -> list[list[int]]:
-    """Given independent saturated columns K (n x s), return a unimodular
-    n x n matrix whose first s columns span the same sublattice."""
-    n = len(K)
-    s = len(K[0]) if K else 0
-    if s == 0:
-        return identity(n)
-    S, U, _ = smith_normal_form(K)
-    for i in range(s):
-        if S[i][i] != 1:
-            raise ValueError("columns do not form a saturated sublattice")
-    # K = U^{-1} S V^{-1}; the first s columns of U^{-1} span the lattice.
-    Uinv = _invert_unimodular(U)
-    return Uinv
-
-
-def _invert_unimodular(U):
-    n = len(U)
-    adj = adjugate(U)
-    d = bareiss_det(U)
-    if d not in (1, -1):
-        raise ValueError("matrix is not unimodular")
-    return [[x * d for x in row] for row in adj]
+    n = len(A[0]) if rows else 0
+    cols = [[int(A[i][j]) for i in range(rows)] for j in range(n)]
+    ucols = identity(n)  # columns of U, stored as rows
+    k = n - 1
+    for i in reversed(range(rows)):
+        if k < 0:
+            break
+        for j in range(k):
+            while cols[j][i]:
+                q = cols[k][i] // cols[j][i]
+                cols[k] = [x - q * y for x, y in zip(cols[k], cols[j])]
+                ucols[k] = [x - q * y for x, y in zip(ucols[k], ucols[j])]
+                cols[j], cols[k] = cols[k], cols[j]
+                ucols[j], ucols[k] = ucols[k], ucols[j]
+        if cols[k][i]:
+            k -= 1
+    return [list(row) for row in zip(*ucols)], n - 1 - k
 
 
 def echelon_mod(M, p: int, c: int = 1):

@@ -464,6 +464,10 @@ def _validate_dictionary(genera, target: WeightTarget):
         mass = Fraction(0)
         for rec in g.classes:
             M = check_form(rec.rep)
+            if len(M) != 2 * target.k:
+                raise PipelineError(
+                    "fit", f"dictionary lattice is not of rank {2 * target.k}"
+                )
             if minkowski_reduce(M) != as_mat(rec.rep):
                 raise PipelineError("fit", "genus dictionary rep not canonical")
             lev = level(M)

@@ -20,7 +20,6 @@ from .fourier import (
 )
 from .lattice import (
     Mat,
-    as_mat,
     automorphism_count,
     check_form,
     form_trace,
@@ -30,11 +29,13 @@ from .lattice import (
 )
 
 
-@lru_cache(maxsize=None)
 def theta_series(twoS, n: int, trace_bound: int) -> QExpansion:
     """Degree-n theta series of S, truncated at tr(T) <= trace_bound."""
-    twoS = as_mat(twoS)
-    check_form(twoS)
+    return _theta_series(check_form(twoS), n, trace_bound)
+
+
+@lru_cache(maxsize=None)
+def _theta_series(twoS: Mat, n: int, trace_bound: int) -> QExpansion:
     if not is_positive_definite(twoS):
         raise ValueError("theta series needs a positive definite form")
     if n <= 0:

@@ -47,6 +47,22 @@ def test_genera_rank2_level7(tmp_path):
     assert [c["twoT"] for c in g["classes"]] == [[[2, -1], [-1, 4]]]
 
 
+def test_genus_cache_of_another_rank_exits_2(tmp_path, capsys):
+    cache = tmp_path / "cache"
+    path = cache / "genera_r4_L7.json"
+    assert run(["genera", "--rank", "2", "--level", "7",
+                "--out", str(tmp_path / "rank2.json")]) == 0
+    write_json_atomic(read_json(str(tmp_path / "rank2.json")), str(path))
+    assert run(["genera", "--rank", "4", "--level", "7",
+                "--cache-dir", str(cache)]) == 2
+    err = capsys.readouterr().err
+    assert "eistheta genera" in err and str(path) in err and "'rank'" in err
+    assert run(["verify-main", "--p", "7", "--k", "2", "--degree", "1", "--bound",
+                "8", "--m-max", "2", "--cache-dir", str(cache)]) == 2
+    err = capsys.readouterr().err
+    assert "stage genera" in err and str(path) in err
+
+
 def test_theta_point_count(tmp_path, capsys):
     form = tmp_path / "unary.txt"
     form.write_text("1; 2\n")

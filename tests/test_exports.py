@@ -69,3 +69,50 @@ def test_source_calls_no_float():
         if lines:
             found[os.path.basename(path)] = lines
     assert not found, f"float(...) or math.sqrt(...) called at {found}"
+
+
+def unreferenced_defs(sources, exported=()):
+    """Module-level def/class names of sources ({file: text}) that no code
+    outside their own body names, are not exported and are not cmd_*."""
+    trees = {path: ast.parse(text) for path, text in sources.items()}
+    refs = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            name = (node.id if isinstance(node, ast.Name)
+                    else node.attr if isinstance(node, ast.Attribute)
+                    else node.name if isinstance(node, ast.alias) else None)
+            if name:
+                refs[name] = refs.get(name, 0) + 1
+    out = []
+    for path, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            own = sum(1 for sub in ast.walk(node)
+                      if getattr(sub, "id", getattr(sub, "attr", None)) == node.name)
+            if (refs.get(node.name, 0) > own or node.name in exported
+                    or node.name.startswith("cmd_")):
+                continue
+            out.append(f"{os.path.basename(path)}:{node.name}")
+    return out
+
+
+def test_unreferenced_defs_are_detected():
+    sources = {
+        "a.py": "def used(): pass\ndef rec(): rec()\ndef cmd_x(): pass\n"
+                "def public(): pass\nclass Lone: pass\n",
+        "b.py": "from a import used\n",
+    }
+    assert unreferenced_defs(sources, exported={"public"}) == ["a.py:rec", "a.py:Lone"]
+
+
+def test_every_source_def_has_a_caller():
+    from eistheta import cli
+
+    files = sorted(glob.glob(os.path.join(os.path.dirname(eistheta.__file__), "*.py")))
+    sources = {}
+    for path in files:
+        with open(path) as fh:
+            sources[path] = fh.read()
+    exported = set(eistheta.__all__) | set(cli.__all__)
+    assert unreferenced_defs(sources, exported) == []

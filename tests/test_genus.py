@@ -22,7 +22,6 @@ from eistheta.lattice import (
     as_mat,
     automorphism_count,
     chi_S,
-    direct_sum,
     enumerate_classes,
     eta_S,
     form_det,
@@ -31,6 +30,7 @@ from eistheta.lattice import (
     minkowski_reduce,
     transform,
 )
+from forms import direct_sum
 
 A2 = as_mat([[2, 1], [1, 2]])
 I2 = as_mat([[2, 0], [0, 2]])
@@ -223,6 +223,24 @@ def test_cache_round_trip(tmp_path):
     # mass serialized as {"num","den"} strings
     m = doc["genera"][0]["mass"]
     assert m == {"num": "1", "den": "12"}
+
+
+def test_cached_genera_rejects_a_file_of_another_request(tmp_path):
+    path = tmp_path / "genera_r4_L7.json"
+    rank2 = genera_to_doc(2, 7, build_genera(2, 7))
+    relabeled = dict(rank2, rank=4)  # header claims rank 4, classes are 2 x 2
+    other_level = genera_to_doc(4, 3, build_genera(4, 3))
+    for doc, words in [
+        (rank2, ["'rank' is 2", "not the requested 4"]),
+        (relabeled, ["not of rank 4"]),
+        (other_level, ["'level_divides' is 3", "not the requested 7"]),
+    ]:
+        write_json_atomic(doc, str(path))
+        with pytest.raises(ValueError) as info:
+            cached_genera(4, 7, cache_dir=str(tmp_path))
+        assert str(path) in str(info.value)
+        for w in words:
+            assert w in str(info.value)
 
 
 def test_cached_genera_uses_dir(tmp_path, monkeypatch):

@@ -13,7 +13,6 @@ from eistheta.lattice import (
     check_form,
     chi_S,
     content,
-    direct_sum,
     enumerate_classes,
     enumerate_psd_indices,
     eta_S,
@@ -29,6 +28,7 @@ from eistheta.lattice import (
     short_vectors,
     transform,
 )
+from forms import direct_sum
 
 A2 = as_mat([[2, 1], [1, 2]])
 B7 = as_mat([[2, 1], [1, 4]])

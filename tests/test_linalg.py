@@ -4,16 +4,14 @@ from itertools import combinations, product
 
 import pytest
 
-from eistheta.lattice import _extendable
+from eistheta.lattice import minkowski_reduce, pad_zero
 from eistheta.linalg import (
     adjugate,
     bareiss_det,
+    column_reduce,
     echelon_mod,
     exact_rank,
     identity,
-    kernel_basis,
-    smith_normal_form,
-    unimodular_extension,
 )
 
 
@@ -121,72 +119,78 @@ def test_adjugate_identity():
         assert prod == [[d if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def test_smith_normal_form_properties():
-    rng = random.Random(17)
-    for _ in range(150):
-        rows = rng.randint(1, 5)
-        cols = rng.randint(1, 5)
-        A = random_matrix(rng, rows, cols)
-        S, U, V = smith_normal_form(A)
-        assert bareiss_det(U) in (1, -1)
-        assert bareiss_det(V) in (1, -1)
-        assert mat_mul(mat_mul(U, A), V) == S
-        diag = [S[i][i] for i in range(min(rows, cols))]
-        for i in range(rows):
-            for j in range(cols):
-                if i != j:
-                    assert S[i][j] == 0
-        for a, b in zip(diag, diag[1:]):
-            if a == 0:
-                assert b == 0
-            else:
-                assert b % a == 0
-        assert all(d >= 0 for d in diag)
-        assert sum(1 for d in diag if d) == exact_rank(A)
+def transpose(A):
+    return [list(col) for col in zip(*A)]
 
 
-def test_kernel_basis():
-    rng = random.Random(21)
-    for _ in range(150):
-        rows = rng.randint(1, 4)
-        cols = rng.randint(1, 5)
-        A = random_matrix(rng, rows, cols, -5, 5)
-        ker = kernel_basis(A)
-        assert len(ker) == cols - exact_rank(A)
-        for v in ker:
-            assert mat_vec(A, v) == [0] * rows
-        if ker:
-            assert _extendable(ker, cols)
-
-
-def test_unimodular_extension():
-    rng = random.Random(33)
-    done = 0
-    while done < 80:
-        n = rng.randint(1, 5)
-        s = rng.randint(0, n)
-        K = random_matrix(rng, n, s, -4, 4) if s else []
-        if s:
-            vecs = [[K[i][j] for i in range(n)] for j in range(s)]
-            if exact_rank(K) < s or not _extendable(vecs, n):
-                continue
-            B = unimodular_extension(K)
+def random_unimodular(rng, n):
+    """Product of random elementary column operations, entries kept small."""
+    U = identity(n)
+    for _ in range(3 * n):
+        i, j = rng.choice(range(n)), rng.choice(range(n))
+        if i == j or rng.random() < 0.2:
+            U = [[-x if c == i else x for c, x in enumerate(row)] for row in U]
         else:
-            B = unimodular_extension([[] for _ in range(n)])
-        assert bareiss_det(B) in (1, -1)
-        if s:
-            # first s columns of B must span the same lattice as K's columns
-            both = [[B[i][j] for j in range(s)] + [K[i][j] for j in range(s)] for i in range(n)]
-            S, _, _ = smith_normal_form(both)
-            diag = [S[i][i] for i in range(min(n, 2 * s))]
-            assert sum(1 for d in diag if d) == s
-            assert all(d in (0, 1) for d in diag)
-        done += 1
+            s = rng.choice((-2, -1, 1, 2))
+            for row in U:
+                row[j] += s * row[i]
+    return U
 
 
-def test_unimodular_extension_rejects_non_saturated():
-    with pytest.raises(ValueError):
-        unimodular_extension([[2], [0]])
+def random_semidefinite(rng, n, r):
+    """(M, G): a definite even G of rank r and M = U^t (0 + G) U, U unimodular."""
+    base = rng.choice([
+        [[2 * rng.randint(1, 3) if a == b else 0 for b in range(r)] for a in range(r)],
+        [[2 if a == b else -1 if abs(a - b) == 1 else 0 for b in range(r)]
+         for a in range(r)],
+    ])
+    B = random_matrix(rng, r, r, -2, 2)
+    while not bareiss_det(B):
+        B = random_matrix(rng, r, r, -2, 2)
+    G = mat_mul(mat_mul(transpose(B), base), B)
+    padded = [[0] * n for _ in range(n)]
+    for a in range(r):
+        for b in range(r):
+            padded[n - r + a][n - r + b] = G[a][b]
+    U = random_unimodular(rng, n)
+    return mat_mul(mat_mul(transpose(U), padded), U), G
+
+
+def semidefinite_samples(seed, count):
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(1, 5)
+        r = rng.randint(0, n)
+        yield (n, r) + random_semidefinite(rng, n, r)
+
+
+def test_column_reduce_splits_off_the_kernel():
+    ranks = set()
+    for n, r, M, _ in semidefinite_samples(41, 320):
+        U, rank = column_reduce(M)
+        assert bareiss_det(U) in (1, -1)
+        assert rank == r == exact_rank(M)
+        MU = mat_mul(M, U)
+        assert all(MU[i][j] == 0 for i in range(n) for j in range(n - r))
+        ranks.add((n, r))
+    assert len(ranks) == 20  # every 0 <= r <= n <= 5
+    # non-square and degenerate shapes
+    for A in ([[0, 0, 0]], [[1, 2, 3], [2, 4, 6]], [[4], [6]], [[6, 10, 15]]):
+        U, rank = column_reduce(A)
+        assert bareiss_det(U) in (1, -1) and rank == exact_rank(A)
+        AU = mat_mul(A, U)
+        assert all(row[j] == 0 for row in AU for j in range(len(U) - rank))
+    assert column_reduce([]) == ([], 0)
+
+
+def test_minkowski_reduce_of_conjugated_semidefinite_forms():
+    checked = 0
+    for n, r, M, G in semidefinite_samples(41, 320):
+        if r > 3:
+            continue  # canonical forms of rank 4-5 are too slow for tier-1
+        assert minkowski_reduce(M) == pad_zero(minkowski_reduce(G), n)
+        checked += 1
+    assert checked > 150
 
 
 def solve_mod(A, b, p, c):

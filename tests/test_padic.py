@@ -22,6 +22,7 @@ from eistheta.padic import (
     WeightTarget,
     WeightSequence,
     _select_training,
+    _validate_dictionary,
     default_sequence,
     direct_limit_coefficient,
     empirical_limit,
@@ -337,3 +338,11 @@ def test_corrupted_cache_fails_in_fit_stage(tmp_path):
         fit_and_verify(t, 1, 10, m_max=2, cache_dir=str(tmp_path))
     assert info.value.stage == "fit"
     assert "automorphism" in str(info.value)
+
+
+def test_dictionary_of_the_wrong_rank_fails_in_fit_stage():
+    # every cached invariant of these rank 2 genera is right but their rank
+    with pytest.raises(PipelineError) as info:
+        _validate_dictionary(build_genera(2, 7), WeightTarget(7, 2, 0))
+    assert info.value.stage == "fit"
+    assert "rank 4" in str(info.value)

@@ -9,13 +9,13 @@ from eistheta.genus import ClassRecord, build_genera, partition_into_genera
 from eistheta.lattice import (
     as_mat,
     automorphism_count,
-    direct_sum,
     enumerate_classes,
     form_trace,
     minkowski_reduce,
     transform,
 )
 from eistheta.theta import genus_theta, theta_series, verify_rank_decomposition
+from forms import direct_sum
 
 A2 = as_mat([[2, 1], [1, 2]])
 
@@ -51,6 +51,12 @@ def test_theta_examples():
     G = theta_series(A2, 1, 6)
     assert coeff(G, [[2]]) == 6
     assert coeff(G, [[0]]) == 1
+
+
+def test_theta_series_accepts_list_input():
+    F = theta_series([[2, 1], [1, 2]], 1, 3)
+    assert F.coeffs == theta_series(A2, 1, 3).coeffs
+    assert theta_series([[2, 1], [1, 2]], 2, 3).coeffs == theta_series(A2, 2, 3).coeffs
 
 
 def test_theta_matches_box_small():
