@@ -14,6 +14,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
+from operator import mul
 
 from .exactnum import divisors, fund_disc_decompose, kronecker
 from .linalg import adjugate, bareiss_det, column_reduce, exact_rank
@@ -42,6 +43,7 @@ __all__ = [
     "automorphism_count",
     "enumerate_classes",
     "enumerate_psd_indices",
+    "fits_canonical_shape",
     "parse_matrix_text",
 ]
 
@@ -287,12 +289,23 @@ def _extendable(vecs, r) -> bool:
 def _canonical_definite(twoS: Mat) -> Mat:
     """Lexicographically smallest Minkowski-reduced doubled Gram matrix.
 
-    Greedy basis search: at step i branch over every vector of minimal
-    value that extends the partial basis; the returned matrix is the
-    row-major minimum over all completed greedy (hence Minkowski-reduced)
-    bases.  The candidate pool bound comes from Minkowski's second theorem
-    with the exact rank <= 5 Hermite constants; pool exhaustion raises
-    instead of returning a wrong answer.
+    Greedy basis search: step j takes a vector b_j of least value among
+    those that extend b_0..b_{j-1} to a basis; the result G is the
+    row-major least Gram matrix of a greedy (hence Minkowski-reduced)
+    basis.  Branches that cannot give G are skipped:
+    - step 0 takes b_0 up to sign, as -b_0, ..., -b_{r-1} has one Gram
+      matrix with b_0, ..., b_{r-1};
+    - step j >= 1 skips b_j if the first nonzero of g_0j..g_{j-1,j} is
+      positive: -b_j is a candidate with the same span, and it only
+      negates row and column j, so its flats are smaller;
+    - the Gram matrix is built a column at a time, and a branch whose
+      row-0 prefix g_01..g_0j exceeds that of the best flat is dropped;
+    - candidates go in increasing order of their column, and the last
+      step stops at the first that extends: its leaves differ only in the
+      last column, which ends every row but the last.
+    The pool bound comes from Minkowski's second theorem with the exact
+    rank <= 5 Hermite constants; pool exhaustion raises instead of
+    returning a wrong answer.
     """
     r = len(twoS)
     if r == 0:
@@ -308,38 +321,39 @@ def _canonical_definite(twoS: Mat) -> Mat:
     values = sorted(by_val)
 
     best: list[int] | None = None
-    chosen: list[tuple] = []
 
-    def rec():
+    def rec(chosen, prods, cols):
+        # prods[i] = 2S b_i and cols[i] = [g_0i, ..., g_ii] for the b_i chosen
         nonlocal best
-        if len(chosen) == r:
-            gram = [[0] * r for _ in range(r)]
-            for a in range(r):
-                for b in range(a, r):
-                    s = 0
-                    va, vb = chosen[a], chosen[b]
-                    for p in range(r):
-                        if va[p]:
-                            row = twoS[p]
-                            s += va[p] * sum(row[q] * vb[q] for q in range(r))
-                    gram[a][b] = gram[b][a] = s
-            flat = [x for row in gram for x in row]
+        j = len(chosen)
+        if j == r:
+            flat = [cols[max(a, b)][min(a, b)] for a in range(r) for b in range(r)]
             if best is None or flat < best:
                 best = flat
             return
-        cand = None
-        for val in values:
-            cand = [w for w in by_val[val] if _extendable(chosen + [w], r)]
-            if cand:
-                break
-        if not cand:
+        val = next((v for v in values
+                    if any(_extendable(chosen + [w], r) for w in by_val[v])), None)
+        if val is None:
             raise RuntimeError("canonical form pool exhausted; report as a bug")
-        for w in cand:
-            chosen.append(w)
-            rec()
-            chosen.pop()
+        row0 = [c[0] for c in cols[1:]]
+        cand = []
+        for w in by_val[val]:
+            if j == 0 and next(c for c in w if c) < 0:
+                continue
+            col = [sum(map(mul, p, w)) for p in prods] + [2 * val]
+            if next((x for x in col[:j] if x), 0) > 0:
+                continue
+            if j and best is not None and row0 + col[:1] > best[1:j + 1]:
+                continue
+            cand.append((col, w))
+        for col, w in sorted(cand):
+            if _extendable(chosen + [w], r):
+                rec(chosen + [w], prods + [[sum(map(mul, row, w)) for row in twoS]],
+                    cols + [col])
+                if j == r - 1:
+                    break
 
-    rec()
+    rec([], [], [])
     assert best is not None
     return tuple(tuple(best[i * r + j] for j in range(r)) for i in range(r))
 
@@ -358,7 +372,7 @@ def minkowski_reduce(twoT) -> Mat:
         raise ValueError("form is not positive semidefinite")
     U, r = column_reduce(M)
     if r == n:
-        return _canonical_definite(M)
+        return _canonical_definite(_pair_reduce(M))
     G = transform(M, [row[n - r:] for row in U])
     return pad_zero(_canonical_definite(_pair_reduce(G)), n)
 
@@ -369,8 +383,9 @@ def _pair_reduce(twoS) -> Mat:
 
     Each step lowers g_jj, so this ends.  It keeps the short-vector
     searches of _canonical_definite off a skewed basis: a conjugate
-    U^t (0 + G) U can hand it a definite part with entries in the
-    thousands, and those searches then run for seconds to minutes.
+    U^t G U, or the definite part of U^t (0 + G) U, can have entries in
+    the thousands or millions, and those searches then run for seconds
+    to minutes.
     """
     G = [list(row) for row in twoS]
     r = len(G)
@@ -385,6 +400,26 @@ def _pair_reduce(twoS) -> Mat:
                 break
         else:
             return as_mat(G)
+
+
+def fits_canonical_shape(g, j) -> bool:
+    """Whether column j (rows 0..j) of a doubled Gram matrix g can be
+    column j of a canonical form (C 0; 0 0), given that columns 0..j-1 can.
+
+    Rules met by the basis b_0, ..., b_{r-1} _canonical_definite picks:
+    - the diagonal is positive and non-decreasing, then zero: what extends
+      b_0..b_j extends b_0..b_{j-1}, so b_{j+1} was a candidate for b_j;
+    - |g_ij| <= g_ii/2 for i < j: b_j -+ b_i were candidates for b_j, of
+      value (g_jj -+ 2 g_ij + g_ii)/2, and b_j has the least;
+    - the first nonzero of g_0j..g_{j-1,j} is negative, or -b_j would give
+      a smaller flat (see _canonical_definite).
+    """
+    d, col = g[j][j], [g[i][j] for i in range(j)]
+    if d == 0:
+        return not any(col)
+    return ((j == 0 or 0 < g[j - 1][j - 1] <= d)
+            and all(2 * abs(x) <= g[i][i] for i, x in enumerate(col))
+            and next((x for x in col if x), 0) <= 0)
 
 
 # ------------------------------------------------- isometries, automorphisms
@@ -606,47 +641,35 @@ def enumerate_classes(r: int, level_divides: int, det_bound: int | None = None,
 def enumerate_psd_indices(n: int, trace_bound: int):
     """Canonical representatives of all T >= 0 in Lambda_n with tr(T) <= B.
 
-    Covers every class: the canonical representative itself lies in the
-    enumerated box (diagonal bounded by the trace, off-diagonal bounded by
-    positive semidefiniteness of 2x2 minors).
+    Walks, a column at a time, the matrices that fits_canonical_shape
+    accepts and whose leading minors are positive while the diagonal is
+    (C in a canonical (C 0; 0 0) is definite); every canonical T is among
+    them, and minkowski_reduce keeps exactly those.
     """
     if n > 5:
         raise ValueError("degree > 5 out of scope")
-    found: set[Mat] = set()
+    found = []
     g = [[0] * n for _ in range(n)]
 
-    def rec_col(j):
+    def rec(j, rem):
         if j == n:
             M = as_mat(g)
-            if is_psd(M):
-                found.add(minkowski_reduce(M))
+            if minkowski_reduce(M) == M:
+                found.append(M)
             return
+        prev = g[j - 1][j - 1] if j else 2
+        for d in [0, *range(prev, rem + 1, 2)] if prev else [0]:
+            g[j][j] = d
+            for col in product(*(range(-h, h + 1) for h in
+                                 (g[i][i] // 2 if d else 0 for i in range(j)))):
+                for i, x in enumerate(col):
+                    g[i][j] = g[j][i] = x
+                if fits_canonical_shape(g, j) and (
+                        d == 0 or bareiss_det([row[:j + 1] for row in g[:j + 1]]) > 0):
+                    rec(j + 1, rem - d)
 
-        def rec_entry(i):
-            if i == j:
-                rec_col(j + 1)
-                return
-            if g[i][i] == 0 or g[j][j] == 0:
-                rec_entry(i + 1)
-                return
-            top = math.isqrt(g[i][i] * g[j][j])
-            for v in range(-top, top + 1):
-                g[i][j] = g[j][i] = v
-                rec_entry(i + 1)
-            g[i][j] = g[j][i] = 0
-
-        rec_entry(0)
-
-    def rec_diag(i, rem):
-        if i == n:
-            rec_col(1)
-            return
-        for d in range(0, rem + 1, 2):
-            g[i][i] = d
-            rec_diag(i + 1, rem - d)
-        g[i][i] = 0
-
-    rec_diag(0, 2 * trace_bound)
+    if trace_bound >= 0:
+        rec(0, 2 * trace_bound)
     return sorted(found, key=lambda M: (form_trace(M), M))
 
 

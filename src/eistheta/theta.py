@@ -7,9 +7,11 @@ trace window), so the support is enumerated exactly rather than boxed.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 
 from .fourier import (
     QExpansion,
@@ -22,6 +24,7 @@ from .lattice import (
     Mat,
     automorphism_count,
     check_form,
+    fits_canonical_shape,
     form_trace,
     is_positive_definite,
     minkowski_reduce,
@@ -30,7 +33,15 @@ from .lattice import (
 
 
 def theta_series(twoS, n: int, trace_bound: int) -> QExpansion:
-    """Degree-n theta series of S, truncated at tr(T) <= trace_bound."""
+    """Degree-n theta series of S, truncated at tr(T) <= trace_bound.
+
+    For n >= 2 the coefficient at a canonical T counts the tuples X of
+    vectors with Gram matrix T.  X is built a column at a time and is not
+    extended once lattice.fits_canonical_shape rejects its Gram matrix,
+    which no canonical T fails, so every tuple with a canonical Gram
+    matrix is counted; minkowski_reduce then drops the others.  X and -X
+    have one Gram matrix, so x_1 is taken up to sign and counted twice.
+    """
     return _theta_series(check_form(twoS), n, trace_bound)
 
 
@@ -53,32 +64,36 @@ def _theta_series(twoS: Mat, n: int, trace_bound: int) -> QExpansion:
 
     r = len(twoS)
     cols = [((0,) * r, 0)] + vecs
-    svs = {}
-    for v, _ in cols:
-        svs[v] = tuple(sum(twoS[i][j] * v[j] for j in range(r)) for i in range(r))
+    values = [q for _, q in cols]  # sorted
+    svs = {v: [sum(map(mul, row, v)) for row in twoS] for v, _ in cols}
     counts: dict[Mat, int] = {}
-    chosen: list[tuple[tuple[int, ...], int]] = []
+    chosen: list[tuple[int, ...]] = []
     gram: list[list[int]] = [[0] * n for _ in range(n)]
 
-    def rec(j, trace):
+    def rec(j, trace, weight):
         if j == n:
-            key = tuple(tuple(row[:n]) for row in gram)
-            counts[key] = counts.get(key, 0) + 1
+            key = tuple(map(tuple, gram))
+            counts[key] = counts.get(key, 0) + weight
             return
-        for v, q in cols:
+        # the shape's diagonal is non-decreasing and then zero, so column j
+        # is the zero vector or has at least the value of column j - 1
+        prev = gram[j - 1][j - 1] // 2 if j else 1
+        for k in [0, *range(bisect_left(values, prev), len(cols))] if prev else [0]:
+            v, q = cols[k]
             if trace + q > B:
+                break
+            if j == 0 and next((c for c in v if c), 1) < 0:  # x_1 up to sign
                 continue
             sv = svs[v]
             gram[j][j] = 2 * q
             for i in range(j):
-                u = chosen[i][0]
-                d = sum(u[t] * sv[t] for t in range(r))
-                gram[i][j] = gram[j][i] = d
-            chosen.append((v, q))
-            rec(j + 1, trace + q)
-            chosen.pop()
+                gram[i][j] = gram[j][i] = sum(map(mul, chosen[i], sv))
+            if fits_canonical_shape(gram, j):
+                chosen.append(v)
+                rec(j + 1, trace + q, weight if j or not q else 2)
+                chosen.pop()
 
-    rec(0, 0)
+    rec(0, 0, 1)
     canon = {
         T: Fraction(c) for T, c in counts.items() if minkowski_reduce(T) == T
     }

@@ -29,6 +29,7 @@ from eistheta.lattice import (
     transform,
 )
 from forms import direct_sum
+from oracles import canonical_full_branching, psd_indices_box
 
 A2 = as_mat([[2, 1], [1, 2]])
 B7 = as_mat([[2, 1], [1, 4]])
@@ -387,6 +388,25 @@ def test_minkowski_reduce_canonicity():
             assert R1[i] == (0,) * n
 
 
+def test_minkowski_reduce_matches_full_branching_oracle():
+    rng = random.Random(53)
+    classes = sorted({M for got in RECORDED_CLASSES.values() for M in got})
+    for M in classes:
+        want = canonical_full_branching(M)
+        assert minkowski_reduce(M) == want == M
+        for _ in range(2):
+            U = random_unimodular(rng, len(M))
+            assert minkowski_reduce(transform(M, U)) == want, (M, U)
+
+
+def test_minkowski_reduce_skewed_full_rank_basis():
+    # a skewed basis (entries up to 1.4e7) of a rank-3 form with
+    # det(2S) = 192; unreduced, the search for its minimum ran past 120 s
+    M = ((395952, -297216, 616464), (-297216, 223102, -459494),
+         (616464, -459494, 13511628))
+    assert minkowski_reduce(M) == ((6, -2, 0), (-2, 6, 0), (0, 0, 6))
+
+
 def test_minkowski_reduce_rejects():
     with pytest.raises(ValueError):
         minkowski_reduce([[-2, 0], [0, 2]])
@@ -633,8 +653,9 @@ RECORDED_CLASSES = {
     ],
 }
 
-# 7-13 s each at rank 4, levels 2, 4, 5, 6 (canonical forms of D4 and A4);
-# 2.5 s for the det-121 search, whose class count tier-1 checks elsewhere
+# the rank-4 searches at levels 2, 4, 5, 6 and the det-121 one, about 3 s
+# together (they took 60 s while canonical forms branched over every
+# minimal vector of D4 and A4)
 SLOW_CASES = [(4, 2, None), (4, 4, None), (4, 5, None), (4, 6, None), (4, 11, 121)]
 
 
@@ -671,7 +692,6 @@ def test_enumerate_classes_matches_recorded():
     _check_recorded([c for c in RECORDED_CLASSES if c not in SLOW_CASES])
 
 
-@pytest.mark.slow
 def test_enumerate_classes_matches_recorded_slow():
     _check_recorded(SLOW_CASES)
 
@@ -693,6 +713,11 @@ def test_enumerate_psd_indices_small():
     for M in got2:
         assert minkowski_reduce(M) == M
         assert form_trace(M) <= 2
+
+
+@pytest.mark.parametrize("n,B", [(1, 20), (2, 16), (3, 5), (4, 3), (5, 2)])
+def test_enumerate_psd_indices_matches_box_oracle(n, B):
+    assert enumerate_psd_indices(n, B) == psd_indices_box(n, B)
 
 
 def test_extendable():

@@ -186,8 +186,8 @@ def test_column_reduce_splits_off_the_kernel():
 def test_minkowski_reduce_of_conjugated_semidefinite_forms():
     checked = 0
     for n, r, M, G in semidefinite_samples(41, 320):
-        if r > 3:
-            continue  # canonical forms of rank 4-5 are too slow for tier-1
+        if r > 4:
+            continue  # some rank-5 canonical forms take over 20 s or 700 MB
         assert minkowski_reduce(M) == pad_zero(minkowski_reduce(G), n)
         checked += 1
     assert checked > 150

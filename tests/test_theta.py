@@ -15,9 +15,13 @@ from eistheta.lattice import (
     transform,
 )
 from eistheta.theta import genus_theta, theta_series, verify_rank_decomposition
+import eistheta.theta as theta_module
 from forms import direct_sum
+from oracles import theta_all_tuples
 
 A2 = as_mat([[2, 1], [1, 2]])
+B7 = as_mat([[2, 1], [1, 4]])
+D4 = as_mat([[2, -1, -1, -1], [-1, 2, 0, 0], [-1, 0, 2, 0], [-1, 0, 0, 2]])
 
 
 def theta_brute(twoS, n, B):
@@ -70,6 +74,33 @@ def test_theta_matches_box_small():
             assert dict(got.coeffs) == {
                 T: Fraction(c) for T, c in want.items() if c
             }, (twoS, n)
+
+
+@pytest.mark.parametrize("twoS,n,B", [
+    (A2, 2, 8), (A2, 3, 6), (A2, 4, 4),
+    (direct_sum(A2, A2), 2, 10), (direct_sum(A2, B7), 2, 10), (D4, 2, 10),
+    (direct_sum(A2, A2), 3, 4), (direct_sum(A2, B7), 3, 4), (D4, 3, 4),
+])
+def test_theta_matches_all_tuples_oracle(twoS, n, B):
+    want = theta_all_tuples(twoS, n, B)
+    assert theta_series(twoS, n, B).coeffs == {T: Fraction(c) for T, c in want.items()}
+
+
+@pytest.mark.parametrize("twoS,calls", [(D4, 64), (direct_sum(A2, B7), 81)])
+def test_theta_canonicalises_only_its_coefficients(monkeypatch, twoS, calls):
+    # at degree 2 every Gram matrix of canonical shape is canonical, so
+    # minkowski_reduce runs once per stored coefficient
+    seen = []
+
+    def counting(T):
+        seen.append(T)
+        return minkowski_reduce(T)
+
+    monkeypatch.setattr(theta_module, "minkowski_reduce", counting)
+    theta_module._theta_series.cache_clear()
+    F = theta_series(twoS, 2, 10)
+    theta_module._theta_series.cache_clear()
+    assert len(seen) == len(F.coeffs) == calls
 
 
 def test_theta_class_invariance():
