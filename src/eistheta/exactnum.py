@@ -45,6 +45,8 @@ def v_p(x, p: int):
     """p-adic valuation of an int or Fraction.  Returns ``math.inf`` for 0."""
     if x == 0:
         return math.inf
+    if isinstance(x, int):  # before the ABC check that Fraction needs
+        return _v_int(x, p)
     if isinstance(x, Fraction):
         return _v_int(x.numerator, p) - _v_int(x.denominator, p)
     return _v_int(int(x), p)
@@ -316,21 +318,47 @@ def gen_bernoulli(n: int, D: int) -> Fraction:
 
     D must be a fundamental discriminant; D = 1 gives the convention with
     B_{1,triv} = +1/2, so dirichlet_L_neg(r, 1) agrees with zeta everywhere.
+
+    For D != 1 the conductor is f = |D| and B_{n,chi} =
+    f^(n-1) sum_{a=1}^{f} chi(a) B_n(a/f).  Since chi(f - a) = chi(-1) chi(a)
+    with chi(-1) = sign(D), and B_n(1 - x) = (-1)^n B_n(x), the terms at a and
+    f - a are equal when chi(-1) = (-1)^n and cancel otherwise.  So
+    B_{n,chi} = 0 unless chi(-1) = (-1)^n, and then B_{n,chi} =
+    2 f^(n-1) sum_{1 <= a < f/2} chi(a) B_n(a/f): a = f has chi(f) = 0, and
+    so does a = f/2 when f is even (4 | f, so f/2 shares the factor 2).
+
+    With B_n(x) = sum_i C(n, i) B_i x^(n-i) and T_m = sum_{1 <= a < f/2}
+    chi(a) a^m this is 2/f sum_{i even} C(n, i) B_i f^i T_{n-i} - n T_{n-1}:
+    B_i = 0 for odd i > 1, and B_1 = -1/2.  The power sums T_{n-i} for even
+    i step by a^2.  Over L = lcm(2, den(B_i) : i even), the even part is one
+    integer Horner sum in f^2, and the value is 2 acc / (L f) with
+    acc = sum_{i even} (L / den B_i) C(n, i) num(B_i) f^i T_{n-i}
+    - (L / 2) n f T_{n-1}.
     """
+    if n < 0:
+        raise ValueError("Bernoulli index must be >= 0")
     if not is_fundamental_discriminant(D):
         raise ValueError(f"{D} is not a fundamental discriminant")
+    if D == 1:
+        return Fraction(1, 2) if n == 1 else bernoulli(n)
+    if (D < 0) != (n % 2 == 1):
+        return Fraction(0)
     f = abs(D)
-    chi = [(a, c) for a in range(1, f + 1) if (c := kronecker(D, a))]
-    terms = [c for _, c in chi]  # chi(a) a^(n-i), as i runs down from n
-    parts = []  # (comb(n, i) num(B_i) f^i s_i, den(B_i)); the sum is over L f
-    for i in range(n, -1, -1):
-        b = bernoulli(i)
-        s = sum(terms) if b else 0
-        if s:
-            parts.append((math.comb(n, i) * b.numerator * f**i * s, b.denominator))
-        terms = [x * a for x, (a, _) in zip(terms, chi)]
-    L = math.lcm(*(den for _, den in parts))
-    return Fraction(sum(t * (L // den) for t, den in parts), L * f)
+    chi = [(a, c) for a in range(1, (f + 1) // 2) if (c := kronecker(D, a))]
+    squares = [a * a for a, _ in chi]
+    terms = [c * a ** (n % 2) for a, c in chi]  # chi(a) a^(n-i), i even, down from n
+    bs = [bernoulli(i) for i in range(0, n + 1, 2)]
+    L = math.lcm(2, *(b.denominator for b in bs))
+    f2 = f * f
+    acc = 0
+    for i in range(n - n % 2, -1, -2):
+        b = bs[i // 2]
+        acc = acc * f2 + L // b.denominator * math.comb(n, i) * b.numerator * sum(terms)
+        if i:
+            terms = [x * s for x, s in zip(terms, squares)]
+    # terms now hold chi(a) a^n, so T_{n-1} is the sum of x / a (for n >= 1)
+    acc -= L // 2 * n * f * sum(x // a for x, (a, _) in zip(terms, chi))
+    return Fraction(2 * acc, L * f)
 
 
 def dirichlet_L_neg(r: int, D: int) -> Fraction:

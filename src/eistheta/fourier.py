@@ -84,9 +84,17 @@ def coeff(F: QExpansion, T) -> Fraction:
     return F.coeffs.get(T, Fraction(0))
 
 
+def _from_checked(degree, trace_bound, coeffs, class_invariant) -> QExpansion:
+    """A QExpansion on indices that already passed ``__post_init__`` and lie
+    within ``trace_bound``: skips their canonical-form check, drops zeros."""
+    F = QExpansion(degree, trace_bound, {}, class_invariant)
+    object.__setattr__(F, "coeffs", {T: a for T, a in coeffs.items() if a})
+    return F
+
+
 def qexp_scale(F: QExpansion, c) -> QExpansion:
     c = Fraction(c)
-    return QExpansion(
+    return _from_checked(
         F.degree,
         F.trace_bound,
         {T: c * a for T, a in F.coeffs.items()},
@@ -105,7 +113,7 @@ def qexp_add(*terms) -> QExpansion:
         for T, a in F.coeffs.items():
             if form_trace(T) <= bound:
                 acc[T] = acc.get(T, Fraction(0)) + a
-    return QExpansion(
+    return _from_checked(
         degrees.pop(), bound, acc, all(F.class_invariant for F in terms)
     )
 

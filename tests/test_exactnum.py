@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from eistheta import exactnum
 from eistheta.exactnum import (
     bernoulli,
     cohen_H,
@@ -362,11 +363,45 @@ def test_gen_bernoulli_specific():
 
 
 def test_gen_bernoulli_matches_fraction_oracle():
+    # n from 0, the trivial character D = 1, and characters of both parities
+    # at indices of both parities (half of them the parity zeros)
     discs = [D for D in range(-40, 41) if D and is_fundamental_discriminant(D)]
-    assert len(discs) == 27
+    assert len(discs) == 27 and 1 in discs
     for D in discs:
         for n in range(13):
             assert gen_bernoulli(n, D) == gen_bernoulli_fraction(n, D), (n, D)
+
+
+def test_gen_bernoulli_matches_fraction_oracle_at_ladder_sizes():
+    # the weight-44 and weight-296 rungs of the degree-2 ladder at p = 7
+    discs = [D for D in range(-100, 101) if D and is_fundamental_discriminant(D)]
+    pairs = [(n, D) for D in discs for n in (43, 44)]
+    pairs += [(295, D) for D in (-3, -4, -255, 5, 221)]
+    for n, D in pairs:
+        assert gen_bernoulli(n, D) == gen_bernoulli_fraction(n, D), (n, D)
+
+
+def test_gen_bernoulli_reads_half_the_residues(monkeypatch):
+    calls = []
+
+    def counting(a, n):
+        calls.append(n)
+        return kronecker(a, n)
+
+    monkeypatch.setattr(exactnum, "kronecker", counting)
+    for n, D in ((2, -3), (3, 8), (44, -255), (43, 221), (1, 5)):
+        assert gen_bernoulli(n, D) == 0  # chi(-1) != (-1)^n
+    assert calls == []
+    for n, D in ((1, -3), (2, 5), (43, -255), (44, 221), (295, -4), (0, 8)):
+        calls.clear()
+        assert gen_bernoulli(n, D) == gen_bernoulli_fraction(n, D)
+        assert 0 < len(calls) < abs(D) / 2 + 1, (n, D, len(calls))
+
+
+def test_gen_bernoulli_rejects_negative_index():
+    for D in (1, -3, -4, 5):
+        with pytest.raises(ValueError):
+            gen_bernoulli(-1, D)
 
 
 def test_cohen_H_r1_is_hurwitz():

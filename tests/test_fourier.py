@@ -5,6 +5,7 @@ from itertools import combinations, product
 
 import pytest
 
+from eistheta import fourier
 from eistheta.exactnum import bernoulli, sigma
 from eistheta.fourier import (
     QExpansion,
@@ -51,6 +52,26 @@ def test_construction_validation():
         QExpansion(2, 3, {((2,),): 1})  # degree mismatch
     F = QExpansion(1, 3, {((2,),): 0, ((4,),): 5})
     assert ((2,),) not in F.coeffs  # zeros dropped
+
+
+def test_add_and_scale_skip_the_canonical_check(monkeypatch):
+    calls = []
+
+    def counting(T):
+        calls.append(T)
+        return minkowski_reduce(T)
+
+    monkeypatch.setattr(fourier, "minkowski_reduce", counting)
+    F = QExpansion(2, 4, {((0, 0), (0, 0)): 1, ((2, -1), (-1, 2)): 3})
+    assert len(calls) == 2  # the public constructor checks every index
+    with pytest.raises(ValueError):
+        QExpansion(2, 4, {((2, 0), (0, 2)): 1, ((4, 0), (0, 2)): 1})
+    calls.clear()
+    G = qexp_add(F, qexp_scale(F, 2), qexp_scale(F, Fraction(-1, 3)))
+    assert G.coeffs == {((0, 0), (0, 0)): Fraction(8, 3), ((2, -1), (-1, 2)): 8}
+    assert qexp_add(F, qexp_scale(F, -1)).coeffs == {}  # zeros still dropped
+    assert qexp_scale(F, 0).coeffs == {}
+    assert calls == []
 
 
 def test_coeff_examples():
