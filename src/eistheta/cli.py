@@ -24,13 +24,11 @@ from dataclasses import dataclass
 from .fourier import dump_qexp, load_qexp, mod_pm_singular_rank
 from .eisenstein import eisenstein_qexp
 from .genus import (
-    GenusRecord,
-    ClassRecord,
+    build_genera,
     cache_dir_from_env,
     cached_genera,
     check_cache_fields,
     genera_to_doc,
-    partition_into_genera,
     write_json_atomic,
 )
 from .lattice import (
@@ -143,10 +141,8 @@ def cmd_genera(args) -> int:
 def cmd_theta(args) -> int:
     twoS = _read_form(args.form)
     if args.genus_average:
-        classes = enumerate_classes(len(twoS), args.level or form_level(twoS))
-        recs = [ClassRecord.from_rep(r) for r in classes]
+        genera = build_genera(len(twoS), args.level or form_level(twoS))
         rep = minkowski_reduce(twoS)
-        genera = partition_into_genera(recs)
         match = [g for g in genera if any(c.rep == rep for c in g.classes)]
         if not match:
             raise ValueError("form not found among enumerated classes")

@@ -323,22 +323,27 @@ def dump_qexp(F: QExpansion) -> dict:
     }
 
 
-def _dump_field(doc, name: str, kind: type = object):
-    """doc[name] of a dump object; ValueError naming the field otherwise."""
+def _dump_field(doc, name: str, kind: type = object, what: str = "expansion dump"):
+    """doc[name] of a dump object; ValueError naming `what` and the field otherwise."""
     if isinstance(doc, dict) and name in doc and isinstance(doc[name], kind):
         return doc[name]
-    raise ValueError(f"expansion dump: missing or malformed field {name!r}")
+    raise ValueError(f"{what}: missing or malformed field {name!r}")
+
+
+def _dump_twoT(doc, what: str = "expansion dump") -> Mat:
+    """doc["twoT"] as a matrix; ValueError naming `what` and the field otherwise."""
+    try:
+        return as_mat(_dump_field(doc, "twoT", list, what))
+    except TypeError:
+        raise ValueError(f"{what}: missing or malformed field 'twoT'") from None
 
 
 def load_qexp(doc) -> QExpansion:
     """Inverse of dump_qexp; a malformed dump raises ValueError naming the field."""
     coeffs = {}
     for e in _dump_field(doc, "coeffs", list):
-        try:
-            twoT = as_mat(_dump_field(e, "twoT", list))
-        except TypeError:
-            raise ValueError("expansion dump: malformed field 'twoT'") from None
-        coeffs[twoT] = frac_from_doc({f: _dump_field(e, f) for f in ("num", "den")})
+        num_den = {f: _dump_field(e, f) for f in ("num", "den")}
+        coeffs[_dump_twoT(e)] = frac_from_doc(num_den)
     return QExpansion(
         _dump_field(doc, "degree", int),
         _dump_field(doc, "trace_bound", int),

@@ -21,9 +21,11 @@ import os
 import tempfile
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import product
 
 from .exactnum import factorize, frac_from_doc, frac_to_doc, v_p
+from .fourier import _dump_field, _dump_twoT
 from .lattice import (
     Mat,
     QuadCharacter,
@@ -226,11 +228,9 @@ def partition_into_genera(classes):
     return out
 
 
-def build_genera(rank, level_divides, det_bound=None, bound_multiplier=1):
+def build_genera(rank, level_divides):
     """Enumerate all classes of the given rank and level divisor, grouped."""
-    reps = enumerate_classes(
-        rank, level_divides, det_bound=det_bound, bound_multiplier=bound_multiplier
-    )
+    reps = enumerate_classes(rank, level_divides)
     return partition_into_genera([ClassRecord.from_rep(r) for r in reps])
 
 
@@ -256,18 +256,23 @@ def genera_to_doc(rank, level_divides, genera):
     }
 
 
-def genera_from_doc(doc):
+def genera_from_doc(doc, what="genus dump"):
+    """Inverse of genera_to_doc; a malformed doc raises ValueError naming
+    `what` and the field."""
+    field = partial(_dump_field, what=what)
     out = []
-    for g in doc["genera"]:
+    for g in field(doc, "genera", list):
         classes = tuple(
-            ClassRecord(as_mat(c["twoT"]), int(c["epsilon"])) for c in g["classes"]
+            ClassRecord(_dump_twoT(c, what), field(c, "epsilon", int))
+            for c in field(g, "classes", list)
         )
+        mass = field(g, "mass", dict)
         out.append(
             GenusRecord(
                 classes,
-                int(g["level"]),
-                QuadCharacter(int(g["character_disc"])),
-                frac_from_doc(g["mass"]),
+                field(g, "level", int),
+                QuadCharacter(field(g, "character_disc", int)),
+                frac_from_doc({f: field(mass, f) for f in ("num", "den")}),
             )
         )
     return out
@@ -314,8 +319,8 @@ def cached_genera(rank, level_divides, cache_dir=None):
     if os.path.exists(path):
         with open(path) as fh:
             doc = json.load(fh)
+        genera = genera_from_doc(doc, f"cache {path}")
         check_cache_fields(path, doc, {"rank": rank, "level_divides": level_divides})
-        genera = genera_from_doc(doc)
         if any(len(c.rep) != rank for g in genera for c in g.classes):
             raise ValueError(f"cache {path}: a class is not of rank {rank}")
         return genera

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import combinations, product, takewhile
 from operator import mul
 
 from .exactnum import divisors, fund_disc_decompose, kronecker
@@ -494,13 +494,6 @@ def automorphism_count(twoS) -> int:
 
 # ------------------------------------------------------------- enumeration
 
-def _theta_fingerprint(twoS, depth: int = 3):
-    counts: dict[int, int] = {}
-    for _, val in short_vectors(twoS, depth):
-        counts[val] = counts.get(val, 0) + 1
-    return tuple(counts.get(v, 0) for v in range(1, depth + 1))
-
-
 def enumerate_classes(r: int, level_divides: int, det_bound: int | None = None,
                       bound_multiplier: int = 1):
     """All GL_r(Z)-classes of positive definite even-diagonal forms with
@@ -512,10 +505,17 @@ def enumerate_classes(r: int, level_divides: int, det_bound: int | None = None,
     determinants t <= N^{r/2} are searched, and the canonical duals of the
     classes found below N^{r/2} are added.
 
-    The search exhausts Minkowski-reduced candidates: even diagonal
-    d_1 <= ... <= d_r with product bounded by Minkowski's second theorem
-    for the largest searched determinant, off-diagonal |g_ij| <= d_i/2,
-    then filters by level and deduplicates by isometry.
+    The search walks, a column at a time, the doubled Gram matrices whose
+    columns pass fits_canonical_shape, whose leading minors are positive,
+    and whose diagonal product is at most gamma_r^r t_max (Minkowski's
+    second theorem for the largest searched determinant t_max).  This is
+    complete: the canonical form of each class passes fits_canonical_shape
+    on every column, and its diagonal holds twice the successive minima
+    (a greedy basis attains them for r <= 4), whose product is at most
+    gamma_r^r det(2S).  In the last column [[A, b], [b^t, d]],
+    d = (t + b^t adj(A) b)/det(A) is solved from each admissible
+    determinant t instead of scanned.  Candidates are then filtered by
+    level and deduplicated by isometry.
     `bound_multiplier` widens the search cap (used by the completeness
     regression); `det_bound` optionally caps det(2S).
     """
@@ -523,10 +523,8 @@ def enumerate_classes(r: int, level_divides: int, det_bound: int | None = None,
         raise ValueError("rank must be 2 or 4 at desk scale")
     if level_divides <= 0:
         raise ValueError("level must be positive")
-    det_max = level_divides**r
-    if det_bound is not None:
-        det_max = min(det_max, det_bound)
     Lr = level_divides**r
+    det_max = Lr if det_bound is None else min(Lr, det_bound)
     root = level_divides ** (r // 2)  # N^{r/2}
     # (-1)^(r/2) det(2S) is a discriminant, hence 0 or 1 mod 4
     sgn = -1 if (r // 2) % 2 else 1
@@ -539,103 +537,69 @@ def enumerate_classes(r: int, level_divides: int, det_bound: int | None = None,
     tmax = max(targets)
     cap = int(_GAMMA_POW[r] * tmax * bound_multiplier)
 
-    buckets: dict[tuple, list[Mat]] = {}
+    buckets: dict[tuple[int, int], list[Mat]] = {}
 
-    def try_add(M: Mat):
-        d = bareiss_det([list(row) for row in M])
-        if d <= 0 or d > det_max or Lr % d:
-            return
+    def try_add(M: Mat, t: int):
         lv = level(M)
         if level_divides % lv:
             return
-        key = (d, lv, _theta_fingerprint(M))
-        for rep in buckets.get(key, []):
-            if _isometries(rep, M, want_all=False):
-                return
-        buckets.setdefault(key, []).append(M)
+        group = buckets.setdefault((t, lv), [])
+        if not any(_isometries(rep, M, want_all=False) for rep in group):
+            group.append(M)
 
-    # Search bordered matrices [[A, b], [b^t, d_r]]: the leading block A runs
-    # over Minkowski-style candidates, and d_r = (t + b^t adj(A) b)/det(A)
-    # is solved from each admissible determinant t instead of scanned.
     k = r - 1
+    g = [[0] * k for _ in range(k)]
 
-    def scan_block(A):
-        detA = bareiss_det([row[:] for row in A])
-        if detA <= 0:
-            return
-        adjA = adjugate(A)
-        dlast = A[k - 1][k - 1]
+    def box(half):
+        return product(*(range(-h, h + 1) for h in half))
+
+    def last_column():
+        # det [[A, b], [b^t, d]] = d det(A) - b^t adj(A) b, and
+        # b^t adj(A) b <= qhat on the box |b_i| <= a_ii/2
+        A = g
+        detA, adjA, dlast = bareiss_det(A), adjugate(A), A[-1][-1]
         half = [A[i][i] // 2 for i in range(k)]
-        qhat = sum(
-            abs(adjA[i][j]) * half[i] * half[j] for i in range(k) for j in range(k)
-        )
+        qhat = sum(abs(adjA[i][j]) * half[i] * half[j] for i in range(k) for j in range(k))
         if detA * dlast > tmax + qhat:
             return
-        boxes = [range(-h, h + 1) for h in half]
-        for b in product(*boxes):
+        # box() runs in lexicographic order, so the b whose first nonzero
+        # entry is <= 0 (the sign rule of fits_canonical_shape) come first
+        zero = (0,) * k
+        for b in takewhile(lambda b: b <= zero, box(half)):
             qb = sum(b[i] * adjA[i][j] * b[j] for i in range(k) for j in range(k))
             for t in targets:
                 dr, rem = divmod(t + qb, detA)
                 if rem or dr < dlast or dr % 2:
                     continue
-                rows = [list(row) + [bi] for row, bi in zip(A, b)]
-                rows.append(list(b) + [dr])
-                try_add(as_mat(rows))
+                try_add(as_mat([*(row + [x] for row, x in zip(A, b)), [*b, dr]]), t)
 
-    diag: list[int] = []
-
-    def fill_block(d):
-        g = [[0] * k for _ in range(k)]
-        for i in range(k):
-            g[i][i] = d[i]
-
-        def rec_col(j):
-            if j == k:
-                scan_block(g)
-                return
-            ranges = [range(-(d[i] // 2), d[i] // 2 + 1) for i in range(j)]
-
-            def rec_entry(i):
-                if i == j:
-                    sub = [row[: j + 1] for row in g[: j + 1]]
-                    if bareiss_det(sub) > 0:
-                        rec_col(j + 1)
-                    return
-                for v in ranges[i]:
-                    g[i][j] = g[j][i] = v
-                    rec_entry(i + 1)
-                g[i][j] = g[j][i] = 0
-
-            rec_entry(0)
-
-        rec_col(1)
-
-    def rec_diag(prod):
-        i = len(diag)
-        if i == k:
-            fill_block(list(diag))
+    def walk(j, prod):
+        if j == k:
+            last_column()
             return
-        lo = diag[-1] if diag else 2
-        dd = lo
-        while prod * dd ** (r - i) <= cap:
-            diag.append(dd)
-            rec_diag(prod * dd)
-            diag.pop()
-            dd += 2
+        d = g[j - 1][j - 1] if j else 2
+        while prod * d ** (r - j) <= cap:
+            g[j][j] = d
+            for col in box([g[i][i] // 2 for i in range(j)]):
+                for i, x in enumerate(col):
+                    g[i][j] = g[j][i] = x
+                if fits_canonical_shape(g, j) and bareiss_det(
+                        [row[:j + 1] for row in g[:j + 1]]) > 0:
+                    walk(j + 1, prod * d)
+            d += 2
 
-    rec_diag(1)
+    walk(0, 1)
     reps = [minkowski_reduce(M) for group in buckets.values() for M in group]
     # the Fricke duals N (2S)^{-1} = N adj(2S) / det(2S), integral as level | N
     reps += [
         minkowski_reduce(
             as_mat([[level_divides * x // d for x in row] for row in adjugate(M)])
         )
-        for (d, _, _), group in buckets.items()
+        for (d, _), group in buckets.items()
         if d < root and Lr // d <= det_max
         for M in group
     ]
-    reps = sorted(set(reps), key=lambda M: (form_det(M), M))
-    return reps
+    return sorted(set(reps), key=lambda M: (form_det(M), M))
 
 
 def enumerate_psd_indices(n: int, trace_bound: int):

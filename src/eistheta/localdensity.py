@@ -64,13 +64,8 @@ _STABLE_MARGIN = 8
 
 def _split_square(x: int) -> tuple[int, int]:
     """x = s^2 * r with r squarefree; returns (s, r)."""
-    s, r, d = 1, x, 2
-    while d * d <= r:
-        while r % (d * d) == 0:
-            r //= d * d
-            s *= d
-        d += 1
-    return s, r
+    f = factorize(x).items()
+    return math.prod(q ** (e // 2) for q, e in f), math.prod(q for q, e in f if e % 2)
 
 
 class _Sym:
@@ -243,7 +238,7 @@ def _count1_odd(q: int, e: int, r: int, delta: int, a: int) -> int:
     if e == 0:
         return 1
     a %= q**e
-    j = e if a == 0 else min(v_p(a, q), e)
+    j = min(v_p(a, q), e)
     if j == 0:
         return q ** ((e - 1) * (r - 1)) * _quadric_count(q, r, delta, a)
     if e == 1:
@@ -281,8 +276,7 @@ def _density2_odd(q: int, e: int, r: int, delta: int, da: int, db: int) -> Fract
     qe = q**e
     inv2 = pow(2, -1, qe)
     ta, tb = (da * inv2) % qe, (db * inv2) % qe
-    va = e if ta == 0 else min(v_p(ta, q), e)
-    vb = e if tb == 0 else min(v_p(tb, q), e)
+    va, vb = min(v_p(ta, q), e), min(v_p(tb, q), e)
 
     def gauss_pair(N1: int, N2: int) -> int:
         # product of the two chi-twisted unit sums; each vanishes unless the
@@ -369,7 +363,7 @@ def _diagonalize_odd(twoT, q: int, prec: int) -> list[int]:
         for i in idx:
             for j in idx:
                 x = A[i][j] % P
-                v = prec if x == 0 else v_p(x, q)
+                v = min(v_p(x, q), prec)
                 if (
                     best is None
                     or v < best[0]
@@ -386,7 +380,7 @@ def _diagonalize_odd(twoT, q: int, prec: int) -> list[int]:
             for t in idx:
                 A[t][i] = (A[t][i] + A[t][j]) % P
         piv = A[i][i] % P
-        vp = prec if piv == 0 else v_p(piv, q)
+        vp = min(v_p(piv, q), prec)
         if vp >= prec:
             raise ValueError("diagonalization lost all working precision")
         uinv = pow(piv // q**vp, -1, P)
@@ -436,7 +430,7 @@ def _beta_odd_on(q: int, e: int, r0: int, delta0: int, twoT) -> Fraction:
 
 def _beta_2_n1(k: int, t: int, e: int) -> Fraction:
     out = Fraction(1)
-    vt = min(v_p(t, 2), e) if t else e
+    vt = min(v_p(t, 2), e)
     for s in range(1, e + 1):
         if vt >= s:
             c = 1 << (s - 1)

@@ -162,9 +162,9 @@ def _residue(x: Fraction, p: int, c: int) -> int:
     return x.numerator * pow(x.denominator, -1, P) % P
 
 
-def _capped_val(x: Fraction, p: int, cap: int) -> int:
-    v = v_p(x, p)  # math.inf at 0, so the cap absorbs exact zeros
-    return cap if v >= cap else v
+def _nu(dicts, p: int) -> int:
+    """The ladder's scaling exponent: min(0, v_p(a)) over the values a of the dicts."""
+    return min([0, *(v_p(a, p) for d in dicts for a in d.values())])
 
 
 # ---------------------------------------------------------------------------
@@ -240,9 +240,7 @@ def empirical_limit(seq: WeightSequence, n: int, B: int, source=None) -> LimitLa
     weights = tuple(weight_at(seq, m) for m in range(1, len(seq) + 1))
     rungs = tuple(source(k, n, B) for k in weights)
     cap = seq.b_schedule[-1] + 2
-    nu = min(
-        [0] + [v_p(a, p) for F in rungs for a in F.coeffs.values() if v_p(a, p) < 0]
-    )
+    nu = _nu([F.coeffs for F in rungs], p)
     keys = set()
     for F in rungs:
         keys |= set(F.coeffs)
@@ -251,7 +249,7 @@ def empirical_limit(seq: WeightSequence, n: int, B: int, source=None) -> LimitLa
     for T in keys:
         vals = [scale * F.coeffs.get(T, Fraction(0)) for F in rungs]
         certs = tuple(
-            _capped_val(b - a, p, cap) for a, b in zip(vals, vals[1:])
+            min(v_p(b - a, p), cap) for a, b in zip(vals, vals[1:])
         )
         certificates[T] = certs
         if any(y < x for x, y in zip(certs, certs[1:])):
@@ -377,7 +375,7 @@ def direct_limit_coefficient(S, target: WeightTarget, seq=None) -> DirectLadder:
     values = tuple(primitive_density_coeff(S, k) for k in weights)
     caps = [b + 2 for b in seq.b_schedule]
     certs = tuple(
-        _capped_val(b - a, p, caps[i])
+        min(v_p(b - a, p), caps[i])
         for i, (a, b) in enumerate(zip(values, values[1:]))
     )
     residues = tuple(
@@ -585,18 +583,8 @@ def fit_and_verify(
     # one scaling for the whole ladder, so rungs stay comparable; windows
     # and dictionary are cleared separately or the training pivots would
     # stop being p-units
-    nu_w = min(
-        [0]
-        + [
-            v_p(a, p)
-            for F in windows
-            for a in F.coeffs.values()
-            if v_p(a, p) < 0
-        ]
-    )
-    nu_c = min(
-        [0] + [v_p(a, p) for col in columns for a in col.values() if v_p(a, p) < 0]
-    )
+    nu_w = _nu([F.coeffs for F in windows], p)
+    nu_c = _nu(columns, p)
     nu_hat = min(nu_w, nu_c)
     if nu_w:
         windows = [qexp_scale(F, Fraction(p) ** (-nu_w)) for F in windows]
@@ -631,7 +619,7 @@ def fit_and_verify(
             if T in train:
                 continue
             r = Es.coeffs.get(T, Fraction(0)) - fitted.coeffs.get(T, Fraction(0))
-            val = _capped_val(r, p, c)
+            val = min(v_p(r, p), c)
             if val < worst:
                 worst, witness = val, T
         u = u_p(fitted, p)
@@ -640,15 +628,14 @@ def fit_and_verify(
             T for T in fitted.coeffs if form_trace(T) <= u.trace_bound
         }:
             d = u.coeffs.get(T, Fraction(0)) - fitted.coeffs.get(T, Fraction(0))
-            u_exp = min(u_exp, _capped_val(d, p, c))
+            u_exp = min(u_exp, v_p(d, p))
         if prev is None:
             coh = None
             coherent = True
         else:
             prev_vals, prev_c = prev
             coh = min(
-                _capped_val(Fraction(x - y), p, prev_c)
-                for x, y in zip(a_tilde, prev_vals)
+                min(v_p(x - y, p), prev_c) for x, y in zip(a_tilde, prev_vals)
             )
             coherent = coh >= seq.b_schedule[m - 2]
         audit = singular_rank_audit(Es, k_m, p, 1)

@@ -63,6 +63,22 @@ def test_genus_cache_of_another_rank_exits_2(tmp_path, capsys):
     assert "stage genera" in err and str(path) in err
 
 
+@pytest.mark.parametrize("doc,field", [
+    ({"rank": 2, "level_divides": 7}, "genera"),
+    ({"rank": 2, "level_divides": 7, "genera": [{"det": 7, "level": 7}]}, "classes"),
+    ([{"rank": 2, "level_divides": 7}], "genera"),
+    ({"rank": 2, "level_divides": 7, "genera": [
+        {"classes": [{"twoT": [2, -1], "epsilon": 2}]}]}, "twoT"),
+])
+def test_malformed_genus_cache_exits_2(tmp_path, capsys, doc, field):
+    path = tmp_path / "genera_r2_L7.json"
+    path.write_text(json.dumps(doc))
+    assert run(["genera", "--rank", "2", "--level", "7",
+                "--cache-dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "eistheta genera" in err and str(path) in err and repr(field) in err
+
+
 def test_theta_point_count(tmp_path, capsys):
     form = tmp_path / "unary.txt"
     form.write_text("1; 2\n")

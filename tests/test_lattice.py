@@ -390,7 +390,8 @@ def test_minkowski_reduce_canonicity():
 
 def test_minkowski_reduce_matches_full_branching_oracle():
     rng = random.Random(53)
-    classes = sorted({M for got in RECORDED_CLASSES.values() for M in got})
+    classes = sorted({M for key, got in RECORDED_CLASSES.items() if key != LEVEL37
+                      for M in got})
     for M in classes:
         want = canonical_full_branching(M)
         assert minkowski_reduce(M) == want == M
@@ -651,12 +652,39 @@ RECORDED_CLASSES = {
         ((4, -2, 0, 0), (-2, 4, 0, 0), (0, 0, 4, -2), (0, 0, -2, 4)),
         ((6, -3, -3, -3), (-3, 6, 0, 0), (-3, 0, 6, 0), (-3, 0, 0, 6)),
     ],
+    # recorded from the Minkowski-box search, before the walk over
+    # canonical shapes replaced it
+    (4, 17, None): [
+        ((2, -1, 0, -1), (-1, 2, 0, 0), (0, 0, 2, -1), (-1, 0, -1, 4)),
+        ((2, -1, -1, -1), (-1, 2, 0, 0), (-1, 0, 12, -5), (-1, 0, -5, 12)),
+        ((2, -1, -1, 0), (-1, 4, -1, -1), (-1, -1, 6, -2), (0, -1, -2, 10)),
+        ((4, -2, -1, -1), (-2, 4, 0, 1), (-1, 0, 6, 3), (-1, 1, 3, 6)),
+        ((6, -3, -2, -2), (-3, 10, 1, 1), (-2, 1, 12, -5), (-2, 1, -5, 12)),
+    ],
+    (4, 19, None): [
+        ((2, -1, -1, -1), (-1, 4, 0, -1), (-1, 0, 6, -2), (-1, -1, -2, 12)),
+        ((2, 0, -1, 0), (0, 2, 0, -1), (-1, 0, 10, 0), (0, -1, 0, 10)),
+        ((4, 0, -2, -1), (0, 4, -1, -2), (-2, -1, 6, 1), (-1, -2, 1, 6)),
+    ],
+    (4, 37, None): [
+        ((2, -1, -1, -1), (-1, 2, 0, 0), (-1, 0, 2, 1), (-1, 0, 1, 10)),
+        ((2, -1, -1, 0), (-1, 2, 0, 0), (-1, 0, 4, -1), (0, 0, -1, 4)),
+        ((2, -1, 0, -1), (-1, 8, -1, -3), (0, -1, 10, -2), (-1, -3, -2, 12)),
+        ((2, 0, -1, -1), (0, 4, -1, -2), (-1, -1, 10, 1), (-1, -2, 1, 20)),
+        ((4, -1, -2, -1), (-1, 4, 0, 0), (-2, 0, 6, 3), (-1, 0, 3, 20)),
+        ((4, -1, -1, -1), (-1, 6, 3, 1), (-1, 3, 8, -1), (-1, 1, -1, 10)),
+        ((4, -1, -1, -1), (-1, 28, -9, -9), (-1, -9, 28, -9), (-1, -9, -9, 28)),
+        ((10, -3, -1, -1), (-3, 12, 4, 4), (-1, 4, 26, -11), (-1, 4, -11, 26)),
+    ],
 }
 
 # the rank-4 searches at levels 2, 4, 5, 6 and the det-121 one, about 3 s
 # together (they took 60 s while canonical forms branched over every
 # minimal vector of D4 and A4)
 SLOW_CASES = [(4, 2, None), (4, 4, None), (4, 5, None), (4, 6, None), (4, 11, 121)]
+# a few seconds on its own, and as long again in the full-branching oracle;
+# `pytest -m slow` runs both
+LEVEL37 = (4, 37, None)
 
 
 def fricke_dual(twoS, N):
@@ -689,11 +717,18 @@ def _check_recorded(cases):
 
 
 def test_enumerate_classes_matches_recorded():
-    _check_recorded([c for c in RECORDED_CLASSES if c not in SLOW_CASES])
+    _check_recorded([c for c in RECORDED_CLASSES if c not in [*SLOW_CASES, LEVEL37]])
 
 
 def test_enumerate_classes_matches_recorded_slow():
     _check_recorded(SLOW_CASES)
+
+
+@pytest.mark.slow
+def test_enumerate_classes_matches_recorded_level37():
+    _check_recorded([LEVEL37])
+    for M in RECORDED_CLASSES[LEVEL37]:
+        assert canonical_full_branching(M) == M
 
 
 def test_enumerate_classes_det_bound_drops_large_duals():
