@@ -2,16 +2,22 @@
 
 Two forms lie in the same genus when they are equivalent over the reals
 (automatic for positive definite forms of equal rank) and over Z_q for
-every prime q dividing twice the determinant.  Local equivalence at q is
-decided by searching for a congruential isometry U with
+every prime q dividing twice the determinant.  Equivalence over Z_q is
+decided by comparing local genus symbols (Conway & Sloane, *Sphere
+Packings, Lattices and Groups*, ch. 15, section 7), read off one q-adic
+Jordan decomposition of 2S (``lattice.jordan_blocks``):
 
-    U^t (2S) U = 2S'  (mod q^e),   U invertible mod q,
-
-with e = v_q(2 det(2S)) + 3, comfortably above the stabilization
-threshold for the determinant sizes handled here (rank <= 4, small
-level).  The search lifts candidate columns digit by digit, so a found
-witness is genuine mod q^e and a failed exhaustive search certifies
-local inequivalence at that precision.
+- odd q: for each scale q^s, its dimension and the Legendre symbol of
+  its unit determinant.  This is a complete invariant.
+- q = 2: for each scale 2^s, s from 0 to the top, its dimension, its type
+  (I if it has a 1 x 1 block, else II), the sign of its unit
+  determinant (+ for +-1 mod 8) and its oddity (the sum of its 1 x 1
+  units mod 8), put in canonical form: oddity fusion keeps only the
+  total oddity of each compartment (a maximal run of consecutive type I
+  scales), and sign walking moves every minus sign of a train (a run of
+  scales in which each adjacent pair has a type I member, empty scales
+  counting as type II) onto its first constituent, adding 4 to the
+  oddity of each compartment a step touches (sections 7.3 to 7.6).
 """
 
 from __future__ import annotations
@@ -22,9 +28,8 @@ import tempfile
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from itertools import product
 
-from .exactnum import factorize, frac_from_doc, frac_to_doc, v_p
+from .exactnum import factorize, frac_from_doc, frac_to_doc, kronecker
 from .fourier import _dump_field, _dump_twoT
 from .lattice import (
     Mat,
@@ -36,119 +41,81 @@ from .lattice import (
     eta_S,
     form_det,
     is_positive_definite,
+    jordan_blocks,
     level,
     minkowski_reduce,
 )
-from .linalg import echelon_mod
-
-_SEARCH_BUDGET = 20_000_000
 
 
-def _affine_solutions_mod_q(rows, rhs, n, q):
-    """All solutions of rows . x = rhs over Z/q (q prime), or None."""
-    aug, pivots = echelon_mod([list(r) + [b] for r, b in zip(rows, rhs)], q)
-    if n in pivots:
-        return None
-    part = [0] * n
-    for i, c in enumerate(pivots):
-        part[c] = aug[i][n]
-    null = []
-    for c in range(n):
-        if c in pivots:
-            continue
-        v = [0] * n
-        v[c] = 1
-        for i, pc in enumerate(pivots):
-            v[pc] = (-aug[i][c]) % q
-        null.append(v)
-    return part, null
+def _unit_det_mod8(U):
+    """det U mod 8 for a unit block U with odd numerators and denominators."""
+    d = U[0][0] if len(U) == 1 else U[0][0] * U[1][1] - U[0][1] ** 2
+    return d.numerator * d.denominator % 8  # 1/den = den mod 8 for odd den
 
 
-def _column_candidates(A, B, cols, j, q, e, counter):
-    """Yield columns x mod q^e satisfying the isometry constraints.
+def _odd_symbol(blocks, q):
+    """(scale, dimension, Legendre symbol of the unit determinant) per scale."""
+    out = {}
+    for s, ((u,),) in blocks:
+        dim, sign = out.get(s, (0, 1))
+        out[s] = (dim + 1, sign * kronecker(u.numerator * u.denominator, q))
+    return tuple((s, *v) for s, v in sorted(out.items()))
 
-    Constraints: x^t A x = B[j][j] and u_i^t A x = B[i][j] for the
-    previously fixed columns u_i, all mod q^e, plus independence mod q.
-    Lifting from mod q^t to mod q^{t+1} is a linear problem in the new
-    digit (for q = 2 the quadratic constraint is digit-independent and
-    acts as a pure prune, the reason for the +3 precision cushion).
-    """
-    n = len(A)
-    W = [tuple(sum(A[a][b] * u[b] for b in range(n)) for a in range(n)) for u in cols]
-    lin_targets = [B[i][j] for i in range(len(cols))]
-    qq = B[j][j]
 
-    def quad(x):
-        s = 0
-        for a in range(n):
-            if x[a]:
-                s += x[a] * sum(A[a][b] * x[b] for b in range(n))
-        return s
-
-    basis = echelon_mod(cols, q)[0]  # the placed columns are independent mod q
-
-    def rec(x, t):
-        if t == e:
-            yield x
-            return
-        qt = q**t
-        rows = []
-        rhs = []
-        for w, tgt in zip(W, lin_targets):
-            rows.append(list(w))
-            rhs.append((tgt - sum(w[a] * x[a] for a in range(n))) // qt)
-        qdef = qq - quad(x)
-        if q == 2:
-            if qdef % (qt * 2):
-                return
+def _two_adic_symbol(blocks):
+    """The canonical 2-adic symbol: per scale (dim, type I?, sign), then the
+    (first scale, total oddity) of each compartment."""
+    top = blocks[-1][0]
+    dim = [0] * (top + 1)
+    odd = [False] * (top + 1)
+    det = [1] * (top + 1)
+    oddity = [0] * (top + 1)
+    for s, U in blocks:
+        u = _unit_det_mod8(U)
+        dim[s] += len(U)
+        det[s] = det[s] * u % 8
+        if len(U) == 1:
+            odd[s] = True
+            oddity[s] += u
+    sign = [1 if d in (1, 7) else -1 for d in det]
+    comps = []  # maximal runs of consecutive type I scales
+    for s in range(top + 1):
+        if odd[s]:
+            if comps and comps[-1][-1] == s - 1:
+                comps[-1].append(s)
+            else:
+                comps.append([s])
+    comp_of = {s: c for c, run in enumerate(comps) for s in run}
+    comp_oddity = [sum(oddity[s] for s in run) % 8 for run in comps]
+    trains = [[0]]
+    for s in range(1, top + 1):
+        if odd[s - 1] or odd[s]:
+            trains[-1].append(s)
         else:
-            ax = [sum(A[a][b] * x[b] for b in range(n)) for a in range(n)]
-            rows.append([2 * v for v in ax])
-            rhs.append(qdef // qt)
-        sol = _affine_solutions_mod_q(rows, rhs, n, q)
-        if sol is None:
-            return
-        part, null = sol
-        for coeffs in product(range(q), repeat=len(null)):
-            counter[0] += 1
-            if counter[0] > _SEARCH_BUDGET:
-                raise RuntimeError("local isometry search budget exceeded")
-            d = list(part)
-            for c, v in zip(coeffs, null):
-                if c:
-                    d = [(a + c * b) % q for a, b in zip(d, v)]
-            y = tuple(xi + qt * di for xi, di in zip(x, d))
-            yield from rec(y, t + 1)
-
-    for x0 in product(range(q), repeat=n):
-        counter[0] += 1
-        if counter[0] > _SEARCH_BUDGET:
-            raise RuntimeError("local isometry search budget exceeded")
-        if len(echelon_mod(basis + [x0], q)[1]) == len(basis):
-            continue  # dependent on the placed columns mod q
-        if any((sum(w[a] * x0[a] for a in range(n)) - t) % q for w, t in zip(W, lin_targets)):
-            continue
-        if (quad(x0) - qq) % q:
-            continue
-        yield from rec(x0, 1)
+            trains.append([s])
+    for train in trains:
+        full = [s for s in train if dim[s]]
+        for a, b in reversed(list(zip(full, full[1:]))):
+            if sign[b] == -1:
+                sign[b], sign[a] = 1, -sign[a]
+                for c in {comp_of.get(a), comp_of.get(b)} - {None}:
+                    comp_oddity[c] = (comp_oddity[c] + 4) % 8
+    return (
+        tuple(zip(dim, odd, sign)),
+        tuple((run[0], o) for run, o in zip(comps, comp_oddity)),
+    )
 
 
-def _local_isometry_exists(A, B, q, e):
-    n = len(A)
-    counter = [0]
-    cols = []
-
-    def place(j):
-        if j == n:
-            return True
-        for x in _column_candidates(A, B, cols, j, q, e, counter):
-            cols.append(x)
-            if place(j + 1):
-                return True
-            cols.pop()
-        return False
-
-    return place(0)
+def genus_symbol(twoS):
+    """Rank, det(2S) and the local symbol at each q | 2 det(2S): equal for
+    two positive definite forms exactly when they share a genus."""
+    A = as_mat(twoS)
+    d = form_det(A)
+    local = []
+    for q in sorted(factorize(2 * d)):
+        blocks = jordan_blocks(A, q)
+        local.append((q, _two_adic_symbol(blocks) if q == 2 else _odd_symbol(blocks, q)))
+    return (len(A), d, tuple(local))
 
 
 def same_genus(twoS, twoS2):
@@ -163,14 +130,7 @@ def same_genus(twoS, twoS2):
         raise ValueError("genus test implemented for rank <= 4 only")
     if not (is_positive_definite(A) and is_positive_definite(B)):
         raise ValueError("forms must be positive definite")
-    d = form_det(A)
-    if d != form_det(B):
-        return False
-    for q in sorted(factorize(2 * d)):
-        e = v_p(2 * d, q) + 3
-        if not _local_isometry_exists(A, B, q, e):
-            return False
-    return True
+    return genus_symbol(A) == genus_symbol(B)
 
 
 @dataclass(frozen=True)
@@ -199,21 +159,16 @@ class GenusRecord:
 
 
 def partition_into_genera(classes):
-    """Group pairwise-inequivalent class records into genera.
+    """Group pairwise-inequivalent class records into genera by genus symbol.
 
     Level and character are computed from one member of each genus and
     asserted constant across the others; mass is the sum of 1/epsilon.
     """
-    groups: list[list[ClassRecord]] = []
+    by_symbol: dict[tuple, list[ClassRecord]] = {}
     for rec in classes:
-        for grp in groups:
-            if same_genus(grp[0].rep, rec.rep):
-                grp.append(rec)
-                break
-        else:
-            groups.append([rec])
+        by_symbol.setdefault(genus_symbol(rec.rep), []).append(rec)
     out = []
-    for grp in groups:
+    for grp in by_symbol.values():
         grp.sort(key=lambda r: r.rep)
         lev = level(grp[0].rep)
         char = eta_S(grp[0].rep)

@@ -16,7 +16,7 @@ from functools import lru_cache
 from itertools import combinations, product, takewhile
 from operator import mul
 
-from .exactnum import divisors, fund_disc_decompose, kronecker
+from .exactnum import divisors, fund_disc_decompose, kronecker, v_p
 from .linalg import adjugate, bareiss_det, column_reduce, exact_rank
 
 Mat = tuple[tuple[int, ...], ...]
@@ -37,6 +37,7 @@ __all__ = [
     "level",
     "chi_S",
     "eta_S",
+    "jordan_blocks",
     "short_vectors",
     "minkowski_reduce",
     "is_equivalent",
@@ -198,6 +199,58 @@ def eta_S(twoS) -> QuadCharacter:
     D = (-1) ** (r // 2) * form_det(twoS)
     D0, _ = fund_disc_decompose(D)
     return QuadCharacter(D0)
+
+
+def jordan_blocks(twoS, q: int) -> list[tuple[int, tuple[tuple[Fraction, ...], ...]]]:
+    """q-adic Jordan decomposition of a nondegenerate Gram matrix.
+
+    Returns (s, U) pairs, s nondecreasing, with twoS isometric over Z_q to
+    the orthogonal sum of the q^s U.  U is a 1 x 1 unit, or for q = 2 a
+    2 x 2 block with unit off-diagonal entry and diagonal in 2Z_2.  Each
+    step takes an entry of least valuation s, a diagonal one on ties, and
+    splits it off as a 1 x 1 block.  An off-diagonal minimum is folded
+    onto the diagonal for odd q (e_i += e_j, both old diagonal entries
+    lying above it); for q = 2 it spans a 2 x 2 block whose determinant
+    has valuation 2s.  The other rows are eliminated by the block's
+    inverse.  The working form is M / D with M integral and D prime to q:
+    with a block P of size k and det P = q^{ks} w, the Schur complement
+    M - M_* adj(P) M^* / det P is (M det P - M_* adj(P) M^*) / q^{ks}
+    over D w, and the numerator is divisible by q^{ks} because every
+    entry of M_* and M^* lies at or above q^s.
+    """
+    M = [list(row) for row in twoS]
+    D = 1
+    idx = list(range(len(M)))
+    out = []
+    while idx:
+        s, off, i, j = min((v_p(M[a][b], q), a != b, a, b)
+                           for a in idx for b in idx if a <= b)
+        if s == math.inf:
+            raise ValueError("jordan_blocks needs a nondegenerate form")
+        if off and q != 2:
+            for t in idx:
+                M[i][t] += M[j][t]
+            for t in idx:
+                M[t][i] += M[t][j]
+            off = False
+        blk = [i, j] if off else [i]
+        if off:
+            det = M[i][i] * M[j][j] - M[i][j] ** 2
+            adj = [[M[j][j], -M[i][j]], [-M[i][j], M[i][i]]]
+        else:
+            det, adj = M[i][i], [[1]]
+        out.append((s, tuple(tuple(Fraction(M[a][b] // q**s, D) for b in blk) for a in blk)))
+        cut = q ** (len(blk) * s)
+        D *= det // cut
+        idx = [t for t in idx if t not in blk]
+        for a in idx:  # the upper triangle, mirrored
+            f = [sum(M[a][b] * adj[k][m] for k, b in enumerate(blk)) for m in range(len(blk))]
+            for t in idx:
+                if t < a:
+                    M[a][t] = M[t][a]
+                else:
+                    M[a][t] = (M[a][t] * det - sum(map(mul, f, (M[b][t] for b in blk)))) // cut
+    return out
 
 
 # ------------------------------------------------------------ short vectors

@@ -50,7 +50,13 @@ from .exactnum import (
     kronecker,
     v_p,
 )
-from .lattice import bareiss_det, check_form, is_positive_definite, minkowski_reduce
+from .lattice import (
+    bareiss_det,
+    check_form,
+    is_positive_definite,
+    jordan_blocks,
+    minkowski_reduce,
+)
 
 __all__ = ["local_density_coeff"]
 
@@ -347,63 +353,17 @@ def _density2_odd(q: int, e: int, r: int, delta: int, da: int, db: int) -> Fract
 
 
 # ---------------------------------------------------------------------------
-# odd q: diagonalization over Z_q and the unit-peel recursion
+# odd q: the unit-peel recursion on a Jordan decomposition over Z_q
 # ---------------------------------------------------------------------------
-
-
-def _diagonalize_odd(twoT, q: int, prec: int) -> list[int]:
-    """Diagonal twoT-scales of the form over Z_q (odd q), entries mod q^prec."""
-    n = len(twoT)
-    P = q**prec
-    A = [[twoT[i][j] % P for j in range(n)] for i in range(n)]
-    out = []
-    idx = list(range(n))
-    while idx:
-        best = None
-        for i in idx:
-            for j in idx:
-                x = A[i][j] % P
-                v = min(v_p(x, q), prec)
-                if (
-                    best is None
-                    or v < best[0]
-                    or (v == best[0] and i == j and best[1] != best[2])
-                ):
-                    best = (v, i, j)
-        v, i, j = best
-        if i != j:
-            # fold the minimal off-diagonal entry onto the diagonal: e_i += e_j;
-            # the new A[i][i] then has valuation exactly v, since both old
-            # diagonal entries sit strictly above it (diagonal wins ties)
-            for t in idx:
-                A[i][t] = (A[i][t] + A[j][t]) % P
-            for t in idx:
-                A[t][i] = (A[t][i] + A[t][j]) % P
-        piv = A[i][i] % P
-        vp = min(v_p(piv, q), prec)
-        if vp >= prec:
-            raise ValueError("diagonalization lost all working precision")
-        uinv = pow(piv // q**vp, -1, P)
-        out.append(piv)
-        idx.remove(i)
-        for s in idx:
-            if A[s][i] % q**vp:
-                raise AssertionError("pivot was not minimal")
-            f = (A[s][i] // q**vp * uinv) % P
-            for t in idx:
-                A[s][t] = (A[s][t] - f * A[i][t]) % P
-            A[s][i] = A[i][s] = 0
-    return out
 
 
 def _beta_odd_on(q: int, e: int, r0: int, delta0: int, twoT) -> Fraction:
     """Density of twoT on a rank-r0 unimodular lattice of disc class delta0."""
     n = len(twoT)
-    det2T = bareiss_det([list(row) for row in twoT])
-    prec = e + v_p(det2T, q) + 4
-    diag = _diagonalize_odd(twoT, q, prec)
-    diag.sort(key=lambda d: v_p(d, q))
     qe = q**e
+    blocks = jordan_blocks(twoT, q)
+    scales = [s for s, _ in blocks]
+    diag = [q**s * u.numerator * pow(u.denominator, -1, qe) % qe for s, ((u,),) in blocks]
     inv2e = pow(2, -1, qe)
     inv2q = pow(2, -1, q)
     if n == 1:
@@ -412,7 +372,7 @@ def _beta_odd_on(q: int, e: int, r0: int, delta0: int, twoT) -> Fraction:
     dens = Fraction(1)
     while len(diag) > 2:
         d0 = diag.pop(0)
-        if v_p(d0, q) != 0:
+        if scales.pop(0) != 0:
             raise NotImplementedError(
                 f"more than two non-unit Jordan scales at q={q}; this index "
                 "is outside the supported rank-4 range"

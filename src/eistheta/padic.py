@@ -29,7 +29,7 @@ from .fourier import (
     qexp_scale,
     u_p,
 )
-from .genus import cached_genera, genera_to_doc
+from .genus import cached_genera, genera_to_doc, genus_symbol
 from .lattice import (
     QuadCharacter,
     as_mat,
@@ -457,7 +457,9 @@ class VerificationReport:
 
 
 def _validate_dictionary(genera, target: WeightTarget):
-    """Recompute every cached invariant of the genus dictionary."""
+    """Recompute every cached invariant of the genus dictionary, down to
+    which genus each class belongs to."""
+    symbols = set()
     for g in genera:
         mass = Fraction(0)
         for rec in g.classes:
@@ -486,6 +488,12 @@ def _validate_dictionary(genera, target: WeightTarget):
             mass += Fraction(1, eps)
         if mass != g.mass:
             raise PipelineError("fit", "cached mass disagrees with the classes")
+        own = {genus_symbol(rec.rep) for rec in g.classes}
+        if len(own) != 1:
+            raise PipelineError("fit", "a cached genus holds classes of different genera")
+        if own & symbols:
+            raise PipelineError("fit", "two cached genera are one genus")
+        symbols |= own
 
 
 def _select_training(indices, columns, n_unknowns, p):

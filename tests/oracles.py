@@ -6,14 +6,18 @@ Each one enumerates everything the package code prunes:
 - theta_all_tuples: theta coefficients from every ordered tuple of short
   vectors, canonicalising each Gram matrix met;
 - psd_indices_box: PSD indices from the whole box that the 2x2 minors
-  allow, reduced one by one.
+  allow, reduced one by one;
+- same_genus_by_search: the genus test by a search for a congruential
+  isometry mod q^e at every q | 2 det, column by column.
 """
 
 import math
 from fractions import Fraction
 from functools import cache
+from itertools import product
 from operator import mul
 
+from eistheta.exactnum import factorize, v_p
 from eistheta.lattice import (
     _GAMMA_POW,
     _extendable,
@@ -24,7 +28,7 @@ from eistheta.lattice import (
     minkowski_reduce,
     short_vectors,
 )
-from eistheta.linalg import bareiss_det
+from eistheta.linalg import bareiss_det, echelon_mod
 
 
 @cache
@@ -147,3 +151,136 @@ def psd_indices_box(n, B):
 
     rec_diag(0, 2 * B)
     return sorted(found, key=lambda M: (form_trace(M), M))
+
+
+class SearchBudgetExceeded(Exception):
+    """The isometry search took more steps than its budget allows."""
+
+
+@cache
+def _affine_solutions_cached(aug, n, q):
+    """affine_solutions_mod_q of the augmented system aug, reduced mod q."""
+    return affine_solutions_mod_q([r[:-1] for r in aug], [r[-1] for r in aug], n, q)
+
+
+def affine_solutions_mod_q(rows, rhs, n, q):
+    """All solutions of rows . x = rhs over Z/q (q prime), or None."""
+    aug, pivots = echelon_mod([list(r) + [b] for r, b in zip(rows, rhs)], q)
+    if n in pivots:
+        return None
+    part = [0] * n
+    for i, c in enumerate(pivots):
+        part[c] = aug[i][n]
+    null = []
+    for c in range(n):
+        if c in pivots:
+            continue
+        v = [0] * n
+        v[c] = 1
+        for i, pc in enumerate(pivots):
+            v[pc] = (-aug[i][c]) % q
+        null.append(v)
+    return part, null
+
+
+def _column_candidates(A, B, cols, j, q, e, steps):
+    """Yield columns x mod q^e satisfying the isometry constraints.
+
+    Constraints: x^t A x = B[j][j] and u_i^t A x = B[i][j] for the
+    previously fixed columns u_i, all mod q^e, plus independence mod q.
+    Lifting from mod q^t to mod q^{t+1} is a linear problem in the new
+    digit (for q = 2 the quadratic constraint is digit-independent and
+    acts as a pure prune, the reason for the +3 precision cushion).
+    """
+    n = len(A)
+    W = [tuple(sum(A[a][b] * u[b] for b in range(n)) for a in range(n)) for u in cols]
+    lin_targets = [B[i][j] for i in range(len(cols))]
+    qq = B[j][j]
+
+    def quad(x):
+        return sum(map(mul, x, (sum(map(mul, row, x)) for row in A)))
+
+    basis = echelon_mod(cols, q)[0]  # the placed columns are independent mod q
+
+    def rec(x, t):
+        if t == e:
+            yield x
+            return
+        qt = q**t
+        qdef = qq - quad(x)
+        if q == 2 and qdef % (qt * 2):
+            return
+        rows = [list(w) for w in W]
+        rhs = [(tgt - sum(map(mul, w, x))) // qt for w, tgt in zip(W, lin_targets)]
+        if q != 2:
+            rows.append([2 * sum(map(mul, row, x)) for row in A])
+            rhs.append(qdef // qt)
+        aug = tuple(tuple(v % q for v in r + [b]) for r, b in zip(rows, rhs))
+        sol = _affine_solutions_cached(aug, n, q)
+        if sol is None:
+            return
+        part, null = sol
+        for coeffs in product(range(q), repeat=len(null)):
+            steps(1)
+            d = list(part)
+            for c, v in zip(coeffs, null):
+                if c:
+                    d = [(a + c * b) % q for a, b in zip(d, v)]
+            yield from rec(tuple(xi + qt * di for xi, di in zip(x, d)), t + 1)
+
+    for head in product(range(q), repeat=n - 1):
+        steps(q)  # the q candidates head + (z,), filtered below by the
+        # values at z of the linear constraints and of Q(x) - B[j][j]
+        hz = head + (0,)
+        lin = [(sum(map(mul, w, hz)) - t, w[-1]) for w, t in zip(W, lin_targets)]
+        c0, c1, c2 = quad(hz) - qq, 2 * sum(map(mul, A[-1], hz)), A[-1][-1]
+        for z in range(q):
+            if (c0 + z * (c1 + z * c2)) % q or any((c + z * w) % q for c, w in lin):
+                continue
+            x0 = head + (z,)
+            if len(echelon_mod(basis + [x0], q)[1]) == len(basis):
+                continue  # dependent on the placed columns mod q
+            yield from rec(x0, 1)
+
+
+def same_genus_by_search(A, B, budget):
+    """Whether forms of equal det share a genus, by searching for U with
+    U^t A U = B (mod q^e), U invertible mod q, e = v_q(2 det) + 3, at every
+    q | 2 det.  A found witness is genuine mod q^e and an exhausted search
+    certifies inequivalence.  The search at each q stops after `budget`
+    candidate steps; raises SearchBudgetExceeded if no q was found to
+    differ and some q was left undecided.
+    """
+    n = len(A)
+
+    def local(q):
+        count = 0
+
+        def steps(k):
+            nonlocal count
+            count += k
+            if count > budget:
+                raise SearchBudgetExceeded
+
+        def place(cols, e):
+            if len(cols) == n:
+                return True
+            return any(place(cols + [x], e)
+                       for x in _column_candidates(A, B, cols, len(cols), q, e, steps))
+
+        try:
+            return place([], v_p(2 * d, q) + 3)
+        except SearchBudgetExceeded:
+            return None
+
+    d = bareiss_det([list(r) for r in A])
+    assert d == bareiss_det([list(r) for r in B])
+    undecided = False
+    for q in sorted(factorize(2 * d), key=lambda q: (q == 2, q)):  # 2, the dearest, last
+        found = local(q)
+        if found is False:
+            return False
+        undecided |= found is None
+    if undecided:
+        raise SearchBudgetExceeded
+    return True

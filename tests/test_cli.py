@@ -7,9 +7,9 @@ import pytest
 
 from eistheta.cli import main
 from eistheta.eisenstein import eisenstein_qexp
-from eistheta.exactnum import bernoulli, frac_from_doc
+from eistheta.exactnum import bernoulli, frac_from_doc, frac_to_doc
 from eistheta.fourier import dump_qexp
-from eistheta.genus import write_json_atomic
+from eistheta.genus import build_genera, genera_to_doc, write_json_atomic
 
 
 def run(argv):
@@ -290,6 +290,20 @@ def test_verify_main_four_rungs(tmp_path):
     assert [r["a_tilde"] for r in doc["rungs"]] == [[32]] * len(doc["rungs"])
 
 
+@pytest.mark.slow
+def test_verify_main_irregular_prime_37(tmp_path):
+    # W8, cold: 37 divides the numerator of B_32; the run enumerates and
+    # partitions the rank-4 classes of level 37 itself
+    out = tmp_path / "report.json"
+    argv = ["verify-main", "--p", "37", "--k", "2", "--j", "1", "--degree", "1",
+            "--bound", "50", "--m-max", "2", "--cache-dir", str(tmp_path / "cache"),
+            "--out", str(out)]
+    assert run(argv) == 0
+    doc = read_json(str(out))
+    assert doc["passed"] is True
+    assert doc["rungs"][-1]["coherence_exponent"] == 2
+
+
 def test_verify_main_corrupted_cache(tmp_path, capsys):
     cache = tmp_path / "cache"
     # the true dictionary has one class of automorphism count 32; claim 8
@@ -319,6 +333,24 @@ def test_verify_main_corrupted_cache(tmp_path, capsys):
     )
     assert rc == 2
     assert "stage fit" in capsys.readouterr().err
+
+
+def test_verify_main_rejects_merged_genera(tmp_path, capsys):
+    # every class invariant and the summed mass are right, but the one
+    # chi_13 genus of this cache joins the det-13 and det-2197 genera
+    cache = tmp_path / "cache"
+    doc = genera_to_doc(4, 13, build_genera(4, 13))
+    first, middle, last = doc["genera"]
+    assert (first["det"], last["det"]) == (13, 2197)
+    mass = frac_from_doc(first["mass"]) + frac_from_doc(last["mass"])
+    merged = dict(first, classes=first["classes"] + last["classes"], mass=frac_to_doc(mass))
+    doc["genera"] = [merged, middle]
+    write_json_atomic(doc, str(cache / "genera_r4_L13.json"))
+    rc = run(["verify-main", "--p", "13", "--k", "2", "--j", "1", "--degree", "1",
+              "--bound", "8", "--m-max", "2", "--cache-dir", str(cache)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "stage fit" in err and "different genera" in err
 
 
 def test_invalid_target_is_rejected(capsys):

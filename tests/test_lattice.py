@@ -5,6 +5,8 @@ from itertools import product
 
 import pytest
 
+from eistheta.exactnum import kronecker, v_p
+from eistheta.genus import ClassRecord, partition_into_genera
 from eistheta.lattice import (
     QuadCharacter,
     _extendable,
@@ -21,6 +23,7 @@ from eistheta.lattice import (
     form_trace,
     is_equivalent,
     is_psd,
+    jordan_blocks,
     level,
     minkowski_reduce,
     pad_zero,
@@ -268,6 +271,36 @@ def test_eta_S_examples():
     assert eta4.disc == -4 and eta4.modulus == 4
     for d in range(1, 21, 2):
         assert eta4(d) == chi_S(I2, d)
+
+
+def test_jordan_blocks_preserve_determinant_valuation():
+    forms = [direct_sum(A2, A2), direct_sum(A2, B7), B7, I2,
+             *(M for M in enumerate_psd_indices(3, 6) if form_rank(M) == 3)]
+    for q in (2, 3, 7):
+        for M in forms:
+            det = form_det(M)
+            blocks = jordan_blocks(M, q)
+            assert sum(len(U) for _, U in blocks) == len(M)
+            assert [s for s, _ in blocks] == sorted(s for s, _ in blocks)
+            v = 0
+            for s, U in blocks:
+                d = U[0][0] if len(U) == 1 else U[0][0] * U[1][1] - U[0][1] ** 2
+                assert d.numerator % q and d.denominator % q  # a unit block
+                if len(U) == 2:
+                    assert q == 2 and U[0][1].numerator % 2
+                    assert U[0][0].numerator % 2 == U[1][1].numerator % 2 == 0
+                v += s * len(U)
+                det = det / d
+            assert v == v_p(det, q)
+            # what is left of det(2S) is q^v times a unit square
+            u = det / q**v
+            r = u.numerator * u.denominator
+            assert r % 8 == 1 if q == 2 else kronecker(r, q) == 1
+
+
+def test_jordan_blocks_reject_degenerate_forms():
+    with pytest.raises(ValueError):
+        jordan_blocks([[2, 0], [0, 0]], 3)
 
 
 # ----------------------------------------------------------- short vectors
@@ -726,9 +759,13 @@ def test_enumerate_classes_matches_recorded_slow():
 
 @pytest.mark.slow
 def test_enumerate_classes_matches_recorded_level37():
+    from test_genus import check_prime_level_masses
+
     _check_recorded([LEVEL37])
     for M in RECORDED_CLASSES[LEVEL37]:
         assert canonical_full_branching(M) == M
+    genera = partition_into_genera([ClassRecord.from_rep(M) for M in RECORDED_CLASSES[LEVEL37]])
+    check_prime_level_masses(genera, 37)
 
 
 def test_enumerate_classes_det_bound_drops_large_duals():

@@ -24,7 +24,6 @@ from eistheta.localdensity import (
     _beta_odd_on,
     _density1_odd,
     _density2_odd,
-    _diagonalize_odd,
     _generic_factor,
     _q2_pair_bins,
     local_density_coeff,
@@ -227,16 +226,6 @@ def test_pair_odd_offdiagonal_target_via_diagonalization():
         want = brute_density([[2, 0], [0, 2]], A2, 3, e)
         got = _beta_odd_on(3, e, 2, 1, A2)
         assert got == want, e
-
-
-def test_diagonalize_odd_preserves_determinant_valuation():
-    for q in (3, 7):
-        for T in [A2A2, A2B7, [[2, 1], [1, 4]]]:
-            det = bareiss_det([r[:] for r in T])
-            prec = 8
-            diag = _diagonalize_odd(T, q, prec)
-            v = sum(min(prec, _v(d, q)) for d in diag)
-            assert v == _v(det, q)
 
 
 def _v(x, q):

@@ -15,7 +15,7 @@ import pytest
 from eistheta.eisenstein import eisenstein_qexp
 from eistheta.exactnum import sigma, v_p
 from eistheta.fourier import QExpansion, congruent_mod, qexp_scale
-from eistheta.genus import build_genera, genera_to_doc, write_json_atomic
+from eistheta.genus import GenusRecord, build_genera, genera_to_doc, write_json_atomic
 from eistheta.localdensity import local_density_coeff
 from eistheta.padic import (
     PipelineError,
@@ -346,3 +346,17 @@ def test_dictionary_of_the_wrong_rank_fails_in_fit_stage():
         _validate_dictionary(build_genera(2, 7), WeightTarget(7, 2, 0))
     assert info.value.stage == "fit"
     assert "rank 4" in str(info.value)
+
+
+def test_dictionary_that_splits_a_genus_fails_in_fit_stage():
+    # the three classes of the det-289 genus of level 17, cut into two
+    # genera whose masses and class invariants are each right
+    (g,) = [g for g in build_genera(4, 17) if g.det == 289]
+    assert len(g.classes) == 3
+    parts = [g.classes[:1], g.classes[1:]]
+    split = [GenusRecord(c, g.level, g.character, sum(Fraction(1, r.epsilon) for r in c))
+             for c in parts]
+    with pytest.raises(PipelineError) as info:
+        _validate_dictionary(split, WeightTarget(17, 2, 0))
+    assert info.value.stage == "fit"
+    assert "one genus" in str(info.value)
