@@ -8,6 +8,7 @@ every computation in exact rational arithmetic.
 from __future__ import annotations
 
 from .eisenstein import eisenstein_qexp
+from .exactnum import cohen_H
 from .fourier import (
     QExpansion,
     check_weight_rank_congruence,
@@ -95,6 +96,7 @@ __all__ = [
     "genus_theta",
     "verify_rank_decomposition",
     "eisenstein_qexp",
+    "cohen_H",
     "local_density_coeff",
     "WeightTarget",
     "WeightSequence",

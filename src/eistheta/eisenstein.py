@@ -12,35 +12,19 @@ class-number function H(k-1, .): for an index T of rank 2 with content c,
 
 while rank-1 indices reduce to the degree-1 formula applied to the content
 and the constant term is 1.  Everything is exact rational arithmetic; the
-only inputs are Bernoulli numbers and generalized Bernoulli numbers.
+only inputs are Bernoulli numbers and generalized Bernoulli numbers, and
+the H values of a window come from one ``cohen_H_table``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 
-from .exactnum import bernoulli, cohen_H, divisors, sigma, zeta_neg
-from .fourier import QExpansion
+from .exactnum import bernoulli, cohen_H_table, divisors, sigma, zeta_neg
+from .fourier import QExpansion, _from_checked
 from .lattice import bareiss_det, content, enumerate_psd_indices, form_rank
 
 __all__ = ["eisenstein_qexp"]
-
-
-@lru_cache(maxsize=None)
-def _linear_coeff(k: int) -> Fraction:
-    # -2k/B_k, the multiplier of sigma_{k-1} in degree 1.
-    return Fraction(-2 * k) / bernoulli(k)
-
-
-@lru_cache(maxsize=None)
-def _rank2_constant(k: int) -> Fraction:
-    return Fraction(2) / (zeta_neg(k - 1) * zeta_neg(2 * k - 3))
-
-
-@lru_cache(maxsize=None)
-def _cohen_H(r: int, N: int) -> Fraction:
-    return cohen_H(r, N)
 
 
 def _check_weight(k: int, n: int) -> None:
@@ -50,35 +34,33 @@ def _check_weight(k: int, n: int) -> None:
         raise ValueError(f"weight must be even and > {n + 1}, got {k}")
 
 
-def _rank1_value(k: int, c: int) -> Fraction:
-    return _linear_coeff(k) * sigma(k - 1, c)
-
-
-def _rank2_value(k: int, det2T: int, c: int) -> Fraction:
-    total = Fraction(0)
-    for d in divisors(c):
-        total += d ** (k - 1) * _cohen_H(k - 1, det2T // (d * d))
-    return _rank2_constant(k) * total
-
-
 def eisenstein_qexp(k: int, n: int, B: int) -> QExpansion:
     """Expansion of the degree-n weight-k Eisenstein series up to trace B."""
     _check_weight(k, n)
     if B < 0:
         raise ValueError("trace bound must be >= 0")
+    linear = Fraction(-2 * k) / bernoulli(k)  # the multiplier of sigma_{k-1}
     coeffs: dict[tuple, Fraction] = {}
     if n == 1:
         coeffs[((0,),)] = Fraction(1)
         for t in range(1, B + 1):
-            coeffs[((2 * t,),)] = _rank1_value(k, t)
-        return QExpansion(1, B, coeffs)
+            coeffs[((2 * t,),)] = linear * sigma(k - 1, t)
+        return _from_checked(1, B, coeffs, True)
+    rank2 = []  # (index, det 2T, content)
     for idx in enumerate_psd_indices(2, B):
-        twoT = [list(row) for row in idx]
-        r = form_rank(twoT)
+        r = form_rank(idx)
         if r == 0:
             coeffs[idx] = Fraction(1)
         elif r == 1:
-            coeffs[idx] = _rank1_value(k, content(twoT))
+            coeffs[idx] = linear * sigma(k - 1, content(idx))
         else:
-            coeffs[idx] = _rank2_value(k, bareiss_det(twoT), content(twoT))
-    return QExpansion(2, B, coeffs)
+            rank2.append((idx, bareiss_det(idx), content(idx)))
+    H = cohen_H_table(
+        k - 1, {det // (d * d) for _, det, c in rank2 for d in divisors(c)})
+    const = Fraction(2) / (zeta_neg(k - 1) * zeta_neg(2 * k - 3))
+    for idx, det, c in rank2:
+        total = Fraction(0)
+        for d in divisors(c):
+            total += d ** (k - 1) * H[det // (d * d)]
+        coeffs[idx] = const * total
+    return _from_checked(2, B, coeffs, True)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from decimal import Decimal
 from fractions import Fraction
 
@@ -25,8 +26,10 @@ __all__ = [
     "fund_disc_decompose",
     "is_fundamental_discriminant",
     "gen_bernoulli",
+    "gen_bernoulli_table",
     "dirichlet_L_neg",
     "cohen_H",
+    "cohen_H_table",
     "frac_to_doc",
     "frac_from_doc",
 ]
@@ -313,11 +316,12 @@ def is_fundamental_discriminant(D: int) -> bool:
     return D != 0 and D % 4 in (0, 1) and fund_disc_decompose(D) == (D, 1)
 
 
-def gen_bernoulli(n: int, D: int) -> Fraction:
-    """Generalized Bernoulli number B_{n,chi} for the character kronecker(D, .).
+def gen_bernoulli_table(n: int, Ds) -> dict[int, Fraction]:
+    """{D: B_{n,chi_D}} for the characters kronecker(D, .) of the given D.
 
-    D must be a fundamental discriminant; D = 1 gives the convention with
-    B_{1,triv} = +1/2, so dirichlet_L_neg(r, 1) agrees with zeta everywhere.
+    Every D must be a fundamental discriminant, checked before any work;
+    D = 1 gives the convention with B_{1,triv} = +1/2, so
+    dirichlet_L_neg(r, 1) agrees with zeta everywhere.
 
     For D != 1 the conductor is f = |D| and B_{n,chi} =
     f^(n-1) sum_{a=1}^{f} chi(a) B_n(a/f).  Since chi(f - a) = chi(-1) chi(a)
@@ -329,36 +333,73 @@ def gen_bernoulli(n: int, D: int) -> Fraction:
 
     With B_n(x) = sum_i C(n, i) B_i x^(n-i) and T_m = sum_{1 <= a < f/2}
     chi(a) a^m this is 2/f sum_{i even} C(n, i) B_i f^i T_{n-i} - n T_{n-1}:
-    B_i = 0 for odd i > 1, and B_1 = -1/2.  The power sums T_{n-i} for even
-    i step by a^2.  Over L = lcm(2, den(B_i) : i even), the even part is one
-    integer Horner sum in f^2, and the value is 2 acc / (L f) with
-    acc = sum_{i even} (L / den B_i) C(n, i) num(B_i) f^i T_{n-i}
-    - (L / 2) n f T_{n-1}.
+    B_i = 0 for odd i > 1, and B_1 = -1/2.  Over L = lcm(2, den(B_i) :
+    i even), the even part is one integer Horner sum in f^2, and the value
+    is 2 acc / (L f) with acc = sum_{i even} c_i f^i T_{n-i}
+    - (L / 2) n f T_{n-1} and c_i = (L / den B_i) C(n, i) num(B_i).
+
+    Nothing but f and chi in that sum depends on D: the row c_i and the
+    powers a^(n-i) are the same for every character.  So the row is built
+    once, and one vector of a^(n-i), for 1 <= a < max f / 2, steps by a^2
+    for all D together.  Each D reads chi(a) once, splits its residues
+    a < f/2 into those with chi(a) = 1 and chi(a) = -1, and takes T_{n-i}
+    as the sum of the vector over the first minus that over the second:
+    the very terms chi(a) a^(n-i) of its own sum, added in another order.
     """
     if n < 0:
         raise ValueError("Bernoulli index must be >= 0")
-    if not is_fundamental_discriminant(D):
-        raise ValueError(f"{D} is not a fundamental discriminant")
-    if D == 1:
-        return Fraction(1, 2) if n == 1 else bernoulli(n)
-    if (D < 0) != (n % 2 == 1):
-        return Fraction(0)
-    f = abs(D)
-    chi = [(a, c) for a in range(1, (f + 1) // 2) if (c := kronecker(D, a))]
-    squares = [a * a for a, _ in chi]
-    terms = [c * a ** (n % 2) for a, c in chi]  # chi(a) a^(n-i), i even, down from n
+    Ds = list(dict.fromkeys(Ds))
+    for D in Ds:
+        if not is_fundamental_discriminant(D):
+            raise ValueError(f"{D} is not a fundamental discriminant")
+    out: dict[int, Fraction] = {}
+    live = []  # D != 1 with chi(-1) = (-1)^n
+    for D in Ds:
+        if D == 1:
+            out[D] = Fraction(1, 2) if n == 1 else bernoulli(n)
+        elif (D < 0) != (n % 2 == 1):
+            out[D] = Fraction(0)
+        else:
+            live.append(D)
+    if not live:
+        return out
+    fs = [abs(D) for D in live]
+    signs = []  # per D: indices a - 1 with chi(a) = 1, and with chi(a) = -1
+    for D, f in zip(live, fs):
+        pos, neg = [], []
+        for a in range(1, (f + 1) // 2):
+            c = kronecker(D, a)
+            if c:
+                (pos if c > 0 else neg).append(a - 1)
+        signs.append((pos, neg))
+    bases = range(1, (max(fs) + 1) // 2)
+    squares = [a * a for a in bases]
+    powers = [a ** (n % 2) for a in bases]  # a^(n-i), i even, down from n
+
+    def power_sums(vec):  # T for each live D, from a shared vector of a^m
+        get = vec.__getitem__
+        return [sum(map(get, pos)) - sum(map(get, neg)) for pos, neg in signs]
+
     bs = [bernoulli(i) for i in range(0, n + 1, 2)]
     L = math.lcm(2, *(b.denominator for b in bs))
-    f2 = f * f
-    acc = 0
+    accs = [0] * len(live)
     for i in range(n - n % 2, -1, -2):
         b = bs[i // 2]
-        acc = acc * f2 + L // b.denominator * math.comb(n, i) * b.numerator * sum(terms)
+        c = L // b.denominator * math.comb(n, i) * b.numerator
+        accs = [acc * f * f + c * T for acc, f, T in zip(accs, fs, power_sums(powers))]
         if i:
-            terms = [x * s for x, s in zip(terms, squares)]
-    # terms now hold chi(a) a^n, so T_{n-1} is the sum of x / a (for n >= 1)
-    acc -= L // 2 * n * f * sum(x // a for x, (a, _) in zip(terms, chi))
-    return Fraction(2 * acc, L * f)
+            powers = list(map(operator.mul, powers, squares))
+    if n:  # powers now hold a^n, so T_{n-1} sums a^n / a
+        T1 = power_sums(list(map(operator.floordiv, powers, bases)))
+        accs = [acc - L // 2 * n * f * T for acc, f, T in zip(accs, fs, T1)]
+    out.update((D, Fraction(2 * acc, L * f)) for D, acc, f in zip(live, accs, fs))
+    return out
+
+
+def gen_bernoulli(n: int, D: int) -> Fraction:
+    """Generalized Bernoulli number B_{n,chi} for the character kronecker(D, .);
+    the table of one (``gen_bernoulli_table``)."""
+    return gen_bernoulli_table(n, (D,))[D]
 
 
 def dirichlet_L_neg(r: int, D: int) -> Fraction:
@@ -368,26 +409,44 @@ def dirichlet_L_neg(r: int, D: int) -> Fraction:
     return -gen_bernoulli(r, D) / r
 
 
-def cohen_H(r: int, N: int) -> Fraction:
-    """Cohen's class-number function H(r, N) for r >= 1, N >= 0.
+def cohen_H_table(r: int, Ns) -> dict[int, Fraction]:
+    """{N: H(r, N)}, Cohen's class-number function for r >= 1, N >= 0.
 
     H(1, N) is the Hurwitz class number; H(r, 0) = zeta(1 - 2r); the value
-    is 0 unless (-1)^r N = 0, 1 mod 4.
+    is 0 unless (-1)^r N = 0, 1 mod 4.  Otherwise (-1)^r N = D0 f^2 with D0
+    fundamental, and H(r, N) = L(1 - r, chi_D0) sum_{g | f} mu(g) chi_D0(g)
+    g^(r-1) sigma_{2r-1}(f / g); the L-values of all D0 come from one
+    ``gen_bernoulli_table``.
     """
-    if r < 1 or N < 0:
+    Ns = list(dict.fromkeys(Ns))
+    if r < 1 or any(N < 0 for N in Ns):
         raise ValueError("cohen_H wants r >= 1 and N >= 0")
-    if N == 0:
-        return zeta_neg(2 * r - 1)
-    D = N if r % 2 == 0 else -N
-    if D % 4 not in (0, 1):
-        return Fraction(0)
-    D0, f = fund_disc_decompose(D)
-    tot = 0
-    for g in divisors(f):
-        mu = moebius(g)
-        if mu:
-            tot += mu * kronecker(D0, g) * g ** (r - 1) * sigma(2 * r - 1, f // g)
-    return dirichlet_L_neg(r, D0) * tot
+    parts = {}
+    for N in Ns:
+        D = N if r % 2 == 0 else -N
+        if N and D % 4 in (0, 1):
+            parts[N] = fund_disc_decompose(D)
+    B = gen_bernoulli_table(r, {D0 for D0, _ in parts.values()})
+    out = {}
+    for N in Ns:
+        if N == 0:
+            out[N] = zeta_neg(2 * r - 1)
+        elif N not in parts:
+            out[N] = Fraction(0)
+        else:
+            D0, f = parts[N]
+            tot = 0
+            for g in divisors(f):
+                mu = moebius(g)
+                if mu:
+                    tot += mu * kronecker(D0, g) * g ** (r - 1) * sigma(2 * r - 1, f // g)
+            out[N] = -B[D0] / r * tot
+    return out
+
+
+def cohen_H(r: int, N: int) -> Fraction:
+    """Cohen's H(r, N); the table of one (``cohen_H_table``)."""
+    return cohen_H_table(r, (N,))[N]
 
 
 def _int_from_str(s) -> int:

@@ -85,8 +85,11 @@ def coeff(F: QExpansion, T) -> Fraction:
 
 
 def _from_checked(degree, trace_bound, coeffs, class_invariant) -> QExpansion:
-    """A QExpansion on indices that already passed ``__post_init__`` and lie
-    within ``trace_bound``: skips their canonical-form check, drops zeros."""
+    """A QExpansion on indices known to be canonical and to lie within
+    ``trace_bound``: skips the canonical-form check of ``__post_init__``,
+    drops zeros.  The indices must come from an expansion that passed that
+    check, from ``lattice.enumerate_psd_indices`` (which keeps only M with
+    ``minkowski_reduce(M) == M``), or be 1 x 1 entries (2t) with t >= 0."""
     F = QExpansion(degree, trace_bound, {}, class_invariant)
     object.__setattr__(F, "coeffs", {T: a for T, a in coeffs.items() if a})
     return F

@@ -304,6 +304,20 @@ def test_verify_main_irregular_prime_37(tmp_path):
     assert doc["rungs"][-1]["coherence_exponent"] == 2
 
 
+@pytest.mark.slow
+def test_verify_main_degree2_third_rung(tmp_path):
+    # W3, cold: degree 2 up to weight 2060, so one table of H(2059, .)
+    out = tmp_path / "report.json"
+    argv = ["verify-main", "--p", "7", "--k", "2", "--j", "0", "--degree", "2",
+            "--bound", "8", "--m-max", "3", "--cache-dir", str(tmp_path / "cache"),
+            "--out", str(out)]
+    assert run(argv) == 0
+    doc = read_json(str(out))
+    assert doc["passed"] is True
+    assert [r["weight"] for r in doc["rungs"]] == [44, 296, 2060]
+    assert [r["coherence_exponent"] for r in doc["rungs"]] == [None, 3, 4]
+
+
 def test_verify_main_corrupted_cache(tmp_path, capsys):
     cache = tmp_path / "cache"
     # the true dictionary has one class of automorphism count 32; claim 8

@@ -2,9 +2,11 @@ from fractions import Fraction
 
 import pytest
 
+from eistheta import eisenstein, exactnum, fourier, lattice
 from eistheta.eisenstein import eisenstein_qexp
 from eistheta.exactnum import bernoulli, sigma, v_p
 from eistheta.fourier import coeff, phi_restrict
+from eistheta.lattice import enumerate_psd_indices, minkowski_reduce
 
 
 def test_degree1_weight4_classical_values():
@@ -82,6 +84,40 @@ def test_large_weight_degree2_runs():
     F = eisenstein_qexp(296, 2, 2)
     assert coeff(F, ((0, 0), (0, 0))) == 1
     assert coeff(F, ((2, 0), (0, 0))) == Fraction(-2 * 296) / bernoulli(296)
+
+
+def test_degree2_window_reads_one_bernoulli_row(monkeypatch):
+    # one table of H(295, .) for the whole window: B_0 .. B_294 once, plus
+    # B_296 and B_590 for the constants
+    calls = []
+
+    def counting(n):
+        calls.append(n)
+        return bernoulli(n)
+
+    monkeypatch.setattr(exactnum, "bernoulli", counting)
+    monkeypatch.setattr(eisenstein, "bernoulli", counting)
+    eisenstein_qexp(296, 2, 16)
+    assert len(calls) <= 160
+
+
+@pytest.mark.parametrize("k,B", [(4, 6), (296, 16)])
+def test_degree2_window_is_canonicalised_once(monkeypatch, k, B):
+    # enumerate_psd_indices keeps only canonical indices, so the expansion
+    # built from them skips the constructor's second check
+    calls = []
+
+    def counting(T):
+        calls.append(T)
+        return minkowski_reduce(T)
+
+    monkeypatch.setattr(lattice, "minkowski_reduce", counting)
+    monkeypatch.setattr(fourier, "minkowski_reduce", counting)
+    enumerate_psd_indices(2, B)
+    alone = len(calls)
+    calls.clear()
+    eisenstein_qexp(k, 2, B)
+    assert len(calls) == alone > 0
 
 
 def test_rejects_bad_weight_or_degree():
