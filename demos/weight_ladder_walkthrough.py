@@ -21,7 +21,6 @@ from eistheta import (
     default_sequence,
     empirical_limit,
     fit_and_verify,
-    weight_at,
 )
 from eistheta.exactnum import sigma
 
@@ -38,12 +37,11 @@ def main() -> int:
     seq = default_sequence(target, m_max)
     print("target: p = 7, k = 2, trivial character component (j = 0)")
     print("ladder weights:",
-          ", ".join(f"k({m}) = {weight_at(seq, m)}" for m in range(1, m_max + 1)))
+          ", ".join(f"k({m}) = {w}" for m, w in enumerate(seq.weights, 1)))
     print()
 
     t0 = time.time()
-    report = fit_and_verify(target, 1, bound, m_max=m_max,
-                            cache_dir=args.cache_dir)
+    report = fit_and_verify(seq, 1, bound, cache_dir=args.cache_dir)
     elapsed = time.time() - t0
     print(f"dictionary: rank-4 lattices of level dividing 7")
     for g in report.genera:

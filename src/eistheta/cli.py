@@ -19,7 +19,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 
 from .fourier import dump_qexp, load_qexp, mod_pm_singular_rank
 from .eisenstein import eisenstein_qexp
@@ -49,34 +48,7 @@ from .padic import (
 )
 from .theta import genus_theta, theta_series
 
-__all__ = ["RunConfig", "main"]
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated parameters of a ladder run (limit / verify-main)."""
-
-    command: str
-    p: int
-    k: int
-    j: int
-    degree: int
-    trace_bound: int
-    m_max: int
-    b_schedule: tuple
-    cache_dir: str | None
-    out: str | None
-    exploratory: bool
-
-    @property
-    def target(self) -> WeightTarget:
-        return WeightTarget(self.p, self.k, self.j)
-
-    @property
-    def sequence(self) -> WeightSequence:
-        if self.b_schedule:
-            return WeightSequence(self.target, self.b_schedule)
-        return default_sequence(self.target, self.m_max)
+__all__ = ["main"]
 
 
 def _emit(doc, out_path):
@@ -86,33 +58,16 @@ def _emit(doc, out_path):
         print(json.dumps(doc, indent=2))
 
 
-def _parse_schedule(text):
-    if text is None:
-        return ()
-    return tuple(int(tok) for tok in text.replace(",", " ").split())
+def _sequence(args) -> WeightSequence:
+    target = WeightTarget(args.p, args.k, args.j)
+    if args.b_schedule is None:
+        return default_sequence(target, args.m_max)
+    return WeightSequence(target, args.b_schedule.replace(",", " ").split())
 
 
 def _read_form(path):
     with open(path) as fh:
         return parse_matrix_text(fh.read())
-
-
-def _config_from(args) -> RunConfig:
-    cfg = RunConfig(
-        command=args.command,
-        p=args.p,
-        k=args.k,
-        j=args.j,
-        degree=args.degree,
-        trace_bound=args.bound,
-        m_max=args.m_max,
-        b_schedule=_parse_schedule(getattr(args, "b_schedule", None)),
-        cache_dir=getattr(args, "cache_dir", None),
-        out=args.out,
-        exploratory=getattr(args, "exploratory", False),
-    )
-    cfg.target  # WeightTarget invariants hold regardless of exploratory mode
-    return cfg
 
 
 # ---------------------------------------------------------------- commands
@@ -192,24 +147,20 @@ def cmd_singular_rank(args) -> int:
 
 
 def cmd_limit(args) -> int:
-    cfg = _config_from(args)
-    ladder = empirical_limit(cfg.sequence, cfg.degree, cfg.trace_bound)
-    _emit(ladder.to_doc(), cfg.out)
+    ladder = empirical_limit(_sequence(args), args.degree, args.bound)
+    _emit(ladder.to_doc(), args.out)
     return 1 if ladder.flagged else 0
 
 
 def cmd_verify_main(args) -> int:
-    cfg = _config_from(args)
     report = fit_and_verify(
-        cfg.target,
-        cfg.degree,
-        cfg.trace_bound,
-        m_max=cfg.m_max,
-        b_schedule=cfg.b_schedule or None,
-        exploratory=cfg.exploratory,
-        cache_dir=cfg.cache_dir,
+        _sequence(args),
+        args.degree,
+        args.bound,
+        exploratory=args.exploratory,
+        cache_dir=args.cache_dir,
     )
-    _emit(report.to_doc(), cfg.out)
+    _emit(report.to_doc(), args.out)
     return 0 if report.passed else 1
 
 

@@ -21,7 +21,6 @@ from .lattice import (
     form_det,
     form_rank,
     form_trace,
-    is_psd,
     minkowski_reduce,
     pad_zero,
     transform,
@@ -71,17 +70,14 @@ def coeff(F: QExpansion, T) -> Fraction:
     T = as_mat(T)
     if len(T) != F.degree:
         raise ValueError("index degree mismatch")
-    if not is_psd(T):
-        raise ValueError("index not positive semidefinite")
+    R = minkowski_reduce(T)  # ValueError unless T is positive semidefinite
     if form_trace(T) > F.trace_bound:
         raise ValueError(
             f"index trace {form_trace(T)} beyond stored bound {F.trace_bound}"
         )
-    if F.class_invariant:
-        T = minkowski_reduce(T)
-    elif minkowski_reduce(T) != T:
+    if not F.class_invariant and R != T:
         raise ValueError("expansion not class-invariant; pass a canonical index")
-    return F.coeffs.get(T, Fraction(0))
+    return F.coeffs.get(R, Fraction(0))
 
 
 def _from_checked(degree, trace_bound, coeffs, class_invariant) -> QExpansion:

@@ -31,7 +31,6 @@ __all__ = [
     "form_trace",
     "content",
     "pad_zero",
-    "is_psd",
     "is_positive_definite",
     "transform",
     "level",
@@ -112,18 +111,6 @@ def is_positive_definite(twoT) -> bool:
     for k in range(1, n + 1):
         if bareiss_det([row[:k] for row in M[:k]]) <= 0:
             return False
-    return True
-
-
-def is_psd(twoT) -> bool:
-    """Positive semidefinite test via all principal minors (n <= 5)."""
-    n = len(twoT)
-    M = [list(r) for r in twoT]
-    for k in range(1, n + 1):
-        for rows in combinations(range(n), k):
-            sub = [[M[a][b] for b in rows] for a in rows]
-            if bareiss_det(sub) < 0:
-                return False
     return True
 
 
@@ -415,18 +402,18 @@ def minkowski_reduce(twoT) -> Mat:
     """Canonical GL_n(Z)-representative of a positive semidefinite form.
 
     Output shape: (C 0; 0 0) with C the canonical positive definite part.
-    Idempotent and constant on GL_n(Z)-orbits.
+    Idempotent and constant on GL_n(Z)-orbits.  With U from column_reduce,
+    U^t M U = 0 + G where G has full rank r, so M is semidefinite exactly
+    when G is definite, which r leading minors decide.
     """
     M = check_form(twoT)
     n = len(M)
     if n > 5:
         raise ValueError("matrices larger than 5x5 are out of scope")
-    if not is_psd(M):
-        raise ValueError("form is not positive semidefinite")
     U, r = column_reduce(M)
-    if r == n:
-        return _canonical_definite(_pair_reduce(M))
-    G = transform(M, [row[n - r:] for row in U])
+    G = M if r == n else transform(M, [row[n - r:] for row in U])
+    if not is_positive_definite(G):
+        raise ValueError("form is not positive semidefinite")
     return pad_zero(_canonical_definite(_pair_reduce(G)), n)
 
 

@@ -483,9 +483,6 @@ def _beta_q(q: int, k: int, twoT, det2T: int) -> Fraction:
     )
 
 
-_COEFF_CACHE: dict = {}
-
-
 def local_density_coeff(twoT, k: int) -> Fraction:
     """Eisenstein coefficient of a rank 1..4 index from local densities."""
     M = [list(row) for row in twoT]
@@ -502,9 +499,6 @@ def local_density_coeff(twoT, k: int) -> Fraction:
             "2-adic density for degree-3 indices is not implemented"
         )
     M = minkowski_reduce(M)
-    key = (tuple(tuple(row) for row in M), k)
-    if key in _COEFF_CACHE:
-        return _COEFF_CACHE[key]
     det2T = bareiss_det([row[:] for row in M])
     if n == 4 and det2T % 2 == 0:
         raise NotImplementedError(
@@ -515,5 +509,4 @@ def local_density_coeff(twoT, k: int) -> Fraction:
     out = sym.as_fraction()
     for q in sorted(factorize(2 * det2T)):
         out *= _beta_q(q, k, M, det2T) / _generic_factor(n, q, k, det2T)
-    _COEFF_CACHE[key] = out
     return out

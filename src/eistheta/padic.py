@@ -137,6 +137,12 @@ class WeightSequence:
     def __len__(self):
         return len(self.b_schedule)
 
+    @property
+    def weights(self) -> tuple:
+        """k_j(m) = k + a_j * p^{b(m)} for m = 1..len(self)."""
+        t = self.target
+        return tuple(t.k + t.a_step * t.p**b for b in self.b_schedule)
+
 
 def default_sequence(target: WeightTarget, m_max: int) -> WeightSequence:
     """The schedule b(m) = m, m = 1..m_max."""
@@ -146,11 +152,10 @@ def default_sequence(target: WeightTarget, m_max: int) -> WeightSequence:
 
 
 def weight_at(seq: WeightSequence, m: int) -> int:
-    """k_j(m) = k + a_j * p^{b(m)}; m is 1-based into the schedule."""
-    if not 1 <= m <= len(seq.b_schedule):
+    """k_j(m); m is 1-based into the schedule."""
+    if not 1 <= m <= len(seq):
         raise ValueError("m outside the schedule")
-    t = seq.target
-    return t.k + t.a_step * t.p ** seq.b_schedule[m - 1]
+    return seq.weights[m - 1]
 
 
 def _residue(x: Fraction, p: int, c: int) -> int:
@@ -237,7 +242,7 @@ def empirical_limit(seq: WeightSequence, n: int, B: int, source=None) -> LimitLa
         source = eisenstein_qexp
     t = seq.target
     p = t.p
-    weights = tuple(weight_at(seq, m) for m in range(1, len(seq) + 1))
+    weights = seq.weights
     rungs = tuple(source(k, n, B) for k in weights)
     cap = seq.b_schedule[-1] + 2
     nu = _nu([F.coeffs for F in rungs], p)
@@ -371,7 +376,7 @@ def direct_limit_coefficient(S, target: WeightTarget, seq=None) -> DirectLadder:
     if seq is None:
         seq = default_sequence(target, 2)
     p = target.p
-    weights = tuple(weight_at(seq, m) for m in range(1, len(seq) + 1))
+    weights = seq.weights
     values = tuple(primitive_density_coeff(S, k) for k in weights)
     caps = [b + 2 for b in seq.b_schedule]
     certs = tuple(
@@ -534,11 +539,9 @@ def _solve_mod(rows, rhs, p, c):
 
 
 def fit_and_verify(
-    target: WeightTarget,
+    seq: WeightSequence,
     n: int,
     B: int,
-    m_max: int = 2,
-    b_schedule=None,
     exploratory: bool = False,
     cache_dir=None,
     source=None,
@@ -547,7 +550,8 @@ def fit_and_verify(
 
     For each m the Eisenstein window of weight k_j(m) is matched against
     the dictionary of weighted genus theta series (rank 2k, level
-    dividing p, character chi_p^j).  Coefficients are solved for on the
+    dividing p, character chi_p^j), read from the genus cache and
+    revalidated on every call.  Coefficients are solved for on the
     smallest-trace unisolvent training indices over Z/p^{b(m)+2} and the
     congruence is then measured on every held-out index; a rung passes
     when the worst held-out exponent reaches b(m) and the coefficients
@@ -555,11 +559,7 @@ def fit_and_verify(
     """
     if source is None:
         source = eisenstein_qexp
-    seq = (
-        WeightSequence(target, tuple(b_schedule))
-        if b_schedule is not None
-        else default_sequence(target, m_max)
-    )
+    target = seq.target
     mode = "theorem" if target.in_theorem_range() else "exploratory"
     if mode == "exploratory" and not exploratory:
         raise PipelineError(
@@ -568,7 +568,11 @@ def fit_and_verify(
             "pass exploratory=True to run outside the proven range",
         )
     p = target.p
-    genera = _dictionary(target, cache_dir)
+    try:
+        genera = cached_genera(2 * target.k, p, cache_dir)
+    except Exception as exc:
+        raise PipelineError("genera", str(exc)) from exc
+    genera = [g for g in genera if g.character == target.character]
     if not genera:
         raise PipelineError(
             "genera",
@@ -583,7 +587,7 @@ def fit_and_verify(
         raise PipelineError("theta", str(exc)) from exc
     columns = [F.coeffs for F in thetas]
 
-    weights = tuple(weight_at(seq, m) for m in range(1, len(seq) + 1))
+    weights = seq.weights
     try:
         windows = [source(k_m, n, B) for k_m in weights]
     except Exception as exc:
@@ -676,19 +680,3 @@ def fit_and_verify(
         rungs=tuple(rungs),
         passed=all(r.passed for r in rungs),
     )
-
-
-_DICT_CACHE: dict = {}
-
-
-def _dictionary(target: WeightTarget, cache_dir=None):
-    """Genera of rank 2k, level dividing p, character chi_p^j."""
-    key = (2 * target.k, target.p, cache_dir)
-    if key not in _DICT_CACHE:
-        try:
-            genera = cached_genera(2 * target.k, target.p, cache_dir)
-        except Exception as exc:
-            raise PipelineError("genera", str(exc)) from exc
-        _DICT_CACHE[key] = genera
-    want = target.character
-    return [g for g in _DICT_CACHE[key] if g.character == want]

@@ -10,7 +10,6 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from operator import mul
 
 from .fourier import (
@@ -42,11 +41,7 @@ def theta_series(twoS, n: int, trace_bound: int) -> QExpansion:
     matrix is counted; minkowski_reduce then drops the others.  X and -X
     have one Gram matrix, so x_1 is taken up to sign and counted twice.
     """
-    return _theta_series(check_form(twoS), n, trace_bound)
-
-
-@lru_cache(maxsize=None)
-def _theta_series(twoS: Mat, n: int, trace_bound: int) -> QExpansion:
+    twoS = check_form(twoS)
     if not is_positive_definite(twoS):
         raise ValueError("theta series needs a positive definite form")
     if n <= 0:

@@ -8,13 +8,14 @@ Each one enumerates everything the package code prunes:
 - psd_indices_box: PSD indices from the whole box that the 2x2 minors
   allow, reduced one by one;
 - same_genus_by_search: the genus test by a search for a congruential
-  isometry mod q^e at every q | 2 det, column by column.
+  isometry mod q^e at every q | 2 det, column by column;
+- is_psd: the semidefinite test by all 2^n - 1 principal minors.
 """
 
 import math
 from fractions import Fraction
 from functools import cache
-from itertools import product
+from itertools import combinations, product
 from operator import mul
 
 from eistheta.exactnum import factorize, v_p
@@ -24,7 +25,6 @@ from eistheta.lattice import (
     as_mat,
     content,
     form_trace,
-    is_psd,
     minkowski_reduce,
     short_vectors,
 )
@@ -117,6 +117,16 @@ def theta_all_tuples(twoS, n, B):
 
     rec(0, 0)
     return {T: c for T, c in counts.items() if minkowski_reduce(T) == T}
+
+
+def is_psd(twoT):
+    """Whether every principal minor of twoT is >= 0."""
+    n = len(twoT)
+    for k in range(1, n + 1):
+        for rows in combinations(range(n), k):
+            if bareiss_det([[twoT[a][b] for b in rows] for a in rows]) < 0:
+                return False
+    return True
 
 
 def psd_indices_box(n, B):

@@ -48,8 +48,8 @@ def conclude(number, name, ok, detail=""):
 def flagship_reports():
     t = WeightTarget(7, 2, 0)
     t0 = time.perf_counter()
-    deg1 = fit_and_verify(t, 1, 50, m_max=3)
-    deg2 = fit_and_verify(t, 2, 8, m_max=2)
+    deg1 = fit_and_verify(default_sequence(t, 3), 1, 50)
+    deg2 = fit_and_verify(default_sequence(t, 2), 2, 8)
     return {"deg1": deg1, "deg2": deg2, "seconds": time.perf_counter() - t0}
 
 

@@ -243,6 +243,24 @@ def test_limit_command(tmp_path):
     assert doc["nu_hat"] == 0 and doc["flagged"] == []
 
 
+def test_limit_rejects_a_decreasing_schedule(capsys):
+    rc = run(["limit", "--p", "7", "--k", "2", "--degree", "1", "--bound", "10",
+              "--b-schedule", "2,1"])
+    assert rc == 2
+    assert "strictly increasing" in capsys.readouterr().err
+
+
+def test_verify_main_b_schedule(tmp_path):
+    out = tmp_path / "report.json"
+    argv = ["verify-main", "--p", "7", "--k", "2", "--degree", "1", "--bound", "20",
+            "--b-schedule", "1,3", "--cache-dir", str(tmp_path / "cache"),
+            "--out", str(out)]
+    assert run(argv) == 0
+    doc = read_json(str(out))
+    assert doc["passed"] is True and doc["b_schedule"] == [1, 3]
+    assert [r["weight"] for r in doc["rungs"]] == [44, 2060]
+
+
 def test_verify_main_flagship_window(tmp_path):
     out = tmp_path / "report.json"
     cache = tmp_path / "cache"

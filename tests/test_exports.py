@@ -71,6 +71,47 @@ def test_source_calls_no_float():
     assert not found, f"float(...) or math.sqrt(...) called at {found}"
 
 
+def memo_names(source):
+    """Functions of source under a functools.cache or lru_cache decorator,
+    and module-level names ending in _CACHE."""
+    tree = ast.parse(source)
+    out = set()
+    for node in ast.walk(tree):
+        for d in getattr(node, "decorator_list", ()):
+            f = d.func if isinstance(d, ast.Call) else d
+            if getattr(f, "attr", getattr(f, "id", None)) in ("cache", "lru_cache"):
+                out.add(node.name)
+    for node in tree.body:
+        for t in getattr(node, "targets", [getattr(node, "target", None)]):
+            if isinstance(t, ast.Name) and t.id.endswith("_CACHE"):
+                out.add(t.id)
+    return sorted(out)
+
+
+def test_memos_are_detected():
+    src = ("import functools\nfrom functools import cache, lru_cache\n"
+           "_X_CACHE = {}\n_Y_CACHE: dict = {}\nLOCAL = {}\n"
+           "@functools.lru_cache(maxsize=None)\ndef a(): pass\n"
+           "@cache\ndef b(): pass\n@lru_cache\ndef c(): pass\n"
+           "@functools.cache\ndef d(): pass\n@property\ndef plain(): pass\n"
+           "def e():\n    _Z_CACHE = {}\n    @cache\n    def f(): pass\n")
+    assert memo_names(src) == ["_X_CACHE", "_Y_CACHE", "a", "b", "c", "d", "f"]
+
+
+def test_source_memoizes_only_two_functions():
+    # the two memos a ladder run reads again (615 and 25 hits on one
+    # degree-2 run at p = 7, bound 16); the module caches removed before
+    # them had no hit on any benchmark workload
+    allowed = {"lattice._canonical_definite", "exactnum._bernoulli_even"}
+    found = set()
+    for path in glob.glob(os.path.join(os.path.dirname(eistheta.__file__), "*.py")):
+        with open(path) as fh:
+            names = memo_names(fh.read())
+        module = os.path.basename(path)[:-3]
+        found |= {f"{module}.{name}" for name in names}
+    assert found <= allowed, f"module caches beyond {sorted(allowed)}: {sorted(found - allowed)}"
+
+
 def unreferenced_defs(sources, exported=()):
     """Module-level def/class names of sources ({file: text}) that no code
     outside their own body names, are not exported and are not cmd_*."""

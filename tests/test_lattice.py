@@ -5,6 +5,7 @@ from itertools import product
 
 import pytest
 
+import eistheta.lattice as lattice_module
 from eistheta.exactnum import kronecker, v_p
 from eistheta.genus import ClassRecord, partition_into_genera
 from eistheta.lattice import (
@@ -22,7 +23,6 @@ from eistheta.lattice import (
     form_rank,
     form_trace,
     is_equivalent,
-    is_psd,
     jordan_blocks,
     level,
     minkowski_reduce,
@@ -32,7 +32,7 @@ from eistheta.lattice import (
     transform,
 )
 from forms import direct_sum
-from oracles import canonical_full_branching, psd_indices_box
+from oracles import canonical_full_branching, is_psd, psd_indices_box
 
 A2 = as_mat([[2, 1], [1, 2]])
 B7 = as_mat([[2, 1], [1, 4]])
@@ -446,6 +446,49 @@ def test_minkowski_reduce_rejects():
         minkowski_reduce([[-2, 0], [0, 2]])
     with pytest.raises(ValueError):
         minkowski_reduce([[2, 0, 0, 0, 0, 0]] * 6)
+
+
+def random_even_form(rng):
+    """A random even symmetric form of size <= 5: either X^t A X for a
+    random small A of any signature and a random X (so often degenerate),
+    or random entries (mostly indefinite)."""
+    n = rng.randint(1, 5)
+    if rng.random() < 0.5:
+        k = rng.randint(0, n)
+        A = [[0] * k for _ in range(k)]
+        for i in range(k):
+            A[i][i] = 2 * rng.randint(-1, 3)
+            for j in range(i):
+                A[i][j] = A[j][i] = rng.randint(-1, 1)
+        X = [[rng.randint(-1, 1) for _ in range(n)] for _ in range(k)]
+        return transform(A, X) if k else as_mat([[0] * n] * n)
+    M = [[0] * n for _ in range(n)]
+    for i in range(n):
+        M[i][i] = 2 * rng.randint(-2, 4)
+        for j in range(i):
+            M[i][j] = M[j][i] = rng.randint(-2, 2)
+    return as_mat(M)
+
+
+def test_minkowski_reduce_rejects_exactly_the_non_semidefinite(monkeypatch):
+    # only the semidefinite test is under test: the reduction after it is
+    # stubbed (a random rank-5 definite part can take seconds to reduce)
+    monkeypatch.setattr(lattice_module, "_pair_reduce", lambda G: G)
+    monkeypatch.setattr(lattice_module, "_canonical_definite", lambda G: G)
+    rng = random.Random(5)
+    seen = {"indefinite": 0, "negative": 0, "degenerate": 0, "definite": 0}
+    for _ in range(4000):
+        M = random_even_form(rng)
+        try:
+            minkowski_reduce(M)
+        except ValueError:
+            assert not is_psd(M), M
+            negative = is_psd([[-x for x in row] for row in M])
+            seen["negative" if negative else "indefinite"] += 1
+            continue
+        assert is_psd(M), M
+        seen["definite" if form_rank(M) == len(M) else "degenerate"] += 1
+    assert min(seen.values()) >= 100, seen
 
 
 # ------------------------------------------------- isometry / automorphisms

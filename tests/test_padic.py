@@ -268,7 +268,7 @@ def test_direct_ladder_rejects_wrong_rank():
 
 def test_fit_and_verify_degree1():
     t = WeightTarget(7, 2, 0)
-    rep = fit_and_verify(t, 1, 30, m_max=2)
+    rep = fit_and_verify(default_sequence(t, 2), 1, 30)
     assert rep.passed and rep.mode == "theorem"
     assert rep.nu_hat == 0
     assert rep.train == (((0,),),)
@@ -284,7 +284,7 @@ def test_fit_and_verify_degree1():
 
 def test_fit_and_verify_degree2():
     t = WeightTarget(7, 2, 0)
-    rep = fit_and_verify(t, 2, 8, m_max=2)
+    rep = fit_and_verify(default_sequence(t, 2), 2, 8)
     assert rep.passed
     for r in rep.rungs:
         assert r.a_tilde == (32,)
@@ -295,7 +295,7 @@ def test_fit_and_verify_degree2():
 def test_fit_fixed_point_matches_direct_ladder():
     # the fitted coefficient and the rank-4 primitive ladder agree mod 7^m
     t = WeightTarget(7, 2, 0)
-    rep = fit_and_verify(t, 1, 30, m_max=2)
+    rep = fit_and_verify(default_sequence(t, 2), 1, 30)
     d = direct_limit_coefficient(S7, t, default_sequence(t, 2))
     for rung, (res, _) in zip(rep.rungs, d.residues):
         m = rung.m
@@ -308,7 +308,7 @@ def test_fit_with_scaled_source_reports_nu():
     def source(k, n, B):
         return qexp_scale(eisenstein_qexp(k, n, B), Fraction(1, 7))
 
-    rep = fit_and_verify(t, 1, 20, m_max=2, source=source)
+    rep = fit_and_verify(default_sequence(t, 2), 1, 20, source=source)
     assert rep.nu_hat == -1
     assert rep.passed
     assert rep.rungs[0].a_tilde == (32,)  # coefficient of the rescaled series
@@ -317,7 +317,7 @@ def test_fit_with_scaled_source_reports_nu():
 def test_theorem_gate_and_exploratory():
     t5 = WeightTarget(5, 2, 0)  # 5 is not above 2k+1 = 5
     with pytest.raises(PipelineError) as info:
-        fit_and_verify(t5, 1, 10, m_max=2)
+        fit_and_verify(default_sequence(t5, 2), 1, 10)
     assert info.value.stage == "weights"
 
 
@@ -335,7 +335,21 @@ def test_corrupted_cache_fails_in_fit_stage(tmp_path):
     write_json_atomic(doc, str(tmp_path / "genera_r4_L7.json"))
     t = WeightTarget(7, 2, 0)
     with pytest.raises(PipelineError) as info:
-        fit_and_verify(t, 1, 10, m_max=2, cache_dir=str(tmp_path))
+        fit_and_verify(default_sequence(t, 2), 1, 10, cache_dir=str(tmp_path))
+    assert info.value.stage == "fit"
+    assert "automorphism" in str(info.value)
+
+
+def test_fit_and_verify_rereads_the_genus_cache(tmp_path):
+    # the dictionary is revalidated on every call, not once per cache dir
+    seq = default_sequence(WeightTarget(7, 2, 0), 2)
+    assert fit_and_verify(seq, 1, 10, cache_dir=str(tmp_path)).passed
+    path = tmp_path / "genera_r4_L7.json"
+    doc = json.loads(path.read_text())
+    doc["genera"][0]["classes"][0]["epsilon"] = 16  # tamper
+    write_json_atomic(doc, str(path))
+    with pytest.raises(PipelineError) as info:
+        fit_and_verify(seq, 1, 10, cache_dir=str(tmp_path))
     assert info.value.stage == "fit"
     assert "automorphism" in str(info.value)
 

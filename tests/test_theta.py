@@ -63,6 +63,14 @@ def test_theta_series_accepts_list_input():
     assert theta_series([[2, 1], [1, 2]], 2, 3).coeffs == theta_series(A2, 2, 3).coeffs
 
 
+def test_mutating_a_theta_series_leaves_the_next_call_unchanged():
+    F = theta_series([[2, -1], [-1, 2]], 1, 4)
+    want = dict(F.coeffs)
+    assert len(want) == 4
+    F.coeffs.clear()
+    assert theta_series([[2, -1], [-1, 2]], 1, 4).coeffs == want
+
+
 def test_theta_matches_box_small():
     rng = random.Random(3)
     forms = [((2,),), A2, as_mat([[2, 0], [0, 4]]), as_mat([[2, 1], [1, 4]])]
@@ -97,9 +105,7 @@ def test_theta_canonicalises_only_its_coefficients(monkeypatch, twoS, calls):
         return minkowski_reduce(T)
 
     monkeypatch.setattr(theta_module, "minkowski_reduce", counting)
-    theta_module._theta_series.cache_clear()
     F = theta_series(twoS, 2, 10)
-    theta_module._theta_series.cache_clear()
     assert len(seen) == len(F.coeffs) == calls
 
 
