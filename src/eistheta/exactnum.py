@@ -45,14 +45,14 @@ def _v_int(n: int, p: int) -> int:
 
 
 def v_p(x, p: int):
-    """p-adic valuation of an int or Fraction.  Returns ``math.inf`` for 0."""
-    if x == 0:
-        return math.inf
+    """p-adic valuation of an int or Fraction.  Returns ``math.inf`` for 0.
+
+    Anything else is a TypeError: int() would truncate 2.5 to 2 and 0.5 to 0."""
     if isinstance(x, int):  # before the ABC check that Fraction needs
-        return _v_int(x, p)
-    if isinstance(x, Fraction):
-        return _v_int(x.numerator, p) - _v_int(x.denominator, p)
-    return _v_int(int(x), p)
+        return _v_int(x, p) if x else math.inf
+    if not isinstance(x, Fraction):
+        raise TypeError(f"v_p needs an int or a Fraction, not {type(x).__name__}")
+    return _v_int(x.numerator, p) - _v_int(x.denominator, p) if x else math.inf
 
 
 def kronecker(a: int, n: int) -> int:

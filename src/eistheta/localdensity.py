@@ -22,10 +22,11 @@ with Y running over symmetric n x n matrices mod q^e and c_j(Y) its
 elementary-divisor valuations: each hyperbolic plane contributes the kernel
 size of Y.  The rank m = 2k enters only as an exponent, so large weights cost
 nothing.  For odd q the Y-sum collapses into closed valuation strata
-(Ramanujan sums; quadratic Gauss sums only appear squared via g^2 = chi(-1)q,
-so the arithmetic stays rational).  For q = 2 and n = 2 the character sum of
-each stratum is an integer fixed by unit scaling: the difference of two exact
-counts of Y, taken over one pair of free coordinates per unit orbit.
+(Ramanujan sums; quadratic Gauss sums only appear squared, g^2 = chi(-1)q).
+For q = 2 and n = 2 the character sum of each stratum is an integer fixed by
+unit scaling: the difference of two exact counts of Y, taken over one pair of
+free coordinates per unit orbit.  The counting kernels work in integers only;
+each density at one level is a single Fraction, its count over a power of q.
 
 Each local density is accepted only after two consecutive truncation levels
 agree; otherwise the computation fails with a "did not stabilize" error.
@@ -276,7 +277,13 @@ def _ramanujan(q: int, N: int, v: int) -> int:
 
 
 def _density2_odd(q: int, e: int, r: int, delta: int, da: int, db: int) -> Fraction:
-    """Density of the diagonal pair diag(da, db) (twoT scales); r must be even."""
+    """Density of the diagonal pair diag(da, db) (twoT scales); r must be even.
+
+    Bin (c1, c2) sums the characters over the Y of one Smith class.  Unit
+    scaling keeps the class and acts on Q(zeta_{q^e}) as its Galois group, so
+    each bin weight is a rational algebraic integer, i.e. an integer.  The bins
+    hold twice each weight, so the halves (rr +- gg)/2 stay integers too.
+    """
     if r % 2:
         raise NotImplementedError("pair densities on odd-rank lattices")
     qe = q**e
@@ -292,14 +299,11 @@ def _density2_odd(q: int, e: int, r: int, delta: int, da: int, db: int) -> Fract
         c = kronecker((ta // q**va) % q, q) * kronecker((tb // q**vb) % q, q)
         return c * kronecker(-1, q) * q ** (N1 + N2 - 1)
 
-    bins: dict[tuple[int, int], Fraction] = {}
+    bins: dict[tuple[int, int], int] = {}
 
-    def add(c1: int, vd, w) -> None:
-        if w == 0:
-            return
-        c2 = e if vd is None else min(e, vd - c1)
-        key = (c1, c2)
-        bins[key] = bins.get(key, Fraction(0)) + w
+    def add(c1: int, vd, w2: int) -> None:
+        key = (c1, e if vd is None else min(e, vd - c1))
+        bins[key] = bins.get(key, 0) + w2
 
     for s1 in range(e + 1):
         R1 = _ramanujan(q, e - s1, va) if s1 < e else 1
@@ -310,8 +314,7 @@ def _density2_odd(q: int, e: int, r: int, delta: int, da: int, db: int) -> Fract
                 n3 = q ** (e - s3 - 1) * (q - 1) if s3 < e else 1
                 d33 = 2 * s3 if s3 < e else None
                 c1 = min(s1, s2, s3)
-                coupled = p12 is not None and d33 is not None and p12 == d33
-                if not coupled:
+                if p12 is None or p12 != d33:  # not coupled
                     if R1 == 0 or R2 == 0:
                         continue
                     if p12 is None:
@@ -320,36 +323,30 @@ def _density2_odd(q: int, e: int, r: int, delta: int, da: int, db: int) -> Fract
                         vd = p12
                     else:
                         vd = min(p12, d33)
-                    add(c1, vd, Fraction(R1 * R2 * n3))
+                    add(c1, vd, 2 * R1 * R2 * n3)
                     continue
                 N3 = e - s3
-                rr = Fraction(R1 * R2)
-                gg = Fraction(gauss_pair(e - s1, e - s2))
-                wm = (rr - gg) / 2  # chi(u1 u2) = -1: u1 u2 - w^2 stays a unit
-                wp = (rr + gg) / 2  # chi(u1 u2) = +1: fine strata around +-sqrt
+                gg = gauss_pair(e - s1, e - s2)
+                wm = R1 * R2 - gg  # chi(u1 u2) = -1: u1 u2 - w^2 stays a unit
+                wp = R1 * R2 + gg  # chi(u1 u2) = +1: fine strata around +-sqrt
                 if wm:
-                    add(c1, 2 * s3, wm * (q ** (N3 - 1) * (q - 1)))
+                    add(c1, 2 * s3, wm * q ** (N3 - 1) * (q - 1))
                 if wp:
-                    add(c1, 2 * s3, wp * (q ** (N3 - 1) * (q - 3)))
+                    add(c1, 2 * s3, wp * q ** (N3 - 1) * (q - 3))
                     for d in range(1, N3):
-                        add(
-                            c1,
-                            2 * s3 + d,
-                            wp * (2 * (q ** (N3 - d) - q ** (N3 - d - 1))),
-                        )
+                        add(c1, 2 * s3 + d, wp * 2 * (q ** (N3 - d) - q ** (N3 - d - 1)))
                     add(c1, 2 * s3 + N3, wp * 2)
 
-    total = Fraction(0)
+    total = 0
     sign = kronecker(-1, q) ** (r // 2) * delta
-    for (c1, c2), w in bins.items():
-        xfac = Fraction(1)
+    for (c1, c2), w2 in bins.items():
         for cj in (c1, c2):
             wj = e - cj
-            xfac *= Fraction(q) ** (r * (cj + wj // 2))
+            w2 *= q ** (r * (cj + wj // 2))
             if wj % 2:
-                xfac *= sign * q ** (r // 2)
-        total += w * xfac
-    return total / Fraction(q) ** (3 * e + e * (2 * r - 3))
+                w2 *= sign * q ** (r // 2)
+        total += w2
+    return Fraction(total, 2 * q ** (3 * e + e * (2 * r - 3)))
 
 
 # ---------------------------------------------------------------------------
@@ -389,17 +386,12 @@ def _beta_odd_on(q: int, e: int, r0: int, delta0: int, twoT) -> Fraction:
 
 
 def _beta_2_n1(k: int, t: int, e: int) -> Fraction:
-    out = Fraction(1)
     vt = min(v_p(t, 2), e)
-    for s in range(1, e + 1):
-        if vt >= s:
-            c = 1 << (s - 1)
-        elif vt == s - 1:
-            c = -(1 << (s - 1))
-        else:
-            c = 0
-        out += Fraction(c, 1 << (k * s))
-    return out
+    total = 1 << (k * e)
+    # level s adds 2^(s-1) / 2^(ks) while 2^s | t, and subtracts it at s = v_2(t) + 1
+    for s in range(1, min(vt + 1, e) + 1):
+        total += (1 if s <= vt else -1) << (s - 1 + k * (e - s))
+    return Fraction(total, 1 << (k * e))
 
 
 def _q2_pair_bins(twoT, e: int) -> dict[int, int]:
@@ -412,33 +404,40 @@ def _q2_pair_bins(twoT, e: int) -> dict[int, int]:
     equation is solved for the coordinate y_s whose coefficient has the least
     valuation a (2^a lifts, or none); the two free coordinates run over one
     pair per unit orbit, weighted by the orbit size.
+
+    Valuations are bit arithmetic: m & -m is 2^v_2(m), and an OR keeps the
+    lowest set bit of its operands, so v_2(x | 2^cap) = min(v_2(x), cap) with
+    v_2(0) infinite.  That holds for det Y < 0 too: Python ints behave as two's
+    complement, and -m = ~m + 1 keeps the trailing zero bits of m.
     """
     E = 1 << e
     t = [(twoT[0][0] // 2) % E, (twoT[1][1] // 2) % E, twoT[0][1] % E]
     s = min(range(3), key=lambda i: v_p(t[i], 2))
     i, j = (x for x in range(3) if x != s)
     a = min(v_p(t[s], 2), e)
-    step = E >> a
+    step, mask = E >> a, (1 << a) - 1
     inv = pow(t[s] >> a, -1, step)
     orbits = [(0, 0, 1)]
     for m in range(e):
         weight = 1 << (e - 1 - m)
         orbits += [(1 << m, w, weight) for w in range(0, E, 1 << m)]
         orbits += [(w, 1 << m, weight) for w in range(0, E, 2 << m)]
-    G: dict[int, int] = {}
+    G = [0] * (2 * e + 1)
     y = [0, 0, 0]
     for yi, yj, weight in orbits:
         y[i], y[j] = yi, yj
+        low = yi | yj | E
         for r, sign in ((0, weight), (E >> 1, -weight)):
             rhs = (r - t[i] * yi - t[j] * yj) % E
-            if rhs % (1 << a):
+            if rhs & mask:
                 continue
             for ys in range((rhs >> a) * inv % step, E, step):
                 y[s] = ys
-                c1 = min(v_p(y[0], 2), v_p(y[1], 2), v_p(y[2], 2), e)
-                c = min(v_p(y[0] * y[1] - y[2] * y[2], 2), c1 + e)
-                G[c] = G.get(c, 0) + sign
-    return G
+                m = ys | low
+                c1 = (m & -m).bit_length() - 1
+                m = (y[0] * y[1] - y[2] * y[2]) | (E << c1)
+                G[(m & -m).bit_length() - 1] += sign
+    return {c: g for c, g in enumerate(G) if g}
 
 
 def _beta_2_n2(k: int, twoT: tuple, e: int) -> Fraction:

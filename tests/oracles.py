@@ -9,7 +9,10 @@ Each one enumerates everything the package code prunes:
   allow, reduced one by one;
 - same_genus_by_search: the genus test by a search for a congruential
   isometry mod q^e at every q | 2 det, column by column;
-- is_psd: the semidefinite test by all 2^n - 1 principal minors.
+- is_psd: the semidefinite test by all 2^n - 1 principal minors;
+- beta_2_n1_fractions, q2_pair_bins_by_valuations, density2_odd_fractions:
+  the local-density counting kernels with a v_p call per valuation and a
+  Fraction per term, where localdensity counts in integers.
 """
 
 import math
@@ -18,7 +21,7 @@ from functools import cache
 from itertools import combinations, product
 from operator import mul
 
-from eistheta.exactnum import factorize, v_p
+from eistheta.exactnum import factorize, kronecker, v_p
 from eistheta.lattice import (
     _GAMMA_POW,
     _extendable,
@@ -29,6 +32,7 @@ from eistheta.lattice import (
     short_vectors,
 )
 from eistheta.linalg import bareiss_det, echelon_mod
+from eistheta.localdensity import _ramanujan
 
 
 @cache
@@ -294,3 +298,119 @@ def same_genus_by_search(A, B, budget):
     if undecided:
         raise SearchBudgetExceeded
     return True
+
+
+def beta_2_n1_fractions(k, t, e):
+    """2-adic density of the rank-1 index (2t) on k hyperbolic planes, level e."""
+    out = Fraction(1)
+    vt = min(v_p(t, 2), e)
+    for s in range(1, e + 1):
+        if vt >= s:
+            c = 1 << (s - 1)
+        elif vt == s - 1:
+            c = -(1 << (s - 1))
+        else:
+            c = 0
+        out += Fraction(c, 1 << (k * s))
+    return out
+
+
+def q2_pair_bins_by_valuations(twoT, e):
+    """The 2-adic pair character sums per Smith bin, four v_p calls per lift."""
+    E = 1 << e
+    t = [(twoT[0][0] // 2) % E, (twoT[1][1] // 2) % E, twoT[0][1] % E]
+    s = min(range(3), key=lambda i: v_p(t[i], 2))
+    i, j = (x for x in range(3) if x != s)
+    a = min(v_p(t[s], 2), e)
+    step = E >> a
+    inv = pow(t[s] >> a, -1, step)
+    orbits = [(0, 0, 1)]
+    for m in range(e):
+        weight = 1 << (e - 1 - m)
+        orbits += [(1 << m, w, weight) for w in range(0, E, 1 << m)]
+        orbits += [(w, 1 << m, weight) for w in range(0, E, 2 << m)]
+    G = {}
+    y = [0, 0, 0]
+    for yi, yj, weight in orbits:
+        y[i], y[j] = yi, yj
+        for r, sign in ((0, weight), (E >> 1, -weight)):
+            rhs = (r - t[i] * yi - t[j] * yj) % E
+            if rhs % (1 << a):
+                continue
+            for ys in range((rhs >> a) * inv % step, E, step):
+                y[s] = ys
+                c1 = min(v_p(y[0], 2), v_p(y[1], 2), v_p(y[2], 2), e)
+                c = min(v_p(y[0] * y[1] - y[2] * y[2], 2), c1 + e)
+                G[c] = G.get(c, 0) + sign
+    return G
+
+
+def density2_odd_fractions(q, e, r, delta, da, db):
+    """Odd-q density of diag(da, db) by the valuation strata, in Fractions."""
+    if r % 2:
+        raise NotImplementedError("pair densities on odd-rank lattices")
+    qe = q**e
+    inv2 = pow(2, -1, qe)
+    ta, tb = (da * inv2) % qe, (db * inv2) % qe
+    va, vb = min(v_p(ta, q), e), min(v_p(tb, q), e)
+
+    def gauss_pair(N1, N2):
+        if va != N1 - 1 or vb != N2 - 1:
+            return 0
+        c = kronecker((ta // q**va) % q, q) * kronecker((tb // q**vb) % q, q)
+        return c * kronecker(-1, q) * q ** (N1 + N2 - 1)
+
+    bins = {}
+
+    def add(c1, vd, w):
+        if w == 0:
+            return
+        c2 = e if vd is None else min(e, vd - c1)
+        key = (c1, c2)
+        bins[key] = bins.get(key, Fraction(0)) + w
+
+    for s1 in range(e + 1):
+        R1 = _ramanujan(q, e - s1, va) if s1 < e else 1
+        for s2 in range(e + 1):
+            R2 = _ramanujan(q, e - s2, vb) if s2 < e else 1
+            p12 = s1 + s2 if (s1 < e and s2 < e) else None
+            for s3 in range(e + 1):
+                n3 = q ** (e - s3 - 1) * (q - 1) if s3 < e else 1
+                d33 = 2 * s3 if s3 < e else None
+                c1 = min(s1, s2, s3)
+                coupled = p12 is not None and d33 is not None and p12 == d33
+                if not coupled:
+                    if R1 == 0 or R2 == 0:
+                        continue
+                    if p12 is None:
+                        vd = d33
+                    elif d33 is None:
+                        vd = p12
+                    else:
+                        vd = min(p12, d33)
+                    add(c1, vd, Fraction(R1 * R2 * n3))
+                    continue
+                N3 = e - s3
+                rr = Fraction(R1 * R2)
+                gg = Fraction(gauss_pair(e - s1, e - s2))
+                wm = (rr - gg) / 2
+                wp = (rr + gg) / 2
+                if wm:
+                    add(c1, 2 * s3, wm * (q ** (N3 - 1) * (q - 1)))
+                if wp:
+                    add(c1, 2 * s3, wp * (q ** (N3 - 1) * (q - 3)))
+                    for d in range(1, N3):
+                        add(c1, 2 * s3 + d, wp * (2 * (q ** (N3 - d) - q ** (N3 - d - 1))))
+                    add(c1, 2 * s3 + N3, wp * 2)
+
+    total = Fraction(0)
+    sign = kronecker(-1, q) ** (r // 2) * delta
+    for (c1, c2), w in bins.items():
+        xfac = Fraction(1)
+        for cj in (c1, c2):
+            wj = e - cj
+            xfac *= Fraction(q) ** (r * (cj + wj // 2))
+            if wj % 2:
+                xfac *= sign * q ** (r // 2)
+        total += w * xfac
+    return total / Fraction(q) ** (3 * e + e * (2 * r - 3))

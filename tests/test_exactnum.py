@@ -1,5 +1,6 @@
 import math
 import random
+import signal
 import sys
 from fractions import Fraction
 
@@ -191,6 +192,23 @@ def test_v_p():
     assert v_p(56, 2) == 3
     assert v_p(Fraction(9, 14), 7) == -1
     assert v_p(Fraction(-49, 5), 7) == 2
+
+
+def test_v_p_rejects_inexact_input():
+    # int(0.5) = 0 would never leave the division loop: the alarm turns a
+    # hang into a failure
+    def hang(signum, frame):
+        raise TimeoutError("v_p did not return")
+
+    old = signal.signal(signal.SIGALRM, hang)
+    signal.setitimer(signal.ITIMER_REAL, 5)
+    try:
+        for x in (2.5, 0.5, 0.0):
+            with pytest.raises(TypeError):
+                v_p(x, 2)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
 
 
 # ---------------------------------------------------------------- bernoulli

@@ -6,18 +6,23 @@ Oracle layers, from gold to broad:
   * ysum_density: an independent implementation of the symmetric character
     sum (explicit enumeration of Y, integer Smith form, cyclotomic fold);
   * classical Fourier coefficients and E8 representation numbers, the latter
-    recomputed here from the root system.
+    recomputed here from the root system;
+  * the v_p and Fraction forms of the counting kernels in tests/oracles.py,
+    equal kernel by kernel at the levels the dual-route check reaches.
 """
 
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from eistheta import localdensity
 from eistheta.eisenstein import eisenstein_qexp
-from eistheta.lattice import bareiss_det, short_vectors
+from eistheta.exactnum import v_p
+from eistheta.lattice import bareiss_det, enumerate_psd_indices, form_rank, short_vectors
 from eistheta.localdensity import (
     _beta_2_n1,
     _beta_2_n2,
@@ -28,6 +33,7 @@ from eistheta.localdensity import (
     _q2_pair_bins,
     local_density_coeff,
 )
+from oracles import beta_2_n1_fractions, density2_odd_fractions, q2_pair_bins_by_valuations
 
 E8 = [
     [2, -1, 0, 0, 0, 0, 0, 0],
@@ -219,6 +225,24 @@ def test_pair_odd_matches_ysum_deeper():
                 assert got == want, (e, kexp, T)
 
 
+def test_pair_odd_integer_bins_match_fraction_oracle():
+    # scales q^v * unit with every v <= e, so the coupled cells (va = N1 - 1,
+    # vb = N2 - 1) and the zero target both occur; r = 88 is weight 44
+    rng = random.Random(15)
+
+    def scale(q, e):
+        u = rng.randrange(1, q**e)
+        return q ** rng.randrange(e + 1) * (u + (u % q == 0)) % q**e
+
+    for q in (3, 5, 7, 11, 13):
+        for e in range(1, 7):
+            for r in (2, 4, 8, 12, 88):
+                for delta in (1, -1):
+                    da, db = scale(q, e), scale(q, e)
+                    want = density2_odd_fractions(q, e, r, delta, da, db)
+                    assert _density2_odd(q, e, r, delta, da, db) == want, (q, e, r, delta, da, db)
+
+
 def test_pair_odd_offdiagonal_target_via_diagonalization():
     # non-diagonal input is diagonalized over Z_q before the radial engine
     A2 = [[2, -1], [-1, 2]]
@@ -270,6 +294,13 @@ def test_single_column_2adic_matches_brute():
                 want = brute_density(G, [[2 * t]], 2, e)
                 got = _beta_2_n1(planes, t, e)
                 assert got == want, (planes, e, t)
+
+
+def test_single_column_2adic_matches_fraction_oracle():
+    for k in (2, 3, 22, 44):
+        for e in range(1, 10):
+            for t in [*range(0, 34), 3 << 9]:
+                assert _beta_2_n1(k, t, e) == beta_2_n1_fractions(k, t, e), (k, t, e)
 
 
 def test_pair_2adic_matches_brute():
@@ -371,6 +402,31 @@ def test_pair_2adic_bins_match_full_table():
             want = {c: v[0] for c, v in comp.items() if v[0]}
             got = {c: g for c, g in _q2_pair_bins(T, e).items() if g}
             assert got == want, (e, T)
+
+
+def test_pair_2adic_bins_match_valuation_oracle():
+    # every reduced binary form of tr(2T) <= 16, up to the level e = 9 that
+    # the dual-route benchmark reaches
+    forms = [T for T in enumerate_psd_indices(2, 8) if form_rank(T) == 2]
+    assert len(forms) == 46
+    for T in forms:
+        for e in range(1, 10):
+            want = {c: g for c, g in q2_pair_bins_by_valuations(T, e).items() if g}
+            assert _q2_pair_bins(T, e) == want, (T, e)
+
+
+def test_pair_2adic_density_takes_no_valuation_per_lift(monkeypatch):
+    # a v_p call per lift would be about 147,000 calls at this index
+    calls = 0
+
+    def counting_v_p(x, p):
+        nonlocal calls
+        calls += 1
+        return v_p(x, p)
+
+    monkeypatch.setattr(localdensity, "v_p", counting_v_p)
+    local_density_coeff(((8, 0), (0, 8)), 44)
+    assert 0 < calls <= 100
 
 
 def test_unramified_prime_equals_generic_factor():
