@@ -27,7 +27,9 @@ __all__ = [
     "is_fundamental_discriminant",
     "gen_bernoulli",
     "gen_bernoulli_table",
+    "gen_bernoulli_rows",
     "dirichlet_L_neg",
+    "kummer_residues",
     "cohen_H",
     "cohen_H_table",
     "frac_to_doc",
@@ -130,9 +132,10 @@ def moebius(n: int) -> int:
     return m
 
 
-def sigma(k: int, n: int) -> int:
-    """Divisor power sum sigma_k(n)."""
-    return sum(d**k for d in divisors(n))
+def sigma(k: int, n: int, mod: int | None = None) -> int:
+    """Divisor power sum sigma_k(n), or its residue mod `mod` when one is given."""
+    s = sum(pow(d, k, mod) for d in divisors(n))
+    return s if mod is None else s % mod
 
 
 def primes_upto(n: int) -> list[int]:
@@ -346,23 +349,24 @@ def gen_bernoulli_table(n: int, Ds) -> dict[int, Fraction]:
     as the sum of the vector over the first minus that over the second:
     the very terms chi(a) a^(n-i) of its own sum, added in another order.
     """
-    if n < 0:
+    return gen_bernoulli_rows((n,), Ds)[n]
+
+
+def gen_bernoulli_rows(ns, Ds) -> dict[int, dict[int, Fraction]]:
+    """{n: gen_bernoulli_table(n, Ds)} for indices n of one parity: each
+    character is read once, and one upward sweep of the power sums
+    T_j serves every n."""
+    ns = list(dict.fromkeys(ns))
+    if any(n < 0 for n in ns):
         raise ValueError("Bernoulli index must be >= 0")
+    if len({n % 2 for n in ns}) > 1:
+        raise ValueError("gen_bernoulli_rows needs indices of one parity")
     Ds = list(dict.fromkeys(Ds))
     for D in Ds:
         if not is_fundamental_discriminant(D):
             raise ValueError(f"{D} is not a fundamental discriminant")
-    out: dict[int, Fraction] = {}
-    live = []  # D != 1 with chi(-1) = (-1)^n
-    for D in Ds:
-        if D == 1:
-            out[D] = Fraction(1, 2) if n == 1 else bernoulli(n)
-        elif (D < 0) != (n % 2 == 1):
-            out[D] = Fraction(0)
-        else:
-            live.append(D)
-    if not live:
-        return out
+    odd = bool(ns) and ns[0] % 2 == 1
+    live = [D for D in Ds if D != 1 and (D < 0) == odd]  # chi(-1) = (-1)^n
     fs = [abs(D) for D in live]
     signs = []  # per D: indices a - 1 with chi(a) = 1, and with chi(a) = -1
     for D, f in zip(live, fs):
@@ -372,28 +376,45 @@ def gen_bernoulli_table(n: int, Ds) -> dict[int, Fraction]:
             if c:
                 (pos if c > 0 else neg).append(a - 1)
         signs.append((pos, neg))
-    bases = range(1, (max(fs) + 1) // 2)
+    bases = range(1, (max(fs, default=1) + 1) // 2)
     squares = [a * a for a in bases]
-    powers = [a ** (n % 2) for a in bases]  # a^(n-i), i even, down from n
 
     def power_sums(vec):  # T for each live D, from a shared vector of a^m
         get = vec.__getitem__
         return [sum(map(get, pos)) - sum(map(get, neg)) for pos, neg in signs]
 
-    bs = [bernoulli(i) for i in range(0, n + 1, 2)]
+    rows = {}
+    for n in ns:
+        out = rows[n] = {}
+        for D in Ds:
+            if D == 1:
+                out[D] = Fraction(1, 2) if n == 1 else bernoulli(n)
+            elif (D < 0) != odd:
+                out[D] = Fraction(0)
+    if not live:
+        return rows
+    # One sweep of j = n - i upwards serves every n: the Horner sum of n
+    # takes T_j at step j while j <= n, and ends at j = n.
+    top = max(ns)
+    bs = [bernoulli(i) for i in range(0, top + 1, 2)]
     L = math.lcm(2, *(b.denominator for b in bs))
-    accs = [0] * len(live)
-    for i in range(n - n % 2, -1, -2):
-        b = bs[i // 2]
-        c = L // b.denominator * math.comb(n, i) * b.numerator
-        accs = [acc * f * f + c * T for acc, f, T in zip(accs, fs, power_sums(powers))]
-        if i:
+    accs = {n: [0] * len(live) for n in ns}
+    powers = [a ** (top % 2) for a in bases]  # a^j
+    for j in range(top % 2, top + 1, 2):
+        T = power_sums(powers)
+        for n, acc in accs.items():
+            if j <= n:
+                b = bs[(n - j) // 2]
+                c = L // b.denominator * math.comb(n, n - j) * b.numerator
+                accs[n] = [x * f * f + c * t for x, f, t in zip(acc, fs, T)]
+        if j in accs and j:  # powers hold a^j, so T_{j-1} sums a^j / a
+            T1 = power_sums(list(map(operator.floordiv, powers, bases)))
+            accs[j] = [x - L // 2 * j * f * t for x, f, t in zip(accs[j], fs, T1)]
+        if j < top:
             powers = list(map(operator.mul, powers, squares))
-    if n:  # powers now hold a^n, so T_{n-1} sums a^n / a
-        T1 = power_sums(list(map(operator.floordiv, powers, bases)))
-        accs = [acc - L // 2 * n * f * T for acc, f, T in zip(accs, fs, T1)]
-    out.update((D, Fraction(2 * acc, L * f)) for D, acc, f in zip(live, accs, fs))
-    return out
+    for n, acc in accs.items():
+        rows[n].update((D, Fraction(2 * x, L * f)) for D, x, f in zip(live, acc, fs))
+    return rows
 
 
 def gen_bernoulli(n: int, D: int) -> Fraction:
@@ -407,6 +428,107 @@ def dirichlet_L_neg(r: int, D: int) -> Fraction:
     if r < 1:
         raise ValueError("need r >= 1")
     return -gen_bernoulli(r, D) / r
+
+
+def kummer_residues(p: int, Ds, ns, prec: int, max_terms: int) -> dict:
+    """{(D, n): (v, u)} with B_{n,chi_D} / n = p^v u for D in Ds, n in ns:
+    v exact and u a unit, 0 < u < p^prec, from Bernoulli numbers of index
+    below n1 + (p - 1) N only, n1 = (n - 1) % (p - 1) + 1.
+
+    p is an odd prime, each D a fundamental discriminant with
+    chi_D(-1) = (-1)^n and each n >= 2.  Fix a class n = n1 + (p - 1) t and
+
+        h(t) = e(n) (1 - chi(p) p^(n-1)) B_{n,chi} / n,
+
+    with e(n) = (1 + p)^n - 1 at a pole (D = 1 and p - 1 | n, or D = p*
+    and n = (p - 1)/2 mod p - 1: chi omega^n is trivial) and e(n) = 1
+    otherwise.  By Washington, *Introduction to Cyclotomic Fields*,
+    Thm 5.11, h(t) = -e(n) L_p(1 - n, psi) with psi = chi omega^n1 fixed
+    along the class, and by Thm 7.10 h(t) = g(c w^t - 1) for one
+    g in Z_p[[T]], c = (1 + p)^(1 - n1), w = (1 + p)^(1 - p): at a pole
+    L_p(s, 1) (1 - (1 + p)^(1 - s)) is the Iwasawa function, and at
+    s = 1 - n that factor is -e(n).  Now v_p(Delta^i phi(0)) >= i holds
+    for phi(t) = w^t = sum_i C(t, i) (w - 1)^i as w = 1 mod p, so for
+    c w^t - 1, and for products by the Leibniz rule
+    Delta^i (phi psi)(0) = sum_j C(i, j) Delta^j phi(0) Delta^(i-j) psi(j).
+    T^j is 0 mod p^j, so the sum g(T) converges and
+    v_p(Delta^i h(0)) >= i.  Newton's formula h(t) = sum_i C(t, i)
+    Delta^i h(0) then gives h(t) mod p^N from h(0), ..., h(N - 1).  And
+    B_{n,chi} / n = h(t) / (e(n) (1 - chi(p) p^(n-1))), where the Euler
+    factor is a unit for n >= 2 and v_p(e(n)) = 1 + v_p(n) at a pole.
+
+    N starts at prec and grows until every h(t) is known to prec digits
+    beyond its valuation.  ArithmeticError when that needs more than
+    max_terms base values, when a base value is not p-integral, or when
+    some Delta^i h(0) with i < N is not 0 mod p^i: the last two are the
+    runtime checks of the proof.
+    """
+    if not 1 <= prec <= max_terms:
+        raise ValueError("need 1 <= prec <= max_terms")
+    Ds = list(dict.fromkeys(Ds))
+    ns = list(dict.fromkeys(ns))
+    for D in Ds:
+        if not is_fundamental_discriminant(D):
+            raise ValueError(f"{D} is not a fundamental discriminant")
+        for n in ns:
+            if n < 2 or (D < 0) != (n % 2 == 1):
+                raise ValueError(f"B_{{{n},{D}}} / {n} is not a Kummer value")
+    star = p if p % 4 == 1 else -p
+    out = {}
+    for n1 in sorted({(n - 1) % (p - 1) + 1 for n in ns}):
+        targets = [n for n in ns if (n - 1) % (p - 1) + 1 == n1]
+        poles = {D for D in Ds if (D == 1 and n1 == p - 1)
+                 or (D == star and n1 == (p - 1) // 2)}
+        base = {D: [] for D in Ds}  # base[D][i] = h(i), exactly
+        terms = dict.fromkeys(Ds, prec)  # N for each D
+        vals = {}
+        while terms:
+            top = max(terms.values())
+            lo = min(len(base[D]) for D in terms)
+            rows = gen_bernoulli_rows([n1 + (p - 1) * i for i in range(lo, top)], terms)
+            for i in range(lo, top):
+                m = n1 + (p - 1) * i
+                for D in terms:
+                    if len(base[D]) == i:
+                        base[D].append(((1 + p) ** m - 1 if D in poles else 1)
+                                       * (1 - kronecker(D, p) * p ** (m - 1))
+                                       * rows[m][D] / m)
+            for D, N in list(terms.items()):
+                P = p**N
+                hs = base[D][:N]
+                if any(x.denominator % p == 0 for x in hs):
+                    raise ArithmeticError(f"a base value of chi_{D} is not {p}-integral")
+                res = [x.numerator * pow(x.denominator, -1, P) % P for x in hs]
+                diffs = []  # Delta^i h(0) mod p^N
+                for i in range(N):
+                    if res[0] % p**i:
+                        raise ArithmeticError(
+                            f"Delta^{i} h(0) of chi_{D} at n = {n1} mod {p - 1} "
+                            f"is not 0 mod {p}^{i}")
+                    diffs.append(res[0])
+                    res = [(y - x) % P for x, y in zip(res, res[1:])]
+                need = N
+                for n in targets:
+                    t = (n - n1) // (p - 1)
+                    h = sum(math.comb(t, i) * d for i, d in enumerate(diffs)) % P
+                    v = _v_int(h, p) if h else N  # a lower bound when h = 0
+                    vals[D, n] = h, v
+                    need = max(need, v + prec)
+                if need == N:
+                    del terms[D]
+                elif N == max_terms:
+                    raise ArithmeticError(
+                        f"B_{{n,chi_{D}}} / n at n = {n1} mod {p - 1}: its unit part "
+                        f"mod {p}^{prec} needs more than {max_terms} terms")
+                else:
+                    terms[D] = min(need, max_terms)
+        Q = p**prec
+        for (D, n), (h, v) in vals.items():
+            ve = 1 + _v_int(n, p) if D in poles else 0
+            e = (pow(1 + p, n, Q * p**ve) - 1) // p**ve if ve else 1
+            euler = 1 - kronecker(D, p) * pow(p, n - 1, Q)
+            out[D, n] = (v - ve, h // p**v * pow(e * euler, -1, Q) % Q)
+    return out
 
 
 def cohen_H_table(r: int, Ns) -> dict[int, Fraction]:
@@ -435,13 +557,20 @@ def cohen_H_table(r: int, Ns) -> dict[int, Fraction]:
             out[N] = Fraction(0)
         else:
             D0, f = parts[N]
-            tot = 0
-            for g in divisors(f):
-                mu = moebius(g)
-                if mu:
-                    tot += mu * kronecker(D0, g) * g ** (r - 1) * sigma(2 * r - 1, f // g)
-            out[N] = -B[D0] / r * tot
+            out[N] = -B[D0] / r * cohen_H_factor(r, D0, f)
     return out
+
+
+def cohen_H_factor(r: int, D0: int, f: int, mod: int | None = None) -> int:
+    """H(r, N) / L(1 - r, chi_D0) for (-1)^r N = D0 f^2, D0 fundamental:
+    sum_{g | f} mu(g) chi_D0(g) g^(r-1) sigma_{2r-1}(f / g), or its residue
+    mod `mod` when one is given."""
+    tot = 0
+    for g in divisors(f):
+        mu = moebius(g)
+        if mu:
+            tot += mu * kronecker(D0, g) * pow(g, r - 1, mod) * sigma(2 * r - 1, f // g, mod)
+    return tot if mod is None else tot % mod
 
 
 def cohen_H(r: int, N: int) -> Fraction:

@@ -10,7 +10,9 @@ rungs, certifies the observed convergence index by index, fits the
 genus coefficients on a minimal training set of indices, and verifies
 the congruence on everything held out.  Nothing is extrapolated: each
 reported residue carries the congruence exponent actually observed,
-capped at the working precision.
+capped at the working precision p^{b_last+2}.  A report reads the rung
+windows only to that precision, so the windows are residues mod p^N with
+exact valuations (``eisenstein_residues``), never the exact rationals.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .eisenstein import eisenstein_qexp
+from .eisenstein import eisenstein_residues
 from .exactnum import factorize, frac_to_doc, v_p
 from .fourier import (
     QExpansion,
@@ -158,6 +160,18 @@ def weight_at(seq: WeightSequence, m: int) -> int:
     return seq.weights[m - 1]
 
 
+def _ladder_windows(seq: WeightSequence, n: int, B: int) -> list:
+    """The default coefficient source: the degree-n Eisenstein window of
+    every rung as p^v u representatives, exact to the precision cap
+    b_last + 2 (``eisenstein_residues``).  A unit part not determined
+    within its headroom is a PipelineError at stage fit."""
+    try:
+        return eisenstein_residues(
+            seq.weights, n, B, seq.target.p, seq.b_schedule[-1] + 2)
+    except ArithmeticError as exc:
+        raise PipelineError("fit", str(exc)) from exc
+
+
 def _residue(x: Fraction, p: int, c: int) -> int:
     """x mod p^c for x with a p-unit denominator."""
     x = Fraction(x)
@@ -184,7 +198,9 @@ class LimitLadder:
     certificates[T] lists v_p of consecutive rung differences (capped);
     residues[T] = (r, M) means the coefficient at T is r mod p^M, with M
     the last observed certificate.  flagged collects indices whose
-    certificates ever decreased.
+    certificates ever decreased.  rungs holds the source's window of each
+    weight: by default p^v u representatives, each coefficient's exact
+    valuation v with a unit u mod p^cap, not the exact values.
     """
 
     target: WeightTarget
@@ -201,6 +217,7 @@ class LimitLadder:
 
     @property
     def final(self) -> QExpansion:
+        """The last rung's window, representatives mod p^cap like every rung."""
         return self.rungs[-1]
 
     def to_doc(self) -> dict:
@@ -232,18 +249,21 @@ def empirical_limit(seq: WeightSequence, n: int, B: int, source=None) -> LimitLa
     """Compute every rung of the ladder and certify coefficientwise
     convergence on the degree-n window of trace bound B.
 
-    The result is never an extrapolated rational: residues are reported
-    exactly to the precision the certificates support.  An index whose
-    certificate sequence decreases is flagged, not fatal.
+    source(seq, n, B) gives one window per rung; by default the residue
+    windows of ``eisenstein_residues``, and ``eisenstein_qexp`` per weight
+    is the exact oracle.  The result is never an extrapolated rational:
+    residues are reported exactly to the precision the certificates
+    support.  An index whose certificate sequence decreases is flagged,
+    not fatal.
     """
     if len(seq) < 2:
         raise ValueError("need at least two rungs to certify convergence")
     if source is None:
-        source = eisenstein_qexp
+        source = _ladder_windows
     t = seq.target
     p = t.p
     weights = seq.weights
-    rungs = tuple(source(k, n, B) for k in weights)
+    rungs = tuple(source(seq, n, B))
     cap = seq.b_schedule[-1] + 2
     nu = _nu([F.coeffs for F in rungs], p)
     keys = set()
@@ -555,10 +575,11 @@ def fit_and_verify(
     smallest-trace unisolvent training indices over Z/p^{b(m)+2} and the
     congruence is then measured on every held-out index; a rung passes
     when the worst held-out exponent reaches b(m) and the coefficients
-    are coherent with the previous rung.
+    are coherent with the previous rung.  source(seq, n, B) gives one
+    window per rung, by default ``_ladder_windows``.
     """
     if source is None:
-        source = eisenstein_qexp
+        source = _ladder_windows
     target = seq.target
     mode = "theorem" if target.in_theorem_range() else "exploratory"
     if mode == "exploratory" and not exploratory:
@@ -589,7 +610,9 @@ def fit_and_verify(
 
     weights = seq.weights
     try:
-        windows = [source(k_m, n, B) for k_m in weights]
+        windows = list(source(seq, n, B))
+    except PipelineError:
+        raise
     except Exception as exc:
         raise PipelineError("fit", f"coefficient source failed: {exc}") from exc
     # one scaling for the whole ladder, so rungs stay comparable; windows

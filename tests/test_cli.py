@@ -5,6 +5,7 @@ import time
 
 import pytest
 
+from eistheta import exactnum
 from eistheta.cli import main
 from eistheta.eisenstein import eisenstein_qexp
 from eistheta.exactnum import bernoulli, frac_from_doc, frac_to_doc
@@ -294,7 +295,38 @@ def test_verify_main_second_prime(tmp_path):
     ]
 
 
-@pytest.mark.slow
+def test_verify_main_irregular_case_p59(tmp_path):
+    # W9: k = 1, j = 1 at p = 59, whose second rung has weight 1 + 29 * 59^2
+    # = 100950; 59 divides the numerator of B_44 (irregular)
+    out = tmp_path / "report.json"
+    argv = ["verify-main", "--p", "59", "--k", "1", "--j", "1", "--degree", "1",
+            "--bound", "50", "--m-max", "2", "--cache-dir", str(tmp_path / "cache"),
+            "--out", str(out)]
+    assert run(argv) == 0
+    doc = read_json(str(out))
+    assert doc["passed"] is True and doc["mode"] == "theorem"
+    assert [r["weight"] for r in doc["rungs"]] == [1712, 100950]
+    assert doc["rungs"][-1]["coherence_exponent"] == 3
+
+
+def test_verify_main_exits_2_on_a_vanishing_kummer_base(tmp_path, monkeypatch, capsys):
+    # no unit part within the term cap: exit 2 at stage fit, having read no
+    # Bernoulli number beyond the cap's base values (weight 2060 is the last rung)
+    rows = exactnum.gen_bernoulli_rows
+    seen = []
+
+    def vanishing(ns, Ds):
+        seen.extend(ns)
+        return {n: {D: 7**100 * b for D, b in row.items()} for n, row in rows(ns, Ds).items()}
+
+    monkeypatch.setattr(exactnum, "gen_bernoulli_rows", vanishing)
+    rc = run(["verify-main", "--p", "7", "--k", "2", "--degree", "1", "--bound", "10",
+              "--m-max", "3", "--cache-dir", str(tmp_path / "cache")])
+    assert rc == 2
+    assert "stage fit" in capsys.readouterr().err
+    assert seen and max(seen) < 2 + 6 * 25 < 2060
+
+
 def test_verify_main_four_rungs(tmp_path):
     # W4: the fourth rung has weight 2 + 6 * 7^4 = 14408
     out = tmp_path / "report.json"
@@ -322,7 +354,6 @@ def test_verify_main_irregular_prime_37(tmp_path):
     assert doc["rungs"][-1]["coherence_exponent"] == 2
 
 
-@pytest.mark.slow
 def test_verify_main_degree2_third_rung(tmp_path):
     # W3, cold: degree 2 up to weight 2060, so one table of H(2059, .)
     out = tmp_path / "report.json"

@@ -3,8 +3,8 @@ from fractions import Fraction
 import pytest
 
 from eistheta import eisenstein, exactnum, fourier, lattice
-from eistheta.eisenstein import eisenstein_qexp
-from eistheta.exactnum import bernoulli, sigma, v_p
+from eistheta.eisenstein import eisenstein_qexp, eisenstein_residues
+from eistheta.exactnum import bernoulli, primes_upto, sigma, v_p
 from eistheta.fourier import coeff, phi_restrict
 from eistheta.lattice import enumerate_psd_indices, minkowski_reduce
 
@@ -131,3 +131,67 @@ def test_rejects_bad_weight_or_degree():
         eisenstein_qexp(4, 3, 3)
     with pytest.raises(ValueError):
         eisenstein_qexp(4, 1, -1)
+
+
+# ------------------------------------------------- residue windows mod p^N
+
+def reduced(F, p, prec):
+    """The coefficients of F as p^v u: v = v_p(a), 0 < u < p^prec, u = a p^-v mod p^prec."""
+    out = {}
+    for T, a in F.coeffs.items():
+        v = v_p(a, p)
+        x = a / Fraction(p) ** v
+        u = x.numerator * pow(x.denominator, -1, p**prec) % p**prec
+        out[T] = u * Fraction(p) ** v
+    return out
+
+
+@pytest.mark.parametrize("p", [q for q in primes_upto(37) if q > 2])
+def test_residue_windows_match_the_exact_windows(p):
+    # both ladders of p (j = 0 and j = 1) at their smallest weights, at
+    # degrees 1 and 2; with prec = 2 the Kummer tables start from two base
+    # values, so most of these weights are extrapolated.  Pole classes
+    # come up at p = 3 (p - 1 | k), at p = 7, j = 1 (zeta(3 - 2k) and
+    # D0 = -7), and at other p = 3 mod 4 with j = 1
+    prec = 2
+    for j in (0, 1):
+        a = p - 1 if j == 0 else (p - 1) // 2
+        k = 2 if j == 0 or a % 2 == 0 else 1
+        for n, B in ((1, 20), (2, 4)):
+            weights = [w for w in (k + a + (p - 1) * s for s in range(6)) if w > n + 1][:4]
+            windows = eisenstein_residues(weights, n, B, p, prec)
+            for w, F in zip(weights, windows):
+                assert F.coeffs == reduced(eisenstein_qexp(w, n, B), p, prec), (p, j, n, w)
+
+
+def test_residue_windows_at_ladder_weights():
+    # the weights of W2 (44 and 296 at p = 7) to relative precision 7^5
+    weights = [44, 296]
+    for n, B in ((1, 50), (2, 8)):
+        windows = eisenstein_residues(weights, n, B, 7, 5)
+        for w, F in zip(weights, windows):
+            assert F.coeffs == reduced(eisenstein_qexp(w, n, B), 7, 5)
+
+
+def test_residue_windows_in_irregular_classes():
+    # 37 | B_32 and 691 | B_12: in these classes -2k/B_k has v_p = -1, the
+    # negative valuations that set a ladder's nu
+    for p, weights, degrees in ((37, [32, 68, 104, 140], (1, 2)), (691, [12, 702], (1,))):
+        for n in degrees:
+            B = 30 if n == 1 else 5
+            windows = eisenstein_residues(weights, n, B, p, 3)
+            assert min(v_p(a, p) for F in windows for a in F.coeffs.values()) == -1
+            for w, F in zip(weights, windows):
+                assert F.coeffs == reduced(eisenstein_qexp(w, n, B), p, 3), (p, w, n)
+
+
+def test_residue_windows_give_up_past_the_headroom(monkeypatch):
+    # sigma_7(13) = 1 + 13^7 is 0 mod 7^2: without headroom its unit part is
+    # out of reach, and the window says so instead of guessing
+    (F,) = eisenstein_residues([8], 1, 13, 7, 2)
+    assert v_p(F.coeffs[((26,),)], 7) == 2
+    monkeypatch.setattr(eisenstein, "HEADROOM", 0)
+    with pytest.raises(ArithmeticError, match="integer factor"):
+        eisenstein_residues([8], 1, 13, 7, 2)
+    with pytest.raises(ValueError):
+        eisenstein_residues([44, 2], 1, 3, 7, 2)

@@ -16,9 +16,11 @@ from eistheta.exactnum import (
     factorize,
     fund_disc_decompose,
     gen_bernoulli,
+    gen_bernoulli_rows,
     gen_bernoulli_table,
     is_fundamental_discriminant,
     kronecker,
+    kummer_residues,
     moebius,
     frac_from_doc,
     frac_to_doc,
@@ -516,3 +518,106 @@ def test_frac_from_doc_rejects_non_integers():
     for bad in ("1.5", "1e3", "NaN", "Infinity", "", "seven", None):
         with pytest.raises(ValueError):
             frac_from_doc({"num": bad, "den": "1"})
+
+
+# ------------------------------------------------- Kummer congruences mod p^N
+
+def unit_split(x, p, prec):
+    """(v, u) with x = p^v u, u a unit taken mod p^prec."""
+    v = v_p(x, p)
+    y = x / Fraction(p) ** v
+    return v, y.numerator * pow(y.denominator, -1, p**prec) % p**prec
+
+
+def test_gen_bernoulli_rows_are_tables():
+    Ds = [1, -3, -4, 5, 8, -7, 12]
+    for ns in ([0, 2, 12, 20], [1, 7, 13]):
+        rows = gen_bernoulli_rows(ns, Ds)
+        assert list(rows) == ns
+        for n, row in rows.items():
+            assert row == gen_bernoulli_table(n, Ds)
+    with pytest.raises(ValueError):
+        gen_bernoulli_rows([2, 3], Ds)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 37])
+def test_kummer_residues_match_exact_values(p):
+    # every class mod p - 1, all fundamental |D| <= 30 of the right parity;
+    # the targets reach past the N = prec base values
+    Ds = [D for D in range(-30, 31) if D and is_fundamental_discriminant(D)]
+    for n1 in range(1, p):
+        ds = [D for D in Ds if (D < 0) == (n1 % 2 == 1)]
+        ns = [n for n in (n1 + (p - 1) * t for t in (0, 1, 5)) if n >= 2]
+        got = kummer_residues(p, ds, ns, 3, 23)
+        for D in ds:
+            for n in ns:
+                assert got[D, n] == unit_split(gen_bernoulli(n, D) / n, p, 3), (p, D, n)
+
+
+def test_kummer_residues_at_the_poles():
+    # p - 1 | n: B_n has p in its denominator; D = p* with n = (p-1)/2 mod
+    # p - 1: chi_D omega^n is trivial.  Both interpolate e(n) (1 - chi(p)
+    # p^(n-1)) B_{n,chi} / n with e(n) = (1 + p)^n - 1, of valuation
+    # 1 + v_p(n); 100, 63 and 147 have v_p(n) > 0
+    cases = [(7, 1, [6, 300, 294]), (5, 1, [4, 100, 104]), (3, 1, [2, 18, 54]),
+             (7, -7, [3, 63, 147, 303]), (5, 5, [2, 50, 102]), (3, -3, [1 + 2 * 13, 81]),
+             (37, 37, [18, 54, 126])]
+    for p, D, ns in cases:
+        got = kummer_residues(p, [D], ns, 4, 24)
+        for n in ns:
+            want = unit_split(gen_bernoulli(n, D) / n, p, 4)
+            assert got[D, n] == want, (p, D, n)
+            assert want[0] == -1 - v_p(n, p) if D == 1 else want[0] < 0
+
+
+def test_kummer_residues_raise_the_precision_where_a_value_is_small():
+    # at p = 7, chi_-3 omega^1 has a trivial zero at n = 1 (chi_-3(7) = 1):
+    # along the ladder class n = 1 mod 6 the values B_{n,chi}/n shrink
+    # p-adically, v_7 = 2, 3, 4 at n = 43, 295, 2059, so more terms are
+    # needed for the same relative precision
+    got = kummer_residues(7, [-3], [43, 295], 5, 25)
+    for n in (43, 295):
+        assert got[-3, n] == unit_split(gen_bernoulli(n, -3) / n, 7, 5)
+    assert [got[-3, n][0] for n in (43, 295)] == [2, 3]
+
+
+def test_kummer_residues_check_the_difference_valuations(monkeypatch):
+    # one base value B_{n1 + 2(p-1), chi} off by 1 breaks v_p(Delta^2 h(0)) >= 2
+    rows = exactnum.gen_bernoulli_rows
+
+    def perturbed(ns, Ds):
+        out = rows(ns, Ds)
+        if 1 + 2 * 6 in out:
+            out[1 + 2 * 6][-3] += 1
+        return out
+
+    assert kummer_residues(7, [-3], [295], 4, 24)
+    monkeypatch.setattr(exactnum, "gen_bernoulli_rows", perturbed)
+    with pytest.raises(ArithmeticError, match="Delta"):
+        kummer_residues(7, [-3], [295], 4, 24)
+
+
+def test_kummer_residues_stop_at_the_term_cap(monkeypatch):
+    # a base that is 0 mod p^100 has no unit part within any cap
+    rows = exactnum.gen_bernoulli_rows
+    seen = []
+
+    def vanishing(ns, Ds):
+        seen.extend(ns)
+        return {n: {D: 7**100 * b for D, b in row.items()} for n, row in rows(ns, Ds).items()}
+
+    monkeypatch.setattr(exactnum, "gen_bernoulli_rows", vanishing)
+    with pytest.raises(ArithmeticError, match="more than 12 terms"):
+        kummer_residues(7, [1], [44, 2060], 5, 12)
+    assert max(seen) == 2 + 6 * 11
+
+
+def test_kummer_residues_reject_what_they_cannot_interpolate():
+    with pytest.raises(ValueError):
+        kummer_residues(7, [1], [43], 3, 10)  # B_43 = 0
+    with pytest.raises(ValueError):
+        kummer_residues(7, [-4], [44], 3, 10)  # chi(-1) != (-1)^n
+    with pytest.raises(ValueError):
+        kummer_residues(7, [20], [44], 3, 10)  # not fundamental
+    with pytest.raises(ValueError):
+        kummer_residues(7, [-3], [1], 3, 10)  # the Euler factor at n = 1

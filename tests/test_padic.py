@@ -12,7 +12,8 @@ from fractions import Fraction
 
 import pytest
 
-from eistheta.eisenstein import eisenstein_qexp
+from eistheta import exactnum
+from eistheta.eisenstein import HEADROOM, eisenstein_qexp
 from eistheta.exactnum import sigma, v_p
 from eistheta.fourier import QExpansion, congruent_mod, qexp_scale
 from eistheta.genus import GenusRecord, build_genera, genera_to_doc, write_json_atomic
@@ -48,6 +49,11 @@ def deprived_sigma_series(p, k, B):
             s -= p ** (k - 1) * sigma(k - 1, t // p)
         coeffs[((2 * t,),)] = c * s
     return QExpansion(1, B, coeffs)
+
+
+def per_weight(source):
+    """A ladder source, source(seq, n, B), from one that takes a weight."""
+    return lambda seq, n, B: [source(k, n, B) for k in seq.weights]
 
 
 # ---------------------------------------------------------------------------
@@ -135,7 +141,7 @@ def test_empirical_limit_flags_divergent_index():
         b = v_p(k - 2, 7)  # recover the rung from the weight
         return QExpansion(1, B, {((0,),): 1, ((2,),): 7 ** (6 - b)})
 
-    lad = empirical_limit(default_sequence(t, 3), 1, 2, source=source)
+    lad = empirical_limit(default_sequence(t, 3), 1, 2, source=per_weight(source))
     assert lad.flagged == (((2,),),)
 
 
@@ -145,7 +151,7 @@ def test_empirical_limit_reports_negative_nu():
     def source(k, n, B):
         return qexp_scale(eisenstein_qexp(k, n, B), Fraction(1, 7))
 
-    lad = empirical_limit(default_sequence(t, 2), 1, 10, source=source)
+    lad = empirical_limit(default_sequence(t, 2), 1, 10, source=per_weight(source))
     assert lad.nu_hat == -1
     assert not lad.flagged
     with pytest.raises(ValueError):
@@ -308,7 +314,7 @@ def test_fit_with_scaled_source_reports_nu():
     def source(k, n, B):
         return qexp_scale(eisenstein_qexp(k, n, B), Fraction(1, 7))
 
-    rep = fit_and_verify(default_sequence(t, 2), 1, 20, source=source)
+    rep = fit_and_verify(default_sequence(t, 2), 1, 20, source=per_weight(source))
     assert rep.nu_hat == -1
     assert rep.passed
     assert rep.rungs[0].a_tilde == (32,)  # coefficient of the rescaled series
@@ -374,3 +380,61 @@ def test_dictionary_that_splits_a_genus_fails_in_fit_stage():
         _validate_dictionary(split, WeightTarget(17, 2, 0))
     assert info.value.stage == "fit"
     assert "one genus" in str(info.value)
+
+
+# ---------------------------------------------------------------------------
+# the residue windows of the ladder against the exact oracle
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n,B", [(1, 30), (2, 8)])
+def test_residue_and_exact_windows_give_one_report(tmp_path, n, B):
+    # the ladder reads its windows only mod p^(b_last + 2), with exact
+    # valuations, so the exact windows of eisenstein_qexp give the same reports
+    seq = default_sequence(WeightTarget(7, 2, 0), 2)
+    exact = per_weight(eisenstein_qexp)
+    cache = str(tmp_path)
+    assert (fit_and_verify(seq, n, B, cache_dir=cache).to_doc()
+            == fit_and_verify(seq, n, B, cache_dir=cache, source=exact).to_doc())
+    assert empirical_limit(seq, n, B).to_doc() == empirical_limit(seq, n, B, source=exact).to_doc()
+
+
+def test_residue_and_exact_windows_give_one_report_with_characters():
+    # p = 13, j = 1: the L-values of chi_D0 and the ladder class 8 mod 12
+    seq = default_sequence(WeightTarget(13, 2, 1), 2)
+    exact = per_weight(eisenstein_qexp)
+    assert empirical_limit(seq, 2, 4).to_doc() == empirical_limit(seq, 2, 4, source=exact).to_doc()
+
+
+def test_ladder_to_weight_2060_reads_only_small_bernoulli_numbers(tmp_path, monkeypatch):
+    # W3 at trace 4: the exact route would read B_0 .. B_2058; the residue
+    # windows stop below k1 + (p - 1) N with N the term cap b_last + 2 +
+    # HEADROOM, here at 2 + 6 * 25 = 152, so the memo of _bernoulli_even
+    # collects no ladder weight
+    calls = []
+    plain = exactnum.bernoulli
+
+    def counting(n):
+        calls.append(n)
+        return plain(n)
+
+    monkeypatch.setattr(exactnum, "bernoulli", counting)
+    seq = default_sequence(WeightTarget(7, 2, 0), 3)
+    rep = fit_and_verify(seq, 2, 4, cache_dir=str(tmp_path))
+    assert rep.passed and [r.weight for r in rep.rungs] == [44, 296, 2060]
+    assert calls and max(calls) < 2 + 6 * (5 + HEADROOM)
+
+
+def test_a_vanishing_kummer_base_fails_in_fit_stage(monkeypatch):
+    # a base that is 0 mod 7^100 leaves no unit part within the term cap:
+    # the pipeline stops in the fit stage instead of guessing a valuation
+    rows = exactnum.gen_bernoulli_rows
+    monkeypatch.setattr(exactnum, "gen_bernoulli_rows", lambda ns, Ds: {
+        n: {D: 7**100 * b for D, b in row.items()} for n, row in rows(ns, Ds).items()})
+    seq = default_sequence(WeightTarget(7, 2, 0), 2)
+    with pytest.raises(PipelineError) as info:
+        fit_and_verify(seq, 1, 10)
+    assert info.value.stage == "fit"
+    assert "terms" in str(info.value)
+    with pytest.raises(PipelineError):
+        empirical_limit(seq, 1, 10)
