@@ -62,7 +62,8 @@ def _sequence(args) -> WeightSequence:
     target = WeightTarget(args.p, args.k, args.j)
     if args.b_schedule is None:
         return default_sequence(target, args.m_max)
-    return WeightSequence(target, args.b_schedule.replace(",", " ").split())
+    b = args.b_schedule.replace(",", " ").split()
+    return WeightSequence(target, tuple(map(int, b)))
 
 
 def _read_form(path):

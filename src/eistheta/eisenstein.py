@@ -11,14 +11,18 @@ class-number function H(k-1, .): for an index T of rank 2 with content c,
              * sum_{d | c} d^{k-1} * H(k-1, det(2T)/d^2),
 
 while rank-1 indices reduce to the degree-1 formula applied to the content
-and the constant term is 1.  ``eisenstein_qexp`` is exact rational
-arithmetic; the only inputs are Bernoulli numbers and generalized Bernoulli
-numbers, and the H values of a window come from one ``cohen_H_table``.
+and the constant term is 1.  With -det(2T) = D0 f^2, D0 fundamental, every
+H in that sum is L(2 - k, chi_D0) times the integer
+``cohen_H_factor(k - 1, D0, f / d)``, so a rank-2 coefficient is one
+L-value times one integer divisor sum (``_cohen_sum``).
 
+Both routes walk the same index shapes (``_index_shapes``).
+``eisenstein_qexp`` is exact rational arithmetic: Bernoulli numbers, and
+the L-values of a window from one ``gen_bernoulli_rows`` row.
 ``eisenstein_residues`` gives the windows of a whole weight ladder mod p^N
 instead: each coefficient as p^v u with v its exact valuation and u a unit
-residue, from the same formulas with every L-value taken by the Kummer
-congruences (``kummer_residues``) and every divisor power mod p^N.
+residue, with every L-value taken by the Kummer congruences
+(``kummer_residues``) and every divisor sum mod p^N.
 """
 
 from __future__ import annotations
@@ -28,9 +32,9 @@ from fractions import Fraction
 from .exactnum import (
     bernoulli,
     cohen_H_factor,
-    cohen_H_table,
     divisors,
     fund_disc_decompose,
+    gen_bernoulli_rows,
     kummer_residues,
     sigma,
     v_p,
@@ -46,43 +50,60 @@ __all__ = ["eisenstein_qexp", "eisenstein_residues"]
 HEADROOM = 20
 
 
-def _check_weight(k: int, n: int) -> None:
+def _check_window(weights, n: int, B: int) -> None:
+    """ValueError unless n is 1 or 2, every weight is even and > n + 1,
+    and B >= 0."""
     if n not in (1, 2):
         raise ValueError("degree must be 1 or 2")
-    if k % 2 or k <= n + 1:
-        raise ValueError(f"weight must be even and > {n + 1}, got {k}")
+    for k in weights:
+        if k % 2 or k <= n + 1:
+            raise ValueError(f"weight must be even and > {n + 1}, got {k}")
+    if B < 0:
+        raise ValueError("trace bound must be >= 0")
+
+
+def _index_shapes(n: int, B: int) -> list:
+    """(T, c, D0, f) for every index T of the degree-n window of trace
+    bound B: c is the content (0 at T = 0), and at rank 2
+    -det 2T = D0 f^2 with D0 fundamental; D0 = f = None below rank 2."""
+    if n == 1:
+        return [(((2 * t,),), t, None, None) for t in range(B + 1)]
+    shapes = []
+    for T in enumerate_psd_indices(2, B):
+        r = form_rank(T)
+        D0, f = fund_disc_decompose(-bareiss_det(T)) if r == 2 else (None, None)
+        shapes.append((T, content(T) if r else 0, D0, f))
+    return shapes
+
+
+def _cohen_sum(k: int, c: int, D0: int, f: int, H: dict, mod: int | None = None) -> int:
+    """sum_{d | c} d^(k-1) cohen_H_factor(k - 1, D0, f / d), or its residue
+    mod `mod` when one is given; H memoises the factors by (D0, f / d)."""
+    x = 0
+    for d in divisors(c):
+        if (D0, f // d) not in H:
+            H[D0, f // d] = cohen_H_factor(k - 1, D0, f // d, mod)
+        x += pow(d, k - 1, mod) * H[D0, f // d]
+    return x if mod is None else x % mod
 
 
 def eisenstein_qexp(k: int, n: int, B: int) -> QExpansion:
     """Expansion of the degree-n weight-k Eisenstein series up to trace B."""
-    _check_weight(k, n)
-    if B < 0:
-        raise ValueError("trace bound must be >= 0")
-    linear = Fraction(-2 * k) / bernoulli(k)  # the multiplier of sigma_{k-1}
-    coeffs: dict[tuple, Fraction] = {}
-    if n == 1:
-        coeffs[((0,),)] = Fraction(1)
-        for t in range(1, B + 1):
-            coeffs[((2 * t,),)] = linear * sigma(k - 1, t)
-        return _from_checked(1, B, coeffs, True)
-    rank2 = []  # (index, det 2T, content)
-    for idx in enumerate_psd_indices(2, B):
-        r = form_rank(idx)
-        if r == 0:
-            coeffs[idx] = Fraction(1)
-        elif r == 1:
-            coeffs[idx] = linear * sigma(k - 1, content(idx))
-        else:
-            rank2.append((idx, bareiss_det(idx), content(idx)))
-    H = cohen_H_table(
-        k - 1, {det // (d * d) for _, det, c in rank2 for d in divisors(c)})
-    const = Fraction(2) / (zeta_neg(k - 1) * zeta_neg(2 * k - 3))
-    for idx, det, c in rank2:
-        total = Fraction(0)
-        for d in divisors(c):
-            total += d ** (k - 1) * H[det // (d * d)]
-        coeffs[idx] = const * total
-    return _from_checked(2, B, coeffs, True)
+    _check_window((k,), n, B)
+    shapes = _index_shapes(n, B)
+    linear = Fraction(-2 * k) / bernoulli(k)  # 2 / zeta(1 - k)
+    if n == 2:
+        const = linear / zeta_neg(2 * k - 3)
+        row = gen_bernoulli_rows((k - 1,), {D0 for _, _, D0, _ in shapes if D0})[k - 1]
+    coeffs, H = {}, {}
+    for T, c, D0, f in shapes:
+        if not c:
+            coeffs[T] = Fraction(1)
+        elif D0 is None:
+            coeffs[T] = linear * sigma(k - 1, c)
+        else:  # L(2 - k, chi_D0) = -B_{k-1,chi_D0} / (k - 1)
+            coeffs[T] = const * -row[D0] / (k - 1) * _cohen_sum(k, c, D0, f, H)
+    return _from_checked(n, B, coeffs)
 
 
 def eisenstein_residues(weights, n: int, B: int, p: int, prec: int) -> list:
@@ -90,18 +111,16 @@ def eisenstein_residues(weights, n: int, B: int, p: int, prec: int) -> list:
     coefficient a replaced by its representative p^v u, where v = v_p(a)
     exactly and 0 < u < p^prec is the unit with u = a p^-v mod p^prec.
 
-    One index enumeration and one Kummer table per L-function serve every
+    One index walk and one Kummer table per L-function serve every
     weight: zeta(1 - k), zeta(3 - 2k) and at degree 2 L(2 - k, chi_D0) for
     the fundamental D0 of every rank-2 index, as B_{n,chi}/n mod p^prec
-    from ``kummer_residues``.  The integer factors, sigma_{k-1} and
-    ``cohen_H_factor``, are taken mod p^(prec + HEADROOM).  ArithmeticError
-    when a unit part is not determined within HEADROOM digits.
+    from ``kummer_residues``.  The integer factors, sigma_{k-1} and the
+    divisor sums of ``cohen_H_factor``, are taken mod p^(prec + HEADROOM).
+    ArithmeticError when a unit part is not determined within HEADROOM
+    digits.
     """
     weights = list(weights)
-    for k in weights:
-        _check_weight(k, n)
-    if B < 0:
-        raise ValueError("trace bound must be >= 0")
+    _check_window(weights, n, B)
     Q, PM = p**prec, p ** (prec + HEADROOM)
 
     def rep(v, u, x):  # p^v u x as p^w u', x an integer known mod PM
@@ -112,14 +131,7 @@ def eisenstein_residues(weights, n: int, B: int, p: int, prec: int) -> list:
         u, v = u * (x // p**e) % Q, v + e
         return Fraction(u * p**v) if v >= 0 else Fraction(u, p**-v)
 
-    if n == 1:
-        shapes = [(((2 * t,),), t, None, None) for t in range(B + 1)]
-    else:
-        shapes = []  # (T, content, D0, f) with -det 2T = D0 f^2 at rank 2
-        for T in enumerate_psd_indices(2, B):
-            r = form_rank(T)
-            D0, f = fund_disc_decompose(-bareiss_det(T)) if r == 2 else (None, None)
-            shapes.append((T, content(T) if r else 0, D0, f))
+    shapes = _index_shapes(n, B)
     zetas = kummer_residues(
         p, (1,), weights + ([2 * k - 2 for k in weights] if n == 2 else []),
         prec, prec + HEADROOM)
@@ -134,14 +146,10 @@ def eisenstein_residues(weights, n: int, B: int, p: int, prec: int) -> list:
                 coeffs[T] = Fraction(1)
             elif D0 is None:  # (2 / zeta(1 - k)) sigma_{k-1}(c)
                 coeffs[T] = rep(-v1, -2 * pow(u1, -1, Q), sigma(k - 1, c, PM))
-            else:  # (2 / (zeta(1-k) zeta(3-2k))) sum_{d | c} d^(k-1) H(k-1, det / d^2)
+            else:  # (2 / (zeta(1-k) zeta(3-2k))) L(2 - k, chi_D0) times the divisor sum
                 v2, u2 = zetas[1, 2 * k - 2]
                 vL, uL = Ls[D0, k - 1]  # L(2 - k, chi_D0) = -p^vL uL
-                x = 0
-                for d in divisors(c):
-                    if (D0, f // d) not in H:
-                        H[D0, f // d] = cohen_H_factor(k - 1, D0, f // d, PM)
-                    x += pow(d, k - 1, PM) * H[D0, f // d]
-                coeffs[T] = rep(vL - v1 - v2, -2 * uL * pow(u1 * u2, -1, Q), x)
-        windows.append(_from_checked(n, B, coeffs, True))
+                coeffs[T] = rep(vL - v1 - v2, -2 * uL * pow(u1 * u2, -1, Q),
+                                _cohen_sum(k, c, D0, f, H, PM))
+        windows.append(_from_checked(n, B, coeffs))
     return windows

@@ -15,6 +15,7 @@ from fractions import Fraction
 
 __all__ = [
     "v_p",
+    "residue",
     "kronecker",
     "factorize",
     "divisors",
@@ -26,12 +27,10 @@ __all__ = [
     "fund_disc_decompose",
     "is_fundamental_discriminant",
     "gen_bernoulli",
-    "gen_bernoulli_table",
     "gen_bernoulli_rows",
     "dirichlet_L_neg",
     "kummer_residues",
     "cohen_H",
-    "cohen_H_table",
     "frac_to_doc",
     "frac_from_doc",
 ]
@@ -55,6 +54,14 @@ def v_p(x, p: int):
     if not isinstance(x, Fraction):
         raise TypeError(f"v_p needs an int or a Fraction, not {type(x).__name__}")
     return _v_int(x.numerator, p) - _v_int(x.denominator, p) if x else math.inf
+
+
+def residue(x, p: int, c: int) -> int:
+    """x mod p^c for an int or a Fraction x with a p-unit denominator."""
+    P = p**c
+    if x.denominator % p == 0:
+        raise ValueError("residue of a non p-integral value")
+    return x.numerator * pow(x.denominator, -1, P) % P
 
 
 def kronecker(a: int, n: int) -> int:
@@ -319,8 +326,9 @@ def is_fundamental_discriminant(D: int) -> bool:
     return D != 0 and D % 4 in (0, 1) and fund_disc_decompose(D) == (D, 1)
 
 
-def gen_bernoulli_table(n: int, Ds) -> dict[int, Fraction]:
-    """{D: B_{n,chi_D}} for the characters kronecker(D, .) of the given D.
+def gen_bernoulli_rows(ns, Ds) -> dict[int, dict[int, Fraction]]:
+    """{n: {D: B_{n,chi_D}}} for indices n of one parity and the characters
+    kronecker(D, .) of the given D.
 
     Every D must be a fundamental discriminant, checked before any work;
     D = 1 gives the convention with B_{1,triv} = +1/2, so
@@ -348,14 +356,8 @@ def gen_bernoulli_table(n: int, Ds) -> dict[int, Fraction]:
     a < f/2 into those with chi(a) = 1 and chi(a) = -1, and takes T_{n-i}
     as the sum of the vector over the first minus that over the second:
     the very terms chi(a) a^(n-i) of its own sum, added in another order.
+    One upward sweep of j = n - i serves every n of the given parity.
     """
-    return gen_bernoulli_rows((n,), Ds)[n]
-
-
-def gen_bernoulli_rows(ns, Ds) -> dict[int, dict[int, Fraction]]:
-    """{n: gen_bernoulli_table(n, Ds)} for indices n of one parity: each
-    character is read once, and one upward sweep of the power sums
-    T_j serves every n."""
     ns = list(dict.fromkeys(ns))
     if any(n < 0 for n in ns):
         raise ValueError("Bernoulli index must be >= 0")
@@ -418,9 +420,9 @@ def gen_bernoulli_rows(ns, Ds) -> dict[int, dict[int, Fraction]]:
 
 
 def gen_bernoulli(n: int, D: int) -> Fraction:
-    """Generalized Bernoulli number B_{n,chi} for the character kronecker(D, .);
-    the table of one (``gen_bernoulli_table``)."""
-    return gen_bernoulli_table(n, (D,))[D]
+    """Generalized Bernoulli number B_{n,chi} for the character kronecker(D, .),
+    read from ``gen_bernoulli_rows``."""
+    return gen_bernoulli_rows((n,), (D,))[n][D]
 
 
 def dirichlet_L_neg(r: int, D: int) -> Fraction:
@@ -498,7 +500,7 @@ def kummer_residues(p: int, Ds, ns, prec: int, max_terms: int) -> dict:
                 hs = base[D][:N]
                 if any(x.denominator % p == 0 for x in hs):
                     raise ArithmeticError(f"a base value of chi_{D} is not {p}-integral")
-                res = [x.numerator * pow(x.denominator, -1, P) % P for x in hs]
+                res = [residue(x, p, N) for x in hs]
                 diffs = []  # Delta^i h(0) mod p^N
                 for i in range(N):
                     if res[0] % p**i:
@@ -531,36 +533,6 @@ def kummer_residues(p: int, Ds, ns, prec: int, max_terms: int) -> dict:
     return out
 
 
-def cohen_H_table(r: int, Ns) -> dict[int, Fraction]:
-    """{N: H(r, N)}, Cohen's class-number function for r >= 1, N >= 0.
-
-    H(1, N) is the Hurwitz class number; H(r, 0) = zeta(1 - 2r); the value
-    is 0 unless (-1)^r N = 0, 1 mod 4.  Otherwise (-1)^r N = D0 f^2 with D0
-    fundamental, and H(r, N) = L(1 - r, chi_D0) sum_{g | f} mu(g) chi_D0(g)
-    g^(r-1) sigma_{2r-1}(f / g); the L-values of all D0 come from one
-    ``gen_bernoulli_table``.
-    """
-    Ns = list(dict.fromkeys(Ns))
-    if r < 1 or any(N < 0 for N in Ns):
-        raise ValueError("cohen_H wants r >= 1 and N >= 0")
-    parts = {}
-    for N in Ns:
-        D = N if r % 2 == 0 else -N
-        if N and D % 4 in (0, 1):
-            parts[N] = fund_disc_decompose(D)
-    B = gen_bernoulli_table(r, {D0 for D0, _ in parts.values()})
-    out = {}
-    for N in Ns:
-        if N == 0:
-            out[N] = zeta_neg(2 * r - 1)
-        elif N not in parts:
-            out[N] = Fraction(0)
-        else:
-            D0, f = parts[N]
-            out[N] = -B[D0] / r * cohen_H_factor(r, D0, f)
-    return out
-
-
 def cohen_H_factor(r: int, D0: int, f: int, mod: int | None = None) -> int:
     """H(r, N) / L(1 - r, chi_D0) for (-1)^r N = D0 f^2, D0 fundamental:
     sum_{g | f} mu(g) chi_D0(g) g^(r-1) sigma_{2r-1}(f / g), or its residue
@@ -574,8 +546,21 @@ def cohen_H_factor(r: int, D0: int, f: int, mod: int | None = None) -> int:
 
 
 def cohen_H(r: int, N: int) -> Fraction:
-    """Cohen's H(r, N); the table of one (``cohen_H_table``)."""
-    return cohen_H_table(r, (N,))[N]
+    """Cohen's class-number function H(r, N) for r >= 1, N >= 0.
+
+    H(1, N) is the Hurwitz class number; H(r, 0) = zeta(1 - 2r); the value
+    is 0 unless (-1)^r N = 0, 1 mod 4.  Otherwise (-1)^r N = D0 f^2 with D0
+    fundamental, and H(r, N) = L(1 - r, chi_D0) ``cohen_H_factor(r, D0, f)``.
+    """
+    if r < 1 or N < 0:
+        raise ValueError("cohen_H wants r >= 1 and N >= 0")
+    if N == 0:
+        return zeta_neg(2 * r - 1)
+    D = N if r % 2 == 0 else -N
+    if D % 4 not in (0, 1):
+        return Fraction(0)
+    D0, f = fund_disc_decompose(D)
+    return dirichlet_L_neg(r, D0) * cohen_H_factor(r, D0, f)
 
 
 def _int_from_str(s) -> int:

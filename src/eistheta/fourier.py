@@ -10,7 +10,7 @@ below are evaluated on the stored window and are window-relative.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
@@ -33,7 +33,6 @@ class QExpansion:
     degree: int
     trace_bound: int
     coeffs: dict
-    class_invariant: bool = True
 
     def __post_init__(self):
         clean = {}
@@ -51,22 +50,12 @@ class QExpansion:
             clean[T] = a
         object.__setattr__(self, "coeffs", clean)
 
-    def __eq__(self, other):
-        if not isinstance(other, QExpansion):
-            return NotImplemented
-        return (
-            self.degree == other.degree
-            and self.trace_bound == other.trace_bound
-            and self.class_invariant == other.class_invariant
-            and self.coeffs == other.coeffs
-        )
-
     def indices(self):
         return sorted(self.coeffs, key=lambda T: (form_trace(T), T))
 
 
 def coeff(F: QExpansion, T) -> Fraction:
-    """a_F(T); canonicalizes T first when F is class-invariant."""
+    """a_F(T), read at the canonical representative of T."""
     T = as_mat(T)
     if len(T) != F.degree:
         raise ValueError("index degree mismatch")
@@ -75,18 +64,16 @@ def coeff(F: QExpansion, T) -> Fraction:
         raise ValueError(
             f"index trace {form_trace(T)} beyond stored bound {F.trace_bound}"
         )
-    if not F.class_invariant and R != T:
-        raise ValueError("expansion not class-invariant; pass a canonical index")
     return F.coeffs.get(R, Fraction(0))
 
 
-def _from_checked(degree, trace_bound, coeffs, class_invariant) -> QExpansion:
+def _from_checked(degree, trace_bound, coeffs) -> QExpansion:
     """A QExpansion on indices known to be canonical and to lie within
     ``trace_bound``: skips the canonical-form check of ``__post_init__``,
     drops zeros.  The indices must come from an expansion that passed that
     check, from ``lattice.enumerate_psd_indices`` (which keeps only M with
     ``minkowski_reduce(M) == M``), or be 1 x 1 entries (2t) with t >= 0."""
-    F = QExpansion(degree, trace_bound, {}, class_invariant)
+    F = QExpansion(degree, trace_bound, {})
     object.__setattr__(F, "coeffs", {T: a for T, a in coeffs.items() if a})
     return F
 
@@ -97,7 +84,6 @@ def qexp_scale(F: QExpansion, c) -> QExpansion:
         F.degree,
         F.trace_bound,
         {T: c * a for T, a in F.coeffs.items()},
-        F.class_invariant,
     )
 
 
@@ -112,9 +98,7 @@ def qexp_add(*terms) -> QExpansion:
         for T, a in F.coeffs.items():
             if form_trace(T) <= bound:
                 acc[T] = acc.get(T, Fraction(0)) + a
-    return _from_checked(
-        degrees.pop(), bound, acc, all(F.class_invariant for F in terms)
-    )
+    return _from_checked(degrees.pop(), bound, acc)
 
 
 @dataclass(frozen=True)
@@ -156,7 +140,7 @@ def rank_filter(F: QExpansion, r: int) -> QExpansion:
     if r < 0 or r > F.degree:
         raise ValueError("rank out of range")
     kept = {T: a for T, a in F.coeffs.items() if form_rank(T) == r}
-    return QExpansion(F.degree, F.trace_bound, kept, F.class_invariant)
+    return QExpansion(F.degree, F.trace_bound, kept)
 
 
 def mod_pm_singular_rank(F: QExpansion, p: int, m: int):
@@ -202,7 +186,7 @@ def u_p(F: QExpansion, p: int) -> QExpansion:
             scaled = tuple(tuple(x // p for x in row) for row in T)
             if all(x % p == 0 for row in T for x in row):
                 out[scaled] = a
-    return QExpansion(F.degree, bound, out, F.class_invariant)
+    return QExpansion(F.degree, bound, out)
 
 
 def phi_restrict(F: QExpansion) -> QExpansion:
@@ -214,7 +198,7 @@ def phi_restrict(F: QExpansion) -> QExpansion:
     for T, a in F.coeffs.items():
         if all(x == 0 for x in T[-1]):
             out[tuple(row[:-1] for row in T[:-1])] = a
-    return QExpansion(F.degree - 1, F.trace_bound, out, F.class_invariant)
+    return QExpansion(F.degree - 1, F.trace_bound, out)
 
 
 # -------------------------------------------------------- primitive part
@@ -289,8 +273,6 @@ def primitive_inversion(plain):
 def primitive_coeffs(F: QExpansion, r: int, bound: int) -> dict:
     """Rank-r primitive coefficients a*(T) for definite T with tr <= bound,
     inverting a(T + 0) = sum over sublattice shapes D of a*(T[D^{-1}])."""
-    if not F.class_invariant:
-        raise ValueError("primitive coefficients need a class-invariant expansion")
     if r <= 0 or r > F.degree:
         raise ValueError("rank out of range")
     if bound > F.trace_bound:
@@ -310,6 +292,8 @@ def _definite_indices(r: int, bound: int):
 # ------------------------------------------------------------ dump format
 
 def dump_qexp(F: QExpansion) -> dict:
+    """F as JSON; "class_invariant" is always true, since every expansion is
+    keyed by canonical indices."""
     entries = []
     for T in sorted(F.coeffs):
         a = F.coeffs[T]
@@ -317,7 +301,7 @@ def dump_qexp(F: QExpansion) -> dict:
     return {
         "degree": F.degree,
         "trace_bound": F.trace_bound,
-        "class_invariant": F.class_invariant,
+        "class_invariant": True,
         "coeffs": entries,
     }
 
@@ -343,9 +327,8 @@ def load_qexp(doc) -> QExpansion:
     for e in _dump_field(doc, "coeffs", list):
         num_den = {f: _dump_field(e, f) for f in ("num", "den")}
         coeffs[_dump_twoT(e)] = frac_from_doc(num_den)
-    return QExpansion(
-        _dump_field(doc, "degree", int),
-        _dump_field(doc, "trace_bound", int),
-        coeffs,
-        _dump_field(doc, "class_invariant", bool),
-    )
+    degree = _dump_field(doc, "degree", int)
+    trace_bound = _dump_field(doc, "trace_bound", int)
+    if _dump_field(doc, "class_invariant", bool) is not True:
+        raise ValueError("expansion dump: field 'class_invariant' must be true")
+    return QExpansion(degree, trace_bound, coeffs)

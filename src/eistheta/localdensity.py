@@ -49,6 +49,7 @@ from .exactnum import (
     factorize,
     fund_disc_decompose,
     kronecker,
+    residue,
     v_p,
 )
 from .lattice import (
@@ -360,7 +361,7 @@ def _beta_odd_on(q: int, e: int, r0: int, delta0: int, twoT) -> Fraction:
     qe = q**e
     blocks = jordan_blocks(twoT, q)
     scales = [s for s, _ in blocks]
-    diag = [q**s * u.numerator * pow(u.denominator, -1, qe) % qe for s, ((u,),) in blocks]
+    diag = [q**s * residue(u, q, e) % qe for s, ((u,),) in blocks]
     inv2e = pow(2, -1, qe)
     inv2q = pow(2, -1, q)
     if n == 1:

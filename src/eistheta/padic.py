@@ -20,8 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .eisenstein import eisenstein_residues
-from .exactnum import factorize, frac_to_doc, v_p
+from .eisenstein import _check_window, eisenstein_residues
+from .exactnum import factorize, frac_to_doc, residue, v_p
 from .fourier import (
     QExpansion,
     check_weight_rank_congruence,
@@ -96,6 +96,8 @@ class WeightTarget:
     j: int
 
     def __post_init__(self):
+        if not all(isinstance(x, int) for x in (self.p, self.k, self.j)):
+            raise ValueError("p, k and j must be integers")
         if not _is_prime(self.p) or self.p == 2:
             raise ValueError("p must be an odd prime")
         if self.k <= 0:
@@ -131,7 +133,9 @@ class WeightSequence:
     b_schedule: tuple
 
     def __post_init__(self):
-        b = tuple(int(x) for x in self.b_schedule)
+        b = tuple(self.b_schedule)
+        if not all(isinstance(x, int) for x in b):
+            raise ValueError("b schedule must be integers")
         object.__setattr__(self, "b_schedule", b)
         if not b or b[0] <= 0 or any(y <= x for x, y in zip(b, b[1:])):
             raise ValueError("b schedule must be strictly increasing and positive")
@@ -172,15 +176,6 @@ def _ladder_windows(seq: WeightSequence, n: int, B: int) -> list:
         raise PipelineError("fit", str(exc)) from exc
 
 
-def _residue(x: Fraction, p: int, c: int) -> int:
-    """x mod p^c for x with a p-unit denominator."""
-    x = Fraction(x)
-    P = p**c
-    if x.denominator % p == 0:
-        raise ValueError("residue of a non p-integral value")
-    return x.numerator * pow(x.denominator, -1, P) % P
-
-
 def _nu(dicts, p: int) -> int:
     """The ladder's scaling exponent: min(0, v_p(a)) over the values a of the dicts."""
     return min([0, *(v_p(a, p) for d in dicts for a in d.values())])
@@ -214,11 +209,6 @@ class LimitLadder:
     residues: dict
     flagged: tuple
     cap: int
-
-    @property
-    def final(self) -> QExpansion:
-        """The last rung's window, representatives mod p^cap like every rung."""
-        return self.rungs[-1]
 
     def to_doc(self) -> dict:
         idx = sorted(self.residues, key=lambda T: (form_trace(T), T))
@@ -280,7 +270,7 @@ def empirical_limit(seq: WeightSequence, n: int, B: int, source=None) -> LimitLa
         if any(y < x for x, y in zip(certs, certs[1:])):
             flagged.append(T)
         M = certs[-1]
-        residues[T] = (_residue(vals[-1], p, M) if M else 0, M)
+        residues[T] = (residue(vals[-1], p, M) if M else 0, M)
     flagged.sort(key=lambda T: (form_trace(T), T))
     return LimitLadder(
         target=t,
@@ -404,7 +394,7 @@ def direct_limit_coefficient(S, target: WeightTarget, seq=None) -> DirectLadder:
         for i, (a, b) in enumerate(zip(values, values[1:]))
     )
     residues = tuple(
-        (_residue(v, p, c), c) for v, c in zip(values, caps)
+        (residue(v, p, c), c) for v, c in zip(values, caps)
     )
     return DirectLadder(target, S, weights, values, certs, residues)
 
@@ -528,7 +518,7 @@ def _select_training(indices, columns, n_unknowns, p):
     for T in indices:
         row = [c.get(T, Fraction(0)) for c in columns]
         try:
-            red = [_residue(x, p, 1) for x in row]
+            red = [residue(x, p, 1) for x in row]
         except ValueError:
             continue  # non p-unit denominators cannot pivot
         rows, pivots = echelon_mod(basis + [red], p)
@@ -549,7 +539,7 @@ def _solve_mod(rows, rhs, p, c):
     """Solve a square system with a mod-p invertible matrix over Z/p^c."""
     n = len(rows)
     aug = [
-        [_residue(x, p, c) for x in row] + [_residue(b, p, c)]
+        [residue(x, p, c) for x in row] + [residue(b, p, c)]
         for row, b in zip(rows, rhs)
     ]
     aug, pivots = echelon_mod(aug, p, c)
@@ -581,6 +571,10 @@ def fit_and_verify(
     if source is None:
         source = _ladder_windows
     target = seq.target
+    try:
+        _check_window(seq.weights, n, B)
+    except ValueError as exc:
+        raise PipelineError("weights", str(exc)) from exc
     mode = "theorem" if target.in_theorem_range() else "exploratory"
     if mode == "exploratory" and not exploratory:
         raise PipelineError(

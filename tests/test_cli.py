@@ -184,6 +184,8 @@ MALFORMED_DUMPS = [
     ({"degree": 1}, "coeffs"),
     ({"degree": 1, "trace_bound": 4, "class_invariant": True,
       "coeffs": [{"twoT": [[2]], "num": "240"}]}, "den"),
+    ({"degree": 1, "trace_bound": 4, "class_invariant": False, "coeffs": []},
+     "class_invariant"),
     ([1, 2], "coeffs"),
 ]
 

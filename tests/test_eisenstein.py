@@ -4,9 +4,15 @@ import pytest
 
 from eistheta import eisenstein, exactnum, fourier, lattice
 from eistheta.eisenstein import eisenstein_qexp, eisenstein_residues
-from eistheta.exactnum import bernoulli, primes_upto, sigma, v_p
+from eistheta.exactnum import bernoulli, cohen_H, divisors, primes_upto, sigma, v_p, zeta_neg
 from eistheta.fourier import coeff, phi_restrict
-from eistheta.lattice import enumerate_psd_indices, minkowski_reduce
+from eistheta.lattice import (
+    bareiss_det,
+    content,
+    enumerate_psd_indices,
+    form_rank,
+    minkowski_reduce,
+)
 
 
 def test_degree1_weight4_classical_values():
@@ -54,6 +60,22 @@ def test_degree2_content_two_index():
     # scale 2/(zeta(-3) zeta(-5)) = -60480, so -60480*(-33/2 - 8*1/2) = 1239840.
     F = eisenstein_qexp(4, 2, 4)
     assert coeff(F, ((4, 0), (0, 4))) == 1239840
+
+
+@pytest.mark.parametrize("k", [4, 6, 44, 296])
+def test_degree2_matches_the_cohen_H_formula(k):
+    # Cohen's formula with one H(k - 1, det(2T)/d^2) per divisor d of the
+    # content, each from cohen_H on its own: no shared index walk, divisor
+    # sum or L-value row
+    F = eisenstein_qexp(k, 2, 8)
+    const = Fraction(2) / (zeta_neg(k - 1) * zeta_neg(2 * k - 3))
+    rank2 = [T for T in enumerate_psd_indices(2, 8) if form_rank(T) == 2]
+    assert {T for T in F.coeffs if form_rank(T) == 2} <= set(rank2)
+    for T in rank2:
+        det = bareiss_det(T)
+        want = const * sum(d ** (k - 1) * cohen_H(k - 1, det // (d * d))
+                           for d in divisors(content(T)))
+        assert F.coeffs.get(T, 0) == want, (k, T)
 
 
 def test_degree2_rank1_reduces_to_degree1():

@@ -10,14 +10,12 @@ from eistheta import exactnum
 from eistheta.exactnum import (
     bernoulli,
     cohen_H,
-    cohen_H_table,
     dirichlet_L_neg,
     divisors,
     factorize,
     fund_disc_decompose,
     gen_bernoulli,
     gen_bernoulli_rows,
-    gen_bernoulli_table,
     is_fundamental_discriminant,
     kronecker,
     kummer_residues,
@@ -424,7 +422,7 @@ def test_gen_bernoulli_table_matches_fraction_oracle_at_weight_296():
     # every odd character of conductor <= 255, as at the weight-296 rung
     discs = [D for D in range(-255, 0) if is_fundamental_discriminant(D)]
     assert len(discs) == 79
-    table = gen_bernoulli_table(295, discs)
+    table = gen_bernoulli_rows((295,), discs)[295]
     assert sorted(table) == discs
     for D in discs:
         assert table[D] == gen_bernoulli_fraction(295, D), D
@@ -436,12 +434,12 @@ def test_gen_bernoulli_table_mixed_keys():
     discs = [1, -3, 5, -4, 5, 1, 221, -255, -3, 8]
     for n in (0, 1, 2, 3, 44):
         want = {D: gen_bernoulli_fraction(n, D) for D in discs}
-        assert gen_bernoulli_table(n, discs) == want, n
-        assert gen_bernoulli_table(n, iter(discs)) == want, n
+        assert gen_bernoulli_rows((n,), discs) == {n: want}, n
+        assert gen_bernoulli_rows((n,), iter(discs)) == {n: want}, n
         for D in set(discs):
             assert gen_bernoulli(n, D) == want[D], (n, D)
-    assert gen_bernoulli_table(7, []) == {}
-    assert gen_bernoulli_table(7, [5, 8]) == {5: 0, 8: 0}
+    assert gen_bernoulli_rows((7,), []) == {7: {}}
+    assert gen_bernoulli_rows((7,), [5, 8]) == {7: {5: 0, 8: 0}}
 
 
 def test_gen_bernoulli_table_rejects_before_any_work(monkeypatch):
@@ -450,9 +448,9 @@ def test_gen_bernoulli_table_rejects_before_any_work(monkeypatch):
     monkeypatch.setattr(exactnum, "kronecker", lambda a, n: calls.append((a, n)))
     for discs in ([-3, -4, -12], [1, 20], [5, 0], [-3, 6], [9]):
         with pytest.raises(ValueError):
-            gen_bernoulli_table(295, discs)
+            gen_bernoulli_rows((295,), discs)
     with pytest.raises(ValueError):
-        gen_bernoulli_table(-1, [-3])
+        gen_bernoulli_rows((-1,), [-3])
     assert calls == []
 
 
@@ -470,19 +468,6 @@ def test_cohen_H_r1_is_hurwitz():
             assert cohen_H(1, N) == hurwitz_class_number(N), N
 
 
-def test_cohen_H_table_matches_single_values():
-    for r in (1, 2, 3, 43):
-        table = cohen_H_table(r, range(0, 301))
-        assert list(table) == list(range(0, 301))
-        for N in range(0, 301):
-            assert table[N] == cohen_H(r, N), (r, N)
-    assert cohen_H_table(3, [7, 0, 7]) == {7: Fraction(-16, 7), 0: cohen_H(3, 0)}
-    assert cohen_H_table(3, []) == {}
-    for r, Ns in ((0, [3]), (1, [3, -1])):
-        with pytest.raises(ValueError):
-            cohen_H_table(r, Ns)
-
-
 def test_cohen_H_small():
     assert cohen_H(1, 0) == Fraction(-1, 12)
     assert cohen_H(2, 0) == Fraction(1, 120)
@@ -493,6 +478,9 @@ def test_cohen_H_small():
     assert cohen_H(3, 7) == Fraction(-16, 7)  # -B_{3,chi_{-7}}/3 by hand
     assert cohen_H(3, 5) == 0  # (-1)^3 * 5 = 3 mod 4
     assert cohen_H(2, 7) == 0  # 7 = 3 mod 4
+    for r, N in ((0, 3), (1, -1)):
+        with pytest.raises(ValueError):
+            cohen_H(r, N)
 
 
 # ---------------------------------------------------------------- fraction codec
@@ -535,7 +523,8 @@ def test_gen_bernoulli_rows_are_tables():
         rows = gen_bernoulli_rows(ns, Ds)
         assert list(rows) == ns
         for n, row in rows.items():
-            assert row == gen_bernoulli_table(n, Ds)
+            assert row == gen_bernoulli_rows((n,), Ds)[n]
+            assert row == {D: gen_bernoulli_fraction(n, D) for D in Ds}, n
     with pytest.raises(ValueError):
         gen_bernoulli_rows([2, 3], Ds)
 

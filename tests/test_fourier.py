@@ -337,6 +337,7 @@ def test_dump_load_round_trip():
     F = theta_interval(9)
     doc = dump_qexp(F)
     assert load_qexp(doc) == F
+    assert doc["class_invariant"] is True
     assert doc["coeffs"] == sorted(doc["coeffs"], key=lambda e: e["twoT"])
     assert all(set(e) == {"twoT", "num", "den"} for e in doc["coeffs"])
 

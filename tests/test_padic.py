@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import pytest
 
-from eistheta import exactnum
+from eistheta import exactnum, padic
 from eistheta.eisenstein import HEADROOM, eisenstein_qexp
 from eistheta.exactnum import sigma, v_p
 from eistheta.fourier import QExpansion, congruent_mod, qexp_scale
@@ -93,6 +93,18 @@ def test_weight_target_validation():
         WeightSequence(WeightTarget(7, 2, 0), (1, 1, 2))
     with pytest.raises(ValueError):
         weight_at(default_sequence(WeightTarget(7, 2, 0), 2), 3)
+
+
+def test_ladder_inputs_must_be_integers():
+    # a float weight used to fail deep in compute, and a float exponent was
+    # truncated: (1.5, 3) ran the weights of (1, 3)
+    for p, k, j in ((7.0, 2, 0), (7, 2.0, 0), (7, 2, 0.0)):
+        with pytest.raises(ValueError, match="integers"):
+            WeightTarget(p, k, j)
+    t = WeightTarget(7, 2, 0)
+    for b in ((1.5, 3), (1, 3.0), ("1", "3")):
+        with pytest.raises(ValueError, match="integers"):
+            WeightSequence(t, b)
 
 
 def test_character_of_target():
@@ -325,6 +337,19 @@ def test_theorem_gate_and_exploratory():
     with pytest.raises(PipelineError) as info:
         fit_and_verify(default_sequence(t5, 2), 1, 10)
     assert info.value.stage == "weights"
+
+
+@pytest.mark.parametrize("n,B,message", [(3, 4, "degree must be 1 or 2"),
+                                         (1, -1, "trace bound must be >= 0")])
+def test_bad_window_is_refused_before_the_genera(monkeypatch, n, B, message):
+    # at p = 37 the genus stage would enumerate classes for seconds first
+    calls = []
+    monkeypatch.setattr(padic, "cached_genera", lambda *a: calls.append(a))
+    seq = default_sequence(WeightTarget(37, 2, 1), 2)
+    with pytest.raises(PipelineError, match=message) as info:
+        fit_and_verify(seq, n, B)
+    assert info.value.stage == "weights"
+    assert calls == []
 
 
 def test_training_singular_system_is_an_error():
