@@ -46,7 +46,7 @@ from .padic import (
     fit_and_verify,
     singular_rank_audit,
 )
-from .theta import genus_theta, theta_series
+from .theta import _check_window, genus_theta, theta_series
 
 __all__ = ["main"]
 
@@ -97,6 +97,7 @@ def cmd_genera(args) -> int:
 def cmd_theta(args) -> int:
     twoS = _read_form(args.form)
     if args.genus_average:
+        _check_window(args.degree, args.bound)  # before the class enumeration
         genera = build_genera(len(twoS), args.level or form_level(twoS))
         rep = minkowski_reduce(twoS)
         match = [g for g in genera if any(c.rep == rep for c in g.classes)]

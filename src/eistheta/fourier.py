@@ -35,6 +35,8 @@ class QExpansion:
     coeffs: dict
 
     def __post_init__(self):
+        if self.trace_bound < 0:
+            raise ValueError("trace bound must be >= 0")
         clean = {}
         for T, a in self.coeffs.items():
             T = as_mat(T)

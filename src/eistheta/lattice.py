@@ -40,6 +40,7 @@ __all__ = [
     "short_vectors",
     "minkowski_reduce",
     "is_equivalent",
+    "automorphisms",
     "automorphism_count",
     "enumerate_classes",
     "enumerate_psd_indices",
@@ -524,12 +525,20 @@ def is_equivalent(twoS, twoS2):
     return U
 
 
-def automorphism_count(twoS) -> int:
-    """Order of the integral automorphism group of a definite form."""
+def automorphisms(twoS) -> list:
+    """Every U in GL_r(Z) with U^t (2S) U = 2S, for a definite form 2S.
+
+    U is a tuple of rows; x -> U x preserves the value of x.
+    """
     A = check_form(twoS)
     if not is_positive_definite(A):
-        raise ValueError("automorphism_count expects a positive definite form")
-    return len(_isometries(A, A, want_all=True))
+        raise ValueError("automorphisms expects a positive definite form")
+    return _isometries(A, A, want_all=True)
+
+
+def automorphism_count(twoS) -> int:
+    """Order of the integral automorphism group of a definite form."""
+    return len(automorphisms(twoS))
 
 
 # ------------------------------------------------------------- enumeration

@@ -22,6 +22,7 @@ from .fourier import (
 from .lattice import (
     Mat,
     automorphism_count,
+    automorphisms,
     check_form,
     fits_canonical_shape,
     form_trace,
@@ -31,6 +32,16 @@ from .lattice import (
 )
 
 
+def _check_window(n: int, B: int) -> None:
+    """ValueError unless 1 <= n <= 5 and B >= 0."""
+    if n <= 0:
+        raise ValueError("degree must be positive")
+    if n > 5:
+        raise ValueError("matrices larger than 5x5 are out of scope")
+    if B < 0:
+        raise ValueError("trace bound must be >= 0")
+
+
 def theta_series(twoS, n: int, trace_bound: int) -> QExpansion:
     """Degree-n theta series of S, truncated at tr(T) <= trace_bound.
 
@@ -38,16 +49,17 @@ def theta_series(twoS, n: int, trace_bound: int) -> QExpansion:
     vectors with Gram matrix T.  X is built a column at a time and is not
     extended once lattice.fits_canonical_shape rejects its Gram matrix,
     which no canonical T fails, so every tuple with a canonical Gram
-    matrix is counted; minkowski_reduce then drops the others.  X and -X
-    have one Gram matrix, so x_1 is taken up to sign and counted twice.
+    matrix is counted; minkowski_reduce then drops the others.  X and U X
+    have one Gram matrix for every U in a group of automorphisms of S, so
+    x_1 is taken one per orbit and counted as often as its orbit is long.
+    The group is Aut(S) when rank(S) <= 4 and every diagonal entry of 2S is
+    at most 2B, so that its search pool lies inside the short vectors of
+    the window; otherwise it is {1, -1}.
     """
     twoS = check_form(twoS)
     if not is_positive_definite(twoS):
         raise ValueError("theta series needs a positive definite form")
-    if n <= 0:
-        raise ValueError("degree must be positive")
-    if n > 5:
-        raise ValueError("matrices larger than 5x5 are out of scope")
+    _check_window(n, trace_bound)
     B = trace_bound
     vecs = short_vectors(twoS, B, both_signs=True)
     if n == 1:
@@ -58,7 +70,19 @@ def theta_series(twoS, n: int, trace_bound: int) -> QExpansion:
         return QExpansion(1, B, counts)
 
     r = len(twoS)
+    if r <= 4 and all(twoS[i][i] <= 2 * B for i in range(r)):
+        group = automorphisms(twoS)
+    else:
+        group = [tuple(tuple(s * (a == b) for b in range(r)) for a in range(r))
+                 for s in (1, -1)]
     cols = [((0,) * r, 0)] + vecs
+    firsts = []  # (x_1, value, orbit length), one x_1 per orbit, by value
+    seen: set = set()
+    for v, q in cols:
+        if v not in seen:
+            orbit = {tuple(sum(map(mul, row, v)) for row in U) for U in group}
+            seen |= orbit
+            firsts.append((v, q, len(orbit)))
     values = [q for _, q in cols]  # sorted
     svs = {v: [sum(map(mul, row, v)) for row in twoS] for v, _ in cols}
     counts: dict[Mat, int] = {}
@@ -72,23 +96,26 @@ def theta_series(twoS, n: int, trace_bound: int) -> QExpansion:
             return
         # the shape's diagonal is non-decreasing and then zero, so column j
         # is the zero vector or has at least the value of column j - 1
-        prev = gram[j - 1][j - 1] // 2 if j else 1
+        prev = gram[j - 1][j - 1] // 2
         for k in [0, *range(bisect_left(values, prev), len(cols))] if prev else [0]:
             v, q = cols[k]
             if trace + q > B:
                 break
-            if j == 0 and next((c for c in v if c), 1) < 0:  # x_1 up to sign
-                continue
             sv = svs[v]
             gram[j][j] = 2 * q
             for i in range(j):
                 gram[i][j] = gram[j][i] = sum(map(mul, chosen[i], sv))
             if fits_canonical_shape(gram, j):
                 chosen.append(v)
-                rec(j + 1, trace + q, weight if j or not q else 2)
+                rec(j + 1, trace + q, weight)
                 chosen.pop()
 
-    rec(0, 0, 1)
+    # every column 0 fits the canonical shape
+    for v, q, size in firsts:
+        gram[0][0] = 2 * q
+        chosen.append(v)
+        rec(1, q, size)
+        chosen.pop()
     canon = {
         T: Fraction(c) for T, c in counts.items() if minkowski_reduce(T) == T
     }

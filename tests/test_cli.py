@@ -1,16 +1,21 @@
 """End-to-end command-line checks, run in-process through cli.main."""
 
 import json
+import pathlib
+import shutil
 import time
 
 import pytest
 
-from eistheta import exactnum
+from eistheta import cli, exactnum
 from eistheta.cli import main
 from eistheta.eisenstein import eisenstein_qexp
 from eistheta.exactnum import bernoulli, frac_from_doc, frac_to_doc
 from eistheta.fourier import dump_qexp
 from eistheta.genus import build_genera, genera_to_doc, write_json_atomic
+
+
+FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
 
 def run(argv):
@@ -129,6 +134,34 @@ def test_theta_degree_beyond_five_fails_before_enumerating(tmp_path, capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert err == "eistheta theta: matrices larger than 5x5 are out of scope\n"
+
+
+@pytest.mark.parametrize("degree", ["1", "2"])
+def test_theta_refuses_a_negative_trace_bound(tmp_path, capsys, degree):
+    form = tmp_path / "b7.txt"
+    form.write_text("2; 2 1; 1 4\n")
+    rc = run(["theta", "--form", str(form), "--degree", degree, "--bound", "-1"])
+    assert rc == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "eistheta theta: trace bound must be >= 0\n"
+
+
+@pytest.mark.parametrize("degree,bound,message", [
+    ("2", "-1", "trace bound must be >= 0"),
+    ("6", "4", "matrices larger than 5x5 are out of scope"),
+])
+def test_theta_genus_average_refuses_a_bad_window_before_the_classes(
+        tmp_path, capsys, monkeypatch, degree, bound, message):
+    def refuse(*args):
+        raise AssertionError("classes enumerated")
+
+    monkeypatch.setattr(cli, "build_genera", refuse)
+    form = tmp_path / "a2.txt"
+    form.write_text("2; 2 -1; -1 2\n")
+    rc = run(["theta", "--form", str(form), "--degree", degree, "--bound", bound,
+              "--genus-average"])
+    assert rc == 2
+    assert capsys.readouterr().err == f"eistheta theta: {message}\n"
 
 
 def test_eisenstein_dump_and_cache(tmp_path):
@@ -340,6 +373,27 @@ def test_verify_main_four_rungs(tmp_path):
     assert doc["passed"] is True and doc["mode"] == "theorem"
     assert [r["weight"] for r in doc["rungs"]][-1] == 14408
     assert [r["a_tilde"] for r in doc["rungs"]] == [[32]] * len(doc["rungs"])
+
+
+@pytest.mark.parametrize("window", [["--degree", "1", "--bound", "50"],
+                                    ["--degree", "2", "--bound", "8"]])
+def test_verify_main_prime_37_on_a_fixture_cache(tmp_path, window):
+    # the rank-4 level-37 genus cache that `eistheta genera --rank 4 --level 37`
+    # writes (8 classes, 3 genera), so no class enumeration runs; the
+    # dictionary is its two chi_37 genera
+    fixture = FIXTURES / "genera_r4_L37.json"
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    shutil.copy(fixture, cache)
+    out = tmp_path / "report.json"
+    argv = ["verify-main", "--p", "37", "--k", "2", "--j", "1", *window,
+            "--m-max", "1", "--cache-dir", str(cache), "--out", str(out)]
+    assert run(argv) == 0
+    doc = read_json(str(out))
+    assert doc["passed"] is True
+    genera = read_json(fixture)["genera"]
+    assert doc["dictionary"] == [g for g in genera if g["character_disc"] == 37]
+    assert (cache / fixture.name).read_bytes() == fixture.read_bytes()
 
 
 @pytest.mark.slow

@@ -342,6 +342,12 @@ def test_dump_load_round_trip():
     assert all(set(e) == {"twoT", "num", "den"} for e in doc["coeffs"])
 
 
+def test_load_refuses_a_negative_trace_bound():
+    doc = {"degree": 2, "trace_bound": -1, "class_invariant": True, "coeffs": []}
+    with pytest.raises(ValueError, match="trace bound must be >= 0"):
+        load_qexp(doc)
+
+
 def test_dump_load_beyond_the_int_str_digit_limit():
     # 7^6000 has 5071 digits, over Python's default int/str limit of 4300
     F = QExpansion(1, 1, {((2,),): Fraction(7**6000 + 1, 3)})

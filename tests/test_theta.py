@@ -9,6 +9,7 @@ from eistheta.genus import ClassRecord, build_genera, partition_into_genera
 from eistheta.lattice import (
     as_mat,
     automorphism_count,
+    automorphisms,
     enumerate_classes,
     form_trace,
     minkowski_reduce,
@@ -22,6 +23,12 @@ from oracles import theta_all_tuples
 A2 = as_mat([[2, 1], [1, 2]])
 B7 = as_mat([[2, 1], [1, 4]])
 D4 = as_mat([[2, -1, -1, -1], [-1, 2, 0, 0], [-1, 0, 2, 0], [-1, 0, 0, 2]])
+A4 = as_mat([[2, -1, 0, 0], [-1, 2, -1, 0], [0, -1, 2, -1], [0, 0, -1, 2]])
+W2_REP = as_mat([[2, 0, -1, 0], [0, 2, 0, -1], [-1, 0, 4, 0], [0, -1, 0, 4]])  # B7 + B7
+L37_REP = as_mat([[4, -1, -1, -1], [-1, 6, 3, 1], [-1, 3, 8, -1], [-1, 1, -1, 10]])
+E8 = [[2 if i == j else 0 for j in range(8)] for i in range(8)]  # Cartan matrix
+for a, b in [(0, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (1, 3)]:
+    E8[a][b] = E8[b][a] = -1
 
 
 def theta_brute(twoS, n, B):
@@ -107,6 +114,72 @@ def test_theta_canonicalises_only_its_coefficients(monkeypatch, twoS, calls):
     monkeypatch.setattr(theta_module, "minkowski_reduce", counting)
     F = theta_series(twoS, 2, 10)
     assert len(seen) == len(F.coeffs) == calls
+
+
+@pytest.mark.parametrize("twoS,eps,n,B", [
+    (W2_REP, 32, 2, 10), (W2_REP, 32, 3, 4), (A4, 240, 2, 8), (L37_REP, 2, 2, 8),
+])
+def test_orbit_walk_matches_all_tuples_oracle(monkeypatch, twoS, eps, n, B):
+    # x_1 is taken up to Aut(S) here: every diagonal entry of 2S is <= 2B
+    groups = []
+
+    def recording(M):
+        groups.append(automorphisms(M))
+        return groups[-1]
+
+    monkeypatch.setattr(theta_module, "automorphisms", recording)
+    want = theta_all_tuples(twoS, n, B)
+    assert theta_series(twoS, n, B).coeffs == {T: Fraction(c) for T, c in want.items()}
+    assert [len(G) for G in groups] == [eps]
+
+
+def refuse_group_search(monkeypatch):
+    def refuse(twoS):
+        raise AssertionError("automorphism group searched")
+
+    monkeypatch.setattr(theta_module, "automorphisms", refuse)
+
+
+@pytest.mark.parametrize("twoS,U,n,B", [
+    # rank 5: out of the rule whatever its basis
+    (direct_sum(A2, A2, ((2,),)), [[1, 0, 0, 0, 1], [0, 1, 0, 0, 0], [0, 0, 1, 1, 0],
+                                   [0, 0, 0, 1, 0], [0, 0, 0, 0, 1]], 2, 4),
+    # a skewed D4 basis, diagonal (2, 6, 10, 2) against 2B = 8
+    (D4, [[1, 2, 3, 1], [0, 1, 2, 1], [0, 0, 1, 1], [0, 0, 0, 1]], 2, 4),
+])
+def test_walk_outside_the_rule_takes_x1_up_to_sign(monkeypatch, twoS, U, n, B):
+    skewed = transform(twoS, U)
+    assert len(skewed) > 4 or max(skewed[i][i] for i in range(4)) > 2 * B
+    want = theta_series(minkowski_reduce(skewed), n, B)
+    refuse_group_search(monkeypatch)
+    assert theta_series(skewed, n, B) == want
+
+
+def test_orbit_walk_work_count(monkeypatch):
+    # 27146 shape checks on W2's rep at (2, 16) when x_1 is taken up to sign
+    calls = []
+    fits = theta_module.fits_canonical_shape
+
+    def counting(g, j):
+        calls.append(j)
+        return fits(g, j)
+
+    monkeypatch.setattr(theta_module, "fits_canonical_shape", counting)
+    theta_series(W2_REP, 2, 16)
+    assert len(calls) <= 27146 // 4
+
+
+def test_e8_walk_searches_no_group(monkeypatch):
+    # |Aut(E8)| is about 7e8: rank 8 keeps x_1 up to sign
+    refuse_group_search(monkeypatch)
+    F = theta_series(E8, 2, 1)
+    assert F.coeffs == {((0, 0), (0, 0)): 1, ((2, 0), (0, 0)): 240}
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_theta_refuses_a_negative_trace_bound(n):
+    with pytest.raises(ValueError, match="trace bound must be >= 0"):
+        theta_series(B7, n, -1)
 
 
 def test_theta_class_invariance():
