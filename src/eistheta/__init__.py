@@ -58,7 +58,6 @@ from .padic import (
     fit_and_verify,
     primitive_density_coeff,
     singular_rank_audit,
-    weight_at,
 )
 from .theta import genus_theta, theta_series, verify_rank_decomposition
 
@@ -101,7 +100,6 @@ __all__ = [
     "WeightTarget",
     "WeightSequence",
     "default_sequence",
-    "weight_at",
     "LimitLadder",
     "empirical_limit",
     "SingularRankAudit",

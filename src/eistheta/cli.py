@@ -27,6 +27,7 @@ from .genus import (
     cache_dir_from_env,
     cached_genera,
     check_cache_fields,
+    check_genera,
     genera_to_doc,
     write_json_atomic,
 )
@@ -90,6 +91,7 @@ def cmd_classes(args) -> int:
 
 def cmd_genera(args) -> int:
     genera = cached_genera(args.rank, args.level, cache_dir=args.cache_dir)
+    check_genera(genera, args.rank, args.level)  # a cache read is replayed only if sound
     _emit(genera_to_doc(args.rank, args.level, genera), args.out)
     return 0
 

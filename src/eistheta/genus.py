@@ -189,6 +189,53 @@ def build_genera(rank, level_divides):
     return partition_into_genera([ClassRecord.from_rep(r) for r in reps])
 
 
+def check_genera(genera, rank, level_divides):
+    """Raise ValueError unless genera is what build_genera makes of its own
+    classes: canonical reps of the given rank with their automorphism
+    counts, each class listed once, grouped by genus symbol, and each
+    genus with the level (dividing level_divides), character and mass
+    that partition_into_genera gives it."""
+    found, seen = [], set()  # the rebuilt records of each genus
+    for g in genera:
+        found.append([])
+        for rec in g.classes:
+            M = check_form(rec.rep)
+            if len(M) != rank:
+                raise ValueError(f"dictionary lattice is not of rank {rank}")
+            fresh = ClassRecord.from_rep(M)
+            if fresh.rep != M:
+                raise ValueError("genus dictionary rep not canonical")
+            if fresh.epsilon != rec.epsilon:
+                raise ValueError(
+                    f"cached automorphism count {rec.epsilon} is wrong "
+                    f"(got {fresh.epsilon})"
+                )
+            if M in seen:
+                raise ValueError("a class is listed twice")
+            seen.add(M)
+            found[-1].append(fresh)
+    truth = partition_into_genera([rec for grp in found for rec in grp])
+    label = {rec: i for i, h in enumerate(truth) for rec in h.classes}
+    own = [{label[rec] for rec in grp} for grp in found]
+    if any(len(s) != 1 for s in own):
+        raise ValueError("a cached genus is empty or holds classes of different genera")
+    own = [s.pop() for s in own]
+    if len(set(own)) != len(own):
+        raise ValueError("two cached genera are one genus")
+    for g, i in zip(genera, own):
+        h = truth[i]
+        if level_divides % h.level:
+            raise ValueError(
+                f"dictionary lattice has level {h.level}, not dividing {level_divides}"
+            )
+        if h.level != g.level:
+            raise ValueError("cached level disagrees with the rep")
+        if h.character != g.character:
+            raise ValueError("cached character disagrees with the rep")
+        if h.mass != g.mass:
+            raise ValueError("cached mass disagrees with the classes")
+
+
 # ------------------------------------------------------------------ caching
 
 def genera_to_doc(rank, level_divides, genera):

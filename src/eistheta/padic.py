@@ -31,17 +31,8 @@ from .fourier import (
     qexp_scale,
     u_p,
 )
-from .genus import cached_genera, genera_to_doc, genus_symbol
-from .lattice import (
-    QuadCharacter,
-    as_mat,
-    automorphism_count,
-    check_form,
-    eta_S,
-    form_trace,
-    level,
-    minkowski_reduce,
-)
+from .genus import cached_genera, check_genera, genera_to_doc
+from .lattice import QuadCharacter, check_form, form_trace, minkowski_reduce
 from .linalg import echelon_mod
 from .localdensity import local_density_coeff
 from .theta import genus_theta
@@ -50,7 +41,6 @@ __all__ = [
     "WeightTarget",
     "WeightSequence",
     "default_sequence",
-    "weight_at",
     "LimitLadder",
     "empirical_limit",
     "SingularRankAudit",
@@ -155,13 +145,6 @@ def default_sequence(target: WeightTarget, m_max: int) -> WeightSequence:
     if m_max <= 0:
         raise ValueError("m_max must be positive")
     return WeightSequence(target, tuple(range(1, m_max + 1)))
-
-
-def weight_at(seq: WeightSequence, m: int) -> int:
-    """k_j(m); m is 1-based into the schedule."""
-    if not 1 <= m <= len(seq):
-        raise ValueError("m outside the schedule")
-    return seq.weights[m - 1]
 
 
 def _ladder_windows(seq: WeightSequence, n: int, B: int) -> list:
@@ -472,67 +455,25 @@ class VerificationReport:
 
 
 def _validate_dictionary(genera, target: WeightTarget):
-    """Recompute every cached invariant of the genus dictionary, down to
-    which genus each class belongs to."""
-    symbols = set()
-    for g in genera:
-        mass = Fraction(0)
-        for rec in g.classes:
-            M = check_form(rec.rep)
-            if len(M) != 2 * target.k:
-                raise PipelineError(
-                    "fit", f"dictionary lattice is not of rank {2 * target.k}"
-                )
-            if minkowski_reduce(M) != as_mat(rec.rep):
-                raise PipelineError("fit", "genus dictionary rep not canonical")
-            lev = level(M)
-            if target.p % lev:
-                raise PipelineError(
-                    "fit", f"dictionary lattice has level {lev}, not dividing p"
-                )
-            if lev != g.level:
-                raise PipelineError("fit", "cached level disagrees with the rep")
-            if eta_S(M) != g.character:
-                raise PipelineError("fit", "cached character disagrees with the rep")
-            eps = automorphism_count(M)
-            if eps != rec.epsilon:
-                raise PipelineError(
-                    "fit",
-                    f"cached automorphism count {rec.epsilon} is wrong (got {eps})",
-                )
-            mass += Fraction(1, eps)
-        if mass != g.mass:
-            raise PipelineError("fit", "cached mass disagrees with the classes")
-        own = {genus_symbol(rec.rep) for rec in g.classes}
-        if len(own) != 1:
-            raise PipelineError("fit", "a cached genus holds classes of different genera")
-        if own & symbols:
-            raise PipelineError("fit", "two cached genera are one genus")
-        symbols |= own
+    """Check the dictionary against the code that builds it; stage fit."""
+    try:
+        check_genera(genera, 2 * target.k, target.p)
+    except ValueError as exc:
+        raise PipelineError("fit", str(exc)) from exc
 
 
 def _select_training(indices, columns, n_unknowns, p):
-    """Greedy smallest-trace subset whose rows are independent mod p."""
-    basis = []  # echelon rows over F_p of the accepted indices
-    train = []
-    for T in indices:
-        row = [c.get(T, Fraction(0)) for c in columns]
-        try:
-            red = [residue(x, p, 1) for x in row]
-        except ValueError:
-            continue  # non p-unit denominators cannot pivot
-        rows, pivots = echelon_mod(basis + [red], p)
-        if len(pivots) == len(basis):
-            continue
-        basis = rows
-        train.append(T)
-        if len(train) == n_unknowns:
-            return train
-    raise PipelineError(
-        "fit",
-        "training system is singular mod p: the window has too few "
-        "independent indices for the genus dictionary; enlarge the window",
-    )
+    """The smallest-trace indices whose rows are independent mod p: the
+    pivot columns over F_p of the matrix whose rows are the columns."""
+    _, pivots = echelon_mod(
+        [[residue(c.get(T, 0), p, 1) for T in indices] for c in columns], p)
+    if len(pivots) < n_unknowns:
+        raise PipelineError(
+            "fit",
+            "training system is singular mod p: the window has too few "
+            "independent indices for the genus dictionary; enlarge the window",
+        )
+    return [indices[j] for j in pivots]
 
 
 def _solve_mod(rows, rhs, p, c):

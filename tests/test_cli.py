@@ -454,6 +454,37 @@ def test_verify_main_corrupted_cache(tmp_path, capsys):
     assert "stage fit" in capsys.readouterr().err
 
 
+def test_verify_main_rejects_a_class_listed_twice(tmp_path, capsys):
+    # W1 on a cache that lists the one p = 7 class twice, with mass 1/16:
+    # each class invariant and the mass agree, and the fit read a_tilde = 16
+    cache = tmp_path / "cache"
+    doc = genera_to_doc(4, 7, build_genera(4, 7))
+    (g,) = doc["genera"]
+    doc["genera"] = [dict(g, classes=g["classes"] * 2, mass={"num": "1", "den": "16"})]
+    write_json_atomic(doc, str(cache / "genera_r4_L7.json"))
+    rc = run(["verify-main", "--p", "7", "--k", "2", "--degree", "1", "--bound", "50",
+              "--m-max", "3", "--cache-dir", str(cache)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "stage fit" in err and "listed twice" in err
+
+
+def test_genera_rejects_a_tampered_cache(tmp_path, capsys):
+    # the one level-7 class claimed with 16 automorphisms and mass 1/16
+    cache = tmp_path / "cache"
+    doc = genera_to_doc(4, 7, build_genera(4, 7))
+    g = doc["genera"][0]
+    g["classes"][0]["epsilon"] = 16
+    g["mass"] = {"num": "1", "den": "16"}
+    write_json_atomic(doc, str(cache / "genera_r4_L7.json"))
+    out = tmp_path / "genera.json"
+    assert run(["genera", "--rank", "4", "--level", "7", "--cache-dir", str(cache),
+                "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "eistheta genera" in err and "automorphism count 16" in err
+    assert not out.exists()
+
+
 def test_verify_main_rejects_merged_genera(tmp_path, capsys):
     # every class invariant and the summed mass are right, but the one
     # chi_13 genus of this cache joins the det-13 and det-2197 genera

@@ -71,6 +71,27 @@ def test_source_calls_no_float():
     assert not found, f"float(...) or math.sqrt(...) called at {found}"
 
 
+def imported_names(source):
+    """Names that source imports with `from ... import`, before any `as`."""
+    return {alias.name for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ImportFrom) for alias in node.names}
+
+
+def test_imported_names_are_detected():
+    src = "import os\nfrom .lattice import level as lev, eta_S\nfrom x import (a,\n    b)\n"
+    assert imported_names(src) == {"level", "eta_S", "a", "b"}
+
+
+def test_padic_derives_no_genus_invariant():
+    # the genus dictionary is built and checked in genus alone
+    # (genus.check_genera); padic only reads it
+    path = os.path.join(os.path.dirname(eistheta.__file__), "padic.py")
+    with open(path) as fh:
+        found = imported_names(fh.read())
+    banned = {"automorphism_count", "eta_S", "level", "genus_symbol"}
+    assert not found & banned, f"padic.py imports {sorted(found & banned)}"
+
+
 def memo_names(source):
     """Functions of source under a functools.cache or lru_cache decorator,
     and module-level names ending in _CACHE."""

@@ -1,4 +1,5 @@
 import json
+import pathlib
 import random
 from fractions import Fraction
 from itertools import product
@@ -11,6 +12,7 @@ from eistheta.genus import (
     GenusRecord,
     build_genera,
     cached_genera,
+    check_genera,
     genera_from_doc,
     genera_to_doc,
     partition_into_genera,
@@ -276,6 +278,26 @@ def test_build_genera_rank4_level7():
     assert form_det(g.classes[0].rep) == 49
     assert g.character.disc == 1
     assert g.mass == Fraction(1, g.classes[0].epsilon)
+
+
+@pytest.mark.parametrize("rank,L", [(2, 3), (2, 7), (4, 7), (4, 13), (4, 17)])
+def test_check_genera_accepts_what_build_genera_makes(rank, L):
+    check_genera(build_genera(rank, L), rank, L)
+
+
+def test_check_genera_accepts_the_level_37_fixture():
+    path = pathlib.Path(__file__).parent / "fixtures" / "genera_r4_L37.json"
+    with open(path) as fh:
+        check_genera(genera_from_doc(json.load(fh)), 4, 37)
+
+
+def test_check_genera_rejects_a_class_listed_twice_and_a_foreign_level():
+    (g,) = build_genera(4, 7)
+    twice = GenusRecord(g.classes * 2, g.level, g.character, 2 * g.mass)
+    with pytest.raises(ValueError, match="listed twice"):
+        check_genera([twice], 4, 7)
+    with pytest.raises(ValueError, match="level 7, not dividing 5"):
+        check_genera([g], 4, 5)
 
 
 def test_cache_round_trip(tmp_path):

@@ -8,15 +8,24 @@ frozen from the local-density engine after its dual-route validation.
 """
 
 import json
+import pathlib
 from fractions import Fraction
 
 import pytest
 
 from eistheta import exactnum, padic
 from eistheta.eisenstein import HEADROOM, eisenstein_qexp
-from eistheta.exactnum import sigma, v_p
+from eistheta.exactnum import residue, sigma, v_p
 from eistheta.fourier import QExpansion, congruent_mod, qexp_scale
-from eistheta.genus import GenusRecord, build_genera, genera_to_doc, write_json_atomic
+from eistheta.genus import (
+    GenusRecord,
+    build_genera,
+    genera_from_doc,
+    genera_to_doc,
+    write_json_atomic,
+)
+from eistheta.lattice import form_trace
+from eistheta.linalg import echelon_mod
 from eistheta.localdensity import local_density_coeff
 from eistheta.padic import (
     PipelineError,
@@ -30,12 +39,13 @@ from eistheta.padic import (
     fit_and_verify,
     primitive_density_coeff,
     singular_rank_audit,
-    weight_at,
 )
+from eistheta.theta import genus_theta
 
 S7 = [[2, 0, -1, 0], [0, 2, 0, -1], [-1, 0, 4, 0], [0, -1, 0, 4]]
 A2A2 = [[2, -1, 0, 0], [-1, 2, 0, 0], [0, 0, 2, -1], [0, 0, -1, 2]]
 A2B7 = [[2, -1, 0, 0], [-1, 2, 0, 0], [0, 0, 2, 1], [0, 0, 1, 4]]
+FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
 
 def deprived_sigma_series(p, k, B):
@@ -64,16 +74,16 @@ def per_weight(source):
 def test_weight_values():
     t = WeightTarget(7, 2, 0)
     seq = default_sequence(t, 3)
-    assert [weight_at(seq, m) for m in (1, 2, 3)] == [44, 296, 2060]
+    assert [seq.weights[m - 1] for m in (1, 2, 3)] == [44, 296, 2060]
     t13 = WeightTarget(13, 4, 1)
-    assert weight_at(default_sequence(t13, 1), 1) == 4 + 6 * 13
+    assert default_sequence(t13, 1).weights[0] == 4 + 6 * 13
 
 
 def test_weight_lives_in_both_components():
     for t in [WeightTarget(7, 2, 0), WeightTarget(11, 4, 0), WeightTarget(13, 4, 1)]:
         seq = default_sequence(t, 3)
         for m in (1, 2, 3):
-            k_m = weight_at(seq, m)
+            k_m = seq.weights[m - 1]
             assert k_m % 2 == 0
             assert (k_m - t.k) % t.p ** seq.b_schedule[m - 1] == 0
             want = (t.p - 1) // 2**t.j
@@ -91,8 +101,6 @@ def test_weight_target_validation():
         WeightTarget(2, 2, 0)
     with pytest.raises(ValueError):
         WeightSequence(WeightTarget(7, 2, 0), (1, 1, 2))
-    with pytest.raises(ValueError):
-        weight_at(default_sequence(WeightTarget(7, 2, 0), 2), 3)
 
 
 def test_ladder_inputs_must_be_integers():
@@ -357,6 +365,58 @@ def test_training_singular_system_is_an_error():
     with pytest.raises(PipelineError) as info:
         _select_training([((0,),)], cols, 2, 7)
     assert info.value.stage == "fit"
+
+
+def greedy_training(indices, columns, n_unknowns, p):
+    """The selection _select_training replaced: walk the indices by trace
+    and keep each whose row is independent mod p of the rows kept."""
+    basis, train = [], []
+    for T in indices:
+        red = [residue(c.get(T, 0), p, 1) for c in columns]
+        rows, pivots = echelon_mod(basis + [red], p)
+        if len(pivots) == len(basis):
+            continue
+        basis = rows
+        train.append(T)
+        if len(train) == n_unknowns:
+            return train
+    raise PipelineError("fit", "training system is singular mod p")
+
+
+def dictionary_window(genera, target, n, B):
+    """The trace-sorted indices and the p-integral theta columns that
+    fit_and_verify selects its training set from."""
+    genera = [g for g in genera if g.character == target.character]
+    columns = [genus_theta(g, n, B)[1].coeffs for g in genera]
+    scale = Fraction(target.p) ** -padic._nu(columns, target.p)
+    columns = [{T: scale * a for T, a in c.items()} for c in columns]
+    indices = sorted({T for c in columns for T in c}, key=lambda T: (form_trace(T), T))
+    return indices, columns, len(genera)
+
+
+@pytest.mark.parametrize("n,B", [(1, 30), (2, 6)])
+@pytest.mark.parametrize("p,j", [(7, 0), (13, 1), (37, 1)])
+def test_training_set_matches_the_greedy_oracle(n, B, p, j):
+    if p == 37:  # the committed cache, so no class enumeration runs
+        with open(FIXTURES / "genera_r4_L37.json") as fh:
+            genera = genera_from_doc(json.load(fh))
+    else:
+        genera = build_genera(4, p)
+    indices, columns, n_unknowns = dictionary_window(genera, WeightTarget(p, 2, j), n, B)
+    want = greedy_training(indices, columns, n_unknowns, p)
+    assert _select_training(indices, columns, n_unknowns, p) == want
+
+
+def test_training_set_skips_indices_dependent_mod_p():
+    # rows by trace: r, 2r, one that is 0 mod 5, e2, r + e2 and one outside
+    # the span of r and e2; the greedy walk keeps the first, fourth and sixth
+    rows = [(1, 2, 3), (2, 4, 6), (5, Fraction(10, 3), 0), (0, 1, 0),
+            (1, 3, 3), (0, Fraction(1, 2), 1)]
+    indices = [((2 * t,),) for t in range(len(rows))]
+    columns = [{T: Fraction(row[i]) for T, row in zip(indices, rows)} for i in range(3)]
+    want = [indices[0], indices[3], indices[5]]
+    assert greedy_training(indices, columns, 3, 5) == want
+    assert _select_training(indices, columns, 3, 5) == want
 
 
 def test_corrupted_cache_fails_in_fit_stage(tmp_path):
