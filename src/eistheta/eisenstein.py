@@ -51,8 +51,10 @@ HEADROOM = 20
 
 
 def _check_window(weights, n: int, B: int) -> None:
-    """ValueError unless n is 1 or 2, every weight is even and > n + 1,
-    and B >= 0."""
+    """ValueError unless n, B and the weights are integers, n is 1 or 2,
+    every weight is even and > n + 1, and B >= 0."""
+    if not all(isinstance(x, int) for x in (n, B, *weights)):
+        raise ValueError("degree, trace bound and weights must be integers")
     if n not in (1, 2):
         raise ValueError("degree must be 1 or 2")
     for k in weights:

@@ -35,6 +35,10 @@ class QExpansion:
     coeffs: dict
 
     def __post_init__(self):
+        if not isinstance(self.degree, int) or self.degree < 0:
+            raise ValueError("degree must be an integer >= 0")
+        if not isinstance(self.trace_bound, int):
+            raise ValueError("trace bound must be an integer")
         if self.trace_bound < 0:
             raise ValueError("trace bound must be >= 0")
         clean = {}

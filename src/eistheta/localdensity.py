@@ -7,10 +7,15 @@ of rank n (given as twoT) and an even weight k,
     a_k(T) = alpha_inf(T, k) * prod_q beta_q(T, k),
 
 where beta_q is the representation density of T by the rank-2k split
-(hyperbolic) quadratic form over Z_q and alpha_inf is the archimedean density
-(explicit Gamma/pi constants).  The product over unramified primes is closed
-into zeta and Dirichlet L-values; the finitely many primes dividing 2*det(2T)
-are evaluated by exact counting.
+(hyperbolic) quadratic form over Z_q and alpha_inf is the archimedean density.
+At q not dividing 2*det(2T), beta_q is the closed Euler factor
+``_generic_factor``.  alpha_inf times all of them is the rational
+``_global_factor``: 2^ceil(n/2) over zeta(1-k) and the zeta(1+2i-2k),
+i <= n/2, times (det 2T / 2)^(k-1) at n = 1, or at even n an L-value
+L(1-s, chi_D0) and a power of f, where +-det 2T = D0 f^2.  Its derivation
+through Gamma, pi and square roots, which cancel, is kept in tests/oracles.py
+as a symbolic product.  The primes dividing 2*det(2T) are counted exactly,
+each entering as beta_q over its generic factor.
 
 Counting never enumerates representing matrices.  By orthogonality of
 additive characters, the number of X in M_{m x n}(Z/q^e) with (1/2) X^t G X
@@ -40,17 +45,16 @@ scales), which covers direct sums of binary forms of small determinant.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
 from .exactnum import (
-    bernoulli,
     dirichlet_L_neg,
     factorize,
     fund_disc_decompose,
     kronecker,
     residue,
     v_p,
+    zeta_neg,
 )
 from .lattice import (
     bareiss_det,
@@ -66,118 +70,14 @@ _STABLE_MARGIN = 8
 
 
 # ---------------------------------------------------------------------------
-# symbolic accumulator: Fraction * pi^(half_pi/2) * sqrt(rad), rad squarefree
+# generic (good-reduction) local factors and their closure with alpha_inf
 # ---------------------------------------------------------------------------
 
 
-def _split_square(x: int) -> tuple[int, int]:
-    """x = s^2 * r with r squarefree; returns (s, r)."""
-    f = factorize(x).items()
-    return math.prod(q ** (e // 2) for q, e in f), math.prod(q for q, e in f if e % 2)
-
-
-class _Sym:
-    __slots__ = ("frac", "half_pi", "rad")
-
-    def __init__(self) -> None:
-        self.frac = Fraction(1)
-        self.half_pi = 0
-        self.rad = 1
-
-    def mul_frac(self, x) -> None:
-        self.frac *= x
-
-    def mul_pi_half(self, h: int) -> None:
-        self.half_pi += h
-
-    def mul_sqrt(self, base: int, h: int) -> None:
-        """Multiply by base^(h/2), base a positive integer, h any integer."""
-        if base <= 0:
-            raise ValueError("radicand must be positive")
-        if h % 2 == 0:
-            self.frac *= Fraction(base) ** (h // 2)
-            return
-        self.frac *= Fraction(base) ** ((h - 1) // 2)
-        s, r = _split_square(self.rad * base)
-        self.frac *= s
-        self.rad = r
-
-    def mul_gamma_half(self, twice_arg: int) -> None:
-        """Multiply by Gamma(twice_arg / 2)."""
-        if twice_arg % 2 == 0:
-            n = twice_arg // 2
-            if n <= 0:
-                raise ValueError("Gamma pole")
-            self.frac *= math.factorial(n - 1)
-            return
-        j = (1 - twice_arg) // 2
-        if j >= 0:
-            # Gamma(1/2 - j) = (-4)^j j! / (2j)! sqrt(pi)
-            self.frac *= Fraction((-4) ** j * math.factorial(j), math.factorial(2 * j))
-        else:
-            # Gamma(1/2 + i) = (2i)! / (4^i i!) sqrt(pi)
-            i = -j
-            self.frac *= Fraction(math.factorial(2 * i), 4**i * math.factorial(i))
-        self.half_pi += 1
-
-    def div_gamma_half(self, twice_arg: int) -> None:
-        t = _Sym()
-        t.mul_gamma_half(twice_arg)
-        self.frac /= t.frac
-        self.half_pi -= t.half_pi
-
-    def mul_zeta_even(self, s: int) -> None:
-        # zeta(2j) = (-1)^(j+1) B_{2j} (2 pi)^{2j} / (2 (2j)!)
-        if s <= 0 or s % 2:
-            raise ValueError("need a positive even zeta argument")
-        j = s // 2
-        self.frac *= (
-            Fraction((-1) ** (j + 1))
-            * bernoulli(2 * j)
-            * Fraction(2 ** (2 * j), 2 * math.factorial(2 * j))
-        )
-        self.half_pi += 2 * s
-
-    def div_zeta_even(self, s: int) -> None:
-        t = _Sym()
-        t.mul_zeta_even(s)
-        self.frac /= t.frac
-        self.half_pi -= t.half_pi
-
-    def mul_L_value(self, s: int, D0: int) -> None:
-        """Multiply by L(s, chi_{D0}) for fundamental D0 with chi(-1) = (-1)^s."""
-        if D0 == 1:
-            self.mul_zeta_even(s)
-            return
-        delta = 0 if D0 > 0 else 1
-        if (s - delta) % 2:
-            raise ValueError("L-value parity mismatch")
-        f = abs(D0)
-        # completed functional equation for real primitive chi:
-        # L(s) = L(1-s) (f/pi)^((1-2s)/2) Gamma((1-s+delta)/2)/Gamma((s+delta)/2)
-        self.mul_frac(dirichlet_L_neg(s, D0))
-        self.mul_sqrt(f, 1 - 2 * s)
-        self.mul_pi_half(2 * s - 1)
-        self.mul_gamma_half(1 - s + delta)
-        self.div_gamma_half(s + delta)
-
-    def as_fraction(self) -> Fraction:
-        if self.half_pi != 0 or self.rad != 1:
-            raise AssertionError(
-                f"non-rational assembly: pi^({self.half_pi}/2), sqrt({self.rad})"
-            )
-        return self.frac
-
-
-# ---------------------------------------------------------------------------
-# generic (good-reduction) local factors and their global closures
-# ---------------------------------------------------------------------------
-
-
-def _eta_disc(n: int, det2T: int) -> int:
-    """Fundamental discriminant attached to an even-rank index."""
-    disc = -det2T if n % 4 == 2 else det2T
-    return fund_disc_decompose(disc)[0]
+def _eta_disc(n: int, det2T: int) -> tuple[int, int]:
+    """(D0, f) with +-det(2T) = D0 f^2, D0 fundamental, for an even-rank index:
+    the sign is - at n = 2 mod 4 and + at n = 0 mod 4."""
+    return fund_disc_decompose(-det2T if n % 4 == 2 else det2T)
 
 
 def _generic_factor(n: int, q: int, k: int, det2T: int) -> Fraction:
@@ -185,40 +85,35 @@ def _generic_factor(n: int, q: int, k: int, det2T: int) -> Fraction:
     if n >= 3:
         out *= 1 - Fraction(1, q ** (2 * k - 2))
     if n in (2, 4):
-        D0 = _eta_disc(n, det2T)
+        D0, _ = _eta_disc(n, det2T)
         out *= 1 + Fraction(kronecker(D0, q), q ** (k - n // 2))
     return out
 
 
-def _closure(n: int, k: int, det2T: int) -> _Sym:
-    sym = _Sym()
-    sym.div_zeta_even(k)
-    if n >= 3:
-        sym.div_zeta_even(2 * k - 2)
-    if n in (2, 4):
-        D0 = _eta_disc(n, det2T)
-        s = k - n // 2
-        sym.mul_L_value(s, D0)
-        sym.div_zeta_even(2 * s)
-        for q in factorize(abs(D0)):
-            sym.frac /= 1 - Fraction(1, q ** (2 * s))
-    return sym
+def _global_factor(n: int, k: int, det2T: int) -> Fraction:
+    """alpha_inf(T, k) times _generic_factor at every prime, n in {1, 2, 4}:
+    2^ceil(n/2) / (zeta(1-k) prod_{i=1}^{floor(n/2)} zeta(1+2i-2k)), times
+    (det 2T / 2)^(k-1) at n = 1, and at n = 2, 4, with s = k - n/2 and
+    (D0, f) from _eta_disc, times
+    L(1-s, chi_D0) f^(2k-n-1) / prod_{q | D0} (1 - q^(-2s)).
 
-
-def _alpha_inf(n: int, k: int, det2T: int, sym: _Sym) -> None:
-    m = 2 * k
-    # i^{-nk} from the confluent integral; real since k is even
-    if (n * k // 2) % 2:
-        sym.mul_frac(-1)
-    # 2^{mn/2} from the split Gram determinant, over the Jacobian
-    # 2^{n(n-1)/2} between matrix and half-integral target coordinates
-    sym.mul_frac(Fraction(2) ** (m * n // 2 - n * (n - 1) // 2))
-    h = m - n - 1
-    sym.mul_sqrt(det2T, h)
-    sym.mul_sqrt(2, -n * h)
-    for j in range(n):
-        sym.mul_pi_half(m - j)
-        sym.div_gamma_half(m - j)
+    The generic factors multiply to 1/zeta(k), times 1/zeta(2k-2) at n = 4,
+    times L(s, chi_D0) / zeta(2s) / prod_{q | D0} (1 - q^(-2s)) at n = 2, 4.
+    The functional equations carry these to 1-k, 3-2k, 1-s and 1-2s, and
+    the powers of pi, square roots and Gamma values that they bring cancel
+    those of alpha_inf.
+    """
+    out = Fraction(2 ** ((n + 1) // 2)) / zeta_neg(k - 1)
+    for i in range(1, n // 2 + 1):
+        out /= zeta_neg(2 * k - 2 * i - 1)
+    if n == 1:
+        return out * (det2T // 2) ** (k - 1)
+    s = k - n // 2
+    D0, f = _eta_disc(n, det2T)
+    out *= dirichlet_L_neg(s, D0) * f ** (2 * k - n - 1)
+    for q in factorize(abs(D0)):
+        out /= 1 - Fraction(1, q ** (2 * s))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -485,13 +380,13 @@ def _beta_q(q: int, k: int, twoT, det2T: int) -> Fraction:
 
 def local_density_coeff(twoT, k: int) -> Fraction:
     """Eisenstein coefficient of a rank 1..4 index from local densities."""
+    if not isinstance(k, int) or k % 2 or k < 4:
+        raise ValueError("weight must be an even integer, at least 4")
     M = [list(row) for row in twoT]
     check_form(M)
     n = len(M)
-    if k % 2 or k < 4:
-        raise ValueError("weight must be even and at least 4")
-    if n > 4:
-        raise ValueError("index rank must be at most 4")
+    if not 1 <= n <= 4:
+        raise ValueError("index rank must be 1 to 4")
     if not is_positive_definite(M):
         raise ValueError("index must be positive definite")
     if n == 3:
@@ -504,9 +399,7 @@ def local_density_coeff(twoT, k: int) -> Fraction:
         raise NotImplementedError(
             "2-adic density for rank-4 indices with even det(2T) is not implemented"
         )
-    sym = _closure(n, k, det2T)
-    _alpha_inf(n, k, det2T, sym)
-    out = sym.as_fraction()
+    out = _global_factor(n, k, det2T)
     for q in sorted(factorize(2 * det2T)):
         out *= _beta_q(q, k, M, det2T) / _generic_factor(n, q, k, det2T)
     return out

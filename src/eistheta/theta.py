@@ -33,7 +33,9 @@ from .lattice import (
 
 
 def _check_window(n: int, B: int) -> None:
-    """ValueError unless 1 <= n <= 5 and B >= 0."""
+    """ValueError unless n and B are integers, 1 <= n <= 5 and B >= 0."""
+    if not isinstance(n, int) or not isinstance(B, int):
+        raise ValueError("degree and trace bound must be integers")
     if n <= 0:
         raise ValueError("degree must be positive")
     if n > 5:

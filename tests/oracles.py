@@ -12,7 +12,10 @@ Each one enumerates everything the package code prunes:
 - is_psd: the semidefinite test by all 2^n - 1 principal minors;
 - beta_2_n1_fractions, q2_pair_bins_by_valuations, density2_odd_fractions:
   the local-density counting kernels with a v_p call per valuation and a
-  Fraction per term, where localdensity counts in integers.
+  Fraction per term, where localdensity counts in integers;
+- symbolic_global_factor: alpha_inf times the generic Euler factors as a
+  symbolic product of pi, square roots and Gamma values that cancel to a
+  rational, where localdensity reads zeta and L at negative integers.
 """
 
 import math
@@ -21,7 +24,14 @@ from functools import cache
 from itertools import combinations, product
 from operator import mul
 
-from eistheta.exactnum import factorize, kronecker, v_p
+from eistheta.exactnum import (
+    bernoulli,
+    dirichlet_L_neg,
+    factorize,
+    fund_disc_decompose,
+    kronecker,
+    v_p,
+)
 from eistheta.lattice import (
     _GAMMA_POW,
     _extendable,
@@ -414,3 +424,142 @@ def density2_odd_fractions(q, e, r, delta, da, db):
                 xfac *= sign * q ** (r // 2)
         total += w * xfac
     return total / Fraction(q) ** (3 * e + e * (2 * r - 3))
+
+
+def _split_square(x: int) -> tuple[int, int]:
+    """x = s^2 * r with r squarefree; returns (s, r)."""
+    f = factorize(x).items()
+    return math.prod(q ** (e // 2) for q, e in f), math.prod(q for q, e in f if e % 2)
+
+
+class _Sym:
+    __slots__ = ("frac", "half_pi", "rad")
+
+    def __init__(self) -> None:
+        self.frac = Fraction(1)
+        self.half_pi = 0
+        self.rad = 1
+
+    def mul_frac(self, x) -> None:
+        self.frac *= x
+
+    def mul_pi_half(self, h: int) -> None:
+        self.half_pi += h
+
+    def mul_sqrt(self, base: int, h: int) -> None:
+        """Multiply by base^(h/2), base a positive integer, h any integer."""
+        if base <= 0:
+            raise ValueError("radicand must be positive")
+        if h % 2 == 0:
+            self.frac *= Fraction(base) ** (h // 2)
+            return
+        self.frac *= Fraction(base) ** ((h - 1) // 2)
+        s, r = _split_square(self.rad * base)
+        self.frac *= s
+        self.rad = r
+
+    def mul_gamma_half(self, twice_arg: int) -> None:
+        """Multiply by Gamma(twice_arg / 2)."""
+        if twice_arg % 2 == 0:
+            n = twice_arg // 2
+            if n <= 0:
+                raise ValueError("Gamma pole")
+            self.frac *= math.factorial(n - 1)
+            return
+        j = (1 - twice_arg) // 2
+        if j >= 0:
+            # Gamma(1/2 - j) = (-4)^j j! / (2j)! sqrt(pi)
+            self.frac *= Fraction((-4) ** j * math.factorial(j), math.factorial(2 * j))
+        else:
+            # Gamma(1/2 + i) = (2i)! / (4^i i!) sqrt(pi)
+            i = -j
+            self.frac *= Fraction(math.factorial(2 * i), 4**i * math.factorial(i))
+        self.half_pi += 1
+
+    def div_gamma_half(self, twice_arg: int) -> None:
+        t = _Sym()
+        t.mul_gamma_half(twice_arg)
+        self.frac /= t.frac
+        self.half_pi -= t.half_pi
+
+    def mul_zeta_even(self, s: int) -> None:
+        # zeta(2j) = (-1)^(j+1) B_{2j} (2 pi)^{2j} / (2 (2j)!)
+        if s <= 0 or s % 2:
+            raise ValueError("need a positive even zeta argument")
+        j = s // 2
+        self.frac *= (
+            Fraction((-1) ** (j + 1))
+            * bernoulli(2 * j)
+            * Fraction(2 ** (2 * j), 2 * math.factorial(2 * j))
+        )
+        self.half_pi += 2 * s
+
+    def div_zeta_even(self, s: int) -> None:
+        t = _Sym()
+        t.mul_zeta_even(s)
+        self.frac /= t.frac
+        self.half_pi -= t.half_pi
+
+    def mul_L_value(self, s: int, D0: int) -> None:
+        """Multiply by L(s, chi_{D0}) for fundamental D0 with chi(-1) = (-1)^s."""
+        if D0 == 1:
+            self.mul_zeta_even(s)
+            return
+        delta = 0 if D0 > 0 else 1
+        if (s - delta) % 2:
+            raise ValueError("L-value parity mismatch")
+        f = abs(D0)
+        # completed functional equation for real primitive chi:
+        # L(s) = L(1-s) (f/pi)^((1-2s)/2) Gamma((1-s+delta)/2)/Gamma((s+delta)/2)
+        self.mul_frac(dirichlet_L_neg(s, D0))
+        self.mul_sqrt(f, 1 - 2 * s)
+        self.mul_pi_half(2 * s - 1)
+        self.mul_gamma_half(1 - s + delta)
+        self.div_gamma_half(s + delta)
+
+    def as_fraction(self) -> Fraction:
+        if self.half_pi != 0 or self.rad != 1:
+            raise AssertionError(
+                f"non-rational assembly: pi^({self.half_pi}/2), sqrt({self.rad})"
+            )
+        return self.frac
+
+
+def _closure(n: int, k: int, det2T: int) -> _Sym:
+    sym = _Sym()
+    sym.div_zeta_even(k)
+    if n >= 3:
+        sym.div_zeta_even(2 * k - 2)
+    if n in (2, 4):
+        D0 = fund_disc_decompose(-det2T if n % 4 == 2 else det2T)[0]
+        s = k - n // 2
+        sym.mul_L_value(s, D0)
+        sym.div_zeta_even(2 * s)
+        for q in factorize(abs(D0)):
+            sym.frac /= 1 - Fraction(1, q ** (2 * s))
+    return sym
+
+
+def _alpha_inf(n: int, k: int, det2T: int, sym: _Sym) -> None:
+    m = 2 * k
+    # i^{-nk} from the confluent integral; real since k is even
+    if (n * k // 2) % 2:
+        sym.mul_frac(-1)
+    # 2^{mn/2} from the split Gram determinant, over the Jacobian
+    # 2^{n(n-1)/2} between matrix and half-integral target coordinates
+    sym.mul_frac(Fraction(2) ** (m * n // 2 - n * (n - 1) // 2))
+    h = m - n - 1
+    sym.mul_sqrt(det2T, h)
+    sym.mul_sqrt(2, -n * h)
+    for j in range(n):
+        sym.mul_pi_half(m - j)
+        sym.div_gamma_half(m - j)
+
+
+def symbolic_global_factor(n, k, det2T):
+    """alpha_inf(T, k) times the generic Euler factor at every prime, carried
+    as Fraction * pi^(h/2) * sqrt(rad) through Gamma at half-integers and
+    zeta at even integers from B_2j (2 pi)^2j, then read as a rational."""
+    sym = _closure(n, k, det2T)
+    _alpha_inf(n, k, det2T, sym)
+    return sym.as_fraction()

@@ -155,6 +155,14 @@ def test_rejects_bad_weight_or_degree():
         eisenstein_qexp(4, 1, -1)
 
 
+@pytest.mark.parametrize("k,n,B", [(4.0, 1, 3), (4, 1, 2.5), (4, 2.0, 3), (Fraction(4), 2, 3)])
+def test_rejects_a_non_integer_window(k, n, B):
+    with pytest.raises(ValueError, match="must be integers"):
+        eisenstein_qexp(k, n, B)
+    with pytest.raises(ValueError, match="must be integers"):
+        eisenstein_residues([k], n, B, 7, 2)
+
+
 # ------------------------------------------------- residue windows mod p^N
 
 def reduced(F, p, prec):

@@ -92,6 +92,15 @@ def test_padic_derives_no_genus_invariant():
     assert not found & banned, f"padic.py imports {sorted(found & banned)}"
 
 
+def test_localdensity_reads_zeta_and_L_through_their_values():
+    # every zeta and L factor of the assembly is zeta_neg or dirichlet_L_neg,
+    # not a Bernoulli number rebuilt into a value at a positive integer
+    path = os.path.join(os.path.dirname(eistheta.__file__), "localdensity.py")
+    with open(path) as fh:
+        found = imported_names(fh.read())
+    assert "bernoulli" not in found and {"zeta_neg", "dirichlet_L_neg"} <= found
+
+
 def memo_names(source):
     """Functions of source under a functools.cache or lru_cache decorator,
     and module-level names ending in _CACHE."""

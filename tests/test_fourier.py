@@ -342,6 +342,16 @@ def test_dump_load_round_trip():
     assert all(set(e) == {"twoT", "num", "den"} for e in doc["coeffs"])
 
 
+@pytest.mark.parametrize("degree,bound,message", [
+    (1, 2.5, "trace bound must be an integer"),
+    (1.0, 2, "degree must be an integer"),
+    (-1, 2, "degree must be an integer >= 0"),
+])
+def test_expansion_refuses_a_non_integer_window(degree, bound, message):
+    with pytest.raises(ValueError, match=message):
+        QExpansion(degree, bound, {})
+
+
 def test_load_refuses_a_negative_trace_bound():
     doc = {"degree": 2, "trace_bound": -1, "class_invariant": True, "coeffs": []}
     with pytest.raises(ValueError, match="trace bound must be >= 0"):

@@ -30,10 +30,16 @@ from eistheta.localdensity import (
     _density1_odd,
     _density2_odd,
     _generic_factor,
+    _global_factor,
     _q2_pair_bins,
     local_density_coeff,
 )
-from oracles import beta_2_n1_fractions, density2_odd_fractions, q2_pair_bins_by_valuations
+from oracles import (
+    beta_2_n1_fractions,
+    density2_odd_fractions,
+    q2_pair_bins_by_valuations,
+    symbolic_global_factor,
+)
 
 E8 = [
     [2, -1, 0, 0, 0, 0, 0, 0],
@@ -443,6 +449,25 @@ def test_unramified_prime_equals_generic_factor():
 # ---------------------------------------------------------------------------
 
 
+# det 2T by rank: at n = 2, -det 2T = D0 f^2 with odd D0 in -3, -7, -15
+# and even D0 in -4, -8, -20; at n = 4, det 2T = D0 f^2 with D0 = 1, odd
+# D0 in 5, 13, 21 and even D0 in 8, 12
+GLOBAL_DETS = {
+    1: (2, 4, 12, 30),
+    2: (3, 12, 27, 7, 28, 15, 4, 16, 8, 32, 20),
+    4: (9, 25, 49, 81, 5, 13, 45, 21, 8, 32, 12),
+}
+
+
+@pytest.mark.parametrize("n", sorted(GLOBAL_DETS))
+def test_global_factor_matches_symbolic_assembly(n):
+    # the closed zeta/L form against Gamma, pi and square roots carried
+    # symbolically until they cancel
+    for k in range(4, 51, 2):
+        for det2T in GLOBAL_DETS[n]:
+            assert _global_factor(n, k, det2T) == symbolic_global_factor(n, k, det2T), (k, det2T)
+
+
 def test_classical_degree1_values():
     assert local_density_coeff([[2]], 4) == 240
     assert local_density_coeff([[4]], 4) == 2160
@@ -532,6 +557,18 @@ def test_class_invariance():
     assert local_density_coeff([[4, 1], [1, 2]], 4) == local_density_coeff(
         [[2, -1], [-1, 4]], 4
     )
+
+
+def test_rank_zero_index_is_refused():
+    with pytest.raises(ValueError, match="index rank"):
+        local_density_coeff([], 4)
+
+
+@pytest.mark.parametrize("k", [4.0, Fraction(4), "4"])
+def test_non_integer_weight_is_refused_before_any_count(monkeypatch, k):
+    monkeypatch.setattr(localdensity, "check_form", lambda M: pytest.fail("computed"))
+    with pytest.raises(ValueError, match="weight must be an even integer"):
+        local_density_coeff([[2]], k)
 
 
 def test_rejected_inputs():

@@ -176,6 +176,12 @@ def test_e8_walk_searches_no_group(monkeypatch):
     assert F.coeffs == {((0, 0), (0, 0)): 1, ((2, 0), (0, 0)): 240}
 
 
+@pytest.mark.parametrize("n,B", [(1, 4.5), (2, 4.5), (2.0, 4)])
+def test_theta_refuses_a_non_integer_window(n, B):
+    with pytest.raises(ValueError, match="must be integers"):
+        theta_series(A2, n, B)
+
+
 @pytest.mark.parametrize("n", [1, 2])
 def test_theta_refuses_a_negative_trace_bound(n):
     with pytest.raises(ValueError, match="trace bound must be >= 0"):
