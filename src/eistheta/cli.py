@@ -17,16 +17,13 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .fourier import dump_qexp, load_qexp, mod_pm_singular_rank
 from .eisenstein import eisenstein_qexp
 from .genus import (
     build_genera,
-    cache_dir_from_env,
     cached_genera,
-    check_cache_fields,
     check_genera,
     genera_to_doc,
     write_json_atomic,
@@ -113,23 +110,7 @@ def cmd_theta(args) -> int:
 
 
 def cmd_eisenstein(args) -> int:
-    cache = cache_dir_from_env(args.cache_dir)
-    path = None
-    if cache:
-        path = os.path.join(
-            cache, f"eis_k{args.k}_n{args.degree}_B{args.bound}.json"
-        )
-    request = {"k": args.k, "degree": args.degree, "trace_bound": args.bound}
-    if path and os.path.exists(path):
-        with open(path) as fh:
-            cached = json.load(fh)
-        F = load_qexp(cached)  # validate before replaying the cached dump
-        check_cache_fields(path, cached, request)
-    else:
-        F = eisenstein_qexp(args.k, args.degree, args.bound)
-        if path:
-            write_json_atomic({"k": args.k, **dump_qexp(F)}, path)
-    _emit(dump_qexp(F), args.out)
+    _emit(dump_qexp(eisenstein_qexp(args.k, args.degree, args.bound)), args.out)
     return 0
 
 
@@ -222,7 +203,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--k", type=int, required=True)
     sp.add_argument("--degree", "-n", type=int, default=1)
     sp.add_argument("--bound", "-B", type=int, required=True)
-    sp.add_argument("--cache-dir", help="overrides EISTHETA_CACHE_DIR")
     sp.add_argument("--out")
     sp.set_defaults(func=cmd_eisenstein)
 

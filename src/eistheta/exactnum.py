@@ -585,5 +585,9 @@ def frac_to_doc(x) -> dict:
 
 
 def frac_from_doc(doc) -> Fraction:
-    """Inverse of frac_to_doc; ValueError on anything but integer strings."""
-    return Fraction(_int_from_str(doc["num"]), _int_from_str(doc["den"]))
+    """Inverse of frac_to_doc; ValueError on anything but integer strings
+    over a positive denominator."""
+    den = _int_from_str(doc["den"])
+    if den <= 0:
+        raise ValueError(f"denominator must be positive, not {doc['den']!r}")
+    return Fraction(_int_from_str(doc["num"]), den)

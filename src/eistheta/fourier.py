@@ -56,9 +56,6 @@ class QExpansion:
             clean[T] = a
         object.__setattr__(self, "coeffs", clean)
 
-    def indices(self):
-        return sorted(self.coeffs, key=lambda T: (form_trace(T), T))
-
 
 def coeff(F: QExpansion, T) -> Fraction:
     """a_F(T), read at the canonical representative of T."""
@@ -332,7 +329,10 @@ def load_qexp(doc) -> QExpansion:
     coeffs = {}
     for e in _dump_field(doc, "coeffs", list):
         num_den = {f: _dump_field(e, f) for f in ("num", "den")}
-        coeffs[_dump_twoT(e)] = frac_from_doc(num_den)
+        T = _dump_twoT(e)
+        if T in coeffs:
+            raise ValueError(f"expansion dump: index {list(map(list, T))} listed twice")
+        coeffs[T] = frac_from_doc(num_den)
     degree = _dump_field(doc, "degree", int)
     trace_bound = _dump_field(doc, "trace_bound", int)
     if _dump_field(doc, "class_invariant", bool) is not True:

@@ -17,7 +17,7 @@ from itertools import combinations, product, takewhile
 from operator import mul
 
 from .exactnum import divisors, fund_disc_decompose, kronecker, v_p
-from .linalg import adjugate, bareiss_det, column_reduce, exact_rank
+from .linalg import adjugate, bareiss_det, column_reduce
 
 Mat = tuple[tuple[int, ...], ...]
 
@@ -70,7 +70,7 @@ def check_form(twoT) -> Mat:
 
 
 def form_rank(twoT) -> int:
-    return exact_rank([list(r) for r in twoT])
+    return column_reduce(twoT)[1]
 
 
 def form_det(twoT) -> int:
@@ -661,6 +661,8 @@ def enumerate_psd_indices(n: int, trace_bound: int):
     """
     if n > 5:
         raise ValueError("degree > 5 out of scope")
+    if trace_bound < 0:
+        raise ValueError("trace bound must be >= 0")
     found = []
     g = [[0] * n for _ in range(n)]
 
@@ -681,8 +683,7 @@ def enumerate_psd_indices(n: int, trace_bound: int):
                         d == 0 or bareiss_det([row[:j + 1] for row in g[:j + 1]]) > 0):
                     rec(j + 1, rem - d)
 
-    if trace_bound >= 0:
-        rec(0, 2 * trace_bound)
+    rec(0, 2 * trace_bound)
     return sorted(found, key=lambda M: (form_trace(M), M))
 
 

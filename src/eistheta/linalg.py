@@ -9,7 +9,6 @@ from __future__ import annotations
 __all__ = [
     "identity",
     "bareiss_det",
-    "exact_rank",
     "adjugate",
     "column_reduce",
     "echelon_mod",
@@ -42,27 +41,6 @@ def bareiss_det(A) -> int:
                 M[i][j] = (M[i][j] * M[k][k] - M[i][k] * M[k][j]) // prev
         prev = M[k][k]
     return sign * M[n - 1][n - 1]
-
-
-def exact_rank(A) -> int:
-    """Rank of an integer matrix by fraction-free (Bareiss) elimination."""
-    M = [list(map(int, row)) for row in A]
-    rows = len(M)
-    r, prev = 0, 1
-    for c in range(len(M[0]) if M else 0):
-        piv = next((i for i in range(r, rows) if M[i][c]), None)
-        if piv is None:
-            continue
-        M[r], M[piv] = M[piv], M[r]
-        p = M[r][c]
-        for i in range(r + 1, rows):
-            f = M[i][c]
-            M[i] = [(x * p - f * y) // prev for x, y in zip(M[i], M[r])]
-        prev = p
-        r += 1
-        if r == rows:
-            break
-    return r
 
 
 def adjugate(A) -> list[list[int]]:

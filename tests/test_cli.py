@@ -85,6 +85,17 @@ def test_malformed_genus_cache_exits_2(tmp_path, capsys, doc, field):
     assert "eistheta genera" in err and str(path) in err and repr(field) in err
 
 
+def test_genus_cache_with_a_zero_denominator_exits_2(tmp_path, capsys):
+    doc = genera_to_doc(2, 7, build_genera(2, 7))
+    doc["genera"][0]["mass"]["den"] = "0"
+    write_json_atomic(doc, str(tmp_path / "genera_r2_L7.json"))
+    assert run(["genera", "--rank", "2", "--level", "7",
+                "--cache-dir", str(tmp_path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert err.startswith("eistheta genera: ") and "denominator" in err
+
+
 def test_theta_point_count(tmp_path, capsys):
     form = tmp_path / "unary.txt"
     form.write_text("1; 2\n")
@@ -166,17 +177,44 @@ def test_theta_genus_average_refuses_a_bad_window_before_the_classes(
 
 def test_eisenstein_dump_and_cache(tmp_path):
     out = tmp_path / "e4.json"
-    cache = tmp_path / "cache"
     argv = ["eisenstein", "--k", "4", "--degree", "1", "--bound", "10",
-            "--cache-dir", str(cache), "--out", str(out)]
+            "--out", str(out)]
     assert run(argv) == 0
     doc = read_json(str(out))
     by_key = {tuple(map(tuple, e["twoT"])): e for e in doc["coeffs"]}
     assert by_key[((2,),)]["num"] == "240"
-    assert (cache / "eis_k4_n1_B10.json").exists()
     first = out.read_bytes()
-    assert run(argv) == 0  # replayed from cache, byte-identical
+    assert run(argv) == 0  # recomputed, byte-identical
     assert out.read_bytes() == first
+
+
+def test_eisenstein_ignores_a_tampered_dump_in_the_cache_dir(tmp_path, capsys,
+                                                             monkeypatch):
+    # only genus dictionaries are cached: `eisenstein` neither reads nor
+    # writes the cache dir, not even a file named after its window
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    doc = {"k": 4, **dump_qexp(eisenstein_qexp(4, 1, 10))}
+    a1 = next(e for e in doc["coeffs"] if e["twoT"] == [[2]])
+    a1["num"] = "241"
+    planted = cache / "eis_k4_n1_B10.json"
+    planted.write_text(json.dumps(doc))
+    monkeypatch.setenv("EISTHETA_CACHE_DIR", str(cache))
+    assert run(["eisenstein", "--k", "4", "--degree", "1", "--bound", "10"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert next(e for e in out["coeffs"] if e["twoT"] == [[2]])["num"] == "240"
+    assert out == dump_qexp(eisenstein_qexp(4, 1, 10))
+    assert list(cache.iterdir()) == [planted]
+    assert json.loads(planted.read_text()) == doc
+
+
+def test_eisenstein_has_no_cache_dir_option(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["eisenstein", "--k", "4", "--degree", "1", "--bound", "10",
+             "--cache-dir", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "--cache-dir" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_eisenstein_weight_beyond_the_int_str_digit_limit(tmp_path):
@@ -232,39 +270,15 @@ def test_singular_rank_rejects_malformed_dump(tmp_path, capsys):
         assert "eistheta singular-rank" in err and repr(field) in err, doc
 
 
-def test_eisenstein_rejects_corrupted_cache(tmp_path, capsys):
-    cache = tmp_path / "cache"
-    cache.mkdir()
-    argv = ["eisenstein", "--k", "4", "--degree", "1", "--bound", "10",
-            "--cache-dir", str(cache)]
-    for doc, field in MALFORMED_DUMPS:
-        (cache / "eis_k4_n1_B10.json").write_text(json.dumps(doc))
-        assert run(argv) == 2
-        assert repr(field) in capsys.readouterr().err, doc
-
-
-def test_eisenstein_rejects_cache_of_another_request(tmp_path, capsys):
-    cache = tmp_path / "cache"
-    argv = ["eisenstein", "--k", "4", "--degree", "1", "--bound", "4",
-            "--cache-dir", str(cache)]
-    path = cache / "eis_k4_n1_B4.json"
-    e6 = dump_qexp(eisenstein_qexp(6, 1, 4))
-    e4_b2 = dump_qexp(eisenstein_qexp(4, 1, 2))
-    e4_n2 = dump_qexp(eisenstein_qexp(4, 2, 4))
-    for doc, field in [
-        ({"k": 6, **e6}, "k"),
-        (e6, "k"),  # no record of the weight
-        ({"k": 4, **e4_b2}, "trace_bound"),
-        ({"k": 4, **e4_n2}, "degree"),
-    ]:
-        write_json_atomic(doc, str(path))
-        assert run(argv) == 2
-        err = capsys.readouterr().err
-        assert "eistheta eisenstein" in err and repr(field) in err, field
-    # a matching record replays the plain dump on stdout
-    write_json_atomic({"k": 4, **dump_qexp(eisenstein_qexp(4, 1, 4))}, str(path))
-    assert run(argv) == 0
-    assert json.loads(capsys.readouterr().out) == dump_qexp(eisenstein_qexp(4, 1, 4))
+def test_singular_rank_rejects_a_zero_denominator(tmp_path, capsys):
+    doc = dump_qexp(eisenstein_qexp(6, 1, 4))
+    doc["coeffs"][1]["den"] = "0"
+    dump = tmp_path / "zero_den.json"
+    dump.write_text(json.dumps(doc))
+    assert run(["singular-rank", "--expansion", str(dump), "--p", "7"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert err.startswith("eistheta singular-rank: ") and "denominator" in err
 
 
 def test_limit_command(tmp_path):

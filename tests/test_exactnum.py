@@ -508,6 +508,13 @@ def test_frac_from_doc_rejects_non_integers():
             frac_from_doc({"num": bad, "den": "1"})
 
 
+def test_frac_from_doc_rejects_a_denominator_that_is_not_positive():
+    for den in ("0", "-3"):
+        with pytest.raises(ValueError, match="denominator must be positive"):
+            frac_from_doc({"num": "1", "den": den})
+    assert frac_to_doc(Fraction(1, -3)) == {"num": "-1", "den": "3"}
+
+
 # ------------------------------------------------- Kummer congruences mod p^N
 
 def unit_split(x, p, prec):

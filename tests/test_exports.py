@@ -101,6 +101,16 @@ def test_localdensity_reads_zeta_and_L_through_their_values():
     assert "bernoulli" not in found and {"zeta_neg", "dirichlet_L_neg"} <= found
 
 
+def test_cli_keeps_no_cache_of_its_own():
+    # the genus dictionary, re-checked by genus.check_genera on every read,
+    # is the only cache; cli.py reaches it through genus.cached_genera alone
+    path = os.path.join(os.path.dirname(eistheta.__file__), "cli.py")
+    with open(path) as fh:
+        found = imported_names(fh.read())
+    banned = {"cache_dir_from_env", "check_cache_fields"}
+    assert not found & banned, f"cli.py imports {sorted(found & banned)}"
+
+
 def memo_names(source):
     """Functions of source under a functools.cache or lru_cache decorator,
     and module-level names ending in _CACHE."""

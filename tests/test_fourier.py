@@ -238,6 +238,12 @@ def test_primitive_coeffs_against_primitive_counts():
             assert a == coeff(F, T)
 
 
+def test_primitive_coeffs_refuses_a_negative_bound():
+    F = QExpansion(1, 4, {((2,),): 1})
+    with pytest.raises(ValueError, match="trace bound must be >= 0"):
+        primitive_coeffs(F, 1, -1)
+
+
 def test_primitive_coeffs_resummation():
     # re-substitute the primitive coefficients into the defining relation
     from eistheta.fourier import _hnf_matrices, _transform_by_inverse
@@ -355,6 +361,15 @@ def test_expansion_refuses_a_non_integer_window(degree, bound, message):
 def test_load_refuses_a_negative_trace_bound():
     doc = {"degree": 2, "trace_bound": -1, "class_invariant": True, "coeffs": []}
     with pytest.raises(ValueError, match="trace bound must be >= 0"):
+        load_qexp(doc)
+
+
+def test_load_refuses_an_index_listed_twice():
+    doc = {"degree": 1, "trace_bound": 4, "class_invariant": True, "coeffs": [
+        {"twoT": [[2]], "num": "240", "den": "1"},
+        {"twoT": [[2]], "num": "7", "den": "1"},
+    ]}
+    with pytest.raises(ValueError, match=r"index \[\[2\]\] listed twice"):
         load_qexp(doc)
 
 

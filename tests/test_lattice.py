@@ -830,6 +830,12 @@ def test_enumerate_psd_indices_small():
         assert form_trace(M) <= 2
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_enumerate_psd_indices_refuses_a_negative_trace_bound(n):
+    with pytest.raises(ValueError, match="trace bound must be >= 0"):
+        enumerate_psd_indices(n, -1)
+
+
 @pytest.mark.parametrize("n,B", [(1, 20), (2, 16), (3, 5), (4, 3), (5, 2)])
 def test_enumerate_psd_indices_matches_box_oracle(n, B):
     assert enumerate_psd_indices(n, B) == psd_indices_box(n, B)
