@@ -97,7 +97,8 @@ def cmd_theta(args) -> int:
     twoS = _read_form(args.form)
     if args.genus_average:
         _check_window(args.degree, args.bound)  # before the class enumeration
-        genera = build_genera(len(twoS), args.level or form_level(twoS))
+        level = form_level(twoS) if args.level is None else args.level
+        genera = build_genera(len(twoS), level)
         rep = minkowski_reduce(twoS)
         match = [g for g in genera if any(c.rep == rep for c in g.classes)]
         if not match:

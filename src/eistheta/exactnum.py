@@ -18,6 +18,7 @@ __all__ = [
     "residue",
     "kronecker",
     "factorize",
+    "is_prime",
     "divisors",
     "moebius",
     "sigma",
@@ -118,6 +119,10 @@ def factorize(n: int) -> dict[int, int]:
     if n > 1:
         out[n] = out.get(n, 0) + 1
     return out
+
+
+def is_prime(n: int) -> bool:
+    return n >= 2 and factorize(n) == {n: 1}
 
 
 def divisors(n: int) -> list[int]:

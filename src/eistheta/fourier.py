@@ -14,10 +14,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
-from .exactnum import divisors, frac_from_doc, frac_to_doc, v_p
+from .exactnum import divisors, frac_from_doc, frac_to_doc, is_prime, v_p
 from .lattice import (
     Mat,
     as_mat,
+    enumerate_psd_indices,
     form_det,
     form_rank,
     form_trace,
@@ -119,6 +120,8 @@ def congruent_mod(F: QExpansion, G: QExpansion, p: int, m: int) -> CongruenceRes
     Compares over the smaller of the two trace bounds; the first failing
     index (in (trace, lex) order) is returned as a witness.
     """
+    if not is_prime(p):
+        raise ValueError("p must be a prime")
     if F.degree != G.degree:
         raise ValueError("degree mismatch")
     if m <= 0:
@@ -153,6 +156,8 @@ def mod_pm_singular_rank(F: QExpansion, p: int, m: int):
     only when r < degree and every stored coefficient of rank > r has
     v_p >= m.  Window-relative, like every predicate here.
     """
+    if not is_prime(p):
+        raise ValueError("p must be a prime")
     if m <= 0:
         raise ValueError("m must be positive")
     by_rank: dict[int, list] = {}
@@ -281,15 +286,7 @@ def primitive_coeffs(F: QExpansion, r: int, bound: int) -> dict:
     if bound > F.trace_bound:
         raise ValueError("bound exceeds stored trace bound")
     star = primitive_inversion(lambda T: coeff(F, pad_zero(T, F.degree)))
-    return {T: star(T) for T in _definite_indices(r, bound)}
-
-
-def _definite_indices(r: int, bound: int):
-    from .lattice import enumerate_psd_indices
-
-    return [
-        T for T in enumerate_psd_indices(r, bound) if form_rank(T) == r
-    ]
+    return {T: star(T) for T in enumerate_psd_indices(r, bound) if form_rank(T) == r}
 
 
 # ------------------------------------------------------------ dump format
@@ -324,15 +321,23 @@ def _dump_twoT(doc, what: str = "expansion dump") -> Mat:
         raise ValueError(f"{what}: missing or malformed field 'twoT'") from None
 
 
+def _dump_frac(doc, what: str = "expansion dump") -> Fraction:
+    """doc["num"] / doc["den"] as a Fraction; ValueError naming `what` otherwise."""
+    num_den = {f: _dump_field(doc, f, what=what) for f in ("num", "den")}
+    try:
+        return frac_from_doc(num_den)
+    except ValueError as exc:
+        raise ValueError(f"{what}: {exc}") from None
+
+
 def load_qexp(doc) -> QExpansion:
     """Inverse of dump_qexp; a malformed dump raises ValueError naming the field."""
     coeffs = {}
     for e in _dump_field(doc, "coeffs", list):
-        num_den = {f: _dump_field(e, f) for f in ("num", "den")}
         T = _dump_twoT(e)
         if T in coeffs:
             raise ValueError(f"expansion dump: index {list(map(list, T))} listed twice")
-        coeffs[T] = frac_from_doc(num_den)
+        coeffs[T] = _dump_frac(e)
     degree = _dump_field(doc, "degree", int)
     trace_bound = _dump_field(doc, "trace_bound", int)
     if _dump_field(doc, "class_invariant", bool) is not True:

@@ -29,8 +29,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 
-from .exactnum import factorize, frac_from_doc, frac_to_doc, kronecker
-from .fourier import _dump_field, _dump_twoT
+from .exactnum import factorize, frac_to_doc, kronecker
+from .fourier import _dump_field, _dump_frac, _dump_twoT
 from .lattice import (
     Mat,
     QuadCharacter,
@@ -268,13 +268,12 @@ def genera_from_doc(doc, what="genus dump"):
             ClassRecord(_dump_twoT(c, what), field(c, "epsilon", int))
             for c in field(g, "classes", list)
         )
-        mass = field(g, "mass", dict)
         out.append(
             GenusRecord(
                 classes,
                 field(g, "level", int),
                 QuadCharacter(field(g, "character_disc", int)),
-                frac_from_doc({f: field(mass, f) for f in ("num", "den")}),
+                _dump_frac(field(g, "mass", dict), f"{what}: field 'mass'"),
             )
         )
     return out
@@ -296,25 +295,9 @@ def write_json_atomic(doc, path):
         raise
 
 
-def cache_dir_from_env(explicit=None):
-    if explicit:
-        return explicit
-    return os.environ.get("EISTHETA_CACHE_DIR")
-
-
-def check_cache_fields(path, doc, request):
-    """Raise if the cache file at path was written for another request."""
-    for field, want in request.items():
-        if doc.get(field) != want:
-            raise ValueError(
-                f"cache {path}: field {field!r} is {doc.get(field)!r}, "
-                f"not the requested {want!r}"
-            )
-
-
 def cached_genera(rank, level_divides, cache_dir=None):
-    """Genera for (rank, level), persisted to a JSON cache when a dir is set."""
-    d = cache_dir_from_env(cache_dir)
+    """Genera for (rank, level), cached as JSON in cache_dir or EISTHETA_CACHE_DIR if set."""
+    d = cache_dir or os.environ.get("EISTHETA_CACHE_DIR")
     if d is None:
         return build_genera(rank, level_divides)
     path = os.path.join(d, f"genera_r{rank}_L{level_divides}.json")
@@ -322,7 +305,10 @@ def cached_genera(rank, level_divides, cache_dir=None):
         with open(path) as fh:
             doc = json.load(fh)
         genera = genera_from_doc(doc, f"cache {path}")
-        check_cache_fields(path, doc, {"rank": rank, "level_divides": level_divides})
+        for field, want in (("rank", rank), ("level_divides", level_divides)):
+            if doc.get(field) != want:
+                raise ValueError(f"cache {path}: field {field!r} is {doc.get(field)!r}, "
+                                 f"not the requested {want!r}")
         if any(len(c.rep) != rank for g in genera for c in g.classes):
             raise ValueError(f"cache {path}: a class is not of rank {rank}")
         return genera

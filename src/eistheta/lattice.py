@@ -344,18 +344,22 @@ def _canonical_definite(twoS: Mat) -> Mat:
     - candidates go in increasing order of their column, and the last
       step stops at the first that extends: its leaves differ only in the
       last column, which ends every row but the last.
-    The pool bound comes from Minkowski's second theorem with the exact
-    rank <= 5 Hermite constants; pool exhaustion raises instead of
-    returning a wrong answer.
+    The pool is every vector of value <= 5M/4, M the largest Q(e_i) of
+    the input basis, and it holds every vector the search reads:
+    - every branch builds a greedy basis, and a greedy basis is
+      Minkowski-reduced (each b_j has least value among the vectors
+      extending b_0..b_{j-1});
+    - by van der Waerden (Acta Math. 96, 1956; see Nguyen & Stehle, ACM
+      Trans. Algorithms 5(4), 2009), a Minkowski-reduced basis has
+      Q(b_j) <= max(1, (5/4)^(j-3)) lambda_{j+1}, which is at most
+      (5/4) lambda_r for r <= 5;
+    - lambda_r <= M, as e_0..e_{r-1} are r independent vectors.
+    Pool exhaustion raises instead of returning a wrong answer.
     """
     r = len(twoS)
     if r == 0:
         return ()
-    det_S = Fraction(bareiss_det([list(row) for row in twoS]), 2**r)
-    mu1 = min(v for _, v in short_vectors(twoS, min(twoS[i][i] for i in range(r)) // 2))
-    margin = 1 if r <= 4 else 4
-    pool_bound = max(Fraction(mu1), _GAMMA_POW[r] * det_S * margin / mu1 ** (r - 1))
-    pool = short_vectors(twoS, pool_bound, both_signs=True)
+    pool = short_vectors(twoS, 5 * max(twoS[i][i] for i in range(r)) // 8, both_signs=True)
     by_val: dict[int, list] = {}
     for vec, val in pool:
         by_val.setdefault(val, []).append(vec)

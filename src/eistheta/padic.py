@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .eisenstein import _check_window, eisenstein_residues
-from .exactnum import factorize, frac_to_doc, residue, v_p
+from .exactnum import frac_to_doc, is_prime, residue, v_p
 from .fourier import (
     QExpansion,
     check_weight_rank_congruence,
@@ -63,10 +63,6 @@ class PipelineError(RuntimeError):
         super().__init__(f"[{stage}] {message}")
 
 
-def _is_prime(n: int) -> bool:
-    return n >= 2 and factorize(n) == {n: 1}
-
-
 # ---------------------------------------------------------------------------
 # weight targets and schedules
 # ---------------------------------------------------------------------------
@@ -88,7 +84,7 @@ class WeightTarget:
     def __post_init__(self):
         if not all(isinstance(x, int) for x in (self.p, self.k, self.j)):
             raise ValueError("p, k and j must be integers")
-        if not _is_prime(self.p) or self.p == 2:
+        if not is_prime(self.p) or self.p == 2:
             raise ValueError("p must be an odd prime")
         if self.k <= 0:
             raise ValueError("k must be positive")

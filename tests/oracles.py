@@ -2,7 +2,8 @@
 
 Each one enumerates everything the package code prunes:
 - canonical_full_branching: the canonical form over every greedy basis,
-  with no sign or prefix cut;
+  with no sign or prefix cut, from the pool that Minkowski's second
+  theorem bounds, gamma_r^r det(S) / mu_1^(r-1);
 - theta_all_tuples: theta coefficients from every ordered tuple of short
   vectors, canonicalising each Gram matrix met;
 - psd_indices_box: PSD indices from the whole box that the 2x2 minors

@@ -1,8 +1,11 @@
 """End-to-end command-line checks, run in-process through cli.main."""
 
 import json
+import os
 import pathlib
 import shutil
+import subprocess
+import sys
 import time
 
 import pytest
@@ -88,12 +91,12 @@ def test_malformed_genus_cache_exits_2(tmp_path, capsys, doc, field):
 def test_genus_cache_with_a_zero_denominator_exits_2(tmp_path, capsys):
     doc = genera_to_doc(2, 7, build_genera(2, 7))
     doc["genera"][0]["mass"]["den"] = "0"
-    write_json_atomic(doc, str(tmp_path / "genera_r2_L7.json"))
+    path = tmp_path / "genera_r2_L7.json"
+    write_json_atomic(doc, str(path))
     assert run(["genera", "--rank", "2", "--level", "7",
                 "--cache-dir", str(tmp_path)]) == 2
-    out, err = capsys.readouterr()
-    assert out == "" and err.count("\n") == 1
-    assert err.startswith("eistheta genera: ") and "denominator" in err
+    assert capsys.readouterr() == ("", f"eistheta genera: cache {path}: field 'mass': "
+                                       "denominator must be positive, not '0'\n")
 
 
 def test_theta_point_count(tmp_path, capsys):
@@ -173,6 +176,16 @@ def test_theta_genus_average_refuses_a_bad_window_before_the_classes(
               "--genus-average"])
     assert rc == 2
     assert capsys.readouterr().err == f"eistheta theta: {message}\n"
+
+
+def test_theta_genus_average_refuses_level_0(tmp_path, capsys):
+    form = tmp_path / "a2.txt"
+    form.write_text("2; 2 -1; -1 2\n")
+    for level in ("0", "-3"):
+        rc = run(["theta", "--form", str(form), "--degree", "1", "--bound", "4",
+                  "--genus-average", "--level", level])
+        assert rc == 2
+        assert capsys.readouterr() == ("", "eistheta theta: level must be positive\n")
 
 
 def test_eisenstein_dump_and_cache(tmp_path):
@@ -279,6 +292,39 @@ def test_singular_rank_rejects_a_zero_denominator(tmp_path, capsys):
     out, err = capsys.readouterr()
     assert out == "" and err.count("\n") == 1
     assert err.startswith("eistheta singular-rank: ") and "denominator" in err
+
+
+def test_singular_rank_names_the_dump_in_a_bad_fraction(tmp_path, capsys):
+    doc = dump_qexp(eisenstein_qexp(6, 1, 4))
+    doc["coeffs"][1]["den"] = "1.5"
+    dump = tmp_path / "bad_den.json"
+    dump.write_text(json.dumps(doc))
+    assert run(["singular-rank", "--expansion", str(dump), "--p", "7"]) == 2
+    assert capsys.readouterr() == (
+        "", "eistheta singular-rank: expansion dump: not a decimal integer: '1.5'\n")
+
+
+@pytest.mark.parametrize("p", ["0", "4", "-7"])
+def test_singular_rank_refuses_a_p_that_is_not_prime(tmp_path, capsys, p):
+    dump = tmp_path / "e6.json"
+    write_json_atomic(dump_qexp(eisenstein_qexp(6, 1, 10)), str(dump))
+    for extra in ([], ["--k", "6"]):
+        assert run(["singular-rank", "--expansion", str(dump), "--p", p, *extra]) == 2
+        assert capsys.readouterr() == ("", "eistheta singular-rank: p must be a prime\n")
+
+
+def test_singular_rank_refuses_p_1_at_once(tmp_path):
+    # v_p at p = 1 would divide by 1 forever
+    dump = tmp_path / "e6.json"
+    write_json_atomic(dump_qexp(eisenstein_qexp(6, 1, 10)), str(dump))
+    src = str(pathlib.Path(cli.__file__).parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "eistheta.cli", "singular-rank", "--expansion", str(dump),
+         "--p", "1"], env=env, capture_output=True, text=True, timeout=30)
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr == "eistheta singular-rank: p must be a prime\n"
 
 
 def test_limit_command(tmp_path):

@@ -101,14 +101,40 @@ def test_localdensity_reads_zeta_and_L_through_their_values():
     assert "bernoulli" not in found and {"zeta_neg", "dirichlet_L_neg"} <= found
 
 
+def cache_reads(source):
+    """Line numbers in source that read the environment (os.environ,
+    os.getenv) or name EISTHETA_CACHE_DIR outside a help= text."""
+    tree = ast.parse(source)
+    helps = {id(kw.value) for node in ast.walk(tree) if isinstance(node, ast.Call)
+             for kw in node.keywords if kw.arg == "help"}
+    out = []
+    for node in ast.walk(tree):
+        if getattr(node, "attr", getattr(node, "id", None)) in ("environ", "getenv") or (
+            isinstance(node, ast.Constant) and isinstance(node.value, str)
+            and "EISTHETA_CACHE_DIR" in node.value and id(node) not in helps
+        ):
+            out.append(node.lineno)
+    return sorted(out)
+
+
+def test_cache_reads_are_detected():
+    src = ("import os\nfrom os import environ\na = os.environ.get('X')\n"
+           "b = os.getenv('Y')\nc = 'EISTHETA_CACHE_DIR'\nd = environ['Z']\n"
+           "p.add_argument('--d', help='overrides EISTHETA_CACHE_DIR')\n")
+    assert cache_reads(src) == [3, 4, 5, 6]
+
+
 def test_cli_keeps_no_cache_of_its_own():
     # the genus dictionary, re-checked by genus.check_genera on every read,
-    # is the only cache; cli.py reaches it through genus.cached_genera alone
-    path = os.path.join(os.path.dirname(eistheta.__file__), "cli.py")
-    with open(path) as fh:
-        found = imported_names(fh.read())
-    banned = {"cache_dir_from_env", "check_cache_fields"}
-    assert not found & banned, f"cli.py imports {sorted(found & banned)}"
+    # is the only cache: genus.cached_genera alone resolves the cache dir,
+    # and no other module (cli.py included) reads EISTHETA_CACHE_DIR
+    found = {}
+    for path in glob.glob(os.path.join(os.path.dirname(eistheta.__file__), "*.py")):
+        with open(path) as fh:
+            lines = cache_reads(fh.read())
+        if lines:
+            found[os.path.basename(path)] = lines
+    assert set(found) == {"genus.py"}, f"the cache dir is read at {found}"
 
 
 def memo_names(source):

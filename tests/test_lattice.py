@@ -1,4 +1,6 @@
+import json
 import math
+import pathlib
 import random
 from fractions import Fraction
 from itertools import product
@@ -23,6 +25,7 @@ from eistheta.lattice import (
     form_rank,
     form_trace,
     is_equivalent,
+    is_positive_definite,
     jordan_blocks,
     level,
     minkowski_reduce,
@@ -433,6 +436,64 @@ def test_minkowski_reduce_matches_full_branching_oracle():
             assert minkowski_reduce(transform(M, U)) == want, (M, U)
 
 
+def short_first_minimum(rng, r):
+    """A definite form with Q(e_0) = 1 or 2 below a larger diagonal: its
+    Minkowski bound gamma_r^r det(S) / mu_1^(r-1) lies far above 5M/4."""
+    while True:
+        g = [2 * rng.randint(1, 2)] + sorted(2 * rng.randint(2, 24 // r) for _ in range(r - 1))
+        G = [[g[i] if i == j else 0 for j in range(r)] for i in range(r)]
+        for i in range(r):
+            for j in range(i):
+                G[i][j] = G[j][i] = rng.randint(-(g[j] // 2), g[j] // 2)
+        if is_positive_definite(G):
+            return as_mat(G)
+
+
+def test_minkowski_reduce_matches_full_branching_oracle_on_random_forms():
+    rng = random.Random(61)
+    short = 0
+    for t in range(60):
+        r = rng.randint(2, 4)
+        G = short_first_minimum(rng, r) if t % 2 else random_definite(rng, r)
+        want = canonical_full_branching(G)
+        assert minkowski_reduce(transform(G, random_unimodular(rng, r))) == want, G
+        short += want[0][0] <= 4 and form_det(G) >= 64
+    assert short >= 20
+
+
+def test_canonical_pool_of_the_det_50653_reps(monkeypatch):
+    # one search, of the vectors of value <= 5M/4; on the first rep
+    # (mu_1 = 2) the Minkowski bound gamma_4^4 det(S) / mu_1^3 would hold
+    # 219,224 vectors
+    with open(pathlib.Path(__file__).parent / "fixtures" / "genera_r4_L37.json") as fh:
+        doc = json.load(fh)
+    reps = [as_mat(c["twoT"]) for g in doc["genera"] for c in g["classes"]]
+    reps = [M for M in reps if form_det(M) == 37**3]
+    assert len(reps) == 2
+    sizes = []
+
+    def counted(*args, **kwargs):
+        out = short_vectors(*args, **kwargs)
+        sizes.append(len(out))
+        return out
+
+    monkeypatch.setattr(lattice_module, "short_vectors", counted)
+    for M in reps:
+        lattice_module._canonical_definite.cache_clear()
+        sizes.clear()
+        assert lattice_module._canonical_definite(M) == M
+        assert len(sizes) == 1 and sizes[0] <= 28, (M, sizes)
+
+
+@pytest.mark.slow
+def test_minkowski_reduce_matches_full_branching_oracle_at_level37():
+    rng = random.Random(37)
+    for M in RECORDED_CLASSES[LEVEL37]:
+        assert canonical_full_branching(M) == M
+        for _ in range(2):
+            assert minkowski_reduce(transform(M, random_unimodular(rng, 4))) == M
+
+
 def test_minkowski_reduce_skewed_full_rank_basis():
     # a skewed basis (entries up to 1.4e7) of a rank-3 form with
     # det(2S) = 192; unreduced, the search for its minimum ran past 120 s
@@ -470,11 +531,7 @@ def random_even_form(rng):
     return as_mat(M)
 
 
-def test_minkowski_reduce_rejects_exactly_the_non_semidefinite(monkeypatch):
-    # only the semidefinite test is under test: the reduction after it is
-    # stubbed (a random rank-5 definite part can take seconds to reduce)
-    monkeypatch.setattr(lattice_module, "_pair_reduce", lambda G: G)
-    monkeypatch.setattr(lattice_module, "_canonical_definite", lambda G: G)
+def test_minkowski_reduce_rejects_exactly_the_non_semidefinite():
     rng = random.Random(5)
     seen = {"indefinite": 0, "negative": 0, "degenerate": 0, "definite": 0}
     for _ in range(4000):
