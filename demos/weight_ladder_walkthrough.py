@@ -9,7 +9,7 @@ against the explicit limit series, whose coefficients are the 7-deprived
 divisor sums 4*(sigma_1(t) - 7*sigma_1(t/7)).
 
 Run with --full for the trace-50, m <= 3 window used by the acceptance
-suite (a few extra seconds for the weight-2060 expansion).
+suite (well under a second end to end, weight-2060 expansion included).
 """
 
 import argparse

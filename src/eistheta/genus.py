@@ -296,7 +296,8 @@ def write_json_atomic(doc, path):
 
 
 def cached_genera(rank, level_divides, cache_dir=None):
-    """Genera for (rank, level), cached as JSON in cache_dir or EISTHETA_CACHE_DIR if set."""
+    """Genera for (rank, level), cached as JSON in cache_dir or EISTHETA_CACHE_DIR if set.
+    A file is checked whole on every read; a fresh build is returned as built."""
     d = cache_dir or os.environ.get("EISTHETA_CACHE_DIR")
     if d is None:
         return build_genera(rank, level_divides)
@@ -309,8 +310,10 @@ def cached_genera(rank, level_divides, cache_dir=None):
             if doc.get(field) != want:
                 raise ValueError(f"cache {path}: field {field!r} is {doc.get(field)!r}, "
                                  f"not the requested {want!r}")
-        if any(len(c.rep) != rank for g in genera for c in g.classes):
-            raise ValueError(f"cache {path}: a class is not of rank {rank}")
+        try:
+            check_genera(genera, rank, level_divides)
+        except ValueError as exc:
+            raise ValueError(f"cache {path}: {exc}") from exc
         return genera
     genera = build_genera(rank, level_divides)
     write_json_atomic(genera_to_doc(rank, level_divides, genera), path)

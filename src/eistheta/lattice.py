@@ -576,6 +576,8 @@ def enumerate_classes(r: int, level_divides: int, det_bound: int | None = None,
         raise ValueError("rank must be 2 or 4 at desk scale")
     if level_divides <= 0:
         raise ValueError("level must be positive")
+    if det_bound is not None and det_bound < 1:
+        raise ValueError("det bound must be positive")
     Lr = level_divides**r
     det_max = Lr if det_bound is None else min(Lr, det_bound)
     root = level_divides ** (r // 2)  # N^{r/2}

@@ -31,7 +31,7 @@ from .fourier import (
     qexp_scale,
     u_p,
 )
-from .genus import cached_genera, check_genera, genera_to_doc
+from .genus import cached_genera, genera_to_doc
 from .lattice import QuadCharacter, check_form, form_trace, minkowski_reduce
 from .linalg import echelon_mod
 from .localdensity import local_density_coeff
@@ -450,14 +450,6 @@ class VerificationReport:
         }
 
 
-def _validate_dictionary(genera, target: WeightTarget):
-    """Check the dictionary against the code that builds it; stage fit."""
-    try:
-        check_genera(genera, 2 * target.k, target.p)
-    except ValueError as exc:
-        raise PipelineError("fit", str(exc)) from exc
-
-
 def _select_training(indices, columns, n_unknowns, p):
     """The smallest-trace indices whose rows are independent mod p: the
     pivot columns over F_p of the matrix whose rows are the columns."""
@@ -512,6 +504,8 @@ def fit_and_verify(
         _check_window(seq.weights, n, B)
     except ValueError as exc:
         raise PipelineError("weights", str(exc)) from exc
+    if B < n:  # the window would hold no index of full rank
+        raise PipelineError("weights", f"trace bound must be at least the degree {n}")
     mode = "theorem" if target.in_theorem_range() else "exploratory"
     if mode == "exploratory" and not exploratory:
         raise PipelineError(
@@ -531,7 +525,6 @@ def fit_and_verify(
             f"no even lattices of rank {2 * target.k} with level dividing "
             f"{p} and the requested character",
         )
-    _validate_dictionary(genera, target)
 
     try:
         thetas = [genus_theta(g, n, B)[1] for g in genera]  # unnormalized sums

@@ -46,6 +46,13 @@ def test_classes_level1_empty(tmp_path):
     assert read_json(str(out))["classes"] == []
 
 
+@pytest.mark.parametrize("bound", ["0", "-1"])
+def test_classes_refuses_a_det_bound_below_1(capsys, bound):
+    rc = run(["classes", "--rank", "2", "--level", "3", "--det-bound", bound])
+    assert rc == 2
+    assert capsys.readouterr() == ("", "eistheta classes: det bound must be positive\n")
+
+
 def test_genera_rank2_level7(tmp_path):
     out = tmp_path / "genera.json"
     assert run(["genera", "--rank", "2", "--level", "7", "--out", str(out)]) == 0
@@ -176,6 +183,23 @@ def test_theta_genus_average_refuses_a_bad_window_before_the_classes(
               "--genus-average"])
     assert rc == 2
     assert capsys.readouterr().err == f"eistheta theta: {message}\n"
+
+
+def test_theta_genus_average_refuses_a_level_the_form_does_not_divide(
+        tmp_path, capsys, monkeypatch):
+    # B7 + B7 has level 7: at level 37 no class is of its genus, and
+    # enumerating the level-37 classes first took seconds
+    def refuse(*args):
+        raise AssertionError("classes enumerated")
+
+    monkeypatch.setattr(cli, "build_genera", refuse)
+    form = tmp_path / "b7b7.txt"
+    form.write_text("4; 2 1 0 0; 1 4 0 0; 0 0 2 1; 0 0 1 4\n")
+    rc = run(["theta", "--form", str(form), "--degree", "1", "--bound", "4",
+              "--genus-average", "--level", "37"])
+    assert rc == 2
+    assert capsys.readouterr() == (
+        "", "eistheta theta: the form's level 7 does not divide the level 37\n")
 
 
 def test_theta_genus_average_refuses_level_0(tmp_path, capsys):
@@ -511,7 +535,7 @@ def test_verify_main_corrupted_cache(tmp_path, capsys):
          "--m-max", "2", "--cache-dir", str(cache)]
     )
     assert rc == 2
-    assert "stage fit" in capsys.readouterr().err
+    assert "stage genera" in capsys.readouterr().err
 
 
 def test_verify_main_rejects_a_class_listed_twice(tmp_path, capsys):
@@ -526,7 +550,7 @@ def test_verify_main_rejects_a_class_listed_twice(tmp_path, capsys):
               "--m-max", "3", "--cache-dir", str(cache)])
     assert rc == 2
     err = capsys.readouterr().err
-    assert "stage fit" in err and "listed twice" in err
+    assert "stage genera" in err and "listed twice" in err
 
 
 def test_genera_rejects_a_tampered_cache(tmp_path, capsys):
@@ -560,7 +584,39 @@ def test_verify_main_rejects_merged_genera(tmp_path, capsys):
               "--bound", "8", "--m-max", "2", "--cache-dir", str(cache)])
     assert rc == 2
     err = capsys.readouterr().err
-    assert "stage fit" in err and "different genera" in err
+    assert "stage genera" in err and "different genera" in err
+
+
+def test_verify_main_checks_the_genera_it_does_not_use(tmp_path, capsys):
+    # the trivial-character genus of level 13 (det 169, one class with 8
+    # automorphisms) claims 7 and mass 1/7; the run keeps only the chi_13
+    # genera, but the whole file is checked where it is read
+    cache = tmp_path / "cache"
+    doc = genera_to_doc(4, 13, build_genera(4, 13))
+    (g,) = [g for g in doc["genera"] if g["det"] == 169]
+    assert g["character_disc"] == 1 and [c["epsilon"] for c in g["classes"]] == [8]
+    g["classes"][0]["epsilon"] = 7
+    g["mass"] = {"num": "1", "den": "7"}
+    path = cache / "genera_r4_L13.json"
+    write_json_atomic(doc, str(path))
+    assert run(["genera", "--rank", "4", "--level", "13", "--cache-dir", str(cache)]) == 2
+    err = capsys.readouterr().err
+    assert str(path) in err and "cached automorphism count 7 is wrong (got 8)" in err
+    rc = run(["verify-main", "--p", "13", "--k", "2", "--j", "1", "--degree", "1",
+              "--bound", "20", "--m-max", "2", "--cache-dir", str(cache)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "stage genera" in err and str(path) in err
+    assert "cached automorphism count 7 is wrong (got 8)" in err
+
+
+@pytest.mark.parametrize("degree,bound", [("1", "0"), ("2", "1")])
+def test_verify_main_refuses_a_window_without_an_index_of_full_rank(capsys, degree, bound):
+    rc = run(["verify-main", "--p", "7", "--k", "2", "--degree", degree,
+              "--bound", bound, "--m-max", "2"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "stage weights" in err and f"at least the degree {degree}" in err
 
 
 def test_invalid_target_is_rejected(capsys):

@@ -92,6 +92,28 @@ def test_padic_derives_no_genus_invariant():
     assert not found & banned, f"padic.py imports {sorted(found & banned)}"
 
 
+def names_used(source):
+    """Every identifier source names: Name ids, attributes and imported names."""
+    return {getattr(node, "id", None) or getattr(node, "attr", None)
+            or getattr(node, "name", None) for node in ast.walk(ast.parse(source))} - {None}
+
+
+def test_names_used_are_detected():
+    src = "from .genus import check_genera as cg\nx = genus.check_genera\ny = z(w)\n"
+    assert names_used(src) == {"check_genera", "genus", "x", "y", "z", "w"}
+
+
+def test_the_genus_cache_is_checked_in_genus_alone():
+    # one gate: cached_genera checks every dictionary it reads, so no
+    # other module names check_genera to check it again or instead
+    found = []
+    for path in glob.glob(os.path.join(os.path.dirname(eistheta.__file__), "*.py")):
+        with open(path) as fh:
+            if "check_genera" in names_used(fh.read()):
+                found.append(os.path.basename(path))
+    assert found == ["genus.py"], f"check_genera is named in {sorted(found)}"
+
+
 def test_localdensity_reads_zeta_and_L_through_their_values():
     # every zeta and L factor of the assembly is zeta_neg or dirichlet_L_neg,
     # not a Bernoulli number rebuilt into a value at a positive integer

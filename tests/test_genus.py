@@ -6,6 +6,7 @@ from itertools import product
 
 import pytest
 
+from eistheta import genus
 from eistheta.exactnum import gen_bernoulli
 from eistheta.genus import (
     ClassRecord,
@@ -329,6 +330,18 @@ def test_cached_genera_rejects_a_file_of_another_request(tmp_path):
         assert str(path) in str(info.value)
         for w in words:
             assert w in str(info.value)
+
+
+def test_cached_genera_checks_what_it_reads_and_not_what_it_builds(tmp_path, monkeypatch):
+    # one gate: a fresh build is returned as build_genera made it, and
+    # every read of the file is checked once
+    calls = []
+    check = genus.check_genera
+    monkeypatch.setattr(genus, "check_genera", lambda *a: calls.append(a) or check(*a))
+    cold = cached_genera(4, 7, cache_dir=str(tmp_path))
+    assert calls == []
+    assert cached_genera(4, 7, cache_dir=str(tmp_path)) == cold
+    assert calls == [(cold, 4, 7)]
 
 
 def test_cached_genera_uses_dir(tmp_path, monkeypatch):

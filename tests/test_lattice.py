@@ -875,6 +875,13 @@ def test_enumerate_classes_det_bound_drops_large_duals():
     assert form_det(dual) == 13**3 and level(dual) == 13
 
 
+@pytest.mark.parametrize("det_bound", [0, -1])
+def test_enumerate_classes_refuses_a_det_bound_below_1(det_bound):
+    # no form has det 2S < 1, so such a bound asks for nothing
+    with pytest.raises(ValueError, match="det bound must be positive"):
+        enumerate_classes(2, 3, det_bound=det_bound)
+
+
 def test_enumerate_psd_indices_small():
     got1 = enumerate_psd_indices(1, 3)
     assert got1 == [((0,),), ((2,),), ((4,),), ((6,),)]

@@ -32,7 +32,6 @@ from eistheta.padic import (
     WeightTarget,
     WeightSequence,
     _select_training,
-    _validate_dictionary,
     default_sequence,
     direct_limit_coefficient,
     empirical_limit,
@@ -348,7 +347,9 @@ def test_theorem_gate_and_exploratory():
 
 
 @pytest.mark.parametrize("n,B,message", [(3, 4, "degree must be 1 or 2"),
-                                         (1, -1, "trace bound must be >= 0")])
+                                         (1, -1, "trace bound must be >= 0"),
+                                         (1, 0, "at least the degree 1"),
+                                         (2, 1, "at least the degree 2")])
 def test_bad_window_is_refused_before_the_genera(monkeypatch, n, B, message):
     # at p = 37 the genus stage would enumerate classes for seconds first
     calls = []
@@ -420,6 +421,7 @@ def test_training_set_skips_indices_dependent_mod_p():
 
 
 def test_corrupted_cache_fails_in_fit_stage(tmp_path):
+    # the cache is checked where it is read, so a fault fails at stage genera
     genera = build_genera(4, 7)
     doc = genera_to_doc(4, 7, genera)
     doc["genera"][0]["classes"][0]["epsilon"] = 16  # tamper
@@ -427,7 +429,7 @@ def test_corrupted_cache_fails_in_fit_stage(tmp_path):
     t = WeightTarget(7, 2, 0)
     with pytest.raises(PipelineError) as info:
         fit_and_verify(default_sequence(t, 2), 1, 10, cache_dir=str(tmp_path))
-    assert info.value.stage == "fit"
+    assert info.value.stage == "genera"
     assert "automorphism" in str(info.value)
 
 
@@ -441,29 +443,38 @@ def test_fit_and_verify_rereads_the_genus_cache(tmp_path):
     write_json_atomic(doc, str(path))
     with pytest.raises(PipelineError) as info:
         fit_and_verify(seq, 1, 10, cache_dir=str(tmp_path))
-    assert info.value.stage == "fit"
+    assert info.value.stage == "genera"
     assert "automorphism" in str(info.value)
 
 
-def test_dictionary_of_the_wrong_rank_fails_in_fit_stage():
-    # every cached invariant of these rank 2 genera is right but their rank
+def fit_on_cache(tmp_path, p, genera):
+    """fit_and_verify at (p, k = 2, j = 0) on a rank-4 cache holding genera."""
+    write_json_atomic(genera_to_doc(4, p, genera), str(tmp_path / f"genera_r4_L{p}.json"))
+    return fit_and_verify(default_sequence(WeightTarget(p, 2, 0), 2), 1, 10,
+                          cache_dir=str(tmp_path))
+
+
+def test_dictionary_of_the_wrong_rank_fails_in_fit_stage(tmp_path):
+    # every cached invariant of these rank 2 genera is right but their rank,
+    # and the cache read refuses them
     with pytest.raises(PipelineError) as info:
-        _validate_dictionary(build_genera(2, 7), WeightTarget(7, 2, 0))
-    assert info.value.stage == "fit"
+        fit_on_cache(tmp_path, 7, build_genera(2, 7))
+    assert info.value.stage == "genera"
     assert "rank 4" in str(info.value)
 
 
-def test_dictionary_that_splits_a_genus_fails_in_fit_stage():
+def test_dictionary_that_splits_a_genus_fails_in_fit_stage(tmp_path):
     # the three classes of the det-289 genus of level 17, cut into two
     # genera whose masses and class invariants are each right
-    (g,) = [g for g in build_genera(4, 17) if g.det == 289]
+    genera = build_genera(4, 17)
+    (g,) = [g for g in genera if g.det == 289]
     assert len(g.classes) == 3
     parts = [g.classes[:1], g.classes[1:]]
     split = [GenusRecord(c, g.level, g.character, sum(Fraction(1, r.epsilon) for r in c))
              for c in parts]
     with pytest.raises(PipelineError) as info:
-        _validate_dictionary(split, WeightTarget(17, 2, 0))
-    assert info.value.stage == "fit"
+        fit_on_cache(tmp_path, 17, [h for h in genera if h is not g] + split)
+    assert info.value.stage == "genera"
     assert "one genus" in str(info.value)
 
 
