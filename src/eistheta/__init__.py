@@ -32,7 +32,6 @@ from .genus import (
     same_genus,
 )
 from .lattice import (
-    QuadCharacter,
     automorphism_count,
     chi_S,
     enumerate_classes,
@@ -77,7 +76,6 @@ __all__ = [
     "check_weight_rank_congruence",
     "dump_qexp",
     "load_qexp",
-    "QuadCharacter",
     "level",
     "chi_S",
     "eta_S",

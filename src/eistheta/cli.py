@@ -19,7 +19,7 @@ import argparse
 import json
 import sys
 
-from .fourier import dump_qexp, load_qexp, mod_pm_singular_rank
+from .fourier import check_window, dump_qexp, load_qexp, mod_pm_singular_rank
 from .eisenstein import eisenstein_qexp
 from .genus import (
     build_genera,
@@ -43,7 +43,7 @@ from .padic import (
     fit_and_verify,
     singular_rank_audit,
 )
-from .theta import _check_window, genus_theta, theta_series
+from .theta import genus_theta, theta_series
 
 __all__ = ["main"]
 
@@ -94,7 +94,7 @@ def cmd_genera(args) -> int:
 def cmd_theta(args) -> int:
     twoS = _read_form(args.form)
     if args.genus_average:
-        _check_window(args.degree, args.bound)  # before the class enumeration
+        check_window(args.degree, args.bound)  # before the class enumeration
         own = form_level(twoS)
         level = own if args.level is None else args.level
         if level > 0 and level % own:  # build_genera refuses level <= 0
@@ -118,7 +118,11 @@ def cmd_eisenstein(args) -> int:
 
 def cmd_singular_rank(args) -> int:
     with open(args.expansion) as fh:
-        F = load_qexp(json.load(fh))
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:
+            raise ValueError(f"expansion dump: {exc}") from None
+    F = load_qexp(doc)
     doc = {
         "p": args.p,
         "m": args.m,

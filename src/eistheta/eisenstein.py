@@ -33,35 +33,33 @@ from .exactnum import (
     bernoulli,
     cohen_H_factor,
     divisors,
-    fund_disc_decompose,
     gen_bernoulli_rows,
     kummer_residues,
     sigma,
     v_p,
     zeta_neg,
 )
-from .fourier import QExpansion, _from_checked
-from .lattice import bareiss_det, content, enumerate_psd_indices, form_rank
+from .fourier import QExpansion, _from_checked, check_window
+from .lattice import bareiss_det, content, enumerate_psd_indices, form_disc, form_rank
 
-__all__ = ["eisenstein_qexp", "eisenstein_residues"]
+__all__ = ["check_weights", "eisenstein_qexp", "eisenstein_residues"]
 
 # The most digits a unit part may lose to its valuation: past it a window
 # gives up with ArithmeticError rather than guess.
 HEADROOM = 20
 
 
-def _check_window(weights, n: int, B: int) -> None:
-    """ValueError unless n, B and the weights are integers, n is 1 or 2,
-    every weight is even and > n + 1, and B >= 0."""
-    if not all(isinstance(x, int) for x in (n, B, *weights)):
+def check_weights(weights, n: int, B: int) -> None:
+    """ValueError unless the window passes fourier.check_window, n is 1
+    or 2, and every weight is an even integer > n + 1."""
+    if not all(isinstance(k, int) for k in weights):
         raise ValueError("degree, trace bound and weights must be integers")
-    if n not in (1, 2):
+    check_window(n, B)
+    if n > 2:
         raise ValueError("degree must be 1 or 2")
     for k in weights:
         if k % 2 or k <= n + 1:
             raise ValueError(f"weight must be even and > {n + 1}, got {k}")
-    if B < 0:
-        raise ValueError("trace bound must be >= 0")
 
 
 def _index_shapes(n: int, B: int) -> list:
@@ -73,7 +71,7 @@ def _index_shapes(n: int, B: int) -> list:
     shapes = []
     for T in enumerate_psd_indices(2, B):
         r = form_rank(T)
-        D0, f = fund_disc_decompose(-bareiss_det(T)) if r == 2 else (None, None)
+        D0, f = form_disc(2, bareiss_det(T)) if r == 2 else (None, None)
         shapes.append((T, content(T) if r else 0, D0, f))
     return shapes
 
@@ -91,7 +89,7 @@ def _cohen_sum(k: int, c: int, D0: int, f: int, H: dict, mod: int | None = None)
 
 def eisenstein_qexp(k: int, n: int, B: int) -> QExpansion:
     """Expansion of the degree-n weight-k Eisenstein series up to trace B."""
-    _check_window((k,), n, B)
+    check_weights((k,), n, B)
     shapes = _index_shapes(n, B)
     linear = Fraction(-2 * k) / bernoulli(k)  # 2 / zeta(1 - k)
     if n == 2:
@@ -122,7 +120,7 @@ def eisenstein_residues(weights, n: int, B: int, p: int, prec: int) -> list:
     digits.
     """
     weights = list(weights)
-    _check_window(weights, n, B)
+    check_weights(weights, n, B)
     Q, PM = p**prec, p ** (prec + HEADROOM)
 
     def rep(v, u, x):  # p^v u x as p^w u', x an integer known mod PM

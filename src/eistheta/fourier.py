@@ -58,6 +58,19 @@ class QExpansion:
         object.__setattr__(self, "coeffs", clean)
 
 
+def check_window(n: int, B: int) -> None:
+    """ValueError unless the degree n and the trace bound B are integers,
+    1 <= n <= 5 and B >= 0."""
+    if not isinstance(n, int) or not isinstance(B, int):
+        raise ValueError("degree and trace bound must be integers")
+    if n <= 0:
+        raise ValueError("degree must be positive")
+    if n > 5:
+        raise ValueError("matrices larger than 5x5 are out of scope")
+    if B < 0:
+        raise ValueError("trace bound must be >= 0")
+
+
 def coeff(F: QExpansion, T) -> Fraction:
     """a_F(T), read at the canonical representative of T."""
     T = as_mat(T)

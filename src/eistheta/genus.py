@@ -33,7 +33,6 @@ from .exactnum import factorize, frac_to_doc, kronecker
 from .fourier import _dump_field, _dump_frac, _dump_twoT
 from .lattice import (
     Mat,
-    QuadCharacter,
     as_mat,
     automorphism_count,
     check_form,
@@ -150,7 +149,7 @@ class ClassRecord:
 class GenusRecord:
     classes: tuple[ClassRecord, ...]
     level: int
-    character: QuadCharacter
+    character: int  # the fundamental discriminant eta_S of its classes
     mass: Fraction
 
     @property
@@ -246,7 +245,7 @@ def genera_to_doc(rank, level_divides, genera):
             {
                 "det": g.det,
                 "level": g.level,
-                "character_disc": g.character.disc,
+                "character_disc": g.character,
                 "mass": frac_to_doc(g.mass),
                 "classes": [
                     {"twoT": [list(row) for row in rec.rep], "epsilon": rec.epsilon}
@@ -272,7 +271,7 @@ def genera_from_doc(doc, what="genus dump"):
             GenusRecord(
                 classes,
                 field(g, "level", int),
-                QuadCharacter(field(g, "character_disc", int)),
+                field(g, "character_disc", int),
                 _dump_frac(field(g, "mass", dict), f"{what}: field 'mass'"),
             )
         )
@@ -304,7 +303,10 @@ def cached_genera(rank, level_divides, cache_dir=None):
     path = os.path.join(d, f"genera_r{rank}_L{level_divides}.json")
     if os.path.exists(path):
         with open(path) as fh:
-            doc = json.load(fh)
+            try:
+                doc = json.load(fh)
+            except ValueError as exc:
+                raise ValueError(f"cache {path}: {exc}") from None
         genera = genera_from_doc(doc, f"cache {path}")
         for field, want in (("rank", rank), ("level_divides", level_divides)):
             if doc.get(field) != want:

@@ -23,7 +23,6 @@ Mat = tuple[tuple[int, ...], ...]
 
 __all__ = [
     "Mat",
-    "QuadCharacter",
     "as_mat",
     "check_form",
     "form_rank",
@@ -35,6 +34,7 @@ __all__ = [
     "transform",
     "level",
     "chi_S",
+    "form_disc",
     "eta_S",
     "jordan_blocks",
     "short_vectors",
@@ -118,34 +118,11 @@ def is_positive_definite(twoT) -> bool:
 def transform(twoT, U) -> Mat:
     """U^t (2T) U for an integer matrix U (columns are the new basis)."""
     n = len(twoT)
-    m = len(U[0])
+    m = len(U[0]) if U else 0
     TU = [[sum(twoT[i][k] * U[k][j] for k in range(n)) for j in range(m)] for i in range(n)]
     return as_mat(
         [[sum(U[k][i] * TU[k][j] for k in range(n)) for j in range(m)] for i in range(m)]
     )
-
-
-class QuadCharacter:
-    """Real quadratic character attached to a fundamental discriminant.
-
-    disc = 1 is the trivial character of conductor 1.
-    """
-
-    def __init__(self, disc: int):
-        self.disc = disc
-        self.modulus = abs(disc)
-
-    def __call__(self, d: int) -> int:
-        return kronecker(self.disc, d)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, QuadCharacter) and self.disc == other.disc
-
-    def __hash__(self):
-        return hash(("QuadCharacter", self.disc))
-
-    def __repr__(self):
-        return f"QuadCharacter(disc={self.disc})"
 
 
 def level(twoS) -> int:
@@ -179,14 +156,20 @@ def chi_S(twoS, d: int) -> int:
     return sgn * kronecker(D, abs(d))
 
 
-def eta_S(twoS) -> QuadCharacter:
-    """Primitive character underlying chi_S (conductor |D0|)."""
-    r = len(twoS)
-    if r % 2:
-        raise ValueError("eta_S needs even rank")
-    D = (-1) ** (r // 2) * form_det(twoS)
-    D0, _ = fund_disc_decompose(D)
-    return QuadCharacter(D0)
+def form_disc(n: int, det2T: int) -> tuple[int, int]:
+    """(D0, f) with (-1)^(n/2) det 2T = D0 f^2 and D0 fundamental, for a
+    form of even rank n and det(2T) = det2T.  chi_D0 = kronecker(D0, .) is
+    the character of the form (eta_S) and of the L-values in its
+    Eisenstein coefficients."""
+    if n % 2:
+        raise ValueError("a form discriminant needs even rank")
+    return fund_disc_decompose((-1) ** (n // 2) * det2T)
+
+
+def eta_S(twoS) -> int:
+    """The fundamental discriminant D0 of the primitive character underlying
+    chi_S: kronecker(D0, d) = chi_S(d) for d prime to det 2S (conductor |D0|)."""
+    return form_disc(len(twoS), form_det(twoS))[0]
 
 
 def jordan_blocks(twoS, q: int) -> list[tuple[int, tuple[tuple[Fraction, ...], ...]]]:
@@ -243,19 +226,20 @@ def jordan_blocks(twoS, q: int) -> list[tuple[int, tuple[tuple[Fraction, ...], .
 
 # ------------------------------------------------------------ short vectors
 
-def short_vectors(twoS, bound, both_signs: bool = False):
+def short_vectors(twoS, bound):
     """All x != 0 with Q(x) <= bound for positive definite S.
 
-    Returns a list of (vector, Q(x)) sorted by (value, vector); one vector
-    per +-pair unless both_signs is set.
+    Returns a list of (vector, Q(x)) sorted by (value, vector), x and -x
+    both listed.
 
     Integer Fincke-Pohst: the Bareiss sweep of 2S gives the leading
     principal minors d_i (d_0 = 1) and integer rows u_ij with
         2Q(x) = sum_i (d_i x_i + s_i)^2 / (d_{i-1} d_i),  s_i = sum_{j>i} u_ij x_j.
     Scaling by W = lcm_i(d_{i-1} d_i) makes every partial sum an integer,
     and Q(x) <= bound is Q(x) <= floor(bound), so each coordinate range
-    |d_i x_i + s_i| <= isqrt(.) is exact.  The search keeps the vectors
-    whose last nonzero coordinate is positive, one per +-pair.
+    |d_i x_i + s_i| <= isqrt(.) is exact.  The search finds the vectors
+    whose last nonzero coordinate is positive, and their negatives are
+    added.
     """
     M = check_form(twoS)
     n = len(M)
@@ -294,13 +278,18 @@ def short_vectors(twoS, bound, both_signs: bool = False):
         x[i] = 0
 
     rec(n - 1, 0)
-    if both_signs:
-        out += [(q, tuple(-c for c in v)) for q, v in out]
-    else:
-        out = [(q, v if next(c for c in v if c) > 0 else tuple(-c for c in v))
-               for q, v in out]
+    out += [(q, tuple(-c for c in v)) for q, v in out]
     out.sort()
     return [(v, q) for q, v in out]
+
+
+def _by_value(pool) -> dict[int, list]:
+    """{value: its vectors} of a short_vectors list, values ascending and
+    each list in pool order."""
+    by_val: dict[int, list] = {}
+    for vec, val in pool:
+        by_val.setdefault(val, []).append(vec)
+    return by_val
 
 
 # ---------------------------------------------------------- canonical form
@@ -359,10 +348,7 @@ def _canonical_definite(twoS: Mat) -> Mat:
     r = len(twoS)
     if r == 0:
         return ()
-    pool = short_vectors(twoS, 5 * max(twoS[i][i] for i in range(r)) // 8, both_signs=True)
-    by_val: dict[int, list] = {}
-    for vec, val in pool:
-        by_val.setdefault(val, []).append(vec)
+    by_val = _by_value(short_vectors(twoS, 5 * max(twoS[i][i] for i in range(r)) // 8))
     values = sorted(by_val)
 
     best: list[int] | None = None
@@ -469,10 +455,13 @@ def fits_canonical_shape(g, j) -> bool:
 
 # ------------------------------------------------- isometries, automorphisms
 
-def _isometries(twoS, twoS2, want_all: bool):
+def _isometries(twoS, twoS2, want_all: bool, pool=None):
     """Column-by-column backtracking over short vectors (isometry search).
 
     Returns matrices U (columns u_i) with u_i . (2S) . u_j = (2S2)_{ij}.
+    The columns are drawn from pool, short_vectors(twoS, b) for some b at
+    least every Q(e_i) of S2; by default b is the largest of them.  The
+    zero lattice has the one isometry ().
     """
     n = len(twoS)
     if len(twoS2) != n:
@@ -480,10 +469,9 @@ def _isometries(twoS, twoS2, want_all: bool):
     if form_det(twoS) != form_det(twoS2):
         return []
     need = [twoS2[i][i] // 2 for i in range(n)]
-    pool = short_vectors(twoS, max(need), both_signs=True)
-    by_val: dict[int, list] = {}
-    for vec, val in pool:
-        by_val.setdefault(val, []).append(vec)
+    if pool is None:
+        pool = short_vectors(twoS, max(need, default=0))
+    by_val = _by_value(pool)
     if any(v not in by_val for v in need):
         return []
     M = [list(r) for r in twoS]
@@ -529,15 +517,17 @@ def is_equivalent(twoS, twoS2):
     return U
 
 
-def automorphisms(twoS) -> list:
+def automorphisms(twoS, pool=None) -> list:
     """Every U in GL_r(Z) with U^t (2S) U = 2S, for a definite form 2S.
 
-    U is a tuple of rows; x -> U x preserves the value of x.
+    U is a tuple of rows; x -> U x preserves the value of x.  A caller
+    that holds short_vectors(twoS, b), b at least every Q(e_i), passes it
+    as pool and spares the search its own.
     """
     A = check_form(twoS)
     if not is_positive_definite(A):
         raise ValueError("automorphisms expects a positive definite form")
-    return _isometries(A, A, want_all=True)
+    return _isometries(A, A, want_all=True, pool=pool)
 
 
 def automorphism_count(twoS) -> int:

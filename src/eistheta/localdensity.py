@@ -12,7 +12,8 @@ At q not dividing 2*det(2T), beta_q is the closed Euler factor
 ``_generic_factor``.  alpha_inf times all of them is the rational
 ``_global_factor``: 2^ceil(n/2) over zeta(1-k) and the zeta(1+2i-2k),
 i <= n/2, times (det 2T / 2)^(k-1) at n = 1, or at even n an L-value
-L(1-s, chi_D0) and a power of f, where +-det 2T = D0 f^2.  Its derivation
+L(1-s, chi_D0) and a power of f, where (D0, f) = lattice.form_disc(n,
+det 2T), taken once per index.  Its derivation
 through Gamma, pi and square roots, which cancel, is kept in tests/oracles.py
 as a symbolic product.  The primes dividing 2*det(2T) are counted exactly,
 each entering as beta_q over its generic factor.
@@ -50,7 +51,6 @@ from fractions import Fraction
 from .exactnum import (
     dirichlet_L_neg,
     factorize,
-    fund_disc_decompose,
     kronecker,
     residue,
     v_p,
@@ -59,6 +59,7 @@ from .exactnum import (
 from .lattice import (
     bareiss_det,
     check_form,
+    form_disc,
     is_positive_definite,
     jordan_blocks,
     minkowski_reduce,
@@ -74,27 +75,22 @@ _STABLE_MARGIN = 8
 # ---------------------------------------------------------------------------
 
 
-def _eta_disc(n: int, det2T: int) -> tuple[int, int]:
-    """(D0, f) with +-det(2T) = D0 f^2, D0 fundamental, for an even-rank index:
-    the sign is - at n = 2 mod 4 and + at n = 0 mod 4."""
-    return fund_disc_decompose(-det2T if n % 4 == 2 else det2T)
-
-
-def _generic_factor(n: int, q: int, k: int, det2T: int) -> Fraction:
+def _generic_factor(n: int, q: int, k: int, D0: int | None) -> Fraction:
+    """beta_q(T, k) at a prime q not dividing 2 det(2T); D0 is
+    form_disc(n, det 2T)[0] at n = 2, 4 and unread at n = 1."""
     out = Fraction(1) - Fraction(1, q**k)
     if n >= 3:
         out *= 1 - Fraction(1, q ** (2 * k - 2))
     if n in (2, 4):
-        D0, _ = _eta_disc(n, det2T)
         out *= 1 + Fraction(kronecker(D0, q), q ** (k - n // 2))
     return out
 
 
-def _global_factor(n: int, k: int, det2T: int) -> Fraction:
+def _global_factor(n: int, k: int, det2T: int, D0: int | None, f: int | None) -> Fraction:
     """alpha_inf(T, k) times _generic_factor at every prime, n in {1, 2, 4}:
     2^ceil(n/2) / (zeta(1-k) prod_{i=1}^{floor(n/2)} zeta(1+2i-2k)), times
     (det 2T / 2)^(k-1) at n = 1, and at n = 2, 4, with s = k - n/2 and
-    (D0, f) from _eta_disc, times
+    (D0, f) = form_disc(n, det 2T), times
     L(1-s, chi_D0) f^(2k-n-1) / prod_{q | D0} (1 - q^(-2s)).
 
     The generic factors multiply to 1/zeta(k), times 1/zeta(2k-2) at n = 4,
@@ -109,7 +105,6 @@ def _global_factor(n: int, k: int, det2T: int) -> Fraction:
     if n == 1:
         return out * (det2T // 2) ** (k - 1)
     s = k - n // 2
-    D0, f = _eta_disc(n, det2T)
     out *= dirichlet_L_neg(s, D0) * f ** (2 * k - n - 1)
     for q in factorize(abs(D0)):
         out /= 1 - Fraction(1, q ** (2 * s))
@@ -347,6 +342,8 @@ def _beta_2_n2(k: int, twoT: tuple, e: int) -> Fraction:
 
 
 def _beta_q(q: int, k: int, twoT, det2T: int) -> Fraction:
+    """beta_q(T, k) at a prime q dividing 2 det(2T), but not at q = 2 for
+    a rank-4 T (see local_density_coeff)."""
     n = len(twoT)
     v = v_p(2 * det2T, q)
     e0 = max(2, v + 2)
@@ -356,10 +353,6 @@ def _beta_q(q: int, k: int, twoT, det2T: int) -> Fraction:
         elif n == 2:
             tt = tuple(tuple(row) for row in twoT)
             fn = lambda ee: _beta_2_n2(k, tt, ee)
-        elif det2T % 2:
-            # twoT is 2-adically even unimodular, so its factor at 2 is the
-            # same closed good-reduction value as at odd unramified primes
-            return _generic_factor(n, 2, k, det2T)
         else:
             raise NotImplementedError(
                 "2-adic density for ramified targets of rank >= 3 is not implemented"
@@ -399,7 +392,11 @@ def local_density_coeff(twoT, k: int) -> Fraction:
         raise NotImplementedError(
             "2-adic density for rank-4 indices with even det(2T) is not implemented"
         )
-    out = _global_factor(n, k, det2T)
+    D0, f = form_disc(n, det2T) if n % 2 == 0 else (None, None)
+    out = _global_factor(n, k, det2T, D0, f)
     for q in sorted(factorize(2 * det2T)):
-        out *= _beta_q(q, k, M, det2T) / _generic_factor(n, q, k, det2T)
+        # at n = 4, 2T is 2-adically even unimodular (det 2T is odd), so
+        # beta_2 is the closed good-reduction value _generic_factor
+        if not (q == 2 and n == 4):
+            out *= _beta_q(q, k, M, det2T) / _generic_factor(n, q, k, D0)
     return out

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .eisenstein import _check_window, eisenstein_residues
+from .eisenstein import check_weights, eisenstein_residues
 from .exactnum import frac_to_doc, is_prime, residue, v_p
 from .fourier import (
     QExpansion,
@@ -32,7 +32,7 @@ from .fourier import (
     u_p,
 )
 from .genus import cached_genera, genera_to_doc
-from .lattice import QuadCharacter, check_form, form_trace, minkowski_reduce
+from .lattice import check_form, form_disc, form_trace, minkowski_reduce
 from .linalg import echelon_mod
 from .localdensity import local_density_coeff
 from .theta import genus_theta
@@ -101,13 +101,11 @@ class WeightTarget:
         return (self.p - 1) // 2 if self.j else self.p - 1
 
     @property
-    def character(self) -> QuadCharacter:
-        """chi_p^j as a real character: trivial for j = 0, else the
-        quadratic character of conductor p."""
-        if self.j == 0:
-            return QuadCharacter(1)
-        star = self.p if self.p % 4 == 1 else -self.p
-        return QuadCharacter(star)
+    def character(self) -> int:
+        """chi_p^j as the fundamental discriminant of a rank-2k form with
+        det(2S) = p^j: 1 for j = 0, else p* = (-1)^((p-1)/2) p, as k is
+        (p-1)/2 mod 2."""
+        return form_disc(2 * self.k, self.p**self.j)[0]
 
     def in_theorem_range(self) -> bool:
         return self.p > 2 * self.k + 1
@@ -501,7 +499,7 @@ def fit_and_verify(
         source = _ladder_windows
     target = seq.target
     try:
-        _check_window(seq.weights, n, B)
+        check_weights(seq.weights, n, B)
     except ValueError as exc:
         raise PipelineError("weights", str(exc)) from exc
     if B < n:  # the window would hold no index of full rank

@@ -14,6 +14,7 @@ from operator import mul
 
 from .fourier import (
     QExpansion,
+    check_window,
     primitive_coeffs,
     qexp_add,
     qexp_scale,
@@ -32,18 +33,6 @@ from .lattice import (
 )
 
 
-def _check_window(n: int, B: int) -> None:
-    """ValueError unless n and B are integers, 1 <= n <= 5 and B >= 0."""
-    if not isinstance(n, int) or not isinstance(B, int):
-        raise ValueError("degree and trace bound must be integers")
-    if n <= 0:
-        raise ValueError("degree must be positive")
-    if n > 5:
-        raise ValueError("matrices larger than 5x5 are out of scope")
-    if B < 0:
-        raise ValueError("trace bound must be >= 0")
-
-
 def theta_series(twoS, n: int, trace_bound: int) -> QExpansion:
     """Degree-n theta series of S, truncated at tr(T) <= trace_bound.
 
@@ -55,15 +44,15 @@ def theta_series(twoS, n: int, trace_bound: int) -> QExpansion:
     have one Gram matrix for every U in a group of automorphisms of S, so
     x_1 is taken one per orbit and counted as often as its orbit is long.
     The group is Aut(S) when rank(S) <= 4 and every diagonal entry of 2S is
-    at most 2B, so that its search pool lies inside the short vectors of
-    the window; otherwise it is {1, -1}.
+    at most 2B, so that the short vectors of the window hold its search
+    pool and are searched for it; otherwise it is {1, -1}.
     """
     twoS = check_form(twoS)
     if not is_positive_definite(twoS):
         raise ValueError("theta series needs a positive definite form")
-    _check_window(n, trace_bound)
+    check_window(n, trace_bound)
     B = trace_bound
-    vecs = short_vectors(twoS, B, both_signs=True)
+    vecs = short_vectors(twoS, B)
     if n == 1:
         counts = {((0,),): 1}
         for _, q in vecs:
@@ -73,7 +62,7 @@ def theta_series(twoS, n: int, trace_bound: int) -> QExpansion:
 
     r = len(twoS)
     if r <= 4 and all(twoS[i][i] <= 2 * B for i in range(r)):
-        group = automorphisms(twoS)
+        group = automorphisms(twoS, vecs)
     else:
         group = [tuple(tuple(s * (a == b) for b in range(r)) for a in range(r))
                  for s in (1, -1)]

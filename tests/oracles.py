@@ -65,7 +65,7 @@ def canonical_full_branching(twoS):
     margin = 1 if r <= 4 else 4
     pool_bound = max(Fraction(mu1), _GAMMA_POW[r] * det_S * margin / mu1 ** (r - 1))
     by_val = {}
-    for vec, val in short_vectors(twoS, pool_bound, both_signs=True):
+    for vec, val in short_vectors(twoS, pool_bound):
         by_val.setdefault(val, []).append(vec)
     sw = {w: [sum(row[t] * w[t] for t in range(r)) for row in twoS]
           for ws in by_val.values() for w in ws}
@@ -108,7 +108,7 @@ def theta_all_tuples(twoS, n, B):
     """{T: count} at canonical T of tr <= B, over every ordered n-tuple of
     vectors of total value <= B."""
     r = len(twoS)
-    cols = [((0,) * r, 0)] + short_vectors(twoS, B, both_signs=True)
+    cols = [((0,) * r, 0)] + short_vectors(twoS, B)
     svs = {v: [sum(twoS[i][j] * v[j] for j in range(r)) for i in range(r)]
            for v, _ in cols}
     counts = {}

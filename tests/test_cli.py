@@ -106,6 +106,31 @@ def test_genus_cache_with_a_zero_denominator_exits_2(tmp_path, capsys):
                                        "denominator must be positive, not '0'\n")
 
 
+def test_genus_cache_that_is_not_json_names_the_file(tmp_path, capsys):
+    path = tmp_path / "genera_r2_L7.json"
+    path.write_text('{\n  "rank": 2,\n')  # cut short
+    assert run(["genera", "--rank", "2", "--level", "7",
+                "--cache-dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"eistheta genera: cache {path}: Expecting "), err
+    path = tmp_path / "genera_r4_L7.json"
+    path.write_text('{\n  "rank": 4,\n')
+    assert run(["verify-main", "--p", "7", "--k", "2", "--degree", "1", "--bound",
+                "8", "--m-max", "2", "--cache-dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert f"stage genera: [genera] cache {path}: Expecting " in err, err
+
+
+def test_theta_of_the_zero_form(tmp_path, capsys):
+    form = tmp_path / "zero.txt"
+    form.write_text("0;\n")
+    for degree in ("1", "2", "3"):
+        assert run(["theta", "--form", str(form), "--degree", degree, "--bound", "3"]) == 0
+        n = int(degree)
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["coeffs"] == [{"twoT": [[0] * n] * n, "num": "1", "den": "1"}]
+
+
 def test_theta_point_count(tmp_path, capsys):
     form = tmp_path / "unary.txt"
     form.write_text("1; 2\n")
@@ -326,6 +351,14 @@ def test_singular_rank_names_the_dump_in_a_bad_fraction(tmp_path, capsys):
     assert run(["singular-rank", "--expansion", str(dump), "--p", "7"]) == 2
     assert capsys.readouterr() == (
         "", "eistheta singular-rank: expansion dump: not a decimal integer: '1.5'\n")
+
+
+def test_singular_rank_names_a_dump_that_is_not_json(tmp_path, capsys):
+    dump = tmp_path / "cut.json"
+    dump.write_text('{"degree": 1,\n')
+    assert run(["singular-rank", "--expansion", str(dump), "--p", "7"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("eistheta singular-rank: expansion dump: Expecting "), err
 
 
 @pytest.mark.parametrize("p", ["0", "4", "-7"])

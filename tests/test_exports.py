@@ -114,6 +114,28 @@ def test_the_genus_cache_is_checked_in_genus_alone():
     assert found == ["genus.py"], f"check_genera is named in {sorted(found)}"
 
 
+def test_forms_are_split_into_discriminants_in_lattice_alone():
+    # lattice.form_disc is the one producer of (D0, f) for a form: its
+    # character eta_S, and the chi_D0 of its Eisenstein coefficient in
+    # eisenstein and localdensity; exactnum defines the split
+    found = []
+    for path in glob.glob(os.path.join(os.path.dirname(eistheta.__file__), "*.py")):
+        with open(path) as fh:
+            if "fund_disc_decompose" in names_used(fh.read()):
+                found.append(os.path.basename(path))
+    assert sorted(found) == ["exactnum.py", "lattice.py"], f"named in {sorted(found)}"
+
+
+@pytest.mark.parametrize("module", ["cli.py", "padic.py"])
+def test_front_ends_import_no_private_name(module):
+    # the window checks they run are fourier.check_window and
+    # eisenstein.check_weights, not another module's private helper
+    path = os.path.join(os.path.dirname(eistheta.__file__), module)
+    with open(path) as fh:
+        found = sorted(n for n in imported_names(fh.read()) if n.startswith("_"))
+    assert found == [], f"{module} imports {found}"
+
+
 def test_localdensity_reads_zeta_and_L_through_their_values():
     # every zeta and L factor of the assembly is zeta_neg or dirichlet_L_neg,
     # not a Bernoulli number rebuilt into a value at a positive integer

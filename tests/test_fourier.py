@@ -10,6 +10,7 @@ from eistheta.exactnum import bernoulli, sigma
 from eistheta.fourier import (
     QExpansion,
     check_weight_rank_congruence,
+    check_window,
     coeff,
     congruent_mod,
     dump_qexp,
@@ -356,6 +357,23 @@ def test_dump_load_round_trip():
 def test_expansion_refuses_a_non_integer_window(degree, bound, message):
     with pytest.raises(ValueError, match=message):
         QExpansion(degree, bound, {})
+
+
+@pytest.mark.parametrize("n,B,message", [
+    (1.0, 2, "degree and trace bound must be integers"),
+    (1, 2.5, "degree and trace bound must be integers"),
+    (0, 2, "degree must be positive"),
+    (6, 2, "matrices larger than 5x5 are out of scope"),
+    (1, -1, "trace bound must be >= 0"),
+])
+def test_check_window_refuses(n, B, message):
+    with pytest.raises(ValueError, match=message):
+        check_window(n, B)
+
+
+def test_check_window_accepts_degrees_1_to_5():
+    for n in range(1, 6):
+        check_window(n, 0)
 
 
 def test_load_refuses_a_negative_trace_bound():

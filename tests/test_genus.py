@@ -130,12 +130,12 @@ def check_prime_level_masses(genera, p):
     assert [g.det for g in genera] == ([p, p**2, p**3] if p % 4 == 1 else [p**2])
     for g in genera:
         assert g.level == p
-        if g.character.disc == 1:
+        if g.character == 1:
             assert g.det == p**2
             assert g.mass == Fraction((p - 1) ** 2, 1152)
         else:
             # det p and det p^3 carry chi_p, a discriminant only for p = 1 mod 4
-            assert g.character.disc == p
+            assert g.character == p
             assert g.mass == gen_bernoulli(2, p) / 192
 
 
@@ -277,7 +277,7 @@ def test_build_genera_rank4_level7():
     assert len(g.classes) == 1
     assert g.level == 7
     assert form_det(g.classes[0].rep) == 49
-    assert g.character.disc == 1
+    assert g.character == 1
     assert g.mass == Fraction(1, g.classes[0].epsilon)
 
 

@@ -11,10 +11,10 @@ import eistheta.lattice as lattice_module
 from eistheta.exactnum import kronecker, v_p
 from eistheta.genus import ClassRecord, partition_into_genera
 from eistheta.lattice import (
-    QuadCharacter,
     _extendable,
     as_mat,
     automorphism_count,
+    automorphisms,
     check_form,
     chi_S,
     content,
@@ -122,7 +122,7 @@ def _floor_add_sqrt(c, M):
     return t
 
 
-def short_vectors_fraction(twoS, bound, both_signs=False):
+def short_vectors_fraction(twoS, bound):
     """Fincke-Pohst over a Fraction LDL: the oracle for ``short_vectors``."""
     M = check_form(twoS)
     n = len(M)
@@ -150,8 +150,6 @@ def short_vectors_fraction(twoS, bound, both_signs=False):
         x[i] = 0
 
     rec(n - 1, Fraction(0))
-    if not both_signs:
-        out = [(v, q) for v, q in out if next(c for c in v if c) > 0]
     out.sort(key=lambda p: (p[1], p[0]))
     return out
 
@@ -264,16 +262,16 @@ def test_chi_S_invariance_and_multiplicativity():
 
 
 def test_eta_S_examples():
-    assert eta_S(direct_sum(B7, B7)) == QuadCharacter(1)
+    assert eta_S(direct_sum(B7, B7)) == 1
     eta = eta_S(B7)
-    assert eta.modulus == 7
+    assert eta == -7 and abs(eta) == 7
     for d in range(1, 21):
         if d % 7:
-            assert eta(d) == chi_S(B7, d)
+            assert kronecker(eta, d) == chi_S(B7, d)
     eta4 = eta_S(I2)
-    assert eta4.disc == -4 and eta4.modulus == 4
+    assert eta4 == -4 and abs(eta4) == 4
     for d in range(1, 21, 2):
-        assert eta4(d) == chi_S(I2, d)
+        assert kronecker(eta4, d) == chi_S(I2, d)
 
 
 def test_jordan_blocks_preserve_determinant_valuation():
@@ -310,11 +308,10 @@ def test_jordan_blocks_reject_degenerate_forms():
 
 def test_short_vectors_examples():
     got = short_vectors([[2]], 4)
-    assert got == [((1,), 1), ((2,), 4)]
-    got = short_vectors(A2, 1, both_signs=True)
+    assert got == [((-1,), 1), ((1,), 1), ((-2,), 4), ((2,), 4)]
+    got = short_vectors(A2, 1)
     assert len(got) == 6 and all(q == 1 for _, q in got)
     assert short_vectors(A2, 0) == []
-    assert len(short_vectors(A2, 1)) == 3
 
 
 def test_short_vectors_against_box():
@@ -326,12 +323,12 @@ def test_short_vectors_against_box():
             forms.append(M)
     for M in forms:
         bound = rng.randint(1, 6)
-        got = set(short_vectors(M, bound, both_signs=True))
+        got = set(short_vectors(M, bound))
         assert got == short_vectors_brute(M, bound), (M, bound)
 
 
 def test_short_vectors_rational_bound():
-    got = short_vectors(A2, Fraction(3, 2), both_signs=True)
+    got = short_vectors(A2, Fraction(3, 2))
     assert len(got) == 6  # nothing between 1 and 3/2
 
 
@@ -351,9 +348,7 @@ def test_short_vectors_match_fraction_oracle():
     for M in forms:
         bounds = [0, 1, rng.randint(2, 8), Fraction(rng.randint(1, 40), rng.randint(2, 7))]
         for bound in bounds:
-            for both in (False, True):
-                got = short_vectors(M, bound, both_signs=both)
-                assert got == short_vectors_fraction(M, bound, both_signs=both), (M, bound)
+            assert short_vectors(M, bound) == short_vectors_fraction(M, bound), (M, bound)
 
 
 def test_short_vectors_e8_counts():
@@ -361,11 +356,11 @@ def test_short_vectors_e8_counts():
     C = [[2 if i == j else 0 for j in range(8)] for i in range(8)]
     for a, b in [(0, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (1, 3)]:
         C[a][b] = C[b][a] = -1
-    got = short_vectors(C, 2, both_signs=True)
+    got = short_vectors(C, 2)
     assert sum(q == 1 for _, q in got) == 240
     assert sum(q == 2 for _, q in got) == 2160
     assert len(got) == 2400
-    assert len(short_vectors(C, Fraction(5, 2))) == 1200
+    assert len(short_vectors(C, Fraction(5, 2))) == 2400
 
 
 def test_short_vectors_rejects_non_definite():
@@ -604,6 +599,20 @@ def test_automorphism_count_examples():
     assert automorphism_count(A2) == 12
     assert automorphism_count(B7) == 4
     assert automorphism_count(direct_sum(A2, A2)) == 288
+
+
+def test_the_zero_lattice_has_one_automorphism():
+    assert automorphisms(()) == [()]
+    assert automorphism_count(()) == 1
+    assert is_equivalent((), ()) == ()
+
+
+def test_automorphisms_read_a_pool_the_caller_holds():
+    # a wider pool of the same form gives the same group in the same order
+    for M in (A2, B7, I2, direct_sum(A2, B7), direct_sum(B7, B7)):
+        for extra in (0, 3):
+            B = max(M[i][i] for i in range(len(M))) // 2 + extra
+            assert automorphisms(M, short_vectors(M, B)) == automorphisms(M), (M, B)
 
 
 def test_automorphism_count_brute_small():

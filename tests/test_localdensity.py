@@ -22,7 +22,13 @@ import pytest
 from eistheta import localdensity
 from eistheta.eisenstein import eisenstein_qexp
 from eistheta.exactnum import v_p
-from eistheta.lattice import bareiss_det, enumerate_psd_indices, form_rank, short_vectors
+from eistheta.lattice import (
+    bareiss_det,
+    enumerate_psd_indices,
+    form_disc,
+    form_rank,
+    short_vectors,
+)
 from eistheta.localdensity import (
     _beta_2_n1,
     _beta_2_n2,
@@ -441,7 +447,8 @@ def test_unramified_prime_equals_generic_factor():
         det2T = bareiss_det([r[:] for r in T])
         for q in (5, 7):
             got = _beta_odd_on(q, 2, 8, 1, T)
-            assert got == _generic_factor(n, q, 4, det2T), (T, q)
+            D0 = form_disc(n, det2T)[0] if n == 2 else None
+            assert got == _generic_factor(n, q, 4, D0), (T, q)
 
 
 # ---------------------------------------------------------------------------
@@ -465,7 +472,8 @@ def test_global_factor_matches_symbolic_assembly(n):
     # symbolically until they cancel
     for k in range(4, 51, 2):
         for det2T in GLOBAL_DETS[n]:
-            assert _global_factor(n, k, det2T) == symbolic_global_factor(n, k, det2T), (k, det2T)
+            disc = form_disc(n, det2T) if n % 2 == 0 else (None, None)
+            assert _global_factor(n, k, det2T, *disc) == symbolic_global_factor(n, k, det2T), (k, det2T)
 
 
 def test_classical_degree1_values():
@@ -511,7 +519,7 @@ def test_dual_route_large_weight_smoke():
 
 
 def test_e8_representation_numbers_degree2():
-    roots = [v for v, q in short_vectors(E8, 1, both_signs=True) if q == 1]
+    roots = [v for v, q in short_vectors(E8, 1) if q == 1]
     V = np.array(roots, dtype=np.int64)
     B = V @ np.array(E8, dtype=np.int64) @ V.T
     assert len(roots) == 240
@@ -523,7 +531,7 @@ def test_e8_representation_numbers_degree4():
     # four-tuples of roots realizing two orthogonal hexagonal pairs; the
     # lattice has one class in its genus so the theta coefficient is the
     # Eisenstein coefficient
-    roots = [v for v, q in short_vectors(E8, 1, both_signs=True) if q == 1]
+    roots = [v for v, q in short_vectors(E8, 1) if q == 1]
     V = np.array(roots, dtype=np.int64)
     B = (V @ np.array(E8, dtype=np.int64) @ V.T).astype(np.int8)
     total = 0
@@ -536,7 +544,7 @@ def test_e8_representation_numbers_degree4():
 
 
 def test_e8_representation_numbers_degree4_mixed():
-    sv = short_vectors(E8, 2, both_signs=True)
+    sv = short_vectors(E8, 2)
     R = np.array([v for v, q in sv if q == 1], dtype=np.int64)
     W = np.array([v for v, q in sv if q == 2], dtype=np.int64)
     G = np.array(E8, dtype=np.int64)

@@ -115,9 +115,9 @@ def test_ladder_inputs_must_be_integers():
 
 
 def test_character_of_target():
-    assert WeightTarget(7, 2, 0).character.disc == 1
-    assert WeightTarget(13, 4, 1).character.disc == 13
-    assert WeightTarget(11, 5, 1).character.disc == -11
+    assert WeightTarget(7, 2, 0).character == 1
+    assert WeightTarget(13, 4, 1).character == 13
+    assert WeightTarget(11, 5, 1).character == -11
     assert WeightTarget(7, 2, 0).in_theorem_range()
     assert not WeightTarget(5, 2, 0).in_theorem_range()
 

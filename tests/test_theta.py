@@ -6,6 +6,7 @@ import pytest
 
 from eistheta.fourier import coeff, qexp_scale
 from eistheta.genus import ClassRecord, build_genera, partition_into_genera
+from eistheta.fourier import QExpansion
 from eistheta.lattice import (
     as_mat,
     automorphism_count,
@@ -13,9 +14,11 @@ from eistheta.lattice import (
     enumerate_classes,
     form_trace,
     minkowski_reduce,
+    short_vectors,
     transform,
 )
 from eistheta.theta import genus_theta, theta_series, verify_rank_decomposition
+import eistheta.lattice as lattice_module
 import eistheta.theta as theta_module
 from forms import direct_sum
 from oracles import theta_all_tuples
@@ -123,8 +126,8 @@ def test_orbit_walk_matches_all_tuples_oracle(monkeypatch, twoS, eps, n, B):
     # x_1 is taken up to Aut(S) here: every diagonal entry of 2S is <= 2B
     groups = []
 
-    def recording(M):
-        groups.append(automorphisms(M))
+    def recording(M, pool=None):
+        groups.append(automorphisms(M, pool))
         return groups[-1]
 
     monkeypatch.setattr(theta_module, "automorphisms", recording)
@@ -133,8 +136,27 @@ def test_orbit_walk_matches_all_tuples_oracle(monkeypatch, twoS, eps, n, B):
     assert [len(G) for G in groups] == [eps]
 
 
+def test_degree2_theta_lists_the_vectors_of_S_once(monkeypatch):
+    # the automorphism search reads the window's own short vectors
+    calls = []
+
+    def counted(twoS, bound):
+        calls.append(as_mat(twoS))
+        return short_vectors(twoS, bound)
+
+    monkeypatch.setattr(theta_module, "short_vectors", counted)
+    monkeypatch.setattr(lattice_module, "short_vectors", counted)
+    theta_series(W2_REP, 2, 16)
+    assert calls.count(W2_REP) == 1
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_theta_of_the_zero_lattice_is_1(n):
+    assert theta_series((), n, 4) == QExpansion(n, 4, {((0,) * n,) * n: 1})
+
+
 def refuse_group_search(monkeypatch):
-    def refuse(twoS):
+    def refuse(twoS, pool=None):
         raise AssertionError("automorphism group searched")
 
     monkeypatch.setattr(theta_module, "automorphisms", refuse)
