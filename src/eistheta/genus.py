@@ -119,10 +119,7 @@ def genus_symbol(twoS):
 
 def same_genus(twoS, twoS2):
     """Decide whether two positive definite even forms share a genus."""
-    A = as_mat(twoS)
-    B = as_mat(twoS2)
-    check_form(A)
-    check_form(B)
+    A, B = check_form(twoS), check_form(twoS2)
     if len(A) != len(B):
         raise ValueError("rank mismatch")
     if len(A) > 4:

@@ -14,7 +14,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product, takewhile
-from operator import mul
+from operator import index, mul
 
 from .exactnum import divisors, fund_disc_decompose, kronecker, v_p
 from .linalg import adjugate, bareiss_det, column_reduce
@@ -54,8 +54,20 @@ def as_mat(rows) -> Mat:
 
 
 def check_form(twoT) -> Mat:
-    """Validate the doubled-Gram invariants (symmetric, even diagonal)."""
-    M = as_mat(twoT)
+    """Validate the doubled-Gram invariants (symmetric, even diagonal).
+
+    Entries must be integers, i.e. accepted by operator.index: a float or a
+    string is refused with the entry named, never truncated by int().
+    """
+    try:
+        M = tuple(tuple(map(index, row)) for row in twoT)
+    except TypeError:
+        for i, row in enumerate(twoT):
+            for j, x in enumerate(row):
+                if not hasattr(type(x), "__index__"):
+                    raise ValueError(
+                        f"entry ({i}, {j}) of twoT is {x!r}, not an integer") from None
+        raise
     n = len(M)
     for row in M:
         if len(row) != n:

@@ -30,9 +30,13 @@ size of Y.  The rank m = 2k enters only as an exponent, so large weights cost
 nothing.  For odd q the Y-sum collapses into closed valuation strata
 (Ramanujan sums; quadratic Gauss sums only appear squared, g^2 = chi(-1)q).
 For q = 2 and n = 2 the character sum of each stratum is an integer fixed by
-unit scaling: the difference of two exact counts of Y, taken over one pair of
-free coordinates per unit orbit.  The counting kernels work in integers only;
-each density at one level is a single Fraction, its count over a power of q.
+unit scaling: the difference of two exact counts of Y, phase 0 against phase
+2^(e-1), over one pair of free coordinates per unit orbit.  A shift of the
+solved coordinate pairs the two counts up as twins that cancel unless det Y
+is divisible by a threshold power of 2, so only the roots of a quadratic in
+one free coordinate are visited, found digit by digit (_q2_pair_bins).  The
+counting kernels work in integers only; each density at one level is a single
+Fraction, its count over a power of q.
 
 Each local density is accepted only after two consecutive truncation levels
 agree; otherwise the computation fails with a "did not stabilize" error.
@@ -285,49 +289,97 @@ def _beta_2_n1(k: int, t: int, e: int) -> Fraction:
     return Fraction(total, 1 << (k * e))
 
 
+def _v2(x: int) -> int:
+    """v_2(x) for x != 0.  x & -x is 2^v_2(x), also for x < 0: Python ints
+    behave as two's complement, and -x = ~x + 1 keeps the trailing zeros of x."""
+    return (x & -x).bit_length() - 1
+
+
+def _digit_roots(A: int, B: int, C: int, D: int, thr: int) -> list[int]:
+    """The u < 2^D with P(u) = A + B u + C u^2 = 0 mod 2^thr, by a digit tree.
+
+    P(u + 2^d w) - P(u) = 2^d w (B + 2 C u + 2^d C w), so a node u mod 2^d
+    fixes P(u) mod 2^(d + kappa), kappa = min(v_2(B), v_2(C)).  A node is cut
+    once P(u) is nonzero to that precision (at most thr; a leaf is exact), and
+    once d + kappa >= thr every lift of a surviving node is a root.
+    """
+    cap = 1 << thr
+    kappa = min(_v2(B | cap), _v2(C | cap))
+    us, d = [0], 0
+    while True:
+        mask = (1 << (thr if d == D else min(d + kappa, thr))) - 1
+        us = [u for u in us if (A + (B + C * u) * u) & mask == 0]
+        if d == D or d + kappa >= thr:
+            return [u | w << d for u in us for w in range(1 << (D - d))]
+        us = [x for u in us for x in (u, u | 1 << d)]
+        d += 1
+
+
 def _q2_pair_bins(twoT, e: int) -> dict[int, int]:
     """Integer character sums G_c = sum psi(<Y, T>) over each Smith bin c.
 
     Y = [[y1, y3], [y3, y2]] runs mod 2^e and c(Y) = c1 + c2 is the capped sum
     of its elementary-divisor valuations, i.e. min(v_2(det Y), c1 + e).  A unit
-    u keeps c(Y) and sends the phase phi(Y) to u*phi(Y), so G_c is the
-    Ramanujan sum N_c(0) - N_c(2^(e-1)) of the phase counts.  The phase
-    equation is solved for the coordinate y_s whose coefficient has the least
-    valuation a (2^a lifts, or none); the two free coordinates run over one
-    pair per unit orbit, weighted by the orbit size.
+    u keeps c(Y) and sends the phase phi(Y) = sum t_x y_x to u*phi(Y), so G_c
+    is the Ramanujan sum N_c(0) - N_c(2^(e-1)) of the phase counts.  The
+    equation phi = 0 is solved for the coordinate y_s whose coefficient t_s
+    has the least valuation a (capped at e; 2^a lifts); the free pair (y_i,
+    y_j) runs over one representative per unit orbit, weighted by the orbit
+    size: the zero pair, and for m < e the families (2^m, 2^m u), u <
+    2^(e-m), and (2^(m+1) u, 2^m), u < 2^(e-m-1).  On a family y_s is linear
+    in u, so det Y = P(u) is a quadratic, and y1 y2 - y3^2 is evaluated mod
+    2^(e+m), which holds its valuation up to the cap c1 + e.
 
-    Valuations are bit arithmetic: m & -m is 2^v_2(m), and an OR keeps the
-    lowest set bit of its operands, so v_2(x | 2^cap) = min(v_2(x), cap) with
-    v_2(0) infinite.  That holds for det Y < 0 too: Python ints behave as two's
-    complement, and -m = ~m + 1 keeps the trailing zero bits of m.
+    Twins.  For a < e, adding delta = 2^(e-1-a) t_s'^-1 (t_s' = t_s / 2^a) to
+    y_s maps the phase-0 solutions one-to-one onto the phase-2^(e-1) ones, so
+    G_c = sum over phase-0 Y of [c(Y) = c] - [c(Y') = c], Y' = Y + delta at s.
+    On a family with m < e-1-a the twins cancel unless v_2(det Y) >= thr =
+    e-1-a+m.  Proof: v_2(delta) = e-1-a > m, so if v_2(y_s) <= m then
+    v_2(y_s + delta) = v_2(y_s), and otherwise both exceed m; c1 = min(v_2(y_s),
+    m) is shared.  For y_s = y1 (or y2), det Y' - det Y = delta y2 (or delta
+    y1), and the other diagonal entry is free, of valuation >= m.  For y_s =
+    y3, det Y' - det Y = -delta (2 y3 + delta): if v_2(y3) >= m it has
+    valuation > e-1-a+m, and if v_2(y3) < m then det Y and det Y' both have
+    valuation exactly 2 v_2(y3) < thr, since v_2(y1 y2) >= 2m.  In every
+    case v_2(det Y) < thr forces v_2(det Y') = v_2(det Y), hence c(Y') =
+    c(Y), and v_2(det Y) >= thr holds for Y and Y' alike.  So only the roots
+    of P mod 2^thr are visited, each with its twin.  Where the lemma gives no
+    bound (m >= e-1-a, the zero pair, and a >= e-1) the threshold is 0 and
+    the same tree returns every u; at a = e the phase is 0 and Y has no twin.
     """
     E = 1 << e
     t = [(twoT[0][0] // 2) % E, (twoT[1][1] // 2) % E, twoT[0][1] % E]
     s = min(range(3), key=lambda i: v_p(t[i], 2))
     i, j = (x for x in range(3) if x != s)
     a = min(v_p(t[s], 2), e)
-    step, mask = E >> a, (1 << a) - 1
+    step = E >> a
     inv = pow(t[s] >> a, -1, step)
-    orbits = [(0, 0, 1)]
+    # phase 0: y_s = ci y_i + cj y_j + step * lift
+    ci, cj = -(t[i] >> a) * inv % step, -(t[j] >> a) * inv % step
+    twins = ((0, 1), (inv << (e - 1 - a), -1)) if a < e else ((0, 1),)
+    families = [(e, 1, 0, 0, 0, 0, 0)]  # (m, weight, D, p_i, q_i, p_j, q_j)
     for m in range(e):
         weight = 1 << (e - 1 - m)
-        orbits += [(1 << m, w, weight) for w in range(0, E, 1 << m)]
-        orbits += [(w, 1 << m, weight) for w in range(0, E, 2 << m)]
+        families += [(m, weight, e - m, 1 << m, 0, 0, 1 << m),
+                     (m, weight, e - m - 1, 0, 2 << m, 1 << m, 0)]
     G = [0] * (2 * e + 1)
-    y = [0, 0, 0]
-    for yi, yj, weight in orbits:
-        y[i], y[j] = yi, yj
-        low = yi | yj | E
-        for r, sign in ((0, weight), (E >> 1, -weight)):
-            rhs = (r - t[i] * yi - t[j] * yj) % E
-            if rhs & mask:
-                continue
-            for ys in range((rhs >> a) * inv % step, E, step):
-                y[s] = ys
-                m = ys | low
-                c1 = (m & -m).bit_length() - 1
-                m = (y[0] * y[1] - y[2] * y[2]) | (E << c1)
-                G[(m & -m).bit_length() - 1] += sign
+    p, q = [0, 0, 0], [0, 0, 0]
+    for m, weight, D, p[i], q[i], p[j], q[j] in families:
+        thr = e - 1 - a + m if m < e - 1 - a else 0
+        low, mask = 1 << m, (1 << (e + m)) - 1
+        q[s] = (ci * q[i] + cj * q[j]) & mask
+        C = (q[0] * q[1] - q[2] * q[2]) & mask
+        for lift in range(0, E, step):
+            p[s] = (ci * p[i] + cj * p[j] + lift) & mask
+            A = (p[0] * p[1] - p[2] * p[2]) & mask
+            B = (p[0] * q[1] + p[1] * q[0] - 2 * p[2] * q[2]) & mask
+            for u in _digit_roots(A, B, C, D, thr):
+                y = [pk + qk * u for pk, qk in zip(p, q)]
+                ys = y[s]
+                for shift, sign in twins:
+                    y[s] = ys + shift
+                    c1 = _v2(y[s] | low)
+                    G[_v2((y[0] * y[1] - y[2] * y[2]) | (E << c1))] += sign * weight
     return {c: g for c, g in enumerate(G) if g}
 
 

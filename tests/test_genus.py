@@ -66,6 +66,8 @@ def test_same_genus_errors():
         same_genus(A2, as_mat([[2]]))
     with pytest.raises(ValueError):
         same_genus([[2, 0], [0, 0]], [[2, 0], [0, 0]])
+    with pytest.raises(ValueError, match=r"entry \(0, 0\) of twoT is 2.9"):
+        same_genus(((2.9, 1), (1, 2)), A2)  # not truncated into A2's genus
 
 
 def test_same_genus_distinguishes_genera_det15():

@@ -185,6 +185,12 @@ def test_check_form_rejects():
         check_form([[1, 0], [0, 2]])  # odd diagonal
     with pytest.raises(ValueError):
         check_form([[2, 1], [0, 2]])  # asymmetric
+    # int() would truncate these to A2, the first one not even symmetric
+    for M in (((2.9, 1.5), (1.2, 2)), (("2", "1"), ("1", "2"))):
+        with pytest.raises(ValueError, match=r"entry \(0, 0\) of twoT"):
+            minkowski_reduce(M)
+    # whatever operator.index accepts stays an integer entry
+    assert check_form(((2, True), (True, 2))) == ((2, 1), (1, 2))
 
 
 def test_rank_det_trace_content():

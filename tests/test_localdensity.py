@@ -14,6 +14,7 @@ Oracle layers, from gold to broad:
 import itertools
 import math
 import random
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -25,6 +26,7 @@ from eistheta.exactnum import v_p
 from eistheta.lattice import (
     bareiss_det,
     enumerate_psd_indices,
+    form_det,
     form_disc,
     form_rank,
     short_vectors,
@@ -33,6 +35,7 @@ from eistheta.localdensity import (
     _beta_2_n1,
     _beta_2_n2,
     _beta_odd_on,
+    _beta_q,
     _density1_odd,
     _density2_odd,
     _generic_factor,
@@ -418,13 +421,27 @@ def test_pair_2adic_bins_match_full_table():
 
 def test_pair_2adic_bins_match_valuation_oracle():
     # every reduced binary form of tr(2T) <= 16, up to the level e = 9 that
-    # the dual-route benchmark reaches
+    # the dual-route benchmark reaches; then phase content 2^a, a = 2 and 3,
+    # up to e = 11, which passes through a >= e - 1 (the twin lemma gives no
+    # threshold) and T = 0 mod 2^e (no twins) at the lowest levels
     forms = [T for T in enumerate_psd_indices(2, 8) if form_rank(T) == 2]
     assert len(forms) == 46
-    for T in forms:
-        for e in range(1, 10):
-            want = {c: g for c, g in q2_pair_bins_by_valuations(T, e).items() if g}
-            assert _q2_pair_bins(T, e) == want, (T, e)
+    cases = [(T, e) for T in forms for e in range(1, 10)]
+    cases += [(T, e) for T in (((8, -4), (-4, 8)), ((16, 8), (8, 16)), ((32, 0), (0, 16)))
+              for e in range(1, 12)]
+    for T, e in cases:
+        want = {c: g for c, g in q2_pair_bins_by_valuations(T, e).items() if g}
+        assert _q2_pair_bins(T, e) == want, (T, e)
+
+
+def test_pair_2adic_density_is_stable_at_level_20():
+    # the bins deep past stabilisation give the stabilised beta_2 exactly;
+    # a scan of all 3 * 2^20 unit orbits would take seconds per index
+    start = time.perf_counter()
+    for T in (((2, -1), (-1, 2)), ((8, 0), (0, 8))):
+        for k in (4, 6, 44):
+            assert _beta_2_n2(k, T, 20) == _beta_q(2, k, T, form_det(T)), (T, k)
+    assert time.perf_counter() - start < 1
 
 
 def test_pair_2adic_density_takes_no_valuation_per_lift(monkeypatch):
@@ -586,6 +603,9 @@ def test_rejected_inputs():
         local_density_coeff([[2]], 2)
     with pytest.raises(ValueError):
         local_density_coeff([[2, 0], [0, -2]], 4)
+    with pytest.raises(ValueError, match=r"entry \(0, 0\) of twoT is 2.9"):
+        # int() would truncate it to A2's coefficient, 44352
+        local_density_coeff(((2.9, 1), (1, 2)), 6)
     with pytest.raises(NotImplementedError):
         local_density_coeff([[2, 0, 0], [0, 2, 0], [0, 0, 2]], 4)
     with pytest.raises(NotImplementedError):
