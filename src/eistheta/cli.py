@@ -28,11 +28,12 @@ from .genus import (
     write_json_atomic,
 )
 from .lattice import (
+    Mat,
     automorphism_count,
+    check_form,
     enumerate_classes,
     level as form_level,
     minkowski_reduce,
-    parse_matrix_text,
 )
 from .padic import (
     PipelineError,
@@ -61,6 +62,18 @@ def _sequence(args) -> WeightSequence:
         return default_sequence(target, args.m_max)
     b = args.b_schedule.replace(",", " ").split()
     return WeightSequence(target, tuple(map(int, b)))
+
+
+def parse_matrix_text(text: str) -> Mat:
+    parts = [p.strip() for p in text.strip().split(";")]
+    if len(parts) < 2:
+        raise ValueError("expected `n; row; row; ...`")
+    n = int(parts[0])
+    entries = [int(tok) for chunk in parts[1:] for tok in chunk.split()]
+    if len(entries) != n * n:
+        raise ValueError(f"expected {n * n} entries, got {len(entries)}")
+    M = tuple(tuple(entries[i * n + j] for j in range(n)) for i in range(n))
+    return check_form(M)
 
 
 def _read_form(path):

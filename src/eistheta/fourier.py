@@ -330,7 +330,7 @@ def _dump_twoT(doc, what: str = "expansion dump") -> Mat:
     """doc["twoT"] as a matrix; ValueError naming `what` and the field otherwise."""
     try:
         return as_mat(_dump_field(doc, "twoT", list, what))
-    except TypeError:
+    except (TypeError, ValueError):
         raise ValueError(f"{what}: missing or malformed field 'twoT'") from None
 
 

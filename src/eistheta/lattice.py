@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, product, takewhile
+from itertools import product, takewhile
 from operator import index, mul
 
 from .exactnum import divisors, fund_disc_decompose, kronecker, v_p
@@ -45,29 +45,26 @@ __all__ = [
     "enumerate_classes",
     "enumerate_psd_indices",
     "fits_canonical_shape",
-    "parse_matrix_text",
 ]
 
 
 def as_mat(rows) -> Mat:
-    return tuple(tuple(int(x) for x in row) for row in rows)
-
-
-def check_form(twoT) -> Mat:
-    """Validate the doubled-Gram invariants (symmetric, even diagonal).
-
-    Entries must be integers, i.e. accepted by operator.index: a float or a
-    string is refused with the entry named, never truncated by int().
-    """
+    """rows as int tuples; an entry operator.index refuses (a float, a
+    string) raises ValueError, never truncated by int()."""
     try:
-        M = tuple(tuple(map(index, row)) for row in twoT)
+        return tuple(tuple(map(index, row)) for row in rows)
     except TypeError:
-        for i, row in enumerate(twoT):
+        for i, row in enumerate(rows):
             for j, x in enumerate(row):
                 if not hasattr(type(x), "__index__"):
                     raise ValueError(
                         f"entry ({i}, {j}) of twoT is {x!r}, not an integer") from None
         raise
+
+
+def check_form(twoT) -> Mat:
+    """as_mat, checked square, symmetric, with even diagonal."""
+    M = as_mat(twoT)
     n = len(M)
     for row in M:
         if len(row) != n:
@@ -306,35 +303,36 @@ def _by_value(pool) -> dict[int, list]:
 
 # ---------------------------------------------------------- canonical form
 
-_GAMMA_POW = {
-    1: Fraction(1),
-    2: Fraction(4, 3),
-    3: Fraction(2),
-    4: Fraction(4),
-    5: Fraction(8),
-}
-
-
-def _extendable(vecs, r) -> bool:
-    """gcd of maximal minors equals 1, i.e. vecs extend to a basis of Z^r."""
-    i = len(vecs)
-    g = 0
-    for cols in combinations(range(r), i):
-        sub = [[v[c] for c in cols] for v in vecs]
-        g = math.gcd(g, abs(bareiss_det(sub)))
-        if g == 1:
-            return True
-    return False
+def _quotient_map(P, v):
+    """V P less row i, V unimodular with V v = +-e_i, for P: Z^r onto Z^k
+    of kernel L and v = P w of gcd 1.  It maps Z^r onto Z^(k-1) with kernel
+    L + Zw: V P x = c e_i iff x -+ c w is in L."""
+    R = [[x, *p] for x, p in zip(v, P)]
+    while True:
+        R.sort(key=lambda row: (not row[0], abs(row[0])))
+        if len(R) == 1 or not R[1][0]:
+            return [row[1:] for row in R[1:]]
+        for row in R[1:]:
+            q = row[0] // R[0][0]
+            row[:] = [x - q * y for x, y in zip(row, R[0])]
 
 
 @lru_cache(maxsize=None)
 def _canonical_definite(twoS: Mat) -> Mat:
-    """Lexicographically smallest Minkowski-reduced doubled Gram matrix.
+    """Lexicographically smallest Minkowski-reduced doubled Gram matrix
+    of a pair-reduced input (see _pair_reduce).
 
-    Greedy basis search: step j takes a vector b_j of least value among
-    those that extend b_0..b_{j-1} to a basis; the result G is the
-    row-major least Gram matrix of a greedy (hence Minkowski-reduced)
-    basis.  Branches that cannot give G are skipped:
+    r <= 1: the input.  r = 2, ((a, b), (b, c)) ordered so |2b| <= a <= c:
+    for x_1 != 0, 2Q(x) >= a|x_0|(|x_0| - |x_1|) + c x_1^2 if |x_0| >= |x_1|,
+    else >= a x_0^2 + c|x_1|(|x_1| - |x_0|); both are >= c.  So a and c are
+    2 lambda_1 and 2 lambda_2 on every reduced Gram matrix of the class
+    (Lagrange), det fixes |b|, and the least flat has b = -|b|.
+
+    r >= 3: step j takes a least b_j of those extending b_0..b_{j-1} to a
+    basis; G is the row-major least Gram matrix of such a greedy (hence
+    Minkowski-reduced) basis.  A node's P maps Z^r onto Z^(r-j) with kernel
+    L = span(b_0..b_{j-1}): Z^r/(L + Zw) is Z^(r-j)/Z Pw, so w extends iff
+    gcd(P w) = 1.  Branches that cannot give G are skipped:
     - step 0 takes b_0 up to sign, as -b_0, ..., -b_{r-1} has one Gram
       matrix with b_0, ..., b_{r-1};
     - step j >= 1 skips b_j if the first nonzero of g_0j..g_{j-1,j} is
@@ -343,44 +341,47 @@ def _canonical_definite(twoS: Mat) -> Mat:
     - the Gram matrix is built a column at a time, and a branch whose
       row-0 prefix g_01..g_0j exceeds that of the best flat is dropped;
     - candidates go in increasing order of their column, and the last
-      step stops at the first that extends: its leaves differ only in the
-      last column, which ends every row but the last.
-    The pool is every vector of value <= 5M/4, M the largest Q(e_i) of
-    the input basis, and it holds every vector the search reads:
-    - every branch builds a greedy basis, and a greedy basis is
-      Minkowski-reduced (each b_j has least value among the vectors
-      extending b_0..b_{j-1});
-    - by van der Waerden (Acta Math. 96, 1956; see Nguyen & Stehle, ACM
-      Trans. Algorithms 5(4), 2009), a Minkowski-reduced basis has
-      Q(b_j) <= max(1, (5/4)^(j-3)) lambda_{j+1}, which is at most
-      (5/4) lambda_r for r <= 5;
-    - lambda_r <= M, as e_0..e_{r-1} are r independent vectors.
-    Pool exhaustion raises instead of returning a wrong answer.
+      step takes only the first: its leaves differ only in the last
+      column, which ends every row but the last.
+    The pool, every vector of value <= 5M/4 with M the largest Q(e_i) of
+    the input, holds every vector a branch reads: by van der Waerden (Acta
+    Math. 96, 1956; see Nguyen & Stehle, ACM Trans. Algorithms 5(4), 2009)
+    a Minkowski-reduced basis has Q(b_j) <= max(1, (5/4)^(j-3)) lambda_{j+1},
+    at most (5/4) lambda_r for r <= 5, and lambda_r <= M as e_0..e_{r-1}
+    are independent.  Pool exhaustion raises, never gives a wrong answer.
     """
     r = len(twoS)
-    if r == 0:
-        return ()
+    if r <= 1:
+        return twoS
+    if r == 2:
+        (a, b), (_, c) = twoS
+        if 2 * abs(b) > min(a, c):
+            raise ValueError("binary form is not pair-reduced")
+        return ((min(a, c), -abs(b)), (-abs(b), max(a, c)))
     by_val = _by_value(short_vectors(twoS, 5 * max(twoS[i][i] for i in range(r)) // 8))
     values = sorted(by_val)
 
     best: list[int] | None = None
 
-    def rec(chosen, prods, cols):
+    def rec(P, prods, cols):
         # prods[i] = 2S b_i and cols[i] = [g_0i, ..., g_ii] for the b_i chosen
         nonlocal best
-        j = len(chosen)
+        j = len(cols)
         if j == r:
             flat = [cols[max(a, b)][min(a, b)] for a in range(r) for b in range(r)]
             if best is None or flat < best:
                 best = flat
             return
-        val = next((v for v in values
-                    if any(_extendable(chosen + [w], r) for w in by_val[v])), None)
-        if val is None:
+        for val in values:
+            ext = [(w, v) for w in by_val[val]
+                   for v in [[sum(map(mul, p, w)) for p in P]] if math.gcd(*v) == 1]
+            if ext:
+                break
+        else:
             raise RuntimeError("canonical form pool exhausted; report as a bug")
         row0 = [c[0] for c in cols[1:]]
         cand = []
-        for w in by_val[val]:
+        for w, v in ext:
             if j == 0 and next(c for c in w if c) < 0:
                 continue
             col = [sum(map(mul, p, w)) for p in prods] + [2 * val]
@@ -388,15 +389,14 @@ def _canonical_definite(twoS: Mat) -> Mat:
                 continue
             if j and best is not None and row0 + col[:1] > best[1:j + 1]:
                 continue
-            cand.append((col, w))
-        for col, w in sorted(cand):
-            if _extendable(chosen + [w], r):
-                rec(chosen + [w], prods + [[sum(map(mul, row, w)) for row in twoS]],
-                    cols + [col])
-                if j == r - 1:
-                    break
+            cand.append((col, w, v))
+        for col, w, v in sorted(cand):
+            rec(_quotient_map(P, v), prods + [[sum(map(mul, row, w)) for row in twoS]],
+                cols + [col])
+            if j == r - 1:
+                break
 
-    rec([], [], [])
+    rec([[int(i == t) for t in range(r)] for i in range(r)], [], [])
     assert best is not None
     return tuple(tuple(best[i * r + j] for j in range(r)) for i in range(r))
 
@@ -424,11 +424,10 @@ def _pair_reduce(twoS) -> Mat:
     """The same lattice after steps b_j -= round(g_ij/g_ii) b_i, taken
     until |2 g_ij| <= g_ii for all i != j.
 
-    Each step lowers g_jj, so this ends.  It keeps the short-vector
-    searches of _canonical_definite off a skewed basis: a conjugate
-    U^t G U, or the definite part of U^t (0 + G) U, can have entries in
-    the thousands or millions, and those searches then run for seconds
-    to minutes.
+    Each step lowers g_jj, so this ends.  _canonical_definite reads its
+    rank-2 answer off the result, and at rank >= 3 a skewed basis (a
+    conjugate U^t G U can have entries in the millions) would make its
+    short-vector pool run for minutes.
     """
     G = [list(row) for row in twoS]
     r = len(G)
@@ -548,6 +547,9 @@ def automorphism_count(twoS) -> int:
 
 
 # ------------------------------------------------------------- enumeration
+
+_GAMMA_POW = {2: Fraction(4, 3), 4: Fraction(4)}  # gamma_r^r, r = 2, 4
+
 
 def enumerate_classes(r: int, level_divides: int, det_bound: int | None = None,
                       bound_multiplier: int = 1):
@@ -693,17 +695,3 @@ def enumerate_psd_indices(n: int, trace_bound: int):
 
     rec(0, 2 * trace_bound)
     return sorted(found, key=lambda M: (form_trace(M), M))
-
-
-# ------------------------------------------------------------- text format
-
-def parse_matrix_text(text: str) -> Mat:
-    parts = [p.strip() for p in text.strip().split(";")]
-    if len(parts) < 2:
-        raise ValueError("expected `n; row; row; ...`")
-    n = int(parts[0])
-    entries = [int(tok) for chunk in parts[1:] for tok in chunk.split()]
-    if len(entries) != n * n:
-        raise ValueError(f"expected {n * n} entries, got {len(entries)}")
-    M = tuple(tuple(entries[i * n + j] for j in range(n)) for i in range(n))
-    return check_form(M)

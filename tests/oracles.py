@@ -3,7 +3,8 @@
 Each one enumerates everything the package code prunes:
 - canonical_full_branching: the canonical form over every greedy basis,
   with no sign or prefix cut, from the pool that Minkowski's second
-  theorem bounds, gamma_r^r det(S) / mu_1^(r-1);
+  theorem bounds, gamma_r^r det(S) / mu_1^(r-1), each extension tested
+  by the gcd of maximal minors (_extendable), not by a quotient map;
 - theta_all_tuples: theta coefficients from every ordered tuple of short
   vectors, canonicalising each Gram matrix met;
 - psd_indices_box: PSD indices from the whole box that the 2x2 minors
@@ -34,8 +35,6 @@ from eistheta.exactnum import (
     v_p,
 )
 from eistheta.lattice import (
-    _GAMMA_POW,
-    _extendable,
     as_mat,
     content,
     form_trace,
@@ -44,6 +43,22 @@ from eistheta.lattice import (
 )
 from eistheta.linalg import bareiss_det, echelon_mod
 from eistheta.localdensity import _ramanujan
+
+
+# gamma_r^r, Hermite's constant to the power r
+GAMMA_POW = {1: Fraction(1), 2: Fraction(4, 3), 3: Fraction(2), 4: Fraction(4), 5: Fraction(8)}
+
+
+def _extendable(vecs, r) -> bool:
+    """gcd of maximal minors equals 1, i.e. vecs extend to a basis of Z^r."""
+    i = len(vecs)
+    g = 0
+    for cols in combinations(range(r), i):
+        sub = [[v[c] for c in cols] for v in vecs]
+        g = math.gcd(g, abs(bareiss_det(sub)))
+        if g == 1:
+            return True
+    return False
 
 
 @cache
@@ -63,7 +78,7 @@ def canonical_full_branching(twoS):
     det_S = Fraction(bareiss_det([list(row) for row in twoS]), 2**r)
     mu1 = min(v for _, v in short_vectors(twoS, min(twoS[i][i] for i in range(r)) // 2))
     margin = 1 if r <= 4 else 4
-    pool_bound = max(Fraction(mu1), _GAMMA_POW[r] * det_S * margin / mu1 ** (r - 1))
+    pool_bound = max(Fraction(mu1), GAMMA_POW[r] * det_S * margin / mu1 ** (r - 1))
     by_val = {}
     for vec, val in short_vectors(twoS, pool_bound):
         by_val.setdefault(val, []).append(vec)

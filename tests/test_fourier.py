@@ -47,6 +47,8 @@ def eisenstein_deg1(k, B):
 def test_construction_validation():
     with pytest.raises(ValueError):
         QExpansion(1, 3, {((8,),): 1})  # trace 4 beyond bound
+    with pytest.raises(ValueError, match=r"entry \(0, 0\) of twoT is 2.9"):
+        QExpansion(1, 3, {((2.9,),): 1})  # int() would store it as ((2,),)
     with pytest.raises(ValueError):
         QExpansion(2, 3, {((4, 0), (0, 2)): 1})  # not canonical
     with pytest.raises(ValueError):
@@ -379,6 +381,15 @@ def test_check_window_accepts_degrees_1_to_5():
 def test_load_refuses_a_negative_trace_bound():
     doc = {"degree": 2, "trace_bound": -1, "class_invariant": True, "coeffs": []}
     with pytest.raises(ValueError, match="trace bound must be >= 0"):
+        load_qexp(doc)
+
+
+@pytest.mark.parametrize("twoT", [[[2.5]], [["2"]]])
+def test_load_refuses_an_index_that_is_not_integral(twoT):
+    # int() would have read [[2.5]] as [[2]]
+    doc = {"degree": 1, "trace_bound": 4, "class_invariant": True,
+           "coeffs": [{"twoT": twoT, "num": "240", "den": "1"}]}
+    with pytest.raises(ValueError, match="malformed field 'twoT'"):
         load_qexp(doc)
 
 

@@ -68,6 +68,8 @@ def test_same_genus_errors():
         same_genus([[2, 0], [0, 0]], [[2, 0], [0, 0]])
     with pytest.raises(ValueError, match=r"entry \(0, 0\) of twoT is 2.9"):
         same_genus(((2.9, 1), (1, 2)), A2)  # not truncated into A2's genus
+    with pytest.raises(ValueError, match=r"entry \(0, 0\) of twoT is 2.9"):
+        genus.genus_symbol(((2.9, 1), (1, 2)))  # int() would give A2's symbol
 
 
 def test_same_genus_distinguishes_genera_det15():

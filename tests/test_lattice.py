@@ -4,14 +4,16 @@ import pathlib
 import random
 from fractions import Fraction
 from itertools import product
+from operator import mul
 
 import pytest
 
 import eistheta.lattice as lattice_module
+from eistheta.cli import parse_matrix_text
 from eistheta.exactnum import kronecker, v_p
 from eistheta.genus import ClassRecord, partition_into_genera
 from eistheta.lattice import (
-    _extendable,
+    _quotient_map,
     as_mat,
     automorphism_count,
     automorphisms,
@@ -30,12 +32,11 @@ from eistheta.lattice import (
     level,
     minkowski_reduce,
     pad_zero,
-    parse_matrix_text,
     short_vectors,
     transform,
 )
 from forms import direct_sum
-from oracles import canonical_full_branching, is_psd, psd_indices_box
+from oracles import _extendable, canonical_full_branching, is_psd, psd_indices_box
 
 A2 = as_mat([[2, 1], [1, 2]])
 B7 = as_mat([[2, 1], [1, 4]])
@@ -408,6 +409,64 @@ def test_minkowski_reduce_matches_brute_gl2_search():
             continue
         assert minkowski_reduce(M) == minkowski_brute_2x2(M), M
         done += 1
+
+
+def random_binary_in_reduced_domain(rng):
+    """((a, b), (b, c)) with |2b| <= a and |2b| <= c, in either order and
+    with either sign of b; about a third sit on 2|b| = min(a, c), and
+    about a third have a = c."""
+    a = 2 * rng.randint(1, 10)
+    c = a if rng.random() < 1 / 3 else 2 * rng.randint(1, 10)
+    h = min(a, c) // 2
+    b = rng.choice([-h, h]) if rng.random() < 1 / 3 else rng.randint(-h, h)
+    return as_mat([[a, b], [b, c]])
+
+
+def test_rank2_closed_form_matches_both_oracles_on_skewed_bases():
+    rng = random.Random(71)
+    # 2|b| = a, a = c, b > 0, and c < a
+    boundary = [((4, 2), (2, 6)), ((4, -2), (-2, 6)), ((6, 3), (3, 6)), ((4, 1), (1, 4)),
+                ((4, -1), (-1, 4)), ((2, 1), (1, 4)), ((6, 2), (2, 4)), ((2, 0), (0, 2))]
+    forms = [as_mat(G) for G in boundary]
+    forms += [random_binary_in_reduced_domain(rng) for _ in range(200)]
+    for G in forms:
+        want = canonical_full_branching(G)
+        assert minkowski_brute_2x2(G) == want, G
+        U = random_unimodular(rng, 2, steps=rng.randint(6, 30))
+        assert minkowski_reduce(transform(G, U)) == want, (G, U)
+
+
+def test_rank1_binary_forms_reduce_to_their_least_value():
+    # T = c v v^t: its values are c (v.x)^2, and v.x runs over gcd(v) Z
+    rng = random.Random(73)
+    for _ in range(50):
+        v = (rng.randint(-9, 9), rng.randint(-9, 9))
+        if v == (0, 0):
+            continue
+        c = rng.randint(1, 5)
+        twoT = [[2 * c * v[i] * v[j] for j in range(2)] for i in range(2)]
+        assert minkowski_reduce(twoT) == ((2 * c * math.gcd(*v) ** 2, 0), (0, 0)), twoT
+
+
+def test_rank2_canonical_forms_list_no_short_vectors(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return short_vectors(*args, **kwargs)
+
+    monkeypatch.setattr(lattice_module, "short_vectors", counted)
+    lattice_module._canonical_definite.cache_clear()
+    rng = random.Random(79)
+    for _ in range(20):
+        G = random_binary_in_reduced_domain(rng)
+        minkowski_reduce(transform(G, random_unimodular(rng, 2, steps=20)))
+        minkowski_reduce(pad_zero(G, 3))
+        minkowski_reduce(transform(pad_zero(G, 4), random_unimodular(rng, 4)))
+    assert lattice_module._canonical_definite.cache_info().currsize > 0
+    assert calls == []
+    with pytest.raises(ValueError, match="not pair-reduced"):
+        lattice_module._canonical_definite(((2, 3), (3, 10)))
 
 
 def test_minkowski_reduce_canonicity():
@@ -850,7 +909,7 @@ def fricke_dual(twoS, N):
                 aug[i] = [x - f * y for x, y in zip(aug[i], aug[c])]
     dual = [[N * x for x in row[n:]] for row in aug]
     assert all(x.denominator == 1 for row in dual for x in row)
-    return as_mat(dual)
+    return as_mat([[x.numerator for x in row] for row in dual])
 
 
 def _check_recorded(cases):
@@ -926,6 +985,35 @@ def test_extendable():
     assert not _extendable([[2, 0, 0]], 3)
     assert not _extendable([[1, 0, 0], [2, 0, 0]], 3)
     assert _extendable([], 3)
+
+
+def test_quotient_map_agrees_with_extendable():
+    # the map Z^r -> Z^(r-j) built over b_0..b_{j-1} is onto (its rows
+    # extend to a basis), kills every b_i, and w extends b_0..b_{j-1}
+    # exactly when gcd(P w) = 1
+    rng = random.Random(83)
+    verdicts = set()
+    for r in range(2, 6):
+        for _ in range(12):
+            U = random_unimodular(rng, r, steps=12)
+            basis = [tuple(U[i][t] for i in range(r)) for t in range(r)]
+            P = [[int(i == t) for t in range(r)] for i in range(r)]
+            for j in range(r):
+                chosen = basis[:j]
+                assert len(P) == r - j and _extendable(P, r)
+                assert all(not any(sum(map(mul, p, b)) for p in P) for b in chosen)
+                ws = [tuple(rng.randint(-3, 3) for _ in range(r)) for _ in range(8)]
+                ws += [tuple(x + 2 * y for x, y in zip(basis[j], b)) for b in basis[:j]]
+                ws += [tuple(2 * x + y for x, y in zip(basis[j], b)) for b in basis[:j]]
+                for w in ws:
+                    if not any(w):
+                        continue
+                    got = math.gcd(*(sum(map(mul, p, w)) for p in P)) == 1
+                    assert got == _extendable(chosen + [w], r), (basis, j, w)
+                    verdicts.add((j, got))
+                P = _quotient_map(P, [sum(map(mul, p, basis[j])) for p in P])
+            assert P == []
+    assert verdicts == {(j, v) for j in range(5) for v in (True, False)}
 
 
 # ------------------------------------------------------------- text format

@@ -192,7 +192,7 @@ def test_minkowski_reduce_of_conjugated_semidefinite_forms():
 
 @pytest.mark.slow
 def test_minkowski_reduce_of_conjugated_rank5_forms():
-    # two of these spend seconds branching over _extendable, not in the pool
+    # two of these spend most of their time in the search tree, not in the pool
     samples = [s for s in semidefinite_samples(41, 320) if s[1] == 5]
     assert len(samples) == 15
     for n, r, M, G in samples:
