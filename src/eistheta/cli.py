@@ -179,8 +179,9 @@ def _add_ladder_args(sp, default_bound):
     sp.add_argument("--degree", "-n", type=int, default=1)
     sp.add_argument("--bound", "-B", type=int, default=default_bound,
                     help="trace bound of the comparison window")
-    sp.add_argument("--m-max", type=int, default=2)
-    sp.add_argument("--b-schedule", help="comma-separated exponents b(m)")
+    schedule = sp.add_mutually_exclusive_group()
+    schedule.add_argument("--m-max", type=int, default=2)
+    schedule.add_argument("--b-schedule", help="comma-separated exponents b(m)")
     sp.add_argument("--out", help="write the JSON report here instead of stdout")
 
 

@@ -11,8 +11,9 @@ genus coefficients on a minimal training set of indices, and verifies
 the congruence on everything held out.  Nothing is extrapolated: each
 reported residue carries the congruence exponent actually observed,
 capped at the working precision p^{b_last+2}.  A report reads the rung
-windows only to that precision, so the windows are residues mod p^N with
-exact valuations (``eisenstein_residues``), never the exact rationals.
+windows only to that precision: every window, and every dictionary column,
+enters as integers p^-nu a mod p^cap, nu = min(0, v_p) over its values, and
+everything after that runs on those integers.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from .fourier import (
     check_weight_rank_congruence,
     mod_pm_singular_rank,
     primitive_inversion,
-    qexp_add,
     qexp_scale,
     u_p,
 )
@@ -63,6 +63,12 @@ class PipelineError(RuntimeError):
         super().__init__(f"[{stage}] {message}")
 
 
+def _check_integers(what: str, *xs) -> None:
+    """ValueError unless every x is an int; a bool is not one here."""
+    if not all(isinstance(x, int) and not isinstance(x, bool) for x in xs):
+        raise ValueError(f"{what} must be integers")
+
+
 # ---------------------------------------------------------------------------
 # weight targets and schedules
 # ---------------------------------------------------------------------------
@@ -82,8 +88,7 @@ class WeightTarget:
     j: int
 
     def __post_init__(self):
-        if not all(isinstance(x, int) for x in (self.p, self.k, self.j)):
-            raise ValueError("p, k and j must be integers")
+        _check_integers("p, k and j", self.p, self.k, self.j)
         if not is_prime(self.p) or self.p == 2:
             raise ValueError("p must be an odd prime")
         if self.k <= 0:
@@ -118,8 +123,7 @@ class WeightSequence:
 
     def __post_init__(self):
         b = tuple(self.b_schedule)
-        if not all(isinstance(x, int) for x in b):
-            raise ValueError("b schedule must be integers")
+        _check_integers("b schedule", *b)
         object.__setattr__(self, "b_schedule", b)
         if not b or b[0] <= 0 or any(y <= x for x, y in zip(b, b[1:])):
             raise ValueError("b schedule must be strictly increasing and positive")
@@ -136,26 +140,44 @@ class WeightSequence:
 
 def default_sequence(target: WeightTarget, m_max: int) -> WeightSequence:
     """The schedule b(m) = m, m = 1..m_max."""
+    _check_integers("m_max", m_max)
     if m_max <= 0:
         raise ValueError("m_max must be positive")
     return WeightSequence(target, tuple(range(1, m_max + 1)))
 
 
-def _ladder_windows(seq: WeightSequence, n: int, B: int) -> list:
-    """The default coefficient source: the degree-n Eisenstein window of
-    every rung as p^v u representatives, exact to the precision cap
-    b_last + 2 (``eisenstein_residues``).  A unit part not determined
-    within its headroom is a PipelineError at stage fit."""
+def _cleared(dicts, p: int, cap: int):
+    """(nu, ints): nu = min(0, v_p(a)) over the values a of the dicts, and
+    each dict as the integers {T: p^-nu a mod p^cap}."""
+    nu = min([0, *(v_p(a, p) for d in dicts for a in d.values())])
+    return nu, [{T: residue(a * p**-nu, p, cap) for T, a in d.items()} for d in dicts]
+
+
+def _ladder_windows(seq: WeightSequence, n: int, B: int, source=None):
+    """(rungs, nu, windows) for the degree-n window of trace bound B.
+
+    rungs are the windows of source(seq, n, B), one per rung; by default
+    the p^v u representatives of ``eisenstein_residues``, exact to the
+    precision cap b_last + 2.  nu and windows are ``_cleared`` at that
+    cap, one scaling for the whole ladder so that rungs stay comparable.
+    A source that raises, or whose windows differ from the ladder in
+    count, degree or trace bound, is a PipelineError at stage fit.
+    """
+    p, cap = seq.target.p, seq.b_schedule[-1] + 2
     try:
-        return eisenstein_residues(
-            seq.weights, n, B, seq.target.p, seq.b_schedule[-1] + 2)
-    except ArithmeticError as exc:
-        raise PipelineError("fit", str(exc)) from exc
-
-
-def _nu(dicts, p: int) -> int:
-    """The ladder's scaling exponent: min(0, v_p(a)) over the values a of the dicts."""
-    return min([0, *(v_p(a, p) for d in dicts for a in d.values())])
+        rungs = tuple(source(seq, n, B) if source else
+                      eisenstein_residues(seq.weights, n, B, p, cap))
+    except Exception as exc:
+        raise PipelineError("fit", f"coefficient source failed: {exc}") from exc
+    if len(rungs) != len(seq):
+        raise PipelineError("fit", f"the source gave {len(rungs)} windows "
+                                   f"for {len(seq)} rungs")
+    for F in rungs:
+        if (F.degree, F.trace_bound) != (n, B):
+            raise PipelineError(
+                "fit", f"the source gave a window of degree {F.degree} and trace "
+                       f"bound {F.trace_bound}, not {n} and {B}")
+    return (rungs, *_cleared([F.coeffs for F in rungs], p, cap))
 
 
 # ---------------------------------------------------------------------------
@@ -225,36 +247,26 @@ def empirical_limit(seq: WeightSequence, n: int, B: int, source=None) -> LimitLa
     """
     if len(seq) < 2:
         raise ValueError("need at least two rungs to certify convergence")
-    if source is None:
-        source = _ladder_windows
-    t = seq.target
-    p = t.p
-    weights = seq.weights
-    rungs = tuple(source(seq, n, B))
-    cap = seq.b_schedule[-1] + 2
-    nu = _nu([F.coeffs for F in rungs], p)
-    keys = set()
-    for F in rungs:
-        keys |= set(F.coeffs)
-    certificates, residues, flagged = {}, {}, []
-    scale = Fraction(p) ** (-nu)  # identity when nu = 0
-    for T in keys:
-        vals = [scale * F.coeffs.get(T, Fraction(0)) for F in rungs]
-        certs = tuple(
-            min(v_p(b - a, p), cap) for a, b in zip(vals, vals[1:])
-        )
+    check_weights(seq.weights, n, B)
+    rungs, nu, windows = _ladder_windows(seq, n, B, source)
+    p, cap = seq.target.p, seq.b_schedule[-1] + 2
+    certificates, residues = {}, {}
+    for T in set().union(*windows):
+        vals = [W.get(T, 0) for W in windows]
+        certs = tuple(min(v_p(b - a, p), cap) for a, b in zip(vals, vals[1:]))
         certificates[T] = certs
-        if any(y < x for x, y in zip(certs, certs[1:])):
-            flagged.append(T)
-        M = certs[-1]
-        residues[T] = (residue(vals[-1], p, M) if M else 0, M)
-    flagged.sort(key=lambda T: (form_trace(T), T))
+        residues[T] = (vals[-1] % p ** certs[-1], certs[-1])
+    flagged = sorted(
+        (T for T, certs in certificates.items()
+         if any(y < x for x, y in zip(certs, certs[1:]))),
+        key=lambda T: (form_trace(T), T),
+    )
     return LimitLadder(
-        target=t,
+        target=seq.target,
         degree=n,
         trace_bound=B,
         b_schedule=seq.b_schedule,
-        weights=weights,
+        weights=seq.weights,
         rungs=rungs,
         nu_hat=nu,
         certificates=certificates,
@@ -450,9 +462,9 @@ class VerificationReport:
 
 def _select_training(indices, columns, n_unknowns, p):
     """The smallest-trace indices whose rows are independent mod p: the
-    pivot columns over F_p of the matrix whose rows are the columns."""
-    _, pivots = echelon_mod(
-        [[residue(c.get(T, 0), p, 1) for T in indices] for c in columns], p)
+    pivot columns over F_p of the matrix whose rows are the integer
+    columns."""
+    _, pivots = echelon_mod([[c.get(T, 0) for T in indices] for c in columns], p)
     if len(pivots) < n_unknowns:
         raise PipelineError(
             "fit",
@@ -463,13 +475,9 @@ def _select_training(indices, columns, n_unknowns, p):
 
 
 def _solve_mod(rows, rhs, p, c):
-    """Solve a square system with a mod-p invertible matrix over Z/p^c."""
+    """Solve a square integer system with a mod-p invertible matrix over Z/p^c."""
     n = len(rows)
-    aug = [
-        [residue(x, p, c) for x in row] + [residue(b, p, c)]
-        for row, b in zip(rows, rhs)
-    ]
-    aug, pivots = echelon_mod(aug, p, c)
+    aug, pivots = echelon_mod([[*row, b] for row, b in zip(rows, rhs)], p, c)
     if pivots != list(range(n)):
         raise PipelineError("fit", "training system is singular mod p")
     return tuple(aug[i][n] for i in range(n))
@@ -488,15 +496,16 @@ def fit_and_verify(
     For each m the Eisenstein window of weight k_j(m) is matched against
     the dictionary of weighted genus theta series (rank 2k, level
     dividing p, character chi_p^j), read from the genus cache and
-    revalidated on every call.  Coefficients are solved for on the
-    smallest-trace unisolvent training indices over Z/p^{b(m)+2} and the
-    congruence is then measured on every held-out index; a rung passes
-    when the worst held-out exponent reaches b(m) and the coefficients
-    are coherent with the previous rung.  source(seq, n, B) gives one
-    window per rung, by default ``_ladder_windows``.
+    revalidated on every call.  Windows and dictionary columns enter as
+    integers mod p^cap, cap = b_last + 2, each cleared by its own nu
+    (``_cleared``) so that the training pivots stay p-units.  Coefficients
+    are solved for on the smallest-trace unisolvent training indices over
+    Z/p^{b(m)+2} and the congruence is then measured on every held-out
+    index; a rung passes when the worst held-out exponent reaches b(m) and
+    the coefficients are coherent with the previous rung.  source(seq, n, B)
+    gives one window per rung, by default the residue windows of
+    ``eisenstein_residues``.
     """
-    if source is None:
-        source = _ladder_windows
     target = seq.target
     try:
         check_weights(seq.weights, n, B)
@@ -528,64 +537,44 @@ def fit_and_verify(
         thetas = [genus_theta(g, n, B)[1] for g in genera]  # unnormalized sums
     except Exception as exc:
         raise PipelineError("theta", str(exc)) from exc
-    columns = [F.coeffs for F in thetas]
+    # U(p) is linear, so the fitted sum's defect U(p)F - F is the same
+    # combination of the columns' defects; a defect's values are
+    # differences of its column's values, so clearing them together
+    # leaves the columns' nu as it is
+    defects = []
+    for F in thetas:
+        U = u_p(F, p)
+        keys = set(U.coeffs) | {T for T in F.coeffs if form_trace(T) <= U.trace_bound}
+        defects.append({T: U.coeffs.get(T, 0) - F.coeffs.get(T, 0) for T in keys})
+    rungs, nu_w, windows = _ladder_windows(seq, n, B, source)
+    nu_c, cleared = _cleared([F.coeffs for F in thetas] + defects, p,
+                             seq.b_schedule[-1] + 2)
+    columns, defects = cleared[: len(thetas)], cleared[len(thetas):]
+    indices = sorted(set().union(*windows, *columns), key=lambda T: (form_trace(T), T))
+    train = _select_training(indices, columns, len(genera), p)
+    held_out = [T for T in indices if T not in train]
+    u_keys = set().union(*defects)
 
-    weights = seq.weights
-    try:
-        windows = list(source(seq, n, B))
-    except PipelineError:
-        raise
-    except Exception as exc:
-        raise PipelineError("fit", f"coefficient source failed: {exc}") from exc
-    # one scaling for the whole ladder, so rungs stay comparable; windows
-    # and dictionary are cleared separately or the training pivots would
-    # stop being p-units
-    nu_w = _nu([F.coeffs for F in windows], p)
-    nu_c = _nu(columns, p)
-    nu_hat = min(nu_w, nu_c)
-    if nu_w:
-        windows = [qexp_scale(F, Fraction(p) ** (-nu_w)) for F in windows]
-    if nu_c:
-        thetas = [qexp_scale(F, Fraction(p) ** (-nu_c)) for F in thetas]
-        columns = [F.coeffs for F in thetas]
+    def fitted(a_tilde, cols, T):
+        return sum(a * col.get(T, 0) for a, col in zip(a_tilde, cols))
 
-    rungs = []
+    fits = []
     prev = None
-    for m in range(1, len(seq) + 1):
-        b = seq.b_schedule[m - 1]
+    for m, (b, k_m, F, W) in enumerate(zip(seq.b_schedule, seq.weights, rungs, windows), 1):
         c = b + 2
-        k_m = weights[m - 1]
-        Es = windows[m - 1]
-        indices = sorted(
-            set(Es.coeffs) | {T for col in columns for T in col},
-            key=lambda T: (form_trace(T), T),
-        )
-        if m == 1:
-            train = _select_training(indices, columns, len(genera), p)
+        P = p**c
         a_tilde = _solve_mod(
-            [[col.get(T, Fraction(0)) for col in columns] for T in train],
-            [Es.coeffs.get(T, Fraction(0)) for T in train],
+            [[col.get(T, 0) for col in columns] for T in train],
+            [W.get(T, 0) for T in train],
             p,
             c,
         )
-        fitted = qexp_add(
-            *[qexp_scale(F, lift) for F, lift in zip(thetas, a_tilde)]
-        )
         worst, witness = c, None
-        for T in indices:
-            if T in train:
-                continue
-            r = Es.coeffs.get(T, Fraction(0)) - fitted.coeffs.get(T, Fraction(0))
-            val = min(v_p(r, p), c)
+        for T in held_out:
+            val = min(v_p((W.get(T, 0) - fitted(a_tilde, columns, T)) % P, p), c)
             if val < worst:
                 worst, witness = val, T
-        u = u_p(fitted, p)
-        u_exp = c
-        for T in set(u.coeffs) | {
-            T for T in fitted.coeffs if form_trace(T) <= u.trace_bound
-        }:
-            d = u.coeffs.get(T, Fraction(0)) - fitted.coeffs.get(T, Fraction(0))
-            u_exp = min(u_exp, v_p(d, p))
+        u_exp = min([c, *(v_p(fitted(a_tilde, defects, T) % P, p) for T in u_keys)])
         if prev is None:
             coh = None
             coherent = True
@@ -595,9 +584,10 @@ def fit_and_verify(
                 min(v_p(x - y, p), prev_c) for x, y in zip(a_tilde, prev_vals)
             )
             coherent = coh >= seq.b_schedule[m - 2]
-        audit = singular_rank_audit(Es, k_m, p, 1)
+        # the audit reads the window the fit reads mod p: p^-nu times the source's
+        audit = singular_rank_audit(qexp_scale(F, p**-nu_w), k_m, p, 1)
         passed = worst >= b and coherent and audit.ok
-        rungs.append(
+        fits.append(
             FitRung(
                 m=m,
                 b=b,
@@ -621,7 +611,7 @@ def fit_and_verify(
         b_schedule=seq.b_schedule,
         genera=tuple(genera),
         train=tuple(train),
-        nu_hat=nu_hat,
-        rungs=tuple(rungs),
-        passed=all(r.passed for r in rungs),
+        nu_hat=min(nu_w, nu_c),
+        rungs=tuple(fits),
+        passed=all(r.passed for r in fits),
     )

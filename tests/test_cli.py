@@ -412,6 +412,10 @@ def test_verify_main_b_schedule(tmp_path):
     doc = read_json(str(out))
     assert doc["passed"] is True and doc["b_schedule"] == [1, 3]
     assert [r["weight"] for r in doc["rungs"]] == [44, 2060]
+    # one way to give the schedule: --m-max 4 beside it used to be ignored
+    with pytest.raises(SystemExit) as info:
+        run(argv + ["--m-max", "4"])
+    assert info.value.code == 2
 
 
 def test_verify_main_flagship_window(tmp_path):

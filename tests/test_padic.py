@@ -114,6 +114,20 @@ def test_ladder_inputs_must_be_integers():
             WeightSequence(t, b)
 
 
+def test_ladder_inputs_refuse_bool():
+    # True is an int to isinstance: WeightTarget(13, 2, True) ran j = 1, and
+    # a schedule (True, 2) was written to a report as [true, 2]
+    for p, k, j in ((True, 2, 0), (7, True, 0), (7, 2, False), (13, 2, True)):
+        with pytest.raises(ValueError, match="integers"):
+            WeightTarget(p, k, j)
+    t = WeightTarget(7, 2, 0)
+    with pytest.raises(ValueError, match="integers"):
+        WeightSequence(t, (True, 2))
+    for m_max in (True, 2.5, "2"):  # 2.5 was a TypeError from range
+        with pytest.raises(ValueError, match="integers"):
+            default_sequence(t, m_max)
+
+
 def test_character_of_target():
     assert WeightTarget(7, 2, 0).character == 1
     assert WeightTarget(13, 4, 1).character == 13
@@ -175,6 +189,31 @@ def test_empirical_limit_reports_negative_nu():
     assert not lad.flagged
     with pytest.raises(ValueError):
         empirical_limit(default_sequence(t, 1), 1, 10)
+
+
+def constant_window(n, B):
+    return QExpansion(n, B, {tuple((0,) * n for _ in range(n)): 1})
+
+
+def broken_source(seq, n, B):
+    raise ZeroDivisionError("no window")
+
+
+@pytest.mark.parametrize("source,message", [
+    (lambda seq, n, B: [constant_window(n, B)] * 2, "2 windows for 3 rungs"),
+    (lambda seq, n, B: [constant_window(2, B)] * 3, "degree 2 and trace bound 10"),
+    (lambda seq, n, B: [constant_window(n, 3)] * 3, "degree 1 and trace bound 3"),
+    (broken_source, "coefficient source failed: no window"),
+], ids=["count", "degree", "trace-bound", "raises"])
+@pytest.mark.parametrize("entry", [empirical_limit, fit_and_verify])
+def test_the_source_hook_checks_its_windows(entry, source, message):
+    # a window short of the ladder made empirical_limit certify what it had
+    # and fit_and_verify raise a bare IndexError; a window truncated below B
+    # had its missing indices read as 0
+    seq = default_sequence(WeightTarget(7, 2, 0), 3)
+    with pytest.raises(PipelineError, match=message) as info:
+        entry(seq, 1, 10, source=source)
+    assert info.value.stage == "fit"
 
 
 # ---------------------------------------------------------------------------
@@ -362,7 +401,7 @@ def test_bad_window_is_refused_before_the_genera(monkeypatch, n, B, message):
 
 
 def test_training_singular_system_is_an_error():
-    cols = [{((0,),): Fraction(1)}, {((0,),): Fraction(2)}]
+    cols = [{((0,),): 1}, {((0,),): 2}]
     with pytest.raises(PipelineError) as info:
         _select_training([((0,),)], cols, 2, 7)
     assert info.value.stage == "fit"
@@ -385,12 +424,12 @@ def greedy_training(indices, columns, n_unknowns, p):
 
 
 def dictionary_window(genera, target, n, B):
-    """The trace-sorted indices and the p-integral theta columns that
-    fit_and_verify selects its training set from."""
+    """The trace-sorted indices and the integer theta columns that
+    fit_and_verify selects its training set from, cleared mod p, which is
+    all that the selection reads."""
     genera = [g for g in genera if g.character == target.character]
-    columns = [genus_theta(g, n, B)[1].coeffs for g in genera]
-    scale = Fraction(target.p) ** -padic._nu(columns, target.p)
-    columns = [{T: scale * a for T, a in c.items()} for c in columns]
+    _, columns = padic._cleared([genus_theta(g, n, B)[1].coeffs for g in genera],
+                                target.p, 1)
     indices = sorted({T for c in columns for T in c}, key=lambda T: (form_trace(T), T))
     return indices, columns, len(genera)
 
@@ -414,7 +453,8 @@ def test_training_set_skips_indices_dependent_mod_p():
     rows = [(1, 2, 3), (2, 4, 6), (5, Fraction(10, 3), 0), (0, 1, 0),
             (1, 3, 3), (0, Fraction(1, 2), 1)]
     indices = [((2 * t,),) for t in range(len(rows))]
-    columns = [{T: Fraction(row[i]) for T, row in zip(indices, rows)} for i in range(3)]
+    columns = [{T: residue(Fraction(row[i]), 5, 1) for T, row in zip(indices, rows)}
+               for i in range(3)]
     want = [indices[0], indices[3], indices[5]]
     assert greedy_training(indices, columns, 3, 5) == want
     assert _select_training(indices, columns, 3, 5) == want
@@ -483,15 +523,21 @@ def test_dictionary_that_splits_a_genus_fails_in_fit_stage(tmp_path):
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("n,B", [(1, 30), (2, 8)])
-def test_residue_and_exact_windows_give_one_report(tmp_path, n, B):
+@pytest.mark.parametrize("p,n,B", [pytest.param(7, 1, 30, id="1-30"),
+                                   pytest.param(7, 2, 8, id="2-8"),
+                                   pytest.param(3, 1, 30, id="p3-1-30")])
+def test_residue_and_exact_windows_give_one_report(tmp_path, p, n, B):
     # the ladder reads its windows only mod p^(b_last + 2), with exact
-    # valuations, so the exact windows of eisenstein_qexp give the same reports
-    seq = default_sequence(WeightTarget(7, 2, 0), 2)
+    # valuations, so the exact windows of eisenstein_qexp give the same
+    # reports; at p = 3 the dictionary's automorphism counts carry 3^2, so
+    # its columns are cleared by nu = -2
+    seq = default_sequence(WeightTarget(p, 2, 0), 2)
     exact = per_weight(eisenstein_qexp)
     cache = str(tmp_path)
-    assert (fit_and_verify(seq, n, B, cache_dir=cache).to_doc()
-            == fit_and_verify(seq, n, B, cache_dir=cache, source=exact).to_doc())
+    doc = fit_and_verify(seq, n, B, exploratory=True, cache_dir=cache).to_doc()
+    assert doc == fit_and_verify(seq, n, B, exploratory=True, cache_dir=cache,
+                                 source=exact).to_doc()
+    assert doc["passed"] and doc["nu_hat"] == (-2 if p == 3 else 0)
     assert empirical_limit(seq, n, B).to_doc() == empirical_limit(seq, n, B, source=exact).to_doc()
 
 
