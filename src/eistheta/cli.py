@@ -19,7 +19,7 @@ import argparse
 import json
 import sys
 
-from .fourier import check_window, dump_qexp, load_qexp, mod_pm_singular_rank
+from .fourier import dump_qexp, load_qexp, mod_pm_singular_rank
 from .eisenstein import eisenstein_qexp
 from .genus import (
     build_genera,
@@ -31,6 +31,7 @@ from .lattice import (
     Mat,
     automorphism_count,
     check_form,
+    check_window,
     enumerate_classes,
     level as form_level,
     minkowski_reduce,

@@ -31,6 +31,7 @@ from fractions import Fraction
 
 from .exactnum import (
     bernoulli,
+    check_integers,
     cohen_H_factor,
     divisors,
     gen_bernoulli_rows,
@@ -39,8 +40,9 @@ from .exactnum import (
     v_p,
     zeta_neg,
 )
-from .fourier import QExpansion, _from_checked, check_window
-from .lattice import bareiss_det, content, enumerate_psd_indices, form_disc, form_rank
+from .fourier import QExpansion, _from_checked
+from .lattice import check_window, content, enumerate_psd_indices, form_disc, form_rank
+from .linalg import bareiss_det
 
 __all__ = ["check_weights", "eisenstein_qexp", "eisenstein_residues"]
 
@@ -50,10 +52,9 @@ HEADROOM = 20
 
 
 def check_weights(weights, n: int, B: int) -> None:
-    """ValueError unless the window passes fourier.check_window, n is 1
+    """ValueError unless the window passes lattice.check_window, n is 1
     or 2, and every weight is an even integer > n + 1."""
-    if not all(isinstance(k, int) for k in weights):
-        raise ValueError("degree, trace bound and weights must be integers")
+    check_integers("degree, trace bound and weights must be integers", *weights)
     check_window(n, B)
     if n > 2:
         raise ValueError("degree must be 1 or 2")

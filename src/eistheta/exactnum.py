@@ -14,6 +14,7 @@ from decimal import Decimal
 from fractions import Fraction
 
 __all__ = [
+    "check_integers",
     "v_p",
     "residue",
     "kronecker",
@@ -35,6 +36,14 @@ __all__ = [
     "frac_to_doc",
     "frac_from_doc",
 ]
+
+
+def check_integers(message: str, *xs) -> None:
+    """ValueError(message) unless every x is an int.  A bool is not one
+    here, and a float or a Fraction is refused, never truncated."""
+    for x in xs:
+        if not isinstance(x, int) or isinstance(x, bool):
+            raise ValueError(message)
 
 
 def _v_int(n: int, p: int) -> int:
@@ -101,7 +110,8 @@ def kronecker(a: int, n: int) -> int:
 
 def factorize(n: int) -> dict[int, int]:
     """Prime factorization of |n| by trial division, as ``{p: e}``."""
-    n = abs(int(n))
+    check_integers("factorize needs an integer", n)
+    n = abs(n)
     if n == 0:
         raise ValueError("cannot factor 0")
     out: dict[int, int] = {}

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
-from .exactnum import divisors, frac_from_doc, frac_to_doc, is_prime, v_p
+from .exactnum import check_integers, divisors, frac_from_doc, frac_to_doc, is_prime, v_p
 from .lattice import (
     Mat,
     as_mat,
@@ -36,10 +36,10 @@ class QExpansion:
     coeffs: dict
 
     def __post_init__(self):
-        if not isinstance(self.degree, int) or self.degree < 0:
+        check_integers("degree must be an integer >= 0", self.degree)
+        check_integers("trace bound must be an integer", self.trace_bound)
+        if self.degree < 0:
             raise ValueError("degree must be an integer >= 0")
-        if not isinstance(self.trace_bound, int):
-            raise ValueError("trace bound must be an integer")
         if self.trace_bound < 0:
             raise ValueError("trace bound must be >= 0")
         clean = {}
@@ -56,19 +56,6 @@ class QExpansion:
                 raise ValueError("index not canonical")
             clean[T] = a
         object.__setattr__(self, "coeffs", clean)
-
-
-def check_window(n: int, B: int) -> None:
-    """ValueError unless the degree n and the trace bound B are integers,
-    1 <= n <= 5 and B >= 0."""
-    if not isinstance(n, int) or not isinstance(B, int):
-        raise ValueError("degree and trace bound must be integers")
-    if n <= 0:
-        raise ValueError("degree must be positive")
-    if n > 5:
-        raise ValueError("matrices larger than 5x5 are out of scope")
-    if B < 0:
-        raise ValueError("trace bound must be >= 0")
 
 
 def coeff(F: QExpansion, T) -> Fraction:
@@ -320,10 +307,16 @@ def dump_qexp(F: QExpansion) -> dict:
 
 
 def _dump_field(doc, name: str, kind: type = object, what: str = "expansion dump"):
-    """doc[name] of a dump object; ValueError naming `what` and the field otherwise."""
-    if isinstance(doc, dict) and name in doc and isinstance(doc[name], kind):
-        return doc[name]
-    raise ValueError(f"{what}: missing or malformed field {name!r}")
+    """doc[name] of a dump object, of type `kind`, or one that check_integers
+    accepts when `kind` is int; ValueError naming `what` and the field otherwise."""
+    malformed = f"{what}: missing or malformed field {name!r}"
+    if not isinstance(doc, dict) or name not in doc:
+        raise ValueError(malformed)
+    if kind is int:
+        check_integers(malformed, doc[name])
+    elif not isinstance(doc[name], kind):
+        raise ValueError(malformed)
+    return doc[name]
 
 
 def _dump_twoT(doc, what: str = "expansion dump") -> Mat:

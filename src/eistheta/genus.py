@@ -35,11 +35,11 @@ from .lattice import (
     Mat,
     as_mat,
     automorphism_count,
+    check_definite,
     check_form,
     enumerate_classes,
     eta_S,
     form_det,
-    is_positive_definite,
     jordan_blocks,
     level,
     minkowski_reduce,
@@ -119,13 +119,11 @@ def genus_symbol(twoS):
 
 def same_genus(twoS, twoS2):
     """Decide whether two positive definite even forms share a genus."""
-    A, B = check_form(twoS), check_form(twoS2)
+    A, B = check_definite(twoS, "same_genus"), check_definite(twoS2, "same_genus")
     if len(A) != len(B):
         raise ValueError("rank mismatch")
     if len(A) > 4:
         raise ValueError("genus test implemented for rank <= 4 only")
-    if not (is_positive_definite(A) and is_positive_definite(B)):
-        raise ValueError("forms must be positive definite")
     return genus_symbol(A) == genus_symbol(B)
 
 

@@ -16,7 +16,7 @@ from functools import lru_cache
 from itertools import product, takewhile
 from operator import index, mul
 
-from .exactnum import divisors, fund_disc_decompose, kronecker, v_p
+from .exactnum import check_integers, divisors, fund_disc_decompose, kronecker, v_p
 from .linalg import adjugate, bareiss_det, column_reduce
 
 Mat = tuple[tuple[int, ...], ...]
@@ -25,6 +25,8 @@ __all__ = [
     "Mat",
     "as_mat",
     "check_form",
+    "check_definite",
+    "check_window",
     "form_rank",
     "form_det",
     "form_trace",
@@ -78,6 +80,26 @@ def check_form(twoT) -> Mat:
     return M
 
 
+def check_definite(twoT, who: str) -> Mat:
+    """check_form, then ValueError naming `who` unless 2T is positive definite."""
+    M = check_form(twoT)
+    if not is_positive_definite(M):
+        raise ValueError(f"{who} needs a positive definite form")
+    return M
+
+
+def check_window(n: int, B: int) -> None:
+    """ValueError unless the degree n and the trace bound B are integers,
+    1 <= n <= 5 and B >= 0."""
+    check_integers("degree and trace bound must be integers", n, B)
+    if n <= 0:
+        raise ValueError("degree must be positive")
+    if n > 5:
+        raise ValueError("matrices larger than 5x5 are out of scope")
+    if B < 0:
+        raise ValueError("trace bound must be >= 0")
+
+
 def form_rank(twoT) -> int:
     return column_reduce(twoT)[1]
 
@@ -116,12 +138,9 @@ def pad_zero(twoT, n: int) -> Mat:
 
 
 def is_positive_definite(twoT) -> bool:
-    n = len(twoT)
-    M = [list(r) for r in twoT]
-    for k in range(1, n + 1):
-        if bareiss_det([row[:k] for row in M[:k]]) <= 0:
-            return False
-    return True
+    """Every leading principal minor of 2T is positive."""
+    return all(bareiss_det([row[:k] for row in twoT[:k]]) > 0
+               for k in range(1, len(twoT) + 1))
 
 
 def transform(twoT, U) -> Mat:
@@ -136,21 +155,10 @@ def transform(twoT, U) -> Mat:
 
 def level(twoS) -> int:
     """Least l with l(2S)^{-1} integral and even-diagonal."""
-    M = check_form(twoS)
-    d = bareiss_det([list(r) for r in M])
-    if d <= 0:
-        raise ValueError("level needs a positive definite form")
-    adj = adjugate([list(r) for r in M])
-    l = 1
-    n = len(M)
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                need = 2 * d // math.gcd(2 * d, adj[i][i])
-            else:
-                need = d // math.gcd(d, adj[i][j])
-            l = l * need // math.gcd(l, need)
-    return l
+    M = check_definite(twoS, "level")
+    d, adj, n = form_det(M), adjugate(M), len(M)
+    return math.lcm(*(2 * d // math.gcd(2 * d, adj[i][i]) if i == j
+                      else d // math.gcd(d, adj[i][j]) for i in range(n) for j in range(n)))
 
 
 def chi_S(twoS, d: int) -> int:
@@ -516,10 +524,7 @@ def _isometries(twoS, twoS2, want_all: bool, pool=None):
 
 def is_equivalent(twoS, twoS2):
     """A unimodular witness U with U^t(2S)U = 2S2, or None."""
-    A = check_form(twoS)
-    B = check_form(twoS2)
-    if not (is_positive_definite(A) and is_positive_definite(B)):
-        raise ValueError("is_equivalent expects positive definite forms")
+    A, B = check_definite(twoS, "is_equivalent"), check_definite(twoS2, "is_equivalent")
     got = _isometries(A, B, want_all=False)
     if not got:
         return None
@@ -535,9 +540,7 @@ def automorphisms(twoS, pool=None) -> list:
     that holds short_vectors(twoS, b), b at least every Q(e_i), passes it
     as pool and spares the search its own.
     """
-    A = check_form(twoS)
-    if not is_positive_definite(A):
-        raise ValueError("automorphisms expects a positive definite form")
+    A = check_definite(twoS, "automorphisms")
     return _isometries(A, A, want_all=True, pool=pool)
 
 
@@ -576,6 +579,7 @@ def enumerate_classes(r: int, level_divides: int, det_bound: int | None = None,
     `bound_multiplier` widens the search cap (used by the completeness
     regression); `det_bound` optionally caps det(2S).
     """
+    check_integers("rank and level must be integers", r, level_divides)
     if r <= 0 or r % 2 or r > 4:
         raise ValueError("rank must be 2 or 4 at desk scale")
     if level_divides <= 0:
@@ -669,10 +673,7 @@ def enumerate_psd_indices(n: int, trace_bound: int):
     (C in a canonical (C 0; 0 0) is definite); every canonical T is among
     them, and minkowski_reduce keeps exactly those.
     """
-    if n > 5:
-        raise ValueError("degree > 5 out of scope")
-    if trace_bound < 0:
-        raise ValueError("trace bound must be >= 0")
+    check_window(n, trace_bound)
     found = []
     g = [[0] * n for _ in range(n)]
 

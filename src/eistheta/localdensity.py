@@ -53,6 +53,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .exactnum import (
+    check_integers,
     dirichlet_L_neg,
     factorize,
     kronecker,
@@ -62,9 +63,8 @@ from .exactnum import (
 )
 from .lattice import (
     bareiss_det,
-    check_form,
+    check_definite,
     form_disc,
-    is_positive_definite,
     jordan_blocks,
     minkowski_reduce,
 )
@@ -161,9 +161,8 @@ def _density1_odd(q: int, e: int, r: int, delta: int, a: int) -> Fraction:
 
 
 def _ramanujan(q: int, N: int, v: int) -> int:
-    """Sum of psi(u t / q^N) over units u mod q^N, where v = min(v_q(t), N)."""
-    if N == 0:
-        return 1
+    """Sum of psi(u t / q^N) over units u mod q^N, where v = min(v_q(t), N)
+    and N >= 1."""
     if v >= N:
         return q ** (N - 1) * (q - 1)
     if v == N - 1:
@@ -179,8 +178,6 @@ def _density2_odd(q: int, e: int, r: int, delta: int, da: int, db: int) -> Fract
     each bin weight is a rational algebraic integer, i.e. an integer.  The bins
     hold twice each weight, so the halves (rr +- gg)/2 stay integers too.
     """
-    if r % 2:
-        raise NotImplementedError("pair densities on odd-rank lattices")
     qe = q**e
     inv2 = pow(2, -1, qe)
     ta, tb = (da * inv2) % qe, (db * inv2) % qe
@@ -394,21 +391,17 @@ def _beta_2_n2(k: int, twoT: tuple, e: int) -> Fraction:
 
 
 def _beta_q(q: int, k: int, twoT, det2T: int) -> Fraction:
-    """beta_q(T, k) at a prime q dividing 2 det(2T), but not at q = 2 for
-    a rank-4 T (see local_density_coeff)."""
+    """beta_q(T, k) at a prime q dividing 2 det(2T), at q = 2 only for T of
+    rank 1 or 2 (local_density_coeff refuses rank 3 and skips q = 2 at rank 4)."""
     n = len(twoT)
     v = v_p(2 * det2T, q)
     e0 = max(2, v + 2)
     if q == 2:
         if n == 1:
             fn = lambda ee: _beta_2_n1(k, twoT[0][0] // 2, ee)
-        elif n == 2:
+        else:
             tt = tuple(tuple(row) for row in twoT)
             fn = lambda ee: _beta_2_n2(k, tt, ee)
-        else:
-            raise NotImplementedError(
-                "2-adic density for ramified targets of rank >= 3 is not implemented"
-            )
     else:
         r0, delta0 = 2 * k, kronecker(-1, q) ** k
         fn = lambda ee: _beta_odd_on(q, ee, r0, delta0, twoT)
@@ -425,15 +418,13 @@ def _beta_q(q: int, k: int, twoT, det2T: int) -> Fraction:
 
 def local_density_coeff(twoT, k: int) -> Fraction:
     """Eisenstein coefficient of a rank 1..4 index from local densities."""
-    if not isinstance(k, int) or k % 2 or k < 4:
+    check_integers("weight must be an even integer, at least 4", k)
+    if k % 2 or k < 4:
         raise ValueError("weight must be an even integer, at least 4")
-    M = [list(row) for row in twoT]
-    check_form(M)
+    M = check_definite(twoT, "local_density_coeff")
     n = len(M)
     if not 1 <= n <= 4:
         raise ValueError("index rank must be 1 to 4")
-    if not is_positive_definite(M):
-        raise ValueError("index must be positive definite")
     if n == 3:
         raise NotImplementedError(
             "2-adic density for degree-3 indices is not implemented"

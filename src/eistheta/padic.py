@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .eisenstein import check_weights, eisenstein_residues
-from .exactnum import frac_to_doc, is_prime, residue, v_p
+from .exactnum import check_integers, frac_to_doc, is_prime, residue, v_p
 from .fourier import (
     QExpansion,
     check_weight_rank_congruence,
@@ -32,7 +32,7 @@ from .fourier import (
     u_p,
 )
 from .genus import cached_genera, genera_to_doc
-from .lattice import check_form, form_disc, form_trace, minkowski_reduce
+from .lattice import form_disc, form_trace, minkowski_reduce
 from .linalg import echelon_mod
 from .localdensity import local_density_coeff
 from .theta import genus_theta
@@ -63,12 +63,6 @@ class PipelineError(RuntimeError):
         super().__init__(f"[{stage}] {message}")
 
 
-def _check_integers(what: str, *xs) -> None:
-    """ValueError unless every x is an int; a bool is not one here."""
-    if not all(isinstance(x, int) and not isinstance(x, bool) for x in xs):
-        raise ValueError(f"{what} must be integers")
-
-
 # ---------------------------------------------------------------------------
 # weight targets and schedules
 # ---------------------------------------------------------------------------
@@ -88,7 +82,7 @@ class WeightTarget:
     j: int
 
     def __post_init__(self):
-        _check_integers("p, k and j", self.p, self.k, self.j)
+        check_integers("p, k and j must be integers", self.p, self.k, self.j)
         if not is_prime(self.p) or self.p == 2:
             raise ValueError("p must be an odd prime")
         if self.k <= 0:
@@ -123,7 +117,7 @@ class WeightSequence:
 
     def __post_init__(self):
         b = tuple(self.b_schedule)
-        _check_integers("b schedule", *b)
+        check_integers("b schedule must be integers", *b)
         object.__setattr__(self, "b_schedule", b)
         if not b or b[0] <= 0 or any(y <= x for x, y in zip(b, b[1:])):
             raise ValueError("b schedule must be strictly increasing and positive")
@@ -140,7 +134,7 @@ class WeightSequence:
 
 def default_sequence(target: WeightTarget, m_max: int) -> WeightSequence:
     """The schedule b(m) = m, m = 1..m_max."""
-    _check_integers("m_max", m_max)
+    check_integers("m_max must be integers", m_max)
     if m_max <= 0:
         raise ValueError("m_max must be positive")
     return WeightSequence(target, tuple(range(1, m_max + 1)))
@@ -334,7 +328,7 @@ def primitive_density_coeff(S, k: int) -> Fraction:
     induction on det(2T), with every plain coefficient supplied by
     local_density_coeff; rank(S) must be within its supported range.
     """
-    S = minkowski_reduce(check_form(S))
+    S = minkowski_reduce(S)
     return primitive_inversion(lambda T: local_density_coeff(T, k))(S)
 
 
@@ -369,7 +363,7 @@ def direct_limit_coefficient(S, target: WeightTarget, seq=None) -> DirectLadder:
     recovers by fitting; a lattice whose level does not divide p, or whose
     character differs from chi_p^j, must ladder to 0.
     """
-    S = minkowski_reduce(check_form(S))
+    S = minkowski_reduce(S)
     if len(S) != 2 * target.k:
         raise ValueError("S must have rank 2k")
     if seq is None:

@@ -14,7 +14,6 @@ from operator import mul
 
 from .fourier import (
     QExpansion,
-    check_window,
     primitive_coeffs,
     qexp_add,
     qexp_scale,
@@ -24,10 +23,10 @@ from .lattice import (
     Mat,
     automorphism_count,
     automorphisms,
-    check_form,
+    check_definite,
+    check_window,
     fits_canonical_shape,
     form_trace,
-    is_positive_definite,
     minkowski_reduce,
     short_vectors,
 )
@@ -47,9 +46,7 @@ def theta_series(twoS, n: int, trace_bound: int) -> QExpansion:
     at most 2B, so that the short vectors of the window hold its search
     pool and are searched for it; otherwise it is {1, -1}.
     """
-    twoS = check_form(twoS)
-    if not is_positive_definite(twoS):
-        raise ValueError("theta series needs a positive definite form")
+    twoS = check_definite(twoS, "theta series")
     check_window(n, trace_bound)
     B = trace_bound
     vecs = short_vectors(twoS, B)

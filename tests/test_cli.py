@@ -95,6 +95,23 @@ def test_malformed_genus_cache_exits_2(tmp_path, capsys, doc, field):
     assert "eistheta genera" in err and str(path) in err and repr(field) in err
 
 
+def test_genus_cache_with_a_boolean_character_exits_2(tmp_path, capsys):
+    # JSON true == 1, the character of the one level-7 rank-4 genus
+    doc = genera_to_doc(4, 7, build_genera(4, 7))
+    assert doc["genera"][0]["character_disc"] == 1
+    doc["genera"][0]["character_disc"] = True
+    path = tmp_path / "genera_r4_L7.json"
+    write_json_atomic(doc, str(path))
+    assert run(["genera", "--rank", "4", "--level", "7", "--cache-dir", str(tmp_path)]) == 2
+    assert capsys.readouterr() == (
+        "", f"eistheta genera: cache {path}: missing or malformed field 'character_disc'\n")
+    assert run(["verify-main", "--p", "7", "--k", "2", "--degree", "1", "--bound", "20",
+                "--m-max", "2", "--cache-dir", str(tmp_path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "stage genera" in err and str(path) in err
+    assert "'character_disc'" in err
+
+
 def test_genus_cache_with_a_zero_denominator_exits_2(tmp_path, capsys):
     doc = genera_to_doc(2, 7, build_genera(2, 7))
     doc["genera"][0]["mass"]["den"] = "0"
@@ -320,6 +337,8 @@ MALFORMED_DUMPS = [
     ({"degree": 1, "trace_bound": 4, "class_invariant": False, "coeffs": []},
      "class_invariant"),
     ([1, 2], "coeffs"),
+    ({"degree": True, "trace_bound": 4, "class_invariant": True,  # JSON true == 1
+      "coeffs": [{"twoT": [[2]], "num": "240", "den": "1"}]}, "degree"),
 ]
 
 

@@ -27,6 +27,11 @@ from eistheta.exactnum import (
     v_p,
     zeta_neg,
 )
+from eistheta.eisenstein import eisenstein_residues
+from eistheta.fourier import QExpansion
+from eistheta.genus import build_genera
+from eistheta.lattice import check_window, enumerate_classes, enumerate_psd_indices
+from eistheta.padic import WeightTarget, default_sequence, empirical_limit
 
 
 # ---------------------------------------------------------------- oracles
@@ -209,6 +214,32 @@ def test_v_p_rejects_inexact_input():
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, old)
+
+
+# every entry point that takes an integer refuses what
+# exactnum.check_integers refuses: JSON true == 1, and int() truncates 7.5
+INTEGER_INPUTS = {
+    "check_window degree": lambda x: check_window(x, 4),
+    "check_window trace bound": lambda x: check_window(1, x),
+    "QExpansion degree": lambda x: QExpansion(x, 4, {}),
+    "QExpansion trace bound": lambda x: QExpansion(1, x, {}),
+    "enumerate_psd_indices degree": lambda x: enumerate_psd_indices(x, 2),
+    "enumerate_psd_indices trace bound": lambda x: enumerate_psd_indices(1, x),
+    "eisenstein_residues degree": lambda x: eisenstein_residues([4], x, 4, 7, 2),
+    "empirical_limit trace bound": lambda x: empirical_limit(
+        default_sequence(WeightTarget(7, 2, 0), 2), 1, x),
+    "enumerate_classes level": lambda x: enumerate_classes(2, x),
+    "build_genera level": lambda x: build_genera(2, x),
+    "divisors": divisors,
+    "sigma": lambda x: sigma(1, x),
+}
+
+
+@pytest.mark.parametrize("x", [True, 7.5])
+@pytest.mark.parametrize("site", list(INTEGER_INPUTS))
+def test_integer_inputs_refuse_bools_and_floats(site, x):
+    with pytest.raises(ValueError, match="integer"):
+        INTEGER_INPUTS[site](x)
 
 
 # ---------------------------------------------------------------- bernoulli

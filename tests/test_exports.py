@@ -126,9 +126,41 @@ def test_forms_are_split_into_discriminants_in_lattice_alone():
     assert sorted(found) == ["exactnum.py", "lattice.py"], f"named in {sorted(found)}"
 
 
+def int_tests(source):
+    """Line numbers of the calls isinstance(x, int) in source, int alone or
+    in a tuple of types."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance"
+                and len(node.args) == 2):
+            kind = node.args[1]
+            kinds = kind.elts if isinstance(kind, ast.Tuple) else [kind]
+            if any(getattr(k, "id", None) == "int" for k in kinds):
+                out.append(node.lineno)
+    return out
+
+
+def test_int_tests_are_detected():
+    src = ("a = isinstance(x, int)\nb = isinstance(x, (bool, int))\n"
+           "c = isinstance(x, bool)\nd = int(x)\ne = isinstance(\n    x, int)\n")
+    assert int_tests(src) == [1, 2, 5]
+
+
+def test_integers_are_tested_in_exactnum_alone():
+    # one gate: exactnum.check_integers, which refuses a bool and a float;
+    # every other module calls it instead of testing isinstance(x, int)
+    found = {}
+    for path in glob.glob(os.path.join(os.path.dirname(eistheta.__file__), "*.py")):
+        with open(path) as fh:
+            lines = int_tests(fh.read())
+        if lines:
+            found[os.path.basename(path)] = lines
+    assert set(found) == {"exactnum.py"}, f"isinstance(x, int) at {found}"
+
+
 @pytest.mark.parametrize("module", ["cli.py", "padic.py"])
 def test_front_ends_import_no_private_name(module):
-    # the window checks they run are fourier.check_window and
+    # the window checks they run are lattice.check_window and
     # eisenstein.check_weights, not another module's private helper
     path = os.path.join(os.path.dirname(eistheta.__file__), module)
     with open(path) as fh:

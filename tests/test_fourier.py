@@ -10,7 +10,6 @@ from eistheta.exactnum import bernoulli, sigma
 from eistheta.fourier import (
     QExpansion,
     check_weight_rank_congruence,
-    check_window,
     coeff,
     congruent_mod,
     dump_qexp,
@@ -23,7 +22,7 @@ from eistheta.fourier import (
     rank_filter,
     u_p,
 )
-from eistheta.lattice import as_mat, form_trace, minkowski_reduce, pad_zero
+from eistheta.lattice import as_mat, check_window, form_trace, minkowski_reduce, pad_zero
 
 
 def theta_interval(B):

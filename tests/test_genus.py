@@ -305,6 +305,22 @@ def test_check_genera_rejects_a_class_listed_twice_and_a_foreign_level():
         check_genera([g], 4, 5)
 
 
+@pytest.mark.parametrize("field,value,words", [
+    ("level", 1, "cached level disagrees with the rep"),
+    ("character_disc", -7, "cached character disagrees with the rep"),
+    ("mass", {"num": "7", "den": "1"}, "cached mass disagrees with the classes"),
+])
+def test_cached_genera_rejects_a_genus_invariant_its_classes_contradict(
+        tmp_path, field, value, words):
+    doc = genera_to_doc(4, 7, build_genera(4, 7))
+    doc["genera"][0][field] = value
+    path = tmp_path / "genera_r4_L7.json"
+    write_json_atomic(doc, str(path))
+    with pytest.raises(ValueError, match=words) as info:
+        cached_genera(4, 7, cache_dir=str(tmp_path))
+    assert str(info.value).startswith(f"cache {path}: ")
+
+
 def test_cache_round_trip(tmp_path):
     genera = build_genera(2, 3)
     doc = genera_to_doc(2, 3, genera)

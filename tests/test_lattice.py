@@ -241,6 +241,13 @@ def test_level_rejects_singular():
         level([[2, 0], [0, 0]])
 
 
+def test_level_refuses_a_negative_definite_form():
+    # det(-2I) = 4 > 0: a determinant test alone gave it level 4
+    for M in (((-2, 0), (0, -2)), ((-2, 1), (1, -4))):
+        with pytest.raises(ValueError, match="level needs a positive definite form"):
+            level(M)
+
+
 # -------------------------------------------------------------- characters
 
 def test_chi_S_examples():

@@ -591,7 +591,7 @@ def test_rank_zero_index_is_refused():
 
 @pytest.mark.parametrize("k", [4.0, Fraction(4), "4"])
 def test_non_integer_weight_is_refused_before_any_count(monkeypatch, k):
-    monkeypatch.setattr(localdensity, "check_form", lambda M: pytest.fail("computed"))
+    monkeypatch.setattr(localdensity, "check_definite", lambda *a: pytest.fail("computed"))
     with pytest.raises(ValueError, match="weight must be an even integer"):
         local_density_coeff([[2]], k)
 
