@@ -76,8 +76,7 @@ def residue(x, p: int, c: int) -> int:
 
 def kronecker(a: int, n: int) -> int:
     """Kronecker symbol (a|n), defined for all integers n."""
-    a = int(a)
-    n = int(n)
+    check_integers("kronecker needs integers", a, n)
     if n == 0:
         return 1 if a in (1, -1) else 0
     t = 1
@@ -156,6 +155,7 @@ def moebius(n: int) -> int:
 
 def sigma(k: int, n: int, mod: int | None = None) -> int:
     """Divisor power sum sigma_k(n), or its residue mod `mod` when one is given."""
+    check_integers("sigma needs an integer exponent", k)
     s = sum(pow(d, k, mod) for d in divisors(n))
     return s if mod is None else s % mod
 

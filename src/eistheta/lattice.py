@@ -170,7 +170,7 @@ def chi_S(twoS, d: int) -> int:
         raise ValueError("chi_S undefined at 0")
     D = (-1) ** (r // 2) * form_det(twoS)
     sgn = -1 if (d < 0 and (r // 2) % 2) else 1
-    return sgn * kronecker(D, abs(d))
+    return sgn * kronecker(D, d if d > 0 else -d)
 
 
 def form_disc(n: int, det2T: int) -> tuple[int, int]:
@@ -554,6 +554,32 @@ def automorphism_count(twoS) -> int:
 _GAMMA_POW = {2: Fraction(4, 3), 4: Fraction(4)}  # gamma_r^r, r = 2, 4
 
 
+def _shape_walk(k: int, fits):
+    """Every k x k doubled Gram matrix g with positive leading minors whose
+    columns pass fits_canonical_shape: column j has |g_ij| <= g_ii/2, and
+    g_jj goes up from g_{j-1,j-1} (2 at j = 0) while fits([g_00, ...,
+    g_{j-1,j-1}], g_jj).  Yields one list g, rewritten in place."""
+    g = [[0] * k for _ in range(k)]
+
+    def rec(j):
+        if j == k:
+            yield g
+            return
+        diag = [g[i][i] for i in range(j)]
+        d = diag[-1] if j else 2
+        while fits(diag, d):
+            g[j][j] = d
+            for col in product(*(range(-(h // 2), h // 2 + 1) for h in diag)):
+                for i, x in enumerate(col):
+                    g[i][j] = g[j][i] = x
+                if fits_canonical_shape(g, j) and bareiss_det(
+                        [row[:j + 1] for row in g[:j + 1]]) > 0:
+                    yield from rec(j + 1)
+            d += 2
+
+    return rec(0)
+
+
 def enumerate_classes(r: int, level_divides: int, det_bound: int | None = None,
                       bound_multiplier: int = 1):
     """All GL_r(Z)-classes of positive definite even-diagonal forms with
@@ -565,25 +591,28 @@ def enumerate_classes(r: int, level_divides: int, det_bound: int | None = None,
     determinants t <= N^{r/2} are searched, and the canonical duals of the
     classes found below N^{r/2} are added.
 
-    The search walks, a column at a time, the doubled Gram matrices whose
-    columns pass fits_canonical_shape, whose leading minors are positive,
-    and whose diagonal product is at most gamma_r^r t_max (Minkowski's
-    second theorem for the largest searched determinant t_max).  This is
-    complete: the canonical form of each class passes fits_canonical_shape
-    on every column, and its diagonal holds twice the successive minima
-    (a greedy basis attains them for r <= 4), whose product is at most
-    gamma_r^r det(2S).  In the last column [[A, b], [b^t, d]],
-    d = (t + b^t adj(A) b)/det(A) is solved from each admissible
-    determinant t instead of scanned.  Candidates are then filtered by
-    level and deduplicated by isometry.
+    _shape_walk (shared with enumerate_psd_indices) gives the first r - 1
+    columns: they pass fits_canonical_shape, their leading minors are
+    positive, and their diagonal product can stay at most gamma_r^r t_max
+    (Minkowski's second theorem for the largest searched determinant
+    t_max).  This is complete: the canonical form of each class passes
+    fits_canonical_shape on every column, and its diagonal holds twice the
+    successive minima (a greedy basis attains them for r <= 4), whose
+    product is at most gamma_r^r det(2S).  In the last column
+    [[A, b], [b^t, d]], d = (t + b^t adj(A) b)/det(A) is solved from each
+    admissible determinant t instead of scanned.  Candidates are then
+    filtered by level and deduplicated by isometry.
     `bound_multiplier` widens the search cap (used by the completeness
     regression); `det_bound` optionally caps det(2S).
     """
-    check_integers("rank and level must be integers", r, level_divides)
+    check_integers("rank, level and bounds must be integers", r, level_divides,
+                   bound_multiplier, 1 if det_bound is None else det_bound)
     if r <= 0 or r % 2 or r > 4:
         raise ValueError("rank must be 2 or 4 at desk scale")
     if level_divides <= 0:
         raise ValueError("level must be positive")
+    if bound_multiplier < 1:
+        raise ValueError("bound multiplier must be >= 1")
     if det_bound is not None and det_bound < 1:
         raise ValueError("det bound must be positive")
     Lr = level_divides**r
@@ -611,24 +640,19 @@ def enumerate_classes(r: int, level_divides: int, det_bound: int | None = None,
             group.append(M)
 
     k = r - 1
-    g = [[0] * k for _ in range(k)]
 
-    def box(half):
-        return product(*(range(-h, h + 1) for h in half))
-
-    def last_column():
+    def last_column(A):
         # det [[A, b], [b^t, d]] = d det(A) - b^t adj(A) b, and
         # b^t adj(A) b <= qhat on the box |b_i| <= a_ii/2
-        A = g
         detA, adjA, dlast = bareiss_det(A), adjugate(A), A[-1][-1]
         half = [A[i][i] // 2 for i in range(k)]
         qhat = sum(abs(adjA[i][j]) * half[i] * half[j] for i in range(k) for j in range(k))
         if detA * dlast > tmax + qhat:
             return
-        # box() runs in lexicographic order, so the b whose first nonzero
-        # entry is <= 0 (the sign rule of fits_canonical_shape) come first
+        # product() is lexicographic, so the b whose first nonzero entry is
+        # <= 0 (the sign rule of fits_canonical_shape) come first
         zero = (0,) * k
-        for b in takewhile(lambda b: b <= zero, box(half)):
+        for b in takewhile(lambda b: b <= zero, product(*(range(-h, h + 1) for h in half))):
             qb = sum(b[i] * adjA[i][j] * b[j] for i in range(k) for j in range(k))
             for t in targets:
                 dr, rem = divmod(t + qb, detA)
@@ -636,22 +660,8 @@ def enumerate_classes(r: int, level_divides: int, det_bound: int | None = None,
                     continue
                 try_add(as_mat([*(row + [x] for row, x in zip(A, b)), [*b, dr]]), t)
 
-    def walk(j, prod):
-        if j == k:
-            last_column()
-            return
-        d = g[j - 1][j - 1] if j else 2
-        while prod * d ** (r - j) <= cap:
-            g[j][j] = d
-            for col in box([g[i][i] // 2 for i in range(j)]):
-                for i, x in enumerate(col):
-                    g[i][j] = g[j][i] = x
-                if fits_canonical_shape(g, j) and bareiss_det(
-                        [row[:j + 1] for row in g[:j + 1]]) > 0:
-                    walk(j + 1, prod * d)
-            d += 2
-
-    walk(0, 1)
+    for A in _shape_walk(k, lambda diag, d: math.prod(diag) * d ** (r - len(diag)) <= cap):
+        last_column(A)
     reps = [minkowski_reduce(M) for group in buckets.values() for M in group]
     # the Fricke duals N (2S)^{-1} = N adj(2S) / det(2S), integral as level | N
     reps += [
@@ -668,31 +678,11 @@ def enumerate_classes(r: int, level_divides: int, det_bound: int | None = None,
 def enumerate_psd_indices(n: int, trace_bound: int):
     """Canonical representatives of all T >= 0 in Lambda_n with tr(T) <= B.
 
-    Walks, a column at a time, the matrices that fits_canonical_shape
-    accepts and whose leading minors are positive while the diagonal is
-    (C in a canonical (C 0; 0 0) is definite); every canonical T is among
-    them, and minkowski_reduce keeps exactly those.
+    A canonical form is (C 0; 0 0) with C definite, so each C of rank
+    r <= n that _shape_walk gives under the trace budget is padded, and
+    minkowski_reduce keeps the canonical ones.
     """
     check_window(n, trace_bound)
-    found = []
-    g = [[0] * n for _ in range(n)]
-
-    def rec(j, rem):
-        if j == n:
-            M = as_mat(g)
-            if minkowski_reduce(M) == M:
-                found.append(M)
-            return
-        prev = g[j - 1][j - 1] if j else 2
-        for d in [0, *range(prev, rem + 1, 2)] if prev else [0]:
-            g[j][j] = d
-            for col in product(*(range(-h, h + 1) for h in
-                                 (g[i][i] // 2 if d else 0 for i in range(j)))):
-                for i, x in enumerate(col):
-                    g[i][j] = g[j][i] = x
-                if fits_canonical_shape(g, j) and (
-                        d == 0 or bareiss_det([row[:j + 1] for row in g[:j + 1]]) > 0):
-                    rec(j + 1, rem - d)
-
-    rec(0, 2 * trace_bound)
-    return sorted(found, key=lambda M: (form_trace(M), M))
+    pads = (pad_zero(C, n) for r in range(n + 1)
+            for C in _shape_walk(r, lambda diag, d: sum(diag) + d <= 2 * trace_bound))
+    return sorted((M for M in pads if minkowski_reduce(M) == M), key=lambda M: (form_trace(M), M))

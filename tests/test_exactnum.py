@@ -30,7 +30,13 @@ from eistheta.exactnum import (
 from eistheta.eisenstein import eisenstein_residues
 from eistheta.fourier import QExpansion
 from eistheta.genus import build_genera
-from eistheta.lattice import check_window, enumerate_classes, enumerate_psd_indices
+from eistheta.lattice import (
+    as_mat,
+    check_window,
+    chi_S,
+    enumerate_classes,
+    enumerate_psd_indices,
+)
 from eistheta.padic import WeightTarget, default_sequence, empirical_limit
 
 
@@ -230,8 +236,14 @@ INTEGER_INPUTS = {
         default_sequence(WeightTarget(7, 2, 0), 2), 1, x),
     "enumerate_classes level": lambda x: enumerate_classes(2, x),
     "build_genera level": lambda x: build_genera(2, x),
+    "enumerate_classes det bound": lambda x: enumerate_classes(2, 12, det_bound=x),
+    "enumerate_classes bound multiplier": lambda x: enumerate_classes(2, 7, bound_multiplier=x),
     "divisors": divisors,
     "sigma": lambda x: sigma(1, x),
+    "sigma exponent": lambda x: sigma(x, 6),
+    "kronecker numerator": lambda x: kronecker(x, 7),
+    "kronecker denominator": lambda x: kronecker(5, x),
+    "chi_S": lambda x: chi_S(as_mat([[2, 1], [1, 4]]), x),
 }
 
 

@@ -158,6 +158,35 @@ def test_integers_are_tested_in_exactnum_alone():
     assert set(found) == {"exactnum.py"}, f"isinstance(x, int) at {found}"
 
 
+def callers(source, name):
+    """Module-level defs of source whose bodies (nested defs included) call
+    `name`, as a bare name or an attribute; "<module>" for top-level code."""
+    return sorted({getattr(top, "name", "<module>") for top in ast.parse(source).body
+                   for node in ast.walk(top) if isinstance(node, ast.Call)
+                   and name in (getattr(node.func, "id", None), getattr(node.func, "attr", None))})
+
+
+def test_callers_are_detected():
+    src = ("def walk():\n    def rec():\n        fits(g, 0)\n    return rec\n"
+           "def other():\n    return lattice.fits(g, 1)\n"
+           "def passes():\n    use(fits)\n"
+           "class Walker:\n    def step(self):\n        fits(g, 2)\n"
+           "fits(g, 3)\n")
+    assert callers(src, "fits") == ["<module>", "Walker", "other", "walk"]
+
+
+def test_canonical_shapes_are_walked_in_two_places():
+    # one column walk over matrix entries (lattice._shape_walk, which serves
+    # index windows and class enumeration) and one over lattice vectors
+    # (theta.theta_series); no third walk tests the shape by hand
+    found = set()
+    for path in glob.glob(os.path.join(os.path.dirname(eistheta.__file__), "*.py")):
+        with open(path) as fh:
+            module = os.path.basename(path)[:-3]
+            found |= {f"{module}.{f}" for f in callers(fh.read(), "fits_canonical_shape")}
+    assert found == {"lattice._shape_walk", "theta.theta_series"}, sorted(found)
+
+
 @pytest.mark.parametrize("module", ["cli.py", "padic.py"])
 def test_front_ends_import_no_private_name(module):
     # the window checks they run are lattice.check_window and
