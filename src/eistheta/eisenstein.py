@@ -41,7 +41,7 @@ from .exactnum import (
     zeta_neg,
 )
 from .fourier import QExpansion, _from_checked
-from .lattice import check_window, content, enumerate_psd_indices, form_disc, form_rank
+from .lattice import check_window, content, enumerate_psd_indices, form_disc
 from .linalg import bareiss_det
 
 __all__ = ["check_weights", "eisenstein_qexp", "eisenstein_residues"]
@@ -70,10 +70,9 @@ def _index_shapes(n: int, B: int) -> list:
     if n == 1:
         return [(((2 * t,),), t, None, None) for t in range(B + 1)]
     shapes = []
-    for T in enumerate_psd_indices(2, B):
-        r = form_rank(T)
-        D0, f = form_disc(2, bareiss_det(T)) if r == 2 else (None, None)
-        shapes.append((T, content(T) if r else 0, D0, f))
+    for T in enumerate_psd_indices(2, B):  # (C 0; 0 0): rank 2 iff g_11 != 0
+        D0, f = form_disc(2, bareiss_det(T)) if T[1][1] else (None, None)
+        shapes.append((T, content(T), D0, f))
     return shapes
 
 

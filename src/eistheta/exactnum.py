@@ -154,8 +154,11 @@ def moebius(n: int) -> int:
 
 
 def sigma(k: int, n: int, mod: int | None = None) -> int:
-    """Divisor power sum sigma_k(n), or its residue mod `mod` when one is given."""
+    """Divisor power sum sigma_k(n), or its residue mod `mod` when one is
+    given; k < 0 needs the modulus, as d^k is then no integer."""
     check_integers("sigma needs an integer exponent", k)
+    if k < 0 and mod is None:
+        raise ValueError("sigma with a negative exponent needs a modulus")
     s = sum(pow(d, k, mod) for d in divisors(n))
     return s if mod is None else s % mod
 
@@ -341,6 +344,26 @@ def is_fundamental_discriminant(D: int) -> bool:
     return D != 0 and D % 4 in (0, 1) and fund_disc_decompose(D) == (D, 1)
 
 
+def _character_signs(Ds) -> list[tuple[list[int], list[int]]]:
+    """Per D, the a - 1 over 1 <= a < |D|/2 with kronecker(D, a) = 1, and
+    with -1.  kronecker(D, .) is completely multiplicative (Cohen, GTM 138,
+    1.4), so it is called at primes only: a = q (a / q), q least prime
+    factor of a from one sieve for all D."""
+    top = (max(map(abs, Ds), default=1) + 1) // 2  # every a < top
+    lpf = list(range(top))  # least prime factor of each a < top
+    for q in reversed(range(2, math.isqrt(top) + 1)):
+        lpf[q * q::q] = [q] * len(lpf[q * q::q])
+    out = []
+    for D in Ds:
+        chi = [0, 1]  # chi[a] = kronecker(D, a)
+        for a in range(2, (abs(D) + 1) // 2):
+            q = lpf[a]
+            chi.append(kronecker(D, a) if q == a else chi[q] * chi[a // q])
+        out.append(([a - 1 for a, c in enumerate(chi) if c > 0],
+                    [a - 1 for a, c in enumerate(chi) if c < 0]))
+    return out
+
+
 def gen_bernoulli_rows(ns, Ds) -> dict[int, dict[int, Fraction]]:
     """{n: {D: B_{n,chi_D}}} for indices n of one parity and the characters
     kronecker(D, .) of the given D.
@@ -367,8 +390,8 @@ def gen_bernoulli_rows(ns, Ds) -> dict[int, dict[int, Fraction]]:
     Nothing but f and chi in that sum depends on D: the row c_i and the
     powers a^(n-i) are the same for every character.  So the row is built
     once, and one vector of a^(n-i), for 1 <= a < max f / 2, steps by a^2
-    for all D together.  Each D reads chi(a) once, splits its residues
-    a < f/2 into those with chi(a) = 1 and chi(a) = -1, and takes T_{n-i}
+    for all D together.  Each D splits its residues a < f/2 into those
+    with chi(a) = 1 and chi(a) = -1 (``_character_signs``), and takes T_{n-i}
     as the sum of the vector over the first minus that over the second:
     the very terms chi(a) a^(n-i) of its own sum, added in another order.
     One upward sweep of j = n - i serves every n of the given parity.
@@ -385,14 +408,7 @@ def gen_bernoulli_rows(ns, Ds) -> dict[int, dict[int, Fraction]]:
     odd = bool(ns) and ns[0] % 2 == 1
     live = [D for D in Ds if D != 1 and (D < 0) == odd]  # chi(-1) = (-1)^n
     fs = [abs(D) for D in live]
-    signs = []  # per D: indices a - 1 with chi(a) = 1, and with chi(a) = -1
-    for D, f in zip(live, fs):
-        pos, neg = [], []
-        for a in range(1, (f + 1) // 2):
-            c = kronecker(D, a)
-            if c:
-                (pos if c > 0 else neg).append(a - 1)
-        signs.append((pos, neg))
+    signs = _character_signs(live)  # per D: the a - 1 with chi(a) = 1, and with -1
     bases = range(1, (max(fs, default=1) + 1) // 2)
     squares = [a * a for a in bases]
 

@@ -161,11 +161,11 @@ def mod_pm_singular_rank(F: QExpansion, p: int, m: int):
     if m <= 0:
         raise ValueError("m must be positive")
     by_rank: dict[int, list] = {}
-    for T, a in F.coeffs.items():
+    for T, a in F.coeffs.items():  # T = (C 0; 0 0) has rank(C) nonzero diagonal entries
         v = v_p(a, p)
         if v < 0:
             raise ValueError(f"coefficient at {T} is not {p}-integral")
-        by_rank.setdefault(form_rank(T), []).append(v)
+        by_rank.setdefault(sum(T[i][i] != 0 for i in range(len(T))), []).append(v)
     unit_ranks = [r for r, vs in by_rank.items() if min(vs) == 0]
     if not unit_ranks:
         return None

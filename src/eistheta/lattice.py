@@ -413,14 +413,22 @@ def minkowski_reduce(twoT) -> Mat:
     """Canonical GL_n(Z)-representative of a positive semidefinite form.
 
     Output shape: (C 0; 0 0) with C the canonical positive definite part.
-    Idempotent and constant on GL_n(Z)-orbits.  With U from column_reduce,
-    U^t M U = 0 + G where G has full rank r, so M is semidefinite exactly
-    when G is definite, which r leading minors decide.
+    Idempotent and constant on GL_n(Z)-orbits.  At most two nonzero
+    diagonal entries, none negative (fits_canonical_shape lets g_00 < 0
+    pass at column 0), and every column passing fits_canonical_shape:
+    then M is (C 0; 0 0) with C of rank <= 2 the form _canonical_definite
+    reads off its shape, and M is returned as it is.  Otherwise, with U
+    from column_reduce, U^t M U = 0 + G where G has full rank r, so M is
+    semidefinite exactly when G is definite, which r leading minors decide.
     """
     M = check_form(twoT)
     n = len(M)
     if n > 5:
         raise ValueError("matrices larger than 5x5 are out of scope")
+    d = [M[i][i] for i in range(n)]
+    if min(d, default=0) >= 0 and not any(d[2:]) and all(
+            fits_canonical_shape(M, j) for j in range(n)):
+        return M
     U, r = column_reduce(M)
     G = M if r == n else transform(M, [row[n - r:] for row in U])
     if not is_positive_definite(G):
@@ -463,13 +471,18 @@ def fits_canonical_shape(g, j) -> bool:
       value (g_jj -+ 2 g_ij + g_ii)/2, and b_j has the least;
     - the first nonzero of g_0j..g_{j-1,j} is negative, or -b_j would give
       a smaller flat (see _canonical_definite).
+    A zero g_jj asks only for a zero column.
     """
-    d, col = g[j][j], [g[i][j] for i in range(j)]
-    if d == 0:
-        return not any(col)
-    return ((j == 0 or 0 < g[j - 1][j - 1] <= d)
-            and all(2 * abs(x) <= g[i][i] for i, x in enumerate(col))
-            and next((x for x in col if x), 0) <= 0)
+    d = g[j][j]
+    if d and j and not 0 < g[j - 1][j - 1] <= d:
+        return False
+    lead = 0  # the first nonzero of g_0j..g_{i-1,j}
+    for i in range(j):
+        x = g[i][j]
+        if (d and 2 * abs(x) > g[i][i]) or (x and not (d and (lead or x < 0))):
+            return False
+        lead = lead or x
+    return True
 
 
 # ------------------------------------------------- isometries, automorphisms

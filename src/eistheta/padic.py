@@ -547,6 +547,10 @@ def fit_and_verify(
     indices = sorted(set().union(*windows, *columns), key=lambda T: (form_trace(T), T))
     train = _select_training(indices, columns, len(genera), p)
     held_out = [T for T in indices if T not in train]
+    if not held_out:
+        raise PipelineError("fit", f"the window has {len(indices)} indices and the "
+                                   f"{len(genera)} genus coefficients train on all of "
+                                   "them, so none is held out; enlarge the window")
     u_keys = set().union(*defects)
 
     def fitted(a_tilde, cols, T):

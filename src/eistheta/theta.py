@@ -42,6 +42,9 @@ def theta_series(twoS, n: int, trace_bound: int) -> QExpansion:
     matrix is counted; minkowski_reduce then drops the others.  X and U X
     have one Gram matrix for every U in a group of automorphisms of S, so
     x_1 is taken one per orbit and counted as often as its orbit is long.
+    Later columns go one per pair +-y: the shape asks the first nonzero
+    product of x_j with x_1, ..., x_{j-1} to be negative, which fixes the
+    sign, and both signs are taken when every such product is 0.
     The group is Aut(S) when rank(S) <= 4 and every diagonal entry of 2S is
     at most 2B, so that the short vectors of the window hold its search
     pool and are searched for it; otherwise it is {1, -1}.
@@ -63,7 +66,8 @@ def theta_series(twoS, n: int, trace_bound: int) -> QExpansion:
     else:
         group = [tuple(tuple(s * (a == b) for b in range(r)) for a in range(r))
                  for s in (1, -1)]
-    cols = [((0,) * r, 0)] + vecs
+    zero = (0,) * r
+    cols = [(zero, 0)] + vecs
     firsts = []  # (x_1, value, orbit length), one x_1 per orbit, by value
     seen: set = set()
     for v, q in cols:
@@ -71,8 +75,10 @@ def theta_series(twoS, n: int, trace_bound: int) -> QExpansion:
             orbit = {tuple(sum(map(mul, row, v)) for row in U) for U in group}
             seen |= orbit
             firsts.append((v, q, len(orbit)))
-    values = [q for _, q in cols]  # sorted
-    svs = {v: [sum(map(mul, row, v)) for row in twoS] for v, _ in cols}
+    # columns j >= 1 one per pair +-y, y >= 0 lexicographically: (y, -y, value, 2S y)
+    pairs = [(v, tuple(-c for c in v), q, [sum(map(mul, row, v)) for row in twoS])
+             for v, q in cols if v >= zero]
+    values = [q for _, _, q, _ in pairs]  # sorted
     counts: dict[Mat, int] = {}
     chosen: list[tuple[int, ...]] = []
     gram: list[list[int]] = [[0] * n for _ in range(n)]
@@ -85,18 +91,24 @@ def theta_series(twoS, n: int, trace_bound: int) -> QExpansion:
         # the shape's diagonal is non-decreasing and then zero, so column j
         # is the zero vector or has at least the value of column j - 1
         prev = gram[j - 1][j - 1] // 2
-        for k in [0, *range(bisect_left(values, prev), len(cols))] if prev else [0]:
-            v, q = cols[k]
+        for k in [0, *range(bisect_left(values, prev), len(pairs))] if prev else [0]:
+            v, w, q, sv = pairs[k]
             if trace + q > B:
                 break
-            sv = svs[v]
+            col = [sum(map(mul, x, sv)) for x in chosen]
+            # the shape's first nonzero of column j is negative: y or -y
+            # meets that, or both when the column above g_jj is zero
+            lead = next((x for x in col if x), 0)
+            if lead > 0:
+                v, col = w, [-x for x in col]
             gram[j][j] = 2 * q
-            for i in range(j):
-                gram[i][j] = gram[j][i] = sum(map(mul, chosen[i], sv))
+            for i, x in enumerate(col):
+                gram[i][j] = gram[j][i] = x
             if fits_canonical_shape(gram, j):
-                chosen.append(v)
-                rec(j + 1, trace + q, weight)
-                chosen.pop()
+                for y in (v, w) if q and not lead else (v,):
+                    chosen.append(y)
+                    rec(j + 1, trace + q, weight)
+                    chosen.pop()
 
     # every column 0 fits the canonical shape
     for v, q, size in firsts:

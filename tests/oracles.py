@@ -17,7 +17,14 @@ Each one enumerates everything the package code prunes:
   Fraction per term, where localdensity counts in integers;
 - symbolic_global_factor: alpha_inf times the generic Euler factors as a
   symbolic product of pi, square roots and Gamma values that cancel to a
-  rational, where localdensity reads zeta and L at negative integers.
+  rational, where localdensity reads zeta and L at negative integers;
+- minkowski_reduce_by_search: the canonical form through column_reduce
+  and the greedy-basis search at every input, where minkowski_reduce
+  reads a canonical rank <= 2 form off its shape;
+- fits_canonical_shape_by_rules: the shape test as one expression per
+  rule, where lattice tests the rules in one loop;
+- character_signs_every_residue: the residues a < |D|/2 split by
+  kronecker(D, a) at every a, where exactnum calls it at primes only.
 """
 
 import math
@@ -35,13 +42,19 @@ from eistheta.exactnum import (
     v_p,
 )
 from eistheta.lattice import (
+    _canonical_definite,
+    _pair_reduce,
     as_mat,
+    check_form,
     content,
     form_trace,
+    is_positive_definite,
     minkowski_reduce,
+    pad_zero,
     short_vectors,
+    transform,
 )
-from eistheta.linalg import bareiss_det, echelon_mod
+from eistheta.linalg import bareiss_det, column_reduce, echelon_mod
 from eistheta.localdensity import _ramanujan
 
 
@@ -579,3 +592,39 @@ def symbolic_global_factor(n, k, det2T):
     sym = _closure(n, k, det2T)
     _alpha_inf(n, k, det2T, sym)
     return sym.as_fraction()
+
+
+def minkowski_reduce_by_search(twoT):
+    """minkowski_reduce without its shape reading: with U from
+    column_reduce, U^t M U = 0 + G, G of full rank, is semidefinite
+    exactly when G is definite, and G goes to the greedy-basis search."""
+    M = check_form(twoT)
+    n = len(M)
+    if n > 5:
+        raise ValueError("matrices larger than 5x5 are out of scope")
+    U, r = column_reduce(M)
+    G = M if r == n else transform(M, [row[n - r:] for row in U])
+    if not is_positive_definite(G):
+        raise ValueError("form is not positive semidefinite")
+    return pad_zero(_canonical_definite(_pair_reduce(G)), n)
+
+
+def fits_canonical_shape_by_rules(g, j):
+    """The three rules of lattice.fits_canonical_shape, one expression each."""
+    d, col = g[j][j], [g[i][j] for i in range(j)]
+    if d == 0:
+        return not any(col)
+    return ((j == 0 or 0 < g[j - 1][j - 1] <= d)
+            and all(2 * abs(x) <= g[i][i] for i, x in enumerate(col))
+            and next((x for x in col if x), 0) <= 0)
+
+
+def character_signs_every_residue(D):
+    """(pos, neg): the a - 1 over 1 <= a < |D|/2 with kronecker(D, a) = 1,
+    and with -1, one kronecker call per a."""
+    pos, neg = [], []
+    for a in range(1, (abs(D) + 1) // 2):
+        c = kronecker(D, a)
+        if c:
+            (pos if c > 0 else neg).append(a - 1)
+    return pos, neg

@@ -9,12 +9,14 @@ enumeration of integer matrices, and the dual Eisenstein route goes
 through the local-density product rather than the closed formulas.
 """
 
+import json
 import time
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from eistheta.cli import main
 from eistheta.eisenstein import eisenstein_qexp
 from eistheta.exactnum import bernoulli, sigma
 from eistheta.fourier import QExpansion, congruent_mod
@@ -40,7 +42,7 @@ from eistheta.theta import theta_series, verify_rank_decomposition
 def conclude(number, name, ok, detail=""):
     verdict = "PASS" if ok else "FAIL"
     suffix = f" ({detail})" if detail else ""
-    print(f"ACCEPTANCE [{number}/8] {name}: {verdict}{suffix}")
+    print(f"ACCEPTANCE [{number}/9] {name}: {verdict}{suffix}")
     assert ok, f"criterion {number} {name}{suffix}"
 
 
@@ -263,3 +265,21 @@ def test_criterion_8_quadratic_form_kernel():
         ok,
         f"{len(forms)} forms boxed, levels 3/5/7 stable",
     )
+
+
+def test_criterion_9_irregular_primes_k1(tmp_path):
+    # k = 1, j = 1 (rank 2) at every irregular p = 3 mod 4 below 160, with
+    # its index 2r: 59 | B_44, 67 | B_58, 103 | B_24, 131 | B_22; from an
+    # empty cache, at degrees 1 (B = 50) and 2 (B = 8)
+    t0 = time.perf_counter()
+    failed = []
+    for p in (59, 67, 103, 131):
+        for degree, bound in (("1", "50"), ("2", "8")):
+            out = tmp_path / f"p{p}_d{degree}.json"
+            rc = main(["verify-main", "--p", str(p), "--k", "1", "--j", "1", "--degree", degree,
+                       "--bound", bound, "--m-max", "2", "--cache-dir", str(tmp_path / f"c{p}"),
+                       "--out", str(out)])
+            if rc != 0 or json.loads(out.read_text())["passed"] is not True:
+                failed.append((p, degree, rc))
+    conclude(9, "irregular primes at k = 1", not failed,
+             f"8 runs in {time.perf_counter() - t0:.2f}s, failed {failed}")

@@ -1,5 +1,6 @@
 """End-to-end command-line checks, run in-process through cli.main."""
 
+import hashlib
 import json
 import os
 import pathlib
@@ -484,6 +485,29 @@ def test_verify_main_irregular_case_p59(tmp_path):
     assert doc["rungs"][-1]["coherence_exponent"] == 3
 
 
+# SHA-256 of the reports of W2 and W1 (the benchmark's ladder_deg2_warm and
+# ladder_deg1_cold), and of the genus cache W2 reads: a speed-up must leave
+# each byte where it was
+PINNED = {
+    "genera_r4_L7.json": "dcd10a112fcc9a5dac2a1f7112ca62be90eddf8c6946dc1067f8f10a1855e3a0",
+    "w2.json": "81857c47ba7e7911d6340df2b7875314f8581665588a540d0bd52df484c0a344",
+    "w1.json": "3fcefbae87f3630846d6f7b9e82bfb5eda472187ff004437cffcb1594f80d9d4",
+}
+
+
+def test_flagship_reports_are_byte_identical_to_their_pins(tmp_path):
+    cache = tmp_path / "cache"
+    ladder = ["verify-main", "--p", "7", "--k", "2", "--j", "0", "--cache-dir", str(cache)]
+    assert run(["genera", "--rank", "4", "--level", "7", "--cache-dir", str(cache)]) == 0
+    assert run([*ladder, "--degree", "2", "--bound", "16", "--m-max", "2",
+                "--out", str(tmp_path / "w2.json")]) == 0
+    assert run([*ladder, "--degree", "1", "--bound", "50", "--m-max", "3",
+                "--out", str(tmp_path / "w1.json")]) == 0
+    for name, digest in PINNED.items():
+        path = cache / name if name.startswith("genera") else tmp_path / name
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest, name
+
+
 def test_verify_main_exits_2_on_a_vanishing_kummer_base(tmp_path, monkeypatch, capsys):
     # no unit part within the term cap: exit 2 at stage fit, having read no
     # Bernoulli number beyond the cap's base values (weight 2060 is the last rung)
@@ -513,6 +537,15 @@ def test_verify_main_four_rungs(tmp_path):
     assert doc["passed"] is True and doc["mode"] == "theorem"
     assert [r["weight"] for r in doc["rungs"]][-1] == 14408
     assert [r["a_tilde"] for r in doc["rungs"]] == [[32]] * len(doc["rungs"])
+
+
+def test_verify_main_refuses_a_window_with_nothing_held_out(tmp_path, capsys):
+    # T = 0 and 1 against the two chi_13 genera: both indices train
+    argv = ["verify-main", "--p", "13", "--k", "2", "--j", "1", "--degree", "1",
+            "--bound", "1", "--m-max", "2", "--cache-dir", str(tmp_path / "cache")]
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert "stage fit" in err and "2 indices and the 2 genus coefficients" in err
 
 
 @pytest.mark.parametrize("window", [["--degree", "1", "--bound", "50"],

@@ -39,6 +39,8 @@ from eistheta.lattice import (
 )
 from eistheta.padic import WeightTarget, default_sequence, empirical_limit
 
+from oracles import character_signs_every_residue
+
 
 # ---------------------------------------------------------------- oracles
 
@@ -195,6 +197,13 @@ def test_moebius_sigma():
     # sum_{d|n} mu(d) = [n == 1]
     for n in range(1, 200):
         assert sum(moebius(d) for d in divisors(n)) == (1 if n == 1 else 0)
+
+
+@pytest.mark.parametrize("k", [-1, -3])
+def test_sigma_refuses_a_negative_exponent_without_a_modulus(k):
+    with pytest.raises(ValueError, match="negative exponent needs a modulus"):
+        sigma(k, 4)
+    assert sigma(k, 4, 7) == sum(pow(d, k, 7) for d in (1, 2, 4)) % 7
 
 
 def test_v_p():
@@ -455,10 +464,17 @@ def test_gen_bernoulli_reads_half_the_residues(monkeypatch):
     for n, D in ((2, -3), (3, 8), (44, -255), (43, 221), (1, 5)):
         assert gen_bernoulli(n, D) == 0  # chi(-1) != (-1)^n
     assert calls == []
+    # kronecker(D, a) at the primes a < |D|/2 only, none at D = -3 and -4
     for n, D in ((1, -3), (2, 5), (43, -255), (44, 221), (295, -4), (0, 8)):
         calls.clear()
         assert gen_bernoulli(n, D) == gen_bernoulli_fraction(n, D)
-        assert 0 < len(calls) < abs(D) / 2 + 1, (n, D, len(calls))
+        assert calls == primes_upto((abs(D) - 1) // 2), (n, D, calls)
+
+
+def test_character_signs_match_a_kronecker_call_per_residue():
+    discs = [D for D in range(-1500, 1500) if D != 1 and is_fundamental_discriminant(D)]
+    assert exactnum._character_signs(discs) == [character_signs_every_residue(D)
+                                                for D in discs]
 
 
 def test_gen_bernoulli_table_matches_fraction_oracle_at_weight_296():

@@ -178,13 +178,16 @@ def test_callers_are_detected():
 def test_canonical_shapes_are_walked_in_two_places():
     # one column walk over matrix entries (lattice._shape_walk, which serves
     # index windows and class enumeration) and one over lattice vectors
-    # (theta.theta_series); no third walk tests the shape by hand
+    # (theta.theta_series); no third walk tests the shape by hand.
+    # lattice.minkowski_reduce walks nothing: it reads a rank <= 2 input
+    # off its shape
     found = set()
     for path in glob.glob(os.path.join(os.path.dirname(eistheta.__file__), "*.py")):
         with open(path) as fh:
             module = os.path.basename(path)[:-3]
             found |= {f"{module}.{f}" for f in callers(fh.read(), "fits_canonical_shape")}
-    assert found == {"lattice._shape_walk", "theta.theta_series"}, sorted(found)
+    assert found == {"lattice._shape_walk", "theta.theta_series",
+                     "lattice.minkowski_reduce"}, sorted(found)
 
 
 @pytest.mark.parametrize("module", ["cli.py", "padic.py"])

@@ -23,6 +23,7 @@ from eistheta.lattice import (
     enumerate_classes,
     enumerate_psd_indices,
     eta_S,
+    fits_canonical_shape,
     form_det,
     form_rank,
     form_trace,
@@ -36,7 +37,14 @@ from eistheta.lattice import (
     transform,
 )
 from forms import direct_sum
-from oracles import _extendable, canonical_full_branching, is_psd, psd_indices_box
+from oracles import (
+    _extendable,
+    canonical_full_branching,
+    fits_canonical_shape_by_rules,
+    is_psd,
+    minkowski_reduce_by_search,
+    psd_indices_box,
+)
 
 A2 = as_mat([[2, 1], [1, 2]])
 B7 = as_mat([[2, 1], [1, 4]])
@@ -613,6 +621,65 @@ def test_minkowski_reduce_rejects_exactly_the_non_semidefinite():
         assert is_psd(M), M
         seen["definite" if form_rank(M) == len(M) else "degenerate"] += 1
     assert min(seen.values()) >= 100, seen
+
+
+def near_shape_form(rng):
+    """A random even form of size <= 5 near the canonical shape: a
+    diagonal that rises, then zeros, with |g_ij| <= g_ii/2 above it; then,
+    as often as not, one entry moved (a sign, a diagonal entry, or an entry
+    of the zero tail), so that the shape test sees both outcomes."""
+    n = rng.randint(1, 5)
+    r = rng.randint(0, min(n, 3))
+    g = sorted(2 * rng.randint(1, 6) for _ in range(r)) + [0] * (n - r)
+    M = [[g[i] if i == j else 0 for j in range(n)] for i in range(n)]
+    for j in range(r):
+        for i in range(j):
+            M[i][j] = M[j][i] = rng.randint(-(g[i] // 2), g[i] // 2)
+    if rng.random() < 0.5:
+        i, j = rng.randrange(n), rng.randrange(n)
+        x = 2 * rng.randint(-3, 3) if i == j else rng.randint(-3, 3)
+        M[i][j] = M[j][i] = x
+    return as_mat(M)
+
+
+def test_minkowski_reduce_agrees_with_the_search():
+    # the shape reading at rank <= 2 against column_reduce and the search
+    # on every input, refusals included
+    rng = random.Random(97)
+    seen = {"read": 0, "searched": 0, "refused": 0}
+    for t in range(10000):
+        M = near_shape_form(rng) if t % 2 else random_even_form(rng)
+        try:
+            want = minkowski_reduce_by_search(M)
+        except ValueError:
+            with pytest.raises(ValueError):
+                minkowski_reduce(M)
+            seen["refused"] += 1
+            continue
+        assert minkowski_reduce(M) == want, M
+        seen["read" if want == M and not any(M[i][i] for i in range(2, len(M)))
+             else "searched"] += 1
+    assert min(seen.values()) >= 1000, seen
+
+
+@pytest.mark.parametrize("M", [[[-2]], [[-2, 0], [0, 0]], [[0, 0], [0, -2]],
+                               [[2, 0], [0, -2]], [[-2, 0, 0], [0, 0, 0], [0, 0, 0]]])
+def test_minkowski_reduce_refuses_a_negative_diagonal_in_shape(M):
+    # fits_canonical_shape passes g_00 < 0 at column 0
+    with pytest.raises(ValueError, match="not positive semidefinite"):
+        minkowski_reduce(M)
+
+
+def test_fits_canonical_shape_is_its_three_rules():
+    rng = random.Random(101)
+    seen = {True: 0, False: 0}
+    for t in range(10000):
+        M = near_shape_form(rng) if t % 2 else random_even_form(rng)
+        for j in range(len(M)):
+            got = fits_canonical_shape(M, j)
+            assert got == fits_canonical_shape_by_rules(M, j), (M, j)
+            seen[got] += 1
+    assert min(seen.values()) >= 5000, seen
 
 
 # ------------------------------------------------- isometry / automorphisms

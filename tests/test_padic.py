@@ -14,9 +14,9 @@ from fractions import Fraction
 import pytest
 
 from eistheta import exactnum, padic
-from eistheta.eisenstein import HEADROOM, eisenstein_qexp
+from eistheta.eisenstein import HEADROOM, eisenstein_qexp, eisenstein_residues
 from eistheta.exactnum import residue, sigma, v_p
-from eistheta.fourier import QExpansion, congruent_mod, qexp_scale
+from eistheta.fourier import QExpansion, congruent_mod, qexp_add, qexp_scale
 from eistheta.genus import (
     GenusRecord,
     build_genera,
@@ -376,6 +376,78 @@ def test_fit_with_scaled_source_reports_nu():
     assert rep.nu_hat == -1
     assert rep.passed
     assert rep.rungs[0].a_tilde == (32,)  # coefficient of the rescaled series
+
+
+# One test per gate of a rung's verdict: each window passes every gate
+# but one, so the run passes once that gate is taken out.
+
+def last_rung_moved(move):
+    """The residue source of fit_and_verify, with its last window F
+    replaced by move(seq, F)."""
+    def source(seq, n, B):
+        *first, last = eisenstein_residues(seq.weights, n, B, seq.target.p,
+                                           seq.b_schedule[-1] + 2)
+        return [*first, move(seq, last)]
+    return source
+
+
+def test_a_held_out_coefficient_one_digit_off_fails_the_bar_alone():
+    seq = default_sequence(WeightTarget(7, 2, 0), 2)
+    honest = fit_and_verify(seq, 1, 30)
+    T = ((60,),)
+    assert honest.passed and honest.nu_hat == 0 and T not in honest.train
+
+    def move(seq, F):  # by p^(b - 1) at the last rung, on the integer scale nu = 0
+        return QExpansion(1, 30, {**F.coeffs, T: F.coeffs[T] + 7 ** (seq.b_schedule[-1] - 1)})
+
+    first, last = fit_and_verify(seq, 1, 30, source=last_rung_moved(move)).rungs
+    assert first.passed
+    assert (last.b, last.residual_exponent, last.witness) == (2, 1, T)
+    assert last.coherence_exponent >= first.b and last.audit.ok
+    assert not last.passed
+
+
+def test_a_rung_off_by_a_dictionary_column_fails_coherence_alone():
+    seq = default_sequence(WeightTarget(7, 2, 0), 2)
+    honest = fit_and_verify(seq, 1, 30)
+    assert honest.passed and honest.nu_hat == 0
+    theta = genus_theta(honest.genera[0], 1, 30)[1]
+
+    def move(seq, F):  # a_tilde moves by p^(b(1) - 1), every index still fits
+        return qexp_add(F, qexp_scale(theta, 7 ** (seq.b_schedule[0] - 1)))
+
+    first, last = fit_and_verify(seq, 1, 30, source=last_rung_moved(move)).rungs
+    assert first.passed
+    assert last.a_tilde == (honest.rungs[1].a_tilde[0] + 1,)
+    assert last.coherence_exponent == first.b - 1
+    assert last.residual_exponent >= last.b and last.audit.ok
+    assert not last.passed
+
+
+def test_a_singular_window_off_the_weight_congruence_fails_the_audit_alone():
+    # at p = 17, j = 1 the det-17^3 genus has no vector of value <= 2, so
+    # 17 theta_1 + theta_2 is 3/4 at T = 0 and 0 mod 17 at T = 1, 2: it
+    # fits, it is coherent, and it is singular of p-rank 0, where
+    # 2 k_m = 4 mod 16 breaks the weight congruence
+    t = WeightTarget(17, 2, 1)
+    theta = [genus_theta(g, 1, 2)[1] for g in build_genera(4, 17)
+             if g.character == t.character]
+    W = qexp_add(qexp_scale(theta[0], 17), theta[1])
+    assert [v_p(a, 17) for _, a in sorted(W.coeffs.items())] == [0, 1, 1]
+    rep = fit_and_verify(default_sequence(t, 2), 1, 2, source=lambda seq, n, B: [W, W])
+    for r in rep.rungs:
+        assert r.residual_exponent == r.c and r.a_tilde == (17, 1)
+        assert (r.audit.rank, r.audit.applicable, r.audit.ok) == (0, True, False)
+        assert not r.passed
+    assert rep.rungs[1].coherence_exponent == rep.rungs[0].c
+
+
+def test_a_window_with_nothing_held_out_is_refused():
+    # T = 0 and 1 against two genera: both indices train
+    seq = default_sequence(WeightTarget(13, 2, 1), 2)
+    with pytest.raises(PipelineError, match="2 indices and the 2 genus") as info:
+        fit_and_verify(seq, 1, 1)
+    assert info.value.stage == "fit"
 
 
 def test_theorem_gate_and_exploratory():

@@ -178,7 +178,9 @@ def test_walk_outside_the_rule_takes_x1_up_to_sign(monkeypatch, twoS, U, n, B):
 
 
 def test_orbit_walk_work_count(monkeypatch):
-    # 27146 shape checks on W2's rep at (2, 16) when x_1 is taken up to sign
+    # 27146 shape checks on W2's rep at (2, 16) when x_1 is taken up to
+    # sign; 5213 with x_1 one per orbit (53) and x_2 = 0 or either sign of
+    # 2580 pairs +-y; 53 + 2580 when x_2 is taken one per pair
     calls = []
     fits = theta_module.fits_canonical_shape
 
@@ -188,7 +190,7 @@ def test_orbit_walk_work_count(monkeypatch):
 
     monkeypatch.setattr(theta_module, "fits_canonical_shape", counting)
     theta_series(W2_REP, 2, 16)
-    assert len(calls) <= 27146 // 4
+    assert len(calls) == 2633
 
 
 def test_e8_walk_searches_no_group(monkeypatch):
