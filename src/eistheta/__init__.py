@@ -36,6 +36,7 @@ from .lattice import (
     chi_S,
     enumerate_classes,
     eta_S,
+    form_rank,
     is_equivalent,
     level,
     minkowski_reduce,
@@ -81,6 +82,7 @@ __all__ = [
     "eta_S",
     "short_vectors",
     "minkowski_reduce",
+    "form_rank",
     "is_equivalent",
     "automorphism_count",
     "enumerate_classes",

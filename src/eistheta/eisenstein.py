@@ -12,11 +12,12 @@ class-number function H(k-1, .): for an index T of rank 2 with content c,
 
 while rank-1 indices reduce to the degree-1 formula applied to the content
 and the constant term is 1.  With -det(2T) = D0 f^2, D0 fundamental, every
-H in that sum is L(2 - k, chi_D0) times the integer
-``cohen_H_factor(k - 1, D0, f / d)``, so a rank-2 coefficient is one
-L-value times one integer divisor sum (``_cohen_sum``).
+H in that sum is L(2 - k, chi_D0) times an integer, and the sum of those
+integers is one product over the primes q | f (``exactnum.cohen_product``),
+so a rank-2 coefficient is one L-value times that product.
 
-Both routes walk the same index shapes (``_index_shapes``).
+Both routes walk the same index shapes (``_index_shapes``), with the
+weight-free prime data of each product (``exactnum.cohen_primes``).
 ``eisenstein_qexp`` is exact rational arithmetic: Bernoulli numbers, and
 the L-values of a window from one ``gen_bernoulli_rows`` row.
 ``eisenstein_residues`` gives the windows of a whole weight ladder mod p^N
@@ -32,8 +33,8 @@ from fractions import Fraction
 from .exactnum import (
     bernoulli,
     check_integers,
-    cohen_H_factor,
-    divisors,
+    cohen_primes,
+    cohen_product,
     gen_bernoulli_rows,
     kummer_residues,
     sigma,
@@ -64,27 +65,17 @@ def check_weights(weights, n: int, B: int) -> None:
 
 
 def _index_shapes(n: int, B: int) -> list:
-    """(T, c, D0, f) for every index T of the degree-n window of trace
-    bound B: c is the content (0 at T = 0), and at rank 2
-    -det 2T = D0 f^2 with D0 fundamental; D0 = f = None below rank 2."""
+    """(T, c, D0, primes) for every index T of the degree-n window of trace
+    bound B: c is the content (0 at T = 0); at rank 2, -det 2T = D0 f^2 with
+    D0 fundamental and primes = cohen_primes(D0, c, f), else both are None."""
     if n == 1:
         return [(((2 * t,),), t, None, None) for t in range(B + 1)]
     shapes = []
     for T in enumerate_psd_indices(2, B):  # (C 0; 0 0): rank 2 iff g_11 != 0
+        c = content(T)
         D0, f = form_disc(2, bareiss_det(T)) if T[1][1] else (None, None)
-        shapes.append((T, content(T), D0, f))
+        shapes.append((T, c, D0, cohen_primes(D0, c, f) if D0 else None))
     return shapes
-
-
-def _cohen_sum(k: int, c: int, D0: int, f: int, H: dict, mod: int | None = None) -> int:
-    """sum_{d | c} d^(k-1) cohen_H_factor(k - 1, D0, f / d), or its residue
-    mod `mod` when one is given; H memoises the factors by (D0, f / d)."""
-    x = 0
-    for d in divisors(c):
-        if (D0, f // d) not in H:
-            H[D0, f // d] = cohen_H_factor(k - 1, D0, f // d, mod)
-        x += pow(d, k - 1, mod) * H[D0, f // d]
-    return x if mod is None else x % mod
 
 
 def eisenstein_qexp(k: int, n: int, B: int) -> QExpansion:
@@ -95,14 +86,14 @@ def eisenstein_qexp(k: int, n: int, B: int) -> QExpansion:
     if n == 2:
         const = linear / zeta_neg(2 * k - 3)
         row = gen_bernoulli_rows((k - 1,), {D0 for _, _, D0, _ in shapes if D0})[k - 1]
-    coeffs, H = {}, {}
-    for T, c, D0, f in shapes:
+    coeffs = {}
+    for T, c, D0, primes in shapes:
         if not c:
             coeffs[T] = Fraction(1)
         elif D0 is None:
             coeffs[T] = linear * sigma(k - 1, c)
         else:  # L(2 - k, chi_D0) = -B_{k-1,chi_D0} / (k - 1)
-            coeffs[T] = const * -row[D0] / (k - 1) * _cohen_sum(k, c, D0, f, H)
+            coeffs[T] = const * -row[D0] / (k - 1) * cohen_product(k - 1, primes)
     return _from_checked(n, B, coeffs)
 
 
@@ -115,7 +106,7 @@ def eisenstein_residues(weights, n: int, B: int, p: int, prec: int) -> list:
     weight: zeta(1 - k), zeta(3 - 2k) and at degree 2 L(2 - k, chi_D0) for
     the fundamental D0 of every rank-2 index, as B_{n,chi}/n mod p^prec
     from ``kummer_residues``.  The integer factors, sigma_{k-1} and the
-    divisor sums of ``cohen_H_factor``, are taken mod p^(prec + HEADROOM).
+    products of ``cohen_product``, are taken mod p^(prec + HEADROOM).
     ArithmeticError when a unit part is not determined within HEADROOM
     digits.
     """
@@ -140,16 +131,16 @@ def eisenstein_residues(weights, n: int, B: int, p: int, prec: int) -> list:
     windows = []
     for k in weights:
         v1, u1 = zetas[1, k]  # zeta(1 - k) = -B_k / k = -p^v1 u1
-        coeffs, H = {}, {}
-        for T, c, D0, f in shapes:
+        coeffs = {}
+        for T, c, D0, primes in shapes:
             if not c:
                 coeffs[T] = Fraction(1)
             elif D0 is None:  # (2 / zeta(1 - k)) sigma_{k-1}(c)
                 coeffs[T] = rep(-v1, -2 * pow(u1, -1, Q), sigma(k - 1, c, PM))
-            else:  # (2 / (zeta(1-k) zeta(3-2k))) L(2 - k, chi_D0) times the divisor sum
+            else:  # (2 / (zeta(1-k) zeta(3-2k))) L(2 - k, chi_D0) times the product
                 v2, u2 = zetas[1, 2 * k - 2]
                 vL, uL = Ls[D0, k - 1]  # L(2 - k, chi_D0) = -p^vL uL
                 coeffs[T] = rep(vL - v1 - v2, -2 * uL * pow(u1 * u2, -1, Q),
-                                _cohen_sum(k, c, D0, f, H, PM))
+                                cohen_product(k - 1, primes, PM))
         windows.append(_from_checked(n, B, coeffs))
     return windows

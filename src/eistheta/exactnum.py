@@ -21,7 +21,6 @@ __all__ = [
     "factorize",
     "is_prime",
     "divisors",
-    "moebius",
     "sigma",
     "primes_upto",
     "bernoulli",
@@ -32,6 +31,8 @@ __all__ = [
     "gen_bernoulli_rows",
     "dirichlet_L_neg",
     "kummer_residues",
+    "cohen_primes",
+    "cohen_product",
     "cohen_H",
     "frac_to_doc",
     "frac_from_doc",
@@ -140,17 +141,6 @@ def divisors(n: int) -> list[int]:
     for p, e in factorize(n).items():
         divs = [d * p**i for d in divs for i in range(e + 1)]
     return sorted(divs)
-
-
-def moebius(n: int) -> int:
-    if n <= 0:
-        raise ValueError("moebius needs n >= 1")
-    m = 1
-    for _, e in factorize(n).items():
-        if e > 1:
-            return 0
-        m = -m
-    return m
 
 
 def sigma(k: int, n: int, mod: int | None = None) -> int:
@@ -301,6 +291,7 @@ def _bernoulli_even(n: int) -> Fraction:
 
 def bernoulli(n: int) -> Fraction:
     """Bernoulli number B_n with the convention B_1 = -1/2."""
+    check_integers("Bernoulli index must be an integer", n)
     if n < 0:
         raise ValueError("Bernoulli index must be >= 0")
     if n == 0:
@@ -314,6 +305,7 @@ def bernoulli(n: int) -> Fraction:
 
 def zeta_neg(m: int) -> Fraction:
     """Riemann zeta at the non-positive integer -m."""
+    check_integers("zeta_neg needs an integer", m)
     if m < 0:
         raise ValueError("zeta_neg wants zeta(-m) with m >= 0")
     if m == 0:
@@ -564,16 +556,25 @@ def kummer_residues(p: int, Ds, ns, prec: int, max_terms: int) -> dict:
     return out
 
 
-def cohen_H_factor(r: int, D0: int, f: int, mod: int | None = None) -> int:
-    """H(r, N) / L(1 - r, chi_D0) for (-1)^r N = D0 f^2, D0 fundamental:
-    sum_{g | f} mu(g) chi_D0(g) g^(r-1) sigma_{2r-1}(f / g), or its residue
-    mod `mod` when one is given."""
-    tot = 0
-    for g in divisors(f):
-        mu = moebius(g)
-        if mu:
-            tot += mu * kronecker(D0, g) * pow(g, r - 1, mod) * sigma(2 * r - 1, f // g, mod)
-    return tot if mod is None else tot % mod
+def cohen_primes(D0: int, c: int, f: int) -> tuple:
+    """(q, chi_D0(q), v_q(c), v_q(f)) for every prime q | f, c | f: the
+    data of ``cohen_product``, which does not depend on the weight."""
+    return tuple((q, kronecker(D0, q), _v_int(c, q), b) for q, b in factorize(f).items())
+
+
+def cohen_product(r: int, primes, mod: int | None = None) -> int:
+    """sum_{d | c} d^r sum_{g | f/d} mu(g) chi_D0(g) g^(r-1) sigma_{2r-1}(f/(dg)),
+    or its residue mod `mod`, for primes = cohen_primes(D0, c, f); it is the
+    product over q | f of sum_{i <= v_q(c)} q^(ir) (s(b-i) - chi(q) q^(r-1) s(b-i-1)),
+    b = v_q(f), s(m) = sigma_{2r-1}(q^m), s(-1) = 0 (Cohen, Math. Ann. 217, 1975)."""
+    out = 1
+    for q, chi, a, b in primes:
+        t, s = pow(q, 2 * r - 1, mod), [0, 1]  # s[m + 1] = s(m)
+        for _ in range(b):
+            s.append(1 + t * s[-1])
+        qr, w = pow(q, r, mod), chi * pow(q, r - 1, mod)
+        out *= sum(pow(qr, i, mod) * (s[b - i + 1] - w * s[b - i]) for i in range(a + 1))
+    return out if mod is None else out % mod
 
 
 def cohen_H(r: int, N: int) -> Fraction:
@@ -581,8 +582,9 @@ def cohen_H(r: int, N: int) -> Fraction:
 
     H(1, N) is the Hurwitz class number; H(r, 0) = zeta(1 - 2r); the value
     is 0 unless (-1)^r N = 0, 1 mod 4.  Otherwise (-1)^r N = D0 f^2 with D0
-    fundamental, and H(r, N) = L(1 - r, chi_D0) ``cohen_H_factor(r, D0, f)``.
+    fundamental, and H(r, N) = L(1 - r, chi_D0) ``cohen_product`` at c = 1.
     """
+    check_integers("cohen_H needs integers r and N", r, N)
     if r < 1 or N < 0:
         raise ValueError("cohen_H wants r >= 1 and N >= 0")
     if N == 0:
@@ -591,7 +593,7 @@ def cohen_H(r: int, N: int) -> Fraction:
     if D % 4 not in (0, 1):
         return Fraction(0)
     D0, f = fund_disc_decompose(D)
-    return dirichlet_L_neg(r, D0) * cohen_H_factor(r, D0, f)
+    return dirichlet_L_neg(r, D0) * cohen_product(r, cohen_primes(D0, 1, f))
 
 
 def _int_from_str(s) -> int:

@@ -20,7 +20,6 @@ from .lattice import (
     as_mat,
     enumerate_psd_indices,
     form_det,
-    form_rank,
     form_trace,
     minkowski_reduce,
     pad_zero,
@@ -141,11 +140,16 @@ def congruent_mod(F: QExpansion, G: QExpansion, p: int, m: int) -> CongruenceRes
     return CongruenceResult(True, None)
 
 
+def _key_rank(T: Mat) -> int:
+    """Rank of a canonical index T = (C 0; 0 0): C's nonzero diagonal entries."""
+    return sum(T[i][i] != 0 for i in range(len(T)))
+
+
 def rank_filter(F: QExpansion, r: int) -> QExpansion:
     """The sub-expansion supported on indices of rank exactly r."""
     if r < 0 or r > F.degree:
         raise ValueError("rank out of range")
-    kept = {T: a for T, a in F.coeffs.items() if form_rank(T) == r}
+    kept = {T: a for T, a in F.coeffs.items() if _key_rank(T) == r}
     return QExpansion(F.degree, F.trace_bound, kept)
 
 
@@ -161,11 +165,11 @@ def mod_pm_singular_rank(F: QExpansion, p: int, m: int):
     if m <= 0:
         raise ValueError("m must be positive")
     by_rank: dict[int, list] = {}
-    for T, a in F.coeffs.items():  # T = (C 0; 0 0) has rank(C) nonzero diagonal entries
+    for T, a in F.coeffs.items():
         v = v_p(a, p)
         if v < 0:
             raise ValueError(f"coefficient at {T} is not {p}-integral")
-        by_rank.setdefault(sum(T[i][i] != 0 for i in range(len(T))), []).append(v)
+        by_rank.setdefault(_key_rank(T), []).append(v)
     unit_ranks = [r for r, vs in by_rank.items() if min(vs) == 0]
     if not unit_ranks:
         return None
@@ -286,7 +290,7 @@ def primitive_coeffs(F: QExpansion, r: int, bound: int) -> dict:
     if bound > F.trace_bound:
         raise ValueError("bound exceeds stored trace bound")
     star = primitive_inversion(lambda T: coeff(F, pad_zero(T, F.degree)))
-    return {T: star(T) for T in enumerate_psd_indices(r, bound) if form_rank(T) == r}
+    return {T: star(T) for T in enumerate_psd_indices(r, bound) if _key_rank(T) == r}
 
 
 # ------------------------------------------------------------ dump format

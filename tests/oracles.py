@@ -24,7 +24,10 @@ Each one enumerates everything the package code prunes:
 - fits_canonical_shape_by_rules: the shape test as one expression per
   rule, where lattice tests the rules in one loop;
 - character_signs_every_residue: the residues a < |D|/2 split by
-  kronecker(D, a) at every a, where exactnum calls it at primes only.
+  kronecker(D, a) at every a, where exactnum calls it at primes only;
+- cohen_sum_by_divisors (with moebius): Cohen's rank-2 integer as two
+  nested divisor sums, where exactnum.cohen_product takes one product
+  over the primes of f.
 """
 
 import math
@@ -36,9 +39,11 @@ from operator import mul
 from eistheta.exactnum import (
     bernoulli,
     dirichlet_L_neg,
+    divisors,
     factorize,
     fund_disc_decompose,
     kronecker,
+    sigma,
     v_p,
 )
 from eistheta.lattice import (
@@ -628,3 +633,31 @@ def character_signs_every_residue(D):
         if c:
             (pos if c > 0 else neg).append(a - 1)
     return pos, neg
+
+
+def moebius(n: int) -> int:
+    if n <= 0:
+        raise ValueError("moebius needs n >= 1")
+    m = 1
+    for _, e in factorize(n).items():
+        if e > 1:
+            return 0
+        m = -m
+    return m
+
+
+@cache
+def cohen_H_factor(r: int, D0: int, f: int) -> int:
+    """H(r, N) / L(1 - r, chi_D0) for (-1)^r N = D0 f^2, D0 fundamental:
+    sum_{g | f} mu(g) chi_D0(g) g^(r-1) sigma_{2r-1}(f / g)."""
+    tot = 0
+    for g in divisors(f):
+        mu = moebius(g)
+        if mu:
+            tot += mu * kronecker(D0, g) * g ** (r - 1) * sigma(2 * r - 1, f // g)
+    return tot
+
+
+def cohen_sum_by_divisors(r: int, D0: int, c: int, f: int) -> int:
+    """sum_{d | c} d^r cohen_H_factor(r, D0, f / d)."""
+    return sum(d**r * cohen_H_factor(r, D0, f // d) for d in divisors(c))

@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 
 import pytest
@@ -121,6 +122,27 @@ def test_degree2_window_reads_one_bernoulli_row(monkeypatch):
     monkeypatch.setattr(eisenstein, "bernoulli", counting)
     eisenstein_qexp(296, 2, 16)
     assert len(calls) <= 160
+
+
+def test_each_ladder_weight_costs_few_factorizations(monkeypatch):
+    # an index's prime data (exactnum.cohen_primes) is built once for all
+    # weights; a weight adds only sigma_{k-1}(c) at the 16 rank-1 indices
+    calls = []
+    original = exactnum.factorize
+
+    def counting(n):
+        calls.append(n)
+        return original(n)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("eistheta") and getattr(module, "factorize", None) is original:
+            monkeypatch.setattr(module, "factorize", counting)
+    counts = []
+    for weights in ([44], [44, 296], [44, 296, 2060]):
+        calls.clear()
+        eisenstein_residues(weights, 2, 16, 7, 4)
+        counts.append(len(calls))
+    assert counts[1] - counts[0] <= 20 and counts[2] - counts[1] <= 20, counts
 
 
 @pytest.mark.parametrize("k,B", [(4, 6), (296, 16)])

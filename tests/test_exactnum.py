@@ -10,6 +10,8 @@ from eistheta import exactnum
 from eistheta.exactnum import (
     bernoulli,
     cohen_H,
+    cohen_primes,
+    cohen_product,
     dirichlet_L_neg,
     divisors,
     factorize,
@@ -19,7 +21,6 @@ from eistheta.exactnum import (
     is_fundamental_discriminant,
     kronecker,
     kummer_residues,
-    moebius,
     frac_from_doc,
     frac_to_doc,
     primes_upto,
@@ -39,7 +40,7 @@ from eistheta.lattice import (
 )
 from eistheta.padic import WeightTarget, default_sequence, empirical_limit
 
-from oracles import character_signs_every_residue
+from oracles import character_signs_every_residue, cohen_sum_by_divisors, moebius
 
 
 # ---------------------------------------------------------------- oracles
@@ -253,6 +254,10 @@ INTEGER_INPUTS = {
     "kronecker numerator": lambda x: kronecker(x, 7),
     "kronecker denominator": lambda x: kronecker(5, x),
     "chi_S": lambda x: chi_S(as_mat([[2, 1], [1, 4]]), x),
+    "cohen_H r": lambda x: cohen_H(x, 3),
+    "cohen_H N": lambda x: cohen_H(2, x),
+    "bernoulli": bernoulli,
+    "zeta_neg": zeta_neg,
 }
 
 
@@ -525,6 +530,22 @@ def test_cohen_H_r1_is_hurwitz():
             assert cohen_H(1, N) == 0
         else:
             assert cohen_H(1, N) == hurwitz_class_number(N), N
+
+
+def test_cohen_product_matches_the_divisor_sums():
+    # the product over q | f against the two nested divisor sums, for every
+    # c | f; q | D0 (chi(q) = 0) included
+    Ds = [D for D in range(-199, 200) if is_fundamental_discriminant(D)]
+    assert min(Ds) < -190 and max(Ds) > 190 and 1 in Ds
+    for D0 in Ds:
+        for f in range(1, 41):
+            for c in divisors(f):
+                primes = cohen_primes(D0, c, f)
+                for r in (1, 2, 3, 43):
+                    want = cohen_sum_by_divisors(r, D0, c, f)
+                    for mod in (None, 7**6, 13**5):
+                        got = cohen_product(r, primes, mod)
+                        assert got == (want if mod is None else want % mod), (D0, c, f, r, mod)
 
 
 def test_cohen_H_small():

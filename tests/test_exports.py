@@ -126,6 +126,23 @@ def test_forms_are_split_into_discriminants_in_lattice_alone():
     assert sorted(found) == ["exactnum.py", "lattice.py"], f"named in {sorted(found)}"
 
 
+def test_cohen_sums_are_taken_in_exactnum_alone():
+    # one evaluator of Cohen's rank-2 integer (exactnum.cohen_product) from
+    # weight-free prime data (exactnum.cohen_primes): eisenstein takes no
+    # divisor or character of its own, and no second divisor sum comes back
+    src = os.path.dirname(eistheta.__file__)
+    with open(os.path.join(src, "eisenstein.py")) as fh:
+        found = imported_names(fh.read()) & {"divisors", "kronecker"}
+    assert not found, f"eisenstein.py imports {sorted(found)}"
+    defined = []
+    for path in glob.glob(os.path.join(src, "*.py")):
+        with open(path) as fh:
+            if any(isinstance(node, ast.FunctionDef) and node.name == "moebius"
+                   for node in ast.walk(ast.parse(fh.read()))):
+                defined.append(os.path.basename(path))
+    assert not defined, f"moebius is defined in {defined}"
+
+
 def int_tests(source):
     """Line numbers of the calls isinstance(x, int) in source, int alone or
     in a tuple of types."""

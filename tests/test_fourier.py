@@ -1,11 +1,13 @@
 import json
 import math
+import sys
 from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
 
-from eistheta import fourier
+from eistheta import fourier, lattice, linalg
+from eistheta.eisenstein import eisenstein_qexp
 from eistheta.exactnum import bernoulli, sigma
 from eistheta.fourier import (
     QExpansion,
@@ -139,6 +141,37 @@ def test_rank_filter_partition():
     assert total == F
     with pytest.raises(ValueError):
         rank_filter(F, 3)
+
+
+def test_rank_of_canonical_keys_is_read_off_the_diagonal(monkeypatch):
+    # rank_filter and primitive_coeffs read a canonical key's rank as its
+    # count of nonzero diagonal entries: the only column_reduce calls left
+    # are those of minkowski_reduce on indices that are not canonical
+    reductions, searched = [], []
+    column_reduce, reduce = linalg.column_reduce, lattice.minkowski_reduce
+
+    def counting_column_reduce(M):
+        reductions.append(M)
+        return column_reduce(M)
+
+    def counting_reduce(T):
+        R = reduce(T)
+        if R != as_mat(T):
+            searched.append(T)
+        return R
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("eistheta"):
+            if getattr(module, "column_reduce", None) is column_reduce:
+                monkeypatch.setattr(module, "column_reduce", counting_column_reduce)
+            if getattr(module, "minkowski_reduce", None) is reduce:
+                monkeypatch.setattr(module, "minkowski_reduce", counting_reduce)
+    F = eisenstein_qexp(4, 2, 8)
+    reductions.clear()
+    assert len(rank_filter(F, 2).coeffs) == 46
+    assert reductions == []
+    primitive_coeffs(F, 2, 8)
+    assert len(reductions) == len(searched) > 0
 
 
 def test_mod_pm_singular_rank():
