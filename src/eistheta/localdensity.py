@@ -20,26 +20,50 @@ each entering as beta_q over its generic factor.
 
 Counting never enumerates representing matrices.  By orthogonality of
 additive characters, the number of X in M_{m x n}(Z/q^e) with (1/2) X^t G X
-congruent to T (G a sum of m/2 hyperbolic planes) equals
+congruent to T (G a sum of m/2 = k hyperbolic planes) equals
 
-    q^{-e n(n+1)/2} sum_Y psi(-<Y, T>) (q^{en + sum_j min(c_j(Y), e)})^{m/2}
+    q^{-e n(n+1)/2} sum_Y psi(-<Y, T>) (q^{en + c(Y)})^k
 
-with Y running over symmetric n x n matrices mod q^e and c_j(Y) its
-elementary-divisor valuations: each hyperbolic plane contributes the kernel
-size of Y.  The rank m = 2k enters only as an exponent, so large weights cost
-nothing.  For odd q the Y-sum collapses into closed valuation strata
-(Ramanujan sums; quadratic Gauss sums only appear squared, g^2 = chi(-1)q).
-For q = 2 and n = 2 the character sum of each stratum is an integer fixed by
-unit scaling: the difference of two exact counts of Y, phase 0 against phase
-2^(e-1), over one pair of free coordinates per unit orbit.  A shift of the
-solved coordinate pairs the two counts up as twins that cancel unless det Y
-is divisible by a threshold power of 2, so only the roots of a quadratic in
-one free coordinate are visited, found digit by digit (_q2_pair_bins).  The
-counting kernels work in integers only; each density at one level is a single
-Fraction, its count over a power of q.
+with Y running over symmetric n x n matrices mod q^e and c(Y) = sum_j
+min(c_j(Y), e) its capped Smith sum (the c_j are its elementary-divisor
+valuations): each hyperbolic plane contributes the kernel size of Y.  Over
+the normalization q^{e(2kn - n(n+1)/2)} the density at level e is
 
-Each local density is accepted only after two consecutive truncation levels
-agree; otherwise the computation fails with a "did not stabilize" error.
+    X^{-ne} sum_c G_c X^c,  X = q^k,  G_c = sum_{c(Y) = c} psi(-<Y, T>).
+
+Unit scaling keeps c(Y) and acts on Q(zeta_{q^e}) as its Galois group, so
+each G_c is a rational algebraic integer, i.e. an integer, and no G_c
+depends on k.  So every kernel returns the integer bins {c: G_c} of one
+level (_bins), and _density evaluates them at one weight:
+
+  * rank 1, every q: Y = y and c = min(v_q(y), e), so G_c is the Ramanujan
+    sum of modulus q^(e-c) and G_e = 1;
+  * rank 2, odd q: T is diagonalized over Z_q and the Y-sum collapses into
+    closed valuation strata (Ramanujan sums; quadratic Gauss sums only
+    appear squared, g^2 = chi(-1) q), _pair_bins_odd;
+  * rank 2, q = 2: each G_c is the difference of two exact counts of Y,
+    phase 0 against phase 2^(e-1), over one pair of free coordinates per
+    unit orbit.  A shift of the solved coordinate pairs the two counts up as
+    twins that cancel unless det Y is divisible by a threshold power of 2,
+    so only the roots of a quadratic in one free coordinate are visited,
+    found digit by digit (_q2_pair_bins);
+  * rank 4, odd q, Jordan entries d0, d1 units and a pair: d0 and d1 peel
+    off in closed form.  A unit a has density N(a) / q^(r-1) at every level
+    on a unimodular lattice of rank r and disc class delta, N(a) = #{x in
+    F_q^r : phi(x) = a}: q^(r-1) - eps q^(r/2-1) at even r, eps = chi(-1)^(r/2)
+    delta, and q^(r-1) + chi((-1)^((r-1)/2) a) delta q^((r-1)/2) at odd r.
+    On H^k (r = 2k, eps = 1) the first peel gives 1 - q^(-k) and leaves
+    disc class chi(-1)^k chi(a0) at rank 2k-1; the second gives 1 + chi
+    q^(1-k), chi = chi(-a0 a1) = (-d0 d1 | q), which is the generic binary
+    factor _generic_factor(2, q, k, -d0 d1).  It leaves rank 2k-2 and eps =
+    chi.  On an even-rank unimodular lattice a Smith class with w_j = e - c_j
+    odd is weighed by the lattice's Gauss sum eps q^(r/2) in place of
+    q^(r/2), so the weight of Y is (eps q^(r/2))^c(Y) q^(re): the pair's
+    density is its bins at X = chi q^(k-1).
+
+Each local density at one level is a single Fraction, and is accepted only
+after two consecutive truncation levels agree; otherwise the computation
+fails with a "did not stabilize" error.
 
 Scope: ranks 1 and 2 are fully supported.  Rank 3, and rank 4 with even
 det(2T), would need a 2-adic engine for ramified targets, which is not
@@ -81,7 +105,8 @@ _STABLE_MARGIN = 8
 
 def _generic_factor(n: int, q: int, k: int, D0: int | None) -> Fraction:
     """beta_q(T, k) at a prime q not dividing 2 det(2T); D0 is
-    form_disc(n, det 2T)[0] at n = 2, 4 and unread at n = 1."""
+    form_disc(n, det 2T)[0] at n = 2, 4 (or, at the rank-4 unit peel of
+    _beta_q, -d0 d1: only (D0 | q) is read) and unread at n = 1."""
     out = Fraction(1) - Fraction(1, q**k)
     if n >= 3:
         out *= 1 - Fraction(1, q ** (2 * k - 2))
@@ -116,48 +141,14 @@ def _global_factor(n: int, k: int, det2T: int, D0: int | None, f: int | None) ->
 
 
 # ---------------------------------------------------------------------------
-# odd q: closed counts for one vector on a unimodular lattice
+# weight-free bins G_c of one level, and their value at one weight
 # ---------------------------------------------------------------------------
 
 
-def _quadric_count(q: int, r: int, delta: int, a: int) -> int:
-    """#{x in F_q^r : phi(x) = a}, phi unimodular of rank r, disc class delta."""
-    a %= q
-    if r % 2 == 0:
-        s = r // 2
-        eps = kronecker(-1, q) ** s * delta
-        if a:
-            return q ** (r - 1) - eps * q ** (s - 1)
-        return q ** (r - 1) + eps * (q**s - q ** (s - 1))
-    s = (r - 1) // 2
-    if a:
-        return q ** (r - 1) + q**s * kronecker((-1) ** s * a, q) * delta
-    return q ** (r - 1)
-
-
-def _count1_odd(q: int, e: int, r: int, delta: int, a: int) -> int:
-    """#{x in (Z/q^e)^r : phi(x) = a mod q^e} for unimodular phi, odd q."""
-    if e == 0:
-        return 1
-    a %= q**e
-    j = min(v_p(a, q), e)
-    if j == 0:
-        return q ** ((e - 1) * (r - 1)) * _quadric_count(q, r, delta, a)
-    if e == 1:
-        return _quadric_count(q, r, delta, 0)
-    prim = (_quadric_count(q, r, delta, 0) - 1) * q ** ((e - 1) * (r - 1))
-    if j < 2:
-        return prim
-    return prim + q**r * _count1_odd(q, e - 2, r, delta, a // (q * q))
-
-
-def _density1_odd(q: int, e: int, r: int, delta: int, a: int) -> Fraction:
-    return Fraction(_count1_odd(q, e, r, delta, a), q ** (e * (r - 1)))
-
-
-# ---------------------------------------------------------------------------
-# odd q, two columns: closed radial evaluation of the character sum
-# ---------------------------------------------------------------------------
+def _density(G: dict[int, int], n: int, e: int, X: int) -> Fraction:
+    """X^(-ne) sum_c G_c X^c: the level-e density of a rank-n index whose
+    bins are G, on H^k at X = q^k (module docstring)."""
+    return Fraction(sum(g * X**c for c, g in G.items()), X ** (n * e))
 
 
 def _ramanujan(q: int, N: int, v: int) -> int:
@@ -170,13 +161,31 @@ def _ramanujan(q: int, N: int, v: int) -> int:
     return 0
 
 
-def _density2_odd(q: int, e: int, r: int, delta: int, da: int, db: int) -> Fraction:
-    """Density of the diagonal pair diag(da, db) (twoT scales); r must be even.
+def _bins(q: int, e: int, twoT) -> dict[int, int]:
+    """G_c of twoT at level e: rank 1 at every q, rank 2 at q = 2, and at odd
+    q the pair of the last two Jordan entries, which is all of a rank-2 index
+    and what the unit peel leaves of a rank-4 one."""
+    if len(twoT) == 1:
+        # Y = y, c = min(v_q(y), e): the units of q^c u sum to a Ramanujan sum
+        vt = min(v_p(twoT[0][0] // 2, q), e)
+        return {c: _ramanujan(q, e - c, vt) if c < e else 1 for c in range(e + 1)}
+    if q == 2:
+        return _q2_pair_bins(twoT, e)
+    da, db = (q**s * residue(u, q, e) for s, ((u,),) in jordan_blocks(twoT, q)[-2:])
+    return _pair_bins_odd(q, e, da, db)
 
-    Bin (c1, c2) sums the characters over the Y of one Smith class.  Unit
-    scaling keeps the class and acts on Q(zeta_{q^e}) as its Galois group, so
-    each bin weight is a rational algebraic integer, i.e. an integer.  The bins
-    hold twice each weight, so the halves (rr +- gg)/2 stay integers too.
+
+def _pair_bins_odd(q: int, e: int, da: int, db: int) -> dict[int, int]:
+    """G_c of the diagonal pair diag(da, db) (twoT scales) at odd q.
+
+    Y runs through strata of fixed valuations s1, s2 of its diagonal and s3
+    of its off-diagonal entry; on a stratum the unit sums of the diagonal are
+    Ramanujan sums, and where the determinant can cancel (s1 + s2 = 2 s3) the
+    stratum splits by chi(u1 u2).  A stratum has Smith sum c = c1 + c2 with
+    c1 = min(s1, s2, s3) and c1 + c2 = min(v_q(det Y), c1 + e).  Unit scaling
+    keeps each stratum and its chi(u1 u2), and acts on Q(zeta_{q^e}) as its
+    Galois group, so every weight added is a rational algebraic integer, i.e.
+    an integer: the halves (R1 R2 -+ gg)/2 included.
     """
     qe = q**e
     inv2 = pow(2, -1, qe)
@@ -191,11 +200,10 @@ def _density2_odd(q: int, e: int, r: int, delta: int, da: int, db: int) -> Fract
         c = kronecker((ta // q**va) % q, q) * kronecker((tb // q**vb) % q, q)
         return c * kronecker(-1, q) * q ** (N1 + N2 - 1)
 
-    bins: dict[tuple[int, int], int] = {}
+    G = [0] * (2 * e + 1)
 
-    def add(c1: int, vd, w2: int) -> None:
-        key = (c1, e if vd is None else min(e, vd - c1))
-        bins[key] = bins.get(key, 0) + w2
+    def add(c1: int, vd, w: int) -> None:
+        G[c1 + (e if vd is None else min(e, vd - c1))] += w
 
     for s1 in range(e + 1):
         R1 = _ramanujan(q, e - s1, va) if s1 < e else 1
@@ -215,12 +223,12 @@ def _density2_odd(q: int, e: int, r: int, delta: int, da: int, db: int) -> Fract
                         vd = p12
                     else:
                         vd = min(p12, d33)
-                    add(c1, vd, 2 * R1 * R2 * n3)
+                    add(c1, vd, R1 * R2 * n3)
                     continue
                 N3 = e - s3
                 gg = gauss_pair(e - s1, e - s2)
-                wm = R1 * R2 - gg  # chi(u1 u2) = -1: u1 u2 - w^2 stays a unit
-                wp = R1 * R2 + gg  # chi(u1 u2) = +1: fine strata around +-sqrt
+                wm = (R1 * R2 - gg) // 2  # chi(u1 u2) = -1: u1 u2 - w^2 stays a unit
+                wp = (R1 * R2 + gg) // 2  # chi(u1 u2) = +1: fine strata around +-sqrt
                 if wm:
                     add(c1, 2 * s3, wm * q ** (N3 - 1) * (q - 1))
                 if wp:
@@ -228,62 +236,12 @@ def _density2_odd(q: int, e: int, r: int, delta: int, da: int, db: int) -> Fract
                     for d in range(1, N3):
                         add(c1, 2 * s3 + d, wp * 2 * (q ** (N3 - d) - q ** (N3 - d - 1)))
                     add(c1, 2 * s3 + N3, wp * 2)
-
-    total = 0
-    sign = kronecker(-1, q) ** (r // 2) * delta
-    for (c1, c2), w2 in bins.items():
-        for cj in (c1, c2):
-            wj = e - cj
-            w2 *= q ** (r * (cj + wj // 2))
-            if wj % 2:
-                w2 *= sign * q ** (r // 2)
-        total += w2
-    return Fraction(total, 2 * q ** (3 * e + e * (2 * r - 3)))
+    return {c: g for c, g in enumerate(G) if g}
 
 
 # ---------------------------------------------------------------------------
-# odd q: the unit-peel recursion on a Jordan decomposition over Z_q
+# q = 2, two columns: the character sums of the Smith bins by unit orbits
 # ---------------------------------------------------------------------------
-
-
-def _beta_odd_on(q: int, e: int, r0: int, delta0: int, twoT) -> Fraction:
-    """Density of twoT on a rank-r0 unimodular lattice of disc class delta0."""
-    n = len(twoT)
-    qe = q**e
-    blocks = jordan_blocks(twoT, q)
-    scales = [s for s, _ in blocks]
-    diag = [q**s * residue(u, q, e) % qe for s, ((u,),) in blocks]
-    inv2e = pow(2, -1, qe)
-    inv2q = pow(2, -1, q)
-    if n == 1:
-        return _density1_odd(q, e, r0, delta0, diag[0] * inv2e % qe)
-    r, delta = r0, delta0
-    dens = Fraction(1)
-    while len(diag) > 2:
-        d0 = diag.pop(0)
-        if scales.pop(0) != 0:
-            raise NotImplementedError(
-                f"more than two non-unit Jordan scales at q={q}; this index "
-                "is outside the supported rank-4 range"
-            )
-        dens *= _density1_odd(q, e, r, delta, d0 * inv2e % qe)
-        delta *= kronecker(d0 * inv2q % q, q)
-        r -= 1
-    return dens * _density2_odd(q, e, r, delta, diag[0] % qe, diag[1] % qe)
-
-
-# ---------------------------------------------------------------------------
-# q = 2: closed formula for one column, exact strata tables for two columns
-# ---------------------------------------------------------------------------
-
-
-def _beta_2_n1(k: int, t: int, e: int) -> Fraction:
-    vt = min(v_p(t, 2), e)
-    total = 1 << (k * e)
-    # level s adds 2^(s-1) / 2^(ks) while 2^s | t, and subtracts it at s = v_2(t) + 1
-    for s in range(1, min(vt + 1, e) + 1):
-        total += (1 if s <= vt else -1) << (s - 1 + k * (e - s))
-    return Fraction(total, 1 << (k * e))
 
 
 def _v2(x: int) -> int:
@@ -380,11 +338,6 @@ def _q2_pair_bins(twoT, e: int) -> dict[int, int]:
     return {c: g for c, g in enumerate(G) if g}
 
 
-def _beta_2_n2(k: int, twoT: tuple, e: int) -> Fraction:
-    G = _q2_pair_bins(twoT, e)
-    return Fraction(sum(g << (k * c) for c, g in G.items()), 1 << (2 * e * k))
-
-
 # ---------------------------------------------------------------------------
 # stabilized local densities and the full assembly
 # ---------------------------------------------------------------------------
@@ -392,28 +345,33 @@ def _beta_2_n2(k: int, twoT: tuple, e: int) -> Fraction:
 
 def _beta_q(q: int, k: int, twoT, det2T: int) -> Fraction:
     """beta_q(T, k) at a prime q dividing 2 det(2T), at q = 2 only for T of
-    rank 1 or 2 (local_density_coeff refuses rank 3 and skips q = 2 at rank 4)."""
+    rank 1 or 2 (local_density_coeff refuses rank 3 and skips q = 2 at rank 4).
+
+    The bins of each level are evaluated at X = q^k; at rank 4 the two unit
+    Jordan entries d0, d1 peel off as the generic binary factor of the
+    character value chi = (-d0 d1 | q), and the pair left is evaluated at
+    X = chi q^(k-1) (module docstring).
+    """
     n = len(twoT)
     v = v_p(2 * det2T, q)
-    e0 = max(2, v + 2)
-    if q == 2:
-        if n == 1:
-            fn = lambda ee: _beta_2_n1(k, twoT[0][0] // 2, ee)
-        else:
-            tt = tuple(tuple(row) for row in twoT)
-            fn = lambda ee: _beta_2_n2(k, tt, ee)
-    else:
-        r0, delta0 = 2 * k, kronecker(-1, q) ** k
-        fn = lambda ee: _beta_odd_on(q, ee, r0, delta0, twoT)
-    prev = fn(e0)
-    for ee in range(e0 + 1, v + _STABLE_MARGIN + 2):
-        cur = fn(ee)
+    X, peel = q**k, 1
+    if n == 4:
+        (_, ((u0,),)), (s1, ((u1,),)) = jordan_blocks(twoT, q)[:2]
+        if s1:
+            raise NotImplementedError(
+                f"more than two non-unit Jordan scales at q={q}; this index "
+                "is outside the supported rank-4 range"
+            )
+        D = residue(-u0 * u1, q, 1)
+        X, peel = kronecker(D, q) * q ** (k - 1), _generic_factor(2, q, k, D)
+    last = v + _STABLE_MARGIN + 1
+    prev = None
+    for e in range(max(2, v + 2), last + 1):
+        cur = _density(_bins(q, e, twoT), min(n, 2), e, X)
         if cur == prev:
-            return cur
+            return peel * cur
         prev = cur
-    raise RuntimeError(
-        f"local density at q={q} did not stabilize below level {v + _STABLE_MARGIN + 1}"
-    )
+    raise RuntimeError(f"local density at q={q} did not stabilize up to level {last}")
 
 
 def local_density_coeff(twoT, k: int) -> Fraction:

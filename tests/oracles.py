@@ -15,6 +15,10 @@ Each one enumerates everything the package code prunes:
 - beta_2_n1_fractions, q2_pair_bins_by_valuations, density2_odd_fractions:
   the local-density counting kernels with a v_p call per valuation and a
   Fraction per term, where localdensity counts in integers;
+- quadric_count, count1_odd, pair_density_on, beta_odd_on: densities on a
+  unimodular lattice of any rank r and disc class delta, the unit Jordan
+  entries of a rank-4 index peeled one by one, where localdensity evaluates
+  weight-free bins at X = q^k, or X = chi q^(k-1) after the closed peel;
 - symbolic_global_factor: alpha_inf times the generic Euler factors as a
   symbolic product of pi, square roots and Gamma values that cancel to a
   rational, where localdensity reads zeta and L at negative integers;
@@ -43,11 +47,13 @@ from eistheta.exactnum import (
     factorize,
     fund_disc_decompose,
     kronecker,
+    residue,
     sigma,
     v_p,
 )
 from eistheta.lattice import (
     _canonical_definite,
+    jordan_blocks,
     _pair_reduce,
     as_mat,
     check_form,
@@ -447,6 +453,14 @@ def density2_odd_fractions(q, e, r, delta, da, db):
                         add(c1, 2 * s3 + d, wp * (2 * (q ** (N3 - d) - q ** (N3 - d - 1))))
                     add(c1, 2 * s3 + N3, wp * 2)
 
+    return pair_density_on(q, e, r, delta, bins)
+
+
+def pair_density_on(q, e, r, delta, bins):
+    """The pair density from bins keyed by (c1, c2) on a rank-r unimodular
+    lattice of disc class delta, r even: each w_j = e - c_j weighed by the
+    lattice's Gauss sums, q^(r (c_j + floor(w_j/2))) times chi(-1)^(r/2)
+    delta q^(r/2) at odd w_j."""
     total = Fraction(0)
     sign = kronecker(-1, q) ** (r // 2) * delta
     for (c1, c2), w in bins.items():
@@ -458,6 +472,59 @@ def density2_odd_fractions(q, e, r, delta, da, db):
                 xfac *= sign * q ** (r // 2)
         total += w * xfac
     return total / Fraction(q) ** (3 * e + e * (2 * r - 3))
+
+
+def quadric_count(q, r, delta, a):
+    """#{x in F_q^r : phi(x) = a}, phi unimodular of rank r, disc class delta."""
+    a %= q
+    if r % 2 == 0:
+        s = r // 2
+        eps = kronecker(-1, q) ** s * delta
+        if a:
+            return q ** (r - 1) - eps * q ** (s - 1)
+        return q ** (r - 1) + eps * (q**s - q ** (s - 1))
+    s = (r - 1) // 2
+    if a:
+        return q ** (r - 1) + q**s * kronecker((-1) ** s * a, q) * delta
+    return q ** (r - 1)
+
+
+def count1_odd(q, e, r, delta, a):
+    """#{x in (Z/q^e)^r : phi(x) = a mod q^e} for unimodular phi, odd q."""
+    if e == 0:
+        return 1
+    a %= q**e
+    j = min(v_p(a, q), e)
+    if j == 0:
+        return q ** ((e - 1) * (r - 1)) * quadric_count(q, r, delta, a)
+    if e == 1:
+        return quadric_count(q, r, delta, 0)
+    prim = (quadric_count(q, r, delta, 0) - 1) * q ** ((e - 1) * (r - 1))
+    if j < 2:
+        return prim
+    return prim + q**r * count1_odd(q, e - 2, r, delta, a // (q * q))
+
+
+def density1_odd(q, e, r, delta, a):
+    return Fraction(count1_odd(q, e, r, delta, a), q ** (e * (r - 1)))
+
+
+def beta_odd_on(q, e, r0, delta0, twoT):
+    """Odd-q density of twoT on a rank-r0 unimodular lattice of disc class
+    delta0 at level e: one column by count1_odd; at rank 4 the unit Jordan
+    entries peeled one by one, each changing the lattice's rank and disc
+    class, before the pair."""
+    qe = q**e
+    diag = [q**s * residue(u, q, e) % qe for s, ((u,),) in jordan_blocks(twoT, q)]
+    inv2e, inv2q = pow(2, -1, qe), pow(2, -1, q)
+    if len(diag) == 1:
+        return density1_odd(q, e, r0, delta0, diag[0] * inv2e % qe)
+    r, delta, dens = r0, delta0, Fraction(1)
+    for d0 in diag[:-2]:
+        dens *= density1_odd(q, e, r, delta, d0 * inv2e % qe)
+        delta *= kronecker(d0 * inv2q % q, q)
+        r -= 1
+    return dens * density2_odd_fractions(q, e, r, delta, diag[-2], diag[-1])
 
 
 def _split_square(x: int) -> tuple[int, int]:

@@ -226,6 +226,40 @@ def test_localdensity_reads_zeta_and_L_through_their_values():
     assert "bernoulli" not in found and {"zeta_neg", "dirichlet_L_neg"} <= found
 
 
+def parameters(source):
+    """{def name: its parameter names} over every def of source, nested ones
+    included; the parameters of all lambdas are pooled under "<lambda>"."""
+    out = {}
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.Lambda)):
+            name = getattr(node, "name", "<lambda>")
+            args = {a.arg for a in ast.walk(node.args) if isinstance(a, ast.arg)}
+            out[name] = out.get(name, set()) | args
+    return out
+
+
+def test_parameters_are_detected():
+    src = ("def f(q, k, *rest, r=2, **kw):\n    def g(delta): pass\n"
+           "a = lambda ee: ee\nb = lambda k: k\n")
+    assert parameters(src) == {"f": {"q", "k", "rest", "r", "kw"}, "g": {"delta"},
+                               "<lambda>": {"ee", "k"}}
+
+
+def test_local_densities_are_counted_without_the_weight():
+    # every counting kernel returns weight-free integer bins G_c; the weight
+    # enters where they are evaluated (_density, at X), in the closed
+    # factors and in the two callers, and no kernel takes a lattice rank r
+    # or disc class delta in its place
+    path = os.path.join(os.path.dirname(eistheta.__file__), "localdensity.py")
+    with open(path) as fh:
+        found = parameters(fh.read())
+    weighted = sorted(f for f, args in found.items() if args & {"k", "X"})
+    assert weighted == ["_beta_q", "_density", "_generic_factor", "_global_factor",
+                        "local_density_coeff"], weighted
+    threaded = sorted(f for f, args in found.items() if args & {"r", "delta"})
+    assert threaded == [], threaded
+
+
 def cache_reads(source):
     """Line numbers in source that read the environment (os.environ,
     os.getenv) or name EISTHETA_CACHE_DIR outside a help= text."""

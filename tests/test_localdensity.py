@@ -1,14 +1,19 @@
 """Local density engine tests.
 
-Oracle layers, from gold to broad:
+Every level density of the engine is its weight-free bins G_c evaluated at
+one X (_density): X = q^k on k hyperbolic planes, and X = chi(-1)^(r/2)
+delta q^(r/2) on an even-rank-r unimodular lattice of disc class delta, as
+the pair left by the rank-4 unit peel is.  Oracle layers, from gold to broad:
   * brute_density: literal count of representing matrices mod q^e (the
     definition), affordable only for small lattices and levels;
   * ysum_density: an independent implementation of the symmetric character
     sum (explicit enumeration of Y, integer Smith form, cyclotomic fold);
   * classical Fourier coefficients and E8 representation numbers, the latter
     recomputed here from the root system;
-  * the v_p and Fraction forms of the counting kernels in tests/oracles.py,
-    equal kernel by kernel at the levels the dual-route check reaches.
+  * the counting kernels that localdensity replaced, in tests/oracles.py:
+    the v_p and Fraction forms, and the counts on unimodular lattices of
+    any rank and disc class with the rank-4 units peeled one by one, equal
+    to the bins at the levels the dual-route check reaches.
 """
 
 import itertools
@@ -22,29 +27,31 @@ import pytest
 
 from eistheta import localdensity
 from eistheta.eisenstein import eisenstein_qexp
-from eistheta.exactnum import v_p
+from eistheta.exactnum import kronecker, residue, v_p
 from eistheta.lattice import (
     bareiss_det,
     enumerate_psd_indices,
     form_det,
     form_disc,
     form_rank,
+    jordan_blocks,
     short_vectors,
 )
 from eistheta.localdensity import (
-    _beta_2_n1,
-    _beta_2_n2,
-    _beta_odd_on,
+    _STABLE_MARGIN,
     _beta_q,
-    _density1_odd,
-    _density2_odd,
+    _bins,
+    _density,
     _generic_factor,
     _global_factor,
+    _pair_bins_odd,
     _q2_pair_bins,
     local_density_coeff,
 )
 from oracles import (
     beta_2_n1_fractions,
+    beta_odd_on,
+    density1_odd,
     density2_odd_fractions,
     q2_pair_bins_by_valuations,
     symbolic_global_factor,
@@ -70,6 +77,20 @@ def hyperbolic(planes):
     for i in range(planes):
         G[2 * i][2 * i + 1] = G[2 * i + 1][2 * i] = 1
     return G
+
+
+def unimodular_X(q, r, delta):
+    """The X of a rank-r unimodular lattice of disc class delta, r even."""
+    return kronecker(-1, q) ** (r // 2) * delta * q ** (r // 2)
+
+
+def rank4_density(q, e, k, twoT):
+    """The level-e density of a rank-4 index on H^k as _beta_q forms it:
+    the closed unit peel times the pair's bins at X = chi q^(k-1)."""
+    (_, ((u0,),)), (_, ((u1,),)) = jordan_blocks(twoT, q)[:2]
+    D = residue(-u0 * u1, q, 1)
+    X = kronecker(D, q) * q ** (k - 1)
+    return _generic_factor(2, q, k, D) * _density(_bins(q, e, twoT), 2, e, X)
 
 
 def brute_density(twoG, twoT, q, e):
@@ -177,7 +198,9 @@ def _rank_mod_q(Y, q):
 
 
 def test_single_column_odd_matches_brute():
-    # diag lattices 2*diag(1,..,1,c): disc class chi(c)
+    # diag lattices 2*diag(1,..,1,c): disc class chi(c); at odd r only unit
+    # targets, the counts the rank-4 peel oracle takes, are checked (against
+    # the oracle: the engine peels both units at once)
     for q, c, r, e in [
         (3, 1, 2, 2),
         (3, 1, 3, 2),
@@ -193,8 +216,13 @@ def test_single_column_odd_matches_brute():
             G[i][i] = 2 if i < r - 1 else 2 * c
         delta = 1 if pow(c, (q - 1) // 2, q) == 1 else -1
         for a in [1, 2, q, 2 * q, q * q, 0]:
+            if r % 2 and a % q == 0:
+                continue
             want = brute_density(G, [[2 * a]], q, e)
-            got = _density1_odd(q, e, r, delta, a)
+            if r % 2:
+                got = density1_odd(q, e, r, delta, a)
+            else:
+                got = _density(_bins(q, e, [[2 * a]]), 1, e, unimodular_X(q, r, delta))
             assert got == want, (q, c, r, e, a)
 
 
@@ -202,7 +230,7 @@ def test_single_column_odd_deeper_level():
     # level e = 3 on a rank-2 lattice, all valuation classes
     for a in [1, 2, 3, 6, 9, 18, 27, 0]:
         want = brute_density([[2, 0], [0, 2]], [[2 * a]], 3, 3)
-        assert _density1_odd(3, 3, 2, 1, a) == want, a
+        assert _density(_bins(3, 3, [[2 * a]]), 1, 3, unimodular_X(3, 2, 1)) == want, a
 
 
 # ---------------------------------------------------------------------------
@@ -216,7 +244,7 @@ def test_pair_odd_matches_brute_rank2():
         for e in (1, 2, 3):
             for da, db in [(2, 2), (2, 4), (2, 6), (6, 6), (6, 18), (18, 18), (4, 12)]:
                 want = brute_density(G, [[da, 0], [0, db]], 3, e)
-                got = _density2_odd(3, e, 2, delta, da, db)
+                got = _density(_pair_bins_odd(3, e, da, db), 2, e, unimodular_X(3, 2, delta))
                 assert got == want, (c, e, da, db)
 
 
@@ -226,7 +254,7 @@ def test_pair_odd_matches_brute_rank4():
         for e in (1, 2):
             for da, db in [(2, 2), (2, 6), (6, 6), (6, 18)]:
                 want = brute_density(G, [[da, 0], [0, db]], 3, e)
-                got = _density2_odd(3, e, 4, delta, da, db)
+                got = _density(_pair_bins_odd(3, e, da, db), 2, e, unimodular_X(3, 4, delta))
                 assert got == want, (c, e, da, db)
 
 
@@ -236,7 +264,7 @@ def test_pair_odd_matches_ysum_deeper():
         for kexp in (2, 3):
             for T in [[[2, 0], [0, 2]], [[2, 0], [0, 6]], [[6, 0], [0, 18]]]:
                 want = ysum_density(3, e, 2, kexp, T)
-                got = _beta_odd_on(3, e, 2 * kexp, (-1) ** kexp if 3 % 4 == 3 else 1, T)
+                got = _density(_bins(3, e, T), 2, e, 3**kexp)
                 assert got == want, (e, kexp, T)
 
 
@@ -255,7 +283,8 @@ def test_pair_odd_integer_bins_match_fraction_oracle():
                 for delta in (1, -1):
                     da, db = scale(q, e), scale(q, e)
                     want = density2_odd_fractions(q, e, r, delta, da, db)
-                    assert _density2_odd(q, e, r, delta, da, db) == want, (q, e, r, delta, da, db)
+                    got = _density(_pair_bins_odd(q, e, da, db), 2, e, unimodular_X(q, r, delta))
+                    assert got == want, (q, e, r, delta, da, db)
 
 
 def test_pair_odd_offdiagonal_target_via_diagonalization():
@@ -263,7 +292,7 @@ def test_pair_odd_offdiagonal_target_via_diagonalization():
     A2 = [[2, -1], [-1, 2]]
     for e in (1, 2):
         want = brute_density([[2, 0], [0, 2]], A2, 3, e)
-        got = _beta_odd_on(3, e, 2, 1, A2)
+        got = _density(_bins(3, e, A2), 2, e, unimodular_X(3, 2, 1))
         assert got == want, e
 
 
@@ -284,16 +313,99 @@ def test_peel_matches_ysum_rank4():
     for T in [A2A2, [[2, 0, 0, 0], [0, 2, 0, 0], [0, 0, 6, 0], [0, 0, 0, 6]]]:
         for kexp in (2, 3):
             want = ysum_density(3, 1, 4, kexp, T)
-            delta0 = (1 if kexp % 2 == 0 else -1)  # chi_3(-1) = -1
-            got = _beta_odd_on(3, 1, 2 * kexp, delta0, T)
-            assert got == want, (T, kexp)
+            assert rank4_density(3, 1, kexp, T) == want, (T, kexp)
 
 
 def test_rank1_on_split_lattice_matches_brute():
     # sanity for the peel's base counts on an actual hyperbolic Gram
     G = hyperbolic(2)
     for a in (0, 1, 2, 3, 9):
-        assert _density1_odd(3, 2, 4, 1, a) == brute_density(G, [[2 * a]], 3, 2)
+        assert _density(_bins(3, 2, [[2 * a]]), 1, 2, 9) == brute_density(G, [[2 * a]], 3, 2)
+
+
+def test_rank1_bins_match_brute_and_the_old_counts():
+    # the Ramanujan bins at every q, on H^k literally counted, then deeper
+    # against the closed counts on a rank-2k lattice of disc class chi(-1)^k
+    # (q odd) and the Fraction oracle (q = 2)
+    for q, planes, e in [(2, 2, 1), (2, 2, 2), (2, 3, 2), (3, 1, 3), (3, 2, 2),
+                         (5, 1, 2), (5, 2, 1), (7, 1, 2), (11, 1, 1), (11, 2, 1)]:
+        G = hyperbolic(planes)
+        for t in (0, 1, 2, q, 3 * q, q * q, q**3):
+            want = brute_density(G, [[2 * t]], q, e)
+            assert _density(_bins(q, e, [[2 * t]]), 1, e, q**planes) == want, (q, planes, e, t)
+    for q in (2, 3, 5, 7, 11):
+        for k in (2, 3, 22, 44):
+            for e in range(1, 7):
+                for t in (1, 2, q - 1, q, 2 * q, q * q, q**3 + q, q**5, q**7):
+                    got = _density(_bins(q, e, [[2 * t]]), 1, e, q**k)
+                    if q == 2:
+                        want = beta_2_n1_fractions(k, t, e)
+                    else:
+                        want = density1_odd(q, e, 2 * k, kronecker(-1, q) ** k, t)
+                    assert got == want, (q, k, e, t)
+
+
+def test_rank4_unit_peel_matches_the_old_peel():
+    # two units peeled one by one, the second on a lattice of rank 2k-1 whose
+    # disc class the first changed, against the closed generic binary factor
+    for q in (3, 5, 7):
+        for a0, a1 in itertools.product(range(1, q), repeat=2):
+            for k in (4, 6, 44):
+                delta = kronecker(-1, q) ** k * kronecker(a0, q)
+                old = (density1_odd(q, 1, 2 * k, kronecker(-1, q) ** k, a0)
+                       * density1_odd(q, 1, 2 * k - 1, delta, a1))
+                D = -4 * a0 * a1  # -d0 d1, with d = 2a in twoT scale
+                assert _generic_factor(2, q, k, D) == old, (q, a0, a1, k)
+    # the peel is the density of the unit pair itself, literally counted
+    for a0, a1 in itertools.product((1, 2), repeat=2):
+        for e in (1, 2):
+            want = brute_density(hyperbolic(2), [[2 * a0, 0], [0, 2 * a1]], 3, e)
+            assert _generic_factor(2, 3, 2, -4 * a0 * a1) == want, (a0, a1, e)
+
+
+def test_rank4_level_densities_match_the_peel_oracle():
+    # every level up to 4, including the unstable ones below v + 2
+    forms = [A2A2, A2B7, [[2, 1, 0, 0], [1, 2, 0, 0], [0, 0, 2, 1], [0, 0, 1, 6]],
+             [[2, -1, 0, 0], [-1, 2, -1, 0], [0, -1, 2, -1], [0, 0, -1, 2]]]
+    for T in forms:
+        det2T = bareiss_det([r[:] for r in T])
+        for q in (q for q in (3, 5, 7, 11) if det2T % q == 0):
+            for k in (4, 6, 44):
+                for e in range(1, 5):
+                    want = beta_odd_on(q, e, 2 * k, kronecker(-1, q) ** k, T)
+                    assert rank4_density(q, e, k, T) == want, (T, q, k, e)
+
+
+def test_stabilization_gate_refuses_a_density_that_never_settles(monkeypatch):
+    levels = []
+
+    def never(G, n, e, X):
+        levels.append(e)
+        return Fraction(e)
+
+    monkeypatch.setattr(localdensity, "_density", never)
+    T, v = [[2 * 27]], 3  # v_3(2 det 2T) = 3
+    last = v + _STABLE_MARGIN + 1
+    with pytest.raises(RuntimeError, match=f"did not stabilize up to level {last}$"):
+        _beta_q(3, 4, T, 54)
+    assert levels == list(range(v + 2, last + 1))
+
+
+def test_stabilization_gate_counts_levels_until_two_agree(monkeypatch):
+    # a density that settles at level L is returned at level L + 1, its
+    # first repeat, and never one level earlier
+    for q, T in [(3, [[2 * 27]]), (2, [[2, 1], [1, 2]]), (2, [[8, 0], [0, 8]]), (5, [[2, 1], [1, 8]])]:
+        v = v_p(2 * form_det(T), q)
+        for settle in range(v + 2, v + _STABLE_MARGIN + 1):
+            levels = []
+
+            def late(G, n, e, X):
+                levels.append(e)
+                return Fraction(min(e, settle))
+
+            monkeypatch.setattr(localdensity, "_density", late)
+            assert _beta_q(q, 4, T, form_det(T)) == settle, (q, T, settle)
+            assert levels == list(range(max(2, v + 2), settle + 2)), (q, T, settle)
 
 
 # ---------------------------------------------------------------------------
@@ -307,7 +419,7 @@ def test_single_column_2adic_matches_brute():
         for e in (2, 3):
             for t in range(0, 9):
                 want = brute_density(G, [[2 * t]], 2, e)
-                got = _beta_2_n1(planes, t, e)
+                got = _density(_bins(2, e, [[2 * t]]), 1, e, 2**planes)
                 assert got == want, (planes, e, t)
 
 
@@ -315,7 +427,8 @@ def test_single_column_2adic_matches_fraction_oracle():
     for k in (2, 3, 22, 44):
         for e in range(1, 10):
             for t in [*range(0, 34), 3 << 9]:
-                assert _beta_2_n1(k, t, e) == beta_2_n1_fractions(k, t, e), (k, t, e)
+                got = _density(_bins(2, e, [[2 * t]]), 1, e, 2**k)
+                assert got == beta_2_n1_fractions(k, t, e), (k, t, e)
 
 
 def test_pair_2adic_matches_brute():
@@ -334,7 +447,7 @@ def test_pair_2adic_matches_brute():
                 continue
             for T in targets:
                 want = brute_density(G, T, 2, e)
-                got = _beta_2_n2(planes, tuple(tuple(r) for r in T), e)
+                got = _density(_q2_pair_bins(T, e), 2, e, 2**planes)
                 assert got == want, (planes, e, T)
 
 
@@ -342,7 +455,7 @@ def test_pair_2adic_matches_ysum_deeper():
     for e in (4, 5):
         for T in [[[2, -1], [-1, 2]], [[4, 0], [0, 8]], [[4, 2], [2, 4]]]:
             want = ysum_density(2, e, 2, 2, T)
-            got = _beta_2_n2(2, tuple(tuple(r) for r in T), e)
+            got = _density(_q2_pair_bins(T, e), 2, e, 4)
             assert got == want, (e, T)
 
 
@@ -440,7 +553,7 @@ def test_pair_2adic_density_is_stable_at_level_20():
     start = time.perf_counter()
     for T in (((2, -1), (-1, 2)), ((8, 0), (0, 8))):
         for k in (4, 6, 44):
-            assert _beta_2_n2(k, T, 20) == _beta_q(2, k, T, form_det(T)), (T, k)
+            assert _density(_q2_pair_bins(T, 20), 2, 20, 2**k) == _beta_q(2, k, T, form_det(T)), (T, k)
     assert time.perf_counter() - start < 1
 
 
@@ -463,7 +576,7 @@ def test_unramified_prime_equals_generic_factor():
     for T, n in [([[2]], 1), ([[2, -1], [-1, 2]], 2)]:
         det2T = bareiss_det([r[:] for r in T])
         for q in (5, 7):
-            got = _beta_odd_on(q, 2, 8, 1, T)
+            got = _density(_bins(q, 2, T), n, 2, q**4)
             D0 = form_disc(n, det2T)[0] if n == 2 else None
             assert got == _generic_factor(n, q, 4, D0), (T, q)
 
