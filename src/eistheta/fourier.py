@@ -256,18 +256,20 @@ def _transform_by_inverse(twoT: Mat, D) -> Mat | None:
 def primitive_inversion(plain):
     """Memoised a* solving a(T) = sum_D a*(T[D^{-1}]) for definite T.
 
-    plain(T) gives a(T) at a canonical definite T; the inversion runs by
-    induction on det(2T), subtracting the contributions of all
-    non-unimodular Hermite forms D with det(D)^2 | det(2T) and T[D^{-1}]
-    still even integral.  Returns the function T -> a*(T) for canonical T.
+    plain(T) gives the values a(T) at a canonical definite T as a tuple,
+    one entry per weight; the inversion runs by induction on det(2T),
+    subtracting entry by entry the contributions of all non-unimodular
+    Hermite forms D with det(D)^2 | det(2T) and T[D^{-1}] still even
+    integral, so one walk serves every weight.  Returns the function
+    T -> tuple of a*(T) for canonical T.
     """
-    memo: dict[Mat, Fraction] = {}
+    memo: dict[Mat, tuple] = {}
 
-    def star(T: Mat) -> Fraction:
+    def star(T: Mat) -> tuple:
         got = memo.get(T)
         if got is not None:
             return got
-        total = plain(T)
+        total = list(plain(T))
         det2T = form_det(T)
         for d in divisors(det2T):
             if d == 1 or det2T % (d * d):
@@ -275,9 +277,9 @@ def primitive_inversion(plain):
             for D in _hnf_matrices(len(T), d):
                 T2 = _transform_by_inverse(T, D)
                 if T2 is not None:
-                    total -= star(minkowski_reduce(T2))
-        memo[T] = total
-        return total
+                    total = [a - b for a, b in zip(total, star(minkowski_reduce(T2)))]
+        memo[T] = got = tuple(total)
+        return got
 
     return star
 
@@ -289,8 +291,8 @@ def primitive_coeffs(F: QExpansion, r: int, bound: int) -> dict:
         raise ValueError("rank out of range")
     if bound > F.trace_bound:
         raise ValueError("bound exceeds stored trace bound")
-    star = primitive_inversion(lambda T: coeff(F, pad_zero(T, F.degree)))
-    return {T: star(T) for T in enumerate_psd_indices(r, bound) if _key_rank(T) == r}
+    star = primitive_inversion(lambda T: (coeff(F, pad_zero(T, F.degree)),))
+    return {T: star(T)[0] for T in enumerate_psd_indices(r, bound) if _key_rank(T) == r}
 
 
 # ------------------------------------------------------------ dump format

@@ -33,8 +33,8 @@ the normalization q^{e(2kn - n(n+1)/2)} the density at level e is
 
 Unit scaling keeps c(Y) and acts on Q(zeta_{q^e}) as its Galois group, so
 each G_c is a rational algebraic integer, i.e. an integer, and no G_c
-depends on k.  So every kernel returns the integer bins {c: G_c} of one
-level (_bins), and _density evaluates them at one weight:
+depends on k.  So every kernel returns the nonzero integer bins {c: G_c}
+of one level (_bins), and _density evaluates them at one weight:
 
   * rank 1, every q: Y = y and c = min(v_q(y), e), so G_c is the Ramanujan
     sum of modulus q^(e-c) and G_e = 1;
@@ -61,9 +61,13 @@ level (_bins), and _density evaluates them at one weight:
     q^(r/2), so the weight of Y is (eps q^(r/2))^c(Y) q^(re): the pair's
     density is its bins at X = chi q^(k-1).
 
-Each local density at one level is a single Fraction, and is accepted only
-after two consecutive truncation levels agree; otherwise the computation
-fails with a "did not stabilize" error.
+A level e is accepted only once its bins agree with those of level e - 1
+as a polynomial, G_c(e) = G_{c-n}(e-1) for every c (n the bins' rank, zero
+bins dropped), which makes the two levels agree at every X, the X = chi
+q^(k-1) of the peel included; otherwise the computation fails with a "did
+not stabilize" error.  No weight enters the bins, so each prime and
+canonical index is counted once per process (_stable_bins) and evaluated at
+every weight asked of it.
 
 Scope: ranks 1 and 2 are fully supported.  Rank 3, and rank 4 with even
 det(2T), would need a 2-adic engine for ramified targets, which is not
@@ -75,6 +79,7 @@ scales), which covers direct sums of binary forms of small determinant.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 
 from .exactnum import (
     check_integers,
@@ -161,18 +166,19 @@ def _ramanujan(q: int, N: int, v: int) -> int:
     return 0
 
 
-def _bins(q: int, e: int, twoT) -> dict[int, int]:
-    """G_c of twoT at level e: rank 1 at every q, rank 2 at q = 2, and at odd
-    q the pair of the last two Jordan entries, which is all of a rank-2 index
-    and what the unit peel leaves of a rank-4 one."""
+def _bins(q: int, e: int, twoT, pair=None) -> dict[int, int]:
+    """The nonzero G_c of level e: of twoT at rank 1 (every q) and at rank 2
+    with q = 2, and at odd q of pair, the last two entries of
+    jordan_blocks(twoT, q), taken once for every level by _stable_bins: all
+    of a rank-2 index and what the unit peel leaves of a rank-4 one."""
     if len(twoT) == 1:
         # Y = y, c = min(v_q(y), e): the units of q^c u sum to a Ramanujan sum
         vt = min(v_p(twoT[0][0] // 2, q), e)
-        return {c: _ramanujan(q, e - c, vt) if c < e else 1 for c in range(e + 1)}
+        return {c: g for c in range(e) if (g := _ramanujan(q, e - c, vt))} | {e: 1}
     if q == 2:
         return _q2_pair_bins(twoT, e)
-    da, db = (q**s * residue(u, q, e) for s, ((u,),) in jordan_blocks(twoT, q)[-2:])
-    return _pair_bins_odd(q, e, da, db)
+    (sa, ((ua,),)), (sb, ((ub,),)) = pair
+    return _pair_bins_odd(q, e, q**sa * residue(ua, q, e), q**sb * residue(ub, q, e))
 
 
 def _pair_bins_odd(q: int, e: int, da: int, db: int) -> dict[int, int]:
@@ -343,35 +349,52 @@ def _q2_pair_bins(twoT, e: int) -> dict[int, int]:
 # ---------------------------------------------------------------------------
 
 
-def _beta_q(q: int, k: int, twoT, det2T: int) -> Fraction:
-    """beta_q(T, k) at a prime q dividing 2 det(2T), at q = 2 only for T of
-    rank 1 or 2 (local_density_coeff refuses rank 3 and skips q = 2 at rank 4).
+@cache
+def _stable_bins(q: int, twoT, v: int) -> tuple[int, dict[int, int], int | None]:
+    """(e, G, D): the first level e at which the bins G of twoT (a canonical
+    index, v = v_q(2 det 2T)) equal those of level e - 1 as a Laurent
+    polynomial, G_c(e) = G_{c-n}(e-1) with n = min(rank, 2), so that the two
+    levels agree at every X; D is the unit peel's class -d0 d1 mod q at a
+    rank-4 index, else None.  No weight enters: each (q, T) is counted once
+    and evaluated by _beta_q at every weight.  G is shared, read only.
+    """
+    n, pair, D = len(twoT), None, None
+    if q > 2 and n > 1:
+        blocks = jordan_blocks(twoT, q)
+        if n == 4:
+            (_, ((u0,),)), (s1, ((u1,),)) = blocks[:2]
+            if s1:
+                raise NotImplementedError(
+                    f"more than two non-unit Jordan scales at q={q}; this index "
+                    "is outside the supported rank-4 range"
+                )
+            D = residue(-u0 * u1, q, 1)
+        pair = blocks[-2:]
+    shift = min(n, 2)  # the rank of the bins: the pair's at rank 4
+    last = v + _STABLE_MARGIN + 1
+    prev = None
+    for e in range(max(2, v + 2), last + 1):
+        G = _bins(q, e, twoT, pair)
+        if prev is not None and G == {c + shift: g for c, g in prev.items()}:
+            return e, G, D
+        prev = G
+    raise RuntimeError(f"local density at q={q} did not stabilize up to level {last}")
 
-    The bins of each level are evaluated at X = q^k; at rank 4 the two unit
+
+def _beta_q(q: int, k: int, twoT, det2T: int) -> Fraction:
+    """beta_q(T, k) at a prime q dividing 2 det(2T), for a canonical twoT
+    (tuple rows), at q = 2 only for T of rank 1 or 2 (local_density_coeff
+    refuses rank 3 and skips q = 2 at rank 4).
+
+    The stabilized bins are evaluated at X = q^k; at rank 4 the two unit
     Jordan entries d0, d1 peel off as the generic binary factor of the
     character value chi = (-d0 d1 | q), and the pair left is evaluated at
     X = chi q^(k-1) (module docstring).
     """
-    n = len(twoT)
-    v = v_p(2 * det2T, q)
-    X, peel = q**k, 1
-    if n == 4:
-        (_, ((u0,),)), (s1, ((u1,),)) = jordan_blocks(twoT, q)[:2]
-        if s1:
-            raise NotImplementedError(
-                f"more than two non-unit Jordan scales at q={q}; this index "
-                "is outside the supported rank-4 range"
-            )
-        D = residue(-u0 * u1, q, 1)
-        X, peel = kronecker(D, q) * q ** (k - 1), _generic_factor(2, q, k, D)
-    last = v + _STABLE_MARGIN + 1
-    prev = None
-    for e in range(max(2, v + 2), last + 1):
-        cur = _density(_bins(q, e, twoT), min(n, 2), e, X)
-        if cur == prev:
-            return peel * cur
-        prev = cur
-    raise RuntimeError(f"local density at q={q} did not stabilize up to level {last}")
+    e, G, D = _stable_bins(q, twoT, v_p(2 * det2T, q))
+    if D is None:
+        return _density(G, len(twoT), e, q**k)
+    return _generic_factor(2, q, k, D) * _density(G, 2, e, kronecker(D, q) * q ** (k - 1))
 
 
 def local_density_coeff(twoT, k: int) -> Fraction:

@@ -328,8 +328,13 @@ def primitive_density_coeff(S, k: int) -> Fraction:
     induction on det(2T), with every plain coefficient supplied by
     local_density_coeff; rank(S) must be within its supported range.
     """
-    S = minkowski_reduce(S)
-    return primitive_inversion(lambda T: local_density_coeff(T, k))(S)
+    return _primitive_densities(minkowski_reduce(S), (k,))[0]
+
+
+def _primitive_densities(S, weights) -> tuple:
+    """a*(S) at each of the weights for a canonical S: one walk of the
+    sublattice inversion, each plain coefficient a tuple over the weights."""
+    return primitive_inversion(lambda T: tuple(local_density_coeff(T, k) for k in weights))(S)
 
 
 @dataclass(frozen=True)
@@ -370,7 +375,7 @@ def direct_limit_coefficient(S, target: WeightTarget, seq=None) -> DirectLadder:
         seq = default_sequence(target, 2)
     p = target.p
     weights = seq.weights
-    values = tuple(primitive_density_coeff(S, k) for k in weights)
+    values = _primitive_densities(S, weights)
     caps = [b + 2 for b in seq.b_schedule]
     certs = tuple(
         min(v_p(b - a, p), caps[i])

@@ -19,6 +19,10 @@ Each one enumerates everything the package code prunes:
   unimodular lattice of any rank r and disc class delta, the unit Jordan
   entries of a rank-4 index peeled one by one, where localdensity evaluates
   weight-free bins at X = q^k, or X = chi q^(k-1) after the closed peel;
+- beta_q_per_weight: beta_q(T, k) with every level counted again for each
+  weight and twoT decomposed again at each level, a level accepted once its
+  value at that weight repeats, where localdensity accepts a level once its
+  bins repeat as a polynomial and counts each (q, T) once for every weight;
 - symbolic_global_factor: alpha_inf times the generic Euler factors as a
   symbolic product of pi, square roots and Gamma values that cancel to a
   rational, where localdensity reads zeta and L at negative integers;
@@ -66,7 +70,14 @@ from eistheta.lattice import (
     transform,
 )
 from eistheta.linalg import bareiss_det, column_reduce, echelon_mod
-from eistheta.localdensity import _ramanujan
+from eistheta.localdensity import (
+    _STABLE_MARGIN,
+    _bins,
+    _density,
+    _generic_factor,
+    _pair_bins_odd,
+    _ramanujan,
+)
 
 
 # gamma_r^r, Hermite's constant to the power r
@@ -525,6 +536,35 @@ def beta_odd_on(q, e, r0, delta0, twoT):
         delta *= kronecker(d0 * inv2q % q, q)
         r -= 1
     return dens * density2_odd_fractions(q, e, r, delta, diag[-2], diag[-1])
+
+
+def beta_q_per_weight(q, k, twoT, det2T):
+    """beta_q(T, k) at q | 2 det(2T) for one weight: the bins of each level
+    (at odd q, of the last two Jordan entries of twoT decomposed at that
+    level) evaluated at X = q^k, or after the rank-4 unit peel at X = chi
+    q^(k-1), until two consecutive values agree."""
+    n = len(twoT)
+    v = v_p(2 * det2T, q)
+    X, peel = q**k, 1
+    if n == 4:
+        (_, ((u0,),)), (s1, ((u1,),)) = jordan_blocks(twoT, q)[:2]
+        if s1:
+            raise NotImplementedError(f"more than two non-unit Jordan scales at q={q}")
+        D = residue(-u0 * u1, q, 1)
+        X, peel = kronecker(D, q) * q ** (k - 1), _generic_factor(2, q, k, D)
+    last = v + _STABLE_MARGIN + 1
+    prev = None
+    for e in range(max(2, v + 2), last + 1):
+        if n == 1 or q == 2:
+            G = _bins(q, e, twoT)
+        else:
+            da, db = (q**s * residue(u, q, e) for s, ((u,),) in jordan_blocks(twoT, q)[-2:])
+            G = _pair_bins_odd(q, e, da, db)
+        cur = _density(G, min(n, 2), e, X)
+        if cur == prev:
+            return peel * cur
+        prev = cur
+    raise RuntimeError(f"local density at q={q} did not stabilize up to level {last}")
 
 
 def _split_square(x: int) -> tuple[int, int]:

@@ -323,11 +323,14 @@ def test_memos_are_detected():
     assert memo_names(src) == ["_X_CACHE", "_Y_CACHE", "a", "b", "c", "d", "f"]
 
 
-def test_source_memoizes_only_two_functions():
-    # the two memos a ladder run reads again (615 and 25 hits on one
-    # degree-2 run at p = 7, bound 16); the module caches removed before
+def test_source_memoizes_only_three_functions():
+    # the memos a run reads again: the two of a ladder run (615 and 25 hits
+    # on one degree-2 run at p = 7, bound 16), and the stabilized bins of
+    # each (q, T) across weights (89 hits and 46 misses on one
+    # bench/dual_route.py run, seed 1); the module caches removed before
     # them had no hit on any benchmark workload
-    allowed = {"lattice._canonical_definite", "exactnum._bernoulli_even"}
+    allowed = {"lattice._canonical_definite", "exactnum._bernoulli_even",
+               "localdensity._stable_bins"}
     found = set()
     for path in glob.glob(os.path.join(os.path.dirname(eistheta.__file__), "*.py")):
         with open(path) as fh:

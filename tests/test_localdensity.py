@@ -13,7 +13,8 @@ the pair left by the rank-4 unit peel is.  Oracle layers, from gold to broad:
   * the counting kernels that localdensity replaced, in tests/oracles.py:
     the v_p and Fraction forms, and the counts on unimodular lattices of
     any rank and disc class with the rank-4 units peeled one by one, equal
-    to the bins at the levels the dual-route check reaches.
+    to the bins at the levels the dual-route check reaches, and the loop
+    that stabilized each weight on its own (beta_q_per_weight).
 """
 
 import itertools
@@ -27,7 +28,8 @@ import pytest
 
 from eistheta import localdensity
 from eistheta.eisenstein import eisenstein_qexp
-from eistheta.exactnum import kronecker, residue, v_p
+from eistheta.exactnum import factorize, kronecker, residue, v_p
+from eistheta.fourier import coeff, primitive_inversion
 from eistheta.lattice import (
     bareiss_det,
     enumerate_psd_indices,
@@ -35,7 +37,9 @@ from eistheta.lattice import (
     form_disc,
     form_rank,
     jordan_blocks,
+    minkowski_reduce,
     short_vectors,
+    transform,
 )
 from eistheta.localdensity import (
     _STABLE_MARGIN,
@@ -46,11 +50,13 @@ from eistheta.localdensity import (
     _global_factor,
     _pair_bins_odd,
     _q2_pair_bins,
+    _stable_bins,
     local_density_coeff,
 )
 from oracles import (
     beta_2_n1_fractions,
     beta_odd_on,
+    beta_q_per_weight,
     density1_odd,
     density2_odd_fractions,
     q2_pair_bins_by_valuations,
@@ -84,13 +90,27 @@ def unimodular_X(q, r, delta):
     return kronecker(-1, q) ** (r // 2) * delta * q ** (r // 2)
 
 
+@pytest.fixture(autouse=True)
+def fresh_density_memo():
+    """Each test counts its own local densities: _stable_bins keeps one
+    entry per (q, T) for the life of the process."""
+    _stable_bins.cache_clear()
+    yield
+    _stable_bins.cache_clear()
+
+
+def odd_bins(q, e, twoT):
+    """_bins of a rank-2 or rank-4 twoT at odd q, through its Jordan pair."""
+    return _bins(q, e, twoT, jordan_blocks(twoT, q)[-2:])
+
+
 def rank4_density(q, e, k, twoT):
     """The level-e density of a rank-4 index on H^k as _beta_q forms it:
     the closed unit peel times the pair's bins at X = chi q^(k-1)."""
     (_, ((u0,),)), (_, ((u1,),)) = jordan_blocks(twoT, q)[:2]
     D = residue(-u0 * u1, q, 1)
     X = kronecker(D, q) * q ** (k - 1)
-    return _generic_factor(2, q, k, D) * _density(_bins(q, e, twoT), 2, e, X)
+    return _generic_factor(2, q, k, D) * _density(odd_bins(q, e, twoT), 2, e, X)
 
 
 def brute_density(twoG, twoT, q, e):
@@ -264,7 +284,7 @@ def test_pair_odd_matches_ysum_deeper():
         for kexp in (2, 3):
             for T in [[[2, 0], [0, 2]], [[2, 0], [0, 6]], [[6, 0], [0, 18]]]:
                 want = ysum_density(3, e, 2, kexp, T)
-                got = _density(_bins(3, e, T), 2, e, 3**kexp)
+                got = _density(odd_bins(3, e, T), 2, e, 3**kexp)
                 assert got == want, (e, kexp, T)
 
 
@@ -292,7 +312,7 @@ def test_pair_odd_offdiagonal_target_via_diagonalization():
     A2 = [[2, -1], [-1, 2]]
     for e in (1, 2):
         want = brute_density([[2, 0], [0, 2]], A2, 3, e)
-        got = _density(_bins(3, e, A2), 2, e, unimodular_X(3, 2, 1))
+        got = _density(odd_bins(3, e, A2), 2, e, unimodular_X(3, 2, 1))
         assert got == want, e
 
 
@@ -379,12 +399,12 @@ def test_rank4_level_densities_match_the_peel_oracle():
 def test_stabilization_gate_refuses_a_density_that_never_settles(monkeypatch):
     levels = []
 
-    def never(G, n, e, X):
+    def never(q, e, twoT, pair=None):
         levels.append(e)
-        return Fraction(e)
+        return {0: e}
 
-    monkeypatch.setattr(localdensity, "_density", never)
-    T, v = [[2 * 27]], 3  # v_3(2 det 2T) = 3
+    monkeypatch.setattr(localdensity, "_bins", never)
+    T, v = ((2 * 27,),), 3  # v_3(2 det 2T) = 3
     last = v + _STABLE_MARGIN + 1
     with pytest.raises(RuntimeError, match=f"did not stabilize up to level {last}$"):
         _beta_q(3, 4, T, 54)
@@ -392,20 +412,82 @@ def test_stabilization_gate_refuses_a_density_that_never_settles(monkeypatch):
 
 
 def test_stabilization_gate_counts_levels_until_two_agree(monkeypatch):
-    # a density that settles at level L is returned at level L + 1, its
-    # first repeat, and never one level earlier
-    for q, T in [(3, [[2 * 27]]), (2, [[2, 1], [1, 2]]), (2, [[8, 0], [0, 8]]), (5, [[2, 1], [1, 8]])]:
+    # bins that settle at level L are returned at level L + 1, their first
+    # repeat as a polynomial, and never one level earlier
+    for q, T in [(3, ((2 * 27,),)), (2, ((2, 1), (1, 2))), (2, ((8, 0), (0, 8))),
+                 (5, ((2, 1), (1, 8)))]:
         v = v_p(2 * form_det(T), q)
         for settle in range(v + 2, v + _STABLE_MARGIN + 1):
             levels = []
 
-            def late(G, n, e, X):
+            def late(q, e, twoT, pair=None):
                 levels.append(e)
-                return Fraction(min(e, settle))
+                return {len(twoT) * e: min(e, settle)}
 
-            monkeypatch.setattr(localdensity, "_density", late)
+            _stable_bins.cache_clear()
+            monkeypatch.setattr(localdensity, "_bins", late)
             assert _beta_q(q, 4, T, form_det(T)) == settle, (q, T, settle)
             assert levels == list(range(max(2, v + 2), settle + 2)), (q, T, settle)
+
+
+def test_stabilization_gate_wants_bins_equal_as_polynomials(monkeypatch):
+    # from level 5 on, the bins {5: 81^(e-5)} have the value 1 at X = 3^4 at
+    # every level, but no level's bins are the previous level's shifted by
+    # one: a gate on values at k = 4 would accept level 6, and at k = 6 the
+    # levels do differ (1/9, 1/81, ...)
+    levels = []
+
+    def same_value_at_k4(q, e, twoT, pair=None):
+        levels.append(e)
+        return {5: 81 ** (e - 5)}
+
+    monkeypatch.setattr(localdensity, "_bins", same_value_at_k4)
+    T, v = ((2 * 27,),), 3
+    assert [_density(same_value_at_k4(3, e, T), 1, e, 3**4) for e in (5, 6, 7)] == [1, 1, 1]
+    last = v + _STABLE_MARGIN + 1
+    for k in (4, 6):
+        levels.clear()
+        with pytest.raises(RuntimeError, match=f"did not stabilize up to level {last}$"):
+            _beta_q(3, k, T, 54)
+        assert levels == list(range(v + 2, last + 1))
+
+
+def test_weight_free_gate_matches_the_per_weight_loop():
+    # every rank-2 index of trace <= 12 at five weights, and every sublattice
+    # that the direct ladder of A2+A2 and A2+B7 inverts over, at its weights
+    cases = [(T, (4, 6, 8, 10, 44)) for T in enumerate_psd_indices(2, 12) if form_rank(T) == 2]
+    for S in (A2A2, A2B7):
+        visited = []
+        primitive_inversion(lambda T: visited.append(T) or ())(minkowski_reduce(S))
+        cases += [(T, (44, 296)) for T in visited]
+    assert len(cases) > 100
+    for T, weights in cases:
+        det2T = form_det(T)
+        for q in sorted(factorize(2 * det2T)):
+            if q == 2 and len(T) == 4:
+                continue  # beta_2 is the closed generic factor there
+            for k in weights:
+                assert _beta_q(q, k, T, det2T) == beta_q_per_weight(q, k, T, det2T), (T, q, k)
+
+
+def test_an_index_is_counted_once_for_every_weight(monkeypatch):
+    # the same index in a new unimodular basis at each weight reduces to one
+    # canonical key: only the first weight counts bins
+    calls = []
+    for name in ("_q2_pair_bins", "_pair_bins_odd"):
+        kernel = getattr(localdensity, name)
+        monkeypatch.setattr(localdensity, name,
+                            lambda *a, kernel=kernel, name=name: calls.append(name) or kernel(*a))
+    rng = random.Random(35)
+    T = ((2, 1), (1, 8))  # det 2T = 15: q = 2, 3 and 5
+    after = []
+    for k in (44, 4, 6):
+        a, b = rng.choice((-2, -1, 1, 2)), rng.choice((-2, -1, 1, 2))
+        U = [[1 + a * b, a], [b, 1]]  # det 1
+        assert local_density_coeff(transform(T, U), k) == coeff(eisenstein_qexp(k, 2, 9), T), k
+        after.append(len(calls))
+    assert set(calls) == {"_q2_pair_bins", "_pair_bins_odd"}
+    assert after == [after[0]] * 3, after
 
 
 # ---------------------------------------------------------------------------
@@ -576,7 +658,7 @@ def test_unramified_prime_equals_generic_factor():
     for T, n in [([[2]], 1), ([[2, -1], [-1, 2]], 2)]:
         det2T = bareiss_det([r[:] for r in T])
         for q in (5, 7):
-            got = _density(_bins(q, 2, T), n, 2, q**4)
+            got = _density((odd_bins if n == 2 else _bins)(q, 2, T), n, 2, q**4)
             D0 = form_disc(n, det2T)[0] if n == 2 else None
             assert got == _generic_factor(n, q, 4, D0), (T, q)
 

@@ -319,6 +319,23 @@ def test_direct_ladder_vanishes_off_dictionary():
             assert res % 7 ** (m + 1) == 0, (S, m)
 
 
+def test_direct_ladder_walks_the_inversion_once_for_every_rung(monkeypatch):
+    from eistheta import fourier
+
+    calls = []
+    transform = fourier._transform_by_inverse
+    monkeypatch.setattr(fourier, "_transform_by_inverse",
+                        lambda *a: calls.append(1) or transform(*a))
+    t = WeightTarget(7, 2, 0)
+    seq = default_sequence(t, 2)
+    want = tuple(primitive_density_coeff(A2A2, k) for k in seq.weights)
+    one_walk = len(calls) // len(seq.weights)
+    calls.clear()
+    d = direct_limit_coefficient(A2A2, t, seq)
+    assert d.values == want
+    assert one_walk > 0 and len(calls) == one_walk
+
+
 def test_direct_ladder_rejects_wrong_rank():
     t = WeightTarget(7, 2, 0)
     with pytest.raises(ValueError):
