@@ -167,8 +167,10 @@ def primes_upto(n: int) -> list[int]:
 # Bernoulli numbers.  The p-adic weight ladders ask for single numbers of
 # index in the thousands (B_2060, B_14408, ...), so each even index is
 # computed on its own from zeta(n) (Fillebrown, "Faster computation of
-# Bernoulli numbers", J. Algorithms 1992) and memoised by index.  All of it
-# is integer fixed point in which every rounding is a floor or a ceiling.
+# Bernoulli numbers", J. Algorithms 1992) and memoised by index; a single
+# deep B_{n,chi} comes from L(n, chi) the same way (_gen_bernoulli_euler).
+# All of it is integer fixed point in which every rounding is a floor or a
+# ceiling.
 
 
 def _pi_fixed(w: int) -> int:
@@ -223,66 +225,99 @@ def _pow_up(m: int, e: int, n: int, w: int) -> tuple[int, int]:
     return m, e
 
 
-@functools.cache
-def _bernoulli_even(n: int) -> Fraction:
-    """B_n for even n >= 2 from B_n = (-1)^(n/2+1) 2 n! zeta(n) / (2 pi)^n.
+def _euler_bound(n: int, A: int, f: int) -> tuple[int, int]:
+    """(t, M) for ``_euler_round`` at n >= 2: T = A sqrt(f) L(n, chi) /
+    (2 pi)^n < 2^t for every character chi mod f, and M the least integer
+    with M^(n-1) (n-1) >= 2^(t+6).
 
-    By von Staudt-Clausen den = prod_{(p-1) | n} p is the denominator of
-    B_n, so T = den |B_n| = A zeta(n) / (2 pi)^n with A = 2 n! den is an
-    integer, and T < 2A / 6^n < 2^t.  T is rounded from X = floor(8A / D),
-    where D = m 2^e >= (2 pi)^n prod_{p <= M} (1 - p^-n) >= (2 pi)^n / zeta(n)
-    carries a relative excess rho; every step rounds D up:
-
-    * pi: 2 (P + 6) >= 2 pi 2^w (``_pi_fixed``) with excess < 2^(2-w),
-      raised to the n-th power: log excess < 4n 2^-w.
-    * the power (``_pow_up`` at w bits): log excess < 6n 2^-w.
-    * the Euler factor of each prime p: m - q >= m (1 - p^-n) with
-      q = floor(m / D_p), where D_p >= p^n is ``_pow_up`` at the k bits
-      the quotient needs, k = a - l + 4 + bitlen(n) for m < 2^a and
-      p^n >= 2^l.  Then m / p^n - q < 2, and m stays above 2^(w-2) (the
-      product exceeds 1/zeta(2) > 1/2), so excess < 2^(3-w) per prime,
-      fewer than M primes.  Once m < 2^l <= p^n, no later prime changes m.
-    * the primes p > M: prod_{p > M} (1 - p^-n)^-1 - 1 <=
-      sum_{j > M} j^-n <= M^(1-n) / (n - 1).
-
-    So log(1 + rho) < sigma = (10n + 8M) 2^-w + M^(1-n) / (n - 1).  M is
-    the least integer with M^(n-1) (n - 1) >= 2^(t+6): it is sized from the
-    tolerance of T, not from w.  And 2^w > (10n + 8M) 2^(t+6), so
-    sigma < 2^(-t-5) and rho < 2 sigma < 2^(-t-4).  Hence
-    0 <= 8T - X < 8T rho + 1 < 3/2: X / 8 lies within 3/16 < 1/4 of T, and
-    rounding it gives T exactly.
-
-    Two checks raise ArithmeticError should that bound ever fail: X / 8
-    must lie within 1/4 of the rounded value, and the rounded numerator
-    must be prime to den (von Staudt-Clausen).
+    |L(n, chi)| <= zeta(2) < 2 and (2 pi)^n > 6^n, so T < 2 A sqrt(f) / 6^n,
+    and sqrt(f) <= 2^h with h = ceil(bitlen(f - 1) / 2).
     """
-    den = 1
-    for p in primes_upto(n + 1):
-        if n % (p - 1) == 0:
-            den *= p
-    A = 2 * math.factorial(n) * den
-    t = A.bit_length() + 2 - (6**n).bit_length()
+    h = ((f - 1).bit_length() + 1) // 2
+    t = A.bit_length() + 2 + h - (6**n).bit_length()
     lo, hi = 2, 1 << ((t + 6) // (n - 1) + 1)
-    while lo < hi:  # the least M with M^(n-1) (n-1) >= 2^(t+6)
+    while lo < hi:
         mid = (lo + hi) // 2
         if mid ** (n - 1) * (n - 1) >> (t + 6):
             hi = mid
         else:
             lo = mid + 1
-    M = lo
-    w = t + 6 + (10 * n + 8 * M).bit_length()
+    return t, lo
+
+
+def _euler_round(n: int, A: int, f: int, D: int, t: int, M: int) -> int:
+    """The integer T = A sqrt(f) L(n, chi) / (2 pi)^n, for chi =
+    kronecker(D, .) of conductor f (D = f = 1: zeta), given (t, M) =
+    ``_euler_bound(n, A, f)``; the caller knows that T is an integer.
+
+    T is rounded from X = floor(8 A R / (D' 2^w)), where R = isqrt(f 4^w)
+    and D' = m 2^e approximates (2 pi)^n prod_{p <= M} (1 - chi(p) p^-n).
+    Every error is a relative one, bounded in log:
+
+    * pi: 2 (P + 6) >= 2 pi 2^w (``_pi_fixed``) with excess < 2^(2-w),
+      raised to the n-th power: < 4n 2^-w.
+    * the power (``_pow_up`` at w bits): < 6n 2^-w.
+    * the Euler factor of each prime p with chi(p) = +-1: m -+ q with
+      q = floor(m / D_p), where D_p >= p^n is ``_pow_up`` at the k bits
+      the quotient needs, k = a - l + 4 + bitlen(n) for m < 2^a and
+      p^n >= 2^l, or p^n itself while l <= max(k, 4096), where the exact
+      power is the cheaper one.  Then 0 <= m / p^n - q < 2 (the excess of
+      D_p costs m / p^n 6n 2^-k < 1, the floor less than 1).  m starts at
+      2^(w-1) or more and stays above 2^(w-2), as the factors with
+      chi(p) = 1 multiply to more than 1/zeta(2) > 1/2, so the error is
+      < 2^(3-w) per prime, of either sign, at most M primes.  Once
+      m < 2^l <= p^n, q = 0 at this and every later prime.
+    * the primes p > M: the factor (1 - chi(p) p^-n)^-1 has |log| at most
+      -log(1 - p^-n), so the tail has |log| <= log prod_{p > M}
+      (1 - p^-n)^-1 <= sum_{j > M} j^-n <= M^(1-n) / (n - 1), whatever the
+      signs of chi.
+    * sqrt(f): f^(1/2) 2^w - 1 < R <= f^(1/2) 2^w, so R is low by a
+      relative 2^-w at most, under 2^(1-w) in log.
+
+    So |log(X' / 8T)| < sigma = (10n + 8M + 2) 2^-w + M^(1-n) / (n - 1) for
+    the X' that X floors.  M is sized from the tolerance of T by
+    ``_euler_bound``, M^(1-n) / (n - 1) <= 2^(-t-6), and 2^w >
+    (10n + 8M + 2) 2^(t+6), so sigma < 2^(-t-5) and |X' - 8T| < 8T 2 sigma
+    < 1/2.  Hence |8T - X| < 3/2: X / 8 lies within 3/16 < 1/4 of T, and
+    rounding it gives T exactly.  ArithmeticError if X / 8 is not within
+    1/4 of the rounded value, should that bound ever fail.
+    """
+    w = t + 6 + (10 * n + 8 * M + 2).bit_length()
     m, e = _pow_up(2 * (_pi_fixed(w) + 6), -w, n, w)
     for p in primes_upto(M):
         a = m.bit_length()
         l = n * ((p**32).bit_length() - 1) // 32  # p^n >= 2^l
         if a <= l:
             break
-        dm, de = _pow_up(p, 0, n, a - l + 4 + n.bit_length())
-        m -= (m >> de) // dm
-    X = (A << 3 >> e) // m if e >= 0 else (A << (3 - e)) // m
+        c = kronecker(D, p)
+        if c:
+            k = a - l + 4 + n.bit_length()
+            dm, de = (p**n, 0) if l <= max(k, 4096) else _pow_up(p, 0, n, k)
+            m -= c * ((m >> de) // dm)
+    num = A * math.isqrt(f << (2 * w)) << 3
+    e += w
+    X = (num >> e) // m if e >= 0 else (num << -e) // m
     N = (X + 4) >> 3
     if not abs(8 * N - X) < 2:
-        raise ArithmeticError(f"B_{n}: the zeta approximation missed its bound")
+        raise ArithmeticError(f"the Euler product of L({n}, chi_{D}) missed its bound")
+    return N
+
+
+@functools.cache
+def _bernoulli_even(n: int) -> Fraction:
+    """B_n for even n >= 2 from B_n = (-1)^(n/2+1) 2 n! zeta(n) / (2 pi)^n.
+
+    By von Staudt-Clausen den = prod_{(p-1) | n} p is the denominator of
+    B_n, so T = den |B_n| = A zeta(n) / (2 pi)^n with A = 2 n! den is an
+    integer, rounded by ``_euler_round`` at f = 1.  The rounded numerator
+    must be prime to den (von Staudt-Clausen), else ArithmeticError.
+    """
+    den = 1
+    for p in primes_upto(n + 1):
+        if n % (p - 1) == 0:
+            den *= p
+    A = 2 * math.factorial(n) * den
+    N = _euler_round(n, A, 1, 1, *_euler_bound(n, A, 1))
     b = Fraction(N if n % 4 == 2 else -N, den)
     if b.denominator != den:
         raise ArithmeticError(f"B_{n}: numerator not prime to {den}")
@@ -448,10 +483,52 @@ def gen_bernoulli(n: int, D: int) -> Fraction:
     return gen_bernoulli_rows((n,), (D,))[n][D]
 
 
+def _gen_bernoulli_euler(r: int, D: int) -> Fraction | None:
+    """B_{r,chi} for chi = kronecker(D, .), D != 1 fundamental and
+    chi(-1) = (-1)^r, from L(r, chi) by its Euler product; None when that
+    product has more than r factors, pi(M) > r for the M of
+    ``_euler_bound``.
+
+    By the functional equation (Washington, *Introduction to Cyclotomic
+    Fields*, Thm 4.2) |B_{r,chi}| = 2 r! f^(r-1/2) L(r, chi) / (2 pi)^r with
+    f = |D|, of sign (-1)^(1+(r-delta)/2), delta = 1 for D < 0 and 0
+    otherwise.  L f B_{r,chi} is an integer for L = lcm(2, den B_i : i <= r
+    even) (``gen_bernoulli_rows``), and L is the product of the primes
+    p <= r + 1 by von Staudt-Clausen, so T = L f |B_{r,chi}| =
+    A sqrt(f) L(r, chi) / (2 pi)^r with A = 2 L r! f^r is rounded by
+    ``_euler_round``.  pi(M) <= r needs M < p_(r+1) < 2 (r+1) bitlen(r+1),
+    so no sieve beyond that runs to find out: p_n < n (ln n + ln ln n) <
+    2 n bitlen(n) for n >= 6 (Rosser and Schoenfeld, Illinois J. Math. 6,
+    1962), and p_n < 2 n bitlen(n) holds for 2 <= n < 6 by inspection.
+    """
+    if r < 2:
+        return None
+    f = abs(D)
+    L = math.prod(primes_upto(r + 1))
+    A = 2 * L * math.factorial(r) * f**r
+    t, M = _euler_bound(r, A, f)
+    if M >= 2 * (r + 1) * (r + 1).bit_length() or len(primes_upto(M)) > r:
+        return None
+    N = _euler_round(r, A, f, D, t, M)
+    return Fraction(N if (r - (D < 0)) % 4 == 2 else -N, L * f)
+
+
 def dirichlet_L_neg(r: int, D: int) -> Fraction:
-    """L(1-r, chi_D) for a fundamental discriminant D (D = 1 means zeta)."""
+    """L(1-r, chi_D) = -B_{r,chi_D} / r for a fundamental discriminant D
+    (D = 1 means zeta).  After the gates of ``gen_bernoulli_rows`` (D
+    fundamental, and 0 when chi(-1) != (-1)^r) a nontrivial character
+    takes the Euler product of ``_gen_bernoulli_euler`` when it has at most
+    r factors, and the sweep of ``gen_bernoulli`` otherwise."""
     if r < 1:
         raise ValueError("need r >= 1")
+    if D != 1:
+        if not is_fundamental_discriminant(D):
+            raise ValueError(f"{D} is not a fundamental discriminant")
+        if (D < 0) != (r % 2 == 1):
+            return Fraction(0)
+        b = _gen_bernoulli_euler(r, D)
+        if b is not None:
+            return -b / r
     return -gen_bernoulli(r, D) / r
 
 

@@ -9,8 +9,6 @@ below are evaluated on the stored window and are window-relative.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
@@ -23,12 +21,11 @@ from .lattice import (
     form_trace,
     minkowski_reduce,
     pad_zero,
-    transform,
 )
-from .linalg import adjugate
+from .records import record
 
 
-@dataclass(frozen=True)
+@record
 class QExpansion:
     degree: int
     trace_bound: int
@@ -54,7 +51,7 @@ class QExpansion:
             if minkowski_reduce(T) != T:
                 raise ValueError("index not canonical")
             clean[T] = a
-        object.__setattr__(self, "coeffs", clean)
+        return self._replace(coeffs=clean)
 
 
 def coeff(F: QExpansion, T) -> Fraction:
@@ -77,7 +74,7 @@ def _from_checked(degree, trace_bound, coeffs) -> QExpansion:
     check, from ``lattice.enumerate_psd_indices`` (which keeps only M with
     ``minkowski_reduce(M) == M``), or be 1 x 1 entries (2t) with t >= 0."""
     F = QExpansion(degree, trace_bound, {})
-    object.__setattr__(F, "coeffs", {T: a for T, a in coeffs.items() if a})
+    F.coeffs.update((T, a) for T, a in coeffs.items() if a)  # the dict __post_init__ made
     return F
 
 
@@ -104,7 +101,7 @@ def qexp_add(*terms) -> QExpansion:
     return _from_checked(degrees.pop(), bound, acc)
 
 
-@dataclass(frozen=True)
+@record
 class CongruenceResult:
     ok: bool
     witness: Mat | None = None
@@ -240,36 +237,52 @@ def _hnf_matrices(r: int, d: int):
 def _transform_by_inverse(twoT: Mat, D) -> Mat | None:
     """(D^{-1})^t (2T) D^{-1} when it lands in even integral matrices.
 
-    D is upper triangular, so D^{-1} = adj(D) / det(D) with det(D) the
-    product of its diagonal, and the transform is an exact integer one.
+    D is upper triangular with a positive diagonal, so D^t Y^t = 2T (that
+    is Y D = 2T, as 2T is symmetric) and then D^t X = Y are solved by
+    substitution, one exact division per entry, and D is refused at the
+    first entry that is not integral: Y = D^t X is integral whenever X is.
     """
-    dd = math.prod(D[i][i] for i in range(len(D))) ** 2
-    X = transform(twoT, adjugate(D))
-    if any(x % dd for row in X for x in row):
+    n = len(D)
+
+    def solve(B):  # Z with D^t Z = B, row by row, or None
+        Z = []
+        for i in range(n):
+            row = []
+            for c in range(n):
+                s = B[i][c] - sum(D[l][i] * Z[l][c] for l in range(i))
+                if s % D[i][i]:
+                    return None
+                row.append(s // D[i][i])
+            Z.append(row)
+        return Z
+
+    Yt = solve(twoT)
+    X = Yt and solve(list(zip(*Yt)))
+    if not X or any(X[i][i] % 2 for i in range(n)):
         return None
-    out = tuple(tuple(x // dd for x in row) for row in X)
-    if any(out[i][i] % 2 for i in range(len(out))):
-        return None
-    return out
+    return tuple(map(tuple, X))
 
 
 def primitive_inversion(plain):
     """Memoised a* solving a(T) = sum_D a*(T[D^{-1}]) for definite T.
 
-    plain(T) gives the values a(T) at a canonical definite T as a tuple,
-    one entry per weight; the inversion runs by induction on det(2T),
-    subtracting entry by entry the contributions of all non-unimodular
-    Hermite forms D with det(D)^2 | det(2T) and T[D^{-1}] still even
-    integral, so one walk serves every weight.  Returns the function
-    T -> tuple of a*(T) for canonical T.
+    Returns the function R -> tuple of a*(T), one entry per weight, for T
+    the canonical form of a definite R.  plain(R) gives the values a(T) as
+    such a tuple, and the walk hands it the very form R that it reduced to
+    T, so that plain finds the reduction of R already memoised.  The
+    inversion runs by induction on det(2T), subtracting entry by entry the
+    contributions of all non-unimodular Hermite forms D with
+    det(D)^2 | det(2T) and T[D^{-1}] still even integral, so one walk
+    serves every weight.
     """
     memo: dict[Mat, tuple] = {}
 
-    def star(T: Mat) -> tuple:
+    def star(R) -> tuple:
+        T = minkowski_reduce(R)
         got = memo.get(T)
         if got is not None:
             return got
-        total = list(plain(T))
+        total = list(plain(R))
         det2T = form_det(T)
         for d in divisors(det2T):
             if d == 1 or det2T % (d * d):
@@ -277,7 +290,7 @@ def primitive_inversion(plain):
             for D in _hnf_matrices(len(T), d):
                 T2 = _transform_by_inverse(T, D)
                 if T2 is not None:
-                    total = [a - b for a, b in zip(total, star(minkowski_reduce(T2)))]
+                    total = [a - b for a, b in zip(total, star(T2))]
         memo[T] = got = tuple(total)
         return got
 
@@ -291,7 +304,7 @@ def primitive_coeffs(F: QExpansion, r: int, bound: int) -> dict:
         raise ValueError("rank out of range")
     if bound > F.trace_bound:
         raise ValueError("bound exceeds stored trace bound")
-    star = primitive_inversion(lambda T: (coeff(F, pad_zero(T, F.degree)),))
+    star = primitive_inversion(lambda R: (coeff(F, pad_zero(R, F.degree)),))
     return {T: star(T)[0] for T in enumerate_psd_indices(r, bound) if _key_rank(T) == r}
 
 

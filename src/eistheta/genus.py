@@ -25,7 +25,6 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 
@@ -44,6 +43,7 @@ from .lattice import (
     level,
     minkowski_reduce,
 )
+from .records import record
 
 
 def _unit_det_mod8(U):
@@ -127,7 +127,7 @@ def same_genus(twoS, twoS2):
     return genus_symbol(A) == genus_symbol(B)
 
 
-@dataclass(frozen=True)
+@record
 class ClassRecord:
     """A class representative together with its automorphism count."""
 
@@ -140,7 +140,7 @@ class ClassRecord:
         return cls(rep, automorphism_count(rep))
 
 
-@dataclass(frozen=True)
+@record
 class GenusRecord:
     classes: tuple[ClassRecord, ...]
     level: int

@@ -18,7 +18,6 @@ everything after that runs on those integers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .eisenstein import check_weights, eisenstein_residues
@@ -35,6 +34,7 @@ from .genus import cached_genera, genera_to_doc
 from .lattice import form_disc, form_trace, minkowski_reduce
 from .linalg import echelon_mod
 from .localdensity import local_density_coeff
+from .records import record
 from .theta import genus_theta
 
 __all__ = [
@@ -68,7 +68,7 @@ class PipelineError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class WeightTarget:
     """Limit weight (k, j) at the odd prime p.
 
@@ -110,7 +110,7 @@ class WeightTarget:
         return self.p > 2 * self.k + 1
 
 
-@dataclass(frozen=True)
+@record
 class WeightSequence:
     target: WeightTarget
     b_schedule: tuple
@@ -118,9 +118,9 @@ class WeightSequence:
     def __post_init__(self):
         b = tuple(self.b_schedule)
         check_integers("b schedule must be integers", *b)
-        object.__setattr__(self, "b_schedule", b)
         if not b or b[0] <= 0 or any(y <= x for x, y in zip(b, b[1:])):
             raise ValueError("b schedule must be strictly increasing and positive")
+        return self._replace(b_schedule=b)
 
     def __len__(self):
         return len(self.b_schedule)
@@ -179,7 +179,7 @@ def _ladder_windows(seq: WeightSequence, n: int, B: int, source=None):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class LimitLadder:
     """Per-index convergence record of a weight ladder.
 
@@ -275,7 +275,7 @@ def empirical_limit(seq: WeightSequence, n: int, B: int, source=None) -> LimitLa
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class SingularRankAudit:
     """Outcome of the necessary-condition check on a singular window.
 
@@ -328,16 +328,17 @@ def primitive_density_coeff(S, k: int) -> Fraction:
     induction on det(2T), with every plain coefficient supplied by
     local_density_coeff; rank(S) must be within its supported range.
     """
-    return _primitive_densities(minkowski_reduce(S), (k,))[0]
+    return _primitive_densities(S, (k,))[0]
 
 
 def _primitive_densities(S, weights) -> tuple:
-    """a*(S) at each of the weights for a canonical S: one walk of the
-    sublattice inversion, each plain coefficient a tuple over the weights."""
-    return primitive_inversion(lambda T: tuple(local_density_coeff(T, k) for k in weights))(S)
+    """a*(S) at each of the weights for a definite S: one walk of the
+    sublattice inversion, each plain coefficient a tuple over the weights,
+    taken at the form the walk reduced."""
+    return primitive_inversion(lambda R: tuple(local_density_coeff(R, k) for k in weights))(S)
 
 
-@dataclass(frozen=True)
+@record
 class DirectLadder:
     """Residue ladder of primitive rank-2k coefficients a*_{k_j(m)}(S)."""
 
@@ -368,14 +369,14 @@ def direct_limit_coefficient(S, target: WeightTarget, seq=None) -> DirectLadder:
     recovers by fitting; a lattice whose level does not divide p, or whose
     character differs from chi_p^j, must ladder to 0.
     """
-    S = minkowski_reduce(S)
-    if len(S) != 2 * target.k:
+    twoS = minkowski_reduce(S)
+    if len(twoS) != 2 * target.k:
         raise ValueError("S must have rank 2k")
     if seq is None:
         seq = default_sequence(target, 2)
     p = target.p
     weights = seq.weights
-    values = _primitive_densities(S, weights)
+    values = _primitive_densities(S, weights)  # from S, whose reduction is memoised
     caps = [b + 2 for b in seq.b_schedule]
     certs = tuple(
         min(v_p(b - a, p), caps[i])
@@ -384,7 +385,7 @@ def direct_limit_coefficient(S, target: WeightTarget, seq=None) -> DirectLadder:
     residues = tuple(
         (residue(v, p, c), c) for v, c in zip(values, caps)
     )
-    return DirectLadder(target, S, weights, values, certs, residues)
+    return DirectLadder(target, twoS, weights, values, certs, residues)
 
 
 # ---------------------------------------------------------------------------
@@ -392,7 +393,7 @@ def direct_limit_coefficient(S, target: WeightTarget, seq=None) -> DirectLadder:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class FitRung:
     m: int
     b: int
@@ -424,7 +425,7 @@ class FitRung:
         }
 
 
-@dataclass(frozen=True)
+@record
 class VerificationReport:
     mode: str
     target: WeightTarget

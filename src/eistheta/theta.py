@@ -8,7 +8,6 @@ trace window), so the support is enumerated exactly rather than boxed.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
@@ -30,6 +29,7 @@ from .lattice import (
     minkowski_reduce,
     short_vectors,
 )
+from .records import record
 
 
 def theta_series(twoS, n: int, trace_bound: int) -> QExpansion:
@@ -137,7 +137,7 @@ def genus_theta(G, n: int, trace_bound: int):
     return theta_avg, theta_zero
 
 
-@dataclass(frozen=True)
+@record
 class RankDecompositionReport:
     degree: int
     rank: int

@@ -35,7 +35,10 @@ Each one enumerates everything the package code prunes:
   kronecker(D, a) at every a, where exactnum calls it at primes only;
 - cohen_sum_by_divisors (with moebius): Cohen's rank-2 integer as two
   nested divisor sums, where exactnum.cohen_product takes one product
-  over the primes of f.
+  over the primes of f;
+- transform_by_adjugate: T[D^{-1}] as adj(D)^t (2T) adj(D) / det(D)^2
+  from 16 cofactor determinants at rank 4, where fourier solves two
+  triangular systems and refuses D at its first non-integral entry.
 """
 
 import math
@@ -69,7 +72,7 @@ from eistheta.lattice import (
     short_vectors,
     transform,
 )
-from eistheta.linalg import bareiss_det, column_reduce, echelon_mod
+from eistheta.linalg import adjugate, bareiss_det, column_reduce, echelon_mod
 from eistheta.localdensity import (
     _STABLE_MARGIN,
     _bins,
@@ -768,3 +771,17 @@ def cohen_H_factor(r: int, D0: int, f: int) -> int:
 def cohen_sum_by_divisors(r: int, D0: int, c: int, f: int) -> int:
     """sum_{d | c} d^r cohen_H_factor(r, D0, f / d)."""
     return sum(d**r * cohen_H_factor(r, D0, f // d) for d in divisors(c))
+
+
+def transform_by_adjugate(twoT, D):
+    """(D^{-1})^t (2T) D^{-1} when it lands in even integral matrices, else
+    None: D^{-1} = adj(D) / det(D), so the transform by adj(D) must be
+    divisible by det(D)^2."""
+    dd = math.prod(D[i][i] for i in range(len(D))) ** 2
+    X = transform(twoT, adjugate(D))
+    if any(x % dd for row in X for x in row):
+        return None
+    out = tuple(tuple(x // dd for x in row) for row in X)
+    if any(out[i][i] % 2 for i in range(len(out))):
+        return None
+    return out

@@ -133,17 +133,21 @@ def test_criterion_3_flagship_fit_and_verify(flagship_reports):
 
 def test_criterion_4_off_dictionary_ladders_vanish():
     t = WeightTarget(7, 2, 0)
-    seq = default_sequence(t, 2)
+    seq = default_sequence(t, 3)  # weights 44, 296 and 2060
     # level 3 does not divide 7; trivial character
     A2A2 = [[2, -1, 0, 0], [-1, 2, 0, 0], [0, 0, 2, -1], [0, 0, -1, 2]]
     # level 21 does not divide 7; character of conductor 21 with 7-part chi_7
     A2B7 = [[2, -1, 0, 0], [-1, 2, 0, 0], [0, 0, 2, 1], [0, 0, 1, 4]]
     ok = True
-    for S in (A2A2, A2B7):
-        d = direct_limit_coefficient(S, t, seq)
+    ladders = [direct_limit_coefficient(S, t, seq) for S in (A2A2, A2B7)]
+    for d in ladders:
         for m, (res, _) in enumerate(d.residues, start=1):
             ok = ok and res % 7**m == 0
-    conclude(4, "off-level and twisted-character coefficients vanish mod 7^m", ok)
+    ok = ok and [(d.certificates, d.residues) for d in ladders] == [
+        ((2, 3), ((245, 3), (1715, 4), (12005, 5))),
+        ((2, 3), ((196, 3), (1372, 4), (9604, 5))),
+    ]
+    conclude(4, "off-level and twisted-character coefficients vanish mod 7^m", ok, "m <= 3")
 
 
 def test_criterion_5_u_p_fixed_point(flagship_reports):

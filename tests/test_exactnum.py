@@ -476,6 +476,80 @@ def test_gen_bernoulli_reads_half_the_residues(monkeypatch):
         assert calls == primes_upto((abs(D) - 1) // 2), (n, D, calls)
 
 
+def euler_routed(monkeypatch):
+    """The (r, D) that dirichlet_L_neg sends to the Euler product, as they run."""
+    routed = []
+    real = exactnum._gen_bernoulli_euler
+
+    def spy(r, D):
+        b = real(r, D)
+        if b is not None:
+            routed.append((r, D))
+        return b
+
+    monkeypatch.setattr(exactnum, "_gen_bernoulli_euler", spy)
+    return routed
+
+
+def test_dirichlet_L_neg_matches_the_sweep(monkeypatch):
+    # both routes, every r <= 60 and every fundamental D with |D| <= 100:
+    # the product takes r >= 7 at D = -3, r >= 34 at D = 21 and no r at -95
+    routed = euler_routed(monkeypatch)
+    discs = [D for D in range(-100, 101) if D != 1 and is_fundamental_discriminant(D)]
+    for D in discs:
+        rows = gen_bernoulli_rows(range(D < 0, 61, 2), (D,))
+        for r in range(1, 61):
+            want = -rows[r][D] / r if (D < 0) == (r % 2 == 1) else 0
+            assert dirichlet_L_neg(r, D) == want, (r, D)
+    assert len(routed) == 333
+    assert (5, -3) not in routed and (7, -3) in routed
+    assert (32, 21) not in routed and (34, 21) in routed
+    assert not any(D == -95 for _, D in routed)
+    # the deep values of the direct ladder at weight 296
+    for r, D in ((294, 21), (295, -3), (295, -4)):
+        routed.clear()
+        assert dirichlet_L_neg(r, D) == -gen_bernoulli_rows((r,), (D,))[r][D] / r
+        assert routed == [(r, D)]
+
+
+@pytest.mark.slow
+def test_dirichlet_L_neg_matches_the_sweep_at_weight_2060(monkeypatch):
+    routed = euler_routed(monkeypatch)
+    assert dirichlet_L_neg(2058, 21) == -gen_bernoulli_rows((2058,), (21,))[2058][21] / 2058
+    assert routed == [(2058, 21)]
+
+
+def test_dirichlet_L_neg_takes_no_bernoulli_row_at_weight_296(monkeypatch):
+    # L(-293, chi_21) of the A2+B7 rung: no B_i of the sweep's row, and one
+    # kronecker(21, p) per Euler factor, at most 294 of them
+    want = -gen_bernoulli(294, 21) / 294
+    evaluated, calls = [], []
+    exact = exactnum._bernoulli_even.__wrapped__
+    monkeypatch.setattr(exactnum, "_bernoulli_even", lambda n: evaluated.append(n) or exact(n))
+    monkeypatch.setattr(exactnum, "kronecker", lambda a, n: calls.append(n) or kronecker(a, n))
+    assert dirichlet_L_neg(294, 21) == want
+    assert evaluated == [] and 0 < len(calls) <= 294
+
+
+def test_dirichlet_L_neg_gates_before_any_work(monkeypatch):
+    calls = []
+    monkeypatch.setattr(exactnum, "_gen_bernoulli_euler", lambda r, D: calls.append((r, D)))
+    monkeypatch.setattr(exactnum, "gen_bernoulli", lambda r, D: calls.append((r, D)))
+    for r, D in ((294, -3), (295, 21), (2, -4), (1, 5)):
+        assert dirichlet_L_neg(r, D) == 0  # chi(-1) != (-1)^r
+    for r, D in ((294, 9), (295, -12), (3, 0), (0, -3)):
+        with pytest.raises(ValueError):
+            dirichlet_L_neg(r, D)
+    assert calls == []
+
+
+def test_euler_product_runtime_check_catches_a_wrong_pi(monkeypatch):
+    real = exactnum._pi_fixed
+    monkeypatch.setattr(exactnum, "_pi_fixed", lambda w: real(w) + (1 << (w - 8)))
+    with pytest.raises(ArithmeticError, match="missed its bound"):
+        exactnum._gen_bernoulli_euler(294, 21)
+
+
 def test_character_signs_match_a_kronecker_call_per_residue():
     discs = [D for D in range(-1500, 1500) if D != 1 and is_fundamental_discriminant(D)]
     assert exactnum._character_signs(discs) == [character_signs_every_residue(D)

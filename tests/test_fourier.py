@@ -374,6 +374,27 @@ def test_transform_by_inverse_matches_fraction_oracle():
     assert (pairs, hits) == (1964, 594)
 
 
+
+def test_transform_by_inverse_matches_the_adjugate_route_at_rank_4():
+    # every Hermite form of det <= 9 against A2+A2, whose walk refuses
+    # every shape, a sublattice of D4 of index 2 and 8 I_4, which accept some
+    from eistheta.fourier import _hnf_matrices, _transform_by_inverse
+    from oracles import transform_by_adjugate
+
+    A2A2 = [[2, -1, 0, 0], [-1, 2, 0, 0], [0, 0, 2, -1], [0, 0, -1, 2]]
+    D4 = [[2, -1, 0, 0], [-1, 2, -1, -1], [0, -1, 2, 0], [0, -1, 0, 2]]
+    forms = [as_mat(A2A2), lattice.transform(D4, next(_hnf_matrices(4, 2))),
+             as_mat([[8 * (i == j) for j in range(4)] for i in range(4)])]
+    shapes = [D for d in range(2, 10) for D in _hnf_matrices(4, d)]
+    pairs = hits = 0
+    for T in forms:
+        for D in shapes:
+            want = transform_by_adjugate(T, D)
+            assert _transform_by_inverse(T, D) == want, (T, D)
+            pairs += 1
+            hits += want is not None
+    assert (len(shapes), pairs, hits) == (3971, 11913, 102)
+
 def test_dump_load_round_trip():
     F = theta_interval(9)
     doc = dump_qexp(F)

@@ -313,10 +313,48 @@ def test_direct_ladder_level7_class():
 
 def test_direct_ladder_vanishes_off_dictionary():
     t = WeightTarget(7, 2, 0)
+    residues = []
     for S in (A2A2, A2B7):
-        d = direct_limit_coefficient(S, t, default_sequence(t, 2))
+        d = direct_limit_coefficient(S, t, default_sequence(t, 3))
+        assert d.weights == (44, 296, 2060) and d.certificates == (2, 3)
         for m, (res, c) in enumerate(d.residues, start=1):
             assert res % 7 ** (m + 1) == 0, (S, m)
+        residues.append(d.residues)
+    assert residues == [((245, 3), (1715, 4), (12005, 5)), ((196, 3), (1372, 4), (9604, 5))]
+
+
+def test_direct_ladder_searches_each_canonical_form_once(monkeypatch):
+    # the walk hands local_density_coeff the very form it reduced, whose
+    # reduction is memoised, so the canonical form is not searched again
+    from eistheta import lattice
+
+    searched = []
+    real = lattice.short_vectors
+    monkeypatch.setattr(lattice, "short_vectors", lambda S, b: searched.append(S) or real(S, b))
+    lattice._canonical_definite.cache_clear()
+    t = WeightTarget(7, 2, 0)
+    U = [[1, 1, 0, 0], [0, 1, 0, 0], [0, -1, 1, 0], [1, 0, 1, 1]]
+    for S in (A2A2, A2B7):
+        direct_limit_coefficient(lattice.transform(S, U), t, default_sequence(t, 2))
+    assert len(searched) == 2
+
+
+def test_dual_route_evaluates_few_bernoulli_numbers(monkeypatch):
+    # the deep L-values of its direct ladders come from their Euler
+    # products, not from a row of B_i up to B_294 (150 of them before)
+    import functools
+    import importlib.util
+
+    evaluated = []
+    exact = exactnum._bernoulli_even.__wrapped__
+    monkeypatch.setattr(exactnum, "_bernoulli_even",
+                        functools.cache(lambda n: evaluated.append(n) or exact(n)))
+    path = pathlib.Path(__file__).parent.parent / "bench" / "dual_route.py"
+    spec = importlib.util.spec_from_file_location("dual_route", path)
+    dual_route = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(dual_route)
+    dual_route.run(1)
+    assert 0 < len(evaluated) <= 30
 
 
 def test_direct_ladder_walks_the_inversion_once_for_every_rung(monkeypatch):
