@@ -260,9 +260,8 @@ def _euler_round(n: int, A: int, f: int, D: int, t: int, M: int) -> int:
     * the Euler factor of each prime p with chi(p) = +-1: m -+ q with
       q = floor(m / D_p), where D_p >= p^n is ``_pow_up`` at the k bits
       the quotient needs, k = a - l + 4 + bitlen(n) for m < 2^a and
-      p^n >= 2^l, or p^n itself while l <= max(k, 4096), where the exact
-      power is the cheaper one.  Then 0 <= m / p^n - q < 2 (the excess of
-      D_p costs m / p^n 6n 2^-k < 1, the floor less than 1).  m starts at
+      p^n >= 2^l.  Then 0 <= m / p^n - q < 2 (the excess of D_p costs
+      m / p^n 6n 2^-k < 1, the floor less than 1).  m starts at
       2^(w-1) or more and stays above 2^(w-2), as the factors with
       chi(p) = 1 multiply to more than 1/zeta(2) > 1/2, so the error is
       < 2^(3-w) per prime, of either sign, at most M primes.  Once
@@ -291,8 +290,7 @@ def _euler_round(n: int, A: int, f: int, D: int, t: int, M: int) -> int:
             break
         c = kronecker(D, p)
         if c:
-            k = a - l + 4 + n.bit_length()
-            dm, de = (p**n, 0) if l <= max(k, 4096) else _pow_up(p, 0, n, k)
+            dm, de = _pow_up(p, 0, n, a - l + 4 + n.bit_length())
             m -= c * ((m >> de) // dm)
     num = A * math.isqrt(f << (2 * w)) << 3
     e += w
@@ -391,6 +389,15 @@ def _character_signs(Ds) -> list[tuple[list[int], list[int]]]:
     return out
 
 
+def _character_parity(D: int) -> int:
+    """1 if chi_D(-1) = -1, else 0, for a fundamental discriminant D, else
+    ValueError.  For D != 1, B_{n,chi_D} = 0 unless n has this parity
+    (``gen_bernoulli_rows``)."""
+    if not is_fundamental_discriminant(D):
+        raise ValueError(f"{D} is not a fundamental discriminant")
+    return int(D < 0)
+
+
 def gen_bernoulli_rows(ns, Ds) -> dict[int, dict[int, Fraction]]:
     """{n: {D: B_{n,chi_D}}} for indices n of one parity and the characters
     kronecker(D, .) of the given D.
@@ -429,11 +436,8 @@ def gen_bernoulli_rows(ns, Ds) -> dict[int, dict[int, Fraction]]:
     if len({n % 2 for n in ns}) > 1:
         raise ValueError("gen_bernoulli_rows needs indices of one parity")
     Ds = list(dict.fromkeys(Ds))
-    for D in Ds:
-        if not is_fundamental_discriminant(D):
-            raise ValueError(f"{D} is not a fundamental discriminant")
-    odd = bool(ns) and ns[0] % 2 == 1
-    live = [D for D in Ds if D != 1 and (D < 0) == odd]  # chi(-1) = (-1)^n
+    parity = ns[0] % 2 if ns else 0
+    live = [D for D in Ds if _character_parity(D) == parity and D != 1]  # checks every D
     fs = [abs(D) for D in live]
     signs = _character_signs(live)  # per D: the a - 1 with chi(a) = 1, and with -1
     bases = range(1, (max(fs, default=1) + 1) // 2)
@@ -449,7 +453,7 @@ def gen_bernoulli_rows(ns, Ds) -> dict[int, dict[int, Fraction]]:
         for D in Ds:
             if D == 1:
                 out[D] = Fraction(1, 2) if n == 1 else bernoulli(n)
-            elif (D < 0) != odd:
+            elif D not in live:
                 out[D] = Fraction(0)
     if not live:
         return rows
@@ -515,16 +519,14 @@ def _gen_bernoulli_euler(r: int, D: int) -> Fraction | None:
 
 def dirichlet_L_neg(r: int, D: int) -> Fraction:
     """L(1-r, chi_D) = -B_{r,chi_D} / r for a fundamental discriminant D
-    (D = 1 means zeta).  After the gates of ``gen_bernoulli_rows`` (D
+    (D = 1 means zeta).  After the gates of ``_character_parity`` (D
     fundamental, and 0 when chi(-1) != (-1)^r) a nontrivial character
     takes the Euler product of ``_gen_bernoulli_euler`` when it has at most
     r factors, and the sweep of ``gen_bernoulli`` otherwise."""
     if r < 1:
         raise ValueError("need r >= 1")
     if D != 1:
-        if not is_fundamental_discriminant(D):
-            raise ValueError(f"{D} is not a fundamental discriminant")
-        if (D < 0) != (r % 2 == 1):
+        if _character_parity(D) != r % 2:
             return Fraction(0)
         b = _gen_bernoulli_euler(r, D)
         if b is not None:
@@ -570,10 +572,9 @@ def kummer_residues(p: int, Ds, ns, prec: int, max_terms: int) -> dict:
     Ds = list(dict.fromkeys(Ds))
     ns = list(dict.fromkeys(ns))
     for D in Ds:
-        if not is_fundamental_discriminant(D):
-            raise ValueError(f"{D} is not a fundamental discriminant")
+        parity = _character_parity(D)
         for n in ns:
-            if n < 2 or (D < 0) != (n % 2 == 1):
+            if n < 2 or n % 2 != parity:
                 raise ValueError(f"B_{{{n},{D}}} / {n} is not a Kummer value")
     star = p if p % 4 == 1 else -p
     out = {}

@@ -31,16 +31,22 @@ def _ne(self, other):
 def record(cls):
     """Class decorator: cls as a frozen record of the fields it annotates.
 
-    A field's default is the value the body assigns it.  When the body
-    defines ``__post_init__``, every construction calls it, looked up on
-    the class at that time: it checks the fields and returns None, or
-    returns the record to keep instead (one made by ``_replace``).  Methods
-    of the body must not call ``super()``: they move to a new class.
+    A field's default is the value the body assigns it, and as in a
+    dataclass a field without one may not follow a field with one
+    (TypeError).  When the body defines ``__post_init__``, every
+    construction calls it, looked up on the class at that time: it checks
+    the fields and returns None, or returns the record to keep instead (one
+    made by ``_replace``).  ``_replace`` itself builds by ``_make`` and
+    checks nothing, so it is for ``__post_init__`` alone.  Methods of the
+    body must not call ``super()``: they move to a new class.
     """
     own = vars(cls)
     fields = tuple(cls.__annotations__)
-    base = namedtuple(cls.__name__, fields, defaults=[own[f] for f in fields if f in own],
-                      module=cls.__module__)
+    defaults = [own[f] for f in fields if f in own]
+    for f in fields[len(fields) - len(defaults):]:
+        if f not in own:
+            raise TypeError(f"non-default field {f!r} of {cls.__name__} follows a default")
+    base = namedtuple(cls.__name__, fields, defaults=defaults, module=cls.__module__)
     body = {k: v for k, v in own.items() if k not in fields + ("__dict__", "__weakref__")}
     body.update(__slots__=(), __eq__=_eq, __ne__=_ne, __hash__=tuple.__hash__,
                 _make=classmethod(tuple.__new__))  # so that a record's own __len__ spares _replace

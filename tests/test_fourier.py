@@ -374,7 +374,6 @@ def test_transform_by_inverse_matches_fraction_oracle():
     assert (pairs, hits) == (1964, 594)
 
 
-
 def test_transform_by_inverse_matches_the_adjugate_route_at_rank_4():
     # every Hermite form of det <= 9 against A2+A2, whose walk refuses
     # every shape, a sublattice of D4 of index 2 and 8 I_4, which accept some
@@ -394,6 +393,7 @@ def test_transform_by_inverse_matches_the_adjugate_route_at_rank_4():
             pairs += 1
             hits += want is not None
     assert (len(shapes), pairs, hits) == (3971, 11913, 102)
+
 
 def test_dump_load_round_trip():
     F = theta_interval(9)

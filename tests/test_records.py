@@ -36,6 +36,15 @@ def test_record_fields_defaults_and_repr():
     assert CongruenceResult(True) == CongruenceResult(True, None)
 
 
+def test_a_field_without_default_may_not_follow_one_with_a_default():
+    with pytest.raises(TypeError, match="'c' of Bad follows a default"):
+        @record
+        class Bad:
+            a: int
+            b: int = 0
+            c: int
+
+
 def test_record_equals_only_its_own_class():
     t = WeightTarget(7, 2, 0)
     assert t == WeightTarget(7, 2, 0) and not t != WeightTarget(7, 2, 0)
