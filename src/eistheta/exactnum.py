@@ -428,25 +428,17 @@ def gen_bernoulli_rows(ns, Ds) -> dict[int, dict[int, Fraction]]:
     with chi(a) = 1 and chi(a) = -1 (``_character_signs``), and takes T_{n-i}
     as the sum of the vector over the first minus that over the second:
     the very terms chi(a) a^(n-i) of its own sum, added in another order.
-    One upward sweep of j = n - i serves every n of the given parity.
+    One upward sweep of j = n - i serves every n of the given parity
+    (``_gen_bernoulli_sweep``).
     """
-    ns = list(dict.fromkeys(ns))
+    ns, Ds = list(dict.fromkeys(ns)), list(dict.fromkeys(Ds))
+    check_integers("Bernoulli indices and discriminants must be integers", *ns, *Ds)
     if any(n < 0 for n in ns):
         raise ValueError("Bernoulli index must be >= 0")
     if len({n % 2 for n in ns}) > 1:
         raise ValueError("gen_bernoulli_rows needs indices of one parity")
-    Ds = list(dict.fromkeys(Ds))
     parity = ns[0] % 2 if ns else 0
     live = [D for D in Ds if _character_parity(D) == parity and D != 1]  # checks every D
-    fs = [abs(D) for D in live]
-    signs = _character_signs(live)  # per D: the a - 1 with chi(a) = 1, and with -1
-    bases = range(1, (max(fs, default=1) + 1) // 2)
-    squares = [a * a for a in bases]
-
-    def power_sums(vec):  # T for each live D, from a shared vector of a^m
-        get = vec.__getitem__
-        return [sum(map(get, pos)) - sum(map(get, neg)) for pos, neg in signs]
-
     rows = {}
     for n in ns:
         out = rows[n] = {}
@@ -455,14 +447,31 @@ def gen_bernoulli_rows(ns, Ds) -> dict[int, dict[int, Fraction]]:
                 out[D] = Fraction(1, 2) if n == 1 else bernoulli(n)
             elif D not in live:
                 out[D] = Fraction(0)
-    if not live:
-        return rows
+    if live:
+        for n, row in _gen_bernoulli_sweep(ns, live).items():
+            rows[n].update(row)
+    return rows
+
+
+def _gen_bernoulli_sweep(ns, Ds) -> dict[int, dict[int, Fraction]]:
+    """{n: {D: B_{n,chi_D}}} by the sweep of ``gen_bernoulli_rows``, for
+    indices n of one parity and D != 1 fundamental with chi_D(-1) = (-1)^n,
+    which the caller has checked."""
+    fs = [abs(D) for D in Ds]
+    signs = _character_signs(Ds)  # per D: the a - 1 with chi(a) = 1, and with -1
+    bases = range(1, (max(fs) + 1) // 2)
+    squares = [a * a for a in bases]
+
+    def power_sums(vec):  # T for each D, from a shared vector of a^m
+        get = vec.__getitem__
+        return [sum(map(get, pos)) - sum(map(get, neg)) for pos, neg in signs]
+
     # One sweep of j = n - i upwards serves every n: the Horner sum of n
     # takes T_j at step j while j <= n, and ends at j = n.
     top = max(ns)
     bs = [bernoulli(i) for i in range(0, top + 1, 2)]
     L = math.lcm(2, *(b.denominator for b in bs))
-    accs = {n: [0] * len(live) for n in ns}
+    accs = {n: [0] * len(Ds) for n in ns}
     powers = [a ** (top % 2) for a in bases]  # a^j
     for j in range(top % 2, top + 1, 2):
         T = power_sums(powers)
@@ -476,9 +485,8 @@ def gen_bernoulli_rows(ns, Ds) -> dict[int, dict[int, Fraction]]:
             accs[j] = [x - L // 2 * j * f * t for x, f, t in zip(accs[j], fs, T1)]
         if j < top:
             powers = list(map(operator.mul, powers, squares))
-    for n, acc in accs.items():
-        rows[n].update((D, Fraction(2 * x, L * f)) for D, x, f in zip(live, acc, fs))
-    return rows
+    return {n: {D: Fraction(2 * x, L * f) for D, x, f in zip(Ds, acc, fs)}
+            for n, acc in accs.items()}
 
 
 def gen_bernoulli(n: int, D: int) -> Fraction:
@@ -519,19 +527,22 @@ def _gen_bernoulli_euler(r: int, D: int) -> Fraction | None:
 
 def dirichlet_L_neg(r: int, D: int) -> Fraction:
     """L(1-r, chi_D) = -B_{r,chi_D} / r for a fundamental discriminant D
-    (D = 1 means zeta).  After the gates of ``_character_parity`` (D
-    fundamental, and 0 when chi(-1) != (-1)^r) a nontrivial character
-    takes the Euler product of ``_gen_bernoulli_euler`` when it has at most
-    r factors, and the sweep of ``gen_bernoulli`` otherwise."""
+    (D = 1 means zeta, from ``gen_bernoulli``).  After the gates of
+    ``_character_parity`` (D fundamental, and 0 when chi(-1) != (-1)^r), run
+    once, a nontrivial character takes the Euler product of
+    ``_gen_bernoulli_euler`` when it has at most r factors, and
+    ``_gen_bernoulli_sweep`` otherwise."""
+    check_integers("L(1 - r, chi_D) needs integers r and D", r, D)
     if r < 1:
         raise ValueError("need r >= 1")
-    if D != 1:
-        if _character_parity(D) != r % 2:
-            return Fraction(0)
-        b = _gen_bernoulli_euler(r, D)
-        if b is not None:
-            return -b / r
-    return -gen_bernoulli(r, D) / r
+    if D == 1:
+        return -gen_bernoulli(r, D) / r
+    if _character_parity(D) != r % 2:
+        return Fraction(0)
+    b = _gen_bernoulli_euler(r, D)
+    if b is None:
+        b = _gen_bernoulli_sweep((r,), (D,))[r][D]
+    return -b / r
 
 
 def kummer_residues(p: int, Ds, ns, prec: int, max_terms: int) -> dict:
@@ -567,10 +578,11 @@ def kummer_residues(p: int, Ds, ns, prec: int, max_terms: int) -> dict:
     some Delta^i h(0) with i < N is not 0 mod p^i: the last two are the
     runtime checks of the proof.
     """
-    if not 1 <= prec <= max_terms:
-        raise ValueError("need 1 <= prec <= max_terms")
     Ds = list(dict.fromkeys(Ds))
     ns = list(dict.fromkeys(ns))
+    check_integers("kummer_residues needs integers", p, prec, max_terms, *Ds, *ns)
+    if not 1 <= prec <= max_terms:
+        raise ValueError("need 1 <= prec <= max_terms")
     for D in Ds:
         parity = _character_parity(D)
         for n in ns:

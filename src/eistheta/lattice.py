@@ -593,8 +593,7 @@ def _shape_walk(k: int, fits):
     return rec(0)
 
 
-def enumerate_classes(r: int, level_divides: int, det_bound: int | None = None,
-                      bound_multiplier: int = 1):
+def enumerate_classes(r: int, level_divides: int, det_bound: int | None = None):
     """All GL_r(Z)-classes of positive definite even-diagonal forms with
     level dividing `level_divides`, as canonical doubled Gram matrices.
 
@@ -614,18 +613,15 @@ def enumerate_classes(r: int, level_divides: int, det_bound: int | None = None,
     product is at most gamma_r^r det(2S).  In the last column
     [[A, b], [b^t, d]], d = (t + b^t adj(A) b)/det(A) is solved from each
     admissible determinant t instead of scanned.  Candidates are then
-    filtered by level and deduplicated by isometry.
-    `bound_multiplier` widens the search cap (used by the completeness
-    regression); `det_bound` optionally caps det(2S).
+    filtered by level and deduplicated by isometry.  `det_bound`
+    optionally caps det(2S).
     """
     check_integers("rank, level and bounds must be integers", r, level_divides,
-                   bound_multiplier, 1 if det_bound is None else det_bound)
+                   1 if det_bound is None else det_bound)
     if r <= 0 or r % 2 or r > 4:
         raise ValueError("rank must be 2 or 4 at desk scale")
     if level_divides <= 0:
         raise ValueError("level must be positive")
-    if bound_multiplier < 1:
-        raise ValueError("bound multiplier must be >= 1")
     if det_bound is not None and det_bound < 1:
         raise ValueError("det bound must be positive")
     Lr = level_divides**r
@@ -640,7 +636,7 @@ def enumerate_classes(r: int, level_divides: int, det_bound: int | None = None,
     if not targets:
         return []
     tmax = max(targets)
-    cap = int(_GAMMA_POW[r] * tmax * bound_multiplier)
+    cap = int(_GAMMA_POW[r] * tmax)
 
     buckets: dict[tuple[int, int], list[Mat]] = {}
 

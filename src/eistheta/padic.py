@@ -28,7 +28,6 @@ from .fourier import (
     mod_pm_singular_rank,
     primitive_inversion,
     qexp_scale,
-    u_p,
 )
 from .genus import cached_genera, genera_to_doc
 from .lattice import form_disc, form_trace, minkowski_reduce
@@ -362,7 +361,7 @@ class DirectLadder:
         }
 
 
-def direct_limit_coefficient(S, target: WeightTarget, seq=None) -> DirectLadder:
+def direct_limit_coefficient(S, target: WeightTarget, seq: WeightSequence) -> DirectLadder:
     """Ladder of a*_{k_j(m)}(S) for a rank-2k index S.
 
     The limit of this ladder is the genus coefficient that fit_and_verify
@@ -372,8 +371,6 @@ def direct_limit_coefficient(S, target: WeightTarget, seq=None) -> DirectLadder:
     twoS = minkowski_reduce(S)
     if len(twoS) != 2 * target.k:
         raise ValueError("S must have rank 2k")
-    if seq is None:
-        seq = default_sequence(target, 2)
     p = target.p
     weights = seq.weights
     values = _primitive_densities(S, weights)  # from S, whose reduction is memoised
@@ -474,15 +471,6 @@ def _select_training(indices, columns, n_unknowns, p):
     return [indices[j] for j in pivots]
 
 
-def _solve_mod(rows, rhs, p, c):
-    """Solve a square integer system with a mod-p invertible matrix over Z/p^c."""
-    n = len(rows)
-    aug, pivots = echelon_mod([[*row, b] for row, b in zip(rows, rhs)], p, c)
-    if pivots != list(range(n)):
-        raise PipelineError("fit", "training system is singular mod p")
-    return tuple(aug[i][n] for i in range(n))
-
-
 def fit_and_verify(
     seq: WeightSequence,
     n: int,
@@ -498,11 +486,13 @@ def fit_and_verify(
     dividing p, character chi_p^j), read from the genus cache and
     revalidated on every call.  Windows and dictionary columns enter as
     integers mod p^cap, cap = b_last + 2, each cleared by its own nu
-    (``_cleared``) so that the training pivots stay p-units.  Coefficients
-    are solved for on the smallest-trace unisolvent training indices over
-    Z/p^{b(m)+2} and the congruence is then measured on every held-out
-    index; a rung passes when the worst held-out exponent reaches b(m) and
-    the coefficients are coherent with the previous rung.  source(seq, n, B)
+    (``_cleared``) so that the training pivots stay p-units, and nothing
+    after that reads anything else.  Coefficients are solved for on the
+    smallest-trace unisolvent training indices, every rung by one
+    elimination mod p^cap read mod p^{b(m)+2}, and the congruence is then
+    measured on every held-out index; a rung passes when the worst held-out
+    exponent reaches b(m), the coefficients are coherent with the previous
+    rung and the singular-rank audit holds.  source(seq, n, B)
     gives one window per rung, by default the residue windows of
     ``eisenstein_residues``.
     """
@@ -537,19 +527,9 @@ def fit_and_verify(
         thetas = [genus_theta(g, n, B)[1] for g in genera]  # unnormalized sums
     except Exception as exc:
         raise PipelineError("theta", str(exc)) from exc
-    # U(p) is linear, so the fitted sum's defect U(p)F - F is the same
-    # combination of the columns' defects; a defect's values are
-    # differences of its column's values, so clearing them together
-    # leaves the columns' nu as it is
-    defects = []
-    for F in thetas:
-        U = u_p(F, p)
-        keys = set(U.coeffs) | {T for T in F.coeffs if form_trace(T) <= U.trace_bound}
-        defects.append({T: U.coeffs.get(T, 0) - F.coeffs.get(T, 0) for T in keys})
     rungs, nu_w, windows = _ladder_windows(seq, n, B, source)
-    nu_c, cleared = _cleared([F.coeffs for F in thetas] + defects, p,
-                             seq.b_schedule[-1] + 2)
-    columns, defects = cleared[: len(thetas)], cleared[len(thetas):]
+    cap = seq.b_schedule[-1] + 2
+    nu_c, columns = _cleared([F.coeffs for F in thetas], p, cap)
     indices = sorted(set().union(*windows, *columns), key=lambda T: (form_trace(T), T))
     train = _select_training(indices, columns, len(genera), p)
     held_out = [T for T in indices if T not in train]
@@ -557,28 +537,36 @@ def fit_and_verify(
         raise PipelineError("fit", f"the window has {len(indices)} indices and the "
                                    f"{len(genera)} genus coefficients train on all of "
                                    "them, so none is held out; enlarge the window")
-    u_keys = set().union(*defects)
+    # U(p) is linear, so the fitted sum's defect U(p)F - F at T, tr T <= B/p,
+    # is its own a(pT) - a(T): pT is canonical when T is, and where either
+    # value is nonzero, T or pT is an index
+    u_keys = {T for T in indices if form_trace(T) * p <= B} | {
+        tuple(tuple(x // p for x in row) for row in T)
+        for T in indices if not any(x % p for row in T for x in row)}
+    u_pairs = [(tuple(tuple(p * x for x in row) for row in T), T) for T in u_keys]
+    # the training rows are invertible mod p, so one elimination mod p^cap
+    # solves every rung, and each rung reads its solution mod its own p^c
+    t = len(train)
+    solved, _ = echelon_mod(
+        [[*(col.get(T, 0) for col in columns), *(W.get(T, 0) for W in windows)] for T in train],
+        p, cap)
 
-    def fitted(a_tilde, cols, T):
-        return sum(a * col.get(T, 0) for a, col in zip(a_tilde, cols))
+    def fitted(a_tilde, T):
+        return sum(a * col.get(T, 0) for a, col in zip(a_tilde, columns))
 
     fits = []
     prev = None
     for m, (b, k_m, F, W) in enumerate(zip(seq.b_schedule, seq.weights, rungs, windows), 1):
         c = b + 2
         P = p**c
-        a_tilde = _solve_mod(
-            [[col.get(T, 0) for col in columns] for T in train],
-            [W.get(T, 0) for T in train],
-            p,
-            c,
-        )
+        a_tilde = tuple(row[t + m - 1] % P for row in solved)
         worst, witness = c, None
         for T in held_out:
-            val = min(v_p((W.get(T, 0) - fitted(a_tilde, columns, T)) % P, p), c)
+            val = min(v_p((W.get(T, 0) - fitted(a_tilde, T)) % P, p), c)
             if val < worst:
                 worst, witness = val, T
-        u_exp = min([c, *(v_p(fitted(a_tilde, defects, T) % P, p) for T in u_keys)])
+        u_exp = min([c, *(v_p((fitted(a_tilde, pT) - fitted(a_tilde, T)) % P, p)
+                          for pT, T in u_pairs)])
         if prev is None:
             coh = None
             coherent = True

@@ -247,7 +247,6 @@ INTEGER_INPUTS = {
     "enumerate_classes level": lambda x: enumerate_classes(2, x),
     "build_genera level": lambda x: build_genera(2, x),
     "enumerate_classes det bound": lambda x: enumerate_classes(2, 12, det_bound=x),
-    "enumerate_classes bound multiplier": lambda x: enumerate_classes(2, 7, bound_multiplier=x),
     "divisors": divisors,
     "sigma": lambda x: sigma(1, x),
     "sigma exponent": lambda x: sigma(x, 6),
@@ -258,6 +257,15 @@ INTEGER_INPUTS = {
     "cohen_H N": lambda x: cohen_H(2, x),
     "bernoulli": bernoulli,
     "zeta_neg": zeta_neg,
+    "gen_bernoulli index": lambda x: gen_bernoulli(x, -3),
+    "gen_bernoulli discriminant": lambda x: gen_bernoulli(3, x),
+    "gen_bernoulli_rows index": lambda x: gen_bernoulli_rows([x], [-3]),
+    "gen_bernoulli_rows discriminant": lambda x: gen_bernoulli_rows([3], [x]),
+    "dirichlet_L_neg r": lambda x: dirichlet_L_neg(x, -3),
+    "dirichlet_L_neg D": lambda x: dirichlet_L_neg(3, x),
+    "kummer_residues discriminant": lambda x: kummer_residues(7, [x], [3], 2, 22),
+    "kummer_residues index": lambda x: kummer_residues(7, [-3], [x], 2, 22),
+    "kummer_residues precision": lambda x: kummer_residues(7, [-3], [3], x, 22),
 }
 
 
@@ -541,6 +549,15 @@ def test_dirichlet_L_neg_gates_before_any_work(monkeypatch):
         with pytest.raises(ValueError):
             dirichlet_L_neg(r, D)
     assert calls == []
+
+
+def test_dirichlet_L_neg_gates_D_once_on_the_sweep(monkeypatch):
+    # (5, -3) has more Euler factors than 5, so it is swept
+    routed, calls = euler_routed(monkeypatch), []
+    monkeypatch.setattr(exactnum, "is_fundamental_discriminant",
+                        lambda D: calls.append(D) or is_fundamental_discriminant(D))
+    assert dirichlet_L_neg(5, -3) == -gen_bernoulli_fraction(5, -3) / 5
+    assert routed == [] and calls == [-3]
 
 
 def test_euler_product_runtime_check_catches_a_wrong_pi(monkeypatch):

@@ -92,6 +92,15 @@ def test_padic_derives_no_genus_invariant():
     assert not found & banned, f"padic.py imports {sorted(found & banned)}"
 
 
+def test_padic_takes_u_p_from_its_cleared_integers():
+    # the fit reads each column's U(p) defect a(pT) - a(T) off the integer
+    # columns, so no Fraction expansion goes through fourier.u_p
+    path = os.path.join(os.path.dirname(eistheta.__file__), "padic.py")
+    with open(path) as fh:
+        found = imported_names(fh.read())
+    assert "u_p" not in found, "padic.py imports u_p"
+
+
 def names_used(source):
     """Every identifier source names: Name ids, attributes and imported names."""
     return {getattr(node, "id", None) or getattr(node, "attr", None)

@@ -789,20 +789,14 @@ def test_enumerate_classes_examples():
         enumerate_classes(3, 7)
 
 
-def test_enumerate_classes_doubling_stability():
-    # rank 4 checks the product bound that a cold level-7 ladder run reads
-    for r, p in ((2, 3), (2, 5), (2, 7), (4, 7), (4, 13)):
-        base = enumerate_classes(r, p)
-        wide = enumerate_classes(r, p, bound_multiplier=2)
-        assert base == wide
-
-
-@pytest.mark.parametrize("m", [0, -1])
-def test_enumerate_classes_refuses_a_narrowing_multiplier(m):
-    # a multiplier below 1 would shrink the search cap and lose classes
-    assert enumerate_classes(2, 7)
-    with pytest.raises(ValueError, match="bound multiplier"):
-        enumerate_classes(2, 7, bound_multiplier=m)
+def test_enumerate_classes_doubling_stability(monkeypatch):
+    # rank 4 checks the product bound that a cold level-7 ladder run reads;
+    # doubling gamma_r^r doubles the search cap gamma_r^r t_max
+    cases = ((2, 3), (2, 5), (2, 7), (4, 7), (4, 13))
+    base = [enumerate_classes(r, p) for r, p in cases]
+    monkeypatch.setattr(lattice_module, "_GAMMA_POW",
+                        {r: 2 * g for r, g in lattice_module._GAMMA_POW.items()})
+    assert [enumerate_classes(r, p) for r, p in cases] == base
 
 
 def test_enumerate_classes_pairwise_inequivalent():

@@ -377,7 +377,7 @@ def test_direct_ladder_walks_the_inversion_once_for_every_rung(monkeypatch):
 def test_direct_ladder_rejects_wrong_rank():
     t = WeightTarget(7, 2, 0)
     with pytest.raises(ValueError):
-        direct_limit_coefficient([[2, -1], [-1, 2]], t)
+        direct_limit_coefficient([[2, -1], [-1, 2]], t, default_sequence(t, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -409,6 +409,20 @@ def test_fit_and_verify_degree2():
         assert r.a_tilde == (32,)
         assert r.residual_exponent == r.b + 1
         assert r.u_p_exponent == r.c
+
+
+def test_one_elimination_solves_every_rung(monkeypatch):
+    # the training rows are invertible mod p, so the fit eliminates once to
+    # pick them and once mod p^cap for all its rungs, whatever their count
+    calls = []
+    monkeypatch.setattr(padic, "echelon_mod", lambda *a: calls.append(a) or echelon_mod(*a))
+    t = WeightTarget(7, 2, 0)
+    counts = []
+    for m in (2, 3, 4):
+        calls.clear()
+        assert fit_and_verify(default_sequence(t, m), 1, 30).passed
+        counts.append(len(calls))
+    assert counts == [2, 2, 2]
 
 
 def test_fit_fixed_point_matches_direct_ladder():
