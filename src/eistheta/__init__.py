@@ -3,113 +3,76 @@
 The package works with positive semidefinite half-integral symmetric
 matrices stored through their doubled (integral) Gram matrices, and keeps
 every computation in exact rational arithmetic.
+
+``import eistheta`` loads no submodule.  Each exported name is looked up
+in the submodule that defines it on first use (PEP 562), so a run compiles
+only the modules it calls: the dual-route check never loads ``genus``,
+``theta`` or ``padic``.  Nothing is cached here, so ``eistheta.f`` is
+always the defining module's current binding of ``f``.
 """
 
-from __future__ import annotations
-
-from .eisenstein import eisenstein_qexp
-from .exactnum import cohen_H
-from .fourier import (
-    QExpansion,
-    check_weight_rank_congruence,
-    coeff,
-    congruent_mod,
-    dump_qexp,
-    load_qexp,
-    mod_pm_singular_rank,
-    phi_restrict,
-    primitive_coeffs,
-    qexp_add,
-    qexp_scale,
-    rank_filter,
-    u_p,
-)
-from .genus import (
-    ClassRecord,
-    GenusRecord,
-    build_genera,
-    cached_genera,
-    same_genus,
-)
-from .lattice import (
-    automorphism_count,
-    chi_S,
-    enumerate_classes,
-    eta_S,
-    form_rank,
-    is_equivalent,
-    level,
-    minkowski_reduce,
-    short_vectors,
-)
-from .localdensity import local_density_coeff
-from .padic import (
-    DirectLadder,
-    FitRung,
-    LimitLadder,
-    PipelineError,
-    SingularRankAudit,
-    VerificationReport,
-    WeightSequence,
-    WeightTarget,
-    default_sequence,
-    direct_limit_coefficient,
-    empirical_limit,
-    fit_and_verify,
-    primitive_density_coeff,
-    singular_rank_audit,
-)
-from .theta import genus_theta, theta_series, verify_rank_decomposition
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "QExpansion",
-    "coeff",
-    "qexp_add",
-    "qexp_scale",
-    "congruent_mod",
-    "rank_filter",
-    "u_p",
-    "phi_restrict",
-    "primitive_coeffs",
-    "mod_pm_singular_rank",
-    "check_weight_rank_congruence",
-    "dump_qexp",
-    "load_qexp",
-    "level",
-    "chi_S",
-    "eta_S",
-    "short_vectors",
-    "minkowski_reduce",
-    "form_rank",
-    "is_equivalent",
-    "automorphism_count",
-    "enumerate_classes",
-    "ClassRecord",
-    "GenusRecord",
-    "same_genus",
-    "build_genera",
-    "cached_genera",
-    "theta_series",
-    "genus_theta",
-    "verify_rank_decomposition",
-    "eisenstein_qexp",
-    "cohen_H",
-    "local_density_coeff",
-    "WeightTarget",
-    "WeightSequence",
-    "default_sequence",
-    "LimitLadder",
-    "empirical_limit",
-    "SingularRankAudit",
-    "singular_rank_audit",
-    "primitive_density_coeff",
-    "DirectLadder",
-    "direct_limit_coefficient",
-    "FitRung",
-    "VerificationReport",
-    "fit_and_verify",
-    "PipelineError",
-    "__version__",
-]
+# each exported name under the submodule that defines it
+_EXPORTS = {
+    "fourier": (
+        "QExpansion",
+        "coeff",
+        "qexp_add",
+        "qexp_scale",
+        "rank_filter",
+        "u_p",
+        "primitive_coeffs",
+        "mod_pm_singular_rank",
+        "check_weight_rank_congruence",
+        "dump_qexp",
+        "load_qexp",
+    ),
+    "lattice": (
+        "level",
+        "chi_S",
+        "eta_S",
+        "short_vectors",
+        "minkowski_reduce",
+        "form_rank",
+        "is_equivalent",
+        "automorphism_count",
+        "enumerate_classes",
+    ),
+    "genus": ("ClassRecord", "GenusRecord", "same_genus", "build_genera", "cached_genera"),
+    "theta": ("theta_series", "genus_theta"),
+    "exactnum": ("cohen_H",),
+    "eisenstein": ("eisenstein_qexp", "WeightTarget", "WeightSequence", "default_sequence"),
+    "localdensity": (
+        "local_density_coeff",
+        "primitive_density_coeff",
+        "DirectLadder",
+        "direct_limit_coefficient",
+    ),
+    "padic": (
+        "LimitLadder",
+        "empirical_limit",
+        "SingularRankAudit",
+        "singular_rank_audit",
+        "FitRung",
+        "VerificationReport",
+        "fit_and_verify",
+        "PipelineError",
+    ),
+}
+_OWNER = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = [*_OWNER, "__version__"]
+
+
+def __getattr__(name):
+    module = _OWNER.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{module}", __name__), name)
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

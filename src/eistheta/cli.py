@@ -20,7 +20,7 @@ import json
 import sys
 
 from .fourier import dump_qexp, load_qexp, mod_pm_singular_rank
-from .eisenstein import eisenstein_qexp
+from .eisenstein import WeightSequence, WeightTarget, default_sequence, eisenstein_qexp
 from .genus import (
     build_genera,
     cached_genera,
@@ -36,15 +36,7 @@ from .lattice import (
     level as form_level,
     minkowski_reduce,
 )
-from .padic import (
-    PipelineError,
-    WeightSequence,
-    WeightTarget,
-    default_sequence,
-    empirical_limit,
-    fit_and_verify,
-    singular_rank_audit,
-)
+from .padic import PipelineError, empirical_limit, fit_and_verify, singular_rank_audit
 from .theta import genus_theta, theta_series
 
 __all__ = ["main"]

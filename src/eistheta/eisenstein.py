@@ -24,6 +24,10 @@ the L-values of a window from one ``gen_bernoulli_rows`` row.
 instead: each coefficient as p^v u with v its exact valuation and u a unit
 residue, with every L-value taken by the Kummer congruences
 (``kummer_residues``) and every divisor sum mod p^N.
+
+The weight ladders k_j(m) = k + a_j p^b(m) that both routes feed are
+declared here too, beside ``check_weights``: ``WeightTarget``,
+``WeightSequence`` and ``default_sequence``.
 """
 
 from __future__ import annotations
@@ -36,6 +40,7 @@ from .exactnum import (
     cohen_primes,
     cohen_product,
     gen_bernoulli_rows,
+    is_prime,
     kummer_residues,
     sigma,
     v_p,
@@ -44,8 +49,16 @@ from .exactnum import (
 from .fourier import QExpansion, _from_checked
 from .lattice import check_window, content, enumerate_psd_indices, form_disc
 from .linalg import bareiss_det
+from .records import record
 
-__all__ = ["check_weights", "eisenstein_qexp", "eisenstein_residues"]
+__all__ = [
+    "check_weights",
+    "WeightTarget",
+    "WeightSequence",
+    "default_sequence",
+    "eisenstein_qexp",
+    "eisenstein_residues",
+]
 
 # The most digits a unit part may lose to its valuation: past it a window
 # gives up with ArithmeticError rather than guess.
@@ -62,6 +75,78 @@ def check_weights(weights, n: int, B: int) -> None:
     for k in weights:
         if k % 2 or k <= n + 1:
             raise ValueError(f"weight must be even and > {n + 1}, got {k}")
+
+
+@record
+class WeightTarget:
+    """Limit weight (k, j) at the odd prime p.
+
+    j = 0 aims at the pair (k, k) and needs k even; j = 1 aims at
+    (k, k + (p-1)/2) and needs k = (p-1)/2 mod 2 so that every rung
+    k_j(m) is an even weight.
+    """
+
+    p: int
+    k: int
+    j: int
+
+    def __post_init__(self):
+        check_integers("p, k and j must be integers", self.p, self.k, self.j)
+        if not is_prime(self.p) or self.p == 2:
+            raise ValueError("p must be an odd prime")
+        if self.k <= 0:
+            raise ValueError("k must be positive")
+        if self.j not in (0, 1):
+            raise ValueError("j must be 0 or 1")
+        if self.j == 0 and self.k % 2:
+            raise ValueError("j = 0 needs an even k")
+        if self.j == 1 and (self.k - (self.p - 1) // 2) % 2:
+            raise ValueError("j = 1 needs k = (p-1)/2 mod 2")
+
+    @property
+    def a_step(self) -> int:
+        """Least positive a with a = (p-1)/2^j mod (p-1)."""
+        return (self.p - 1) // 2 if self.j else self.p - 1
+
+    @property
+    def character(self) -> int:
+        """chi_p^j as the fundamental discriminant of a rank-2k form with
+        det(2S) = p^j: 1 for j = 0, else p* = (-1)^((p-1)/2) p, as k is
+        (p-1)/2 mod 2."""
+        return form_disc(2 * self.k, self.p**self.j)[0]
+
+    def in_theorem_range(self) -> bool:
+        return self.p > 2 * self.k + 1
+
+
+@record
+class WeightSequence:
+    target: WeightTarget
+    b_schedule: tuple
+
+    def __post_init__(self):
+        b = tuple(self.b_schedule)
+        check_integers("b schedule must be integers", *b)
+        if not b or b[0] <= 0 or any(y <= x for x, y in zip(b, b[1:])):
+            raise ValueError("b schedule must be strictly increasing and positive")
+        return self._replace(b_schedule=b)
+
+    def __len__(self):
+        return len(self.b_schedule)
+
+    @property
+    def weights(self) -> tuple:
+        """k_j(m) = k + a_j * p^{b(m)} for m = 1..len(self)."""
+        t = self.target
+        return tuple(t.k + t.a_step * t.p**b for b in self.b_schedule)
+
+
+def default_sequence(target: WeightTarget, m_max: int) -> WeightSequence:
+    """The schedule b(m) = m, m = 1..m_max."""
+    check_integers("m_max must be integers", m_max)
+    if m_max <= 0:
+        raise ValueError("m_max must be positive")
+    return WeightSequence(target, tuple(range(1, m_max + 1)))
 
 
 def _index_shapes(n: int, B: int) -> list:

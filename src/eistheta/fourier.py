@@ -101,42 +101,6 @@ def qexp_add(*terms) -> QExpansion:
     return _from_checked(degrees.pop(), bound, acc)
 
 
-@record
-class CongruenceResult:
-    ok: bool
-    witness: Mat | None = None
-
-    def __bool__(self):
-        return self.ok
-
-
-def congruent_mod(F: QExpansion, G: QExpansion, p: int, m: int) -> CongruenceResult:
-    """Window-relative test of a_F(T) = a_G(T) mod p^m for all stored T.
-
-    Compares over the smaller of the two trace bounds; the first failing
-    index (in (trace, lex) order) is returned as a witness.
-    """
-    if not is_prime(p):
-        raise ValueError("p must be a prime")
-    if F.degree != G.degree:
-        raise ValueError("degree mismatch")
-    if m <= 0:
-        raise ValueError("m must be positive")
-    bound = min(F.trace_bound, G.trace_bound)
-    keys = {T for T in F.coeffs if form_trace(T) <= bound}
-    keys |= {T for T in G.coeffs if form_trace(T) <= bound}
-    for H in (F, G):
-        for T in keys:
-            a = H.coeffs.get(T)
-            if a is not None and v_p(a, p) < 0:
-                raise ValueError(f"coefficient at {T} is not {p}-integral")
-    for T in sorted(keys, key=lambda T: (form_trace(T), T)):
-        d = F.coeffs.get(T, Fraction(0)) - G.coeffs.get(T, Fraction(0))
-        if v_p(d, p) < m:
-            return CongruenceResult(False, T)
-    return CongruenceResult(True, None)
-
-
 def _key_rank(T: Mat) -> int:
     """Rank of a canonical index T = (C 0; 0 0): C's nonzero diagonal entries."""
     return sum(T[i][i] != 0 for i in range(len(T)))
@@ -196,18 +160,6 @@ def u_p(F: QExpansion, p: int) -> QExpansion:
             if all(x % p == 0 for row in T for x in row):
                 out[scaled] = a
     return QExpansion(F.degree, bound, out)
-
-
-def phi_restrict(F: QExpansion) -> QExpansion:
-    """Siegel Phi operator as an index-restriction view: degree drops by
-    one, a(T') = a(T' + 0)."""
-    if F.degree == 0:
-        raise ValueError("degree is already 0")
-    out: dict = {}
-    for T, a in F.coeffs.items():
-        if all(x == 0 for x in T[-1]):
-            out[tuple(row[:-1] for row in T[:-1])] = a
-    return QExpansion(F.degree - 1, F.trace_bound, out)
 
 
 # -------------------------------------------------------- primitive part

@@ -69,6 +69,12 @@ not stabilize" error.  No weight enters the bins, so each prime and
 canonical index is counted once per process (_stable_bins) and evaluated at
 every weight asked of it.
 
+The direct route of a weight ladder reads the same numbers:
+``direct_limit_coefficient`` takes the primitive coefficients a*(S) of a
+rank-2k index along k_j(m) by one walk of the sublattice inversion
+(``fourier.primitive_inversion``), each plain coefficient a tuple over the
+weights, and certifies their p-adic convergence without any fit.
+
 Scope: ranks 1 and 2 are fully supported.  Rank 3, and rank 4 with even
 det(2T), would need a 2-adic engine for ramified targets, which is not
 implemented.  Rank 4 with odd det(2T) is supported whenever each odd
@@ -81,15 +87,18 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache
 
+from .eisenstein import WeightSequence, WeightTarget
 from .exactnum import (
     check_integers,
     dirichlet_L_neg,
     factorize,
+    frac_to_doc,
     kronecker,
     residue,
     v_p,
     zeta_neg,
 )
+from .fourier import primitive_inversion
 from .lattice import (
     bareiss_det,
     check_definite,
@@ -97,8 +106,14 @@ from .lattice import (
     jordan_blocks,
     minkowski_reduce,
 )
+from .records import record
 
-__all__ = ["local_density_coeff"]
+__all__ = [
+    "local_density_coeff",
+    "primitive_density_coeff",
+    "DirectLadder",
+    "direct_limit_coefficient",
+]
 
 _STABLE_MARGIN = 8
 
@@ -424,3 +439,73 @@ def local_density_coeff(twoT, k: int) -> Fraction:
         if not (q == 2 and n == 4):
             out *= _beta_q(q, k, M, det2T) / _generic_factor(n, q, k, D0)
     return out
+
+
+# ---------------------------------------------------------------------------
+# the direct route: primitive rank-2k coefficients along a weight ladder
+# ---------------------------------------------------------------------------
+
+
+def primitive_density_coeff(S, k: int) -> Fraction:
+    """Primitive Eisenstein coefficient a*(S) of a full-rank index S.
+
+    Inverts a(T) = sum_D a*(T[D^{-1}]) over sublattice shapes D by
+    induction on det(2T), with every plain coefficient supplied by
+    local_density_coeff; rank(S) must be within its supported range.
+    """
+    return _primitive_densities(S, (k,))[0]
+
+
+def _primitive_densities(S, weights) -> tuple:
+    """a*(S) at each of the weights for a definite S: one walk of the
+    sublattice inversion, each plain coefficient a tuple over the weights,
+    taken at the form the walk reduced."""
+    return primitive_inversion(lambda R: tuple(local_density_coeff(R, k) for k in weights))(S)
+
+
+@record
+class DirectLadder:
+    """Residue ladder of primitive rank-2k coefficients a*_{k_j(m)}(S)."""
+
+    target: WeightTarget
+    S: tuple
+    weights: tuple
+    values: tuple
+    certificates: tuple
+    residues: tuple  # per rung: (residue, exponent) mod p^{b(m)+2}
+
+    def to_doc(self) -> dict:
+        return {
+            "p": self.target.p,
+            "k": self.target.k,
+            "j": self.target.j,
+            "twoS": [list(row) for row in self.S],
+            "weights": list(self.weights),
+            "values": [frac_to_doc(v) for v in self.values],
+            "certificates": list(self.certificates),
+            "residues": [{"residue": r, "mod_exponent": c} for r, c in self.residues],
+        }
+
+
+def direct_limit_coefficient(S, target: WeightTarget, seq: WeightSequence) -> DirectLadder:
+    """Ladder of a*_{k_j(m)}(S) for a rank-2k index S.
+
+    The limit of this ladder is the genus coefficient that fit_and_verify
+    recovers by fitting; a lattice whose level does not divide p, or whose
+    character differs from chi_p^j, must ladder to 0.
+    """
+    twoS = minkowski_reduce(S)
+    if len(twoS) != 2 * target.k:
+        raise ValueError("S must have rank 2k")
+    p = target.p
+    weights = seq.weights
+    values = _primitive_densities(S, weights)  # from S, whose reduction is memoised
+    caps = [b + 2 for b in seq.b_schedule]
+    certs = tuple(
+        min(v_p(b - a, p), caps[i])
+        for i, (a, b) in enumerate(zip(values, values[1:]))
+    )
+    residues = tuple(
+        (residue(v, p, c), c) for v, c in zip(values, caps)
+    )
+    return DirectLadder(target, twoS, weights, values, certs, residues)

@@ -18,40 +18,41 @@ everything after that runs on those integers.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .eisenstein import check_weights, eisenstein_residues
-from .exactnum import check_integers, frac_to_doc, is_prime, residue, v_p
+from .eisenstein import WeightSequence, WeightTarget, check_weights, eisenstein_residues
+from .exactnum import residue, v_p
 from .fourier import (
     QExpansion,
     check_weight_rank_congruence,
     mod_pm_singular_rank,
-    primitive_inversion,
     qexp_scale,
 )
 from .genus import cached_genera, genera_to_doc
-from .lattice import form_disc, form_trace, minkowski_reduce
+from .lattice import form_trace
 from .linalg import echelon_mod
-from .localdensity import local_density_coeff
 from .records import record
 from .theta import genus_theta
 
 __all__ = [
-    "WeightTarget",
-    "WeightSequence",
-    "default_sequence",
     "LimitLadder",
     "empirical_limit",
     "SingularRankAudit",
     "singular_rank_audit",
-    "primitive_density_coeff",
-    "DirectLadder",
-    "direct_limit_coefficient",
     "FitRung",
     "VerificationReport",
     "fit_and_verify",
     "PipelineError",
 ]
+
+
+def __getattr__(name):
+    # bench/tracer.py times the direct route's primitive_density_coeff under
+    # this module's name; the fit reads no local density, so localdensity
+    # is loaded only when the name is asked for
+    if name == "primitive_density_coeff":
+        from .localdensity import primitive_density_coeff
+
+        return primitive_density_coeff
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class PipelineError(RuntimeError):
@@ -63,80 +64,8 @@ class PipelineError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# weight targets and schedules
+# rung windows as integers mod p^cap
 # ---------------------------------------------------------------------------
-
-
-@record
-class WeightTarget:
-    """Limit weight (k, j) at the odd prime p.
-
-    j = 0 aims at the pair (k, k) and needs k even; j = 1 aims at
-    (k, k + (p-1)/2) and needs k = (p-1)/2 mod 2 so that every rung
-    k_j(m) is an even weight.
-    """
-
-    p: int
-    k: int
-    j: int
-
-    def __post_init__(self):
-        check_integers("p, k and j must be integers", self.p, self.k, self.j)
-        if not is_prime(self.p) or self.p == 2:
-            raise ValueError("p must be an odd prime")
-        if self.k <= 0:
-            raise ValueError("k must be positive")
-        if self.j not in (0, 1):
-            raise ValueError("j must be 0 or 1")
-        if self.j == 0 and self.k % 2:
-            raise ValueError("j = 0 needs an even k")
-        if self.j == 1 and (self.k - (self.p - 1) // 2) % 2:
-            raise ValueError("j = 1 needs k = (p-1)/2 mod 2")
-
-    @property
-    def a_step(self) -> int:
-        """Least positive a with a = (p-1)/2^j mod (p-1)."""
-        return (self.p - 1) // 2 if self.j else self.p - 1
-
-    @property
-    def character(self) -> int:
-        """chi_p^j as the fundamental discriminant of a rank-2k form with
-        det(2S) = p^j: 1 for j = 0, else p* = (-1)^((p-1)/2) p, as k is
-        (p-1)/2 mod 2."""
-        return form_disc(2 * self.k, self.p**self.j)[0]
-
-    def in_theorem_range(self) -> bool:
-        return self.p > 2 * self.k + 1
-
-
-@record
-class WeightSequence:
-    target: WeightTarget
-    b_schedule: tuple
-
-    def __post_init__(self):
-        b = tuple(self.b_schedule)
-        check_integers("b schedule must be integers", *b)
-        if not b or b[0] <= 0 or any(y <= x for x, y in zip(b, b[1:])):
-            raise ValueError("b schedule must be strictly increasing and positive")
-        return self._replace(b_schedule=b)
-
-    def __len__(self):
-        return len(self.b_schedule)
-
-    @property
-    def weights(self) -> tuple:
-        """k_j(m) = k + a_j * p^{b(m)} for m = 1..len(self)."""
-        t = self.target
-        return tuple(t.k + t.a_step * t.p**b for b in self.b_schedule)
-
-
-def default_sequence(target: WeightTarget, m_max: int) -> WeightSequence:
-    """The schedule b(m) = m, m = 1..m_max."""
-    check_integers("m_max must be integers", m_max)
-    if m_max <= 0:
-        raise ValueError("m_max must be positive")
-    return WeightSequence(target, tuple(range(1, m_max + 1)))
 
 
 def _cleared(dicts, p: int, cap: int):
@@ -313,76 +242,6 @@ def singular_rank_audit(F: QExpansion, k: int, p: int, m: int) -> SingularRankAu
         return SingularRankAudit(p, m, k, r, False, None, True)
     good = check_weight_rank_congruence(k, r, p, m)
     return SingularRankAudit(p, m, k, r, True, good, good)
-
-
-# ---------------------------------------------------------------------------
-# primitive coefficients of full-rank indices via local densities
-# ---------------------------------------------------------------------------
-
-
-def primitive_density_coeff(S, k: int) -> Fraction:
-    """Primitive Eisenstein coefficient a*(S) of a full-rank index S.
-
-    Inverts a(T) = sum_D a*(T[D^{-1}]) over sublattice shapes D by
-    induction on det(2T), with every plain coefficient supplied by
-    local_density_coeff; rank(S) must be within its supported range.
-    """
-    return _primitive_densities(S, (k,))[0]
-
-
-def _primitive_densities(S, weights) -> tuple:
-    """a*(S) at each of the weights for a definite S: one walk of the
-    sublattice inversion, each plain coefficient a tuple over the weights,
-    taken at the form the walk reduced."""
-    return primitive_inversion(lambda R: tuple(local_density_coeff(R, k) for k in weights))(S)
-
-
-@record
-class DirectLadder:
-    """Residue ladder of primitive rank-2k coefficients a*_{k_j(m)}(S)."""
-
-    target: WeightTarget
-    S: tuple
-    weights: tuple
-    values: tuple
-    certificates: tuple
-    residues: tuple  # per rung: (residue, exponent) mod p^{b(m)+2}
-
-    def to_doc(self) -> dict:
-        return {
-            "p": self.target.p,
-            "k": self.target.k,
-            "j": self.target.j,
-            "twoS": [list(row) for row in self.S],
-            "weights": list(self.weights),
-            "values": [frac_to_doc(v) for v in self.values],
-            "certificates": list(self.certificates),
-            "residues": [{"residue": r, "mod_exponent": c} for r, c in self.residues],
-        }
-
-
-def direct_limit_coefficient(S, target: WeightTarget, seq: WeightSequence) -> DirectLadder:
-    """Ladder of a*_{k_j(m)}(S) for a rank-2k index S.
-
-    The limit of this ladder is the genus coefficient that fit_and_verify
-    recovers by fitting; a lattice whose level does not divide p, or whose
-    character differs from chi_p^j, must ladder to 0.
-    """
-    twoS = minkowski_reduce(S)
-    if len(twoS) != 2 * target.k:
-        raise ValueError("S must have rank 2k")
-    p = target.p
-    weights = seq.weights
-    values = _primitive_densities(S, weights)  # from S, whose reduction is memoised
-    caps = [b + 2 for b in seq.b_schedule]
-    certs = tuple(
-        min(v_p(b - a, p), caps[i])
-        for i, (a, b) in enumerate(zip(values, values[1:]))
-    )
-    residues = tuple(
-        (residue(v, p, c), c) for v, c in zip(values, caps)
-    )
-    return DirectLadder(target, twoS, weights, values, certs, residues)
 
 
 # ---------------------------------------------------------------------------

@@ -11,25 +11,16 @@ from bisect import bisect_left
 from fractions import Fraction
 from operator import mul
 
-from .fourier import (
-    QExpansion,
-    primitive_coeffs,
-    qexp_add,
-    qexp_scale,
-    rank_filter,
-)
+from .fourier import QExpansion, qexp_add, qexp_scale
 from .lattice import (
     Mat,
-    automorphism_count,
     automorphisms,
     check_definite,
     check_window,
     fits_canonical_shape,
-    form_trace,
     minkowski_reduce,
     short_vectors,
 )
-from .records import record
 
 
 def theta_series(twoS, n: int, trace_bound: int) -> QExpansion:
@@ -135,59 +126,3 @@ def genus_theta(G, n: int, trace_bound: int):
     theta_zero = qexp_add(*parts)
     theta_avg = qexp_scale(theta_zero, 1 / G.mass)
     return theta_avg, theta_zero
-
-
-@record
-class RankDecompositionReport:
-    degree: int
-    rank: int
-    trace_bound: int
-    ok: bool
-    residuals: dict
-    terms: dict
-
-    def __bool__(self):
-        return self.ok
-
-
-def verify_rank_decomposition(F: QExpansion, r: int, trace_bound: int):
-    """Check the rank-r filtered part of F against its expansion into
-    theta series weighted by primitive coefficients.
-
-    Both sides are computed independently on the window: the left side
-    by rank filtering, the right side as
-        sum over definite rank-r classes S of (a*_F(S+0)/eps(S)) theta_S
-    restricted to rank-r indices.  Exact rational comparison per index.
-    """
-    if r <= 0 or r > F.degree:
-        raise ValueError("rank out of range")
-    if trace_bound > F.trace_bound:
-        raise ValueError("window exceeds stored bound")
-    B = trace_bound
-    lhs_full = rank_filter(F, r)
-    lhs = {
-        T: a for T, a in lhs_full.coeffs.items() if form_trace(T) <= B
-    }
-    star = primitive_coeffs(F, r, B)
-    terms = {}
-    parts = []
-    for S, astar in sorted(star.items()):
-        eps = automorphism_count(S)
-        terms[S] = (astar, eps)
-        if astar:
-            piece = rank_filter(theta_series(S, F.degree, B), r)
-            parts.append(qexp_scale(piece, Fraction(astar, eps)))
-    rhs = qexp_add(*parts) if parts else QExpansion(F.degree, B, {})
-    residuals = {}
-    for T in set(lhs) | set(rhs.coeffs):
-        d = lhs.get(T, Fraction(0)) - rhs.coeffs.get(T, Fraction(0))
-        if d:
-            residuals[T] = d
-    return RankDecompositionReport(
-        degree=F.degree,
-        rank=r,
-        trace_bound=B,
-        ok=not residuals,
-        residuals=residuals,
-        terms=terms,
-    )

@@ -27,10 +27,10 @@ INVARIANTS = ("tests/test_genus.py::"
 MUTANTS = [
     ("HEADROOM 20 -> 2", "eisenstein.py", "HEADROOM = 20", "HEADROOM = 2",
      "tests/test_acceptance.py::test_criterion_3_flagship_fit_and_verify"),
-    ("in_theorem_range > -> >=", "padic.py", "return self.p > 2 * self.k + 1",
+    ("in_theorem_range > -> >=", "eisenstein.py", "return self.p > 2 * self.k + 1",
      "return self.p >= 2 * self.k + 1",
      "tests/test_cli.py::test_theorem_gate_from_cli"),
-    ("direct caps b + 2 -> b + 1", "padic.py", "caps = [b + 2 for b in seq.b_schedule]",
+    ("direct caps b + 2 -> b + 1", "localdensity.py", "caps = [b + 2 for b in seq.b_schedule]",
      "caps = [b + 1 for b in seq.b_schedule]",
      "tests/test_padic.py::test_direct_ladder_level7_class"),
     ("training takes the first indices, not the pivots", "padic.py",

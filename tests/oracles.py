@@ -39,6 +39,15 @@ Each one enumerates everything the package code prunes:
 - transform_by_adjugate: T[D^{-1}] as adj(D)^t (2T) adj(D) / det(D)^2
   from 16 cofactor determinants at rank 4, where fourier solves two
   triangular systems and refuses D at its first non-integral entry.
+
+The window checks that only the acceptance criteria and their unit tests
+call live here too: congruent_mod (a_F = a_G mod p^m on a window),
+phi_restrict (Siegel's Phi as an index restriction) and
+verify_rank_decomposition (the rank-r part of an expansion against its
+theta series weighted by primitive coefficients).  So does
+genus_weight_misses, which holds a fitted report against the genus weights
+that every measured run shows (ROADMAP item 6) and no code in the package
+reads.
 """
 
 import math
@@ -53,16 +62,19 @@ from eistheta.exactnum import (
     divisors,
     factorize,
     fund_disc_decompose,
+    is_prime,
     kronecker,
     residue,
     sigma,
     v_p,
 )
+from eistheta.fourier import QExpansion, primitive_coeffs, qexp_add, qexp_scale, rank_filter
 from eistheta.lattice import (
     _canonical_definite,
     jordan_blocks,
     _pair_reduce,
     as_mat,
+    automorphism_count,
     check_form,
     content,
     form_trace,
@@ -81,6 +93,8 @@ from eistheta.localdensity import (
     _pair_bins_odd,
     _ramanujan,
 )
+from eistheta.records import record
+from eistheta.theta import theta_series
 
 
 # gamma_r^r, Hermite's constant to the power r
@@ -785,3 +799,141 @@ def transform_by_adjugate(twoT, D):
     if any(out[i][i] % 2 for i in range(len(out))):
         return None
     return out
+
+
+# ------------------------------------------------------------------ window checks
+
+
+@record
+class CongruenceResult:
+    ok: bool
+    witness: tuple | None = None
+
+    def __bool__(self):
+        return self.ok
+
+
+def congruent_mod(F: QExpansion, G: QExpansion, p: int, m: int) -> CongruenceResult:
+    """Window-relative test of a_F(T) = a_G(T) mod p^m for all stored T.
+
+    Compares over the smaller of the two trace bounds; the first failing
+    index (in (trace, lex) order) is returned as a witness.
+    """
+    if not is_prime(p):
+        raise ValueError("p must be a prime")
+    if F.degree != G.degree:
+        raise ValueError("degree mismatch")
+    if m <= 0:
+        raise ValueError("m must be positive")
+    bound = min(F.trace_bound, G.trace_bound)
+    keys = {T for T in F.coeffs if form_trace(T) <= bound}
+    keys |= {T for T in G.coeffs if form_trace(T) <= bound}
+    for H in (F, G):
+        for T in keys:
+            a = H.coeffs.get(T)
+            if a is not None and v_p(a, p) < 0:
+                raise ValueError(f"coefficient at {T} is not {p}-integral")
+    for T in sorted(keys, key=lambda T: (form_trace(T), T)):
+        d = F.coeffs.get(T, Fraction(0)) - G.coeffs.get(T, Fraction(0))
+        if v_p(d, p) < m:
+            return CongruenceResult(False, T)
+    return CongruenceResult(True, None)
+
+
+def phi_restrict(F: QExpansion) -> QExpansion:
+    """Siegel Phi operator as an index-restriction view: degree drops by
+    one, a(T') = a(T' + 0)."""
+    if F.degree == 0:
+        raise ValueError("degree is already 0")
+    out: dict = {}
+    for T, a in F.coeffs.items():
+        if all(x == 0 for x in T[-1]):
+            out[tuple(row[:-1] for row in T[:-1])] = a
+    return QExpansion(F.degree - 1, F.trace_bound, out)
+
+
+@record
+class RankDecompositionReport:
+    degree: int
+    rank: int
+    trace_bound: int
+    ok: bool
+    residuals: dict
+    terms: dict
+
+    def __bool__(self):
+        return self.ok
+
+
+def verify_rank_decomposition(F: QExpansion, r: int, trace_bound: int):
+    """Check the rank-r filtered part of F against its expansion into
+    theta series weighted by primitive coefficients.
+
+    Both sides are computed independently on the window: the left side
+    by rank filtering, the right side as
+        sum over definite rank-r classes S of (a*_F(S+0)/eps(S)) theta_S
+    restricted to rank-r indices.  Exact rational comparison per index.
+    """
+    if r <= 0 or r > F.degree:
+        raise ValueError("rank out of range")
+    if trace_bound > F.trace_bound:
+        raise ValueError("window exceeds stored bound")
+    B = trace_bound
+    lhs_full = rank_filter(F, r)
+    lhs = {
+        T: a for T, a in lhs_full.coeffs.items() if form_trace(T) <= B
+    }
+    star = primitive_coeffs(F, r, B)
+    terms = {}
+    parts = []
+    for S, astar in sorted(star.items()):
+        eps = automorphism_count(S)
+        terms[S] = (astar, eps)
+        if astar:
+            piece = rank_filter(theta_series(S, F.degree, B), r)
+            parts.append(qexp_scale(piece, Fraction(astar, eps)))
+    rhs = qexp_add(*parts) if parts else QExpansion(F.degree, B, {})
+    residuals = {}
+    for T in set(lhs) | set(rhs.coeffs):
+        d = lhs.get(T, Fraction(0)) - rhs.coeffs.get(T, Fraction(0))
+        if d:
+            residuals[T] = d
+    return RankDecompositionReport(
+        degree=F.degree,
+        rank=r,
+        trace_bound=B,
+        ok=not residuals,
+        residuals=residuals,
+        terms=terms,
+    )
+
+
+def genus_weights(p, genera):
+    """The measured weights w_g of a ladder's limit sum_g w_g theta_g / mass_g,
+    the genera ordered by determinant, or None where none were measured:
+    1 for a single genus, and -1/(p - 1), p/(p - 1) for the two genera of
+    character chi_p (det p and p^3 at rank 4)."""
+    if len(genera) == 1:
+        return [Fraction(1)]
+    if len(genera) == 2 and all(g.character != 1 for g in genera):
+        return [Fraction(-1, p - 1), Fraction(p, p - 1)]
+    return None
+
+
+def genus_weight_misses(report):
+    """(m, genus det) for every rung m of a passing theorem-mode
+    VerificationReport whose a_tilde of that genus is not w_g / mass_g mod
+    p^(b(m)+1); [] for any other report and where no weights were measured."""
+    p = report.target.p
+    order = sorted(range(len(report.genera)), key=lambda i: report.genera[i].det)
+    weights = genus_weights(p, report.genera)
+    if not report.passed or report.mode != "theorem" or weights is None:
+        return []
+    misses = []
+    for rung in report.rungs:
+        for w, i in zip(weights, order):
+            g, M = report.genera[i], rung.b + 1
+            if ((w / g.mass).denominator % p == 0
+                    or residue(w / g.mass, p, M) != rung.a_tilde[i] % p**M):
+                misses.append((rung.m, g.det))
+    return misses

@@ -18,9 +18,9 @@ import pytest
 
 from eistheta import lattice
 from eistheta.cli import main
-from eistheta.eisenstein import eisenstein_qexp
+from eistheta.eisenstein import WeightTarget, default_sequence, eisenstein_qexp
 from eistheta.exactnum import bernoulli, sigma
-from eistheta.fourier import QExpansion, congruent_mod
+from eistheta.fourier import QExpansion
 from eistheta.lattice import (
     automorphism_count,
     enumerate_classes,
@@ -28,16 +28,11 @@ from eistheta.lattice import (
     form_det,
     form_rank,
 )
-from eistheta.localdensity import local_density_coeff
-from eistheta.padic import (
-    WeightTarget,
-    default_sequence,
-    direct_limit_coefficient,
-    empirical_limit,
-    fit_and_verify,
-    singular_rank_audit,
-)
-from eistheta.theta import theta_series, verify_rank_decomposition
+from eistheta.localdensity import direct_limit_coefficient, local_density_coeff
+from eistheta.padic import empirical_limit, fit_and_verify, singular_rank_audit
+from eistheta.theta import theta_series
+
+from oracles import congruent_mod, verify_rank_decomposition
 
 
 def conclude(number, name, ok, detail=""):

@@ -6,7 +6,7 @@ import pytest
 from eistheta import eisenstein, exactnum, fourier, lattice
 from eistheta.eisenstein import eisenstein_qexp, eisenstein_residues
 from eistheta.exactnum import bernoulli, cohen_H, divisors, primes_upto, sigma, v_p, zeta_neg
-from eistheta.fourier import coeff, phi_restrict
+from eistheta.fourier import coeff
 from eistheta.lattice import (
     bareiss_det,
     content,
@@ -14,6 +14,8 @@ from eistheta.lattice import (
     form_rank,
     minkowski_reduce,
 )
+
+from oracles import phi_restrict
 
 
 def test_degree1_weight4_classical_values():

@@ -38,7 +38,8 @@ from eistheta.lattice import (
     enumerate_classes,
     enumerate_psd_indices,
 )
-from eistheta.padic import WeightTarget, default_sequence, empirical_limit
+from eistheta.eisenstein import WeightTarget, default_sequence
+from eistheta.padic import empirical_limit
 
 from oracles import character_signs_every_residue, cohen_sum_by_divisors, moebius
 

@@ -28,15 +28,69 @@ def test_all_names_resolve(name):
     exec(f"from {name} import *", namespace)
 
 
-def test_import_does_not_load_numpy():
-    # numpy is a test-only dependency; the package must import without it
+def fresh(code):
+    """The stdout of code run in a fresh interpreter on this package's source."""
     src = os.path.dirname(os.path.dirname(eistheta.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    code = "import sys, eistheta; print('numpy' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == "False"
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True).stdout
+
+
+def test_import_does_not_load_numpy():
+    # numpy is a test-only dependency; the package must import without it,
+    # every submodule included (import eistheta alone loads none of them)
+    code = "import sys, eistheta.cli\nfrom eistheta import *\nprint('numpy' in sys.modules)"
+    assert fresh(code).strip() == "False"
+
+
+LOADED = "; print(sorted(m for m in sys.modules if m.startswith('eistheta')))"
+
+
+def test_the_ladder_front_end_loads_no_local_density():
+    # the fit reads no local density; padic hands out the direct route's
+    # primitive_density_coeff on request only
+    out = fresh("import sys, eistheta.cli" + LOADED + "\nfrom eistheta import padic, localdensity\n"
+                "print(padic.primitive_density_coeff is localdensity.primitive_density_coeff)")
+    loaded, same = out.splitlines()
+    assert "eistheta.padic" in loaded and "eistheta.localdensity" not in loaded
+    assert same == "True"
+
+
+def test_import_loads_no_submodule():
+    out = fresh("import sys, eistheta" + LOADED + "; from eistheta import cli; print(cli.__name__)")
+    assert out.split() == ["['eistheta']", "eistheta.cli"]
+
+
+def test_the_dual_route_loads_neither_the_fit_nor_its_dictionary():
+    # bench/dual_route.py's calls, through the package: the direct route
+    # and the weight records live beside the numbers they need, so genus,
+    # theta, padic and cli are never compiled for them
+    code = ("import sys, eistheta\n"
+            "F = eistheta.eisenstein_qexp(4, 2, 6)\n"
+            "eistheta.local_density_coeff(((2, 1), (1, 2)), 4)\n"
+            "t = eistheta.WeightTarget(7, 2, 0)\n"
+            "A2A2 = [[2, -1, 0, 0], [-1, 2, 0, 0], [0, 0, 2, -1], [0, 0, -1, 2]]\n"
+            "eistheta.direct_limit_coefficient(A2A2, t, eistheta.default_sequence(t, 2))"
+            + LOADED)
+    loaded = set(ast.literal_eval(fresh(code)))
+    assert loaded >= {"eistheta.eisenstein", "eistheta.localdensity"}
+    assert not loaded & {"eistheta.genus", "eistheta.theta", "eistheta.padic", "eistheta.cli"}
+
+
+def test_exports_resolve_lazily_to_their_current_binding(monkeypatch):
+    # one table: no name is exported twice, dir() lists every export, and
+    # the package hands out the defining module's binding at each access
+    assert len(eistheta.__all__) == len(set(eistheta.__all__))
+    assert set(dir(eistheta)) >= set(eistheta.__all__)
+    with pytest.raises(AttributeError):
+        eistheta.no_such_name
+    for module, names in eistheta._EXPORTS.items():
+        owner = importlib.import_module(f"eistheta.{module}")
+        assert all(getattr(eistheta, name) is getattr(owner, name) for name in names)
+    from eistheta import localdensity
+    monkeypatch.setattr(localdensity, "local_density_coeff", len)
+    assert eistheta.local_density_coeff is len
 
 
 def float_calls(source):
@@ -257,14 +311,15 @@ def test_parameters_are_detected():
 def test_local_densities_are_counted_without_the_weight():
     # every counting kernel returns weight-free integer bins G_c; the weight
     # enters where they are evaluated (_density, at X), in the closed
-    # factors and in the two callers, and no kernel takes a lattice rank r
+    # factors and in the callers (local_density_coeff, and the direct
+    # route's primitive_density_coeff), and no kernel takes a lattice rank r
     # or disc class delta in its place
     path = os.path.join(os.path.dirname(eistheta.__file__), "localdensity.py")
     with open(path) as fh:
         found = parameters(fh.read())
     weighted = sorted(f for f, args in found.items() if args & {"k", "X"})
     assert weighted == ["_beta_q", "_density", "_generic_factor", "_global_factor",
-                        "local_density_coeff"], weighted
+                        "local_density_coeff", "primitive_density_coeff"], weighted
     threaded = sorted(f for f, args in found.items() if args & {"r", "delta"})
     assert threaded == [], threaded
 
@@ -351,7 +406,8 @@ def test_source_memoizes_only_three_functions():
 
 def unreferenced_defs(sources, exported=()):
     """Module-level def/class names of sources ({file: text}) that no code
-    outside their own body names, are not exported and are not cmd_*."""
+    outside their own body names, are not exported, are not cmd_* and are
+    not a module's __getattr__ or __dir__ (PEP 562: Python calls them)."""
     trees = {path: ast.parse(text) for path, text in sources.items()}
     refs = {}
     for tree in trees.values():
@@ -369,7 +425,7 @@ def unreferenced_defs(sources, exported=()):
             own = sum(1 for sub in ast.walk(node)
                       if getattr(sub, "id", getattr(sub, "attr", None)) == node.name)
             if (refs.get(node.name, 0) > own or node.name in exported
-                    or node.name.startswith("cmd_")):
+                    or node.name.startswith("cmd_") or node.name in ("__getattr__", "__dir__")):
                 continue
             out.append(f"{os.path.basename(path)}:{node.name}")
     return out
@@ -379,9 +435,11 @@ def test_unreferenced_defs_are_detected():
     sources = {
         "a.py": "def used(): pass\ndef rec(): rec()\ndef cmd_x(): pass\n"
                 "def public(): pass\nclass Lone: pass\n",
-        "b.py": "from a import used\n",
+        "b.py": "from a import used\ndef __getattr__(name): pass\ndef __dir__(): pass\n"
+                "def __call__(): pass\n",
     }
-    assert unreferenced_defs(sources, exported={"public"}) == ["a.py:rec", "a.py:Lone"]
+    assert unreferenced_defs(sources, exported={"public"}) == ["a.py:rec", "a.py:Lone",
+                                                               "b.py:__call__"]
 
 
 def test_every_source_def_has_a_caller():

@@ -13,11 +13,9 @@ from eistheta.fourier import (
     QExpansion,
     check_weight_rank_congruence,
     coeff,
-    congruent_mod,
     dump_qexp,
     load_qexp,
     mod_pm_singular_rank,
-    phi_restrict,
     primitive_coeffs,
     qexp_add,
     qexp_scale,
@@ -25,6 +23,8 @@ from eistheta.fourier import (
     u_p,
 )
 from eistheta.lattice import as_mat, check_window, form_trace, minkowski_reduce, pad_zero
+
+from oracles import congruent_mod, phi_restrict
 
 
 def theta_interval(B):

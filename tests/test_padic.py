@@ -14,9 +14,16 @@ from fractions import Fraction
 import pytest
 
 from eistheta import exactnum, padic
-from eistheta.eisenstein import HEADROOM, eisenstein_qexp, eisenstein_residues
+from eistheta.eisenstein import (
+    HEADROOM,
+    WeightSequence,
+    WeightTarget,
+    default_sequence,
+    eisenstein_qexp,
+    eisenstein_residues,
+)
 from eistheta.exactnum import residue, sigma, v_p
-from eistheta.fourier import QExpansion, congruent_mod, qexp_add, qexp_scale
+from eistheta.fourier import QExpansion, qexp_add, qexp_scale
 from eistheta.genus import (
     GenusRecord,
     build_genera,
@@ -26,20 +33,21 @@ from eistheta.genus import (
 )
 from eistheta.lattice import form_trace
 from eistheta.linalg import echelon_mod
-from eistheta.localdensity import local_density_coeff
+from eistheta.localdensity import (
+    direct_limit_coefficient,
+    local_density_coeff,
+    primitive_density_coeff,
+)
 from eistheta.padic import (
     PipelineError,
-    WeightTarget,
-    WeightSequence,
     _select_training,
-    default_sequence,
-    direct_limit_coefficient,
     empirical_limit,
     fit_and_verify,
-    primitive_density_coeff,
     singular_rank_audit,
 )
 from eistheta.theta import genus_theta
+
+from oracles import congruent_mod, genus_weight_misses
 
 S7 = [[2, 0, -1, 0], [0, 2, 0, -1], [-1, 0, 4, 0], [0, -1, 0, 4]]
 A2A2 = [[2, -1, 0, 0], [-1, 2, 0, 0], [0, 0, 2, -1], [0, 0, -1, 2]]
@@ -411,6 +419,25 @@ def test_fit_and_verify_degree2():
         assert r.u_p_exponent == r.c
 
 
+@pytest.mark.parametrize("p", [17, 29])
+def test_the_chi_p_pair_weighs_in_over_its_masses(tmp_path, p):
+    # k = 2, j = 1 from an empty cache: the genera of det p and p^3 enter the
+    # limit with the weights -1/(p - 1) and p/(p - 1) over their masses, to
+    # p^(b(m)+1) at every rung (tests/conftest.py checks every other report)
+    rep = fit_and_verify(default_sequence(WeightTarget(p, 2, 1), 2), 1, 50,
+                         cache_dir=str(tmp_path))
+    assert rep.passed and sorted(g.det for g in rep.genera) == [p, p**3]
+    assert genus_weight_misses(rep) == []
+
+
+def test_a_wrong_mass_misses_the_genus_weights(tmp_path):
+    rep = fit_and_verify(default_sequence(WeightTarget(7, 2, 0), 2), 1, 30,
+                         cache_dir=str(tmp_path))
+    assert genus_weight_misses(rep) == []
+    doubled = tuple(g._replace(mass=2 * g.mass) for g in rep.genera)
+    assert genus_weight_misses(rep._replace(genera=doubled)) == [(1, 49), (2, 49)]
+
+
 def test_one_elimination_solves_every_rung(monkeypatch):
     # the training rows are invertible mod p, so the fit eliminates once to
     # pick them and once mod p^cap for all its rungs, whatever their count
@@ -680,6 +707,20 @@ def test_residue_and_exact_windows_give_one_report(tmp_path, p, n, B):
                                  source=exact).to_doc()
     assert doc["passed"] and doc["nu_hat"] == (-2 if p == 3 else 0)
     assert empirical_limit(seq, n, B).to_doc() == empirical_limit(seq, n, B, source=exact).to_doc()
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("n,B,m", [pytest.param(2, 8, 3, id="W3"),
+                                   pytest.param(1, 50, 4, id="W4")])
+def test_the_deep_rungs_give_one_report_from_residue_and_exact_windows(tmp_path, n, B, m):
+    # W3 reads weight 2060 at degree 2 and W4 weight 14408 at degree 1; the
+    # exact windows of eisenstein_qexp take 2.6 s and 1.3 s there, and give
+    # the report of the residue windows byte for byte
+    seq = default_sequence(WeightTarget(7, 2, 0), m)
+    cache = str(tmp_path)
+    doc = fit_and_verify(seq, n, B, cache_dir=cache).to_doc()
+    exact = fit_and_verify(seq, n, B, cache_dir=cache, source=per_weight(eisenstein_qexp))
+    assert doc["passed"] and json.dumps(doc) == json.dumps(exact.to_doc())
 
 
 def test_residue_and_exact_windows_give_one_report_with_characters():

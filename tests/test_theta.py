@@ -17,11 +17,11 @@ from eistheta.lattice import (
     short_vectors,
     transform,
 )
-from eistheta.theta import genus_theta, theta_series, verify_rank_decomposition
+from eistheta.theta import genus_theta, theta_series
 import eistheta.lattice as lattice_module
 import eistheta.theta as theta_module
 from forms import direct_sum
-from oracles import theta_all_tuples
+from oracles import theta_all_tuples, verify_rank_decomposition
 
 A2 = as_mat([[2, 1], [1, 2]])
 B7 = as_mat([[2, 1], [1, 4]])
