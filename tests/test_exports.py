@@ -311,8 +311,8 @@ def test_parameters_are_detected():
 def test_local_densities_are_counted_without_the_weight():
     # every counting kernel returns weight-free integer bins G_c; the weight
     # enters where they are evaluated (_density, at X), in the closed
-    # factors and in the callers (local_density_coeff, and the direct
-    # route's primitive_density_coeff), and no kernel takes a lattice rank r
+    # factors and in the callers (_beta_q, local_density_coeff, and the
+    # direct route's primitive_density_coeff), and no kernel takes a lattice rank r
     # or disc class delta in its place
     path = os.path.join(os.path.dirname(eistheta.__file__), "localdensity.py")
     with open(path) as fh:
