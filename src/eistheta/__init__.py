@@ -19,12 +19,9 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "fourier": (
         "QExpansion",
-        "coeff",
         "qexp_add",
         "qexp_scale",
-        "rank_filter",
         "u_p",
-        "primitive_coeffs",
         "mod_pm_singular_rank",
         "check_weight_rank_congruence",
         "dump_qexp",
@@ -32,12 +29,10 @@ _EXPORTS = {
     ),
     "lattice": (
         "level",
-        "chi_S",
         "eta_S",
         "short_vectors",
         "minkowski_reduce",
         "form_rank",
-        "is_equivalent",
         "automorphism_count",
         "enumerate_classes",
     ),

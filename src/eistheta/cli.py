@@ -62,6 +62,8 @@ def parse_matrix_text(text: str) -> Mat:
     if len(parts) < 2:
         raise ValueError("expected `n; row; row; ...`")
     n = int(parts[0])
+    if n < 0:  # n = 0 is the zero form, "0;"
+        raise ValueError(f"expected a dimension n >= 0, got {n}")
     entries = [int(tok) for chunk in parts[1:] for tok in chunk.split()]
     if len(entries) != n * n:
         raise ValueError(f"expected {n * n} entries, got {len(entries)}")

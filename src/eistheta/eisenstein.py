@@ -140,6 +140,12 @@ class WeightSequence:
         t = self.target
         return tuple(t.k + t.a_step * t.p**b for b in self.b_schedule)
 
+    @property
+    def caps(self) -> tuple:
+        """b(m) + 2 for m = 1..len(self): rung m is read mod p^{b(m)+2}, and
+        the last entry is the precision cap of the whole ladder."""
+        return tuple(b + 2 for b in self.b_schedule)
+
 
 def default_sequence(target: WeightTarget, m_max: int) -> WeightSequence:
     """The schedule b(m) = m, m = 1..m_max."""

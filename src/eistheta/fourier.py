@@ -1,27 +1,17 @@
 """Truncated Fourier expansions indexed by half-integral matrices.
 
-A degree-n expansion stores rational coefficients a(T) for canonical
-positive semidefinite T with tr(T) <= trace_bound.  Zero coefficients
-may be omitted; lookups inside the window return 0, lookups beyond the
-window raise (truncation is never silent).  All "for all T" predicates
+A degree-n expansion stores the nonzero rational coefficients a(T) for
+canonical positive semidefinite T with tr(T) <= trace_bound, so a(T) is
+0 at every other canonical T of the window.  All "for all T" predicates
 below are evaluated on the stored window and are window-relative.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
 
-from .exactnum import check_integers, divisors, frac_from_doc, frac_to_doc, is_prime, v_p
-from .lattice import (
-    Mat,
-    as_mat,
-    enumerate_psd_indices,
-    form_det,
-    form_trace,
-    minkowski_reduce,
-    pad_zero,
-)
+from .exactnum import check_integers, frac_from_doc, frac_to_doc, is_prime, v_p
+from .lattice import Mat, as_mat, form_trace, minkowski_reduce
 from .records import record
 
 
@@ -54,25 +44,13 @@ class QExpansion:
         return self._replace(coeffs=clean)
 
 
-def coeff(F: QExpansion, T) -> Fraction:
-    """a_F(T), read at the canonical representative of T."""
-    T = as_mat(T)
-    if len(T) != F.degree:
-        raise ValueError("index degree mismatch")
-    R = minkowski_reduce(T)  # ValueError unless T is positive semidefinite
-    if form_trace(T) > F.trace_bound:
-        raise ValueError(
-            f"index trace {form_trace(T)} beyond stored bound {F.trace_bound}"
-        )
-    return F.coeffs.get(R, Fraction(0))
-
-
 def _from_checked(degree, trace_bound, coeffs) -> QExpansion:
     """A QExpansion on indices known to be canonical and to lie within
     ``trace_bound``: skips the canonical-form check of ``__post_init__``,
     drops zeros.  The indices must come from an expansion that passed that
-    check, from ``lattice.enumerate_psd_indices`` (which keeps only M with
-    ``minkowski_reduce(M) == M``), or be 1 x 1 entries (2t) with t >= 0."""
+    check, be kept by ``minkowski_reduce(M) == M`` (as
+    ``lattice.enumerate_psd_indices`` and ``theta.theta_series`` keep
+    them), or be 1 x 1 entries (2t) with t >= 0."""
     F = QExpansion(degree, trace_bound, {})
     F.coeffs.update((T, a) for T, a in coeffs.items() if a)  # the dict __post_init__ made
     return F
@@ -104,14 +82,6 @@ def qexp_add(*terms) -> QExpansion:
 def _key_rank(T: Mat) -> int:
     """Rank of a canonical index T = (C 0; 0 0): C's nonzero diagonal entries."""
     return sum(T[i][i] != 0 for i in range(len(T)))
-
-
-def rank_filter(F: QExpansion, r: int) -> QExpansion:
-    """The sub-expansion supported on indices of rank exactly r."""
-    if r < 0 or r > F.degree:
-        raise ValueError("rank out of range")
-    kept = {T: a for T, a in F.coeffs.items() if _key_rank(T) == r}
-    return QExpansion(F.degree, F.trace_bound, kept)
 
 
 def mod_pm_singular_rank(F: QExpansion, p: int, m: int):
@@ -160,104 +130,6 @@ def u_p(F: QExpansion, p: int) -> QExpansion:
             if all(x % p == 0 for row in T for x in row):
                 out[scaled] = a
     return QExpansion(F.degree, bound, out)
-
-
-# -------------------------------------------------------- primitive part
-
-def _hnf_matrices(r: int, d: int):
-    """All upper-triangular Hermite forms of determinant d (row style:
-    positive pivots, entries above a pivot reduced mod the pivot)."""
-    def diag_splits(rem, length):
-        if length == 1:
-            yield (rem,)
-            return
-        for first in divisors(rem):
-            for rest in diag_splits(rem // first, length - 1):
-                yield (first,) + rest
-
-    for dg in diag_splits(d, r):
-        cols = [product(range(dg[j]), repeat=j) for j in range(r)]
-        for above in product(*cols):
-            H = [[0] * r for _ in range(r)]
-            for c, col in enumerate(above):
-                for i in range(c):
-                    H[i][c] = col[i]
-                H[c][c] = dg[c]
-            yield tuple(tuple(row) for row in H)
-
-
-def _transform_by_inverse(twoT: Mat, D) -> Mat | None:
-    """(D^{-1})^t (2T) D^{-1} when it lands in even integral matrices.
-
-    D is upper triangular with a positive diagonal, so D^t Y^t = 2T (that
-    is Y D = 2T, as 2T is symmetric) and then D^t X = Y are solved by
-    substitution, one exact division per entry, and D is refused at the
-    first entry that is not integral: Y = D^t X is integral whenever X is.
-    """
-    n = len(D)
-
-    def solve(B):  # Z with D^t Z = B, row by row, or None
-        Z = []
-        for i in range(n):
-            row = []
-            for c in range(n):
-                s = B[i][c] - sum(D[l][i] * Z[l][c] for l in range(i))
-                if s % D[i][i]:
-                    return None
-                row.append(s // D[i][i])
-            Z.append(row)
-        return Z
-
-    Yt = solve(twoT)
-    X = Yt and solve(list(zip(*Yt)))
-    if not X or any(X[i][i] % 2 for i in range(n)):
-        return None
-    return tuple(map(tuple, X))
-
-
-def primitive_inversion(plain):
-    """Memoised a* solving a(T) = sum_D a*(T[D^{-1}]) for definite T.
-
-    Returns the function R -> tuple of a*(T), one entry per weight, for T
-    the canonical form of a definite R.  plain(R) gives the values a(T) as
-    such a tuple, and the walk hands it the very form R that it reduced to
-    T, so that plain finds the reduction of R already memoised.  The
-    inversion runs by induction on det(2T), subtracting entry by entry the
-    contributions of all non-unimodular Hermite forms D with
-    det(D)^2 | det(2T) and T[D^{-1}] still even integral, so one walk
-    serves every weight.
-    """
-    memo: dict[Mat, tuple] = {}
-
-    def star(R) -> tuple:
-        T = minkowski_reduce(R)
-        got = memo.get(T)
-        if got is not None:
-            return got
-        total = list(plain(R))
-        det2T = form_det(T)
-        for d in divisors(det2T):
-            if d == 1 or det2T % (d * d):
-                continue
-            for D in _hnf_matrices(len(T), d):
-                T2 = _transform_by_inverse(T, D)
-                if T2 is not None:
-                    total = [a - b for a, b in zip(total, star(T2))]
-        memo[T] = got = tuple(total)
-        return got
-
-    return star
-
-
-def primitive_coeffs(F: QExpansion, r: int, bound: int) -> dict:
-    """Rank-r primitive coefficients a*(T) for definite T with tr <= bound,
-    inverting a(T + 0) = sum over sublattice shapes D of a*(T[D^{-1}])."""
-    if r <= 0 or r > F.degree:
-        raise ValueError("rank out of range")
-    if bound > F.trace_bound:
-        raise ValueError("bound exceeds stored trace bound")
-    star = primitive_inversion(lambda R: (coeff(F, pad_zero(R, F.degree)),))
-    return {T: star(T)[0] for T in enumerate_psd_indices(r, bound) if _key_rank(T) == r}
 
 
 # ------------------------------------------------------------ dump format

@@ -16,7 +16,7 @@ from functools import lru_cache
 from itertools import product, takewhile
 from operator import index, mul
 
-from .exactnum import check_integers, divisors, fund_disc_decompose, kronecker, v_p
+from .exactnum import check_integers, divisors, fund_disc_decompose, v_p
 from .linalg import adjugate, bareiss_det, column_reduce
 
 Mat = tuple[tuple[int, ...], ...]
@@ -35,13 +35,11 @@ __all__ = [
     "is_positive_definite",
     "transform",
     "level",
-    "chi_S",
     "form_disc",
     "eta_S",
     "jordan_blocks",
     "short_vectors",
     "minkowski_reduce",
-    "is_equivalent",
     "automorphisms",
     "automorphism_count",
     "enumerate_classes",
@@ -161,18 +159,6 @@ def level(twoS) -> int:
                       else d // math.gcd(d, adj[i][j]) for i in range(n) for j in range(n)))
 
 
-def chi_S(twoS, d: int) -> int:
-    """The quadratic character sign(d)^{r/2} * ((-1)^{r/2} det 2S / |d|)."""
-    r = len(twoS)
-    if r % 2:
-        raise ValueError("chi_S needs even rank")
-    if d == 0:
-        raise ValueError("chi_S undefined at 0")
-    D = (-1) ** (r // 2) * form_det(twoS)
-    sgn = -1 if (d < 0 and (r // 2) % 2) else 1
-    return sgn * kronecker(D, d if d > 0 else -d)
-
-
 def form_disc(n: int, det2T: int) -> tuple[int, int]:
     """(D0, f) with (-1)^(n/2) det 2T = D0 f^2 and D0 fundamental, for a
     form of even rank n and det(2T) = det2T.  chi_D0 = kronecker(D0, .) is
@@ -184,8 +170,10 @@ def form_disc(n: int, det2T: int) -> tuple[int, int]:
 
 
 def eta_S(twoS) -> int:
-    """The fundamental discriminant D0 of the primitive character underlying
-    chi_S: kronecker(D0, d) = chi_S(d) for d prime to det 2S (conductor |D0|)."""
+    """The fundamental discriminant D0 of the character of S, the map
+    d -> kronecker((-1)^(r/2) det 2S, d) on d > 0 for S of rank r:
+    kronecker(D0, d) agrees with it at every d prime to det 2S, and |D0|
+    is its conductor."""
     return form_disc(len(twoS), form_det(twoS))[0]
 
 
@@ -533,17 +521,6 @@ def _isometries(twoS, twoS2, want_all: bool, pool=None):
 
     rec(0)
     return found
-
-
-def is_equivalent(twoS, twoS2):
-    """A unimodular witness U with U^t(2S)U = 2S2, or None."""
-    A, B = check_definite(twoS, "is_equivalent"), check_definite(twoS2, "is_equivalent")
-    got = _isometries(A, B, want_all=False)
-    if not got:
-        return None
-    U = got[0]
-    assert transform(A, U) == B
-    return U
 
 
 def automorphisms(twoS, pool=None) -> list:

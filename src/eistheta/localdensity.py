@@ -71,9 +71,10 @@ every weight asked of it.
 
 The direct route of a weight ladder reads the same numbers:
 ``direct_limit_coefficient`` takes the primitive coefficients a*(S) of a
-rank-2k index along k_j(m) by one walk of the sublattice inversion
-(``fourier.primitive_inversion``), each plain coefficient a tuple over the
-weights, and certifies their p-adic convergence without any fit.
+rank-2k index along k_j(m) by one walk of its own sublattice inversion
+(``primitive_inversion``, over the Hermite forms of ``_hnf_matrices``),
+each plain coefficient a tuple over the weights, and certifies their
+p-adic convergence without any fit.
 
 Scope: ranks 1 and 2 are fully supported.  Rank 3, and rank 4 with even
 det(2T), would need a 2-adic engine for ramified targets, which is not
@@ -86,11 +87,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
+from itertools import product
 
 from .eisenstein import WeightSequence, WeightTarget
 from .exactnum import (
     check_integers,
     dirichlet_L_neg,
+    divisors,
     factorize,
     frac_to_doc,
     kronecker,
@@ -98,8 +101,8 @@ from .exactnum import (
     v_p,
     zeta_neg,
 )
-from .fourier import primitive_inversion
 from .lattice import (
+    Mat,
     bareiss_det,
     check_definite,
     form_disc,
@@ -446,6 +449,91 @@ def local_density_coeff(twoT, k: int) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
+def _hnf_matrices(n: int, d: int):
+    """All upper-triangular n x n Hermite forms of determinant d (row style:
+    positive pivots, entries above a pivot reduced mod the pivot)."""
+    def diag_splits(rem, length):
+        if length == 1:
+            yield (rem,)
+            return
+        for first in divisors(rem):
+            for rest in diag_splits(rem // first, length - 1):
+                yield (first,) + rest
+
+    for dg in diag_splits(d, n):
+        cols = [product(range(dg[j]), repeat=j) for j in range(n)]
+        for above in product(*cols):
+            H = [[0] * n for _ in range(n)]
+            for c, col in enumerate(above):
+                for i in range(c):
+                    H[i][c] = col[i]
+                H[c][c] = dg[c]
+            yield tuple(tuple(row) for row in H)
+
+
+def _transform_by_inverse(twoT: Mat, D) -> Mat | None:
+    """(D^{-1})^t (2T) D^{-1} when it lands in even integral matrices.
+
+    D is upper triangular with a positive diagonal, so D^t Y^t = 2T (that
+    is Y D = 2T, as 2T is symmetric) and then D^t X = Y are solved by
+    substitution, one exact division per entry, and D is refused at the
+    first entry that is not integral: Y = D^t X is integral whenever X is.
+    """
+    n = len(D)
+
+    def solve(B):  # Z with D^t Z = B, row by row, or None
+        Z = []
+        for i in range(n):
+            row = []
+            for c in range(n):
+                s = B[i][c] - sum(D[l][i] * Z[l][c] for l in range(i))
+                if s % D[i][i]:
+                    return None
+                row.append(s // D[i][i])
+            Z.append(row)
+        return Z
+
+    Yt = solve(twoT)
+    X = Yt and solve(list(zip(*Yt)))
+    if not X or any(X[i][i] % 2 for i in range(n)):
+        return None
+    return tuple(map(tuple, X))
+
+
+def primitive_inversion(plain):
+    """Memoised a* solving a(T) = sum_D a*(T[D^{-1}]) for definite T.
+
+    Returns the function R -> tuple of a*(T), one entry per weight, for T
+    the canonical form of a definite R.  plain(R) gives the values a(T) as
+    such a tuple, and the walk hands it the very form R that it reduced to
+    T, so that plain finds the reduction of R already memoised.  The
+    inversion runs by induction on det(2T), subtracting entry by entry the
+    contributions of all non-unimodular Hermite forms D with
+    det(D)^2 | det(2T) and T[D^{-1}] still even integral, so one walk
+    serves every weight.
+    """
+    memo: dict[Mat, tuple] = {}
+
+    def star(R) -> tuple:
+        T = minkowski_reduce(R)
+        got = memo.get(T)
+        if got is not None:
+            return got
+        total = list(plain(R))
+        det2T = bareiss_det(T)
+        for d in divisors(det2T):
+            if d == 1 or det2T % (d * d):
+                continue
+            for D in _hnf_matrices(len(T), d):
+                T2 = _transform_by_inverse(T, D)
+                if T2 is not None:
+                    total = [a - b for a, b in zip(total, star(T2))]
+        memo[T] = got = tuple(total)
+        return got
+
+    return star
+
+
 def primitive_density_coeff(S, k: int) -> Fraction:
     """Primitive Eisenstein coefficient a*(S) of a full-rank index S.
 
@@ -500,7 +588,7 @@ def direct_limit_coefficient(S, target: WeightTarget, seq: WeightSequence) -> Di
     p = target.p
     weights = seq.weights
     values = _primitive_densities(S, weights)  # from S, whose reduction is memoised
-    caps = [b + 2 for b in seq.b_schedule]
+    caps = seq.caps
     certs = tuple(
         min(v_p(b - a, p), caps[i])
         for i, (a, b) in enumerate(zip(values, values[1:]))

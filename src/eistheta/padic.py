@@ -85,7 +85,7 @@ def _ladder_windows(seq: WeightSequence, n: int, B: int, source=None):
     A source that raises, or whose windows differ from the ladder in
     count, degree or trace bound, is a PipelineError at stage fit.
     """
-    p, cap = seq.target.p, seq.b_schedule[-1] + 2
+    p, cap = seq.target.p, seq.caps[-1]
     try:
         rungs = tuple(source(seq, n, B) if source else
                       eisenstein_residues(seq.weights, n, B, p, cap))
@@ -171,7 +171,7 @@ def empirical_limit(seq: WeightSequence, n: int, B: int, source=None) -> LimitLa
         raise ValueError("need at least two rungs to certify convergence")
     check_weights(seq.weights, n, B)
     rungs, nu, windows = _ladder_windows(seq, n, B, source)
-    p, cap = seq.target.p, seq.b_schedule[-1] + 2
+    p, cap = seq.target.p, seq.caps[-1]
     certificates, residues = {}, {}
     for T in set().union(*windows):
         vals = [W.get(T, 0) for W in windows]
@@ -387,7 +387,7 @@ def fit_and_verify(
     except Exception as exc:
         raise PipelineError("theta", str(exc)) from exc
     rungs, nu_w, windows = _ladder_windows(seq, n, B, source)
-    cap = seq.b_schedule[-1] + 2
+    cap = seq.caps[-1]
     nu_c, columns = _cleared([F.coeffs for F in thetas], p, cap)
     indices = sorted(set().union(*windows, *columns), key=lambda T: (form_trace(T), T))
     train = _select_training(indices, columns, len(genera), p)
@@ -415,8 +415,8 @@ def fit_and_verify(
 
     fits = []
     prev = None
-    for m, (b, k_m, F, W) in enumerate(zip(seq.b_schedule, seq.weights, rungs, windows), 1):
-        c = b + 2
+    for m, (b, c, k_m, F, W) in enumerate(
+            zip(seq.b_schedule, seq.caps, seq.weights, rungs, windows), 1):
         P = p**c
         a_tilde = tuple(row[t + m - 1] % P for row in solved)
         worst, witness = c, None

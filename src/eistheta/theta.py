@@ -11,7 +11,7 @@ from bisect import bisect_left
 from fractions import Fraction
 from operator import mul
 
-from .fourier import QExpansion, qexp_add, qexp_scale
+from .fourier import QExpansion, _from_checked, qexp_add, qexp_scale
 from .lattice import (
     Mat,
     automorphisms,
@@ -49,7 +49,7 @@ def theta_series(twoS, n: int, trace_bound: int) -> QExpansion:
         for _, q in vecs:
             key = ((2 * q,),)
             counts[key] = counts.get(key, 0) + 1
-        return QExpansion(1, B, counts)
+        return _from_checked(1, B, {T: Fraction(c) for T, c in counts.items()})
 
     r = len(twoS)
     if r <= 4 and all(twoS[i][i] <= 2 * B for i in range(r)):
@@ -107,10 +107,9 @@ def theta_series(twoS, n: int, trace_bound: int) -> QExpansion:
         chosen.append(v)
         rec(1, q, size)
         chosen.pop()
-    canon = {
-        T: Fraction(c) for T, c in counts.items() if minkowski_reduce(T) == T
-    }
-    return QExpansion(n, B, canon)
+    # each key is checked once here, so _from_checked checks none again
+    return _from_checked(
+        n, B, {T: Fraction(c) for T, c in counts.items() if minkowski_reduce(T) == T})
 
 
 def genus_theta(G, n: int, trace_bound: int):

@@ -30,8 +30,8 @@ MUTANTS = [
     ("in_theorem_range > -> >=", "eisenstein.py", "return self.p > 2 * self.k + 1",
      "return self.p >= 2 * self.k + 1",
      "tests/test_cli.py::test_theorem_gate_from_cli"),
-    ("direct caps b + 2 -> b + 1", "localdensity.py", "caps = [b + 2 for b in seq.b_schedule]",
-     "caps = [b + 1 for b in seq.b_schedule]",
+    ("WeightSequence.caps b + 2 -> b + 1", "eisenstein.py",
+     "return tuple(b + 2 for b in self.b_schedule)", "return tuple(b + 1 for b in self.b_schedule)",
      "tests/test_padic.py::test_direct_ladder_level7_class"),
     ("training takes the first indices, not the pivots", "padic.py",
      "return [indices[j] for j in pivots]", "return indices[:len(pivots)]",

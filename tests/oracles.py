@@ -37,17 +37,23 @@ Each one enumerates everything the package code prunes:
   nested divisor sums, where exactnum.cohen_product takes one product
   over the primes of f;
 - transform_by_adjugate: T[D^{-1}] as adj(D)^t (2T) adj(D) / det(D)^2
-  from 16 cofactor determinants at rank 4, where fourier solves two
+  from 16 cofactor determinants at rank 4, where localdensity solves two
   triangular systems and refuses D at its first non-integral entry.
 
 The window checks that only the acceptance criteria and their unit tests
-call live here too: congruent_mod (a_F = a_G mod p^m on a window),
-phi_restrict (Siegel's Phi as an index restriction) and
+call live here too: coeff (a_F(T) read at the canonical form of T, 0
+inside the window, ValueError beyond it), rank_filter (the rank-r part of
+an expansion), primitive_coeffs (the rank-r primitive coefficients by
+localdensity's sublattice inversion), congruent_mod (a_F = a_G mod p^m on
+a window), phi_restrict (Siegel's Phi as an index restriction) and
 verify_rank_decomposition (the rank-r part of an expansion against its
-theta series weighted by primitive coefficients).  So does
-genus_weight_misses, which holds a fitted report against the genus weights
-that every measured run shows (ROADMAP item 6) and no code in the package
-reads.
+theta series weighted by primitive coefficients).  So do the two form
+checks that only tests ask: chi_S (the quadratic character of an
+even-rank form at every d != 0) and is_equivalent (a unimodular witness
+of two definite forms being isometric, from lattice's isometry search).
+So does genus_weight_misses, which holds a fitted report against the genus
+weights that every measured run shows (ROADMAP item 6) and no code in the
+package reads.
 """
 
 import math
@@ -68,15 +74,19 @@ from eistheta.exactnum import (
     sigma,
     v_p,
 )
-from eistheta.fourier import QExpansion, primitive_coeffs, qexp_add, qexp_scale, rank_filter
+from eistheta.fourier import QExpansion, _key_rank, qexp_add, qexp_scale
 from eistheta.lattice import (
     _canonical_definite,
+    _isometries,
     jordan_blocks,
     _pair_reduce,
     as_mat,
     automorphism_count,
+    check_definite,
     check_form,
     content,
+    enumerate_psd_indices,
+    form_det,
     form_trace,
     is_positive_definite,
     minkowski_reduce,
@@ -92,6 +102,7 @@ from eistheta.localdensity import (
     _generic_factor,
     _pair_bins_odd,
     _ramanujan,
+    primitive_inversion,
 )
 from eistheta.records import record
 from eistheta.theta import theta_series
@@ -801,7 +812,62 @@ def transform_by_adjugate(twoT, D):
     return out
 
 
+def chi_S(twoS, d: int) -> int:
+    """The quadratic character sign(d)^{r/2} * ((-1)^{r/2} det 2S / |d|)."""
+    r = len(twoS)
+    if r % 2:
+        raise ValueError("chi_S needs even rank")
+    if d == 0:
+        raise ValueError("chi_S undefined at 0")
+    D = (-1) ** (r // 2) * form_det(twoS)
+    sgn = -1 if (d < 0 and (r // 2) % 2) else 1
+    return sgn * kronecker(D, d if d > 0 else -d)
+
+
+def is_equivalent(twoS, twoS2):
+    """A unimodular witness U with U^t(2S)U = 2S2, or None."""
+    A, B = check_definite(twoS, "is_equivalent"), check_definite(twoS2, "is_equivalent")
+    got = _isometries(A, B, want_all=False)
+    if not got:
+        return None
+    U = got[0]
+    assert transform(A, U) == B
+    return U
+
+
 # ------------------------------------------------------------------ window checks
+
+
+def coeff(F: QExpansion, T) -> Fraction:
+    """a_F(T), read at the canonical representative of T."""
+    T = as_mat(T)
+    if len(T) != F.degree:
+        raise ValueError("index degree mismatch")
+    R = minkowski_reduce(T)  # ValueError unless T is positive semidefinite
+    if form_trace(T) > F.trace_bound:
+        raise ValueError(
+            f"index trace {form_trace(T)} beyond stored bound {F.trace_bound}"
+        )
+    return F.coeffs.get(R, Fraction(0))
+
+
+def rank_filter(F: QExpansion, r: int) -> QExpansion:
+    """The sub-expansion supported on indices of rank exactly r."""
+    if r < 0 or r > F.degree:
+        raise ValueError("rank out of range")
+    kept = {T: a for T, a in F.coeffs.items() if _key_rank(T) == r}
+    return QExpansion(F.degree, F.trace_bound, kept)
+
+
+def primitive_coeffs(F: QExpansion, r: int, bound: int) -> dict:
+    """Rank-r primitive coefficients a*(T) for definite T with tr <= bound,
+    inverting a(T + 0) = sum over sublattice shapes D of a*(T[D^{-1}])."""
+    if r <= 0 or r > F.degree:
+        raise ValueError("rank out of range")
+    if bound > F.trace_bound:
+        raise ValueError("bound exceeds stored trace bound")
+    star = primitive_inversion(lambda R: (coeff(F, pad_zero(R, F.degree)),))
+    return {T: star(T)[0] for T in enumerate_psd_indices(r, bound) if _key_rank(T) == r}
 
 
 @record

@@ -149,6 +149,16 @@ def test_theta_of_the_zero_form(tmp_path, capsys):
         assert doc["coeffs"] == [{"twoT": [[0] * n] * n, "num": "1", "den": "1"}]
 
 
+def test_theta_refuses_a_negative_dimension(tmp_path, capsys):
+    # -2 asks for (-2)^2 = 4 entries, and the four given must not pass as
+    # the zero form
+    form = tmp_path / "negative.txt"
+    form.write_text("-2; 2 1; 1 2\n")
+    assert run(["theta", "--form", str(form), "--degree", "1", "--bound", "3"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "eistheta theta: expected a dimension n >= 0, got -2\n"
+
+
 def test_theta_point_count(tmp_path, capsys):
     form = tmp_path / "unary.txt"
     form.write_text("1; 2\n")

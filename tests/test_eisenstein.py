@@ -6,7 +6,6 @@ import pytest
 from eistheta import eisenstein, exactnum, fourier, lattice
 from eistheta.eisenstein import eisenstein_qexp, eisenstein_residues
 from eistheta.exactnum import bernoulli, cohen_H, divisors, primes_upto, sigma, v_p, zeta_neg
-from eistheta.fourier import coeff
 from eistheta.lattice import (
     bareiss_det,
     content,
@@ -15,7 +14,7 @@ from eistheta.lattice import (
     minkowski_reduce,
 )
 
-from oracles import phi_restrict
+from oracles import coeff, phi_restrict
 
 
 def test_degree1_weight4_classical_values():

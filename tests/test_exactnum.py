@@ -34,14 +34,13 @@ from eistheta.genus import build_genera
 from eistheta.lattice import (
     as_mat,
     check_window,
-    chi_S,
     enumerate_classes,
     enumerate_psd_indices,
 )
 from eistheta.eisenstein import WeightTarget, default_sequence
 from eistheta.padic import empirical_limit
 
-from oracles import character_signs_every_residue, cohen_sum_by_divisors, moebius
+from oracles import character_signs_every_residue, chi_S, cohen_sum_by_divisors, moebius
 
 
 # ---------------------------------------------------------------- oracles

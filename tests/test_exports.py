@@ -5,6 +5,7 @@ import ast
 import glob
 import importlib
 import os
+import pathlib
 import pkgutil
 import subprocess
 import sys
@@ -13,6 +14,7 @@ import pytest
 
 import eistheta
 
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 MODULES = ["eistheta"] + [
     f"eistheta.{m.name}" for m in pkgutil.iter_modules(eistheta.__path__)
 ]
@@ -404,27 +406,39 @@ def test_source_memoizes_only_three_functions():
     assert found <= allowed, f"module caches beyond {sorted(allowed)}: {sorted(found - allowed)}"
 
 
-def unreferenced_defs(sources, exported=()):
-    """Module-level def/class names of sources ({file: text}) that no code
-    outside their own body names, are not exported, are not cmd_* and are
-    not a module's __getattr__ or __dir__ (PEP 562: Python calls them)."""
-    trees = {path: ast.parse(text) for path, text in sources.items()}
-    refs = {}
-    for tree in trees.values():
+def unreferenced_defs(sources):
+    """Module-level def/class names of the files under src/ in sources
+    ({path from the repository root: text}) that no code outside their own
+    body names in a file under src/, bench/ or demos/, that no "module.name"
+    string in a file under bench/ names (bench/tracer.py reaches its
+    targets so), that are not cmd_* and are not a module's __getattr__ or
+    __dir__ (PEP 562: Python calls them).  Files elsewhere, tests among
+    them, name nothing, and being exported counts for nothing."""
+    top = {path: pathlib.PurePath(path).parts[0] for path in sources}
+    trees = {path: ast.parse(text) for path, text in sources.items()
+             if top[path] in ("src", "bench", "demos")}
+    refs, strings = {}, set()
+    for path, tree in trees.items():
         for node in ast.walk(tree):
             name = (node.id if isinstance(node, ast.Name)
                     else node.attr if isinstance(node, ast.Attribute)
                     else node.name if isinstance(node, ast.alias) else None)
             if name:
                 refs[name] = refs.get(name, 0) + 1
+            if top[path] == "bench" and isinstance(node, ast.Constant) and isinstance(
+                    node.value, str):
+                strings.add(node.value)
     out = []
     for path, tree in trees.items():
+        if top[path] != "src":
+            continue
+        module = pathlib.PurePath(path).stem
         for node in tree.body:
             if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 continue
             own = sum(1 for sub in ast.walk(node)
                       if getattr(sub, "id", getattr(sub, "attr", None)) == node.name)
-            if (refs.get(node.name, 0) > own or node.name in exported
+            if (refs.get(node.name, 0) > own or f"{module}.{node.name}" in strings
                     or node.name.startswith("cmd_") or node.name in ("__getattr__", "__dir__")):
                 continue
             out.append(f"{os.path.basename(path)}:{node.name}")
@@ -432,23 +446,28 @@ def unreferenced_defs(sources, exported=()):
 
 
 def test_unreferenced_defs_are_detected():
+    # public is exported and only a test names it; traced is named by a
+    # bench string of its own module, rec by one of another module and by a
+    # test string; shown is called by a demo
     sources = {
-        "a.py": "def used(): pass\ndef rec(): rec()\ndef cmd_x(): pass\n"
-                "def public(): pass\nclass Lone: pass\n",
-        "b.py": "from a import used\ndef __getattr__(name): pass\ndef __dir__(): pass\n"
-                "def __call__(): pass\n",
+        "src/a.py": "__all__ = ['public']\ndef used(): pass\ndef rec(): rec()\n"
+                    "def cmd_x(): pass\ndef public(): pass\nclass Lone: pass\n"
+                    "def traced(): pass\ndef shown(): pass\n",
+        "src/b.py": "from a import used\ndef __getattr__(name): pass\ndef __dir__(): pass\n"
+                    "def __call__(): pass\n",
+        "tests/test_a.py": "from a import public\npublic()\nNAMES = ['a.rec']\n",
+        "bench/tracer.py": "TARGETS = (('a.traced', 'span'), ('b.rec', 'count'))\n",
+        "demos/d.py": "import a\na.shown()\n",
     }
-    assert unreferenced_defs(sources, exported={"public"}) == ["a.py:rec", "a.py:Lone",
-                                                               "b.py:__call__"]
+    assert unreferenced_defs(sources) == ["a.py:rec", "a.py:public", "a.py:Lone",
+                                          "b.py:__call__"]
 
 
 def test_every_source_def_has_a_caller():
-    from eistheta import cli
-
-    files = sorted(glob.glob(os.path.join(os.path.dirname(eistheta.__file__), "*.py")))
+    # what only tests call lives in tests/oracles.py, not in src/
     sources = {}
-    for path in files:
-        with open(path) as fh:
-            sources[path] = fh.read()
-    exported = set(eistheta.__all__) | set(cli.__all__)
-    assert unreferenced_defs(sources, exported) == []
+    for pattern in ("src/eistheta/*.py", "bench/*.py", "demos/*.py"):
+        for path in sorted(glob.glob(os.path.join(ROOT, pattern))):
+            with open(path) as fh:
+                sources[os.path.relpath(path, ROOT)] = fh.read()
+    assert unreferenced_defs(sources) == []

@@ -23,19 +23,23 @@ from eistheta.genus import (
 from eistheta.lattice import (
     as_mat,
     automorphism_count,
-    chi_S,
     enumerate_classes,
     enumerate_psd_indices,
     eta_S,
     form_det,
     form_rank,
-    is_equivalent,
     level,
     minkowski_reduce,
     transform,
 )
 from forms import direct_sum
-from oracles import SearchBudgetExceeded, affine_solutions_mod_q, same_genus_by_search
+from oracles import (
+    SearchBudgetExceeded,
+    affine_solutions_mod_q,
+    chi_S,
+    is_equivalent,
+    same_genus_by_search,
+)
 from test_lattice import RECORDED_CLASSES
 
 A2 = as_mat([[2, 1], [1, 2]])

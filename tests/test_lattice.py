@@ -18,7 +18,6 @@ from eistheta.lattice import (
     automorphism_count,
     automorphisms,
     check_form,
-    chi_S,
     content,
     enumerate_classes,
     enumerate_psd_indices,
@@ -27,7 +26,6 @@ from eistheta.lattice import (
     form_det,
     form_rank,
     form_trace,
-    is_equivalent,
     is_positive_definite,
     jordan_blocks,
     level,
@@ -40,7 +38,9 @@ from forms import direct_sum
 from oracles import (
     _extendable,
     canonical_full_branching,
+    chi_S,
     fits_canonical_shape_by_rules,
+    is_equivalent,
     is_psd,
     minkowski_reduce_by_search,
     psd_indices_box,
@@ -1098,7 +1098,11 @@ def test_quotient_map_agrees_with_extendable():
 def test_matrix_text_round_trip():
     assert parse_matrix_text("2; 2 1; 1 2") == A2
     assert parse_matrix_text("1; 2") == ((2,),)
+    assert parse_matrix_text("0;") == ()  # the zero form
     with pytest.raises(ValueError):
         parse_matrix_text("2; 2 1; 1")
     with pytest.raises(ValueError):
         parse_matrix_text("2; 1 0; 0 1")  # odd diagonal
+    for text in ("-2; 2 1; 1 2", "-1; 2"):  # n < 0, with the n^2 entries it asks for
+        with pytest.raises(ValueError):
+            parse_matrix_text(text)

@@ -29,7 +29,6 @@ import pytest
 from eistheta import localdensity
 from eistheta.eisenstein import eisenstein_qexp
 from eistheta.exactnum import factorize, kronecker, residue, v_p
-from eistheta.fourier import coeff, primitive_inversion
 from eistheta.lattice import (
     bareiss_det,
     enumerate_psd_indices,
@@ -52,11 +51,13 @@ from eistheta.localdensity import (
     _q2_pair_bins,
     _stable_bins,
     local_density_coeff,
+    primitive_inversion,
 )
 from oracles import (
     beta_2_n1_fractions,
     beta_odd_on,
     beta_q_per_weight,
+    coeff,
     density1_odd,
     density2_odd_fractions,
     q2_pair_bins_by_valuations,

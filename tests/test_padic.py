@@ -291,7 +291,7 @@ def test_audit_on_classical_windows():
 
 def test_primitive_density_matches_window_inversion():
     # same inversion computed from the closed-form degree-2 window
-    from eistheta.fourier import primitive_coeffs
+    from oracles import primitive_coeffs
 
     for k in (4, 6):
         F = eisenstein_qexp(k, 2, 6)
@@ -366,11 +366,11 @@ def test_dual_route_evaluates_few_bernoulli_numbers(monkeypatch):
 
 
 def test_direct_ladder_walks_the_inversion_once_for_every_rung(monkeypatch):
-    from eistheta import fourier
+    from eistheta import localdensity
 
     calls = []
-    transform = fourier._transform_by_inverse
-    monkeypatch.setattr(fourier, "_transform_by_inverse",
+    transform = localdensity._transform_by_inverse
+    monkeypatch.setattr(localdensity, "_transform_by_inverse",
                         lambda *a: calls.append(1) or transform(*a))
     t = WeightTarget(7, 2, 0)
     seq = default_sequence(t, 2)

@@ -4,7 +4,7 @@ from itertools import product
 
 import pytest
 
-from eistheta.fourier import coeff, qexp_scale
+from eistheta.fourier import qexp_scale
 from eistheta.genus import ClassRecord, build_genera, partition_into_genera
 from eistheta.fourier import QExpansion
 from eistheta.lattice import (
@@ -21,7 +21,7 @@ from eistheta.theta import genus_theta, theta_series
 import eistheta.lattice as lattice_module
 import eistheta.theta as theta_module
 from forms import direct_sum
-from oracles import theta_all_tuples, verify_rank_decomposition
+from oracles import coeff, theta_all_tuples, verify_rank_decomposition
 
 A2 = as_mat([[2, 1], [1, 2]])
 B7 = as_mat([[2, 1], [1, 4]])
