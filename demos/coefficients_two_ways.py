@@ -15,7 +15,8 @@ from fractions import Fraction
 
 from eistheta import eisenstein_qexp, local_density_coeff
 from eistheta.exactnum import bernoulli, sigma
-from eistheta.lattice import form_det, form_rank
+from eistheta.lattice import form_rank
+from eistheta.linalg import bareiss_det
 
 
 def main() -> int:
@@ -46,7 +47,7 @@ def main() -> int:
         dens = local_density_coeff(T, k)
         mark = "ok" if closed == dens else "MISMATCH"
         bad += closed != dens
-        print(f"    {str(list(T)):<18} {form_det(T):>3}  "
+        print(f"    {str(list(T)):<18} {bareiss_det(T):>3}  "
               f"{str(closed):>20}  {str(dens):>20}  {mark}")
     print()
     if bad:

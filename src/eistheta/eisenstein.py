@@ -35,6 +35,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .exactnum import (
+    HEADROOM,
     bernoulli,
     check_integers,
     cohen_primes,
@@ -46,7 +47,7 @@ from .exactnum import (
     v_p,
     zeta_neg,
 )
-from .fourier import QExpansion, _from_checked
+from .fourier import QExpansion, _from_checked, _key_rank
 from .lattice import check_window, content, enumerate_psd_indices, form_disc
 from .linalg import bareiss_det
 from .records import record
@@ -59,11 +60,6 @@ __all__ = [
     "eisenstein_qexp",
     "eisenstein_residues",
 ]
-
-# The most digits a unit part may lose to its valuation: past it a window
-# gives up with ArithmeticError rather than guess.
-HEADROOM = 20
-
 
 def check_weights(weights, n: int, B: int) -> None:
     """ValueError unless the window passes lattice.check_window, n is 1
@@ -156,15 +152,13 @@ def default_sequence(target: WeightTarget, m_max: int) -> WeightSequence:
 
 
 def _index_shapes(n: int, B: int) -> list:
-    """(T, c, D0, primes) for every index T of the degree-n window of trace
-    bound B: c is the content (0 at T = 0); at rank 2, -det 2T = D0 f^2 with
+    """(T, c, D0, primes) for every index T of enumerate_psd_indices(n, B):
+    c is the content (0 at T = 0); at rank 2, -det 2T = D0 f^2 with
     D0 fundamental and primes = cohen_primes(D0, c, f), else both are None."""
-    if n == 1:
-        return [(((2 * t,),), t, None, None) for t in range(B + 1)]
     shapes = []
-    for T in enumerate_psd_indices(2, B):  # (C 0; 0 0): rank 2 iff g_11 != 0
+    for T in enumerate_psd_indices(n, B):
         c = content(T)
-        D0, f = form_disc(2, bareiss_det(T)) if T[1][1] else (None, None)
+        D0, f = form_disc(2, bareiss_det(T)) if _key_rank(T) == 2 else (None, None)
         shapes.append((T, c, D0, cohen_primes(D0, c, f) if D0 else None))
     return shapes
 
@@ -215,10 +209,8 @@ def eisenstein_residues(weights, n: int, B: int, p: int, prec: int) -> list:
 
     shapes = _index_shapes(n, B)
     zetas = kummer_residues(
-        p, (1,), weights + ([2 * k - 2 for k in weights] if n == 2 else []),
-        prec, prec + HEADROOM)
-    Ls = kummer_residues(p, {D0 for _, _, D0, _ in shapes if D0},
-                         [k - 1 for k in weights], prec, prec + HEADROOM)
+        p, (1,), weights + ([2 * k - 2 for k in weights] if n == 2 else []), prec)
+    Ls = kummer_residues(p, {D0 for _, _, D0, _ in shapes if D0}, [k - 1 for k in weights], prec)
     windows = []
     for k in weights:
         v1, u1 = zetas[1, k]  # zeta(1 - k) = -B_k / k = -p^v1 u1

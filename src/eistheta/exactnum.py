@@ -48,6 +48,10 @@ def check_integers(message: str, *xs) -> None:
 
 
 def _v_int(n: int, p: int) -> int:
+    """v_p(n) for n != 0.  At p = 2, n & -n is 2^v_2(n), also for n < 0: Python
+    ints behave as two's complement, and -n = ~n + 1 keeps the trailing zeros."""
+    if p == 2:
+        return (n & -n).bit_length() - 1
     n = abs(n)
     v = 0
     while n % p == 0:
@@ -545,7 +549,12 @@ def dirichlet_L_neg(r: int, D: int) -> Fraction:
     return -b / r
 
 
-def kummer_residues(p: int, Ds, ns, prec: int, max_terms: int) -> dict:
+# The most digits a unit part may lose to its valuation: past it a Kummer
+# value or an Eisenstein window gives up with ArithmeticError rather than guess.
+HEADROOM = 20
+
+
+def kummer_residues(p: int, Ds, ns, prec: int) -> dict:
     """{(D, n): (v, u)} with B_{n,chi_D} / n = p^v u for D in Ds, n in ns:
     v exact and u a unit, 0 < u < p^prec, from Bernoulli numbers of index
     below n1 + (p - 1) N only, n1 = (n - 1) % (p - 1) + 1.
@@ -574,15 +583,15 @@ def kummer_residues(p: int, Ds, ns, prec: int, max_terms: int) -> dict:
 
     N starts at prec and grows until every h(t) is known to prec digits
     beyond its valuation.  ArithmeticError when that needs more than
-    max_terms base values, when a base value is not p-integral, or when
+    prec + HEADROOM base values, when a base value is not p-integral, or when
     some Delta^i h(0) with i < N is not 0 mod p^i: the last two are the
     runtime checks of the proof.
     """
     Ds = list(dict.fromkeys(Ds))
     ns = list(dict.fromkeys(ns))
-    check_integers("kummer_residues needs integers", p, prec, max_terms, *Ds, *ns)
-    if not 1 <= prec <= max_terms:
-        raise ValueError("need 1 <= prec <= max_terms")
+    check_integers("kummer_residues needs integers", p, prec, *Ds, *ns)
+    if prec < 1:
+        raise ValueError("need prec >= 1")
     for D in Ds:
         parity = _character_parity(D)
         for n in ns:
@@ -631,12 +640,12 @@ def kummer_residues(p: int, Ds, ns, prec: int, max_terms: int) -> dict:
                     need = max(need, v + prec)
                 if need == N:
                     del terms[D]
-                elif N == max_terms:
+                elif N == prec + HEADROOM:
                     raise ArithmeticError(
                         f"B_{{n,chi_{D}}} / n at n = {n1} mod {p - 1}: its unit part "
-                        f"mod {p}^{prec} needs more than {max_terms} terms")
+                        f"mod {p}^{prec} needs more than {N} terms")
                 else:
-                    terms[D] = min(need, max_terms)
+                    terms[D] = min(need, prec + HEADROOM)
         Q = p**prec
         for (D, n), (h, v) in vals.items():
             ve = 1 + _v_int(n, p) if D in poles else 0

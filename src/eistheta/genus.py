@@ -38,11 +38,11 @@ from .lattice import (
     check_form,
     enumerate_classes,
     eta_S,
-    form_det,
     jordan_blocks,
     level,
     minkowski_reduce,
 )
+from .linalg import bareiss_det
 from .records import record
 
 
@@ -109,7 +109,7 @@ def genus_symbol(twoS):
     """Rank, det(2S) and the local symbol at each q | 2 det(2S): equal for
     two positive definite forms exactly when they share a genus."""
     A = as_mat(twoS)
-    d = form_det(A)
+    d = bareiss_det(A)
     local = []
     for q in sorted(factorize(2 * d)):
         blocks = jordan_blocks(A, q)
@@ -149,7 +149,7 @@ class GenusRecord:
 
     @property
     def det(self):
-        return form_det(self.classes[0].rep)
+        return bareiss_det(self.classes[0].rep)
 
 
 def partition_into_genera(classes):

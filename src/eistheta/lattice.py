@@ -28,7 +28,6 @@ __all__ = [
     "check_definite",
     "check_window",
     "form_rank",
-    "form_det",
     "form_trace",
     "content",
     "pad_zero",
@@ -102,11 +101,6 @@ def form_rank(twoT) -> int:
     return column_reduce(twoT)[1]
 
 
-def form_det(twoT) -> int:
-    """det(2T)."""
-    return bareiss_det([list(r) for r in twoT])
-
-
 def form_trace(twoT) -> int:
     """tr(T) = tr(twoT)/2."""
     return sum(twoT[i][i] for i in range(len(twoT))) // 2
@@ -154,7 +148,7 @@ def transform(twoT, U) -> Mat:
 def level(twoS) -> int:
     """Least l with l(2S)^{-1} integral and even-diagonal."""
     M = check_definite(twoS, "level")
-    d, adj, n = form_det(M), adjugate(M), len(M)
+    d, adj, n = bareiss_det(M), adjugate(M), len(M)
     return math.lcm(*(2 * d // math.gcd(2 * d, adj[i][i]) if i == j
                       else d // math.gcd(d, adj[i][j]) for i in range(n) for j in range(n)))
 
@@ -174,7 +168,7 @@ def eta_S(twoS) -> int:
     d -> kronecker((-1)^(r/2) det 2S, d) on d > 0 for S of rank r:
     kronecker(D0, d) agrees with it at every d prime to det 2S, and |D0|
     is its conductor."""
-    return form_disc(len(twoS), form_det(twoS))[0]
+    return form_disc(len(twoS), bareiss_det(twoS))[0]
 
 
 def jordan_blocks(twoS, q: int) -> list[tuple[int, tuple[tuple[Fraction, ...], ...]]]:
@@ -486,7 +480,7 @@ def _isometries(twoS, twoS2, want_all: bool, pool=None):
     n = len(twoS)
     if len(twoS2) != n:
         return []
-    if form_det(twoS) != form_det(twoS2):
+    if bareiss_det(twoS) != bareiss_det(twoS2):
         return []
     need = [twoS2[i][i] // 2 for i in range(n)]
     if pool is None:
@@ -658,7 +652,7 @@ def enumerate_classes(r: int, level_divides: int, det_bound: int | None = None):
         if d < root and Lr // d <= det_max
         for M in group
     ]
-    return sorted(set(reps), key=lambda M: (form_det(M), M))
+    return sorted(set(reps), key=lambda M: (bareiss_det(M), M))
 
 
 def enumerate_psd_indices(n: int, trace_bound: int):

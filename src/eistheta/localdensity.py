@@ -91,6 +91,7 @@ from itertools import product
 
 from .eisenstein import WeightSequence, WeightTarget
 from .exactnum import (
+    _v_int,
     check_integers,
     dirichlet_L_neg,
     divisors,
@@ -268,12 +269,6 @@ def _pair_bins_odd(q: int, e: int, da: int, db: int) -> dict[int, int]:
 # ---------------------------------------------------------------------------
 
 
-def _v2(x: int) -> int:
-    """v_2(x) for x != 0.  x & -x is 2^v_2(x), also for x < 0: Python ints
-    behave as two's complement, and -x = ~x + 1 keeps the trailing zeros of x."""
-    return (x & -x).bit_length() - 1
-
-
 def _digit_roots(A: int, B: int, C: int, D: int, thr: int) -> list[int]:
     """The u < 2^D with P(u) = A + B u + C u^2 = 0 mod 2^thr, by a digit tree.
 
@@ -283,7 +278,7 @@ def _digit_roots(A: int, B: int, C: int, D: int, thr: int) -> list[int]:
     once d + kappa >= thr every lift of a surviving node is a root.
     """
     cap = 1 << thr
-    kappa = min(_v2(B | cap), _v2(C | cap))
+    kappa = min(_v_int(B | cap, 2), _v_int(C | cap, 2))
     us, d = [0], 0
     while True:
         mask = (1 << (thr if d == D else min(d + kappa, thr))) - 1
@@ -328,9 +323,9 @@ def _q2_pair_bins(twoT, e: int) -> dict[int, int]:
     """
     E = 1 << e
     t = [(twoT[0][0] // 2) % E, (twoT[1][1] // 2) % E, twoT[0][1] % E]
-    s = min(range(3), key=lambda i: v_p(t[i], 2))
+    s = min(range(3), key=lambda i: _v_int(t[i] | E, 2))
     i, j = (x for x in range(3) if x != s)
-    a = min(v_p(t[s], 2), e)
+    a = _v_int(t[s] | E, 2)
     step = E >> a
     inv = pow(t[s] >> a, -1, step)
     # phase 0: y_s = ci y_i + cj y_j + step * lift
@@ -357,8 +352,8 @@ def _q2_pair_bins(twoT, e: int) -> dict[int, int]:
                 ys = y[s]
                 for shift, sign in twins:
                     y[s] = ys + shift
-                    c1 = _v2(y[s] | low)
-                    G[_v2((y[0] * y[1] - y[2] * y[2]) | (E << c1))] += sign * weight
+                    c1 = _v_int(y[s] | low, 2)
+                    G[_v_int((y[0] * y[1] - y[2] * y[2]) | (E << c1), 2)] += sign * weight
     return {c: g for c, g in enumerate(G) if g}
 
 
@@ -429,7 +424,7 @@ def local_density_coeff(twoT, k: int) -> Fraction:
             "2-adic density for degree-3 indices is not implemented"
         )
     M = minkowski_reduce(M)
-    det2T = bareiss_det([row[:] for row in M])
+    det2T = bareiss_det(M)
     if n == 4 and det2T % 2 == 0:
         raise NotImplementedError(
             "2-adic density for rank-4 indices with even det(2T) is not implemented"

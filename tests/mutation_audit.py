@@ -25,7 +25,7 @@ INVARIANTS = ("tests/test_genus.py::"
 
 # (name, file under src/eistheta, text, its replacement, the test that must fail)
 MUTANTS = [
-    ("HEADROOM 20 -> 2", "eisenstein.py", "HEADROOM = 20", "HEADROOM = 2",
+    ("HEADROOM 20 -> 2", "exactnum.py", "HEADROOM = 20", "HEADROOM = 2",
      "tests/test_acceptance.py::test_criterion_3_flagship_fit_and_verify"),
     ("in_theorem_range > -> >=", "eisenstein.py", "return self.p > 2 * self.k + 1",
      "return self.p >= 2 * self.k + 1",
@@ -40,6 +40,10 @@ MUTANTS = [
      "        if h.mass != g.mass:\n"
      "            raise ValueError(\"cached mass disagrees with the classes\")\n", "",
      INVARIANTS),
+    ("check_genera without its canonical-rep branch", "genus.py",
+     "            if fresh.rep != M:\n"
+     "                raise ValueError(\"genus dictionary rep not canonical\")\n", "",
+     "tests/test_genus.py::test_genera_refuses_a_cached_rep_that_is_not_canonical"),
     ("check_genera without its level branch", "genus.py",
      "        if h.level != g.level:\n"
      "            raise ValueError(\"cached level disagrees with the rep\")\n", "",

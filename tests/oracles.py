@@ -86,7 +86,6 @@ from eistheta.lattice import (
     check_form,
     content,
     enumerate_psd_indices,
-    form_det,
     form_trace,
     is_positive_definite,
     minkowski_reduce,
@@ -819,7 +818,7 @@ def chi_S(twoS, d: int) -> int:
         raise ValueError("chi_S needs even rank")
     if d == 0:
         raise ValueError("chi_S undefined at 0")
-    D = (-1) ** (r // 2) * form_det(twoS)
+    D = (-1) ** (r // 2) * bareiss_det(twoS)
     sgn = -1 if (d < 0 and (r // 2) % 2) else 1
     return sgn * kronecker(D, d if d > 0 else -d)
 

@@ -25,9 +25,9 @@ from eistheta.lattice import (
     automorphism_count,
     enumerate_classes,
     enumerate_psd_indices,
-    form_det,
     form_rank,
 )
+from eistheta.linalg import bareiss_det
 from eistheta.localdensity import direct_limit_coefficient, local_density_coeff
 from eistheta.padic import empirical_limit, fit_and_verify, singular_rank_audit
 from eistheta.theta import theta_series
@@ -58,7 +58,7 @@ def test_criterion_1_rank_decomposition_exact():
     forms += [
         R
         for R in enumerate_psd_indices(2, 12)
-        if form_rank(R) == 2 and form_det(R) <= 12
+        if form_rank(R) == 2 and bareiss_det(R) <= 12
     ]
     checked = 0
     bad = []

@@ -350,6 +350,8 @@ MALFORMED_DUMPS = [
     ([1, 2], "coeffs"),
     ({"degree": True, "trace_bound": 4, "class_invariant": True,  # JSON true == 1
       "coeffs": [{"twoT": [[2]], "num": "240", "den": "1"}]}, "degree"),
+    ({"degree": "1", "trace_bound": 4, "class_invariant": True,
+      "coeffs": [{"twoT": [[2]], "num": "240", "den": "1"}]}, "degree"),
 ]
 
 
@@ -716,6 +718,42 @@ def test_verify_main_refuses_a_window_without_an_index_of_full_rank(capsys, degr
     assert rc == 2
     err = capsys.readouterr().err
     assert "stage weights" in err and f"at least the degree {degree}" in err
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["verify-main", "--p", "7", "--k", "2", "--m-max", "0"], "m_max must be positive"),
+    (["verify-main", "--p", "7", "--k", "0"], "k must be positive"),
+    (["theta", "--form", "{form}", "--bound", "3"], "expected `n; row; row; ...`"),
+    (["singular-rank", "--expansion", "{dump}", "--p", "7", "--m", "0"], "m must be positive"),
+])
+def test_out_of_range_inputs_exit_2_before_any_computation(tmp_path, capsys, monkeypatch,
+                                                           argv, message):
+    form, dump = tmp_path / "two.txt", tmp_path / "e6.json"
+    form.write_text("2")  # a dimension and no rows
+    write_json_atomic(dump_qexp(eisenstein_qexp(6, 1, 10)), str(dump))
+    for name in ("fit_and_verify", "theta_series"):
+        monkeypatch.setattr(cli, name, lambda *args, **kw: pytest.fail("computed"))
+    argv = [a.format(form=form, dump=dump) for a in argv]
+    assert run(argv) == 2
+    assert capsys.readouterr() == ("", f"eistheta {argv[0]}: {message}\n")
+
+
+def test_verify_main_exits_2_on_a_cache_without_the_requested_character(tmp_path, capsys):
+    # the level-13 dictionary without its two chi_13 genera (det 13 and
+    # 2197): it holds no lattice of character chi_13 for j = 1.  genera
+    # still accepts the file, as nothing certifies that a dictionary is
+    # complete (ROADMAP item 1)
+    cache = tmp_path / "cache"
+    doc = genera_to_doc(4, 13, build_genera(4, 13))
+    doc["genera"] = [g for g in doc["genera"] if g["character_disc"] == 1]
+    assert [g["det"] for g in doc["genera"]] == [169]
+    write_json_atomic(doc, str(cache / "genera_r4_L13.json"))
+    rc = run(["verify-main", "--p", "13", "--k", "2", "--j", "1", "--degree", "1",
+              "--bound", "8", "--m-max", "2", "--cache-dir", str(cache)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "stage genera" in err and "no even lattices" in err
+    assert "requested character" in err
 
 
 def test_invalid_target_is_rejected(capsys):

@@ -4,6 +4,7 @@ package source calls no float arithmetic."""
 import ast
 import glob
 import importlib
+import inspect
 import os
 import pathlib
 import pkgutil
@@ -206,6 +207,55 @@ def test_cohen_sums_are_taken_in_exactnum_alone():
                    for node in ast.walk(ast.parse(fh.read()))):
                 defined.append(os.path.basename(path))
     assert not defined, f"moebius is defined in {defined}"
+
+
+def test_bits_are_counted_in_exactnum_alone():
+    # one 2-adic valuation, exactnum._v_int by n & -n, which the q = 2
+    # density kernels call too; the other bit lengths are exactnum's
+    # fixed-point widths
+    found = []
+    for path in glob.glob(os.path.join(os.path.dirname(eistheta.__file__), "*.py")):
+        with open(path) as fh:
+            if callers(fh.read(), "bit_length"):
+                found.append(os.path.basename(path))
+    assert found == ["exactnum.py"], f"bit_length is called in {sorted(found)}"
+
+
+def test_form_determinants_are_taken_by_bareiss_det_alone():
+    # det 2T is linalg.bareiss_det(T), which copies its input once; no
+    # wrapper copies the rows before it
+    defined = []
+    for path in glob.glob(os.path.join(os.path.dirname(eistheta.__file__), "*.py")):
+        with open(path) as fh:
+            if any(isinstance(node, ast.FunctionDef) and node.name == "form_det"
+                   for node in ast.walk(ast.parse(fh.read()))):
+                defined.append(os.path.basename(path))
+    assert not defined, f"form_det is defined in {defined}"
+
+
+def test_kummer_values_and_windows_share_one_headroom():
+    # kummer_residues caps its terms at prec + exactnum.HEADROOM, and the
+    # windows of eisenstein_residues import that constant, not a copy
+    from eistheta import exactnum
+    assert list(inspect.signature(exactnum.kummer_residues).parameters) == [
+        "p", "Ds", "ns", "prec"]
+    with open(os.path.join(os.path.dirname(eistheta.__file__), "eisenstein.py")) as fh:
+        assert "HEADROOM" in imported_names(fh.read())
+
+
+def test_both_eisenstein_routes_walk_the_index_window_of_lattice(monkeypatch):
+    # the windows of every degree are lattice.enumerate_psd_indices, degree 1
+    # included: _index_shapes lists no index of its own
+    from eistheta import eisenstein
+    calls = []
+    walk = eisenstein.enumerate_psd_indices
+    monkeypatch.setattr(eisenstein, "enumerate_psd_indices",
+                        lambda n, B: calls.append((n, B)) or walk(n, B))
+    (F,) = eisenstein.eisenstein_residues([44], 1, 6, 7, 3)
+    assert calls == [(1, 6)] and list(F.coeffs) == walk(1, 6)
+    eisenstein.eisenstein_qexp(4, 1, 6)
+    eisenstein.eisenstein_residues([44], 2, 4, 7, 3)
+    assert calls == [(1, 6), (1, 6), (2, 4)]
 
 
 def int_tests(source):

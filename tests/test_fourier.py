@@ -95,6 +95,8 @@ def test_add_and_scale():
     assert Z.coeffs == {}
     S = qexp_add(F, F)
     assert coeff(S, [[2]]) == 4
+    with pytest.raises(ValueError, match="degree mismatch"):
+        qexp_add(F, QExpansion(2, 9, {((0, 0), (0, 0)): 1}))
 
 
 def test_congruent_mod_basic():
@@ -263,10 +265,10 @@ def test_primitive_coeffs_against_primitive_counts():
     for T, a in got.items():
         assert a == prim.get(T, 0), T
     # squarefree determinant: primitive equals plain
-    from eistheta.lattice import form_det
+    from eistheta.linalg import bareiss_det
 
     for T, a in got.items():
-        d = form_det(T)
+        d = bareiss_det(T)
         if all(d % (q * q) for q in range(2, d + 1) if q * q <= d):
             assert a == coeff(F, T)
 
@@ -281,14 +283,14 @@ def test_primitive_coeffs_resummation():
     # re-substitute the primitive coefficients into the defining relation
     from eistheta.localdensity import _hnf_matrices, _transform_by_inverse
     from eistheta.exactnum import divisors
-    from eistheta.lattice import form_det
+    from eistheta.linalg import bareiss_det
 
     full, _ = brute_theta_2I2(8)
     F = QExpansion(2, 8, {T: Fraction(v) for T, v in full.items()})
     star = primitive_coeffs(F, 2, 8)
     for T in star:
         total = Fraction(0)
-        d2 = form_det(T)
+        d2 = bareiss_det(T)
         for d in divisors(d2):
             if d2 % (d * d):
                 continue
@@ -355,12 +357,12 @@ def definite_forms(r, bound):
 def test_transform_by_inverse_matches_fraction_oracle():
     from eistheta.exactnum import divisors
     from eistheta.localdensity import _hnf_matrices, _transform_by_inverse
-    from eistheta.lattice import form_det
+    from eistheta.linalg import bareiss_det
 
     pairs = hits = 0
     for r, bound in ((1, 12), (2, 8), (3, 4)):
         for T in definite_forms(r, bound):
-            d2 = form_det(T)
+            d2 = bareiss_det(T)
             for d in divisors(d2):
                 if d2 % (d * d):
                     continue

@@ -7,6 +7,7 @@ from itertools import product
 import pytest
 
 from eistheta import genus
+from eistheta.cli import main
 from eistheta.exactnum import gen_bernoulli
 from eistheta.genus import (
     ClassRecord,
@@ -26,12 +27,12 @@ from eistheta.lattice import (
     enumerate_classes,
     enumerate_psd_indices,
     eta_S,
-    form_det,
     form_rank,
     level,
     minkowski_reduce,
     transform,
 )
+from eistheta.linalg import bareiss_det
 from forms import direct_sum
 from oracles import (
     SearchBudgetExceeded,
@@ -80,7 +81,7 @@ def test_same_genus_distinguishes_genera_det15():
     # the two reduced forms of discriminant -15 lie in different genera
     F1 = as_mat([[2, 1], [1, 8]])
     F2 = as_mat([[4, 1], [1, 4]])
-    assert form_det(F1) == form_det(F2) == 15
+    assert bareiss_det(F1) == bareiss_det(F2) == 15
     assert is_equivalent(F1, F2) is None
     assert not same_genus(F1, F2)
     # cross-check: local representation counts differ at q = 3
@@ -91,7 +92,7 @@ def test_same_genus_joins_classes_det23():
     # discriminant -23: class number 3, one genus; up to GL(2,Z) two classes
     F1 = as_mat([[2, 1], [1, 12]])
     F2 = as_mat([[4, 1], [1, 6]])
-    assert form_det(F1) == form_det(F2) == 23
+    assert bareiss_det(F1) == bareiss_det(F2) == 23
     assert is_equivalent(F1, F2) is None
     assert same_genus(F1, F2)
     # same local data: representation counts mod small prime powers agree
@@ -116,7 +117,7 @@ def test_rank4_level11_classes_share_one_genus():
     reps = enumerate_classes(4, 11, det_bound=121)
     assert len(reps) == 3
     for S in reps:
-        assert form_det(S) == 121
+        assert bareiss_det(S) == 121
         assert level(S) == 11
     for i, S1 in enumerate(reps):
         for S2 in reps[i + 1 :]:
@@ -175,7 +176,7 @@ def same_det_pairs(forms):
     """Every pair of forms of the same rank and det(2S)."""
     by_det = {}
     for M in forms:
-        by_det.setdefault((len(M), form_det(M)), []).append(M)
+        by_det.setdefault((len(M), bareiss_det(M)), []).append(M)
     return [(a, b) for fs in by_det.values() for i, a in enumerate(fs) for b in fs[i + 1:]]
 
 
@@ -262,7 +263,7 @@ def test_partition_rank2_level12():
     # dets constant within each genus; union recovers the input
     seen = []
     for g in genera:
-        dets = {form_det(rec.rep) for rec in g.classes}
+        dets = {bareiss_det(rec.rep) for rec in g.classes}
         assert len(dets) == 1
         for rec in g.classes:
             assert level(rec.rep) == g.level
@@ -284,7 +285,7 @@ def test_build_genera_rank4_level7():
     g = genera[0]
     assert len(g.classes) == 1
     assert g.level == 7
-    assert form_det(g.classes[0].rep) == 49
+    assert bareiss_det(g.classes[0].rep) == 49
     assert g.character == 1
     assert g.mass == Fraction(1, g.classes[0].epsilon)
 
@@ -323,6 +324,38 @@ def test_cached_genera_rejects_a_genus_invariant_its_classes_contradict(
     with pytest.raises(ValueError, match=words) as info:
         cached_genera(4, 7, cache_dir=str(tmp_path))
     assert str(info.value).startswith(f"cache {path}: ")
+
+
+def test_genera_refuses_a_cached_rep_that_is_not_canonical(tmp_path, capsys):
+    # the one level-7 class in the basis b0, b1 + b0: the same lattice with
+    # the same automorphisms, level, character and mass, but not the
+    # canonical form that the dictionary is keyed by
+    doc = genera_to_doc(4, 7, build_genera(4, 7))
+    cls = doc["genera"][0]["classes"][0]
+    U = [[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
+    moved = transform(as_mat(cls["twoT"]), U)
+    assert moved != minkowski_reduce(moved)
+    cls["twoT"] = [list(row) for row in moved]
+    path = tmp_path / "genera_r4_L7.json"
+    write_json_atomic(doc, str(path))
+    assert main(["genera", "--rank", "4", "--level", "7", "--cache-dir", str(tmp_path)]) == 2
+    assert capsys.readouterr() == (
+        "", f"eistheta genera: cache {path}: genus dictionary rep not canonical\n")
+
+
+def test_write_json_atomic_leaves_the_target_when_the_rename_fails(tmp_path, monkeypatch):
+    path = tmp_path / "g.json"
+    write_json_atomic({"old": 1}, str(path))
+    before = path.read_bytes()
+
+    def refuse(src, dst):
+        raise OSError("rename refused")
+
+    monkeypatch.setattr(genus.os, "replace", refuse)
+    with pytest.raises(OSError, match="rename refused"):
+        write_json_atomic({"new": 2}, str(path))
+    assert [p.name for p in tmp_path.iterdir()] == ["g.json"]
+    assert path.read_bytes() == before
 
 
 def test_cache_round_trip(tmp_path):

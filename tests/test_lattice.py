@@ -23,7 +23,6 @@ from eistheta.lattice import (
     enumerate_psd_indices,
     eta_S,
     fits_canonical_shape,
-    form_det,
     form_rank,
     form_trace,
     is_positive_definite,
@@ -34,6 +33,7 @@ from eistheta.lattice import (
     short_vectors,
     transform,
 )
+from eistheta.linalg import bareiss_det
 from forms import direct_sum
 from oracles import (
     _extendable,
@@ -206,7 +206,7 @@ def test_rank_det_trace_content():
     assert form_rank([[0, 0, 0], [0, 0, 0], [0, 0, 0]]) == 0
     assert form_rank([[2, 0, 0], [0, 2, 0], [0, 0, 0]]) == 2
     assert form_rank(A2) == 2
-    assert form_det(A2) == 3
+    assert bareiss_det(A2) == 3
     assert form_trace(A2) == 2
     assert content(as_mat([[4, 2], [2, 8]])) == 2
     assert content(A2) == 1
@@ -263,7 +263,7 @@ def test_chi_S_examples():
     assert chi_S(B7, 1) == 1
     # square determinant: trivial on positive d coprime to det
     S49 = direct_sum(B7, B7)
-    assert form_det(S49) == 49
+    assert bareiss_det(S49) == 49
     for d in range(1, 30):
         if math.gcd(d, 14) == 1:
             assert chi_S(S49, d) == 1
@@ -301,7 +301,7 @@ def test_jordan_blocks_preserve_determinant_valuation():
              *(M for M in enumerate_psd_indices(3, 6) if form_rank(M) == 3)]
     for q in (2, 3, 7):
         for M in forms:
-            det = form_det(M)
+            det = bareiss_det(M)
             blocks = jordan_blocks(M, q)
             assert sum(len(U) for _, U in blocks) == len(M)
             assert [s for s, _ in blocks] == sorted(s for s, _ in blocks)
@@ -532,7 +532,7 @@ def test_minkowski_reduce_matches_full_branching_oracle_on_random_forms():
         G = short_first_minimum(rng, r) if t % 2 else random_definite(rng, r)
         want = canonical_full_branching(G)
         assert minkowski_reduce(transform(G, random_unimodular(rng, r))) == want, G
-        short += want[0][0] <= 4 and form_det(G) >= 64
+        short += want[0][0] <= 4 and bareiss_det(G) >= 64
     assert short >= 20
 
 
@@ -543,7 +543,7 @@ def test_canonical_pool_of_the_det_50653_reps(monkeypatch):
     with open(pathlib.Path(__file__).parent / "fixtures" / "genera_r4_L37.json") as fh:
         doc = json.load(fh)
     reps = [as_mat(c["twoT"]) for g in doc["genera"] for c in g["classes"]]
-    reps = [M for M in reps if form_det(M) == 37**3]
+    reps = [M for M in reps if bareiss_det(M) == 37**3]
     assert len(reps) == 2
     sizes = []
 
@@ -804,7 +804,7 @@ def test_enumerate_classes_pairwise_inequivalent():
     for i, M in enumerate(got):
         assert level(M) in (1, 2, 3, 4, 6, 12)
         for W in got[i + 1 :]:
-            if form_det(M) == form_det(W):
+            if bareiss_det(M) == bareiss_det(W):
                 assert is_equivalent(M, W) is None
 
 
@@ -996,7 +996,7 @@ def _check_recorded(cases):
         assert got == RECORDED_CLASSES[r, N, det_bound], (r, N, det_bound)
         if det_bound is None:
             for M in got:
-                assert form_det(M) != N**r
+                assert bareiss_det(M) != N**r
                 assert minkowski_reduce(fricke_dual(M, N)) in got, (r, N, M)
 
 
@@ -1021,9 +1021,9 @@ def test_enumerate_classes_matches_recorded_level37():
 
 def test_enumerate_classes_det_bound_drops_large_duals():
     got = enumerate_classes(4, 13, det_bound=169)
-    assert [form_det(M) for M in got] == [13, 169]
+    assert [bareiss_det(M) for M in got] == [13, 169]
     dual = fricke_dual(got[0], 13)
-    assert form_det(dual) == 13**3 and level(dual) == 13
+    assert bareiss_det(dual) == 13**3 and level(dual) == 13
 
 
 @pytest.mark.parametrize("det_bound", [0, -1])

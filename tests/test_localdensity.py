@@ -32,7 +32,6 @@ from eistheta.exactnum import factorize, kronecker, residue, v_p
 from eistheta.lattice import (
     bareiss_det,
     enumerate_psd_indices,
-    form_det,
     form_disc,
     form_rank,
     jordan_blocks,
@@ -417,7 +416,7 @@ def test_stabilization_gate_counts_levels_until_two_agree(monkeypatch):
     # repeat as a polynomial, and never one level earlier
     for q, T in [(3, ((2 * 27,),)), (2, ((2, 1), (1, 2))), (2, ((8, 0), (0, 8))),
                  (5, ((2, 1), (1, 8)))]:
-        v = v_p(2 * form_det(T), q)
+        v = v_p(2 * bareiss_det(T), q)
         for settle in range(v + 2, v + _STABLE_MARGIN + 1):
             levels = []
 
@@ -427,7 +426,7 @@ def test_stabilization_gate_counts_levels_until_two_agree(monkeypatch):
 
             _stable_bins.cache_clear()
             monkeypatch.setattr(localdensity, "_bins", late)
-            assert _beta_q(q, 4, T, form_det(T)) == settle, (q, T, settle)
+            assert _beta_q(q, 4, T, bareiss_det(T)) == settle, (q, T, settle)
             assert levels == list(range(max(2, v + 2), settle + 2)), (q, T, settle)
 
 
@@ -463,7 +462,7 @@ def test_weight_free_gate_matches_the_per_weight_loop():
         cases += [(T, (44, 296)) for T in visited]
     assert len(cases) > 100
     for T, weights in cases:
-        det2T = form_det(T)
+        det2T = bareiss_det(T)
         for q in sorted(factorize(2 * det2T)):
             if q == 2 and len(T) == 4:
                 continue  # beta_2 is the closed generic factor there
@@ -636,7 +635,8 @@ def test_pair_2adic_density_is_stable_at_level_20():
     start = time.perf_counter()
     for T in (((2, -1), (-1, 2)), ((8, 0), (0, 8))):
         for k in (4, 6, 44):
-            assert _density(_q2_pair_bins(T, 20), 2, 20, 2**k) == _beta_q(2, k, T, form_det(T)), (T, k)
+            want = _beta_q(2, k, T, bareiss_det(T))
+            assert _density(_q2_pair_bins(T, 20), 2, 20, 2**k) == want, (T, k)
     assert time.perf_counter() - start < 1
 
 

@@ -13,16 +13,15 @@ from fractions import Fraction
 
 import pytest
 
-from eistheta import exactnum, padic
+from eistheta import exactnum, localdensity, padic
 from eistheta.eisenstein import (
-    HEADROOM,
     WeightSequence,
     WeightTarget,
     default_sequence,
     eisenstein_qexp,
     eisenstein_residues,
 )
-from eistheta.exactnum import residue, sigma, v_p
+from eistheta.exactnum import HEADROOM, residue, sigma, v_p
 from eistheta.fourier import QExpansion, qexp_add, qexp_scale
 from eistheta.genus import (
     GenusRecord,
@@ -366,8 +365,6 @@ def test_dual_route_evaluates_few_bernoulli_numbers(monkeypatch):
 
 
 def test_direct_ladder_walks_the_inversion_once_for_every_rung(monkeypatch):
-    from eistheta import localdensity
-
     calls = []
     transform = localdensity._transform_by_inverse
     monkeypatch.setattr(localdensity, "_transform_by_inverse",
@@ -382,10 +379,17 @@ def test_direct_ladder_walks_the_inversion_once_for_every_rung(monkeypatch):
     assert one_walk > 0 and len(calls) == one_walk
 
 
-def test_direct_ladder_rejects_wrong_rank():
+def test_direct_ladder_rejects_wrong_rank(monkeypatch):
     t = WeightTarget(7, 2, 0)
     with pytest.raises(ValueError):
         direct_limit_coefficient([[2, -1], [-1, 2]], t, default_sequence(t, 2))
+    # rank 6 at k = 3 has the right rank but is past the 5 x 5 reduction:
+    # refused before any density is counted
+    monkeypatch.setattr(localdensity, "_primitive_densities", lambda *a: pytest.fail("counted"))
+    t = WeightTarget(7, 3, 1)
+    S = [[2 * (i == j) for j in range(6)] for i in range(6)]
+    with pytest.raises(ValueError, match="matrices larger than 5x5 are out of scope"):
+        direct_limit_coefficient(S, t, default_sequence(t, 2))
 
 
 # ---------------------------------------------------------------------------

@@ -73,6 +73,8 @@ def test_record_is_immutable():
 def test_post_init_checks_and_normalizes():
     with pytest.raises(ValueError, match="odd prime"):
         WeightTarget(9, 2, 0)
+    with pytest.raises(ValueError, match="j must be 0 or 1"):
+        WeightTarget(7, 2, 2)
     seq = WeightSequence(WeightTarget(7, 2, 0), [1, 2, 3])
     assert seq.b_schedule == (1, 2, 3) and len(seq) == 3
     assert seq.weights == (44, 296, 2060)
