@@ -214,16 +214,18 @@ def eisenstein_residues(weights, n: int, B: int, p: int, prec: int) -> list:
     windows = []
     for k in weights:
         v1, u1 = zetas[1, k]  # zeta(1 - k) = -B_k / k = -p^v1 u1
+        linear = -2 * pow(u1, -1, Q)
+        if n == 2:  # zeta(3 - 2k) = -p^v2 u2
+            v2, u2 = zetas[1, 2 * k - 2]
+            const = -2 * pow(u1 * u2, -1, Q)
         coeffs = {}
         for T, c, D0, primes in shapes:
             if not c:
                 coeffs[T] = Fraction(1)
             elif D0 is None:  # (2 / zeta(1 - k)) sigma_{k-1}(c)
-                coeffs[T] = rep(-v1, -2 * pow(u1, -1, Q), sigma(k - 1, c, PM))
+                coeffs[T] = rep(-v1, linear, sigma(k - 1, c, PM))
             else:  # (2 / (zeta(1-k) zeta(3-2k))) L(2 - k, chi_D0) times the product
-                v2, u2 = zetas[1, 2 * k - 2]
                 vL, uL = Ls[D0, k - 1]  # L(2 - k, chi_D0) = -p^vL uL
-                coeffs[T] = rep(vL - v1 - v2, -2 * uL * pow(u1 * u2, -1, Q),
-                                cohen_product(k - 1, primes, PM))
+                coeffs[T] = rep(vL - v1 - v2, const * uL, cohen_product(k - 1, primes, PM))
         windows.append(_from_checked(n, B, coeffs))
     return windows

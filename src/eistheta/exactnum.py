@@ -582,10 +582,14 @@ def kummer_residues(p: int, Ds, ns, prec: int) -> dict:
     factor is a unit for n >= 2 and v_p(e(n)) = 1 + v_p(n) at a pole.
 
     N starts at prec and grows until every h(t) is known to prec digits
-    beyond its valuation.  ArithmeticError when that needs more than
-    prec + HEADROOM base values, when a base value is not p-integral, or when
-    some Delta^i h(0) with i < N is not 0 mod p^i: the last two are the
-    runtime checks of the proof.
+    beyond its valuation.  At n1 = 1 it starts at prec + 1 + max v_p(t) over
+    the targets for chi(p) = 1 and no pole: c = 1 and g(0) = h(0) =
+    (1 - chi(p)) B_{1,chi} = 0, so g(T) = T G(T) with G in Z_p[[T]] and
+    v_p(h(t)) >= v_p(w^t - 1) = 1 + v_p(t).  Each round sweeps the
+    characters of one N by one ``gen_bernoulli_rows`` call.
+    ArithmeticError when that needs more than prec + HEADROOM base values,
+    when a base value is not p-integral, or when some Delta^i h(0) with
+    i < N is not 0 mod p^i: the last two are the runtime checks of the proof.
     """
     Ds = list(dict.fromkeys(Ds))
     ns = list(dict.fromkeys(ns))
@@ -598,6 +602,7 @@ def kummer_residues(p: int, Ds, ns, prec: int) -> dict:
             if n < 2 or n % 2 != parity:
                 raise ValueError(f"B_{{{n},{D}}} / {n} is not a Kummer value")
     star = p if p % 4 == 1 else -p
+    chi_p = {D: kronecker(D, p) for D in Ds}
     out = {}
     for n1 in sorted({(n - 1) % (p - 1) + 1 for n in ns}):
         targets = [n for n in ns if (n - 1) % (p - 1) + 1 == n1]
@@ -605,18 +610,23 @@ def kummer_residues(p: int, Ds, ns, prec: int) -> dict:
                  or (D == star and n1 == (p - 1) // 2)}
         base = {D: [] for D in Ds}  # base[D][i] = h(i), exactly
         terms = dict.fromkeys(Ds, prec)  # N for each D
+        if n1 == 1:  # the trivial zeros: v_p(h(t)) >= 1 + v_p(t)
+            deep = prec + 1 + max(_v_int((n - 1) // (p - 1), p) for n in targets)
+            terms.update((D, min(deep, prec + HEADROOM)) for D in Ds
+                         if D not in poles and chi_p[D] == 1)
         vals = {}
         while terms:
-            top = max(terms.values())
-            lo = min(len(base[D]) for D in terms)
-            rows = gen_bernoulli_rows([n1 + (p - 1) * i for i in range(lo, top)], terms)
-            for i in range(lo, top):
-                m = n1 + (p - 1) * i
-                for D in terms:
-                    if len(base[D]) == i:
-                        base[D].append(((1 + p) ** m - 1 if D in poles else 1)
-                                       * (1 - kronecker(D, p) * p ** (m - 1))
-                                       * rows[m][D] / m)
+            for top in dict.fromkeys(terms.values()):
+                group = [D for D, N in terms.items() if N == top]
+                lo = min(len(base[D]) for D in group)
+                rows = gen_bernoulli_rows([n1 + (p - 1) * i for i in range(lo, top)], group)
+                for i in range(lo, top):
+                    m = n1 + (p - 1) * i
+                    for D in group:
+                        if len(base[D]) == i:
+                            base[D].append(((1 + p) ** m - 1 if D in poles else 1)
+                                           * (1 - chi_p[D] * p ** (m - 1))
+                                           * rows[m][D] / m)
             for D, N in list(terms.items()):
                 P = p**N
                 hs = base[D][:N]
@@ -650,7 +660,7 @@ def kummer_residues(p: int, Ds, ns, prec: int) -> dict:
         for (D, n), (h, v) in vals.items():
             ve = 1 + _v_int(n, p) if D in poles else 0
             e = (pow(1 + p, n, Q * p**ve) - 1) // p**ve if ve else 1
-            euler = 1 - kronecker(D, p) * pow(p, n - 1, Q)
+            euler = 1 - chi_p[D] * pow(p, n - 1, Q)
             out[D, n] = (v - ve, h // p**v * pow(e * euler, -1, Q) % Q)
     return out
 

@@ -48,9 +48,13 @@ def _from_checked(degree, trace_bound, coeffs) -> QExpansion:
     """A QExpansion on indices known to be canonical and to lie within
     ``trace_bound``: skips the canonical-form check of ``__post_init__``,
     drops zeros.  The indices must come from an expansion that passed that
-    check, be kept by ``minkowski_reduce(M) == M`` (as
-    ``lattice.enumerate_psd_indices`` and ``theta.theta_series`` keep
-    them), or be 1 x 1 entries (2t) with t >= 0."""
+    check, be kept by ``minkowski_reduce(M) == M``, be 1 x 1 entries (2t)
+    with t >= 0, or be canonical by construction: at most two nonzero
+    diagonal entries, none negative, and every column passing
+    ``lattice.fits_canonical_shape`` (minkowski_reduce's own shortcut
+    test).  ``lattice.enumerate_psd_indices`` and
+    ``theta.theta_series`` take their indices of rank <= 2 by construction
+    and reduce only the others."""
     F = QExpansion(degree, trace_bound, {})
     F.coeffs.update((T, a) for T, a in coeffs.items() if a)  # the dict __post_init__ made
     return F

@@ -660,9 +660,13 @@ def enumerate_psd_indices(n: int, trace_bound: int):
 
     A canonical form is (C 0; 0 0) with C definite, so each C of rank
     r <= n that _shape_walk gives under the trace budget is padded, and
-    minkowski_reduce keeps the canonical ones.
+    minkowski_reduce keeps the canonical ones.  At r <= 2 every pad is
+    canonical by construction: its columns pass fits_canonical_shape, which
+    is minkowski_reduce's own shortcut test at rank <= 2, so only r >= 3 is
+    filtered.
     """
     check_window(n, trace_bound)
-    pads = (pad_zero(C, n) for r in range(n + 1)
+    pads = ((r, pad_zero(C, n)) for r in range(n + 1)
             for C in _shape_walk(r, lambda diag, d: sum(diag) + d <= 2 * trace_bound))
-    return sorted((M for M in pads if minkowski_reduce(M) == M), key=lambda M: (form_trace(M), M))
+    return sorted((M for r, M in pads if r <= 2 or minkowski_reduce(M) == M),
+                  key=lambda M: (form_trace(M), M))

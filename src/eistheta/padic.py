@@ -436,7 +436,7 @@ def fit_and_verify(
             )
             coherent = coh >= seq.b_schedule[m - 2]
         # the audit reads the window the fit reads mod p: p^-nu times the source's
-        audit = singular_rank_audit(qexp_scale(F, p**-nu_w), k_m, p, 1)
+        audit = singular_rank_audit(qexp_scale(F, p**-nu_w) if nu_w else F, k_m, p, 1)
         passed = worst >= b and coherent and audit.ok
         fits.append(
             FitRung(

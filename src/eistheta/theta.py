@@ -11,7 +11,7 @@ from bisect import bisect_left
 from fractions import Fraction
 from operator import mul
 
-from .fourier import QExpansion, _from_checked, qexp_add, qexp_scale
+from .fourier import QExpansion, _from_checked, _key_rank, qexp_add, qexp_scale
 from .lattice import (
     Mat,
     automorphisms,
@@ -30,15 +30,22 @@ def theta_series(twoS, n: int, trace_bound: int) -> QExpansion:
     vectors with Gram matrix T.  X is built a column at a time and is not
     extended once lattice.fits_canonical_shape rejects its Gram matrix,
     which no canonical T fails, so every tuple with a canonical Gram
-    matrix is counted; minkowski_reduce then drops the others.  X and U X
-    have one Gram matrix for every U in a group of automorphisms of S, so
-    x_1 is taken one per orbit and counted as often as its orbit is long.
-    Later columns go one per pair +-y: the shape asks the first nonzero
-    product of x_j with x_1, ..., x_{j-1} to be negative, which fixes the
-    sign, and both signs are taken when every such product is 0.
-    The group is Aut(S) when rank(S) <= 4 and every diagonal entry of 2S is
-    at most 2B, so that the short vectors of the window hold its search
-    pool and are searched for it; otherwise it is {1, -1}.
+    matrix is counted.  Every column of a key fits the shape, so a key with
+    at most two nonzero diagonal entries is canonical (minkowski_reduce's
+    own shortcut test), and minkowski_reduce runs only on keys with three or
+    more, to drop the ones that are not canonical.
+    X and U X have one Gram matrix for every U in a group of automorphisms
+    of S, so x_1 is taken one per orbit and counted as often as its orbit is
+    long.  Only the x_1 with 2Q(x_1) <= B take orbits: past that a nonzero
+    x_2 would need Q(x_2) >= Q(x_1) and so a trace above B, so each such x_1
+    adds 1 at diag(2Q(x_1), 0, ..., 0) and nothing else.  Later columns go
+    one per pair +-y: the shape asks the first nonzero product of x_j with
+    x_1, ..., x_{j-1} to be negative, which fixes the sign, and both signs
+    are taken when every such product is 0; the last column adds its Gram
+    matrix where it is chosen, twice in that case.  The group is Aut(S)
+    when rank(S) <= 4 and every diagonal entry of 2S is at most 2B, so that
+    the short vectors of the window hold its search pool and are searched
+    for it; otherwise it is {1, -1}.
     """
     twoS = check_definite(twoS, "theta series")
     check_window(n, trace_bound)
@@ -59,10 +66,14 @@ def theta_series(twoS, n: int, trace_bound: int) -> QExpansion:
                  for s in (1, -1)]
     zero = (0,) * r
     cols = [(zero, 0)] + vecs
+    counts: dict[Mat, int] = {}
     firsts = []  # (x_1, value, orbit length), one x_1 per orbit, by value
     seen: set = set()
     for v, q in cols:
-        if v not in seen:
+        if 2 * q > B:  # a later column would have value >= q: all are zero
+            key = ((2 * q,) + (0,) * (n - 1),) + ((0,) * n,) * (n - 1)
+            counts[key] = counts.get(key, 0) + 1
+        elif v not in seen:
             orbit = {tuple(sum(map(mul, row, v)) for row in U) for U in group}
             seen |= orbit
             firsts.append((v, q, len(orbit)))
@@ -70,15 +81,10 @@ def theta_series(twoS, n: int, trace_bound: int) -> QExpansion:
     pairs = [(v, tuple(-c for c in v), q, [sum(map(mul, row, v)) for row in twoS])
              for v, q in cols if v >= zero]
     values = [q for _, _, q, _ in pairs]  # sorted
-    counts: dict[Mat, int] = {}
     chosen: list[tuple[int, ...]] = []
     gram: list[list[int]] = [[0] * n for _ in range(n)]
 
     def rec(j, trace, weight):
-        if j == n:
-            key = tuple(map(tuple, gram))
-            counts[key] = counts.get(key, 0) + weight
-            return
         # the shape's diagonal is non-decreasing and then zero, so column j
         # is the zero vector or has at least the value of column j - 1
         prev = gram[j - 1][j - 1] // 2
@@ -95,11 +101,17 @@ def theta_series(twoS, n: int, trace_bound: int) -> QExpansion:
             gram[j][j] = 2 * q
             for i, x in enumerate(col):
                 gram[i][j] = gram[j][i] = x
-            if fits_canonical_shape(gram, j):
-                for y in (v, w) if q and not lead else (v,):
-                    chosen.append(y)
-                    rec(j + 1, trace + q, weight)
-                    chosen.pop()
+            if not fits_canonical_shape(gram, j):
+                continue
+            ys = (v, w) if q and not lead else (v,)
+            if j == n - 1:  # +-y give one Gram matrix when both are taken
+                key = tuple(map(tuple, gram))
+                counts[key] = counts.get(key, 0) + len(ys) * weight
+                continue
+            for y in ys:
+                chosen.append(y)
+                rec(j + 1, trace + q, weight)
+                chosen.pop()
 
     # every column 0 fits the canonical shape
     for v, q, size in firsts:
@@ -107,9 +119,10 @@ def theta_series(twoS, n: int, trace_bound: int) -> QExpansion:
         chosen.append(v)
         rec(1, q, size)
         chosen.pop()
-    # each key is checked once here, so _from_checked checks none again
-    return _from_checked(
-        n, B, {T: Fraction(c) for T, c in counts.items() if minkowski_reduce(T) == T})
+    # keys of rank <= 2 are canonical as built; each other key is checked
+    # once here, so _from_checked checks none again
+    return _from_checked(n, B, {T: Fraction(c) for T, c in counts.items()
+                                if _key_rank(T) <= 2 or minkowski_reduce(T) == T})
 
 
 def genus_theta(G, n: int, trace_bound: int):

@@ -22,6 +22,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 BAR = "tests/test_padic.py::test_a_held_out_coefficient_one_digit_off_fails_the_bar_alone"
 INVARIANTS = ("tests/test_genus.py::"
               "test_cached_genera_rejects_a_genus_invariant_its_classes_contradict")
+THETA_ORACLE = "tests/test_theta.py::test_theta_matches_all_tuples_oracle"
 
 # (name, file under src/eistheta, text, its replacement, the test that must fail)
 MUTANTS = [
@@ -59,6 +60,10 @@ MUTANTS = [
      "test_a_singular_window_off_the_weight_congruence_fails_the_audit_alone"),
     ("the held-out refusal disabled", "padic.py", "    if not held_out:\n", "    if False:\n",
      "tests/test_padic.py::test_a_window_with_nothing_held_out_is_refused"),
+    ("theta's zero-column shortcut at 2Q(x_1) >= B", "theta.py", "if 2 * q > B:",
+     "if 2 * q >= B:", THETA_ORACLE),
+    ("theta's last column not doubled", "theta.py", "len(ys) * weight", "weight",
+     THETA_ORACLE),
 ]
 
 

@@ -1,4 +1,5 @@
 import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -146,10 +147,36 @@ def test_each_ladder_weight_costs_few_factorizations(monkeypatch):
     assert counts[1] - counts[0] <= 20 and counts[2] - counts[1] <= 20, counts
 
 
+def test_a_ladder_table_splits_a_character_again_only_past_its_start(monkeypatch):
+    # W2's L-table: 72 characters at n = 43 and 295, both 1 mod 6, at p = 7
+    # and prec 4.  The 35 with chi(7) = 1 start at 4 + 1 + v_7(49) = 7 terms,
+    # the others at 4, and each depth is swept by one call, so a character's
+    # residues a < |D|/2 are split by chi again only when one of its values
+    # lies deeper than its start assumed: 72 + 6 splits (109 when all
+    # started at 4, and the 37 that escalated were split twice)
+    Ds = {D0 for _, _, D0, _ in eisenstein._index_shapes(2, 16) if D0}
+    got = exactnum.kummer_residues(7, Ds, [43, 295], 4)
+    start = {D: 7 if exactnum.kronecker(D, 7) == 1 else 4 for D in Ds}
+    again = {D for D in Ds if max(got[D, n][0] for n in (43, 295)) + 4 > start[D]}
+    splits = []
+    original = exactnum._character_signs
+
+    def counting(ds):
+        splits.extend(ds)
+        return original(ds)
+
+    monkeypatch.setattr(exactnum, "_character_signs", counting)
+    eisenstein_residues([44, 296], 2, 16, 7, 4)
+    assert len(Ds) == 72 and len(again) == 6
+    assert Counter(splits) == {D: 1 + (D in again) for D in Ds}
+    assert len(splits) <= 78
+
+
 @pytest.mark.parametrize("k,B", [(4, 6), (296, 16)])
 def test_degree2_window_is_canonicalised_once(monkeypatch, k, B):
     # enumerate_psd_indices keeps only canonical indices, so the expansion
-    # built from them skips the constructor's second check
+    # built from them skips the constructor's second check; at degree 2
+    # every index is canonical as built, so nothing is reduced at all
     calls = []
 
     def counting(T):
@@ -162,7 +189,25 @@ def test_degree2_window_is_canonicalised_once(monkeypatch, k, B):
     alone = len(calls)
     calls.clear()
     eisenstein_qexp(k, 2, B)
-    assert len(calls) == alone > 0
+    assert len(calls) == alone == 0
+
+
+def test_degree3_window_is_canonicalised_once(monkeypatch):
+    # a degree-3 window reduces each pad of rank 3 once, and an expansion
+    # built from it by _from_checked reduces nothing again
+    calls = []
+
+    def counting(T):
+        calls.append(T)
+        return minkowski_reduce(T)
+
+    monkeypatch.setattr(lattice, "minkowski_reduce", counting)
+    monkeypatch.setattr(fourier, "minkowski_reduce", counting)
+    window = enumerate_psd_indices(3, 6)
+    alone = len(calls)
+    fourier._from_checked(3, 6, dict.fromkeys(window, 1))
+    assert len(calls) == len(set(calls)) == alone > 0
+    assert {T for T in window if form_rank(T) == 3} <= set(calls)
 
 
 def test_rejects_bad_weight_or_degree():

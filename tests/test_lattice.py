@@ -1056,6 +1056,22 @@ def test_enumerate_psd_indices_matches_box_oracle(n, B):
     assert enumerate_psd_indices(n, B) == psd_indices_box(n, B)
 
 
+@pytest.mark.parametrize("n,B", [(2, 16), (3, 6), (4, 3)])
+def test_psd_indices_kept_without_reduction_are_canonical(monkeypatch, n, B):
+    # pads of rank <= 2 skip the filter: each must be its own canonical form,
+    # and only pads of rank >= 3 are reduced
+    reduced = []
+
+    def recording(M):
+        reduced.append(M)
+        return minkowski_reduce(M)
+
+    monkeypatch.setattr(lattice_module, "minkowski_reduce", recording)
+    unreduced = [M for M in enumerate_psd_indices(n, B) if M not in reduced]
+    assert all(form_rank(M) >= 3 for M in reduced)
+    assert unreduced and all(minkowski_reduce(M) == M for M in unreduced)
+
+
 def test_extendable():
     assert _extendable([[1, 0, 0]], 3)
     assert _extendable([[2, 1, 0], [1, 1, 0]], 3)

@@ -4,7 +4,7 @@ from itertools import product
 
 import pytest
 
-from eistheta.fourier import qexp_scale
+from eistheta.fourier import _key_rank, qexp_scale
 from eistheta.genus import ClassRecord, build_genera, partition_into_genera
 from eistheta.fourier import QExpansion
 from eistheta.lattice import (
@@ -94,29 +94,61 @@ def test_theta_matches_box_small():
             }, (twoS, n)
 
 
-@pytest.mark.parametrize("twoS,n,B", [
+ORACLE_WINDOWS = [
     (A2, 2, 8), (A2, 3, 6), (A2, 4, 4),
     (direct_sum(A2, A2), 2, 10), (direct_sum(A2, B7), 2, 10), (D4, 2, 10),
     (direct_sum(A2, A2), 3, 4), (direct_sum(A2, B7), 3, 4), (D4, 3, 4),
-])
+]
+
+
+@pytest.mark.parametrize("twoS,n,B", ORACLE_WINDOWS)
 def test_theta_matches_all_tuples_oracle(twoS, n, B):
     want = theta_all_tuples(twoS, n, B)
     assert theta_series(twoS, n, B).coeffs == {T: Fraction(c) for T, c in want.items()}
 
 
-@pytest.mark.parametrize("twoS,calls", [(D4, 64), (direct_sum(A2, B7), 81)])
-def test_theta_canonicalises_only_its_coefficients(monkeypatch, twoS, calls):
-    # at degree 2 every Gram matrix of canonical shape is canonical, so
-    # minkowski_reduce runs once per stored coefficient
+def reductions(monkeypatch):
+    """The list of every key theta_series passes to minkowski_reduce."""
     seen = []
 
-    def counting(T):
+    def recording(T):
         seen.append(T)
         return minkowski_reduce(T)
 
-    monkeypatch.setattr(theta_module, "minkowski_reduce", counting)
-    F = theta_series(twoS, 2, 10)
-    assert len(seen) == len(F.coeffs) == calls
+    monkeypatch.setattr(theta_module, "minkowski_reduce", recording)
+    return seen
+
+
+@pytest.mark.parametrize("twoS,kept", [(D4, 64), (direct_sum(A2, B7), 81)])
+def test_theta_canonicalises_only_its_coefficients(monkeypatch, twoS, kept):
+    # every column of a key fits the canonical shape, so a key with at most
+    # two nonzero diagonal entries is canonical as built: at degree 2
+    # minkowski_reduce runs on no key
+    seen = reductions(monkeypatch)
+    assert len(theta_series(twoS, 2, 10).coeffs) == kept
+    assert seen == []
+
+
+@pytest.mark.parametrize("twoS,calls", [(D4, 9), (direct_sum(A2, B7), 8)])
+def test_theta_reduces_each_key_of_rank_3_once(monkeypatch, twoS, calls):
+    # at degree 3 minkowski_reduce runs once on each key with three nonzero
+    # diagonal entries, the only keys it can drop (some of them singular)
+    seen = reductions(monkeypatch)
+    F = theta_series(twoS, 3, 4)
+    assert len(seen) == len(set(seen)) == calls
+    assert all(_key_rank(T) == 3 for T in seen)
+    assert {T for T in F.coeffs if _key_rank(T) == 3} <= set(seen)
+    assert len(F.coeffs) == 16
+
+
+@pytest.mark.parametrize("twoS,n,B", [
+    *ORACLE_WINDOWS, (W2_REP, 2, 24), (W2_REP, 3, 6),
+])
+def test_theta_keys_kept_without_reduction_are_canonical(monkeypatch, twoS, n, B):
+    # the keys the walk keeps without minkowski_reduce are its fixed points
+    reduced = reductions(monkeypatch)
+    unreduced = [T for T in theta_series(twoS, n, B).coeffs if T not in reduced]
+    assert unreduced and all(minkowski_reduce(T) == T for T in unreduced)
 
 
 @pytest.mark.parametrize("twoS,eps,n,B", [
@@ -180,7 +212,9 @@ def test_walk_outside_the_rule_takes_x1_up_to_sign(monkeypatch, twoS, U, n, B):
 def test_orbit_walk_work_count(monkeypatch):
     # 27146 shape checks on W2's rep at (2, 16) when x_1 is taken up to
     # sign; 5213 with x_1 one per orbit (53) and x_2 = 0 or either sign of
-    # 2580 pairs +-y; 53 + 2580 when x_2 is taken one per pair
+    # 2580 pairs +-y; 53 + 2580 when x_2 is taken one per pair; 19 + 2580
+    # once the 34 orbits with 2Q(x_1) > 16, whose x_2 can only be 0, are
+    # counted vector by vector without a walk
     calls = []
     fits = theta_module.fits_canonical_shape
 
@@ -190,7 +224,7 @@ def test_orbit_walk_work_count(monkeypatch):
 
     monkeypatch.setattr(theta_module, "fits_canonical_shape", counting)
     theta_series(W2_REP, 2, 16)
-    assert len(calls) == 2633
+    assert len(calls) == 2599
 
 
 def test_e8_walk_searches_no_group(monkeypatch):
