@@ -18,6 +18,10 @@ Jordan decomposition of 2S (``lattice.jordan_blocks``):
   scales in which each adjacent pair has a type I member, empty scales
   counting as type II) onto its first constituent, adding 4 to the
   oddity of each compartment a step touches (sections 7.3 to 7.6).
+
+The builder's code alone defines a valid dictionary: ``check_genera``
+rebuilds one from its reps and refuses any difference, so a rule added
+to the builder holds on every cache read.
 """
 
 from __future__ import annotations
@@ -184,50 +188,42 @@ def build_genera(rank, level_divides):
 
 
 def check_genera(genera, rank, level_divides):
-    """Raise ValueError unless genera is what build_genera makes of its own
-    classes: canonical reps of the given rank with their automorphism
-    counts, each class listed once, grouped by genus symbol, and each
-    genus with the level (dividing level_divides), character and mass
-    that partition_into_genera gives it."""
-    found, seen = [], set()  # the rebuilt records of each genus
-    for g in genera:
-        found.append([])
-        for rec in g.classes:
-            M = check_form(rec.rep)
-            if len(M) != rank:
-                raise ValueError(f"dictionary lattice is not of rank {rank}")
-            fresh = ClassRecord.from_rep(M)
-            if fresh.rep != M:
-                raise ValueError("genus dictionary rep not canonical")
-            if fresh.epsilon != rec.epsilon:
-                raise ValueError(
-                    f"cached automorphism count {rec.epsilon} is wrong "
-                    f"(got {fresh.epsilon})"
-                )
-            if M in seen:
-                raise ValueError("a class is listed twice")
-            seen.add(M)
-            found[-1].append(fresh)
-    truth = partition_into_genera([rec for grp in found for rec in grp])
-    label = {rec: i for i, h in enumerate(truth) for rec in h.classes}
-    own = [{label[rec] for rec in grp} for grp in found]
-    if any(len(s) != 1 for s in own):
-        raise ValueError("a cached genus is empty or holds classes of different genera")
-    own = [s.pop() for s in own]
-    if len(set(own)) != len(own):
-        raise ValueError("two cached genera are one genus")
-    for g, i in zip(genera, own):
-        h = truth[i]
+    """Raise ValueError unless genera equals partition_into_genera of
+    ClassRecord.from_rep of its own reps, the builder's code in its order.
+    Refused first, as equality cannot see them: a rep not of the given
+    rank, a class listed twice, a level not dividing level_divides."""
+    reps = [check_form(rec.rep) for g in genera for rec in g.classes]
+    if any(len(M) != rank for M in reps):
+        raise ValueError(f"dictionary lattice is not of rank {rank}")
+    fresh = [ClassRecord.from_rep(M) for M in reps]
+    if len({rec.rep for rec in fresh}) < len(fresh):
+        raise ValueError("a class is listed twice")
+    truth = partition_into_genera(fresh)
+    for h in truth:
         if level_divides % h.level:
-            raise ValueError(
-                f"dictionary lattice has level {h.level}, not dividing {level_divides}"
-            )
-        if h.level != g.level:
-            raise ValueError("cached level disagrees with the rep")
-        if h.character != g.character:
-            raise ValueError("cached character disagrees with the rep")
-        if h.mass != g.mass:
-            raise ValueError("cached mass disagrees with the classes")
+            raise ValueError(f"dictionary lattice has level {h.level}, "
+                             f"not dividing {level_divides}")
+    _require_equal(genera, truth, "genera")
+
+
+def _require_equal(cached, rebuilt, path=""):
+    """Raise ValueError at the first entry where cached and rebuilt differ, by
+    path and both values.  Records compare as dicts of their fields, lists
+    and tuples entry by entry, leaves by type and value (JSON true is not 1)."""
+    if hasattr(cached, "_asdict") and hasattr(rebuilt, "_asdict"):
+        cached, rebuilt = cached._asdict(), rebuilt._asdict()
+    if isinstance(cached, dict) and isinstance(rebuilt, dict):
+        if cached.keys() != rebuilt.keys():
+            raise ValueError(f"{path} keys: cached {sorted(cached)}, "
+                             f"rebuilt {sorted(rebuilt)}".lstrip())
+        for key in rebuilt:
+            _require_equal(cached[key], rebuilt[key], f"{path}.{key}".lstrip("."))
+    elif isinstance(cached, (list, tuple)) and isinstance(rebuilt, (list, tuple)):
+        for i, (a, b) in enumerate(zip(cached, rebuilt)):
+            _require_equal(a, b, f"{path}[{i}]")
+        _require_equal(len(cached), len(rebuilt), f"len({path})")
+    elif type(cached) is not type(rebuilt) or cached != rebuilt:
+        raise ValueError(f"{path}: cached {cached!r}, rebuilt {rebuilt!r}")
 
 
 # ------------------------------------------------------------------ caching
@@ -291,7 +287,8 @@ def write_json_atomic(doc, path):
 
 def cached_genera(rank, level_divides, cache_dir=None):
     """Genera for (rank, level), cached as JSON in cache_dir or EISTHETA_CACHE_DIR if set.
-    A file is checked whole on every read; a fresh build is returned as built."""
+    A file is read whole, on every read, and only as what a fresh build
+    would write for its own classes; a fresh build is returned as built."""
     d = cache_dir or os.environ.get("EISTHETA_CACHE_DIR")
     if d is None:
         return build_genera(rank, level_divides)
@@ -309,6 +306,7 @@ def cached_genera(rank, level_divides, cache_dir=None):
                                  f"not the requested {want!r}")
         try:
             check_genera(genera, rank, level_divides)
+            _require_equal(doc, genera_to_doc(rank, level_divides, genera))
         except ValueError as exc:
             raise ValueError(f"cache {path}: {exc}") from exc
         return genera

@@ -22,6 +22,8 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 BAR = "tests/test_padic.py::test_a_held_out_coefficient_one_digit_off_fails_the_bar_alone"
 INVARIANTS = ("tests/test_genus.py::"
               "test_cached_genera_rejects_a_genus_invariant_its_classes_contradict")
+TWICE_AND_FOREIGN = ("tests/test_genus.py::"
+                     "test_check_genera_rejects_a_class_listed_twice_and_a_foreign_level")
 THETA_ORACLE = "tests/test_theta.py::test_theta_matches_all_tuples_oracle"
 
 # (name, file under src/eistheta, text, its replacement, the test that must fail)
@@ -37,17 +39,14 @@ MUTANTS = [
     ("training takes the first indices, not the pivots", "padic.py",
      "return [indices[j] for j in pivots]", "return indices[:len(pivots)]",
      "tests/test_padic.py::test_training_set_skips_indices_dependent_mod_p"),
-    ("check_genera without its mass branch", "genus.py",
-     "        if h.mass != g.mass:\n"
-     "            raise ValueError(\"cached mass disagrees with the classes\")\n", "",
-     INVARIANTS),
-    ("check_genera without its canonical-rep branch", "genus.py",
-     "            if fresh.rep != M:\n"
-     "                raise ValueError(\"genus dictionary rep not canonical\")\n", "",
-     "tests/test_genus.py::test_genera_refuses_a_cached_rep_that_is_not_canonical"),
-    ("check_genera without its level branch", "genus.py",
-     "        if h.level != g.level:\n"
-     "            raise ValueError(\"cached level disagrees with the rep\")\n", "",
+    ("check_genera without its comparison with the rebuild", "genus.py",
+     '    _require_equal(genera, truth, "genera")\n', "", INVARIANTS),
+    ("check_genera without its duplicate refusal", "genus.py",
+     "if len({rec.rep for rec in fresh}) < len(fresh):", "if False:", TWICE_AND_FOREIGN),
+    ("check_genera without its level refusal", "genus.py",
+     "if level_divides % h.level:", "if False:", TWICE_AND_FOREIGN),
+    ("cached_genera without its comparison of the file", "genus.py",
+     "            _require_equal(doc, genera_to_doc(rank, level_divides, genera))\n", "",
      INVARIANTS),
     ("the bar dropped from a rung's verdict", "padic.py",
      "passed = worst >= b and coherent and audit.ok", "passed = coherent and audit.ok", BAR),

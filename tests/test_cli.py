@@ -666,7 +666,7 @@ def test_genera_rejects_a_tampered_cache(tmp_path, capsys):
     assert run(["genera", "--rank", "4", "--level", "7", "--cache-dir", str(cache),
                 "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert "eistheta genera" in err and "automorphism count 16" in err
+    assert "eistheta genera" in err and "genera[0].classes[0].epsilon: cached 16, rebuilt 32" in err
     assert not out.exists()
 
 
@@ -685,7 +685,7 @@ def test_verify_main_rejects_merged_genera(tmp_path, capsys):
               "--bound", "8", "--m-max", "2", "--cache-dir", str(cache)])
     assert rc == 2
     err = capsys.readouterr().err
-    assert "stage genera" in err and "different genera" in err
+    assert "stage genera" in err and "len(genera[0].classes): cached 2, rebuilt 1" in err
 
 
 def test_verify_main_checks_the_genera_it_does_not_use(tmp_path, capsys):
@@ -702,13 +702,54 @@ def test_verify_main_checks_the_genera_it_does_not_use(tmp_path, capsys):
     write_json_atomic(doc, str(path))
     assert run(["genera", "--rank", "4", "--level", "13", "--cache-dir", str(cache)]) == 2
     err = capsys.readouterr().err
-    assert str(path) in err and "cached automorphism count 7 is wrong (got 8)" in err
+    assert str(path) in err and "genera[1].classes[0].epsilon: cached 7, rebuilt 8" in err
     rc = run(["verify-main", "--p", "13", "--k", "2", "--j", "1", "--degree", "1",
               "--bound", "20", "--m-max", "2", "--cache-dir", str(cache)])
     assert rc == 2
     err = capsys.readouterr().err
     assert "stage genera" in err and str(path) in err
-    assert "cached automorphism count 7 is wrong (got 8)" in err
+    assert "genera[1].classes[0].epsilon: cached 7, rebuilt 8" in err
+
+
+@pytest.mark.parametrize("tamper,message", [
+    ("reversed", "genera[0].classes[0].rep[0][0]: cached 4, rebuilt 2"),
+    ("det", "genera[0].det: cached 999, rebuilt 13"),
+    ("stray", "genera[0] keys: cached ['character_disc', 'classes', 'det', 'level', 'mass', "
+              "'note'], rebuilt ['character_disc', 'classes', 'det', 'level', 'mass']"),
+], ids=["reversed", "det", "stray"])
+def test_a_cache_is_read_only_as_genera_would_write_it(tmp_path, capsys, tamper, message):
+    # the level-13 dictionary with its genera in reverse order, a wrong det
+    # field or a stray key: every class and genus invariant is still right
+    cache = tmp_path / "cache"
+    doc = genera_to_doc(4, 13, build_genera(4, 13))
+    if tamper == "reversed":
+        doc["genera"].reverse()
+    elif tamper == "det":
+        doc["genera"][0]["det"] = 999
+    else:
+        doc["genera"][0]["note"] = "checked by hand"
+    path = cache / "genera_r4_L13.json"
+    write_json_atomic(doc, str(path))
+    assert run(["genera", "--rank", "4", "--level", "13", "--cache-dir", str(cache)]) == 2
+    assert capsys.readouterr() == ("", f"eistheta genera: cache {path}: {message}\n")
+    rc = run(["verify-main", "--p", "13", "--k", "2", "--j", "1", "--degree", "1",
+              "--bound", "50", "--m-max", "2", "--cache-dir", str(cache)])
+    assert rc == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "stage genera" in err and f"cache {path}: {message}" in err
+
+
+def test_genera_writes_an_accepted_cache_back_byte_for_byte(tmp_path):
+    # the committed level-37 cache, and the level-13 one that genera writes
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    shutil.copy(FIXTURES / "genera_r4_L37.json", cache)
+    assert run(["genera", "--rank", "4", "--level", "13", "--cache-dir", str(cache)]) == 0
+    for level in ("13", "37"):
+        out = tmp_path / f"genera_{level}.json"
+        assert run(["genera", "--rank", "4", "--level", level, "--cache-dir", str(cache),
+                    "--out", str(out)]) == 0
+        assert out.read_bytes() == (cache / f"genera_r4_L{level}.json").read_bytes()
 
 
 @pytest.mark.parametrize("degree,bound", [("1", "0"), ("2", "1")])

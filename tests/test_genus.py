@@ -310,20 +310,26 @@ def test_check_genera_rejects_a_class_listed_twice_and_a_foreign_level():
         check_genera([g], 4, 5)
 
 
-@pytest.mark.parametrize("field,value,words", [
-    ("level", 1, "cached level disagrees with the rep"),
-    ("character_disc", -7, "cached character disagrees with the rep"),
-    ("mass", {"num": "7", "den": "1"}, "cached mass disagrees with the classes"),
+@pytest.mark.parametrize("field,value,words,where", [
+    ("level", 1, "cached 1, rebuilt 7", "genera[0].level"),
+    ("character_disc", -7, "cached -7, rebuilt 1", "genera[0].character"),
+    ("mass", {"num": "7", "den": "1"}, "cached Fraction(7, 1), rebuilt Fraction(1, 32)",
+     "genera[0].mass"),
+    ("det", 999, "cached 999, rebuilt 49", "genera[0].det"),
+    ("classes", [{"twoT": [[2, 0, -1, 0], [0, 2, 0, -1], [-1, 0, 4, 0], [0, -1, 0, 4]],
+                  "epsilon": 16}], "cached 16, rebuilt 32", "genera[0].classes[0].epsilon"),
 ])
 def test_cached_genera_rejects_a_genus_invariant_its_classes_contradict(
-        tmp_path, field, value, words):
+        tmp_path, field, value, words, where):
+    # the one level-7 class with one cached field changed; the refusal
+    # names the first entry that differs from the rebuilt dictionary
     doc = genera_to_doc(4, 7, build_genera(4, 7))
     doc["genera"][0][field] = value
     path = tmp_path / "genera_r4_L7.json"
     write_json_atomic(doc, str(path))
-    with pytest.raises(ValueError, match=words) as info:
+    with pytest.raises(ValueError) as info:
         cached_genera(4, 7, cache_dir=str(tmp_path))
-    assert str(info.value).startswith(f"cache {path}: ")
+    assert str(info.value) == f"cache {path}: {where}: {words}"
 
 
 def test_genera_refuses_a_cached_rep_that_is_not_canonical(tmp_path, capsys):
@@ -340,7 +346,8 @@ def test_genera_refuses_a_cached_rep_that_is_not_canonical(tmp_path, capsys):
     write_json_atomic(doc, str(path))
     assert main(["genera", "--rank", "4", "--level", "7", "--cache-dir", str(tmp_path)]) == 2
     assert capsys.readouterr() == (
-        "", f"eistheta genera: cache {path}: genus dictionary rep not canonical\n")
+        "", f"eistheta genera: cache {path}: "
+            "genera[0].classes[0].rep[0][1]: cached 2, rebuilt 0\n")
 
 
 def test_write_json_atomic_leaves_the_target_when_the_rename_fails(tmp_path, monkeypatch):

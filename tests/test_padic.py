@@ -642,7 +642,7 @@ def test_corrupted_cache_fails_in_fit_stage(tmp_path):
     with pytest.raises(PipelineError) as info:
         fit_and_verify(default_sequence(t, 2), 1, 10, cache_dir=str(tmp_path))
     assert info.value.stage == "genera"
-    assert "automorphism" in str(info.value)
+    assert "genera[0].classes[0].epsilon: cached 16, rebuilt 32" in str(info.value)
 
 
 def test_fit_and_verify_rereads_the_genus_cache(tmp_path):
@@ -656,7 +656,7 @@ def test_fit_and_verify_rereads_the_genus_cache(tmp_path):
     with pytest.raises(PipelineError) as info:
         fit_and_verify(seq, 1, 10, cache_dir=str(tmp_path))
     assert info.value.stage == "genera"
-    assert "automorphism" in str(info.value)
+    assert "genera[0].classes[0].epsilon: cached 16, rebuilt 32" in str(info.value)
 
 
 def fit_on_cache(tmp_path, p, genera):
@@ -687,7 +687,7 @@ def test_dictionary_that_splits_a_genus_fails_in_fit_stage(tmp_path):
     with pytest.raises(PipelineError) as info:
         fit_on_cache(tmp_path, 17, [h for h in genera if h is not g] + split)
     assert info.value.stage == "genera"
-    assert "one genus" in str(info.value)
+    assert "genera[1].classes[0].rep[0][0]: cached 6, rebuilt 2" in str(info.value)
 
 
 # ---------------------------------------------------------------------------
