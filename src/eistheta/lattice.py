@@ -225,26 +225,24 @@ def jordan_blocks(twoS, q: int) -> list[tuple[int, tuple[tuple[Fraction, ...], .
 
 # ------------------------------------------------------------ short vectors
 
-def short_vectors(twoS, bound):
-    """All x != 0 with Q(x) <= bound for positive definite S.
-
-    Returns a list of (vector, Q(x)) sorted by (value, vector), x and -x
-    both listed.
+def short_vectors(twoS, bound) -> dict[int, list[tuple[int, ...]]]:
+    """{Q(x): [x, ...]} over the x != 0 with Q(x) <= bound, for positive
+    definite S: values ascending, one x of each pair +-x listed (the one
+    whose last nonzero coordinate is positive), each list in walk order.
 
     Integer Fincke-Pohst: the Bareiss sweep of 2S gives the leading
     principal minors d_i (d_0 = 1) and integer rows u_ij with
         2Q(x) = sum_i (d_i x_i + s_i)^2 / (d_{i-1} d_i),  s_i = sum_{j>i} u_ij x_j.
     Scaling by W = lcm_i(d_{i-1} d_i) makes every partial sum an integer,
     and Q(x) <= bound is Q(x) <= floor(bound), so each coordinate range
-    |d_i x_i + s_i| <= isqrt(.) is exact.  The search finds the vectors
-    whose last nonzero coordinate is positive, and their negatives are
-    added.
+    |d_i x_i + s_i| <= isqrt(.) is exact.  The walk starts each coordinate
+    at 1 (x_0) or 0 while every later one is 0, which is the listed half.
     """
     M = check_form(twoS)
     n = len(M)
     bound = math.floor(bound)
     if bound < 0 or n == 0:
-        return []
+        return {}
     A = [list(row) for row in M]
     d = [1]
     for i in range(n):
@@ -258,7 +256,7 @@ def short_vectors(twoS, bound):
     W = math.lcm(*(d[i] * d[i + 1] for i in range(n)))
     w = [W // (d[i] * d[i + 1]) for i in range(n)]
     top = 2 * W * bound
-    out = []
+    out: dict[int, list] = {}
     x = [0] * n
 
     def rec(i, acc):
@@ -273,22 +271,11 @@ def short_vectors(twoS, bound):
             if i:
                 rec(i - 1, acc + wi * t * t)
             else:
-                out.append(((acc + wi * t * t) // (2 * W), tuple(x)))
+                out.setdefault((acc + wi * t * t) // (2 * W), []).append(tuple(x))
         x[i] = 0
 
     rec(n - 1, 0)
-    out += [(q, tuple(-c for c in v)) for q, v in out]
-    out.sort()
-    return [(v, q) for q, v in out]
-
-
-def _by_value(pool) -> dict[int, list]:
-    """{value: its vectors} of a short_vectors list, values ascending and
-    each list in pool order."""
-    by_val: dict[int, list] = {}
-    for vec, val in pool:
-        by_val.setdefault(val, []).append(vec)
-    return by_val
+    return dict(sorted(out.items()))
 
 
 # ---------------------------------------------------------- canonical form
@@ -322,12 +309,14 @@ def _canonical_definite(twoS: Mat) -> Mat:
     basis; G is the row-major least Gram matrix of such a greedy (hence
     Minkowski-reduced) basis.  A node's P maps Z^r onto Z^(r-j) with kernel
     L = span(b_0..b_{j-1}): Z^r/(L + Zw) is Z^(r-j)/Z Pw, so w extends iff
-    gcd(P w) = 1.  Branches that cannot give G are skipped:
-    - step 0 takes b_0 up to sign, as -b_0, ..., -b_{r-1} has one Gram
-      matrix with b_0, ..., b_{r-1};
-    - step j >= 1 skips b_j if the first nonzero of g_0j..g_{j-1,j} is
-      positive: -b_j is a candidate with the same span, and it only
-      negates row and column j, so its flats are smaller;
+    gcd(P w) = 1.  The pool lists one w of each pair +-w, and branches
+    that cannot give G are skipped:
+    - step 0 takes b_0 up to sign, the listed one, as -b_0, ..., -b_{r-1}
+      has one Gram matrix with b_0, ..., b_{r-1};
+    - step j >= 1 takes w or -w, whichever makes the first nonzero of
+      g_0j..g_{j-1,j} negative: the two have one span, and the other only
+      negates row and column j, so its flats are larger; when all of these
+      are 0 it takes both;
     - the Gram matrix is built a column at a time, and a branch whose
       row-0 prefix g_01..g_0j exceeds that of the best flat is dropped;
     - candidates go in increasing order of their column, and the last
@@ -348,8 +337,7 @@ def _canonical_definite(twoS: Mat) -> Mat:
         if 2 * abs(b) > min(a, c):
             raise ValueError("binary form is not pair-reduced")
         return ((min(a, c), -abs(b)), (-abs(b), max(a, c)))
-    by_val = _by_value(short_vectors(twoS, 5 * max(twoS[i][i] for i in range(r)) // 8))
-    values = sorted(by_val)
+    pool = short_vectors(twoS, 5 * max(twoS[i][i] for i in range(r)) // 8)
 
     best: list[int] | None = None
 
@@ -362,8 +350,8 @@ def _canonical_definite(twoS: Mat) -> Mat:
             if best is None or flat < best:
                 best = flat
             return
-        for val in values:
-            ext = [(w, v) for w in by_val[val]
+        for val, ws in pool.items():
+            ext = [(w, v) for w in ws
                    for v in [[sum(map(mul, p, w)) for p in P]] if math.gcd(*v) == 1]
             if ext:
                 break
@@ -372,14 +360,16 @@ def _canonical_definite(twoS: Mat) -> Mat:
         row0 = [c[0] for c in cols[1:]]
         cand = []
         for w, v in ext:
-            if j == 0 and next(c for c in w if c) < 0:
-                continue
             col = [sum(map(mul, p, w)) for p in prods] + [2 * val]
-            if next((x for x in col[:j] if x), 0) > 0:
-                continue
+            lead = next((x for x in col[:j] if x), 0)
+            if lead > 0:
+                w, v = tuple(-c for c in w), [-c for c in v]
+                col[:j] = [-x for x in col[:j]]
             if j and best is not None and row0 + col[:1] > best[1:j + 1]:
                 continue
             cand.append((col, w, v))
+            if j and not lead:
+                cand.append((col, tuple(-c for c in w), [-c for c in v]))
         for col, w, v in sorted(cand):
             rec(_quotient_map(P, v), prods + [[sum(map(mul, row, w)) for row in twoS]],
                 cols + [col])
@@ -474,8 +464,9 @@ def _isometries(twoS, twoS2, want_all: bool, pool=None):
 
     Returns matrices U (columns u_i) with u_i . (2S) . u_j = (2S2)_{ij}.
     The columns are drawn from pool, short_vectors(twoS, b) for some b at
-    least every Q(e_i) of S2; by default b is the largest of them.  The
-    zero lattice has the one isometry ().
+    least every Q(e_i) of S2 (by default b is the largest of them): each
+    listed w is tried as w and as -w.  The zero lattice has the one
+    isometry ().
     """
     n = len(twoS)
     if len(twoS2) != n:
@@ -485,9 +476,9 @@ def _isometries(twoS, twoS2, want_all: bool, pool=None):
     need = [twoS2[i][i] // 2 for i in range(n)]
     if pool is None:
         pool = short_vectors(twoS, max(need, default=0))
-    by_val = _by_value(pool)
-    if any(v not in by_val for v in need):
+    if any(v not in pool for v in need):
         return []
+    signed = {v: [s for x in pool[v] for s in (x, tuple(-c for c in x))] for v in set(need)}
     M = [list(r) for r in twoS]
     found = []
     cols: list[tuple] = []
@@ -497,7 +488,7 @@ def _isometries(twoS, twoS2, want_all: bool, pool=None):
         if j == n:
             found.append(tuple(zip(*cols)))  # columns -> matrix rows transposed
             return not want_all
-        for w in by_val[need[j]]:
+        for w in signed[need[j]]:
             ok = True
             for i in range(j):
                 if sum(products[i][t] * w[t] for t in range(n)) != twoS2[i][j]:
@@ -522,7 +513,8 @@ def automorphisms(twoS, pool=None) -> list:
 
     U is a tuple of rows; x -> U x preserves the value of x.  A caller
     that holds short_vectors(twoS, b), b at least every Q(e_i), passes it
-    as pool and spares the search its own.
+    as pool and spares the search its own; the pool lists one x of each
+    pair +-x, and the search takes both.
     """
     A = check_definite(twoS, "automorphisms")
     return _isometries(A, A, want_all=True, pool=pool)

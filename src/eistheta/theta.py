@@ -1,7 +1,7 @@
 """Theta series of definite even forms and genus-weighted averages.
 
 Degree-n coefficients count integer matrices X with S[X] = T.  Columns
-of X are drawn from the short-vector list of S (norms bounded by the
+of X are drawn from the short vectors of S (norms bounded by the
 trace window), so the support is enumerated exactly rather than boxed.
 """
 
@@ -26,6 +26,8 @@ from .lattice import (
 def theta_series(twoS, n: int, trace_bound: int) -> QExpansion:
     """Degree-n theta series of S, truncated at tr(T) <= trace_bound.
 
+    The short vectors of the window list one x of each pair +-x, so at
+    n = 1 the coefficient at 2q is twice the number listed of value q.
     For n >= 2 the coefficient at a canonical T counts the tuples X of
     vectors with Gram matrix T.  X is built a column at a time and is not
     extended once lattice.fits_canonical_shape rejects its Gram matrix,
@@ -36,9 +38,10 @@ def theta_series(twoS, n: int, trace_bound: int) -> QExpansion:
     more, to drop the ones that are not canonical.
     X and U X have one Gram matrix for every U in a group of automorphisms
     of S, so x_1 is taken one per orbit and counted as often as its orbit is
-    long.  Only the x_1 with 2Q(x_1) <= B take orbits: past that a nonzero
-    x_2 would need Q(x_2) >= Q(x_1) and so a trace above B, so each such x_1
-    adds 1 at diag(2Q(x_1), 0, ..., 0) and nothing else.  Later columns go
+    long.  The group holds -1, so every orbit meets the listed half.  Only
+    the x_1 with 2Q(x_1) <= B take orbits: past that a nonzero x_2 would
+    need Q(x_2) >= Q(x_1) and so a trace above B, so each such pair +-x_1
+    adds 2 at diag(2Q(x_1), 0, ..., 0) and nothing else.  Later columns go
     one per pair +-y: the shape asks the first nonzero product of x_j with
     x_1, ..., x_{j-1} to be negative, which fixes the sign, and both signs
     are taken when every such product is 0; the last column adds its Gram
@@ -50,37 +53,34 @@ def theta_series(twoS, n: int, trace_bound: int) -> QExpansion:
     twoS = check_definite(twoS, "theta series")
     check_window(n, trace_bound)
     B = trace_bound
-    vecs = short_vectors(twoS, B)
+    pool = short_vectors(twoS, B)
     if n == 1:
-        counts = {((0,),): 1}
-        for _, q in vecs:
-            key = ((2 * q,),)
-            counts[key] = counts.get(key, 0) + 1
+        counts = {((0,),): 1} | {((2 * q,),): 2 * len(xs) for q, xs in pool.items()}
         return _from_checked(1, B, {T: Fraction(c) for T, c in counts.items()})
 
     r = len(twoS)
     if r <= 4 and all(twoS[i][i] <= 2 * B for i in range(r)):
-        group = automorphisms(twoS, vecs)
+        group = automorphisms(twoS, pool)
     else:
         group = [tuple(tuple(s * (a == b) for b in range(r)) for a in range(r))
                  for s in (1, -1)]
     zero = (0,) * r
-    cols = [(zero, 0)] + vecs
+    cols = [(zero, 0)] + [(v, q) for q, xs in pool.items() for v in xs]
     counts: dict[Mat, int] = {}
     firsts = []  # (x_1, value, orbit length), one x_1 per orbit, by value
     seen: set = set()
     for v, q in cols:
         if 2 * q > B:  # a later column would have value >= q: all are zero
             key = ((2 * q,) + (0,) * (n - 1),) + ((0,) * n,) * (n - 1)
-            counts[key] = counts.get(key, 0) + 1
+            counts[key] = counts.get(key, 0) + 2
         elif v not in seen:
             orbit = {tuple(sum(map(mul, row, v)) for row in U) for U in group}
             seen |= orbit
             firsts.append((v, q, len(orbit)))
-    # columns j >= 1 one per pair +-y, y >= 0 lexicographically: (y, -y, value, 2S y)
+    # columns j >= 1 one per pair +-y, y listed: (y, -y, value, 2S y)
     pairs = [(v, tuple(-c for c in v), q, [sum(map(mul, row, v)) for row in twoS])
-             for v, q in cols if v >= zero]
-    values = [q for _, _, q, _ in pairs]  # sorted
+             for v, q in cols]
+    values = [q for _, _, q, _ in pairs]  # ascending
     chosen: list[tuple[int, ...]] = []
     gram: list[list[int]] = [[0] * n for _ in range(n)]
 

@@ -2,7 +2,8 @@
 
 Copies src/, tests/ and pyproject.toml to a temporary directory, checks
 that every auditing test passes there, then applies each known mutant of a
-verdict gate in turn and runs the test that must catch it.  Exits 1 when a
+verdict gate, or of the signs that a short-vector pool leaves to its
+readers, in turn and runs the test that must catch it.  Exits 1 when a
 mutant survives (its test passes), no longer applies (its text is not in
 the source exactly once) or its test does not run.
 
@@ -63,6 +64,17 @@ MUTANTS = [
      "if 2 * q >= B:", THETA_ORACLE),
     ("theta's last column not doubled", "theta.py", "len(ys) * weight", "weight",
      THETA_ORACLE),
+    ("degree-1 theta counts one x of each pair +-x", "theta.py", "2 * len(xs)", "len(xs)",
+     "tests/test_theta.py::test_theta_examples"),
+    ("theta's far first column counts one x of each pair +-x", "theta.py",
+     "counts[key] = counts.get(key, 0) + 2", "counts[key] = counts.get(key, 0) + 1",
+     THETA_ORACLE),
+    ("canonical form drops -w where the lead is 0", "lattice.py",
+     "            if j and not lead:\n", "            if False:\n",
+     "tests/test_lattice.py::test_minkowski_reduce_matches_full_branching_oracle_on_random_forms"),
+    ("isometry search tries only the listed sign", "lattice.py",
+     "for s in (x, tuple(-c for c in x))", "for s in (x,)",
+     "tests/test_lattice.py::test_automorphism_count_brute_small"),
 ]
 
 

@@ -53,7 +53,9 @@ even-rank form at every d != 0) and is_equivalent (a unimodular witness
 of two definite forms being isometric, from lattice's isometry search).
 So does genus_weight_misses, which holds a fitted report against the genus
 weights that every measured run shows (ROADMAP item 6) and no code in the
-package reads.
+package reads, and serre_series, the degree-1 limit those weights give.  both_signs reads a short-vector pool, which lists one x of
+each pair +-x grouped by value, as the flat list of both signs sorted by
+(value, vector) that the oracles and the tests of the walk compare.
 """
 
 import math
@@ -68,6 +70,7 @@ from eistheta.exactnum import (
     divisors,
     factorize,
     fund_disc_decompose,
+    gen_bernoulli,
     is_prime,
     kronecker,
     residue,
@@ -111,6 +114,13 @@ from eistheta.theta import theta_series
 GAMMA_POW = {1: Fraction(1), 2: Fraction(4, 3), 3: Fraction(2), 4: Fraction(4), 5: Fraction(8)}
 
 
+def both_signs(pool):
+    """[(x, Q(x))] for x and -x of every listed x of a short_vectors pool,
+    sorted by (value, vector)."""
+    return [(v, q) for q, v in sorted((q, s) for q, xs in pool.items()
+                                      for x in xs for s in (x, tuple(-c for c in x)))]
+
+
 def _extendable(vecs, r) -> bool:
     """gcd of maximal minors equals 1, i.e. vecs extend to a basis of Z^r."""
     i = len(vecs)
@@ -138,11 +148,12 @@ def canonical_full_branching(twoS):
         C = canonical_full_branching(tuple(tuple(x // c for x in row) for row in twoS))
         return tuple(tuple(c * x for x in row) for row in C)
     det_S = Fraction(bareiss_det([list(row) for row in twoS]), 2**r)
-    mu1 = min(v for _, v in short_vectors(twoS, min(twoS[i][i] for i in range(r)) // 2))
+    mu1 = min(v for _, v in both_signs(
+        short_vectors(twoS, min(twoS[i][i] for i in range(r)) // 2)))
     margin = 1 if r <= 4 else 4
     pool_bound = max(Fraction(mu1), GAMMA_POW[r] * det_S * margin / mu1 ** (r - 1))
     by_val = {}
-    for vec, val in short_vectors(twoS, pool_bound):
+    for vec, val in both_signs(short_vectors(twoS, pool_bound)):
         by_val.setdefault(val, []).append(vec)
     sw = {w: [sum(row[t] * w[t] for t in range(r)) for row in twoS]
           for ws in by_val.values() for w in ws}
@@ -185,7 +196,7 @@ def theta_all_tuples(twoS, n, B):
     """{T: count} at canonical T of tr <= B, over every ordered n-tuple of
     vectors of total value <= B."""
     r = len(twoS)
-    cols = [((0,) * r, 0)] + short_vectors(twoS, B)
+    cols = [((0,) * r, 0)] + both_signs(short_vectors(twoS, B))
     svs = {v: [sum(twoS[i][j] * v[j] for j in range(r)) for i in range(r)]
            for v, _ in cols}
     counts = {}
@@ -983,6 +994,16 @@ def genus_weights(p, genera):
     if len(genera) == 2 and all(g.character != 1 for g in genera):
         return [Fraction(-1, p - 1), Fraction(p, p - 1)]
     return None
+
+
+def serre_series(p, D, N):
+    """[a_0, ..., a_N] of Serre's p-adic limit of the weight-2 Eisenstein
+    series with character chi = kronecker(D, .), D = 1 or p* (ROADMAP item
+    6): a_0 = 1 and a_n = -4 / ((1 - chi(p) p) B_{2,chi}) times the sum of
+    chi(d) d over the d | n with p not dividing d."""
+    c = Fraction(-4) / ((1 - kronecker(D, p) * p) * gen_bernoulli(2, D))
+    return [Fraction(1)] + [c * sum(kronecker(D, d) * d for d in divisors(n) if d % p)
+                            for n in range(1, N + 1)]
 
 
 def genus_weight_misses(report):

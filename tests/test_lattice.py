@@ -37,6 +37,7 @@ from eistheta.linalg import bareiss_det
 from forms import direct_sum
 from oracles import (
     _extendable,
+    both_signs,
     canonical_full_branching,
     chi_S,
     fits_canonical_shape_by_rules,
@@ -329,11 +330,11 @@ def test_jordan_blocks_reject_degenerate_forms():
 # ----------------------------------------------------------- short vectors
 
 def test_short_vectors_examples():
-    got = short_vectors([[2]], 4)
+    got = both_signs(short_vectors([[2]], 4))
     assert got == [((-1,), 1), ((1,), 1), ((-2,), 4), ((2,), 4)]
-    got = short_vectors(A2, 1)
+    got = both_signs(short_vectors(A2, 1))
     assert len(got) == 6 and all(q == 1 for _, q in got)
-    assert short_vectors(A2, 0) == []
+    assert both_signs(short_vectors(A2, 0)) == []
 
 
 def test_short_vectors_against_box():
@@ -345,12 +346,12 @@ def test_short_vectors_against_box():
             forms.append(M)
     for M in forms:
         bound = rng.randint(1, 6)
-        got = set(short_vectors(M, bound))
+        got = set(both_signs(short_vectors(M, bound)))
         assert got == short_vectors_brute(M, bound), (M, bound)
 
 
 def test_short_vectors_rational_bound():
-    got = short_vectors(A2, Fraction(3, 2))
+    got = both_signs(short_vectors(A2, Fraction(3, 2)))
     assert len(got) == 6  # nothing between 1 and 3/2
 
 
@@ -370,7 +371,23 @@ def test_short_vectors_match_fraction_oracle():
     for M in forms:
         bounds = [0, 1, rng.randint(2, 8), Fraction(rng.randint(1, 40), rng.randint(2, 7))]
         for bound in bounds:
-            assert short_vectors(M, bound) == short_vectors_fraction(M, bound), (M, bound)
+            assert both_signs(short_vectors(M, bound)) == short_vectors_fraction(M, bound), (
+                M, bound)
+
+
+def test_short_vectors_list_one_of_each_pair_by_ascending_value():
+    rng = random.Random(31)
+    for n in range(1, 6):
+        for _ in range(6):
+            M = random_definite(rng, n)
+            pool = short_vectors(M, rng.randint(1, 12))
+            assert list(pool) == sorted(pool), M
+            listed = {x for xs in pool.values() for x in xs}
+            for q, xs in pool.items():
+                for x in xs:
+                    assert [c for c in x if c][-1] > 0, (M, x)
+                    assert tuple(-c for c in x) not in listed, (M, x)
+                    assert sum(M[i][j] * x[i] * x[j] for i in range(n) for j in range(n)) == 2 * q
 
 
 def test_short_vectors_e8_counts():
@@ -378,11 +395,11 @@ def test_short_vectors_e8_counts():
     C = [[2 if i == j else 0 for j in range(8)] for i in range(8)]
     for a, b in [(0, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (1, 3)]:
         C[a][b] = C[b][a] = -1
-    got = short_vectors(C, 2)
+    got = both_signs(short_vectors(C, 2))
     assert sum(q == 1 for _, q in got) == 240
     assert sum(q == 2 for _, q in got) == 2160
     assert len(got) == 2400
-    assert len(short_vectors(C, Fraction(5, 2))) == 2400
+    assert len(both_signs(short_vectors(C, Fraction(5, 2)))) == 2400
 
 
 def test_short_vectors_rejects_non_definite():
@@ -549,7 +566,7 @@ def test_canonical_pool_of_the_det_50653_reps(monkeypatch):
 
     def counted(*args, **kwargs):
         out = short_vectors(*args, **kwargs)
-        sizes.append(len(out))
+        sizes.append(len(both_signs(out)))
         return out
 
     monkeypatch.setattr(lattice_module, "short_vectors", counted)

@@ -56,6 +56,7 @@ from oracles import (
     beta_2_n1_fractions,
     beta_odd_on,
     beta_q_per_weight,
+    both_signs,
     coeff,
     density1_odd,
     density2_odd_fractions,
@@ -732,7 +733,7 @@ def test_dual_route_large_weight_smoke():
 
 
 def test_e8_representation_numbers_degree2():
-    roots = [v for v, q in short_vectors(E8, 1) if q == 1]
+    roots = [v for v, q in both_signs(short_vectors(E8, 1)) if q == 1]
     V = np.array(roots, dtype=np.int64)
     B = V @ np.array(E8, dtype=np.int64) @ V.T
     assert len(roots) == 240
@@ -744,7 +745,7 @@ def test_e8_representation_numbers_degree4():
     # four-tuples of roots realizing two orthogonal hexagonal pairs; the
     # lattice has one class in its genus so the theta coefficient is the
     # Eisenstein coefficient
-    roots = [v for v, q in short_vectors(E8, 1) if q == 1]
+    roots = [v for v, q in both_signs(short_vectors(E8, 1)) if q == 1]
     V = np.array(roots, dtype=np.int64)
     B = (V @ np.array(E8, dtype=np.int64) @ V.T).astype(np.int8)
     total = 0
@@ -757,7 +758,7 @@ def test_e8_representation_numbers_degree4():
 
 
 def test_e8_representation_numbers_degree4_mixed():
-    sv = short_vectors(E8, 2)
+    sv = both_signs(short_vectors(E8, 2))
     R = np.array([v for v, q in sv if q == 1], dtype=np.int64)
     W = np.array([v for v, q in sv if q == 2], dtype=np.int64)
     G = np.array(E8, dtype=np.int64)

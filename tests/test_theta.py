@@ -1,11 +1,24 @@
+import json
+import os
+import pathlib
 import random
+import subprocess
+import sys
+import time
 from fractions import Fraction
 from itertools import product
 
 import pytest
 
+from eistheta.eisenstein import WeightTarget
 from eistheta.fourier import _key_rank, qexp_scale
-from eistheta.genus import ClassRecord, build_genera, partition_into_genera
+from eistheta.genus import (
+    ClassRecord,
+    build_genera,
+    cached_genera,
+    genera_from_doc,
+    partition_into_genera,
+)
 from eistheta.fourier import QExpansion
 from eistheta.lattice import (
     as_mat,
@@ -21,7 +34,13 @@ from eistheta.theta import genus_theta, theta_series
 import eistheta.lattice as lattice_module
 import eistheta.theta as theta_module
 from forms import direct_sum
-from oracles import coeff, theta_all_tuples, verify_rank_decomposition
+from oracles import (
+    coeff,
+    genus_weights,
+    serre_series,
+    theta_all_tuples,
+    verify_rank_decomposition,
+)
 
 A2 = as_mat([[2, 1], [1, 2]])
 B7 = as_mat([[2, 1], [1, 4]])
@@ -324,3 +343,70 @@ def test_rank_decomposition_errors():
         verify_rank_decomposition(F, 3, 6)
     with pytest.raises(ValueError):
         verify_rank_decomposition(F, 1, 10)
+
+
+# ---------------------------------------------- Serre's limit at degree 1
+
+def degree1_averages(genera, N):
+    """[avg_g(n) for each genus g] for n = 0..N, the genera by determinant."""
+    avgs = [genus_theta(g, 1, N)[0] for g in sorted(genera, key=lambda g: g.det)]
+    return [[coeff(F, [[2 * n]]) for F in avgs] for n in range(N + 1)]
+
+
+def solve_over_Q(rows, rhs):
+    """The one w with rows[n] . w = rhs[n] for every n, over Q; None when
+    there is no solution or more than one."""
+    m = len(rows[0])
+    aug = [[Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(rows, rhs)]
+    for c in range(m):
+        piv = next((i for i in range(c, len(aug)) if aug[i][c]), None)
+        if piv is None:
+            return None
+        aug[c], aug[piv] = aug[piv], aug[c]
+        aug[c] = [x / aug[c][c] for x in aug[c]]
+        for i, row in enumerate(aug):
+            if i != c and row[c]:
+                aug[i] = [x - row[c] * y for x, y in zip(row, aug[c])]
+    if any(row[-1] for row in aug[m:]):
+        return None
+    return [row[-1] for row in aug[:m]]
+
+
+def level37_genera():
+    path = pathlib.Path(__file__).parent / "fixtures" / "genera_r4_L37.json"
+    with open(path) as fh:
+        return genera_from_doc(json.load(fh))
+
+
+@pytest.mark.parametrize("p,j", [(7, 0), (13, 1), (37, 0), (37, 1)])
+def test_serre_series_fixes_the_genus_weights(p, j):
+    # both sides lie in M_2(Gamma_0(p), chi^j), so a window past Sturm's
+    # bound (p + 1)/6 fixes the weights; genus_weights keeps its own literals
+    D = WeightTarget(p, 2, j).character
+    genera = level37_genera() if p == 37 else build_genera(4, p)
+    genera = [g for g in genera if g.character == D]
+    N = (p + 1) // 6 + 1
+    w = solve_over_Q(degree1_averages(genera, N), serre_series(p, D, N))
+    assert w is not None and w == genus_weights(p, genera), (p, j, w)
+
+
+@pytest.mark.slow
+def test_degree1_ladder_reaches_the_sturm_bound_of_rung_3(tmp_path):
+    # rung 3 has weight 2060, so Sturm's bound 2060 * 8/12 = 1373 < 1400
+    cache = str(tmp_path / "cache")
+    (genus,) = [g for g in cached_genera(4, 7, cache_dir=cache) if g.character == 1]
+    src = str(pathlib.Path(theta_module.__file__).parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    start = time.perf_counter()
+    done = subprocess.run(
+        [sys.executable, "-m", "eistheta.cli", "verify-main", "--p", "7", "--k", "2",
+         "--degree", "1", "--bound", "1400", "--m-max", "3", "--cache-dir", cache],
+        env=env, capture_output=True, text=True, timeout=300)
+    elapsed = time.perf_counter() - start
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["passed"] is True
+    assert elapsed < 10, elapsed
+    # the half-pair counts where no enumeration oracle can run
+    avg = [row[0] for row in degree1_averages([genus], 1400)]
+    assert avg == serre_series(7, 1, 1400)
