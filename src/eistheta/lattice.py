@@ -457,29 +457,29 @@ def fits_canonical_shape(g, j) -> bool:
     return True
 
 
-# ------------------------------------------------- isometries, automorphisms
+# ------------------------------------------------------------ automorphisms
 
-def _isometries(twoS, twoS2, want_all: bool, pool=None):
-    """Column-by-column backtracking over short vectors (isometry search).
+def automorphisms(twoS, pool=None) -> list:
+    """Every U in GL_r(Z) with U^t (2S) U = 2S, for a definite form 2S.
 
-    Returns matrices U (columns u_i) with u_i . (2S) . u_j = (2S2)_{ij}.
-    The columns are drawn from pool, short_vectors(twoS, b) for some b at
-    least every Q(e_i) of S2 (by default b is the largest of them): each
-    listed w is tried as w and as -w.  The zero lattice has the one
-    isometry ().
+    U is a tuple of rows; x -> U x preserves the value of x.  Column-by-
+    column backtracking over short vectors: column j runs over the u with
+    Q(u) = Q(e_j) whose products u^t (2S) u_i with the earlier columns are
+    the entries (2S)_ij.  The columns are drawn from pool,
+    short_vectors(twoS, b) for some b at least every Q(e_i) (by default b
+    is the largest of them); the pool lists one x of each pair +-x, and
+    the search takes both.  A caller that holds such a pool passes it and
+    spares the search its own; a pool lacking some Q(e_i) gives [].  The
+    zero lattice has the one automorphism ().
     """
-    n = len(twoS)
-    if len(twoS2) != n:
-        return []
-    if bareiss_det(twoS) != bareiss_det(twoS2):
-        return []
-    need = [twoS2[i][i] // 2 for i in range(n)]
+    A = check_definite(twoS, "automorphisms")
+    n = len(A)
+    need = [A[i][i] // 2 for i in range(n)]
     if pool is None:
-        pool = short_vectors(twoS, max(need, default=0))
+        pool = short_vectors(A, max(need, default=0))
     if any(v not in pool for v in need):
         return []
     signed = {v: [s for x in pool[v] for s in (x, tuple(-c for c in x))] for v in set(need)}
-    M = [list(r) for r in twoS]
     found = []
     cols: list[tuple] = []
     products: list[list[int]] = []  # products[i] = twoS @ cols[i]
@@ -487,37 +487,23 @@ def _isometries(twoS, twoS2, want_all: bool, pool=None):
     def rec(j):
         if j == n:
             found.append(tuple(zip(*cols)))  # columns -> matrix rows transposed
-            return not want_all
+            return
         for w in signed[need[j]]:
             ok = True
             for i in range(j):
-                if sum(products[i][t] * w[t] for t in range(n)) != twoS2[i][j]:
+                if sum(products[i][t] * w[t] for t in range(n)) != A[i][j]:
                     ok = False
                     break
             if not ok:
                 continue
             cols.append(w)
-            products.append([sum(M[a][t] * w[t] for t in range(n)) for a in range(n)])
-            if rec(j + 1):
-                return True
+            products.append([sum(A[a][t] * w[t] for t in range(n)) for a in range(n)])
+            rec(j + 1)
             cols.pop()
             products.pop()
-        return False
 
     rec(0)
     return found
-
-
-def automorphisms(twoS, pool=None) -> list:
-    """Every U in GL_r(Z) with U^t (2S) U = 2S, for a definite form 2S.
-
-    U is a tuple of rows; x -> U x preserves the value of x.  A caller
-    that holds short_vectors(twoS, b), b at least every Q(e_i), passes it
-    as pool and spares the search its own; the pool lists one x of each
-    pair +-x, and the search takes both.
-    """
-    A = check_definite(twoS, "automorphisms")
-    return _isometries(A, A, want_all=True, pool=pool)
 
 
 def automorphism_count(twoS) -> int:
@@ -576,7 +562,7 @@ def enumerate_classes(r: int, level_divides: int, det_bound: int | None = None):
     product is at most gamma_r^r det(2S).  In the last column
     [[A, b], [b^t, d]], d = (t + b^t adj(A) b)/det(A) is solved from each
     admissible determinant t instead of scanned.  Candidates are then
-    filtered by level and deduplicated by isometry.  `det_bound`
+    filtered by level and deduplicated by canonical form.  `det_bound`
     optionally caps det(2S).
     """
     check_integers("rank, level and bounds must be integers", r, level_divides,
@@ -601,15 +587,11 @@ def enumerate_classes(r: int, level_divides: int, det_bound: int | None = None):
     tmax = max(targets)
     cap = int(_GAMMA_POW[r] * tmax)
 
-    buckets: dict[tuple[int, int], list[Mat]] = {}
+    found: dict[Mat, int] = {}  # canonical form -> det 2S
 
     def try_add(M: Mat, t: int):
-        lv = level(M)
-        if level_divides % lv:
-            return
-        group = buckets.setdefault((t, lv), [])
-        if not any(_isometries(rep, M, want_all=False) for rep in group):
-            group.append(M)
+        if not level_divides % level(M):
+            found[minkowski_reduce(M)] = t
 
     k = r - 1
 
@@ -634,17 +616,15 @@ def enumerate_classes(r: int, level_divides: int, det_bound: int | None = None):
 
     for A in _shape_walk(k, lambda diag, d: math.prod(diag) * d ** (r - len(diag)) <= cap):
         last_column(A)
-    reps = [minkowski_reduce(M) for group in buckets.values() for M in group]
     # the Fricke duals N (2S)^{-1} = N adj(2S) / det(2S), integral as level | N
-    reps += [
+    duals = [
         minkowski_reduce(
             as_mat([[level_divides * x // d for x in row] for row in adjugate(M)])
         )
-        for (d, _), group in buckets.items()
+        for M, d in found.items()
         if d < root and Lr // d <= det_max
-        for M in group
     ]
-    return sorted(set(reps), key=lambda M: (bareiss_det(M), M))
+    return sorted({*found, *duals}, key=lambda M: (bareiss_det(M), M))
 
 
 def enumerate_psd_indices(n: int, trace_bound: int):

@@ -2,10 +2,11 @@
 
 Copies src/, tests/ and pyproject.toml to a temporary directory, checks
 that every auditing test passes there, then applies each known mutant of a
-verdict gate, or of the signs that a short-vector pool leaves to its
-readers, in turn and runs the test that must catch it.  Exits 1 when a
-mutant survives (its test passes), no longer applies (its text is not in
-the source exactly once) or its test does not run.
+verdict gate, of the signs that a short-vector pool leaves to its readers,
+or of the canonical form that tells classes apart, in turn and runs the
+test that must catch it.  Exits 1 when a mutant survives (its test
+passes), no longer applies (its text is not in the source exactly once)
+or its test does not run.
 
     python tests/mutation_audit.py
 
@@ -72,9 +73,12 @@ MUTANTS = [
     ("canonical form drops -w where the lead is 0", "lattice.py",
      "            if j and not lead:\n", "            if False:\n",
      "tests/test_lattice.py::test_minkowski_reduce_matches_full_branching_oracle_on_random_forms"),
-    ("isometry search tries only the listed sign", "lattice.py",
+    ("automorphism search tries only the listed sign", "lattice.py",
      "for s in (x, tuple(-c for c in x))", "for s in (x,)",
      "tests/test_lattice.py::test_automorphism_count_brute_small"),
+    ("class enumeration keeps a candidate under itself, not its canonical form", "lattice.py",
+     "found[minkowski_reduce(M)] = t", "found[M] = t",
+     "tests/test_lattice.py::test_enumerate_classes_matches_recorded"),
 ]
 
 

@@ -50,7 +50,8 @@ verify_rank_decomposition (the rank-r part of an expansion against its
 theta series weighted by primitive coefficients).  So do the two form
 checks that only tests ask: chi_S (the quadratic character of an
 even-rank form at every d != 0) and is_equivalent (a unimodular witness
-of two definite forms being isometric, from lattice's isometry search).
+of two definite forms being isometric, by a backtracking search of its
+own: the package tells classes apart by canonical form alone).
 So does genus_weight_misses, which holds a fitted report against the genus
 weights that every measured run shows (ROADMAP item 6) and no code in the
 package reads, and serre_series, the degree-1 limit those weights give.  both_signs reads a short-vector pool, which lists one x of
@@ -80,7 +81,6 @@ from eistheta.exactnum import (
 from eistheta.fourier import QExpansion, _key_rank, qexp_add, qexp_scale
 from eistheta.lattice import (
     _canonical_definite,
-    _isometries,
     jordan_blocks,
     _pair_reduce,
     as_mat,
@@ -835,12 +835,38 @@ def chi_S(twoS, d: int) -> int:
 
 
 def is_equivalent(twoS, twoS2):
-    """A unimodular witness U with U^t(2S)U = 2S2, or None."""
+    """A unimodular witness U with U^t(2S)U = 2S2, or None.
+
+    Backtracking of its own, independent of lattice's canonical form:
+    column j of U runs over the u of both signs with Q(u) = Q(e_j) of S2
+    whose products u^t (2S) u_i with the earlier columns are (2S2)_ij.
+    Equal determinants make every such U unimodular."""
     A, B = check_definite(twoS, "is_equivalent"), check_definite(twoS2, "is_equivalent")
-    got = _isometries(A, B, want_all=False)
-    if not got:
+    n = len(A)
+    if len(B) != n or bareiss_det(A) != bareiss_det(B):
         return None
-    U = got[0]
+    need = [B[i][i] // 2 for i in range(n)]
+    pool = short_vectors(A, max(need, default=0))
+    signed = {v: [s for x in pool.get(v, []) for s in (x, tuple(-c for c in x))]
+              for v in set(need)}
+    cols, prods = [], []  # prods[i] = 2S cols[i]
+
+    def rec(j):
+        if j == n:
+            return True
+        for u in signed[need[j]]:
+            if all(sum(map(mul, p, u)) == B[i][j] for i, p in enumerate(prods)):
+                cols.append(u)
+                prods.append([sum(map(mul, row, u)) for row in A])
+                if rec(j + 1):
+                    return True
+                cols.pop()
+                prods.pop()
+        return False
+
+    if not rec(0):
+        return None
+    U = tuple(zip(*cols))
     assert transform(A, U) == B
     return U
 

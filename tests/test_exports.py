@@ -376,6 +376,22 @@ def test_local_densities_are_counted_without_the_weight():
     assert threaded == [], threaded
 
 
+def test_class_equality_is_decided_by_minkowski_reduce_alone():
+    # two forms are one class when their lattice.minkowski_reduce agree:
+    # no def under src/ searches for an isometry between two forms, and none
+    # keeps a switch between one witness and all of them.  genus.same_genus
+    # takes two forms, but it compares their local invariants, a coarser test
+    two_forms, switched = [], []
+    for path in sorted(glob.glob(os.path.join(os.path.dirname(eistheta.__file__), "*.py"))):
+        with open(path) as fh:
+            found = parameters(fh.read())
+        module = os.path.basename(path)[:-3]
+        two_forms += [f"{module}.{f}" for f, args in found.items() if {"twoS", "twoS2"} <= args]
+        switched += [f"{module}.{f}" for f, args in found.items() if "want_all" in args]
+    assert two_forms == ["genus.same_genus"], two_forms
+    assert switched == [], switched
+
+
 def cache_reads(source):
     """Line numbers in source that read the environment (os.environ,
     os.getenv) or name EISTHETA_CACHE_DIR outside a help= text."""

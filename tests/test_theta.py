@@ -378,7 +378,8 @@ def level37_genera():
         return genera_from_doc(json.load(fh))
 
 
-@pytest.mark.parametrize("p,j", [(7, 0), (13, 1), (37, 0), (37, 1)])
+@pytest.mark.parametrize("p,j", [(7, 0), (13, 1), (17, 0), (17, 1), (29, 0), (29, 1),
+                                 (37, 0), (37, 1)])
 def test_serre_series_fixes_the_genus_weights(p, j):
     # both sides lie in M_2(Gamma_0(p), chi^j), so a window past Sturm's
     # bound (p + 1)/6 fixes the weights; genus_weights keeps its own literals
@@ -388,6 +389,19 @@ def test_serre_series_fixes_the_genus_weights(p, j):
     N = (p + 1) // 6 + 1
     w = solve_over_Q(degree1_averages(genera, N), serre_series(p, D, N))
     assert w is not None and w == genus_weights(p, genera), (p, j, w)
+
+
+def test_serre_series_has_no_weights_on_a_genus_missing_a_class():
+    # the det-1369 genus of level 37 (the chi = 1 part) without its class of
+    # 2 automorphisms, its mass recomputed from the three left (9/8 -> 5/8):
+    # no weight reproduces Serre's limit, with no mass formula consulted
+    (g,) = [g for g in level37_genera() if g.character == 1]
+    classes = tuple(c for c in g.classes if c.epsilon != 2)
+    assert len(classes) == len(g.classes) - 1
+    g = g._replace(classes=classes, mass=sum(Fraction(1, c.epsilon) for c in classes))
+    assert g.mass == Fraction(5, 8)
+    N = (37 + 1) // 6 + 1
+    assert solve_over_Q(degree1_averages([g], N), serre_series(37, 1, N)) is None
 
 
 @pytest.mark.slow
