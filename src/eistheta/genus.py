@@ -19,9 +19,10 @@ Jordan decomposition of 2S (``lattice.jordan_blocks``):
   counting as type II) onto its first constituent, adding 4 to the
   oddity of each compartment a step touches (sections 7.3 to 7.6).
 
-The builder's code alone defines a valid dictionary: ``check_genera``
-rebuilds one from its reps and refuses any difference, so a rule added
-to the builder holds on every cache read.
+The builder's code alone defines a valid dictionary: ``genera_from_doc``,
+the one reader of a genus cache, rebuilds it from the reps of the file and
+refuses any difference between the file and what the rebuild would write,
+so a rule added to the builder holds on every cache read.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from fractions import Fraction
 from functools import partial
 
 from .exactnum import factorize, frac_to_doc, kronecker
-from .fourier import _dump_field, _dump_frac, _dump_twoT
+from .fourier import _dump_field, _dump_twoT
 from .lattice import (
     Mat,
     as_mat,
@@ -187,38 +188,17 @@ def build_genera(rank, level_divides):
     return partition_into_genera([ClassRecord.from_rep(r) for r in reps])
 
 
-def check_genera(genera, rank, level_divides):
-    """Raise ValueError unless genera equals partition_into_genera of
-    ClassRecord.from_rep of its own reps, the builder's code in its order.
-    Refused first, as equality cannot see them: a rep not of the given
-    rank, a class listed twice, a level not dividing level_divides."""
-    reps = [check_form(rec.rep) for g in genera for rec in g.classes]
-    if any(len(M) != rank for M in reps):
-        raise ValueError(f"dictionary lattice is not of rank {rank}")
-    fresh = [ClassRecord.from_rep(M) for M in reps]
-    if len({rec.rep for rec in fresh}) < len(fresh):
-        raise ValueError("a class is listed twice")
-    truth = partition_into_genera(fresh)
-    for h in truth:
-        if level_divides % h.level:
-            raise ValueError(f"dictionary lattice has level {h.level}, "
-                             f"not dividing {level_divides}")
-    _require_equal(genera, truth, "genera")
-
-
 def _require_equal(cached, rebuilt, path=""):
-    """Raise ValueError at the first entry where cached and rebuilt differ, by
-    path and both values.  Records compare as dicts of their fields, lists
-    and tuples entry by entry, leaves by type and value (JSON true is not 1)."""
-    if hasattr(cached, "_asdict") and hasattr(rebuilt, "_asdict"):
-        cached, rebuilt = cached._asdict(), rebuilt._asdict()
+    """Raise ValueError at the first entry where the JSON values cached and
+    rebuilt differ, by path and both values: dicts key by key, lists entry
+    by entry, leaves by type and value (JSON true is not 1)."""
     if isinstance(cached, dict) and isinstance(rebuilt, dict):
         if cached.keys() != rebuilt.keys():
             raise ValueError(f"{path} keys: cached {sorted(cached)}, "
                              f"rebuilt {sorted(rebuilt)}".lstrip())
         for key in rebuilt:
             _require_equal(cached[key], rebuilt[key], f"{path}.{key}".lstrip("."))
-    elif isinstance(cached, (list, tuple)) and isinstance(rebuilt, (list, tuple)):
+    elif isinstance(cached, list) and isinstance(rebuilt, list):
         for i, (a, b) in enumerate(zip(cached, rebuilt)):
             _require_equal(a, b, f"{path}[{i}]")
         _require_equal(len(cached), len(rebuilt), f"len({path})")
@@ -248,25 +228,28 @@ def genera_to_doc(rank, level_divides, genera):
     }
 
 
-def genera_from_doc(doc, what="genus dump"):
-    """Inverse of genera_to_doc; a malformed doc raises ValueError naming
-    `what` and the field."""
-    field = partial(_dump_field, what=what)
-    out = []
-    for g in field(doc, "genera", list):
-        classes = tuple(
-            ClassRecord(_dump_twoT(c, what), field(c, "epsilon", int))
-            for c in field(g, "classes", list)
-        )
-        out.append(
-            GenusRecord(
-                classes,
-                field(g, "level", int),
-                field(g, "character_disc", int),
-                _dump_frac(field(g, "mass", dict), f"{what}: field 'mass'"),
-            )
-        )
-    return out
+def genera_from_doc(doc, rank, level_divides):
+    """The genera of a genus cache doc for (rank, level_divides), rebuilt
+    from the twoT of its classes alone by partition_into_genera of
+    ClassRecord.from_rep, the builder's code in its order.  Raise ValueError
+    unless doc equals genera_to_doc of the rebuild, naming the first entry
+    that differs.  Refused first, as equality cannot see them: a rep not of
+    the given rank, a class listed twice, a level not dividing level_divides."""
+    field = partial(_dump_field, kind=list, what="genus dump")
+    reps = [check_form(_dump_twoT(c, "genus dump"))
+            for g in field(doc, "genera") for c in field(g, "classes")]
+    if any(len(M) != rank for M in reps):
+        raise ValueError(f"dictionary lattice is not of rank {rank}")
+    fresh = [ClassRecord.from_rep(M) for M in reps]
+    if len({rec.rep for rec in fresh}) < len(fresh):
+        raise ValueError("a class is listed twice")
+    genera = partition_into_genera(fresh)
+    for h in genera:
+        if level_divides % h.level:
+            raise ValueError(f"dictionary lattice has level {h.level}, "
+                             f"not dividing {level_divides}")
+    _require_equal(doc, genera_to_doc(rank, level_divides, genera))
+    return genera
 
 
 def write_json_atomic(doc, path):
@@ -287,8 +270,8 @@ def write_json_atomic(doc, path):
 
 def cached_genera(rank, level_divides, cache_dir=None):
     """Genera for (rank, level), cached as JSON in cache_dir or EISTHETA_CACHE_DIR if set.
-    A file is read whole, on every read, and only as what a fresh build
-    would write for its own classes; a fresh build is returned as built."""
+    A file is read whole, on every read, through genera_from_doc, and a
+    refusal names the file; a fresh build is returned as built."""
     d = cache_dir or os.environ.get("EISTHETA_CACHE_DIR")
     if d is None:
         return build_genera(rank, level_divides)
@@ -296,20 +279,9 @@ def cached_genera(rank, level_divides, cache_dir=None):
     if os.path.exists(path):
         with open(path) as fh:
             try:
-                doc = json.load(fh)
+                return genera_from_doc(json.load(fh), rank, level_divides)
             except ValueError as exc:
                 raise ValueError(f"cache {path}: {exc}") from None
-        genera = genera_from_doc(doc, f"cache {path}")
-        for field, want in (("rank", rank), ("level_divides", level_divides)):
-            if doc.get(field) != want:
-                raise ValueError(f"cache {path}: field {field!r} is {doc.get(field)!r}, "
-                                 f"not the requested {want!r}")
-        try:
-            check_genera(genera, rank, level_divides)
-            _require_equal(doc, genera_to_doc(rank, level_divides, genera))
-        except ValueError as exc:
-            raise ValueError(f"cache {path}: {exc}") from exc
-        return genera
     genera = build_genera(rank, level_divides)
     write_json_atomic(genera_to_doc(rank, level_divides, genera), path)
     return genera

@@ -41,15 +41,15 @@ MUTANTS = [
     ("training takes the first indices, not the pivots", "padic.py",
      "return [indices[j] for j in pivots]", "return indices[:len(pivots)]",
      "tests/test_padic.py::test_training_set_skips_indices_dependent_mod_p"),
-    ("check_genera without its comparison with the rebuild", "genus.py",
-     '    _require_equal(genera, truth, "genera")\n', "", INVARIANTS),
-    ("check_genera without its duplicate refusal", "genus.py",
+    ("genera_from_doc without its comparison with the rebuild", "genus.py",
+     "    _require_equal(doc, genera_to_doc(rank, level_divides, genera))\n", "", INVARIANTS),
+    ("genera_from_doc without its duplicate refusal", "genus.py",
      "if len({rec.rep for rec in fresh}) < len(fresh):", "if False:", TWICE_AND_FOREIGN),
-    ("check_genera without its level refusal", "genus.py",
+    ("genera_from_doc without its level refusal", "genus.py",
      "if level_divides % h.level:", "if False:", TWICE_AND_FOREIGN),
-    ("cached_genera without its comparison of the file", "genus.py",
-     "            _require_equal(doc, genera_to_doc(rank, level_divides, genera))\n", "",
-     INVARIANTS),
+    ("the cache comparison takes JSON true for 1", "genus.py",
+     "type(cached) is not type(rebuilt) or ", "",
+     "tests/test_cli.py::test_genus_cache_with_a_boolean_character_exits_2"),
     ("the bar dropped from a rung's verdict", "padic.py",
      "passed = worst >= b and coherent and audit.ok", "passed = coherent and audit.ok", BAR),
     ("coherence always true", "padic.py", "coherent = coh >= seq.b_schedule[m - 2]",

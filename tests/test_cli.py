@@ -73,7 +73,7 @@ def test_genus_cache_of_another_rank_exits_2(tmp_path, capsys):
     assert run(["genera", "--rank", "4", "--level", "7",
                 "--cache-dir", str(cache)]) == 2
     err = capsys.readouterr().err
-    assert "eistheta genera" in err and str(path) in err and "'rank'" in err
+    assert "eistheta genera" in err and str(path) in err and "not of rank 4" in err
     assert run(["verify-main", "--p", "7", "--k", "2", "--degree", "1", "--bound",
                 "8", "--m-max", "2", "--cache-dir", str(cache)]) == 2
     err = capsys.readouterr().err
@@ -105,12 +105,12 @@ def test_genus_cache_with_a_boolean_character_exits_2(tmp_path, capsys):
     write_json_atomic(doc, str(path))
     assert run(["genera", "--rank", "4", "--level", "7", "--cache-dir", str(tmp_path)]) == 2
     assert capsys.readouterr() == (
-        "", f"eistheta genera: cache {path}: missing or malformed field 'character_disc'\n")
+        "", f"eistheta genera: cache {path}: genera[0].character_disc: cached True, rebuilt 1\n")
     assert run(["verify-main", "--p", "7", "--k", "2", "--degree", "1", "--bound", "20",
                 "--m-max", "2", "--cache-dir", str(tmp_path)]) == 2
     out, err = capsys.readouterr()
     assert out == "" and "stage genera" in err and str(path) in err
-    assert "'character_disc'" in err
+    assert "genera[0].character_disc: cached True, rebuilt 1" in err
 
 
 def test_genus_cache_with_a_zero_denominator_exits_2(tmp_path, capsys):
@@ -120,8 +120,8 @@ def test_genus_cache_with_a_zero_denominator_exits_2(tmp_path, capsys):
     write_json_atomic(doc, str(path))
     assert run(["genera", "--rank", "2", "--level", "7",
                 "--cache-dir", str(tmp_path)]) == 2
-    assert capsys.readouterr() == ("", f"eistheta genera: cache {path}: field 'mass': "
-                                       "denominator must be positive, not '0'\n")
+    assert capsys.readouterr() == ("", f"eistheta genera: cache {path}: "
+                                       "genera[0].mass.den: cached '0', rebuilt '4'\n")
 
 
 def test_genus_cache_that_is_not_json_names_the_file(tmp_path, capsys):
@@ -666,7 +666,7 @@ def test_genera_rejects_a_tampered_cache(tmp_path, capsys):
     assert run(["genera", "--rank", "4", "--level", "7", "--cache-dir", str(cache),
                 "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert "eistheta genera" in err and "genera[0].classes[0].epsilon: cached 16, rebuilt 32" in err
+    assert "eistheta genera" in err and "genera[0].mass.den: cached '16', rebuilt '32'" in err
     assert not out.exists()
 
 
@@ -685,7 +685,7 @@ def test_verify_main_rejects_merged_genera(tmp_path, capsys):
               "--bound", "8", "--m-max", "2", "--cache-dir", str(cache)])
     assert rc == 2
     err = capsys.readouterr().err
-    assert "stage genera" in err and "len(genera[0].classes): cached 2, rebuilt 1" in err
+    assert "stage genera" in err and "genera[0].mass.den: cached '24', rebuilt '48'" in err
 
 
 def test_verify_main_checks_the_genera_it_does_not_use(tmp_path, capsys):
@@ -702,17 +702,17 @@ def test_verify_main_checks_the_genera_it_does_not_use(tmp_path, capsys):
     write_json_atomic(doc, str(path))
     assert run(["genera", "--rank", "4", "--level", "13", "--cache-dir", str(cache)]) == 2
     err = capsys.readouterr().err
-    assert str(path) in err and "genera[1].classes[0].epsilon: cached 7, rebuilt 8" in err
+    assert str(path) in err and "genera[1].mass.den: cached '7', rebuilt '8'" in err
     rc = run(["verify-main", "--p", "13", "--k", "2", "--j", "1", "--degree", "1",
               "--bound", "20", "--m-max", "2", "--cache-dir", str(cache)])
     assert rc == 2
     err = capsys.readouterr().err
     assert "stage genera" in err and str(path) in err
-    assert "genera[1].classes[0].epsilon: cached 7, rebuilt 8" in err
+    assert "genera[1].mass.den: cached '7', rebuilt '8'" in err
 
 
 @pytest.mark.parametrize("tamper,message", [
-    ("reversed", "genera[0].classes[0].rep[0][0]: cached 4, rebuilt 2"),
+    ("reversed", "genera[0].det: cached 2197, rebuilt 13"),
     ("det", "genera[0].det: cached 999, rebuilt 13"),
     ("stray", "genera[0] keys: cached ['character_disc', 'classes', 'det', 'level', 'mass', "
               "'note'], rebuilt ['character_disc', 'classes', 'det', 'level', 'mass']"),

@@ -141,7 +141,7 @@ def test_imported_names_are_detected():
 
 def test_padic_derives_no_genus_invariant():
     # the genus dictionary is built and checked in genus alone
-    # (genus.check_genera); padic only reads it
+    # (genus.genera_from_doc); padic only reads it
     path = os.path.join(os.path.dirname(eistheta.__file__), "padic.py")
     with open(path) as fh:
         found = imported_names(fh.read())
@@ -165,19 +165,50 @@ def names_used(source):
 
 
 def test_names_used_are_detected():
-    src = "from .genus import check_genera as cg\nx = genus.check_genera\ny = z(w)\n"
-    assert names_used(src) == {"check_genera", "genus", "x", "y", "z", "w"}
+    src = "from .genus import genera_from_doc as g\nx = genus.genera_from_doc\ny = z(w)\n"
+    assert names_used(src) == {"genera_from_doc", "genus", "x", "y", "z", "w"}
 
 
 def test_the_genus_cache_is_checked_in_genus_alone():
-    # one gate: cached_genera checks every dictionary it reads, so no
-    # other module names check_genera to check it again or instead
+    # one gate: cached_genera reads every dictionary through
+    # genera_from_doc, so no other module names genera_from_doc to read or
+    # check a dictionary again or instead
     found = []
     for path in glob.glob(os.path.join(os.path.dirname(eistheta.__file__), "*.py")):
         with open(path) as fh:
-            if "check_genera" in names_used(fh.read()):
+            if "genera_from_doc" in names_used(fh.read()):
                 found.append(os.path.basename(path))
-    assert found == ["genus.py"], f"check_genera is named in {sorted(found)}"
+    assert found == ["genus.py"], f"genera_from_doc is named in {sorted(found)}"
+
+
+def calls_outside_def(source, name):
+    """Lines of source that call `name`, outside the body of a def of that name."""
+    tree = ast.parse(source)
+    inside = {id(n) for f in ast.walk(tree)
+              if isinstance(f, ast.FunctionDef) and f.name == name for n in ast.walk(f)}
+    return [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Call) and id(n) not in inside
+            and getattr(n.func, "id", getattr(n.func, "attr", None)) == name]
+
+
+def test_calls_outside_def_are_detected():
+    src = ("def f(x):\n    return f(x - 1)\n\n"
+           "def g():\n    f(1)\n    m.f(2)\n    return f\n")
+    assert calls_outside_def(src, "f") == [5, 6]
+
+
+def test_a_genus_cache_is_compared_with_its_rebuild_in_one_place():
+    # genera_from_doc compares the file with what the rebuild of its reps
+    # would write, and nothing compares records or the file a second time
+    calls, defs = {}, set()
+    for path in glob.glob(os.path.join(os.path.dirname(eistheta.__file__), "*.py")):
+        with open(path) as fh:
+            source = fh.read()
+        lines = calls_outside_def(source, "_require_equal")
+        if lines:
+            calls[os.path.basename(path)] = lines
+        defs |= {n.name for n in ast.walk(ast.parse(source)) if isinstance(n, ast.FunctionDef)}
+    assert sum(map(len, calls.values())) == 1, f"_require_equal is called at {calls}"
+    assert "check_genera" not in defs
 
 
 def test_forms_are_split_into_discriminants_in_lattice_alone():
@@ -416,7 +447,7 @@ def test_cache_reads_are_detected():
 
 
 def test_cli_keeps_no_cache_of_its_own():
-    # the genus dictionary, re-checked by genus.check_genera on every read,
+    # the genus dictionary, re-checked by genus.genera_from_doc on every read,
     # is the only cache: genus.cached_genera alone resolves the cache dir,
     # and no other module (cli.py included) reads EISTHETA_CACHE_DIR
     found = {}

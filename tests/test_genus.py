@@ -14,7 +14,6 @@ from eistheta.genus import (
     GenusRecord,
     build_genera,
     cached_genera,
-    check_genera,
     genera_from_doc,
     genera_to_doc,
     partition_into_genera,
@@ -292,29 +291,31 @@ def test_build_genera_rank4_level7():
 
 @pytest.mark.parametrize("rank,L", [(2, 3), (2, 7), (4, 7), (4, 13), (4, 17)])
 def test_check_genera_accepts_what_build_genera_makes(rank, L):
-    check_genera(build_genera(rank, L), rank, L)
+    genera = build_genera(rank, L)
+    assert genera_from_doc(genera_to_doc(rank, L, genera), rank, L) == genera
 
 
 def test_check_genera_accepts_the_level_37_fixture():
     path = pathlib.Path(__file__).parent / "fixtures" / "genera_r4_L37.json"
     with open(path) as fh:
-        check_genera(genera_from_doc(json.load(fh)), 4, 37)
+        genera_from_doc(json.load(fh), 4, 37)
 
 
 def test_check_genera_rejects_a_class_listed_twice_and_a_foreign_level():
     (g,) = build_genera(4, 7)
+    # each file is what genera_to_doc writes for its own classes, so the
+    # comparison with the rebuild alone would accept it
     twice = GenusRecord(g.classes * 2, g.level, g.character, 2 * g.mass)
     with pytest.raises(ValueError, match="listed twice"):
-        check_genera([twice], 4, 7)
+        genera_from_doc(genera_to_doc(4, 7, [twice]), 4, 7)
     with pytest.raises(ValueError, match="level 7, not dividing 5"):
-        check_genera([g], 4, 5)
+        genera_from_doc(genera_to_doc(4, 5, [g]), 4, 5)
 
 
 @pytest.mark.parametrize("field,value,words,where", [
     ("level", 1, "cached 1, rebuilt 7", "genera[0].level"),
-    ("character_disc", -7, "cached -7, rebuilt 1", "genera[0].character"),
-    ("mass", {"num": "7", "den": "1"}, "cached Fraction(7, 1), rebuilt Fraction(1, 32)",
-     "genera[0].mass"),
+    ("character_disc", -7, "cached -7, rebuilt 1", "genera[0].character_disc"),
+    ("mass", {"num": "7", "den": "1"}, "cached '7', rebuilt '1'", "genera[0].mass.num"),
     ("det", 999, "cached 999, rebuilt 49", "genera[0].det"),
     ("classes", [{"twoT": [[2, 0, -1, 0], [0, 2, 0, -1], [-1, 0, 4, 0], [0, -1, 0, 4]],
                   "epsilon": 16}], "cached 16, rebuilt 32", "genera[0].classes[0].epsilon"),
@@ -347,7 +348,7 @@ def test_genera_refuses_a_cached_rep_that_is_not_canonical(tmp_path, capsys):
     assert main(["genera", "--rank", "4", "--level", "7", "--cache-dir", str(tmp_path)]) == 2
     assert capsys.readouterr() == (
         "", f"eistheta genera: cache {path}: "
-            "genera[0].classes[0].rep[0][1]: cached 2, rebuilt 0\n")
+            "genera[0].classes[0].twoT[0][1]: cached 2, rebuilt 0\n")
 
 
 def test_write_json_atomic_leaves_the_target_when_the_rename_fails(tmp_path, monkeypatch):
@@ -368,11 +369,11 @@ def test_write_json_atomic_leaves_the_target_when_the_rename_fails(tmp_path, mon
 def test_cache_round_trip(tmp_path):
     genera = build_genera(2, 3)
     doc = genera_to_doc(2, 3, genera)
-    assert genera_from_doc(doc) == genera
+    assert genera_from_doc(doc, 2, 3) == genera
     path = tmp_path / "g.json"
     write_json_atomic(doc, str(path))
     with open(path) as fh:
-        assert genera_from_doc(json.load(fh)) == genera
+        assert genera_from_doc(json.load(fh), 2, 3) == genera
     # mass serialized as {"num","den"} strings
     m = doc["genera"][0]["mass"]
     assert m == {"num": "1", "den": "12"}
@@ -383,10 +384,14 @@ def test_cached_genera_rejects_a_file_of_another_request(tmp_path):
     rank2 = genera_to_doc(2, 7, build_genera(2, 7))
     relabeled = dict(rank2, rank=4)  # header claims rank 4, classes are 2 x 2
     other_level = genera_to_doc(4, 3, build_genera(4, 3))
+    level7 = genera_to_doc(4, 7, build_genera(4, 7))
     for doc, words in [
-        (rank2, ["'rank' is 2", "not the requested 4"]),
+        (rank2, ["not of rank 4"]),
         (relabeled, ["not of rank 4"]),
-        (other_level, ["'level_divides' is 3", "not the requested 7"]),
+        (other_level, ["level 3, not dividing 7"]),
+        # the right classes under a header of another request
+        (dict(level7, level_divides=49), ["level_divides: cached 49, rebuilt 7"]),
+        (dict(level7, rank=2), ["rank: cached 2, rebuilt 4"]),
     ]:
         write_json_atomic(doc, str(path))
         with pytest.raises(ValueError) as info:
@@ -400,12 +405,12 @@ def test_cached_genera_checks_what_it_reads_and_not_what_it_builds(tmp_path, mon
     # one gate: a fresh build is returned as build_genera made it, and
     # every read of the file is checked once
     calls = []
-    check = genus.check_genera
-    monkeypatch.setattr(genus, "check_genera", lambda *a: calls.append(a) or check(*a))
+    read = genus.genera_from_doc
+    monkeypatch.setattr(genus, "genera_from_doc", lambda *a: calls.append(a) or read(*a))
     cold = cached_genera(4, 7, cache_dir=str(tmp_path))
     assert calls == []
     assert cached_genera(4, 7, cache_dir=str(tmp_path)) == cold
-    assert calls == [(cold, 4, 7)]
+    assert calls == [(genera_to_doc(4, 7, cold), 4, 7)]
 
 
 def test_cached_genera_uses_dir(tmp_path, monkeypatch):

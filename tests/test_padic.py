@@ -611,7 +611,7 @@ def dictionary_window(genera, target, n, B):
 def test_training_set_matches_the_greedy_oracle(n, B, p, j):
     if p == 37:  # the committed cache, so no class enumeration runs
         with open(FIXTURES / "genera_r4_L37.json") as fh:
-            genera = genera_from_doc(json.load(fh))
+            genera = genera_from_doc(json.load(fh), 4, 37)
     else:
         genera = build_genera(4, p)
     indices, columns, n_unknowns = dictionary_window(genera, WeightTarget(p, 2, j), n, B)
@@ -687,7 +687,7 @@ def test_dictionary_that_splits_a_genus_fails_in_fit_stage(tmp_path):
     with pytest.raises(PipelineError) as info:
         fit_on_cache(tmp_path, 17, [h for h in genera if h is not g] + split)
     assert info.value.stage == "genera"
-    assert "genera[1].classes[0].rep[0][0]: cached 6, rebuilt 2" in str(info.value)
+    assert "genera[1].det: cached 4913, rebuilt 289" in str(info.value)
 
 
 # ---------------------------------------------------------------------------

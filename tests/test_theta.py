@@ -375,7 +375,7 @@ def solve_over_Q(rows, rhs):
 def level37_genera():
     path = pathlib.Path(__file__).parent / "fixtures" / "genera_r4_L37.json"
     with open(path) as fh:
-        return genera_from_doc(json.load(fh))
+        return genera_from_doc(json.load(fh), 4, 37)
 
 
 @pytest.mark.parametrize("p,j", [(7, 0), (13, 1), (17, 0), (17, 1), (29, 0), (29, 1),
