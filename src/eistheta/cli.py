@@ -80,7 +80,7 @@ def _read_form(path):
 
 
 def cmd_classes(args) -> int:
-    reps = enumerate_classes(args.rank, args.level, det_bound=args.det_bound)
+    reps = enumerate_classes(args.rank, args.level)
     doc = {
         "rank": args.rank,
         "level_divides": args.level,
@@ -166,13 +166,13 @@ def cmd_verify_main(args) -> int:
 # ------------------------------------------------------------------ parser
 
 
-def _add_ladder_args(sp, default_bound):
+def _add_ladder_args(sp):
     sp.add_argument("--p", type=int, required=True, help="odd prime")
     sp.add_argument("--k", type=int, required=True, help="starting weight")
     sp.add_argument("--j", type=int, default=0, choices=(0, 1),
                     help="character component (0 trivial, 1 quadratic)")
     sp.add_argument("--degree", "-n", type=int, default=1)
-    sp.add_argument("--bound", "-B", type=int, default=default_bound,
+    sp.add_argument("--bound", "-B", type=int, default=20,
                     help="trace bound of the comparison window")
     schedule = sp.add_mutually_exclusive_group()
     schedule.add_argument("--m-max", type=int, default=2)
@@ -191,7 +191,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--rank", type=int, required=True)
     sp.add_argument("--level", type=int, required=True,
                     help="keep classes whose level divides this")
-    sp.add_argument("--det-bound", type=int)
     sp.add_argument("--out")
     sp.set_defaults(func=cmd_classes)
 
@@ -232,12 +231,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_singular_rank)
 
     sp = sub.add_parser("limit", help="empirical weight-ladder limit")
-    _add_ladder_args(sp, default_bound=20)
+    _add_ladder_args(sp)
     sp.set_defaults(func=cmd_limit)
 
     sp = sub.add_parser("verify-main",
                         help="fit genus coefficients and verify congruences")
-    _add_ladder_args(sp, default_bound=20)
+    _add_ladder_args(sp)
     sp.add_argument("--cache-dir", help="overrides EISTHETA_CACHE_DIR")
     sp.add_argument("--exploratory", action="store_true",
                     help="allow p <= 2k+1; the report is labeled exploratory")

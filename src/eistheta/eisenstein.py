@@ -18,12 +18,12 @@ so a rank-2 coefficient is one L-value times that product.
 
 Both routes walk the same index shapes (``_index_shapes``), with the
 weight-free prime data of each product (``exactnum.cohen_primes``).
-``eisenstein_qexp`` is exact rational arithmetic: Bernoulli numbers, and
-the L-values of a window from one ``gen_bernoulli_rows`` row.
-``eisenstein_residues`` gives the windows of a whole weight ladder mod p^N
-instead: each coefficient as p^v u with v its exact valuation and u a unit
-residue, with every L-value taken by the Kummer congruences
-(``kummer_residues``) and every divisor sum mod p^N.
+``eisenstein_qexp`` is exact rational arithmetic: zeta(1 - k), zeta(3 - 2k)
+from ``dirichlet_L_neg``, and the L-values of a window from one
+``gen_bernoulli_rows`` row.  ``eisenstein_residues`` gives the windows of a
+whole weight ladder mod p^N instead: each coefficient as p^v u with v its
+exact valuation and u a unit residue, with every L-value taken by the
+Kummer congruences (``kummer_residues``) and every divisor sum mod p^N.
 
 The weight ladders k_j(m) = k + a_j p^b(m) that both routes feed are
 declared here too, beside ``check_weights``: ``WeightTarget``,
@@ -36,16 +36,15 @@ from fractions import Fraction
 
 from .exactnum import (
     HEADROOM,
-    bernoulli,
     check_integers,
     cohen_primes,
     cohen_product,
+    dirichlet_L_neg,
     gen_bernoulli_rows,
     is_prime,
     kummer_residues,
     sigma,
     v_p,
-    zeta_neg,
 )
 from .fourier import QExpansion, _from_checked, _key_rank
 from .lattice import check_window, content, enumerate_psd_indices, form_disc
@@ -167,9 +166,9 @@ def eisenstein_qexp(k: int, n: int, B: int) -> QExpansion:
     """Expansion of the degree-n weight-k Eisenstein series up to trace B."""
     check_weights((k,), n, B)
     shapes = _index_shapes(n, B)
-    linear = Fraction(-2 * k) / bernoulli(k)  # 2 / zeta(1 - k)
+    linear = 2 / dirichlet_L_neg(k, 1)  # 2 / zeta(1 - k)
     if n == 2:
-        const = linear / zeta_neg(2 * k - 3)
+        const = linear / dirichlet_L_neg(2 * k - 2, 1)  # zeta(3 - 2k)
         row = gen_bernoulli_rows((k - 1,), {D0 for _, _, D0, _ in shapes if D0})[k - 1]
     coeffs = {}
     for T, c, D0, primes in shapes:

@@ -24,7 +24,6 @@ __all__ = [
     "sigma",
     "primes_upto",
     "bernoulli",
-    "zeta_neg",
     "fund_disc_decompose",
     "is_fundamental_discriminant",
     "gen_bernoulli",
@@ -168,13 +167,13 @@ def primes_upto(n: int) -> list[int]:
     return [i for i in range(n + 1) if sieve[i]]
 
 
-# Bernoulli numbers.  The p-adic weight ladders ask for single numbers of
-# index in the thousands (B_2060, B_14408, ...), so each even index is
-# computed on its own from zeta(n) (Fillebrown, "Faster computation of
-# Bernoulli numbers", J. Algorithms 1992) and memoised by index; a single
-# deep B_{n,chi} comes from L(n, chi) the same way (_gen_bernoulli_euler).
-# All of it is integer fixed point in which every rounding is a floor or a
-# ceiling.
+# Bernoulli numbers.  The weight ladders read them below k1 + (p - 1) N only
+# (``kummer_residues``); the exact routes ask for single numbers of index in
+# the thousands (B_2060, B_14408, ...), so each even index is computed on its
+# own from zeta(n) (Fillebrown, "Faster computation of Bernoulli numbers",
+# J. Algorithms 1992) and memoised by index; a single deep B_{n,chi} comes
+# from L(n, chi) the same way (_gen_bernoulli_euler).  All of it is integer
+# fixed point in which every rounding is a floor or a ceiling.
 
 
 def _pi_fixed(w: int) -> int:
@@ -340,16 +339,6 @@ def bernoulli(n: int) -> Fraction:
     return _bernoulli_even(n)
 
 
-def zeta_neg(m: int) -> Fraction:
-    """Riemann zeta at the non-positive integer -m."""
-    check_integers("zeta_neg needs an integer", m)
-    if m < 0:
-        raise ValueError("zeta_neg wants zeta(-m) with m >= 0")
-    if m == 0:
-        return Fraction(-1, 2)
-    return -bernoulli(m + 1) / (m + 1)
-
-
 def fund_disc_decompose(D: int) -> tuple[int, int]:
     """Write a discriminant D = D0 * f**2 with D0 fundamental (D0 = 1 allowed).
 
@@ -407,8 +396,8 @@ def gen_bernoulli_rows(ns, Ds) -> dict[int, dict[int, Fraction]]:
     kronecker(D, .) of the given D.
 
     Every D must be a fundamental discriminant, checked before any work;
-    D = 1 gives the convention with B_{1,triv} = +1/2, so
-    dirichlet_L_neg(r, 1) agrees with zeta everywhere.
+    D = 1 gives B_n(1), the sum below at f = 1: B_{1,triv} = +1/2, so that
+    -B_{r,triv} / r = zeta(1 - r) (``dirichlet_L_neg``) at every r >= 1.
 
     For D != 1 the conductor is f = |D| and B_{n,chi} =
     f^(n-1) sum_{a=1}^{f} chi(a) B_n(a/f).  Since chi(f - a) = chi(-1) chi(a)
@@ -530,17 +519,17 @@ def _gen_bernoulli_euler(r: int, D: int) -> Fraction | None:
 
 
 def dirichlet_L_neg(r: int, D: int) -> Fraction:
-    """L(1-r, chi_D) = -B_{r,chi_D} / r for a fundamental discriminant D
-    (D = 1 means zeta, from ``gen_bernoulli``).  After the gates of
-    ``_character_parity`` (D fundamental, and 0 when chi(-1) != (-1)^r), run
-    once, a nontrivial character takes the Euler product of
-    ``_gen_bernoulli_euler`` when it has at most r factors, and
-    ``_gen_bernoulli_sweep`` otherwise."""
+    """L(1-r, chi_D) = -B_{r,chi_D} / r for a fundamental discriminant D;
+    D = 1 gives zeta(1 - r) = -B_r / r and zeta(0) = -1/2, the package's one
+    source of zeta.  After the gates of ``_character_parity`` (D
+    fundamental, and 0 when chi(-1) != (-1)^r), run once, a nontrivial
+    character takes the Euler product of ``_gen_bernoulli_euler`` when it
+    has at most r factors, and ``_gen_bernoulli_sweep`` otherwise."""
     check_integers("L(1 - r, chi_D) needs integers r and D", r, D)
     if r < 1:
         raise ValueError("need r >= 1")
     if D == 1:
-        return -gen_bernoulli(r, D) / r
+        return Fraction(-1, 2) if r == 1 else -bernoulli(r) / r
     if _character_parity(D) != r % 2:
         return Fraction(0)
     b = _gen_bernoulli_euler(r, D)
@@ -697,7 +686,7 @@ def cohen_H(r: int, N: int) -> Fraction:
     if r < 1 or N < 0:
         raise ValueError("cohen_H wants r >= 1 and N >= 0")
     if N == 0:
-        return zeta_neg(2 * r - 1)
+        return dirichlet_L_neg(2 * r, 1)
     D = N if r % 2 == 0 else -N
     if D % 4 not in (0, 1):
         return Fraction(0)

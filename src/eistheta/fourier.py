@@ -174,13 +174,13 @@ def _dump_twoT(doc, what: str = "expansion dump") -> Mat:
         raise ValueError(f"{what}: missing or malformed field 'twoT'") from None
 
 
-def _dump_frac(doc, what: str = "expansion dump") -> Fraction:
-    """doc["num"] / doc["den"] as a Fraction; ValueError naming `what` otherwise."""
-    num_den = {f: _dump_field(doc, f, what=what) for f in ("num", "den")}
+def _dump_frac(doc) -> Fraction:
+    """doc["num"] / doc["den"] as a Fraction; ValueError naming the dump otherwise."""
+    num_den = {f: _dump_field(doc, f) for f in ("num", "den")}
     try:
         return frac_from_doc(num_den)
     except ValueError as exc:
-        raise ValueError(f"{what}: {exc}") from None
+        raise ValueError(f"expansion dump: {exc}") from None
 
 
 def load_qexp(doc) -> QExpansion:

@@ -469,16 +469,16 @@ def automorphisms(twoS, pool=None) -> list:
     short_vectors(twoS, b) for some b at least every Q(e_i) (by default b
     is the largest of them); the pool lists one x of each pair +-x, and
     the search takes both.  A caller that holds such a pool passes it and
-    spares the search its own; a pool lacking some Q(e_i) gives [].  The
-    zero lattice has the one automorphism ().
+    spares the search its own; a pool lacking some Q(e_i) is a ValueError,
+    as every definite form has +-1.  The zero lattice's one automorphism is ().
     """
     A = check_definite(twoS, "automorphisms")
     n = len(A)
     need = [A[i][i] // 2 for i in range(n)]
     if pool is None:
         pool = short_vectors(A, max(need, default=0))
-    if any(v not in pool for v in need):
-        return []
+    if lacking := [v for v in need if v not in pool]:
+        raise ValueError(f"automorphisms: the pool has no vector of value Q(e_i) = {lacking[0]}")
     signed = {v: [s for x in pool[v] for s in (x, tuple(-c for c in x))] for v in set(need)}
     found = []
     cols: list[tuple] = []
@@ -542,7 +542,7 @@ def _shape_walk(k: int, fits):
     return rec(0)
 
 
-def enumerate_classes(r: int, level_divides: int, det_bound: int | None = None):
+def enumerate_classes(r: int, level_divides: int):
     """All GL_r(Z)-classes of positive definite even-diagonal forms with
     level dividing `level_divides`, as canonical doubled Gram matrices.
 
@@ -562,25 +562,20 @@ def enumerate_classes(r: int, level_divides: int, det_bound: int | None = None):
     product is at most gamma_r^r det(2S).  In the last column
     [[A, b], [b^t, d]], d = (t + b^t adj(A) b)/det(A) is solved from each
     admissible determinant t instead of scanned.  Candidates are then
-    filtered by level and deduplicated by canonical form.  `det_bound`
-    optionally caps det(2S).
+    filtered by level and deduplicated by canonical form.
     """
-    check_integers("rank, level and bounds must be integers", r, level_divides,
-                   1 if det_bound is None else det_bound)
+    check_integers("rank and level must be integers", r, level_divides)
     if r <= 0 or r % 2 or r > 4:
         raise ValueError("rank must be 2 or 4 at desk scale")
     if level_divides <= 0:
         raise ValueError("level must be positive")
-    if det_bound is not None and det_bound < 1:
-        raise ValueError("det bound must be positive")
     Lr = level_divides**r
-    det_max = Lr if det_bound is None else min(Lr, det_bound)
     root = level_divides ** (r // 2)  # N^{r/2}
     # (-1)^(r/2) det(2S) is a discriminant, hence 0 or 1 mod 4
     sgn = -1 if (r // 2) % 2 else 1
     targets = [
         t for t in divisors(Lr)
-        if t < Lr and t <= min(det_max, root) and (sgn * t) % 4 <= 1
+        if t < Lr and t <= root and (sgn * t) % 4 <= 1
     ]
     if not targets:
         return []
@@ -622,7 +617,7 @@ def enumerate_classes(r: int, level_divides: int, det_bound: int | None = None):
             as_mat([[level_divides * x // d for x in row] for row in adjugate(M)])
         )
         for M, d in found.items()
-        if d < root and Lr // d <= det_max
+        if d < root
     ]
     return sorted({*found, *duals}, key=lambda M: (bareiss_det(M), M))
 

@@ -100,7 +100,6 @@ from .exactnum import (
     kronecker,
     residue,
     v_p,
-    zeta_neg,
 )
 from .lattice import (
     Mat,
@@ -152,9 +151,9 @@ def _global_factor(n: int, k: int, det2T: int, D0: int | None, f: int | None) ->
     the powers of pi, square roots and Gamma values that they bring cancel
     those of alpha_inf.
     """
-    out = Fraction(2 ** ((n + 1) // 2)) / zeta_neg(k - 1)
+    out = Fraction(2 ** ((n + 1) // 2)) / dirichlet_L_neg(k, 1)
     for i in range(1, n // 2 + 1):
-        out /= zeta_neg(2 * k - 2 * i - 1)
+        out /= dirichlet_L_neg(2 * k - 2 * i, 1)
     if n == 1:
         return out * (det2T // 2) ** (k - 1)
     s = k - n // 2

@@ -1,10 +1,10 @@
 """Frozen records: immutable value classes declared by annotated fields.
 
-``record`` turns a class body of annotated fields, defaults and methods
-into a ``collections.namedtuple`` subclass, where a frozen dataclass would
-generate and compile its methods' source at import.  The record keeps
-the field order, defaults, repr, hashing and immutability of a frozen
-dataclass, and like one it equals only records of its own class.
+``record`` turns a class body of annotated fields and methods into a
+``collections.namedtuple`` subclass, where a frozen dataclass would
+generate and compile its methods' source at import.  The record keeps the
+field order, repr, hashing and immutability of a frozen dataclass, with no
+field defaults, and like one it equals only records of its own class.
 """
 
 from __future__ import annotations
@@ -31,23 +31,21 @@ def _ne(self, other):
 def record(cls):
     """Class decorator: cls as a frozen record of the fields it annotates.
 
-    A field's default is the value the body assigns it, and as in a
-    dataclass a field without one may not follow a field with one
-    (TypeError).  When the body defines ``__post_init__``, every
-    construction calls it, looked up on the class at that time: it checks
-    the fields and returns None, or returns the record to keep instead (one
-    made by ``_replace``).  ``_replace`` itself builds by ``_make`` and
-    checks nothing, so it is for ``__post_init__`` alone.  Methods of the
-    body must not call ``super()``: they move to a new class.
+    A field has no default: a body that assigns a field a value is refused
+    (TypeError), where a namedtuple would silently drop it.  When the body
+    defines ``__post_init__``, every construction calls it, looked up on the
+    class at that time: it checks the fields and returns None, or returns
+    the record to keep instead (one made by ``_replace``).  ``_replace``
+    itself builds by ``_make`` and checks nothing, so it is for
+    ``__post_init__`` alone.  Methods of the body must not call ``super()``:
+    they move to a new class.
     """
     own = vars(cls)
     fields = tuple(cls.__annotations__)
-    defaults = [own[f] for f in fields if f in own]
-    for f in fields[len(fields) - len(defaults):]:
-        if f not in own:
-            raise TypeError(f"non-default field {f!r} of {cls.__name__} follows a default")
-    base = namedtuple(cls.__name__, fields, defaults=defaults, module=cls.__module__)
-    body = {k: v for k, v in own.items() if k not in fields + ("__dict__", "__weakref__")}
+    if given := [f for f in fields if f in own]:
+        raise TypeError(f"field {given[0]!r} of {cls.__name__} has a default")
+    base = namedtuple(cls.__name__, fields, module=cls.__module__)
+    body = {k: v for k, v in own.items() if k not in ("__dict__", "__weakref__")}
     body.update(__slots__=(), __eq__=_eq, __ne__=_ne, __hash__=tuple.__hash__,
                 _make=classmethod(tuple.__new__))  # so that a record's own __len__ spares _replace
     if "__post_init__" in own:

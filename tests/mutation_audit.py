@@ -3,10 +3,11 @@
 Copies src/, tests/ and pyproject.toml to a temporary directory, checks
 that every auditing test passes there, then applies each known mutant of a
 verdict gate, of the signs that a short-vector pool leaves to its readers,
-or of the canonical form that tells classes apart, in turn and runs the
-test that must catch it.  Exits 1 when a mutant survives (its test
-passes), no longer applies (its text is not in the source exactly once)
-or its test does not run.
+of the canonical form that tells classes apart, of the determinants that
+class enumeration searches, or of the sign of zeta at a non-positive
+integer, in turn and runs the test that must catch it.  Exits 1 when a
+mutant survives (its test passes), no longer applies (its text is not in
+the source exactly once) or its test does not run.
 
     python tests/mutation_audit.py
 
@@ -79,6 +80,11 @@ MUTANTS = [
     ("class enumeration keeps a candidate under itself, not its canonical form", "lattice.py",
      "found[minkowski_reduce(M)] = t", "found[M] = t",
      "tests/test_lattice.py::test_enumerate_classes_matches_recorded"),
+    ("class enumeration skips the determinant N^{r/2}", "lattice.py",
+     "t <= root", "t < root", "tests/test_lattice.py::test_enumerate_classes_matches_recorded"),
+    ("zeta at a non-positive integer with the wrong sign", "exactnum.py",
+     "-bernoulli(r) / r", "bernoulli(r) / r",
+     "tests/test_exactnum.py::test_gen_bernoulli_specific"),
 ]
 
 

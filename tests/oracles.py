@@ -36,6 +36,8 @@ Each one enumerates everything the package code prunes:
 - cohen_sum_by_divisors (with moebius): Cohen's rank-2 integer as two
   nested divisor sums, where exactnum.cohen_product takes one product
   over the primes of f;
+- zeta_neg: zeta(-m) as -B_{m+1} / (m + 1) on its own, where the package
+  reads zeta at a non-positive integer from exactnum.dirichlet_L_neg;
 - transform_by_adjugate: T[D^{-1}] as adj(D)^t (2T) adj(D) / det(D)^2
   from 16 cofactor determinants at rank 4, where localdensity solves two
   triangular systems and refuses D at its first non-integral entry.
@@ -780,6 +782,14 @@ def character_signs_every_residue(D):
     return pos, neg
 
 
+def zeta_neg(m: int) -> Fraction:
+    """zeta(-m) for m >= 0 from the Bernoulli number B_{m+1}, with
+    zeta(0) = -1/2 apart."""
+    if m == 0:
+        return Fraction(-1, 2)
+    return -bernoulli(m + 1) / (m + 1)
+
+
 def moebius(n: int) -> int:
     if n <= 0:
         raise ValueError("moebius needs n >= 1")
@@ -909,7 +919,7 @@ def primitive_coeffs(F: QExpansion, r: int, bound: int) -> dict:
 @record
 class CongruenceResult:
     ok: bool
-    witness: tuple | None = None
+    witness: tuple | None
 
     def __bool__(self):
         return self.ok

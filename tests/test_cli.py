@@ -47,11 +47,19 @@ def test_classes_level1_empty(tmp_path):
     assert read_json(str(out))["classes"] == []
 
 
-@pytest.mark.parametrize("bound", ["0", "-1"])
-def test_classes_refuses_a_det_bound_below_1(capsys, bound):
-    rc = run(["classes", "--rank", "2", "--level", "3", "--det-bound", bound])
-    assert rc == 2
-    assert capsys.readouterr() == ("", "eistheta classes: det bound must be positive\n")
+@pytest.mark.parametrize("rank, level", [(4, 7), (4, 13), (2, 12)])
+def test_classes_lists_the_classes_of_genera(tmp_path, rank, level):
+    # the two commands differ in grouping alone: the same reps, each with
+    # the same epsilon
+    size = ["--rank", str(rank), "--level", str(level)]
+    assert run(["classes", *size, "--out", str(tmp_path / "classes.json")]) == 0
+    assert run(["genera", *size, "--cache-dir", str(tmp_path / "cache"),
+                "--out", str(tmp_path / "genera.json")]) == 0
+    listed = read_json(str(tmp_path / "classes.json"))["classes"]
+    grouped = [c for g in read_json(str(tmp_path / "genera.json"))["genera"]
+               for c in g["classes"]]
+    key = lambda c: c["twoT"]
+    assert listed and sorted(listed, key=key) == sorted(grouped, key=key)
 
 
 def test_genera_rank2_level7(tmp_path):

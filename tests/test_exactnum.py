@@ -26,7 +26,6 @@ from eistheta.exactnum import (
     primes_upto,
     sigma,
     v_p,
-    zeta_neg,
 )
 from eistheta.eisenstein import eisenstein_residues
 from eistheta.fourier import QExpansion
@@ -40,7 +39,13 @@ from eistheta.lattice import (
 from eistheta.eisenstein import WeightTarget, default_sequence
 from eistheta.padic import empirical_limit
 
-from oracles import character_signs_every_residue, chi_S, cohen_sum_by_divisors, moebius
+from oracles import (
+    character_signs_every_residue,
+    chi_S,
+    cohen_sum_by_divisors,
+    moebius,
+    zeta_neg,
+)
 
 
 # ---------------------------------------------------------------- oracles
@@ -246,7 +251,6 @@ INTEGER_INPUTS = {
         default_sequence(WeightTarget(7, 2, 0), 2), 1, x),
     "enumerate_classes level": lambda x: enumerate_classes(2, x),
     "build_genera level": lambda x: build_genera(2, x),
-    "enumerate_classes det bound": lambda x: enumerate_classes(2, 12, det_bound=x),
     "divisors": divisors,
     "sigma": lambda x: sigma(1, x),
     "sigma exponent": lambda x: sigma(x, 6),
@@ -256,12 +260,12 @@ INTEGER_INPUTS = {
     "cohen_H r": lambda x: cohen_H(x, 3),
     "cohen_H N": lambda x: cohen_H(2, x),
     "bernoulli": bernoulli,
-    "zeta_neg": zeta_neg,
     "gen_bernoulli index": lambda x: gen_bernoulli(x, -3),
     "gen_bernoulli discriminant": lambda x: gen_bernoulli(3, x),
     "gen_bernoulli_rows index": lambda x: gen_bernoulli_rows([x], [-3]),
     "gen_bernoulli_rows discriminant": lambda x: gen_bernoulli_rows([3], [x]),
     "dirichlet_L_neg r": lambda x: dirichlet_L_neg(x, -3),
+    "dirichlet_L_neg r at D = 1": lambda x: dirichlet_L_neg(x, 1),
     "dirichlet_L_neg D": lambda x: dirichlet_L_neg(3, x),
     "kummer_residues discriminant": lambda x: kummer_residues(7, [x], [3], 2),
     "kummer_residues index": lambda x: kummer_residues(7, [-3], [x], 2),
@@ -390,11 +394,12 @@ def test_bernoulli_runtime_checks_catch_a_wrong_pi(monkeypatch):
 
 
 def test_zeta_neg_small():
-    assert zeta_neg(0) == Fraction(-1, 2)
-    assert zeta_neg(1) == Fraction(-1, 12)
-    assert zeta_neg(3) == Fraction(1, 120)
-    assert zeta_neg(5) == Fraction(-1, 252)
-    assert zeta_neg(2) == 0
+    # zeta(1 - r) is dirichlet_L_neg(r, 1)
+    assert dirichlet_L_neg(1, 1) == Fraction(-1, 2)
+    assert dirichlet_L_neg(2, 1) == Fraction(-1, 12)
+    assert dirichlet_L_neg(4, 1) == Fraction(1, 120)
+    assert dirichlet_L_neg(6, 1) == Fraction(-1, 252)
+    assert dirichlet_L_neg(3, 1) == 0
 
 
 # ---------------------------------------------------------------- characters

@@ -364,12 +364,15 @@ def test_front_ends_import_no_private_name(module):
 
 
 def test_localdensity_reads_zeta_and_L_through_their_values():
-    # every zeta and L factor of the assembly is zeta_neg or dirichlet_L_neg,
-    # not a Bernoulli number rebuilt into a value at a positive integer
-    path = os.path.join(os.path.dirname(eistheta.__file__), "localdensity.py")
-    with open(path) as fh:
-        found = imported_names(fh.read())
-    assert "bernoulli" not in found and {"zeta_neg", "dirichlet_L_neg"} <= found
+    # every zeta and L factor of the assemblies in localdensity and
+    # eisenstein is a dirichlet_L_neg value, zeta at D = 1: not a Bernoulli
+    # number rebuilt into a value, and no second producer of zeta
+    for module in ("localdensity.py", "eisenstein.py"):
+        path = os.path.join(os.path.dirname(eistheta.__file__), module)
+        with open(path) as fh:
+            found = imported_names(fh.read())
+        assert not found & {"bernoulli", "zeta_neg"}, module
+        assert "dirichlet_L_neg" in found, module
 
 
 def parameters(source):
@@ -421,6 +424,18 @@ def test_class_equality_is_decided_by_minkowski_reduce_alone():
         switched += [f"{module}.{f}" for f, args in found.items() if "want_all" in args]
     assert two_forms == ["genus.same_genus"], two_forms
     assert switched == [], switched
+
+
+def test_enumerate_classes_takes_no_det_bound():
+    # class enumeration has one configuration: the classes of level dividing
+    # N, every Fricke dual included; a caller that wants fewer filters by det
+    found = []
+    for path in sorted(glob.glob(os.path.join(os.path.dirname(eistheta.__file__), "*.py"))):
+        with open(path) as fh:
+            module = os.path.basename(path)[:-3]
+            found += [f"{module}.{f}" for f, args in parameters(fh.read()).items()
+                      if "det_bound" in args]
+    assert found == [], found
 
 
 def cache_reads(source):

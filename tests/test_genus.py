@@ -113,7 +113,7 @@ def test_equivalent_implies_same_genus():
 def test_rank4_level11_classes_share_one_genus():
     # only det(2S) = 121 is possible: det divides 11^4 and is 0 or 1 mod 4,
     # and det 11^4 would force an even unimodular rank-4 form (none exist)
-    reps = enumerate_classes(4, 11, det_bound=121)
+    reps = enumerate_classes(4, 11)
     assert len(reps) == 3
     for S in reps:
         assert bareiss_det(S) == 121

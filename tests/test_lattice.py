@@ -771,6 +771,15 @@ def test_automorphisms_read_a_pool_the_caller_holds():
             assert automorphisms(M, short_vectors(M, B)) == automorphisms(M), (M, B)
 
 
+def test_automorphisms_refuse_a_pool_without_some_Q_e_i():
+    # every definite form has +-1, so a pool too short for the search is
+    # refused rather than read as the empty group
+    with pytest.raises(ValueError, match="no vector of value Q\\(e_i\\) = 1"):
+        automorphisms(A2, short_vectors(A2, 0))
+    with pytest.raises(ValueError, match="= 2"):  # B7 = [[2, 1], [1, 4]]: Q(e_2) = 2
+        automorphisms(B7, short_vectors(B7, 1))
+
+
 def test_automorphism_count_brute_small():
     forms = [
         as_mat([[2]]),
@@ -817,7 +826,7 @@ def test_enumerate_classes_doubling_stability(monkeypatch):
 
 
 def test_enumerate_classes_pairwise_inequivalent():
-    got = enumerate_classes(2, 12, det_bound=100)
+    got = [M for M in enumerate_classes(2, 12) if bareiss_det(M) <= 100]
     for i, M in enumerate(got):
         assert level(M) in (1, 2, 3, 4, 6, 12)
         for W in got[i + 1 :]:
@@ -826,7 +835,8 @@ def test_enumerate_classes_pairwise_inequivalent():
 
 
 # enumerate_classes output recorded when the search still ran over every
-# determinant dividing N^r, before the Fricke halving
+# determinant dividing N^r, before the Fricke halving; a key (r, N, bound)
+# holds the classes of det 2S <= bound
 RECORDED_CLASSES = {
     (2, 1, None): [],
     (2, 2, None): [],
@@ -1008,10 +1018,12 @@ def fricke_dual(twoS, N):
 
 def _check_recorded(cases):
     """Same output as recorded, and closed under the Fricke involution."""
-    for r, N, det_bound in cases:
-        got = enumerate_classes(r, N, det_bound=det_bound)
-        assert got == RECORDED_CLASSES[r, N, det_bound], (r, N, det_bound)
-        if det_bound is None:
+    for r, N, bound in cases:
+        got = enumerate_classes(r, N)
+        if bound is not None:
+            got = [M for M in got if bareiss_det(M) <= bound]
+        assert got == RECORDED_CLASSES[r, N, bound], (r, N, bound)
+        if bound is None:
             for M in got:
                 assert bareiss_det(M) != N**r
                 assert minkowski_reduce(fricke_dual(M, N)) in got, (r, N, M)
@@ -1037,17 +1049,14 @@ def test_enumerate_classes_matches_recorded_level37():
 
 
 def test_enumerate_classes_det_bound_drops_large_duals():
-    got = enumerate_classes(4, 13, det_bound=169)
+    # the classes of det 2S <= N^{r/2} are the searched ones; the Fricke
+    # dual of each one below N^{r/2} is the rest of the list
+    full = enumerate_classes(4, 13)
+    got = [M for M in full if bareiss_det(M) <= 169]
     assert [bareiss_det(M) for M in got] == [13, 169]
     dual = fricke_dual(got[0], 13)
     assert bareiss_det(dual) == 13**3 and level(dual) == 13
-
-
-@pytest.mark.parametrize("det_bound", [0, -1])
-def test_enumerate_classes_refuses_a_det_bound_below_1(det_bound):
-    # no form has det 2S < 1, so such a bound asks for nothing
-    with pytest.raises(ValueError, match="det bound must be positive"):
-        enumerate_classes(2, 3, det_bound=det_bound)
+    assert full == got + [minkowski_reduce(dual)]
 
 
 def test_enumerate_psd_indices_small():

@@ -289,7 +289,7 @@ def test_genus_theta_single_class():
 
 
 def test_genus_theta_multi_class():
-    reps = enumerate_classes(4, 11, det_bound=121)
+    reps = enumerate_classes(4, 11)
     genera = partition_into_genera([ClassRecord.from_rep(r) for r in reps])
     assert len(genera) == 1
     g = genera[0]
